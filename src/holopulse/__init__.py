@@ -1,11 +1,10 @@
 """holopulse: inverse-engineered two-tone pulses for robust holonomic qutrit gates."""
 
-from .paths import DYNAMICAL, HOLONOMIC, PathParams, controls_from_path, dynamical_gamma
+from .paths import DYNAMICAL, HOLONOMIC, PathParams, dynamical_gamma
 from .pulses import (GateSpec, OMEGA_MAX_DEFAULT, PulseSchedule, compute_duration,
                      export_tones, named_gate, parse_tones, synthesize)
 from .engine import (NoiseModel, PropagationResult, dephasing_from_t2,
-                     hamiltonian_at, propagate_open, propagate_unitary,
-                     survival_probability)
+                     propagate_open, propagate_unitary, survival_probability)
 from .gates import axis_angle, clifford_table, target_unitary
 from .tomo import (chi_of_channel, exact_records, mle_process, process_fidelity,
                    propagator_channel, simulate_counts, unitary_channel)

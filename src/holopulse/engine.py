@@ -1,7 +1,15 @@
 """Propagation of the driven three-level system.
 
-Closed-system evolution uses a fourth-order commutator-free scheme: per step,
-two exponentials of real combinations of the Hamiltonian at the two Gauss
+The drive couples only the bright state |b> to |a>; the dark state |d> never
+moves. Every closed-system Hamiltonian here (the qutrit drive, and each 2x2
+block of the blue-sideband ladder in `sideband`) therefore couples one level
+to the others with zero diagonal, so h^3 = w^2 h with w^2 = tr(h^2)/2 and
+
+    exp(-i h dt) = I - i (sin(w dt)/w) h - (2 sin^2(w dt/2)/w^2) h^2,
+
+a closed form with no eigendecomposition (`_expm_step`). Closed-system
+evolution uses a fourth-order commutator-free scheme (`cf4`): per step, two
+such exponentials of real combinations of the Hamiltonian at the two Gauss
 nodes. Every factor is exactly unitary, and step-doubling agreement at 1e-9
 is reached at the default resolution. Open-system evolution integrates the
 vectorized master equation (two pure-dephasing dissipators) with classical
@@ -13,8 +21,8 @@ Basis order everywhere: (|0>, |1>, |a>), hbar = 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,7 +70,6 @@ class PropagationResult:
     steps: int = 0
     truncation_error: float = 0.0
     converged: bool = True
-    trajectory: Optional[np.ndarray] = None
 
 
 def bright_state(spec) -> np.ndarray:
@@ -97,18 +104,21 @@ def _hamiltonians(schedule: PulseSchedule, t, epsilon: float) -> np.ndarray:
     return h
 
 
-def hamiltonian_at(schedule: PulseSchedule, t: float, epsilon: float = 0.0) -> np.ndarray:
-    """Drive Hamiltonian (rad/s) at time t, basis (|0>, |1>, |a>)."""
-    if not 0.0 <= t <= schedule.duration:
-        raise ValueError(f"t = {t} outside [0, {schedule.duration}]")
-    return _hamiltonians(schedule, t, epsilon)[0]
+def _expm_step(h: np.ndarray, dt: float) -> np.ndarray:
+    """Batched exp(-i h dt) for Hermitian h with h^3 = w^2 h, w^2 = tr(h^2)/2.
 
-
-def _expm_batch_hermitian(h: np.ndarray, dt: np.ndarray | float) -> np.ndarray:
-    """Batched exp(-i h dt) for Hermitian h via eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    phase = np.exp(-1j * np.atleast_1d(np.asarray(dt))[..., None] * w)
-    return np.einsum("...ij,...j,...kj->...ik", v, phase, v.conj())
+    Exact for every zero-diagonal Hamiltonian that couples one level to the
+    others. The h^2 coefficient 2 sin^2(w dt/2)/w^2 is 1 - cos(w dt) over w^2
+    without cancellation; at w = 0 the coefficients take their limits dt and
+    dt^2/2.
+    """
+    w = np.sqrt(0.5 * np.sum(np.abs(h) ** 2, axis=(-2, -1)))
+    nonzero = w > 0.0
+    w_safe = np.where(nonzero, w, 1.0)
+    s1 = np.where(nonzero, np.sin(w * dt) / w_safe, dt)
+    s2 = np.where(nonzero, 2.0 * (np.sin(0.5 * w * dt) / w_safe) ** 2, 0.5 * dt * dt)
+    eye = np.eye(h.shape[-1], dtype=complex)
+    return eye - 1j * s1[..., None, None] * h - s2[..., None, None] * (h @ h)
 
 
 def _chron_product(mats: np.ndarray) -> np.ndarray:
@@ -123,15 +133,20 @@ def _chron_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _propagate_cf4(schedule: PulseSchedule, epsilon: float, steps: int,
-                   t0: float, t1: float) -> np.ndarray:
+def cf4(hamiltonians: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
+        steps: int) -> np.ndarray:
+    """Fourth-order commutator-free propagator over [t0, t1].
+
+    `hamiltonians(t)` returns the batched Hamiltonians (shape (len(t), d, d))
+    at an array of times; it is called once per Gauss node.
+    """
     h = (t1 - t0) / steps
     base = t0 + np.arange(steps) * h
-    h1 = _hamiltonians(schedule, base + _GAUSS_C[0] * h, epsilon)
-    h2 = _hamiltonians(schedule, base + _GAUSS_C[1] * h, epsilon)
+    h1 = hamiltonians(base + _GAUSS_C[0] * h)
+    h2 = hamiltonians(base + _GAUSS_C[1] * h)
     a1, a2 = _CF4_A
-    first = _expm_batch_hermitian(a1 * h1 + a2 * h2, h)   # acts first
-    second = _expm_batch_hermitian(a2 * h1 + a1 * h2, h)
+    first = _expm_step(a1 * h1 + a2 * h2, h)   # acts first
+    second = _expm_step(a2 * h1 + a1 * h2, h)
     return _chron_product(second @ first)
 
 
@@ -150,11 +165,15 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: float = 0.0,
         raise ValueError(f"steps = {steps} below schedule resolution {schedule.n_samples}")
     if steps % 2:
         raise ValueError("steps must be even (phase jump must fall on a boundary)")
-    u = _propagate_cf4(schedule, epsilon, steps, t0, t1)
+
+    def hamiltonians(t):
+        return _hamiltonians(schedule, t, epsilon)
+
+    u = cf4(hamiltonians, t0, t1, steps)
     err = 0.0
     converged = True
     if check:
-        u_half = _propagate_cf4(schedule, epsilon, steps // 2, t0, t1)
+        u_half = cf4(hamiltonians, t0, t1, steps // 2)
         err = float(np.max(np.abs(u - u_half)))
         converged = err < 1e-6
     return PropagationResult(unitary=u, steps=steps, truncation_error=err,
@@ -166,8 +185,8 @@ def survival_probability(schedule: PulseSchedule, epsilon: float,
     """|<psi_0(T/2)|psi_eps(T/2)>|^2 for evolution of |b> over the first segment."""
     half = schedule.duration / 2.0
     b = bright_state(schedule.spec)
-    u_ideal = _propagate_cf4(schedule, 0.0, steps, 0.0, half)
-    u_err = _propagate_cf4(schedule, epsilon, steps, 0.0, half)
+    u_ideal = cf4(lambda t: _hamiltonians(schedule, t, 0.0), 0.0, half, steps)
+    u_err = cf4(lambda t: _hamiltonians(schedule, t, epsilon), 0.0, half, steps)
     overlap = np.vdot(u_ideal @ b, u_err @ b)
     return float(abs(overlap) ** 2)
 

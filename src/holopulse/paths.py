@@ -59,17 +59,6 @@ class PathParams:
                    gamma=dynamical_gamma(eta))
 
 
-@dataclass(frozen=True)
-class ControlSample:
-    """Controls and path angles at one instant."""
-    t: float
-    omega: float     # total Rabi rate, rad/s, >= 0
-    phi0: float      # radians
-    alpha: float
-    beta: float
-    f: float
-
-
 def alpha_of_t(t, duration):
     """alpha(t) = pi sin^2(pi t / T) on [0, T]."""
     t = np.asarray(t, dtype=float)
@@ -158,9 +147,3 @@ def controls_arrays(params: PathParams, t):
     f = f_of_alpha(alpha, params.eta, sign)
     return omega, phi0, alpha, beta, f
 
-
-def controls_from_path(t: float, params: PathParams) -> ControlSample:
-    """Controls at a single instant t in [0, T]."""
-    omega, phi0, alpha, beta, f = controls_arrays(params, float(t))
-    return ControlSample(t=float(t), omega=float(omega), phi0=float(phi0),
-                         alpha=float(alpha), beta=float(beta), f=float(f))

@@ -1,14 +1,10 @@
-"""Dense complex linear algebra, small quantum states, and fidelity metrics.
+"""Pauli matrices, basis kets, and unitarity, fidelity and leakage metrics.
 
-Everything here works on plain numpy arrays (complex128). Hilbert-space
-dimensions are tiny (2-16), so accuracy is preferred over speed throughout.
+Everything here works on plain numpy arrays (complex128) of tiny dimension.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
-
-MAX_DIM = 16
 
 # Pauli matrices in the computational basis
 SI = np.eye(2, dtype=complex)
@@ -25,22 +21,6 @@ def ket(dim: int, index: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
-
-
-def matrix_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale*m) for a square matrix of dimension <= 16.
-
-    Uses scaling-and-squaring with a Pade approximant. For anti-Hermitian
-    scale*m the result is unitary to ~1e-12.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix_exponential needs a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds supported maximum {MAX_DIM}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix_exponential: non-finite entries")
-    return expm(scale * m)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -84,32 +64,3 @@ def leakage(u: np.ndarray, u_tol: float = 1e-9) -> float:
         raise ValueError("propagator is not unitary within tolerance")
     return float(max(abs(u[2, 0]) ** 2, abs(u[2, 1]) ** 2))
 
-
-def check_state(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate a normalized state vector; returns it as complex128."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise ValueError("state must be a 1-d amplitude vector")
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("state has non-finite amplitudes")
-    norm = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state norm^2 = {norm} deviates from 1 beyond {tol}")
-    return psi
-
-
-def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                         trace_tol: float = 1e-10, eig_tol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr} deviates from 1 beyond {trace_tol}")
-    evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if float(np.min(evals)) < -eig_tol:
-        raise ValueError(f"density matrix has eigenvalue {np.min(evals)} < -{eig_tol}")
-    return rho

@@ -114,6 +114,15 @@ def test_cli_error_exit_code(tmp_path):
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("bad", [{"n_max": 2}, {"eta_ld": 0.5}])
+def test_sideband_bad_system_is_config_error(tmp_path, capsys, bad):
+    cfg = _write(tmp_path, "c.json", {"experiment": "sideband", **bad})
+    out = tmp_path / "o"
+    assert main(["sideband", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mismatched_command_and_config(tmp_path):
     cfg = _write(tmp_path, "c.json", {"experiment": "synth", "gate": "X"})
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

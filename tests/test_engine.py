@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from holopulse.engine import (NoiseModel, bright_state, dark_state,
-                              dephasing_from_t2, hamiltonian_at,
+from holopulse.engine import (NoiseModel, _expm_step, _hamiltonians,
+                              bright_state, dark_state, dephasing_from_t2,
                               open_superoperator, propagate_open,
                               propagate_unitary, survival_probability,
                               trace_defect)
@@ -17,20 +18,39 @@ def _sched(name="X", eta=0.0, n=256):
 
 def test_hamiltonian_structure():
     sched = _sched()
-    h = hamiltonian_at(sched, 0.25 * sched.duration)
+    h = _hamiltonians(sched, 0.25 * sched.duration, 0.0)[0]
     assert np.allclose(h, h.conj().T)
     assert h[0, 1] == 0.0 and h[1, 0] == 0.0    # no direct 0-1 coupling
     assert np.allclose(np.diag(h), 0.0)
     with pytest.raises(ValueError):
-        hamiltonian_at(sched, -1.0)
+        _hamiltonians(sched, -1.0, 0.0)
 
 
 def test_hamiltonian_amplitude_error_scales_linearly():
     sched = _sched()
     t = 0.25 * sched.duration
-    h0 = hamiltonian_at(sched, t, 0.0)
-    h1 = hamiltonian_at(sched, t, 0.1)
+    h0 = _hamiltonians(sched, t, 0.0)
+    h1 = _hamiltonians(sched, t, 0.1)
     assert np.allclose(h1, 1.1 * h0)
+
+
+def test_closed_form_step_matches_expm():
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
+    h3 = np.zeros((64, 3, 3), dtype=complex)    # |a> coupled to |0> and |1>
+    h3[:, :2, 2] = c
+    h3[:, 2, :2] = c.conj()
+    h2 = np.zeros((64, 2, 2), dtype=complex)
+    h2[:, 0, 1] = c[:, 0]
+    h2[:, 1, 0] = c[:, 0].conj()
+    sched = _sched("H", eta=1.0)
+    t = np.linspace(0.0, sched.duration, 33)
+    cases = [(h3, 0.37), (h3, 4.0), (h2, 0.37), (np.zeros((2, 3, 3), dtype=complex), 0.37),
+             (_hamiltonians(sched, t, 0.2), sched.duration / 2048)]
+    for h, dt in cases:
+        u = _expm_step(h, dt)
+        ref = np.array([expm(-1j * dt * m) for m in h])
+        assert np.max(np.abs(u - ref)) <= 1e-13
 
 
 def test_unitarity_and_step_doubling():

@@ -4,8 +4,7 @@ from scipy.integrate import quad
 
 from holopulse.paths import (DYNAMICAL, HOLONOMIC, PathParams, alpha_dot,
                              alpha_of_t, beta_of_t, controls_arrays,
-                             controls_from_path, dynamical_gamma, f_of_alpha,
-                             f_sign, segment_of)
+                             dynamical_gamma, f_of_alpha, f_sign, segment_of)
 
 T = 1.0e-4
 
@@ -103,11 +102,10 @@ def test_omega_segment_symmetry():
 
 def test_endpoint_phase_convention():
     params = PathParams(duration=T, eta=0.0, gamma=0.7)
-    s0 = controls_from_path(0.0, params)
-    assert s0.omega == 0.0
-    assert s0.phi0 == pytest.approx(np.pi / 2.0)    # chi -> +pi/2, beta = 0
-    sT = controls_from_path(T, params)
-    assert sT.phi0 == pytest.approx(-np.pi / 2.0 - 0.7)
+    omega, phi0, *_ = controls_arrays(params, np.array([0.0, T]))
+    assert omega[0] == 0.0
+    assert phi0[0] == pytest.approx(np.pi / 2.0)    # chi -> +pi/2, beta = 0
+    assert phi0[1] == pytest.approx(-np.pi / 2.0 - 0.7)
 
 
 def test_param_validation():

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
-from holopulse.qcore import (PAULIS, SI, SX, SY, SZ, check_density_matrix,
-                             check_state, fidelity_qubit_subspace, is_unitary,
-                             ket, leakage, matrix_exponential, unitarity_defect)
+from holopulse.qcore import (PAULIS, SI, SX, SY, SZ, fidelity_qubit_subspace,
+                             is_unitary, ket, leakage, unitarity_defect)
 
 
 def test_pauli_algebra():
@@ -22,30 +20,6 @@ def test_ket():
     assert v[2] == 1.0 and v[0] == 0.0
     with pytest.raises(ValueError):
         ket(2, 2)
-
-
-def test_matrix_exponential_matches_series():
-    rng = np.random.default_rng(1)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.allclose(matrix_exponential(m, 0.3), expm(0.3 * m))
-
-
-def test_matrix_exponential_unitary_for_antihermitian():
-    h = np.array([[0.0, 1.0 - 2.0j, 0.0],
-                  [1.0 + 2.0j, 0.5, 0.3],
-                  [0.0, 0.3, -0.5]], dtype=complex)
-    u = matrix_exponential(h, -1j)
-    assert unitarity_defect(u) < 1e-12
-    assert is_unitary(u)
-
-
-def test_matrix_exponential_rejects_bad_input():
-    with pytest.raises(ValueError):
-        matrix_exponential(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        matrix_exponential(np.zeros((17, 17)))
-    with pytest.raises(ValueError):
-        matrix_exponential(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
 
 def test_fidelity_qubit_subspace_identity():
@@ -74,21 +48,3 @@ def test_leakage():
     # swap |1> <-> |a>
     u = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
     assert leakage(u) == pytest.approx(1.0)
-
-
-def test_check_state():
-    check_state(np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        check_state(np.array([1.0, 1.0]) )
-    with pytest.raises(ValueError):
-        check_state(np.eye(2))
-
-
-def test_check_density_matrix():
-    check_density_matrix(np.diag([0.5, 0.5]).astype(complex))
-    with pytest.raises(ValueError):
-        check_density_matrix(np.diag([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        check_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
-    with pytest.raises(ValueError):
-        check_density_matrix(np.diag([1.5, -0.5]).astype(complex))

@@ -1,43 +1,18 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from holopulse.sideband import (SidebandSystem, anti_jc_hamiltonian,
-                                effective_propagator, synthesize_cphase,
-                                verify_full_model)
+from holopulse.engine import _CF4_A, _GAUSS_C
+from holopulse.paths import controls_arrays
+from holopulse.sideband import (SidebandSystem, effective_propagator,
+                                synthesize_cphase, verify_full_model)
 
 
 def test_system_indexing_and_validation():
-    sys = SidebandSystem(n_max=4)
-    assert sys.dim == 15
-    assert sys.index(0, 0) == 0
-    assert sys.index(1, 2) == 7
-    assert sys.index(2, 4) == 14
-    with pytest.raises(ValueError):
-        sys.index(3, 0)
-    with pytest.raises(ValueError):
-        sys.index(0, 5)
     with pytest.raises(ValueError):
         SidebandSystem(n_max=2)
     with pytest.raises(ValueError):
         SidebandSystem(eta_ld=0.5)
-
-
-def test_anti_jc_structure():
-    sys = SidebandSystem(n_max=3)
-    h = anti_jc_hamiltonian(sys, 1.0e5, 0.3)
-    assert np.allclose(h, h.conj().T)
-    # spin-|0> block completely decoupled
-    for n in range(4):
-        k = sys.index(0, n)
-        assert np.all(h[k, :] == 0) and np.all(h[:, k] == 0)
-    # sqrt(n+1) ladder scaling
-    a0 = h[sys.index(1, 1), sys.index(2, 0)]
-    a1 = h[sys.index(1, 2), sys.index(2, 1)]
-    assert abs(a1) == pytest.approx(np.sqrt(2.0) * abs(a0))
-    assert abs(a0) == pytest.approx(1.0e5 * sys.eta_ld)
-    # |1,0> has no coupling at all
-    k10 = sys.index(1, 0)
-    assert np.all(h[k10, :] == 0)
 
 
 def test_effective_propagator_is_cz():
@@ -54,8 +29,6 @@ def test_full_model_cz_report():
     assert report.leakage < 1e-3
     assert report.fixed_point_deviation < 1e-10
     assert abs(abs(report.conditional_phase) - np.pi) < 1e-6
-    assert report.truncation_shift < 1e-6
-    assert report.metadata["under_truncated"] is False
 
 
 @pytest.mark.parametrize("gamma", [np.pi / 4.0, np.pi / 2.0])
@@ -72,3 +45,50 @@ def test_report_text_round():
     text = report.to_text()
     assert text.splitlines()[0].startswith("conditional_phase_rad")
     assert "omega_eff = 2*eta_ld*omega_r" in text
+
+
+def _anti_jc_ladder(sys, omega_r, phi):
+    """Truncated blue-sideband Hamiltonians, basis index spin * (n_max+1) + n.
+
+    <1, n+1| H |a, n> = i * omega_r * eta_ld * sqrt(n+1) * e^{i phi}; the
+    spin-|0> ladder is uncoupled.
+    """
+    levels = sys.n_max + 1
+    h = np.zeros(omega_r.shape + (3 * levels, 3 * levels), dtype=complex)
+    coupling = 1j * omega_r * sys.eta_ld * np.exp(1j * phi)
+    for n in range(sys.n_max):
+        row, col = levels + n + 1, 2 * levels + n
+        h[:, row, col] = coupling * np.sqrt(n + 1.0)
+        h[:, col, row] = np.conj(h[:, row, col])
+    return h
+
+
+def test_full_model_matches_truncated_ladder():
+    gamma, steps = 1.1, 1024
+    sys = SidebandSystem(n_max=3, eta_ld=0.1)
+    sched = synthesize_cphase(gamma, 2.0 * np.pi * 1.0e4, 0.2, n_samples=512)
+    params = sched.spec.path_params(sched.duration)
+    dt = sched.duration / steps
+    base = np.arange(steps) * dt
+    hams = []
+    for c in _GAUSS_C:
+        omega, phi0, *_ = controls_arrays(params, base + c * dt)
+        phi_eff = phi0 + np.pi - sched.spec.phi
+        hams.append(_anti_jc_ladder(sys, omega / (2.0 * sys.eta_ld),
+                                    -(phi_eff + np.pi / 2.0)))
+    a1, a2 = _CF4_A
+    u = np.eye(hams[0].shape[-1], dtype=complex)
+    for h1, h2 in zip(*hams):
+        u = expm(-1j * dt * (a2 * h1 + a1 * h2)) @ expm(-1j * dt * (a1 * h1 + a2 * h2)) @ u
+    levels = sys.n_max + 1
+    comp = [0, 1, levels, levels + 1]        # |0,0>, |0,1>, |1,0>, |1,1>
+    block = u[np.ix_(comp, comp)]
+    target = np.diag([1.0, 1.0, 1.0, np.exp(1j * gamma)])
+    fidelity = abs(np.trace(block.conj().T @ target)) / 4.0
+    leak = max(1.0 - np.sum(np.abs(block[:, j]) ** 2) for j in range(4))
+    phase = np.angle(block[3, 3] * np.conj(block[0, 0]))
+
+    report = verify_full_model(sched, sys, steps=steps)
+    assert abs(report.conditional_phase - phase) <= 1e-10
+    assert abs(report.subspace_fidelity - fidelity) <= 1e-10
+    assert abs(report.leakage - leak) <= 1e-10
