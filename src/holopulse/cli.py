@@ -22,8 +22,7 @@ from .paths import DYNAMICAL, HOLONOMIC, dynamical_gamma
 from .pulses import (OMEGA_MAX_DEFAULT, GateSpec, compute_duration, export_tones,
                      named_gate, synthesize)
 from .qcore import fidelity_qubit_subspace, leakage
-from .rbench import (RBConfig, average_fidelity, curve_to_csv, fit_summary,
-                     interleaved_gate_fidelity, run_rb)
+from .rbench import GateCache, RBConfig, curve_to_csv, fit_summary, run_rb
 from .tomo import (chi_of_channel, exact_records, mle_process,
                    process_fidelity, propagator_channel, records_to_csv,
                    simulate_counts, unitary_channel)
@@ -73,17 +72,17 @@ def parse_gate(cfg, key="gate") -> GateSpec:
     if raw is None:
         raise ConfigError(f"config field '{key}' is required")
     if isinstance(raw, str):
-        return named_gate(raw, eta=float(cfg.get("eta", 0.0)))
+        raw = {"name": raw, "eta": cfg.get("eta", 0.0)}
     if not isinstance(raw, dict):
         raise ConfigError(f"'{key}' must be a gate name or an object")
     unknown = set(raw) - {"name", "theta", "phi", "gamma", "eta", "scheme"}
     if unknown:
         raise ConfigError(f"unknown gate fields: {sorted(unknown)}")
-    eta = float(raw.get("eta", 0.0))
-    scheme = raw.get("scheme", HOLONOMIC)
-    if "name" in raw:
-        return named_gate(raw["name"], eta=eta, scheme=scheme)
     try:
+        eta = float(raw.get("eta", 0.0))
+        scheme = raw.get("scheme", HOLONOMIC)
+        if "name" in raw:
+            return named_gate(raw["name"], eta=eta, scheme=scheme)
         if scheme == DYNAMICAL:
             return GateSpec.dynamical(float(raw["theta"]), float(raw["phi"]), eta)
         return GateSpec(theta=float(raw["theta"]), phi=float(raw["phi"]),
@@ -192,29 +191,40 @@ def _run_qpt(cfg, seed, writer: OutputWriter):
 
 
 def _rb_config(cfg, seed, interleaved=None) -> RBConfig:
-    return RBConfig(
-        lengths=tuple(int(m) for m in cfg.get("lengths", (1, 2, 4, 8, 12, 16, 24, 32))),
-        n_sequences=int(cfg.get("sequences", 20)),
-        shots=None if cfg.get("shots") is None else int(cfg["shots"]),
-        seed=seed,
-        interleaved=interleaved,
-        noise=parse_noise(cfg),
-        eta=float(cfg.get("eta", 0.0)),
-        scheme=cfg.get("scheme", HOLONOMIC),
-        omega_max=float(cfg.get("omega_max", OMEGA_MAX_DEFAULT)),
-        n_samples=int(cfg.get("n_samples", 1024)),
-        steps=int(cfg.get("steps", 2048)))
+    noise = parse_noise(cfg)
+    try:
+        return RBConfig(
+            lengths=tuple(int(m) for m in cfg.get("lengths", (1, 2, 4, 8, 12, 16, 24, 32))),
+            n_sequences=int(cfg.get("sequences", 20)),
+            shots=None if cfg.get("shots") is None else int(cfg["shots"]),
+            seed=seed,
+            interleaved=interleaved,
+            noise=noise,
+            eta=float(cfg.get("eta", 0.0)),
+            scheme=cfg.get("scheme", HOLONOMIC),
+            omega_max=float(cfg.get("omega_max", OMEGA_MAX_DEFAULT)),
+            n_samples=int(cfg.get("n_samples", 1024)),
+            steps=int(cfg.get("steps", 2048)))
+    except ValueError as exc:
+        raise ConfigError(f"invalid RB config: {exc}")
+
+
+def _rb_configs(cfg, seed):
+    """(reference config, interleaved config or None)."""
+    if cfg.get("interleaved") is None:
+        return _rb_config(cfg, seed), None
+    gate = parse_gate(cfg, key="interleaved")
+    return _rb_config(cfg, seed), _rb_config(cfg, seed, interleaved=gate)
 
 
 def _run_rb(cfg, seed, writer: OutputWriter):
-    ref_cfg = _rb_config(cfg, seed)
-    ref = run_rb(ref_cfg)
+    ref_cfg, int_cfg = _rb_configs(cfg, seed)
+    cache = GateCache()     # the interleaved run reuses the reference Cliffords
+    ref = run_rb(ref_cfg, cache)
     writer.write("rb_reference.csv", curve_to_csv(ref, ref_cfg.n_sequences))
     writer.write("rb_reference_fit.txt", fit_summary(ref))
-    if cfg.get("interleaved") is not None:
-        gate = parse_gate(cfg, key="interleaved")
-        int_cfg = _rb_config(cfg, seed, interleaved=gate)
-        inter = run_rb(int_cfg)
+    if int_cfg is not None:
+        inter = run_rb(int_cfg, cache)
         writer.write("rb_interleaved.csv", curve_to_csv(inter, int_cfg.n_sequences))
         writer.write("rb_interleaved_fit.txt", fit_summary(inter, p_ref=ref.p))
     return 0
@@ -359,8 +369,11 @@ def main(argv=None) -> int:
                 raise ConfigError("--mode only applies to the sweep command")
             cfg["mode"] = args.mode
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        # reject a bad sideband system or RB config before --out is created
         if args.command == "sideband":
-            _sideband_system(cfg)   # reject a bad system before --out is created
+            _sideband_system(cfg)
+        elif args.command == "rb":
+            _rb_configs(cfg, seed)
         writer = OutputWriter(args.out, cfg, seed)
         status = _RUNNERS[args.command](cfg, seed, writer)
         writer.finish()

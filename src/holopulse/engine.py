@@ -11,9 +11,11 @@ a closed form with no eigendecomposition (`_expm_step`). Closed-system
 evolution uses a fourth-order commutator-free scheme (`cf4`): per step, two
 such exponentials of real combinations of the Hamiltonian at the two Gauss
 nodes. Every factor is exactly unitary, and step-doubling agreement at 1e-9
-is reached at the default resolution. Open-system evolution integrates the
-vectorized master equation (two pure-dephasing dissipators) with classical
-fixed-step RK4 acting on the full 9x9 superoperator.
+is reached at the default resolution. Open-system evolution (two pure-
+dephasing dissipators) shares the same per-step CF4 propagators (`_cf4_steps`):
+the dissipator is diagonal on vec(rho), so its exponential is elementwise, and
+each step is a Strang splitting around U (x) U*, Richardson-extrapolated to
+fourth order. All steps are batched and reduced by one ordered product.
 
 The Hamiltonian is evaluated from the schedule's continuous-time control law
 (gate spec + duration); the sampled arrays are the export artifact.
@@ -133,12 +135,13 @@ def _chron_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def cf4(hamiltonians: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
-        steps: int) -> np.ndarray:
-    """Fourth-order commutator-free propagator over [t0, t1].
+def _cf4_steps(hamiltonians: Callable[[np.ndarray], np.ndarray], t0: float,
+               t1: float, steps: int) -> np.ndarray:
+    """Per-step fourth-order commutator-free propagators over [t0, t1].
 
     `hamiltonians(t)` returns the batched Hamiltonians (shape (len(t), d, d))
-    at an array of times; it is called once per Gauss node.
+    at an array of times; it is called once per Gauss node. The result has
+    shape (steps, d, d), step k propagating over [t0 + k h, t0 + (k+1) h].
     """
     h = (t1 - t0) / steps
     base = t0 + np.arange(steps) * h
@@ -147,7 +150,23 @@ def cf4(hamiltonians: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
     a1, a2 = _CF4_A
     first = _expm_step(a1 * h1 + a2 * h2, h)   # acts first
     second = _expm_step(a2 * h1 + a1 * h2, h)
-    return _chron_product(second @ first)
+    return second @ first
+
+
+def cf4(hamiltonians: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
+        steps: int) -> np.ndarray:
+    """Fourth-order commutator-free propagator over [t0, t1] (see `_cf4_steps`)."""
+    return _chron_product(_cf4_steps(hamiltonians, t0, t1, steps))
+
+
+def _check_steps(schedule: PulseSchedule, steps: int, full_cycle: bool):
+    """Reject step counts below 2, odd, or (over the full cycle) coarser than
+    the schedule's sampling."""
+    if steps < 2 or steps % 2:
+        raise ValueError(f"steps must be even and >= 2 (the phase jump must fall "
+                         f"on a step boundary), got {steps}")
+    if full_cycle and steps < schedule.n_samples:
+        raise ValueError(f"steps = {steps} below schedule resolution {schedule.n_samples}")
 
 
 def propagate_unitary(schedule: PulseSchedule, epsilon: float = 0.0,
@@ -161,10 +180,7 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: float = 0.0,
     """
     if t1 is None:
         t1 = schedule.duration
-    if t0 == 0.0 and t1 == schedule.duration and steps < schedule.n_samples:
-        raise ValueError(f"steps = {steps} below schedule resolution {schedule.n_samples}")
-    if steps % 2:
-        raise ValueError("steps must be even (phase jump must fall on a boundary)")
+    _check_steps(schedule, steps, full_cycle=(t0 == 0.0 and t1 == schedule.duration))
 
     def hamiltonians(t):
         return _hamiltonians(schedule, t, epsilon)
@@ -199,44 +215,50 @@ def _unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(3, 3)
 
 
-def _dissipator_superop(noise: NoiseModel) -> np.ndarray:
-    """Constant Lindblad part of the generator in row-major vec convention."""
-    eye = np.eye(3, dtype=complex)
-    d = np.zeros((9, 9), dtype=complex)
-    for rate, level in ((noise.gamma_1a, 1), (noise.gamma_0a, 0)):
-        if rate == 0.0:
-            continue
-        L = np.zeros((3, 3), dtype=complex)
-        L[level, level] = np.sqrt(rate)
-        ldl = L.conj().T @ L
-        d += (np.kron(L, L.conj())
-              - 0.5 * np.kron(ldl, eye)
-              - 0.5 * np.kron(eye, ldl.T))
-    return d
+def _dephasing_rates(noise: NoiseModel) -> np.ndarray:
+    """Pure-dephasing generator on row-major vec(rho): a diagonal, as 9 rates.
+
+    L_l = sqrt(gamma_l)|l><l| damps rho_ij at gamma_l/2 when exactly one of
+    i, j is l and leaves every other entry alone, so exp(D t) is elementwise.
+    """
+    levels = np.arange(3)
+    rates = np.zeros((3, 3))
+    for gamma, level in ((noise.gamma_0a, 0), (noise.gamma_1a, 1)):
+        hit = levels == level
+        rates -= 0.5 * gamma * (hit[:, None] != hit[None, :])
+    return rates.reshape(-1)
+
+
+def _lift(u: np.ndarray) -> np.ndarray:
+    """Batched U (x) U*, the map rho -> U rho U^dag on row-major vec(rho)."""
+    n, d = u.shape[0], u.shape[-1]
+    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
 
 
 def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
                        steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """Full-cycle quantum channel as a 9x9 matrix on row-major vec(rho)."""
-    if steps % 2:
-        raise ValueError("steps must be even")
-    T = schedule.duration
-    h = T / steps
-    ts = np.linspace(0.0, T, 2 * steps + 1)
-    hs = _hamiltonians(schedule, ts, noise.epsilon)
-    eye = np.eye(3, dtype=complex)
-    gs = -1j * (np.einsum("tij,kl->tikjl", hs, eye).reshape(-1, 9, 9)
-                - np.einsum("ij,tkl->tikjl", eye, np.swapaxes(hs, 1, 2)).reshape(-1, 9, 9))
-    gs = gs + _dissipator_superop(noise)
-    phi = np.eye(9, dtype=complex)
-    for k in range(steps):
-        g1, g2, g3 = gs[2 * k], gs[2 * k + 1], gs[2 * k + 2]
-        k1 = g1 @ phi
-        k2 = g2 @ (phi + 0.5 * h * k1)
-        k3 = g2 @ (phi + 0.5 * h * k2)
-        k4 = g3 @ (phi + h * k3)
-        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return phi
+    """Full-cycle quantum channel as a 9x9 matrix on row-major vec(rho).
+
+    Each step of length h is the Strang splitting S_h = E(h/2) (U (x) U*) E(h/2)
+    of the exact dephasing factor E(t) = exp(D t) around the CF4 propagator U,
+    Richardson-extrapolated to fourth order as (4 S_{h/2} S_{h/2} - S_h) / 3.
+    The CF4 propagators are computed once on the 2*steps half steps; a full
+    step's U is the product of its two halves. Every factor preserves the
+    trace, and so does their affine combination.
+    """
+    _check_steps(schedule, steps, full_cycle=True)
+    half = _cf4_steps(lambda t: _hamiltonians(schedule, t, noise.epsilon),
+                      0.0, schedule.duration, 2 * steps)
+    first, second = half[0::2], half[1::2]
+    h = schedule.duration / steps
+    rates = _dephasing_rates(noise)
+    e_quarter = np.exp(0.25 * h * rates)
+    e_half = np.exp(0.5 * h * rates)
+    two_halves = (e_quarter[:, None]
+                  * (_lift(second) @ (e_half[:, None] * _lift(first)))
+                  * e_quarter)
+    full = e_half[:, None] * _lift(second @ first) * e_half
+    return _chron_product((4.0 * two_halves - full) / 3.0)
 
 
 def trace_defect(superop: np.ndarray) -> float:

@@ -5,7 +5,9 @@ interleaved) are closed by an exact-inverse recovery gate; survival is the
 population returned to |0>. Each gate is compiled to a pulse schedule and
 propagated by the engine (closed-system with a static amplitude error, or
 open-system when dephasing rates are present); per-gate propagators are
-cached, so a full run costs one propagation per distinct gate spec.
+cached, so a full run costs one propagation per distinct gate spec, and a
+reference and an interleaved run sharing a `GateCache` propagate the common
+Cliffords once.
 
 Decay curves are fitted to F = A p^m + B; average and per-gate fidelities
 follow from F_ave = 1 - (1 - p_ref)/2 and
@@ -47,10 +49,18 @@ class RBConfig:
     def __post_init__(self):
         if any(m < 1 for m in self.lengths):
             raise ValueError("sequence lengths must be >= 1")
+        if len(set(self.lengths)) < 3:
+            raise ValueError("need at least 3 distinct sequence lengths to fit "
+                             "A p^m + B")
         if self.n_sequences < 2:
             raise ValueError("need at least 2 sequences per length")
+        if self.shots is not None and self.shots < 1:
+            raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.mode not in ("pulse", "exact"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "pulse" and (self.steps % 2 or self.steps < self.n_samples):
+            raise ValueError(f"steps = {self.steps} must be even and at least the "
+                             f"schedule resolution n_samples = {self.n_samples}")
 
 
 @dataclass
@@ -94,44 +104,51 @@ def _spec_key(spec: GateSpec):
             round(spec.eta, 14), spec.scheme)
 
 
-class _GateCache:
-    """Per-spec propagators (3x3 unitary or 9x9 superoperator)."""
+def _dephased(noise: NoiseModel) -> bool:
+    return noise.gamma_1a > 0.0 or noise.gamma_0a > 0.0
 
-    def __init__(self, config: RBConfig):
-        self.config = config
-        self.open = (config.noise.gamma_1a > 0.0 or config.noise.gamma_0a > 0.0)
+
+class GateCache:
+    """Per-gate propagators (3x3 unitary, or 9x9 superoperator under dephasing).
+
+    Keyed on everything that sets the channel, so one cache can serve several
+    RB runs (reference and interleaved) without returning a wrong channel.
+    """
+
+    def __init__(self):
         self._store = {}
 
-    def channel(self, spec: GateSpec):
-        key = _spec_key(spec)
+    def channel(self, spec: GateSpec, config: RBConfig):
+        key = (_spec_key(spec), config.noise, config.omega_max,
+               config.n_samples, config.steps)
         if key not in self._store:
-            sched = synthesize(spec, self.config.omega_max, self.config.n_samples)
-            if self.open:
-                self._store[key] = open_superoperator(
-                    sched, self.config.noise, self.config.steps)
+            sched = synthesize(spec, config.omega_max, config.n_samples)
+            if _dephased(config.noise):
+                self._store[key] = open_superoperator(sched, config.noise, config.steps)
             else:
-                res = propagate_unitary(sched, self.config.noise.epsilon,
-                                        self.config.steps, check=False)
+                res = propagate_unitary(sched, config.noise.epsilon, config.steps,
+                                        check=False)
                 self._store[key] = res.unitary
         return self._store[key]
 
 
-def _survival_pulse(specs, recovery, cache: _GateCache, noise: NoiseModel) -> float:
+def _survival_pulse(specs, recovery, cache: GateCache, config: RBConfig) -> float:
     """Exact |0>-return probability through the pulse pipeline, with SPAM."""
+    noise = config.noise
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0] = 1.0 - noise.prep_error
     rho[1, 1] = noise.prep_error
-    if cache.open:
+    if _dephased(noise):
         v = rho.reshape(-1)
         for spec in specs:
-            v = cache.channel(spec) @ v
-        v = cache.channel(recovery) @ v
+            v = cache.channel(spec, config) @ v
+        v = cache.channel(recovery, config) @ v
         p0 = float(np.real(v.reshape(3, 3)[0, 0]))
     else:
         for spec in specs:
-            u = cache.channel(spec)
+            u = cache.channel(spec, config)
             rho = u @ rho @ u.conj().T
-        u = cache.channel(recovery)
+        u = cache.channel(recovery, config)
         rho = u @ rho @ u.conj().T
         p0 = float(np.real(rho[0, 0]))
     p0 = min(max(p0, 0.0), 1.0)
@@ -195,9 +212,13 @@ def interleaved_gate_fidelity(p_ref: float, p_gate: float) -> float:
     return 1.0 - (1.0 - p_gate / p_ref) / 2.0
 
 
-def run_rb(config: RBConfig) -> RBCurve:
-    """Run one RB experiment (reference, or interleaved when configured)."""
-    cache = _GateCache(config) if config.mode == "pulse" else None
+def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
+    """Run one RB experiment (reference, or interleaved when configured).
+
+    Pass one `cache` to several runs to propagate each distinct gate once.
+    """
+    if cache is None and config.mode == "pulse":
+        cache = GateCache()
     means, stds = [], []
     for m in config.lengths:
         fids = []
@@ -207,7 +228,7 @@ def run_rb(config: RBConfig) -> RBCurve:
             specs, recovery = build_sequence(int(m), rng, config.interleaved,
                                              config.eta, config.scheme)
             if config.mode == "pulse":
-                f = _survival_pulse(specs, recovery, cache, config.noise)
+                f = _survival_pulse(specs, recovery, cache, config)
             else:
                 f = _survival_exact(specs, recovery, config)
             if config.shots is not None:

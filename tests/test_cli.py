@@ -123,6 +123,25 @@ def test_sideband_bad_system_is_config_error(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("rb", {"lengths": [1, 2]}),
+    ("rb", {"shots": 0}),
+    ("rb", {"sequences": 1}),
+    ("rb", {"noise": {"gamma_1a": 100.0}, "n_samples": 1024, "steps": 256}),
+    ("rb", {"steps": 0}),
+    ("rb", {"interleaved": "Q"}),
+    ("synth", {"gate": "Q"}),
+])
+def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
+    cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    if command == "rb":     # rb configs are checked before --out is created
+        assert not out.exists()
+
+
 def test_mismatched_command_and_config(tmp_path):
     cfg = _write(tmp_path, "c.json", {"experiment": "synth", "gate": "X"})
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from holopulse.engine import (NoiseModel, _expm_step, _hamiltonians,
-                              bright_state, dark_state, dephasing_from_t2,
-                              open_superoperator, propagate_open,
-                              propagate_unitary, survival_probability,
-                              trace_defect)
+from holopulse.engine import (NoiseModel, _dephasing_rates, _expm_step,
+                              _hamiltonians, bright_state, dark_state,
+                              dephasing_from_t2, open_superoperator,
+                              propagate_open, propagate_unitary,
+                              survival_probability, trace_defect)
 from holopulse.gates import target_unitary
 from holopulse.pulses import GateSpec, named_gate, synthesize
 from holopulse.qcore import fidelity_qubit_subspace, leakage, unitarity_defect
@@ -158,3 +158,87 @@ def test_step_validation():
         propagate_unitary(sched, steps=256)    # below schedule resolution
     with pytest.raises(ValueError):
         propagate_unitary(sched, steps=1025)
+
+
+def _lindblad_dissipator(noise):
+    """Pure-dephasing Lindblad generator on row-major vec(rho), built from
+    L_l = sqrt(gamma_l)|l><l| by Kronecker products."""
+    eye = np.eye(3, dtype=complex)
+    d = np.zeros((9, 9), dtype=complex)
+    for rate, level in ((noise.gamma_1a, 1), (noise.gamma_0a, 0)):
+        L = np.zeros((3, 3), dtype=complex)
+        L[level, level] = np.sqrt(rate)
+        ldl = L.conj().T @ L
+        d += np.kron(L, L.conj()) - 0.5 * np.kron(ldl, eye) - 0.5 * np.kron(eye, ldl.T)
+    return d
+
+
+def _rk4_channel(sched, noise, steps):
+    """Reference channel: classical fixed-step RK4 on the vectorized master equation."""
+    h = sched.duration / steps
+    hs = _hamiltonians(sched, np.linspace(0.0, sched.duration, 2 * steps + 1),
+                       noise.epsilon)
+    eye = np.eye(3)
+    gs = (-1j * (np.einsum("tij,kl->tikjl", hs, eye)
+                 - np.einsum("ij,tkl->tikjl", eye, hs.transpose(0, 2, 1))).reshape(-1, 9, 9)
+          + _lindblad_dissipator(noise))
+    phi = np.eye(9, dtype=complex)
+    for k in range(steps):
+        g1, g2, g3 = gs[2 * k], gs[2 * k + 1], gs[2 * k + 2]
+        k1 = g1 @ phi
+        k2 = g2 @ (phi + 0.5 * h * k1)
+        k3 = g2 @ (phi + 0.5 * h * k2)
+        k4 = g3 @ (phi + h * k3)
+        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return phi
+
+
+def test_dephasing_rates_are_lindblad_diagonal():
+    for noise in (NoiseModel(), dephasing_from_t2(20e-3, 200e-3),
+                  NoiseModel(gamma_1a=3000.0, gamma_0a=1000.0),
+                  NoiseModel(gamma_0a=7.0)):
+        d = _lindblad_dissipator(noise)
+        assert np.array_equal(d - np.diag(np.diag(d)), np.zeros((9, 9)))
+        assert np.allclose(_dephasing_rates(noise), np.diag(d).real, rtol=1e-15, atol=0.0)
+
+
+def test_open_channel_at_least_as_accurate_as_rk4():
+    noise = dephasing_from_t2(20e-3, 200e-3)    # criterion 7
+    for name in ("X", "T", "H"):
+        sched = _sched(name, eta=0.2)
+        ref = _rk4_channel(sched, noise, 8192)
+        for steps in (512, 2048):
+            err = np.max(np.abs(open_superoperator(sched, noise, steps) - ref))
+            err_rk4 = np.max(np.abs(_rk4_channel(sched, noise, steps) - ref))
+            assert err <= err_rk4, (name, steps, err, err_rk4)
+
+
+def test_open_channel_without_dephasing_is_closed_cf4():
+    steps = 512
+    for name, eta in (("X", 0.0), ("H", 1.0), ("T", 0.2)):
+        sched = _sched(name, eta=eta)
+        u = propagate_unitary(sched, steps=2 * steps, check=False).unitary
+        phi = open_superoperator(sched, NoiseModel(epsilon=0.0), steps)
+        assert np.max(np.abs(phi - np.kron(u, u.conj()))) <= 1e-12
+    sched = _sched("X", eta=0.2)
+    u = propagate_unitary(sched, epsilon=0.1, steps=2 * steps, check=False).unitary
+    phi = open_superoperator(sched, NoiseModel(epsilon=0.1), steps)
+    assert np.max(np.abs(phi - np.kron(u, u.conj()))) <= 1e-12
+
+
+def test_open_channel_trace_preserving_under_strong_dephasing():
+    noise = NoiseModel(gamma_1a=3000.0, gamma_0a=1000.0)
+    for name in ("X", "T", "H"):
+        for steps in (256, 2048):
+            phi = open_superoperator(_sched(name, eta=0.2), noise, steps)
+            assert trace_defect(phi) <= 1e-12
+
+
+def test_open_step_validation():
+    sched = _sched(n=512)
+    noise = dephasing_from_t2()
+    for steps in (0, 1, 256, 1025):     # below 2, below resolution, odd
+        with pytest.raises(ValueError):
+            open_superoperator(sched, noise, steps)
+    with pytest.raises(ValueError):
+        propagate_unitary(sched, steps=0, t1=sched.duration / 2.0)

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from holopulse.engine import NoiseModel
+from holopulse.engine import NoiseModel, dephasing_from_t2
 from holopulse.gates import clifford_table, phase_equivalent, target_unitary
 from holopulse.pulses import named_gate
-from holopulse.rbench import (RBConfig, average_fidelity, build_sequence,
-                              curve_to_csv, decay_model, fit_decay,
-                              interleaved_gate_fidelity, run_rb)
+from holopulse.rbench import (GateCache, RBConfig, average_fidelity,
+                              build_sequence, curve_to_csv, decay_model,
+                              fit_decay, interleaved_gate_fidelity, run_rb)
 
 
 def test_build_sequence_inverts():
@@ -111,3 +113,37 @@ def test_config_validation():
         RBConfig(n_sequences=1)
     with pytest.raises(ValueError):
         RBConfig(mode="fancy")
+    with pytest.raises(ValueError):
+        RBConfig(lengths=(1, 2))
+    with pytest.raises(ValueError):
+        RBConfig(lengths=(1, 2, 2))
+    with pytest.raises(ValueError):
+        RBConfig(shots=0)
+    with pytest.raises(ValueError):
+        RBConfig(n_samples=1024, steps=256)
+    with pytest.raises(ValueError):
+        RBConfig(n_samples=256, steps=513)
+    RBConfig(n_samples=1024, steps=256, mode="exact")    # steps unused
+
+
+def test_shared_cache_matches_separate_runs():
+    noise = dephasing_from_t2(20e-3, 200e-3)
+    ref_cfg = RBConfig(lengths=(1, 2, 4), n_sequences=3, seed=4, eta=0.2,
+                       noise=noise, n_samples=256, steps=512)
+    int_cfg = RBConfig(lengths=(1, 2, 4), n_sequences=3, seed=4, eta=0.2,
+                       noise=noise, n_samples=256, steps=512,
+                       interleaved=named_gate("T", eta=0.2))
+    cache = GateCache()
+    shared = [run_rb(ref_cfg, cache), run_rb(int_cfg, cache)]
+    separate = [run_rb(ref_cfg), run_rb(int_cfg)]
+    for a, b in zip(shared, separate):
+        assert np.array_equal(a.means, b.means) and a.p == b.p
+    # the shared cache returns what a fresh propagation gives, whatever changed
+    spec = named_gate("X", eta=0.2)
+    for changed in (dict(noise=NoiseModel(gamma_1a=1.0)), dict(steps=1024),
+                    dict(omega_max=0.5 * ref_cfg.omega_max), dict(n_samples=512)):
+        cfg = replace(ref_cfg, **changed)
+        assert np.array_equal(cache.channel(spec, cfg), GateCache().channel(spec, cfg))
+        if "n_samples" not in changed:     # the others change the channel
+            assert not np.array_equal(cache.channel(spec, cfg),
+                                      cache.channel(spec, ref_cfg))
