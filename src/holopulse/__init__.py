@@ -4,7 +4,7 @@ from .paths import DYNAMICAL, HOLONOMIC, PathParams, dynamical_gamma
 from .pulses import (GateSpec, OMEGA_MAX_DEFAULT, PulseSchedule, compute_duration,
                      export_tones, named_gate, parse_tones, synthesize)
 from .engine import (NoiseModel, PropagationResult, dephasing_from_t2,
-                     propagate_open, propagate_unitary, survival_probability)
+                     propagate_unitary, survival_probability)
 from .gates import axis_angle, clifford_table, target_unitary
 from .tomo import (chi_of_channel, exact_records, mle_process, process_fidelity,
                    propagator_channel, simulate_counts, unitary_channel)

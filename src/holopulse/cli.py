@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,8 @@ _ALLOWED_KEYS = {
     "export-awg": _COMMON_KEYS,
     "propagate": _COMMON_KEYS | {"epsilon"},
     "qpt": _COMMON_KEYS | {"shots", "analytic"},
-    "rb": _COMMON_KEYS | {"lengths", "sequences", "shots", "interleaved", "eta", "scheme"},
+    "rb": (_COMMON_KEYS - {"gate"}) | {"lengths", "sequences", "shots", "interleaved",
+                                       "eta", "scheme"},
     "sweep": _COMMON_KEYS | {"epsilon_grid", "schemes", "realizations", "mode",
                              "lengths", "sequences"},
     "sideband": {"experiment", "seed", "gamma", "eta", "omega_eff_max", "n_max",
@@ -273,6 +275,15 @@ def run_sweep(cfg, seed):
     omega_max = float(cfg.get("omega_max", OMEGA_MAX_DEFAULT))
     n_samples = int(cfg.get("n_samples", 1024))
     steps = int(cfg.get("steps", 2048))
+    if mode == "rb":
+        try:
+            rb_cfg = RBConfig(
+                lengths=tuple(int(m) for m in cfg.get("lengths", (1, 2, 4, 8, 12, 16))),
+                n_sequences=int(cfg.get("realizations", cfg.get("sequences", 20))),
+                seed=seed, omega_max=omega_max, n_samples=n_samples, steps=steps,
+                noise=parse_noise(cfg))
+        except ValueError as exc:
+            raise ConfigError(f"invalid RB config: {exc}")
     rows = []
     for scheme, eta in schemes:
         if scheme == DYNAMICAL:
@@ -289,18 +300,8 @@ def run_sweep(cfg, seed):
                 infid = 1.0 - fidelity_qubit_subspace(res.unitary, target)
                 rows.append((float(eps), label, infid, 0.0))
             else:
-                noise = parse_noise(cfg)
-                rb_cfg = RBConfig(
-                    lengths=tuple(int(m) for m in cfg.get("lengths", (1, 2, 4, 8, 12, 16))),
-                    n_sequences=int(cfg.get("realizations", cfg.get("sequences", 20))),
-                    seed=seed, eta=eta, scheme=scheme, omega_max=omega_max,
-                    n_samples=n_samples, steps=steps,
-                    noise=NoiseModel(epsilon=float(eps), gamma_1a=noise.gamma_1a,
-                                     gamma_0a=noise.gamma_0a,
-                                     prep_error=noise.prep_error,
-                                     detection_error_bright=noise.detection_error_bright,
-                                     detection_error_dark=noise.detection_error_dark))
-                curve = run_rb(rb_cfg)
+                noise = replace(rb_cfg.noise, epsilon=float(eps))
+                curve = run_rb(replace(rb_cfg, eta=eta, scheme=scheme, noise=noise))
                 perr = float(np.sqrt(max(curve.cov[1, 1], 0.0)))
                 rows.append((float(eps), label, 1.0 - curve.f_ave, perr / 2.0))
     return rows

@@ -1,23 +1,30 @@
 """Propagation of the driven three-level system.
 
-The drive couples only the bright state |b> to |a>; the dark state |d> never
-moves. Every closed-system Hamiltonian here (the qutrit drive, and each 2x2
-block of the blue-sideband ladder in `sideband`) therefore couples one level
-to the others with zero diagonal, so h^3 = w^2 h with w^2 = tr(h^2)/2 and
+The two tones couple only the bright state |b> to |a>; the dark state |d>,
+fixed by (theta, phi), never moves. The Hamiltonian is therefore
+H(t) = c(t)|b><a| + h.c. with one complex scalar coupling
+c = (1+eps) Omega(t) e^{-i phi0(t)} / 2 (`_coupling`), and the closed
+dynamics is SU(2) on span{|b>, |a>}. The block Hamiltonian [[0, c], [c*, 0]]
+has the closed-form exponential
 
-    exp(-i h dt) = I - i (sin(w dt)/w) h - (2 sin^2(w dt/2)/w^2) h^2,
+    exp(-i dt [[0, c], [c*, 0]]) = cos(|c| dt) I - i (sin(|c| dt)/|c|) [[0, c], [c*, 0]]
 
-a closed form with no eigendecomposition (`_expm_step`). Closed-system
-evolution uses a fourth-order commutator-free scheme (`cf4`): per step, two
-such exponentials of real combinations of the Hamiltonian at the two Gauss
-nodes. Every factor is exactly unitary, and step-doubling agreement at 1e-9
-is reached at the default resolution. Open-system evolution (two pure-
-dephasing dissipators) shares the same per-step CF4 propagators (`_cf4_steps`):
-the dissipator is diagonal on vec(rho), so its exponential is elementwise, and
-each step is a Strang splitting around U (x) U*, Richardson-extrapolated to
-fourth order. All steps are batched and reduced by one ordered product.
+(`_su2_step`). Closed-system evolution uses a fourth-order commutator-free
+scheme (`cf4`): per step, two such exponentials of real combinations of the
+coupling at the two Gauss nodes. Every factor is exactly unitary, and
+step-doubling agreement at 1e-9 is reached at the default resolution. The
+2x2 block propagator U2 depends on the path (gamma, eta, scheme) and eps
+only; the qutrit propagator is its embedding |d><d| + E U2 E^dag with
+E = [|b>, |a>] (`_embed`). `sideband` drives the same kernel with the
+anti-Jaynes-Cummings coupling of its n = 0 block.
 
-The Hamiltonian is evaluated from the schedule's continuous-time control law
+Open-system evolution (two pure-dephasing dissipators) embeds the same
+per-step CF4 propagators (`_cf4_steps`) at every half step: the dissipator is
+diagonal on vec(rho), so its exponential is elementwise, and each step is a
+Strang splitting around U (x) U*, Richardson-extrapolated to fourth order.
+All steps are batched and reduced by one ordered product.
+
+The coupling is evaluated from the schedule's continuous-time control law
 (gate spec + duration); the sampled arrays are the export artifact.
 Basis order everywhere: (|0>, |1>, |a>), hbar = 1.
 """
@@ -67,8 +74,6 @@ def dephasing_from_t2(t2_1a: float = 20e-3, t2_0a: float = 200e-3, **kw) -> Nois
 @dataclass
 class PropagationResult:
     unitary: Optional[np.ndarray] = None      # 3x3, closed system
-    density: Optional[np.ndarray] = None      # 3x3, open system
-    superoperator: Optional[np.ndarray] = None  # 9x9 row-major vec map
     steps: int = 0
     truncation_error: float = 0.0
     converged: bool = True
@@ -88,39 +93,42 @@ def dark_state(spec) -> np.ndarray:
                      0.0], dtype=complex)
 
 
-def _hamiltonians(schedule: PulseSchedule, t, epsilon: float) -> np.ndarray:
-    """Batched 3x3 Hamiltonians at times t (shape (..., 3, 3))."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    omega, phi0, _, _, _ = controls_arrays(schedule.path_params(), t)
-    spec = schedule.spec
-    omega0 = omega * np.sin(spec.theta / 2.0)
-    omega1 = omega * np.cos(spec.theta / 2.0)
-    phi1 = phi0 + np.pi - spec.phi
-    h = np.zeros(t.shape + (3, 3), dtype=complex)
-    c0 = 0.5 * (1.0 + epsilon) * omega0 * np.exp(-1j * phi0)
-    c1 = 0.5 * (1.0 + epsilon) * omega1 * np.exp(-1j * phi1)
-    h[..., 0, 2] = c0
-    h[..., 1, 2] = c1
-    h[..., 2, 0] = np.conj(c0)
-    h[..., 2, 1] = np.conj(c1)
-    return h
+def _coupling(schedule: PulseSchedule, t, epsilon: float) -> np.ndarray:
+    """Bright-auxiliary coupling c(t) = <b|H|a> = (1+eps) Omega(t) e^{-i phi0(t)} / 2.
 
-
-def _expm_step(h: np.ndarray, dt: float) -> np.ndarray:
-    """Batched exp(-i h dt) for Hermitian h with h^3 = w^2 h, w^2 = tr(h^2)/2.
-
-    Exact for every zero-diagonal Hamiltonian that couples one level to the
-    others. The h^2 coefficient 2 sin^2(w dt/2)/w^2 is 1 - cos(w dt) over w^2
-    without cancellation; at w = 0 the coefficients take their limits dt and
-    dt^2/2.
+    The two tones add up to H = c|b><a| + h.c.: <0|H|a> = c sin(theta/2) and
+    <1|H|a> = -c cos(theta/2) e^{i phi}, since phi1 = phi0 + pi - phi.
     """
-    w = np.sqrt(0.5 * np.sum(np.abs(h) ** 2, axis=(-2, -1)))
+    omega, phi0, _, _, _ = controls_arrays(schedule.path_params(), t)
+    return (1.0 + epsilon) * (0.5 * omega * np.exp(-1j * phi0))
+
+
+def _su2_step(c: np.ndarray, dt: float) -> np.ndarray:
+    """Batched exp(-i dt h), h = [[0, c], [c*, 0]]: cos(|c| dt) I - i sin(|c| dt)/|c| h.
+
+    At c = 0 the sine coefficient takes its limit dt.
+    """
+    w = np.abs(c)
     nonzero = w > 0.0
-    w_safe = np.where(nonzero, w, 1.0)
-    s1 = np.where(nonzero, np.sin(w * dt) / w_safe, dt)
-    s2 = np.where(nonzero, 2.0 * (np.sin(0.5 * w * dt) / w_safe) ** 2, 0.5 * dt * dt)
-    eye = np.eye(h.shape[-1], dtype=complex)
-    return eye - 1j * s1[..., None, None] * h - s2[..., None, None] * (h @ h)
+    s = np.where(nonzero, np.sin(w * dt) / np.where(nonzero, w, 1.0), dt)
+    off = -1j * s * c
+    u = np.empty(c.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = u[..., 1, 1] = np.cos(w * dt)
+    u[..., 0, 1] = off
+    u[..., 1, 0] = -np.conj(off)
+    return u
+
+
+def _embed(spec, u2: np.ndarray) -> np.ndarray:
+    """Qutrit propagators |d><d| + E U2 E^dag, E = [|b>, |a>], for a batch of blocks.
+
+    Evaluated as I + E (U2 - I) E^dag, which keeps the identity exact: a step
+    with U2 near I then adds no rounding bias that would build up over the
+    steps of the open channel. On row-major vec, E X E^dag is (E (x) E*) vec(X).
+    """
+    e = np.stack([bright_state(spec), [0.0, 0.0, 1.0]], axis=1)
+    u = (u2 - np.eye(2)).reshape(-1, 4) @ np.kron(e, e.conj()).T + np.eye(3).reshape(-1)
+    return u.reshape(u2.shape[:-2] + (3, 3))
 
 
 def _chron_product(mats: np.ndarray) -> np.ndarray:
@@ -135,28 +143,29 @@ def _chron_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _cf4_steps(hamiltonians: Callable[[np.ndarray], np.ndarray], t0: float,
+def _cf4_steps(coupling: Callable[[np.ndarray], np.ndarray], t0: float,
                t1: float, steps: int) -> np.ndarray:
-    """Per-step fourth-order commutator-free propagators over [t0, t1].
+    """Per-step fourth-order commutator-free propagators of the 2x2 block over [t0, t1].
 
-    `hamiltonians(t)` returns the batched Hamiltonians (shape (len(t), d, d))
-    at an array of times; it is called once per Gauss node. The result has
-    shape (steps, d, d), step k propagating over [t0 + k h, t0 + (k+1) h].
+    `coupling(t)` returns the complex coupling c at an array of times; it is
+    called once per Gauss node. Each factor is the SU(2) step at a real
+    combination of the two nodes' couplings. The result has shape
+    (steps, 2, 2), step k propagating over [t0 + k h, t0 + (k+1) h].
     """
     h = (t1 - t0) / steps
     base = t0 + np.arange(steps) * h
-    h1 = hamiltonians(base + _GAUSS_C[0] * h)
-    h2 = hamiltonians(base + _GAUSS_C[1] * h)
+    c1 = coupling(base + _GAUSS_C[0] * h)
+    c2 = coupling(base + _GAUSS_C[1] * h)
     a1, a2 = _CF4_A
-    first = _expm_step(a1 * h1 + a2 * h2, h)   # acts first
-    second = _expm_step(a2 * h1 + a1 * h2, h)
+    first = _su2_step(a1 * c1 + a2 * c2, h)   # acts first
+    second = _su2_step(a2 * c1 + a1 * c2, h)
     return second @ first
 
 
-def cf4(hamiltonians: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
+def cf4(coupling: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
         steps: int) -> np.ndarray:
-    """Fourth-order commutator-free propagator over [t0, t1] (see `_cf4_steps`)."""
-    return _chron_product(_cf4_steps(hamiltonians, t0, t1, steps))
+    """Fourth-order commutator-free 2x2 block propagator over [t0, t1] (see `_cf4_steps`)."""
+    return _chron_product(_cf4_steps(coupling, t0, t1, steps))
 
 
 def _check_steps(schedule: PulseSchedule, steps: int, full_cycle: bool):
@@ -182,14 +191,14 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: float = 0.0,
         t1 = schedule.duration
     _check_steps(schedule, steps, full_cycle=(t0 == 0.0 and t1 == schedule.duration))
 
-    def hamiltonians(t):
-        return _hamiltonians(schedule, t, epsilon)
+    def coupling(t):
+        return _coupling(schedule, t, epsilon)
 
-    u = cf4(hamiltonians, t0, t1, steps)
+    u = _embed(schedule.spec, cf4(coupling, t0, t1, steps))
     err = 0.0
     converged = True
     if check:
-        u_half = cf4(hamiltonians, t0, t1, steps // 2)
+        u_half = _embed(schedule.spec, cf4(coupling, t0, t1, steps // 2))
         err = float(np.max(np.abs(u - u_half)))
         converged = err < 1e-6
     return PropagationResult(unitary=u, steps=steps, truncation_error=err,
@@ -200,19 +209,11 @@ def survival_probability(schedule: PulseSchedule, epsilon: float,
                          steps: int = DEFAULT_STEPS // 2) -> float:
     """|<psi_0(T/2)|psi_eps(T/2)>|^2 for evolution of |b> over the first segment."""
     half = schedule.duration / 2.0
-    b = bright_state(schedule.spec)
-    u_ideal = cf4(lambda t: _hamiltonians(schedule, t, 0.0), 0.0, half, steps)
-    u_err = cf4(lambda t: _hamiltonians(schedule, t, epsilon), 0.0, half, steps)
-    overlap = np.vdot(u_ideal @ b, u_err @ b)
+    u_ideal = cf4(lambda t: _coupling(schedule, t, 0.0), 0.0, half, steps)
+    u_err = cf4(lambda t: _coupling(schedule, t, epsilon), 0.0, half, steps)
+    # |b> is the first block basis vector, and E preserves inner products
+    overlap = np.vdot(u_ideal[:, 0], u_err[:, 0])
     return float(abs(overlap) ** 2)
-
-
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return np.asarray(rho, dtype=complex).reshape(-1)
-
-
-def _unvec(v: np.ndarray) -> np.ndarray:
-    return v.reshape(3, 3)
 
 
 def _dephasing_rates(noise: NoiseModel) -> np.ndarray:
@@ -247,8 +248,9 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
     trace, and so does their affine combination.
     """
     _check_steps(schedule, steps, full_cycle=True)
-    half = _cf4_steps(lambda t: _hamiltonians(schedule, t, noise.epsilon),
-                      0.0, schedule.duration, 2 * steps)
+    half = _embed(schedule.spec,
+                  _cf4_steps(lambda t: _coupling(schedule, t, noise.epsilon),
+                             0.0, schedule.duration, 2 * steps))
     first, second = half[0::2], half[1::2]
     h = schedule.duration / steps
     rates = _dephasing_rates(noise)
@@ -263,24 +265,5 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
 
 def trace_defect(superop: np.ndarray) -> float:
     """Deviation of the channel from trace preservation."""
-    eye_vec = _vec(np.eye(3, dtype=complex))
-    row = np.zeros(9, dtype=complex)
-    for i in range(3):
-        row += superop[4 * i, :]
-    return float(np.max(np.abs(row - eye_vec)))
-
-
-def propagate_open(schedule: PulseSchedule, rho0: np.ndarray, noise: NoiseModel,
-                   steps: int = DEFAULT_STEPS) -> PropagationResult:
-    """Evolve a density matrix through the full cycle under drive + dephasing."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (3, 3):
-        raise ValueError("rho0 must be 3x3")
-    phi = open_superoperator(schedule, noise, steps)
-    drift = trace_defect(phi)
-    if drift > 1e-6:
-        raise RuntimeError(f"open-system trace drift {drift} exceeds 1e-6")
-    rho = _unvec(phi @ _vec(rho0))
-    rho = 0.5 * (rho + rho.conj().T)
-    return PropagationResult(density=rho, superoperator=phi, steps=steps,
-                             truncation_error=drift, converged=drift < 1e-9)
+    row = superop[0::4].sum(axis=0)     # the rows of rho_00, rho_11, rho_22
+    return float(np.max(np.abs(row - np.eye(3).reshape(-1))))

@@ -25,7 +25,7 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from .engine import NoiseModel, open_superoperator, propagate_unitary
 from .gates import axis_angle, clifford_table, target_unitary
-from .paths import HOLONOMIC
+from .paths import DYNAMICAL, HOLONOMIC
 from .pulses import OMEGA_MAX_DEFAULT, GateSpec, synthesize
 from .qcore import SX
 
@@ -99,9 +99,14 @@ def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None,
     return specs, recovery
 
 
-def _spec_key(spec: GateSpec):
-    return (round(spec.theta, 14), round(spec.phi, 14), round(spec.gamma, 14),
-            round(spec.eta, 14), spec.scheme)
+def _canonical_spec(spec: GateSpec) -> GateSpec:
+    """The spec with its angles rounded to 14 decimals: the cache key, and the
+    spec a cached channel is propagated from, so that the channel depends on
+    the key alone and not on which of several equal-key specs came first."""
+    theta, phi, eta = (round(x, 14) for x in (spec.theta, spec.phi, spec.eta))
+    if spec.scheme == DYNAMICAL:
+        return GateSpec.dynamical(theta, phi, eta)
+    return GateSpec(theta, phi, round(spec.gamma, 14), eta, spec.scheme)
 
 
 def _dephased(noise: NoiseModel) -> bool:
@@ -119,8 +124,8 @@ class GateCache:
         self._store = {}
 
     def channel(self, spec: GateSpec, config: RBConfig):
-        key = (_spec_key(spec), config.noise, config.omega_max,
-               config.n_samples, config.steps)
+        spec = _canonical_spec(spec)
+        key = (spec, config.noise, config.omega_max, config.n_samples, config.steps)
         if key not in self._store:
             sched = synthesize(spec, config.omega_max, config.n_samples)
             if _dephased(config.noise):

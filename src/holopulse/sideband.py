@@ -1,9 +1,10 @@
 """Blue-sideband controlled-phase gate between the spin and a phonon qubit.
 
 The effective dynamics couples |1,1> <-> |a,0> with coupling strength
-Omega_eff(t) and phase phi_eff(t); that is exactly the single-qubit drive
-Hamiltonian with theta = 0, so the pulse synthesis is reused verbatim and
-the holonomic loop imprints the conditional phase gamma on |11> only.
+Omega_eff(t) and phase phi_eff(t); that is exactly the 2x2 bright-auxiliary
+block of the single-qubit drive at theta = 0, so `synthesize_cphase` returns
+the theta = 0 `PulseSchedule` and the holonomic loop imprints the
+conditional phase gamma on |11> only.
 
 Conventions recorded in the report metadata:
   Omega_eff = 2 * eta_ld * Omega_r           (Raman Rabi rate mapping)
@@ -12,10 +13,10 @@ Conventions recorded in the report metadata:
 In the first-order Lamb-Dicke, rotating-wave anti-Jaynes-Cummings model the
 blue sideband couples only |1,n+1> <-> |a,n>, so the Fock ladder is a direct
 sum of 2x2 blocks. The spin-|0> states and |1,0> are uncoupled fixed points,
-and |1,1> lives in the n = 0 block, whose coupling
+and |1,1> lives in the n = 0 block, whose scalar coupling
 i * Omega_r * eta_ld * e^{i phi_anti_jc} equals the effective model's
-Omega_eff/2 * e^{-i phi_eff}. `verify_full_model` therefore propagates that
-block exactly, with the closed-form CF4 step of `engine.cf4`, and scores the
+Omega_eff/2 * e^{-i phi_eff}. `verify_full_model` passes that coupling to
+the SU(2) block kernel `engine.cf4`, reads u = <1,1|U|1,1>, and scores the
 computational subspace; no truncation enters.
 """
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .engine import cf4
 from .paths import controls_arrays
-from .pulses import GateSpec, synthesize
+from .pulses import GateSpec, PulseSchedule, synthesize
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,6 @@ class SidebandSystem:
             raise ValueError("n_max must be >= 3")
         if not 0.0 < self.eta_ld <= 0.3:
             raise ValueError("eta_ld must lie in (0, 0.3]")
-
-
-@dataclass
-class SidebandSchedule:
-    """Sampled effective coupling for the controlled-phase loop."""
-    times: np.ndarray
-    omega_eff: np.ndarray
-    phi_eff: np.ndarray
-    duration: float
-    gamma: float
-    eta: float
-    omega_eff_max: float
-    spec: GateSpec                      # theta = 0 single-qubit spec driving the loop
 
 
 @dataclass
@@ -82,51 +70,13 @@ class SidebandReport:
 
 
 def synthesize_cphase(gamma: float, omega_eff_max: float, eta: float,
-                      n_samples: int = 4096) -> SidebandSchedule:
+                      n_samples: int = 4096) -> PulseSchedule:
     """Controlled-phase pulse: the theta = 0 holonomic loop on {|11>, |a0>}."""
-    spec = GateSpec(theta=0.0, phi=0.0, gamma=gamma, eta=eta)
-    sched = synthesize(spec, omega_eff_max, n_samples)
-    omega_eff = np.hypot(sched.omega0, sched.omega1)
-    phi_eff = sched.phi1
-    return SidebandSchedule(times=sched.times, omega_eff=omega_eff,
-                            phi_eff=phi_eff, duration=sched.duration,
-                            gamma=gamma, eta=eta, omega_eff_max=omega_eff_max,
-                            spec=spec)
+    return synthesize(GateSpec(theta=0.0, phi=0.0, gamma=gamma, eta=eta),
+                      omega_eff_max, n_samples)
 
 
-def _effective_controls(schedule: SidebandSchedule, t: np.ndarray):
-    """Continuous-time effective coupling at arbitrary times."""
-    params = schedule.spec.path_params(schedule.duration)
-    omega, phi0, _, _, _ = controls_arrays(params, t)
-    return omega, phi0 + np.pi - schedule.spec.phi
-
-
-def _two_level(coupling: np.ndarray) -> np.ndarray:
-    """Batched 2x2 Hermitian Hamiltonians with off-diagonal <0|H|1> = coupling."""
-    h = np.zeros(coupling.shape + (2, 2), dtype=complex)
-    h[..., 0, 1] = coupling
-    h[..., 1, 0] = np.conj(coupling)
-    return h
-
-
-def effective_propagator(schedule: SidebandSchedule, steps: int = 4096) -> np.ndarray:
-    """Two-level {|11>, |a0>} propagator of the effective model, embedded 4x4.
-
-    Rows/columns ordered (|00>, |01>, |10>, |11>); |a0> population at the end
-    of the loop is zero for the ideal cycle, so the embedded block is the
-    |11> amplitude alone.
-    """
-    def hamiltonians(t):
-        omega, phi = _effective_controls(schedule, t)
-        return _two_level(0.5 * omega * np.exp(-1j * phi))
-
-    u2 = cf4(hamiltonians, 0.0, schedule.duration, steps)
-    u4 = np.eye(4, dtype=complex)
-    u4[3, 3] = u2[0, 0]
-    return u4
-
-
-def verify_full_model(schedule: SidebandSchedule, sys: SidebandSystem,
+def verify_full_model(schedule: PulseSchedule, sys: SidebandSystem,
                       steps: int = 8192) -> SidebandReport:
     """Propagate the anti-JC ladder block of |1,1> and score it against the target.
 
@@ -135,14 +85,17 @@ def verify_full_model(schedule: SidebandSchedule, sys: SidebandSystem,
     point, so the computational block is diag(1, 1, 1, u) with u the |1,1>
     amplitude, and the fixed-point deviation is zero by construction.
     """
-    def hamiltonians(t):
-        omega_eff, phi_eff = _effective_controls(schedule, t)
+    spec = schedule.spec
+
+    def coupling(t):
+        omega_eff, phi0, _, _, _ = controls_arrays(schedule.path_params(), t)
+        phi_eff = phi0 + np.pi - spec.phi
         omega_r = omega_eff / (2.0 * sys.eta_ld)
         phi = -(phi_eff + np.pi / 2.0)
-        return _two_level(1j * omega_r * sys.eta_ld * np.exp(1j * phi))
+        return 1j * omega_r * sys.eta_ld * np.exp(1j * phi)
 
-    u11 = cf4(hamiltonians, 0.0, schedule.duration, steps)[0, 0]
-    target = np.exp(1j * schedule.gamma)
+    u11 = cf4(coupling, 0.0, schedule.duration, steps)[0, 0]
+    target = np.exp(1j * spec.gamma)
     return SidebandReport(
         conditional_phase=float(np.angle(u11)),
         subspace_fidelity=float(abs(3.0 + np.conj(u11) * target) / 4.0),

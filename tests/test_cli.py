@@ -131,6 +131,8 @@ def test_sideband_bad_system_is_config_error(tmp_path, capsys, bad):
     ("rb", {"steps": 0}),
     ("rb", {"interleaved": "Q"}),
     ("synth", {"gate": "Q"}),
+    ("rb", {"gate": "X"}),
+    ("sweep", {"mode": "rb", "gate": "X", "lengths": [1, 2]}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from holopulse.engine import (NoiseModel, _dephasing_rates, _expm_step,
-                              _hamiltonians, bright_state, dark_state,
-                              dephasing_from_t2, open_superoperator,
-                              propagate_open, propagate_unitary,
-                              survival_probability, trace_defect)
+from holopulse.engine import (_CF4_A, _GAUSS_C, NoiseModel, _coupling,
+                              _dephasing_rates, _su2_step, bright_state,
+                              dark_state, dephasing_from_t2, open_superoperator,
+                              propagate_unitary, survival_probability,
+                              trace_defect)
 from holopulse.gates import target_unitary
+from holopulse.paths import controls_arrays
 from holopulse.pulses import GateSpec, named_gate, synthesize
 from holopulse.qcore import fidelity_qubit_subspace, leakage, unitarity_defect
 
@@ -16,40 +17,68 @@ def _sched(name="X", eta=0.0, n=256):
     return synthesize(named_gate(name, eta=eta), n_samples=n)
 
 
-def test_hamiltonian_structure():
+def _qutrit_hamiltonians(sched, t, epsilon):
+    """Two-tone qutrit Hamiltonians (shape (len(t), 3, 3)), built tone by tone:
+    <0|H|a> = (1+eps) Omega0 e^{-i phi0} / 2, <1|H|a> = (1+eps) Omega1 e^{-i phi1} / 2."""
+    spec = sched.spec
+    omega, phi0, *_ = controls_arrays(sched.path_params(), t)
+    phi1 = phi0 + np.pi - spec.phi
+    h = np.zeros(np.shape(t) + (3, 3), dtype=complex)
+    h[..., 0, 2] = 0.5 * (1.0 + epsilon) * omega * np.sin(spec.theta / 2.0) * np.exp(-1j * phi0)
+    h[..., 1, 2] = 0.5 * (1.0 + epsilon) * omega * np.cos(spec.theta / 2.0) * np.exp(-1j * phi1)
+    h[..., 2, :2] = h[..., :2, 2].conj()
+    return h
+
+
+def _cf4_expm(hamiltonians, t0, t1, steps):
+    """CF4 propagator over [t0, t1] with scipy's expm for every factor."""
+    dt = (t1 - t0) / steps
+    base = t0 + np.arange(steps) * dt
+    h1, h2 = (hamiltonians(base + c * dt) for c in _GAUSS_C)
+    a1, a2 = _CF4_A
+    u = np.eye(h1.shape[-1], dtype=complex)
+    for m1, m2 in zip(h1, h2):
+        u = expm(-1j * dt * (a2 * m1 + a1 * m2)) @ expm(-1j * dt * (a1 * m1 + a2 * m2)) @ u
+    return u
+
+
+def test_propagator_matches_qutrit_expm_reference():
+    rng = np.random.default_rng(11)
+    for k in range(8):
+        theta, phi = rng.uniform(0.0, np.pi), rng.uniform(-np.pi, np.pi)
+        eta, eps = rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3)
+        if k % 4 == 3:
+            spec = GateSpec.dynamical(theta, phi, eta)
+        else:
+            spec = GateSpec(theta, phi, rng.uniform(-np.pi, np.pi), eta)
+        sched = synthesize(spec, n_samples=256)
+        for t1, steps in ((sched.duration, 256), (sched.duration / 2.0, 128)):
+            ref = _cf4_expm(lambda t: _qutrit_hamiltonians(sched, t, eps), 0.0, t1, steps)
+            u = propagate_unitary(sched, eps, steps, t1=t1, check=False).unitary
+            assert np.max(np.abs(u - ref)) <= 1e-12, (spec, eps, t1)
+
+
+def test_coupling_scales_exactly_with_amplitude_error():
     sched = _sched()
-    h = _hamiltonians(sched, 0.25 * sched.duration, 0.0)[0]
-    assert np.allclose(h, h.conj().T)
-    assert h[0, 1] == 0.0 and h[1, 0] == 0.0    # no direct 0-1 coupling
-    assert np.allclose(np.diag(h), 0.0)
+    t = np.linspace(0.0, sched.duration, 65)
+    c0 = _coupling(sched, t, 0.0)
+    for eps in (0.1, -0.2):
+        assert np.array_equal(_coupling(sched, t, eps), (1.0 + eps) * c0)
     with pytest.raises(ValueError):
-        _hamiltonians(sched, -1.0, 0.0)
-
-
-def test_hamiltonian_amplitude_error_scales_linearly():
-    sched = _sched()
-    t = 0.25 * sched.duration
-    h0 = _hamiltonians(sched, t, 0.0)
-    h1 = _hamiltonians(sched, t, 0.1)
-    assert np.allclose(h1, 1.1 * h0)
+        _coupling(sched, -1.0, 0.0)
 
 
 def test_closed_form_step_matches_expm():
     rng = np.random.default_rng(7)
-    c = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
-    h3 = np.zeros((64, 3, 3), dtype=complex)    # |a> coupled to |0> and |1>
-    h3[:, :2, 2] = c
-    h3[:, 2, :2] = c.conj()
-    h2 = np.zeros((64, 2, 2), dtype=complex)
-    h2[:, 0, 1] = c[:, 0]
-    h2[:, 1, 0] = c[:, 0].conj()
+    c = rng.normal(size=64) + 1j * rng.normal(size=64)
     sched = _sched("H", eta=1.0)
-    t = np.linspace(0.0, sched.duration, 33)
-    cases = [(h3, 0.37), (h3, 4.0), (h2, 0.37), (np.zeros((2, 3, 3), dtype=complex), 0.37),
-             (_hamiltonians(sched, t, 0.2), sched.duration / 2048)]
-    for h, dt in cases:
-        u = _expm_step(h, dt)
-        ref = np.array([expm(-1j * dt * m) for m in h])
+    t = np.linspace(0.0, sched.duration, 33)     # Omega = 0 at 0, T/2 and T
+    cases = [(c, 0.37), (c, 4.0), (np.zeros(2, dtype=complex), 0.37),
+             (_coupling(sched, t, 0.2), sched.duration / 2048)]
+    for cs, dt in cases:
+        u = _su2_step(cs, dt)
+        ref = np.array([expm(-1j * dt * np.array([[0.0, x], [np.conj(x), 0.0]]))
+                        for x in cs])
         assert np.max(np.abs(u - ref)) <= 1e-13
 
 
@@ -115,24 +144,29 @@ def test_noise_model_validation():
     assert nm.gamma_0a == pytest.approx(10.0)
 
 
+def _evolve(sched, noise, rho0, steps=1024):
+    """rho0 through the full-cycle channel, which must preserve the trace."""
+    phi = open_superoperator(sched, noise, steps)
+    assert trace_defect(phi) < 1e-9
+    return (phi @ rho0.reshape(-1)).reshape(3, 3)
+
+
 def test_open_matches_closed_without_dissipation():
     sched = _sched("H")
     u = propagate_unitary(sched, steps=1024, check=False).unitary
     rho0 = np.zeros((3, 3), dtype=complex)
     rho0[0, 0] = 1.0
-    res = propagate_open(sched, rho0, NoiseModel(), steps=1024)
-    assert np.max(np.abs(res.density - u @ rho0 @ u.conj().T)) < 1e-9
+    rho = _evolve(sched, NoiseModel(), rho0)
+    assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) < 1e-9
 
 
 def test_open_trace_preserved_with_dephasing():
     sched = _sched("X", n=256)
-    noise = dephasing_from_t2()
-    phi = open_superoperator(sched, noise, steps=1024)
-    assert trace_defect(phi) < 1e-9
     rho0 = np.diag([0.6, 0.4, 0.0]).astype(complex)
-    res = propagate_open(sched, rho0, noise, steps=1024)
-    assert np.trace(res.density).real == pytest.approx(1.0, abs=1e-9)
-    evals = np.linalg.eigvalsh(res.density)
+    rho = _evolve(sched, dephasing_from_t2(), rho0)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+    evals = np.linalg.eigvalsh(rho)
     assert evals.min() > -1e-9
 
 
@@ -141,8 +175,8 @@ def test_dephasing_reduces_fidelity():
     sched = synthesize(spec, n_samples=256)
     rho0 = np.zeros((3, 3), dtype=complex)
     rho0[0, 0] = 1.0
-    clean = propagate_open(sched, rho0, NoiseModel(), steps=1024).density
-    noisy = propagate_open(sched, rho0, dephasing_from_t2(), steps=1024).density
+    clean = _evolve(sched, NoiseModel(), rho0)
+    noisy = _evolve(sched, dephasing_from_t2(), rho0)
     target = np.zeros(3, dtype=complex)
     target[:2] = target_unitary(spec) @ np.array([1.0, 0.0])
     f_clean = np.real(np.vdot(target, clean @ target))
@@ -176,8 +210,8 @@ def _lindblad_dissipator(noise):
 def _rk4_channel(sched, noise, steps):
     """Reference channel: classical fixed-step RK4 on the vectorized master equation."""
     h = sched.duration / steps
-    hs = _hamiltonians(sched, np.linspace(0.0, sched.duration, 2 * steps + 1),
-                       noise.epsilon)
+    hs = _qutrit_hamiltonians(sched, np.linspace(0.0, sched.duration, 2 * steps + 1),
+                              noise.epsilon)
     eye = np.eye(3)
     gs = (-1j * (np.einsum("tij,kl->tikjl", hs, eye)
                  - np.einsum("ij,tkl->tikjl", eye, hs.transpose(0, 2, 1))).reshape(-1, 9, 9)

@@ -5,7 +5,7 @@ import pytest
 
 from holopulse.engine import NoiseModel, dephasing_from_t2
 from holopulse.gates import clifford_table, phase_equivalent, target_unitary
-from holopulse.pulses import named_gate
+from holopulse.pulses import GateSpec, named_gate
 from holopulse.rbench import (GateCache, RBConfig, average_fidelity,
                               build_sequence, curve_to_csv, decay_model,
                               fit_decay, interleaved_gate_fidelity, run_rb)
@@ -147,3 +147,18 @@ def test_shared_cache_matches_separate_runs():
         if "n_samples" not in changed:     # the others change the channel
             assert not np.array_equal(cache.channel(spec, cfg),
                                       cache.channel(spec, ref_cfg))
+
+
+def test_cached_channel_depends_on_key_only():
+    # recovery gates from axis_angle differ from each other in the last bits;
+    # specs that share a key must get the same channel whichever comes first
+    cfg = RBConfig(eta=0.2, noise=dephasing_from_t2(20e-3, 200e-3),
+                   n_samples=256, steps=512)
+    theta = 0.9553166181245093
+    a = GateSpec(theta, np.pi / 4.0, 2.0 * np.pi / 3.0, 0.2)
+    b = replace(a, theta=np.nextafter(theta, 0.0))
+    assert np.array_equal(GateCache().channel(a, cfg), GateCache().channel(b, cfg))
+    d = GateSpec.dynamical(theta, 0.3, 0.2)
+    e = GateSpec.dynamical(np.nextafter(theta, 0.0), 0.3, 0.2)
+    closed = replace(cfg, noise=NoiseModel(epsilon=0.05))
+    assert np.array_equal(GateCache().channel(d, closed), GateCache().channel(e, closed))

@@ -4,8 +4,7 @@ from scipy.linalg import expm
 
 from holopulse.engine import _CF4_A, _GAUSS_C
 from holopulse.paths import controls_arrays
-from holopulse.sideband import (SidebandSystem, effective_propagator,
-                                synthesize_cphase, verify_full_model)
+from holopulse.sideband import SidebandSystem, synthesize_cphase, verify_full_model
 
 
 def test_system_indexing_and_validation():
@@ -15,11 +14,13 @@ def test_system_indexing_and_validation():
         SidebandSystem(eta_ld=0.5)
 
 
-def test_effective_propagator_is_cz():
+def test_full_model_is_cz():
     sched = synthesize_cphase(np.pi, 2.0 * np.pi * 1.0e4, 0.2, n_samples=512)
-    u4 = effective_propagator(sched, steps=2048)
-    target = np.diag([1.0, 1.0, 1.0, -1.0])
-    assert np.max(np.abs(u4 - target)) < 1e-8
+    assert (sched.spec.theta, sched.spec.gamma, sched.spec.eta) == (0.0, np.pi, 0.2)
+    report = verify_full_model(sched, SidebandSystem(n_max=5), steps=2048)
+    # the computational block is diag(1, 1, 1, u11), |u11| = sqrt(1 - leakage)
+    u11 = np.sqrt(1.0 - report.leakage) * np.exp(1j * report.conditional_phase)
+    assert abs(u11 - (-1.0)) < 1e-8
 
 
 def test_full_model_cz_report():
