@@ -1,10 +1,14 @@
 """Config-driven command-line runner.
 
 Subcommands: synth | propagate | qpt | rb | sweep | sideband | export-awg.
-Each takes a JSON config file (unknown keys are errors), an optional seed
-override, and an output directory. Every output file starts with header
-lines echoing the full effective config, and a manifest.txt lists the files
-written, so runs are reproducible byte-for-byte given (config, seed).
+Each takes a JSON config file, an optional seed override, and an output
+directory. A command accepts only the config keys it reads, and parses the
+whole config before it creates the output directory. Every output file
+starts with header lines echoing the full effective config, and a
+manifest.txt lists the files written, so runs are reproducible byte-for-byte
+given (config, seed). Exit codes: 0 success; 2 "config error", nothing
+written; 3 a result did not converge or an RB fit failed (manifest.txt lists
+the files written before that).
 """
 from __future__ import annotations
 
@@ -12,34 +16,32 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .engine import NoiseModel, propagate_unitary
+from . import __version__, sideband
+from .engine import NoiseModel, check_steps, propagate_unitary
 from .gates import target_unitary
-from .paths import DYNAMICAL, HOLONOMIC, dynamical_gamma
-from .pulses import (OMEGA_MAX_DEFAULT, GateSpec, compute_duration, export_tones,
-                     named_gate, synthesize)
+from .paths import DYNAMICAL, HOLONOMIC
+from .pulses import OMEGA_MAX_DEFAULT, GateSpec, export_tones, named_gate, synthesize
 from .qcore import fidelity_qubit_subspace, leakage
-from .rbench import GateCache, RBConfig, curve_to_csv, fit_summary, run_rb
+from .rbench import FitError, GateCache, RBConfig, curve_to_csv, fit_summary, run_rb
 from .tomo import (chi_of_channel, exact_records, mle_process,
                    process_fidelity, propagator_channel, records_to_csv,
                    simulate_counts, unitary_channel)
 
-_COMMON_KEYS = {"experiment", "seed", "omega_max", "n_samples", "steps", "noise", "gate"}
 _ALLOWED_KEYS = {
-    "synth": _COMMON_KEYS,
-    "export-awg": _COMMON_KEYS,
-    "propagate": _COMMON_KEYS | {"epsilon"},
-    "qpt": _COMMON_KEYS | {"shots", "analytic"},
-    "rb": (_COMMON_KEYS - {"gate"}) | {"lengths", "sequences", "shots", "interleaved",
-                                       "eta", "scheme"},
-    "sweep": _COMMON_KEYS | {"epsilon_grid", "schemes", "realizations", "mode",
-                             "lengths", "sequences"},
-    "sideband": {"experiment", "seed", "gamma", "eta", "omega_eff_max", "n_max",
-                 "eta_ld", "n_samples", "steps"},
+    "synth": {"gate", "omega_max", "n_samples"},
+    "export-awg": {"gate", "omega_max", "n_samples"},
+    "propagate": {"gate", "omega_max", "n_samples", "steps", "noise", "epsilon"},
+    "qpt": {"gate", "omega_max", "n_samples", "steps", "noise", "shots", "analytic"},
+    "rb": {"omega_max", "n_samples", "steps", "noise", "lengths", "sequences", "shots",
+           "interleaved", "eta", "scheme"},
+    "sweep": {"gate", "omega_max", "n_samples", "steps", "noise", "epsilon_grid",
+              "schemes", "mode", "lengths", "sequences"},
+    "sideband": {"gamma", "eta", "omega_eff_max", "n_max", "eta_ld", "n_samples", "steps"},
 }
 _NOISE_KEYS = {"epsilon", "gamma_1a", "gamma_0a", "prep_error",
                "detection_error_bright", "detection_error_dark"}
@@ -49,11 +51,22 @@ class ConfigError(ValueError):
     pass
 
 
+def _object(raw, allowed, what) -> dict:
+    """`raw` as a JSON object whose keys all lie in `allowed`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields {sorted(unknown)}; "
+                          f"accepted: {sorted(allowed)}")
+    return raw
+
+
 def load_config(path, kind_override=None) -> dict:
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     kind = cfg.get("experiment", kind_override)
@@ -62,9 +75,7 @@ def load_config(path, kind_override=None) -> dict:
     if kind not in _ALLOWED_KEYS:
         raise ConfigError(f"unknown experiment kind {kind!r}; "
                           f"expected one of {sorted(_ALLOWED_KEYS)}")
-    unknown = set(cfg) - _ALLOWED_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"unknown config keys for {kind!r}: {sorted(unknown)}")
+    _object(cfg, _ALLOWED_KEYS[kind] | {"experiment", "seed"}, f"{kind!r} config")
     cfg["experiment"] = kind
     return cfg
 
@@ -75,11 +86,7 @@ def parse_gate(cfg, key="gate") -> GateSpec:
         raise ConfigError(f"config field '{key}' is required")
     if isinstance(raw, str):
         raw = {"name": raw, "eta": cfg.get("eta", 0.0)}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"'{key}' must be a gate name or an object")
-    unknown = set(raw) - {"name", "theta", "phi", "gamma", "eta", "scheme"}
-    if unknown:
-        raise ConfigError(f"unknown gate fields: {sorted(unknown)}")
+    raw = _object(raw, {"name", "theta", "phi", "gamma", "eta", "scheme"}, "gate")
     try:
         eta = float(raw.get("eta", 0.0))
         scheme = raw.get("scheme", HOLONOMIC)
@@ -91,19 +98,25 @@ def parse_gate(cfg, key="gate") -> GateSpec:
                         gamma=float(raw["gamma"]), eta=eta, scheme=scheme)
     except KeyError as exc:
         raise ConfigError(f"gate object missing field {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"invalid gate: {exc}")
 
 
-def parse_noise(cfg) -> NoiseModel:
-    raw = cfg.get("noise", {})
-    unknown = set(raw) - _NOISE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown noise fields: {sorted(unknown)}")
+def parse_noise(cfg, fields=_NOISE_KEYS) -> NoiseModel:
+    """The config's noise model; `fields` are the ones the command models."""
+    raw = _object(cfg.get("noise", {}), fields, "noise")
     try:
         return NoiseModel(**{k: float(v) for k, v in raw.items()})
     except ValueError as exc:
         raise ConfigError(f"invalid noise model: {exc}")
+
+
+def _schedule(cfg, synth, n_samples, steps=None, omega_key="omega_max"):
+    """(synth(omega_max, n_samples), steps through the steps guard, or None)."""
+    sched = synth(float(cfg.get(omega_key, OMEGA_MAX_DEFAULT)),
+                  int(cfg.get("n_samples", n_samples)))
+    if steps is not None:
+        steps = int(cfg.get("steps", steps))
+        check_steps(steps, sched.n_samples)
+    return sched, steps
 
 
 def _header(cfg: dict, seed) -> str:
@@ -134,102 +147,99 @@ class OutputWriter:
         (self.out_dir / "manifest.txt").write_text(manifest, encoding="utf-8")
 
 
-def _run_synth(cfg, seed, writer: OutputWriter):
+# Each command parses its config and returns run(writer) -> exit status.
+
+def _synth(cfg, seed):
+    sched, _ = _schedule(cfg, partial(synthesize, parse_gate(cfg)), 4096)
+
+    def run(writer: OutputWriter):
+        export_tones(sched, writer.out_dir / "tones.csv")
+        writer.files.append("tones.csv")
+        writer.write("synth_summary.csv", "duration_s,omega_max_rad_s,n_samples\n"
+                     "%.17g,%.17g,%d\n" % (sched.duration, sched.omega_max, sched.n_samples))
+        return 0
+    return run
+
+
+def _propagate(cfg, seed):
     spec = parse_gate(cfg)
-    omega_max = float(cfg.get("omega_max", OMEGA_MAX_DEFAULT))
-    sched = synthesize(spec, omega_max, int(cfg.get("n_samples", 4096)))
-    tone_path = writer.out_dir / "tones.csv"
-    export_tones(sched, tone_path)
-    writer.files.append("tones.csv")
-    writer.write("synth_summary.csv",
-                 "duration_s,omega_max_rad_s,n_samples\n"
-                 "%.17g,%.17g,%d\n" % (sched.duration, omega_max, sched.n_samples))
-    return 0
+    eps = float(cfg.get("epsilon", parse_noise(cfg, {"epsilon"}).epsilon))
+    sched, steps = _schedule(cfg, partial(synthesize, spec), 4096, 8192)
+
+    def run(writer: OutputWriter):
+        res = propagate_unitary(sched, eps, steps)
+        fid = fidelity_qubit_subspace(res.unitary, target_unitary(spec))
+        writer.write("propagate.csv",
+                     "epsilon,fidelity,infidelity,leakage,truncation_error,converged\n"
+                     "%.17g,%.17g,%.17g,%.17g,%.17g,%s\n" % (
+                         eps, fid, 1.0 - fid, leakage(res.unitary),
+                         res.truncation_error, res.converged))
+        return 0 if res.converged else 3
+    return run
 
 
-def _run_propagate(cfg, seed, writer: OutputWriter):
+def _qpt(cfg, seed):
     spec = parse_gate(cfg)
-    noise = parse_noise(cfg)
-    eps = float(cfg.get("epsilon", noise.epsilon))
-    omega_max = float(cfg.get("omega_max", OMEGA_MAX_DEFAULT))
-    sched = synthesize(spec, omega_max, int(cfg.get("n_samples", 4096)))
-    res = propagate_unitary(sched, eps, int(cfg.get("steps", 8192)))
-    fid = fidelity_qubit_subspace(res.unitary, target_unitary(spec))
-    writer.write("propagate.csv",
-                 "epsilon,fidelity,infidelity,leakage,truncation_error,converged\n"
-                 "%.17g,%.17g,%.17g,%.17g,%.17g,%s\n" % (
-                     eps, fid, 1.0 - fid, leakage(res.unitary),
-                     res.truncation_error, res.converged))
-    return 0 if res.converged else 3
+    noise = parse_noise(cfg, _NOISE_KEYS - {"gamma_1a", "gamma_0a"})
+    sched, steps = _schedule(cfg, partial(synthesize, spec), 4096, 8192)
+    analytic = bool(cfg.get("analytic", False))
+    if analytic and "shots" in cfg:
+        raise ConfigError("'shots' is not read when 'analytic' is true")
+    shots = None if analytic else int(cfg.get("shots", 10000))
+    if shots is not None and shots < 1:
+        raise ConfigError(f"shots must be >= 1, got {shots}")
+
+    def run(writer: OutputWriter):
+        channel = propagator_channel(propagate_unitary(sched, noise.epsilon, steps).unitary)
+        if shots is None:
+            records = exact_records(channel, noise)
+        else:
+            records = simulate_counts(channel, noise, shots, seed=seed)
+        writer.write("counts.csv", records_to_csv(records))
+        mle = mle_process(records)
+        ideal = chi_of_channel(unitary_channel(target_unitary(spec)))
+        fatt = process_fidelity(mle.chi, ideal)
+        body = ["component,m,n,re,im"]
+        for label, chi in (("estimated", mle.chi), ("ideal", ideal)):
+            for m in range(4):
+                for n in range(4):
+                    body.append("%s,%d,%d,%.17g,%.17g" % (
+                        label, m, n, chi[m, n].real, chi[m, n].imag))
+        writer.write("chi.csv", "\n".join(body) + "\n")
+        writer.write("qpt_summary.csv",
+                     "process_fidelity,iterations,converged\n"
+                     "%.17g,%d,%s\n" % (fatt, mle.iterations, mle.converged))
+        return 0 if mle.converged else 3
+    return run
 
 
-def _run_qpt(cfg, seed, writer: OutputWriter):
-    spec = parse_gate(cfg)
-    noise = parse_noise(cfg)
-    omega_max = float(cfg.get("omega_max", OMEGA_MAX_DEFAULT))
-    sched = synthesize(spec, omega_max, int(cfg.get("n_samples", 4096)))
-    res = propagate_unitary(sched, noise.epsilon, int(cfg.get("steps", 8192)))
-    channel = propagator_channel(res.unitary)
-    if bool(cfg.get("analytic", False)):
-        records = exact_records(channel, noise)
-    else:
-        records = simulate_counts(channel, noise, int(cfg.get("shots", 10000)),
-                                  seed=seed)
-    writer.write("counts.csv", records_to_csv(records))
-    mle = mle_process(records)
-    ideal = chi_of_channel(unitary_channel(target_unitary(spec)))
-    fatt = process_fidelity(mle.chi, ideal)
-    body = ["component,m,n,re,im"]
-    for label, chi in (("estimated", mle.chi), ("ideal", ideal)):
-        for m in range(4):
-            for n in range(4):
-                body.append("%s,%d,%d,%.17g,%.17g" % (
-                    label, m, n, chi[m, n].real, chi[m, n].imag))
-    writer.write("chi.csv", "\n".join(body) + "\n")
-    writer.write("qpt_summary.csv",
-                 "process_fidelity,iterations,converged\n"
-                 "%.17g,%d,%s\n" % (fatt, mle.iterations, mle.converged))
-    return 0 if mle.converged else 3
+def _rb_config(cfg, seed, noise, lengths=(1, 2, 4, 8, 12, 16, 24, 32)) -> RBConfig:
+    return RBConfig(
+        lengths=tuple(int(m) for m in cfg.get("lengths", lengths)),
+        n_sequences=int(cfg.get("sequences", 20)),
+        shots=None if cfg.get("shots") is None else int(cfg["shots"]),
+        seed=seed, noise=noise, eta=float(cfg.get("eta", 0.0)),
+        scheme=cfg.get("scheme", HOLONOMIC),
+        omega_max=float(cfg.get("omega_max", OMEGA_MAX_DEFAULT)),
+        n_samples=int(cfg.get("n_samples", 1024)), steps=int(cfg.get("steps", 2048)))
 
 
-def _rb_config(cfg, seed, interleaved=None) -> RBConfig:
-    noise = parse_noise(cfg)
-    try:
-        return RBConfig(
-            lengths=tuple(int(m) for m in cfg.get("lengths", (1, 2, 4, 8, 12, 16, 24, 32))),
-            n_sequences=int(cfg.get("sequences", 20)),
-            shots=None if cfg.get("shots") is None else int(cfg["shots"]),
-            seed=seed,
-            interleaved=interleaved,
-            noise=noise,
-            eta=float(cfg.get("eta", 0.0)),
-            scheme=cfg.get("scheme", HOLONOMIC),
-            omega_max=float(cfg.get("omega_max", OMEGA_MAX_DEFAULT)),
-            n_samples=int(cfg.get("n_samples", 1024)),
-            steps=int(cfg.get("steps", 2048)))
-    except ValueError as exc:
-        raise ConfigError(f"invalid RB config: {exc}")
+def _rb(cfg, seed):
+    ref_cfg = _rb_config(cfg, seed, parse_noise(cfg))
+    int_cfg = (None if cfg.get("interleaved") is None
+               else replace(ref_cfg, interleaved=parse_gate(cfg, key="interleaved")))
 
-
-def _rb_configs(cfg, seed):
-    """(reference config, interleaved config or None)."""
-    if cfg.get("interleaved") is None:
-        return _rb_config(cfg, seed), None
-    gate = parse_gate(cfg, key="interleaved")
-    return _rb_config(cfg, seed), _rb_config(cfg, seed, interleaved=gate)
-
-
-def _run_rb(cfg, seed, writer: OutputWriter):
-    ref_cfg, int_cfg = _rb_configs(cfg, seed)
-    cache = GateCache()     # the interleaved run reuses the reference Cliffords
-    ref = run_rb(ref_cfg, cache)
-    writer.write("rb_reference.csv", curve_to_csv(ref, ref_cfg.n_sequences))
-    writer.write("rb_reference_fit.txt", fit_summary(ref))
-    if int_cfg is not None:
-        inter = run_rb(int_cfg, cache)
-        writer.write("rb_interleaved.csv", curve_to_csv(inter, int_cfg.n_sequences))
-        writer.write("rb_interleaved_fit.txt", fit_summary(inter, p_ref=ref.p))
-    return 0
+    def run(writer: OutputWriter):
+        cache = GateCache()     # the interleaved run reuses the reference Cliffords
+        ref = run_rb(ref_cfg, cache)
+        writer.write("rb_reference.csv", curve_to_csv(ref, ref_cfg.n_sequences))
+        writer.write("rb_reference_fit.txt", fit_summary(ref))
+        if int_cfg is not None:
+            inter = run_rb(int_cfg, cache)
+            writer.write("rb_interleaved.csv", curve_to_csv(inter, int_cfg.n_sequences))
+            writer.write("rb_interleaved_fit.txt", fit_summary(inter, p_ref=ref.p))
+        return 0
+    return run
 
 
 def _parse_sweep_schemes(cfg):
@@ -237,9 +247,7 @@ def _parse_sweep_schemes(cfg):
                               {"scheme": HOLONOMIC, "eta": 1.0}])
     out = []
     for item in raw:
-        unknown = set(item) - {"scheme", "eta"}
-        if unknown:
-            raise ConfigError(f"unknown sweep scheme fields: {sorted(unknown)}")
+        item = _object(item, {"scheme", "eta"}, "sweep scheme")
         scheme = item.get("scheme", HOLONOMIC)
         if scheme not in (HOLONOMIC, DYNAMICAL):
             raise ConfigError(f"unknown scheme {scheme!r}")
@@ -254,98 +262,99 @@ def _sweep_grid(cfg):
     if isinstance(raw, list):
         grid = np.asarray([float(x) for x in raw])
     else:
-        unknown = set(raw) - {"min", "max", "points"}
-        if unknown:
-            raise ConfigError(f"unknown epsilon_grid fields: {sorted(unknown)}")
+        raw = _object(raw, {"min", "max", "points"}, "epsilon_grid")
         grid = np.linspace(float(raw.get("min", -0.2)), float(raw.get("max", 0.2)),
                            int(raw.get("points", 41)))
+    if grid.size == 0:
+        raise ConfigError("epsilon grid is empty")
     if np.any(np.abs(grid) > 0.5):
         raise ConfigError("epsilon grid must stay within [-0.5, 0.5]")
     return grid
 
 
-def run_sweep(cfg, seed):
-    """Robustness sweep rows (epsilon, scheme_label, infidelity_mean, std)."""
+def _direct_point(sched, steps, target, eps):
+    res = propagate_unitary(sched, eps, steps, check=False)
+    return 1.0 - fidelity_qubit_subspace(res.unitary, target), 0.0
+
+
+def _rb_point(rb_cfg, eps):
+    curve = run_rb(replace(rb_cfg, noise=replace(rb_cfg.noise, epsilon=eps)))
+    perr = float(np.sqrt(max(curve.cov[1, 1], 0.0)))
+    return 1.0 - curve.f_ave, perr / 2.0
+
+
+def _sweep_rows(cfg, seed):
+    """Parse a sweep config into rows() -> [(epsilon, label, infidelity_mean, std)]."""
     base = parse_gate(cfg)
     grid = _sweep_grid(cfg)
-    schemes = _parse_sweep_schemes(cfg)
     mode = cfg.get("mode", "direct")
-    if mode not in ("direct", "rb"):
+    if mode == "rb":    # the grid sets epsilon
+        rb_cfg = _rb_config(cfg, seed, parse_noise(cfg, _NOISE_KEYS - {"epsilon"}),
+                            lengths=(1, 2, 4, 8, 12, 16))
+    elif mode != "direct":
         raise ConfigError(f"sweep mode must be 'direct' or 'rb', got {mode!r}")
-    omega_max = float(cfg.get("omega_max", OMEGA_MAX_DEFAULT))
-    n_samples = int(cfg.get("n_samples", 1024))
-    steps = int(cfg.get("steps", 2048))
-    if mode == "rb":
-        try:
-            rb_cfg = RBConfig(
-                lengths=tuple(int(m) for m in cfg.get("lengths", (1, 2, 4, 8, 12, 16))),
-                n_sequences=int(cfg.get("realizations", cfg.get("sequences", 20))),
-                seed=seed, omega_max=omega_max, n_samples=n_samples, steps=steps,
-                noise=parse_noise(cfg))
-        except ValueError as exc:
-            raise ConfigError(f"invalid RB config: {exc}")
-    rows = []
-    for scheme, eta in schemes:
+    elif set(cfg) & {"noise", "lengths", "sequences"}:
+        raise ConfigError("a direct sweep reads none of 'noise', 'lengths', 'sequences'")
+    points = []
+    for scheme, eta in _parse_sweep_schemes(cfg):
         if scheme == DYNAMICAL:
             spec = GateSpec.dynamical(base.theta, base.phi, eta)
         else:
             spec = GateSpec(theta=base.theta, phi=base.phi, gamma=base.gamma,
                             eta=eta, scheme=scheme)
-        label = f"{scheme}:eta={eta:g}"
-        target = target_unitary(spec)
-        sched = synthesize(spec, omega_max, n_samples)
-        for eps in grid:
-            if mode == "direct":
-                res = propagate_unitary(sched, float(eps), steps, check=False)
-                infid = 1.0 - fidelity_qubit_subspace(res.unitary, target)
-                rows.append((float(eps), label, infid, 0.0))
-            else:
-                noise = replace(rb_cfg.noise, epsilon=float(eps))
-                curve = run_rb(replace(rb_cfg, eta=eta, scheme=scheme, noise=noise))
-                perr = float(np.sqrt(max(curve.cov[1, 1], 0.0)))
-                rows.append((float(eps), label, 1.0 - curve.f_ave, perr / 2.0))
+        if mode == "direct":
+            sched, steps = _schedule(cfg, partial(synthesize, spec), 1024, 2048)
+            point = partial(_direct_point, sched, steps, target_unitary(spec))
+        else:
+            point = partial(_rb_point, replace(rb_cfg, eta=eta, scheme=scheme))
+        points.append((f"{scheme}:eta={eta:g}", point))
+
+    def rows():
+        return [(float(eps), label, *point(float(eps)))
+                for label, point in points for eps in grid]
     return rows
 
 
-def _run_sweep_cmd(cfg, seed, writer: OutputWriter):
-    rows = run_sweep(cfg, seed)
-    body = ["epsilon,scheme,infidelity_mean,infidelity_std"]
-    for eps, label, infid, std in rows:
-        body.append("%.17g,%s,%.17g,%.17g" % (eps, label, infid, std))
-    writer.write("sweep.csv", "\n".join(body) + "\n")
-    return 0
+def run_sweep(cfg, seed):
+    """Robustness sweep rows (epsilon, scheme_label, infidelity_mean, std)."""
+    return _sweep_rows(cfg, seed)()
 
 
-def _sideband_system(cfg):
-    from .sideband import SidebandSystem
-    try:
-        return SidebandSystem(n_max=int(cfg.get("n_max", 5)),
-                              eta_ld=float(cfg.get("eta_ld", 0.1)))
-    except ValueError as exc:
-        raise ConfigError(f"invalid sideband system: {exc}")
+def _sweep(cfg, seed):
+    rows = _sweep_rows(cfg, seed)
+
+    def run(writer: OutputWriter):
+        body = ["epsilon,scheme,infidelity_mean,infidelity_std"]
+        body += ["%.17g,%s,%.17g,%.17g" % row for row in rows()]
+        writer.write("sweep.csv", "\n".join(body) + "\n")
+        return 0
+    return run
 
 
-def _run_sideband(cfg, seed, writer: OutputWriter):
-    from .sideband import synthesize_cphase, verify_full_model
+def _sideband(cfg, seed):
     gamma = float(cfg.get("gamma", np.pi))
     eta = float(cfg.get("eta", 0.2))
-    omega_eff_max = float(cfg.get("omega_eff_max", OMEGA_MAX_DEFAULT))
-    sched = synthesize_cphase(gamma, omega_eff_max, eta,
-                              int(cfg.get("n_samples", 4096)))
-    report = verify_full_model(sched, _sideband_system(cfg),
-                               int(cfg.get("steps", 8192)))
-    writer.write("sideband_report.csv", report.to_text())
-    return 0
+    system = sideband.SidebandSystem(n_max=int(cfg.get("n_max", 5)),
+                                     eta_ld=float(cfg.get("eta_ld", 0.1)))
+    sched, steps = _schedule(
+        cfg, lambda omega, n: sideband.synthesize_cphase(gamma, omega, eta, n),
+        4096, 8192, omega_key="omega_eff_max")
+
+    def run(writer: OutputWriter):
+        report = sideband.verify_full_model(sched, system, steps)
+        writer.write("sideband_report.csv", report.to_text())
+        return 0
+    return run
 
 
-_RUNNERS = {
-    "synth": _run_synth,
-    "export-awg": _run_synth,
-    "propagate": _run_propagate,
-    "qpt": _run_qpt,
-    "rb": _run_rb,
-    "sweep": _run_sweep_cmd,
-    "sideband": _run_sideband,
+_COMMANDS = {
+    "synth": _synth,
+    "export-awg": _synth,
+    "propagate": _propagate,
+    "qpt": _qpt,
+    "rb": _rb,
+    "sweep": _sweep,
+    "sideband": _sideband,
 }
 
 
@@ -353,7 +362,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="holopulse",
         description="Compile and simulate robust holonomic qutrit gates.")
-    parser.add_argument("command", choices=sorted(_RUNNERS))
+    parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default="out", help="output directory")
@@ -370,18 +379,20 @@ def main(argv=None) -> int:
                 raise ConfigError("--mode only applies to the sweep command")
             cfg["mode"] = args.mode
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        # reject a bad sideband system or RB config before --out is created
-        if args.command == "sideband":
-            _sideband_system(cfg)
-        elif args.command == "rb":
-            _rb_configs(cfg, seed)
-        writer = OutputWriter(args.out, cfg, seed)
-        status = _RUNNERS[args.command](cfg, seed, writer)
-        writer.finish()
-        return status
-    except ConfigError as exc:
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        run = _COMMANDS[args.command](cfg, seed)
+    except (ValueError, TypeError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    writer = OutputWriter(args.out, cfg, seed)
+    try:
+        status = run(writer)
+    except FitError as exc:
+        print(f"fit failed: {exc}", file=sys.stderr)
+        status = 3
+    writer.finish()
+    return status
 
 
 if __name__ == "__main__":

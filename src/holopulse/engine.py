@@ -168,14 +168,14 @@ def cf4(coupling: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
     return _chron_product(_cf4_steps(coupling, t0, t1, steps))
 
 
-def _check_steps(schedule: PulseSchedule, steps: int, full_cycle: bool):
-    """Reject step counts below 2, odd, or (over the full cycle) coarser than
-    the schedule's sampling."""
+def check_steps(steps: int, n_samples: int = 0):
+    """Reject step counts below 2, odd, or coarser than `n_samples`, the
+    sampling of a schedule propagated over its full cycle (0 for a part)."""
     if steps < 2 or steps % 2:
         raise ValueError(f"steps must be even and >= 2 (the phase jump must fall "
                          f"on a step boundary), got {steps}")
-    if full_cycle and steps < schedule.n_samples:
-        raise ValueError(f"steps = {steps} below schedule resolution {schedule.n_samples}")
+    if steps < n_samples:
+        raise ValueError(f"steps = {steps} below schedule resolution {n_samples}")
 
 
 def propagate_unitary(schedule: PulseSchedule, epsilon: float = 0.0,
@@ -189,7 +189,7 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: float = 0.0,
     """
     if t1 is None:
         t1 = schedule.duration
-    _check_steps(schedule, steps, full_cycle=(t0 == 0.0 and t1 == schedule.duration))
+    check_steps(steps, schedule.n_samples if (t0, t1) == (0.0, schedule.duration) else 0)
 
     def coupling(t):
         return _coupling(schedule, t, epsilon)
@@ -247,7 +247,7 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
     step's U is the product of its two halves. Every factor preserves the
     trace, and so does their affine combination.
     """
-    _check_steps(schedule, steps, full_cycle=True)
+    check_steps(steps, schedule.n_samples)
     half = _embed(schedule.spec,
                   _cf4_steps(lambda t: _coupling(schedule, t, noise.epsilon),
                              0.0, schedule.duration, 2 * steps))

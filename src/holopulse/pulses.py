@@ -154,6 +154,16 @@ def compute_duration(spec: GateSpec, omega_max: float = OMEGA_MAX_DEFAULT) -> fl
     return math.pi ** 2 * peak_envelope(spec.eta) / omega_max
 
 
+def check_sampling(omega_max: float, n_samples: int):
+    """Reject a peak Rabi rate not in (0, inf), and a sample count below 256 or odd."""
+    if not 0.0 < omega_max < math.inf:
+        raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
+    if n_samples < 256:
+        raise ValueError(f"n_samples must be >= 256, got {n_samples}")
+    if n_samples % 2:
+        raise ValueError("n_samples must be even so that T/2 is a sample")
+
+
 def synthesize(spec: GateSpec, omega_max: float = OMEGA_MAX_DEFAULT,
                n_samples: int = 4096) -> PulseSchedule:
     """Compile a gate into a uniformly sampled two-tone schedule.
@@ -162,10 +172,7 @@ def synthesize(spec: GateSpec, omega_max: float = OMEGA_MAX_DEFAULT,
     samples so that both T/2 and T land exactly on samples. The phase jump at
     T/2 sits between adjacent samples (Omega = 0 there, so it is free).
     """
-    if n_samples < 256:
-        raise ValueError(f"n_samples must be >= 256, got {n_samples}")
-    if n_samples % 2:
-        raise ValueError("n_samples must be even so that T/2 is a sample")
+    check_sampling(omega_max, n_samples)
     duration = compute_duration(spec, omega_max)
     times = np.linspace(0.0, duration, n_samples + 1)
     omega, phi0, _, _, _ = controls_arrays(spec.path_params(duration), times)

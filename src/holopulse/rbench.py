@@ -23,10 +23,10 @@ import warnings
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
-from .engine import NoiseModel, open_superoperator, propagate_unitary
+from .engine import NoiseModel, check_steps, open_superoperator, propagate_unitary
 from .gates import axis_angle, clifford_table, target_unitary
 from .paths import DYNAMICAL, HOLONOMIC
-from .pulses import OMEGA_MAX_DEFAULT, GateSpec, synthesize
+from .pulses import OMEGA_MAX_DEFAULT, GateSpec, check_sampling, synthesize
 from .qcore import SX
 
 
@@ -58,9 +58,10 @@ class RBConfig:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.mode not in ("pulse", "exact"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "pulse" and (self.steps % 2 or self.steps < self.n_samples):
-            raise ValueError(f"steps = {self.steps} must be even and at least the "
-                             f"schedule resolution n_samples = {self.n_samples}")
+        clifford_table(self.eta, self.scheme)    # rejects a bad eta or scheme
+        if self.mode == "pulse":
+            check_sampling(self.omega_max, self.n_samples)
+            check_steps(self.steps, self.n_samples)
 
 
 @dataclass
@@ -180,6 +181,10 @@ def _survival_exact(specs, recovery, config: RBConfig) -> float:
             + (1.0 - p0) * noise.detection_error_dark)
 
 
+class FitError(RuntimeError):
+    """The decay fit did not converge, or found no p in (0, 1]."""
+
+
 def decay_model(m, a, p, b):
     return a * p ** np.asarray(m, dtype=float) + b
 
@@ -201,11 +206,14 @@ def fit_decay(lengths, means, sigma=None):
     with warnings.catch_warnings():
         # degenerate (noise-free) curves leave the covariance singular
         warnings.simplefilter("ignore", OptimizeWarning)
-        popt, pcov = curve_fit(decay_model, lengths, means, p0=(a0, p0, b0),
-                               sigma=sigma, method="lm", maxfev=20000)
+        try:
+            popt, pcov = curve_fit(decay_model, lengths, means, p0=(a0, p0, b0),
+                                   sigma=sigma, method="lm", maxfev=20000)
+        except RuntimeError as exc:     # no convergence within maxfev
+            raise FitError(str(exc)) from exc
     a, p, b = (float(v) for v in popt)
     if not 0.0 < p <= 1.0 + 1e-9:
-        raise RuntimeError(f"fitted decay parameter p = {p} outside (0, 1]")
+        raise FitError(f"fitted decay parameter p = {p} outside (0, 1]")
     return a, min(p, 1.0), b, pcov
 
 

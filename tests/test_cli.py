@@ -123,6 +123,11 @@ def test_sideband_bad_system_is_config_error(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+# one valid gate setting per command that takes omega_max and n_samples
+_GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
+          "sweep": {"gate": "X"}}
+
+
 @pytest.mark.parametrize("command, bad", [
     ("rb", {"lengths": [1, 2]}),
     ("rb", {"shots": 0}),
@@ -133,6 +138,51 @@ def test_sideband_bad_system_is_config_error(tmp_path, capsys, bad):
     ("synth", {"gate": "Q"}),
     ("rb", {"gate": "X"}),
     ("sweep", {"mode": "rb", "gate": "X", "lengths": [1, 2]}),
+    # steps below the schedule resolution, or none at all
+    ("propagate", {"gate": "X", "n_samples": 1024, "steps": 256}),
+    ("qpt", {"gate": "X", "n_samples": 1024, "steps": 256}),
+    ("sweep", {"gate": "X", "n_samples": 1024, "steps": 256}),
+    ("sideband", {"steps": 0}),
+    # too few or odd samples, or a peak Rabi rate outside (0, inf), in every command
+    *[(command, {**gate, "n_samples": 128, "steps": 256})
+      for command, gate in _GATES.items()],
+    ("synth", {"gate": "X", "n_samples": 128}),
+    ("export-awg", {"gate": "X", "n_samples": 257}),
+    ("sideband", {"n_samples": 128, "steps": 256}),
+    *[(command, {**gate, "omega_max": value})
+      for command, gate in _GATES.items() for value in (0.0, -1.0, float("inf"))],
+    ("synth", {"gate": "X", "omega_max": -1.0}),
+    ("sideband", {"omega_eff_max": 0.0}),
+    # malformed values
+    ("sweep", {"gate": "X", "epsilon_grid": 5}),
+    ("sweep", {"gate": "X", "epsilon_grid": {"points": 0}}),
+    ("sweep", {"gate": "X", "epsilon_grid": []}),
+    ("sweep", {"gate": "X", "epsilon_grid": ""}),
+    ("sweep", {"gate": "X", "schemes": [5, 6]}),
+    ("rb", {"noise": []}),
+    ("qpt", {"gate": "X", "noise": []}),
+    ("qpt", {"gate": "X", "shots": 0}),
+    ("propagate", {"gate": {"theta": None, "phi": 0.0, "gamma": 1.0}}),
+    ("propagate", {"gate": "X", "n_samples": float("inf")}),
+    ("qpt", {"gate": "X", "seed": -1}),
+    ("rb", {"scheme": "bogus"}),
+    ("rb", {"scheme": "dynamical", "eta": 1.0}),
+    ("sweep", {"gate": "X", "mode": "rb", "schemes": [
+        {"scheme": "holonomic"}, {"scheme": "dynamical", "eta": 1.0}]}),
+    # keys the command does not read
+    ("synth", {"gate": "X", "steps": 512}),
+    ("synth", {"gate": "X", "noise": {}}),
+    ("export-awg", {"gate": "X", "steps": 512}),
+    ("export-awg", {"gate": "X", "noise": {}}),
+    ("sweep", {"gate": "X", "realizations": 5}),
+    ("sweep", {"gate": "X", "noise": {"epsilon": 0.1}}),
+    ("sweep", {"gate": "X", "lengths": [1, 2, 4]}),
+    ("sweep", {"gate": "X", "sequences": 5}),
+    ("sweep", {"gate": "X", "mode": "rb", "noise": {"epsilon": 0.1}}),
+    ("propagate", {"gate": "X", "noise": {"gamma_1a": 100.0}}),
+    ("propagate", {"gate": "X", "noise": {"prep_error": 0.01}}),
+    ("qpt", {"gate": "X", "noise": {"gamma_0a": 10.0}}),
+    ("qpt", {"gate": "X", "analytic": True, "shots": 100}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})
@@ -140,8 +190,25 @@ def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
-    if command == "rb":     # rb configs are checked before --out is created
-        assert not out.exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, seed, extra", [
+    # at seed 4 the reference curve at epsilon = 0.05 fits p = 1.00006
+    ("rb", "4", {"noise": {"epsilon": 0.05}}),
+    ("sweep", "4", {"mode": "rb", "gate": "X", "epsilon_grid": [0.05]}),
+    # at seed 0 the fit reaches curve_fit's maxfev
+    ("rb", "0", {"noise": {"epsilon": 0.01}, "sequences": 2, "shots": 100}),
+])
+def test_rb_fit_failure_exits_3(tmp_path, capsys, command, seed, extra):
+    cfg = _write(tmp_path, "c.json", {
+        "experiment": command, "lengths": [1, 2, 4], "sequences": 3,
+        "n_samples": 256, "steps": 512, **extra})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--seed", seed]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fit failed") and len(err.splitlines()) == 1
+    assert (out / "manifest.txt").read_text().splitlines()[-1] == ""
 
 
 def test_mismatched_command_and_config(tmp_path):

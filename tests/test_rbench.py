@@ -6,7 +6,7 @@ import pytest
 from holopulse.engine import NoiseModel, dephasing_from_t2
 from holopulse.gates import clifford_table, phase_equivalent, target_unitary
 from holopulse.pulses import GateSpec, named_gate
-from holopulse.rbench import (GateCache, RBConfig, average_fidelity,
+from holopulse.rbench import (FitError, GateCache, RBConfig, average_fidelity,
                               build_sequence, curve_to_csv, decay_model,
                               fit_decay, interleaved_gate_fidelity, run_rb)
 
@@ -42,6 +42,15 @@ def test_fit_decay_recovers_parameters():
     assert pf == pytest.approx(p, abs=1e-8)
     assert af == pytest.approx(a, abs=1e-6)
     assert bf == pytest.approx(b, abs=1e-6)
+
+
+@pytest.mark.parametrize("means", [
+    [1.0, 0.995, 0.995],    # curve_fit stops at maxfev
+    [0.6, 0.7, 0.9],        # p = 1.0001
+])
+def test_fit_decay_failure_is_fit_error(means):
+    with pytest.raises(FitError):
+        fit_decay([1, 2, 4], means)
 
 
 def test_fidelity_formulas():
@@ -123,7 +132,19 @@ def test_config_validation():
         RBConfig(n_samples=1024, steps=256)
     with pytest.raises(ValueError):
         RBConfig(n_samples=256, steps=513)
+    with pytest.raises(ValueError):
+        RBConfig(n_samples=128, steps=256)
+    with pytest.raises(ValueError):
+        RBConfig(n_samples=257, steps=514)
+    for omega_max in (0.0, -1.0, float("inf")):
+        with pytest.raises(ValueError):
+            RBConfig(omega_max=omega_max)
+    for bad in ({"scheme": "bogus"}, {"eta": float("nan")},
+                {"scheme": "dynamical", "eta": 1.0}):
+        with pytest.raises(ValueError):
+            RBConfig(**bad)
     RBConfig(n_samples=1024, steps=256, mode="exact")    # steps unused
+    RBConfig(n_samples=128, omega_max=-1.0, mode="exact")
 
 
 def test_shared_cache_matches_separate_runs():
