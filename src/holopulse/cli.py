@@ -190,7 +190,8 @@ def _qpt(cfg, seed):
         raise ConfigError(f"shots must be >= 1, got {shots}")
 
     def run(writer: OutputWriter):
-        channel = propagator_channel(propagate_unitary(sched, noise.epsilon, steps).unitary)
+        res = propagate_unitary(sched, noise.epsilon, steps)
+        channel = propagator_channel(res.unitary)
         if shots is None:
             records = exact_records(channel, noise)
         else:
@@ -207,9 +208,10 @@ def _qpt(cfg, seed):
                         label, m, n, chi[m, n].real, chi[m, n].imag))
         writer.write("chi.csv", "\n".join(body) + "\n")
         writer.write("qpt_summary.csv",
-                     "process_fidelity,iterations,converged\n"
-                     "%.17g,%d,%s\n" % (fatt, mle.iterations, mle.converged))
-        return 0 if mle.converged else 3
+                     "process_fidelity,iterations,converged,truncation_error\n"
+                     "%.17g,%d,%s,%.17g\n" % (fatt, mle.iterations, mle.converged,
+                                             res.truncation_error))
+        return 0 if mle.converged and res.converged else 3
     return run
 
 
@@ -272,62 +274,78 @@ def _sweep_grid(cfg):
     return grid
 
 
-def _direct_point(sched, steps, target, eps):
-    res = propagate_unitary(sched, eps, steps, check=False)
-    return 1.0 - fidelity_qubit_subspace(res.unitary, target), 0.0
+def _direct_points(sched, steps, target, grid):
+    """(infidelity, std, truncation_error, converged) per epsilon, from one
+    batched propagation with the truncation check."""
+    res = propagate_unitary(sched, grid, steps)
+    return [(1.0 - fidelity_qubit_subspace(u, target), 0.0, float(err), bool(ok))
+            for u, err, ok in zip(res.unitary, res.truncation_error, res.converged)]
 
 
-def _rb_point(rb_cfg, eps):
-    curve = run_rb(replace(rb_cfg, noise=replace(rb_cfg.noise, epsilon=eps)))
-    perr = float(np.sqrt(max(curve.cov[1, 1], 0.0)))
-    return 1.0 - curve.f_ave, perr / 2.0
+def _rb_points(rb_cfg, grid):
+    """(infidelity, std, None, True) per epsilon: RB propagates unchecked."""
+    points = []
+    for eps in grid:
+        curve = run_rb(replace(rb_cfg, noise=replace(rb_cfg.noise, epsilon=float(eps))))
+        perr = float(np.sqrt(max(curve.cov[1, 1], 0.0)))
+        points.append((1.0 - curve.f_ave, perr / 2.0, None, True))
+    return points
 
 
 def _sweep_rows(cfg, seed):
-    """Parse a sweep config into rows() -> [(epsilon, label, infidelity_mean, std)]."""
-    base = parse_gate(cfg)
+    """Parse a sweep config into rows() -> [(epsilon, label, infidelity_mean,
+    std, truncation_error, converged)]; truncation_error is None in rb mode."""
     grid = _sweep_grid(cfg)
     mode = cfg.get("mode", "direct")
-    if mode == "rb":    # the grid sets epsilon
+    if mode == "rb":    # the grid sets epsilon; RB averages over the Cliffords
         rb_cfg = _rb_config(cfg, seed, parse_noise(cfg, _NOISE_KEYS - {"epsilon"}),
                             lengths=(1, 2, 4, 8, 12, 16))
+        if "gate" in cfg:   # accepted, and checked, but not read
+            parse_gate(cfg)
     elif mode != "direct":
         raise ConfigError(f"sweep mode must be 'direct' or 'rb', got {mode!r}")
     elif set(cfg) & {"noise", "lengths", "sequences"}:
         raise ConfigError("a direct sweep reads none of 'noise', 'lengths', 'sequences'")
+    else:
+        base = parse_gate(cfg)
     points = []
     for scheme, eta in _parse_sweep_schemes(cfg):
-        if scheme == DYNAMICAL:
-            spec = GateSpec.dynamical(base.theta, base.phi, eta)
+        if mode == "rb":
+            point = partial(_rb_points, replace(rb_cfg, eta=eta, scheme=scheme))
         else:
-            spec = GateSpec(theta=base.theta, phi=base.phi, gamma=base.gamma,
-                            eta=eta, scheme=scheme)
-        if mode == "direct":
+            if scheme == DYNAMICAL:
+                spec = GateSpec.dynamical(base.theta, base.phi, eta)
+            else:
+                spec = GateSpec(theta=base.theta, phi=base.phi, gamma=base.gamma,
+                                eta=eta, scheme=scheme)
             sched, steps = _schedule(cfg, partial(synthesize, spec), 1024, 2048)
-            point = partial(_direct_point, sched, steps, target_unitary(spec))
-        else:
-            point = partial(_rb_point, replace(rb_cfg, eta=eta, scheme=scheme))
+            point = partial(_direct_points, sched, steps, target_unitary(spec))
         points.append((f"{scheme}:eta={eta:g}", point))
 
     def rows():
-        return [(float(eps), label, *point(float(eps)))
-                for label, point in points for eps in grid]
+        return [(float(eps), label, *result)
+                for label, point in points for eps, result in zip(grid, point(grid))]
     return rows
 
 
 def run_sweep(cfg, seed):
     """Robustness sweep rows (epsilon, scheme_label, infidelity_mean, std)."""
-    return _sweep_rows(cfg, seed)()
+    return [row[:4] for row in _sweep_rows(cfg, seed)()]
 
 
 def _sweep(cfg, seed):
     rows = _sweep_rows(cfg, seed)
+    checked = cfg.get("mode", "direct") == "direct"
 
     def run(writer: OutputWriter):
-        body = ["epsilon,scheme,infidelity_mean,infidelity_std"]
-        body += ["%.17g,%s,%.17g,%.17g" % row for row in rows()]
+        table = rows()
+        body = ["epsilon,scheme,infidelity_mean,infidelity_std"
+                + (",truncation_error" if checked else "")]
+        for eps, label, mean, std, err, _ in table:
+            body.append("%.17g,%s,%.17g,%.17g" % (eps, label, mean, std)
+                        + (",%.17g" % err if checked else ""))
         writer.write("sweep.csv", "\n".join(body) + "\n")
-        return 0
+        return 0 if all(row[5] for row in table) else 3
     return run
 
 

@@ -2,27 +2,34 @@
 
 The two tones couple only the bright state |b> to |a>; the dark state |d>,
 fixed by (theta, phi), never moves. The Hamiltonian is therefore
-H(t) = c(t)|b><a| + h.c. with one complex scalar coupling
-c = (1+eps) Omega(t) e^{-i phi0(t)} / 2 (`_coupling`), and the closed
-dynamics is SU(2) on span{|b>, |a>}. The block Hamiltonian [[0, c], [c*, 0]]
-has the closed-form exponential
+H(t) = (1+eps) c(t)|b><a| + h.c. with one complex scalar coupling
+c = Omega(t) e^{-i phi0(t)} / 2 (`_coupling`), and the closed dynamics is
+SU(2) on span{|b>, |a>}. Every block propagator is kept as its Cayley-Klein
+pair (a, b), U2 = [[a, b], [-b*, a*]]. The block Hamiltonian
+s [[0, c], [c*, 0]] has the closed-form exponential
 
-    exp(-i dt [[0, c], [c*, 0]]) = cos(|c| dt) I - i (sin(|c| dt)/|c|) [[0, c], [c*, 0]]
+    a = cos(s |c| dt),   b = -i sin(s |c| dt) c/|c|
 
-(`_su2_step`). Closed-system evolution uses a fourth-order commutator-free
-scheme (`cf4`): per step, two such exponentials of real combinations of the
-coupling at the two Gauss nodes. Every factor is exactly unitary, and
-step-doubling agreement at 1e-9 is reached at the default resolution. The
-2x2 block propagator U2 depends on the path (gamma, eta, scheme) and eps
-only; the qutrit propagator is its embedding |d><d| + E U2 E^dag with
-E = [|b>, |a>] (`_embed`). `sideband` drives the same kernel with the
+(`_su2_step`), and a product of two blocks is four elementwise complex
+products (`_ck_product`). Closed-system evolution uses a fourth-order
+commutator-free scheme (`cf4`): per step, two such exponentials of real
+combinations of the coupling at the two Gauss nodes, reduced by one ordered
+pairwise product. Every array carries a trailing batch axis for the scale
+s = 1 + eps: the control law is evaluated once at the Gauss nodes, and a
+whole epsilon grid is propagated in one pass (`propagate_unitary` with an
+array of eps). Every factor is exactly unitary, and step-doubling agreement
+at 1e-9 is reached at the default resolution. U2 depends on the path
+(gamma, eta, scheme) and eps only; the qutrit propagator is its embedding
+|d><d| + E U2 E^dag with E = [|b>, |a>] (`_embed`), the only place a 3x3
+matrix is built. `sideband` drives the same kernel with the
 anti-Jaynes-Cummings coupling of its n = 0 block.
 
 Open-system evolution (two pure-dephasing dissipators) embeds the same
-per-step CF4 propagators (`_cf4_steps`) at every half step: the dissipator is
-diagonal on vec(rho), so its exponential is elementwise, and each step is a
-Strang splitting around U (x) U*, Richardson-extrapolated to fourth order.
-All steps are batched and reduced by one ordered product.
+per-step CF4 pairs (`_cf4_steps`) at every half step and at every full step
+(the Cayley-Klein product of its two halves): the dissipator is diagonal on
+vec(rho), so its exponential is elementwise, and each step is a Strang
+splitting around U (x) U*, Richardson-extrapolated to fourth order. All
+steps are batched and reduced by one ordered product of 9x9 matrices.
 
 The coupling is evaluated from the schedule's continuous-time control law
 (gate spec + duration); the sampled arrays are the export artifact.
@@ -31,7 +38,8 @@ Basis order everywhere: (|0>, |1>, |a>), hbar = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -73,10 +81,12 @@ def dephasing_from_t2(t2_1a: float = 20e-3, t2_0a: float = 200e-3, **kw) -> Nois
 
 @dataclass
 class PropagationResult:
-    unitary: Optional[np.ndarray] = None      # 3x3, closed system
+    """A closed-system propagation: one 3x3 unitary for a scalar epsilon, or
+    a stack (n, 3, 3) with per-point truncation_error and converged arrays."""
+    unitary: Optional[np.ndarray] = None
     steps: int = 0
-    truncation_error: float = 0.0
-    converged: bool = True
+    truncation_error: Union[float, np.ndarray] = 0.0
+    converged: Union[bool, np.ndarray] = True
 
 
 def bright_state(spec) -> np.ndarray:
@@ -93,42 +103,66 @@ def dark_state(spec) -> np.ndarray:
                      0.0], dtype=complex)
 
 
-def _coupling(schedule: PulseSchedule, t, epsilon: float) -> np.ndarray:
-    """Bright-auxiliary coupling c(t) = <b|H|a> = (1+eps) Omega(t) e^{-i phi0(t)} / 2.
+def _coupling(schedule: PulseSchedule, t) -> np.ndarray:
+    """Bright-auxiliary coupling c(t) = <b|H|a> = Omega(t) e^{-i phi0(t)} / 2.
 
     The two tones add up to H = c|b><a| + h.c.: <0|H|a> = c sin(theta/2) and
-    <1|H|a> = -c cos(theta/2) e^{i phi}, since phi1 = phi0 + pi - phi.
+    <1|H|a> = -c cos(theta/2) e^{i phi}, since phi1 = phi0 + pi - phi. A
+    static amplitude error scales it to (1+eps) c, which the kernel takes as
+    its `scale`.
     """
     omega, phi0, _, _, _ = controls_arrays(schedule.path_params(), t)
-    return (1.0 + epsilon) * (0.5 * omega * np.exp(-1j * phi0))
+    return 0.5 * omega * np.exp(-1j * phi0)
 
 
-def _su2_step(c: np.ndarray, dt: float) -> np.ndarray:
-    """Batched exp(-i dt h), h = [[0, c], [c*, 0]]: cos(|c| dt) I - i sin(|c| dt)/|c| h.
+def _su2_step(c: np.ndarray, dt: float, scale=1.0):
+    """Cayley-Klein pair (a, b) of exp(-i dt s [[0, c], [c*, 0]]) for every
+    coupling c and every real scale s; shape c.shape + np.shape(scale).
 
-    At c = 0 the sine coefficient takes its limit dt.
+    The SU(2) matrix [[a, b], [-b*, a*]] has a = cos(s |c| dt) and
+    b = -i sin(s |c| dt) c/|c|, which is -i sin(|sc| dt)/|sc| sc; at c = 0,
+    b = 0. Only the angle and its sine and cosine carry the scale axis.
     """
     w = np.abs(c)
-    nonzero = w > 0.0
-    s = np.where(nonzero, np.sin(w * dt) / np.where(nonzero, w, 1.0), dt)
-    off = -1j * s * c
-    u = np.empty(c.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = u[..., 1, 1] = np.cos(w * dt)
-    u[..., 0, 1] = off
-    u[..., 1, 0] = -np.conj(off)
-    return u
+    phase = np.zeros_like(c)
+    np.divide(c, w, out=phase, where=w > 0.0)
+    phase = -1j * phase.reshape(phase.shape + (1,) * np.ndim(scale))
+    theta = np.multiply.outer(w * dt, scale)
+    a = np.cos(theta)
+    return a, np.sin(theta, out=theta) * phase
 
 
-def _embed(spec, u2: np.ndarray) -> np.ndarray:
-    """Qutrit propagators |d><d| + E U2 E^dag, E = [|b>, |a>], for a batch of blocks.
+def _ck_product(a2, b2, a1, b1):
+    """(a, b) of U2 U1 for Cayley-Klein pairs: four elementwise complex products."""
+    return a2 * a1 - b2 * np.conj(b1), a2 * b1 + b2 * np.conj(a1)
+
+
+def _ordered_product(a: np.ndarray, b: np.ndarray):
+    """(a, b) of U[-1] ... U[0] over the leading axis, by pairwise reduction;
+    any trailing axes are a batch."""
+    while a.shape[0] > 1:
+        n = a.shape[0]
+        pa, pb = _ck_product(a[1:n - n % 2:2], b[1:n - n % 2:2],
+                             a[0:n - n % 2:2], b[0:n - n % 2:2])
+        if n % 2:
+            pa = np.concatenate([pa, a[-1:]], axis=0)
+            pb = np.concatenate([pb, b[-1:]], axis=0)
+        a, b = pa, pb
+    return a[0], b[0]
+
+
+def _embed(spec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Qutrit propagators |d><d| + E U2 E^dag, E = [|b>, |a>], for a batch of
+    blocks U2 = [[a, b], [-b*, a*]]; shape a.shape + (3, 3).
 
     Evaluated as I + E (U2 - I) E^dag, which keeps the identity exact: a step
     with U2 near I then adds no rounding bias that would build up over the
     steps of the open channel. On row-major vec, E X E^dag is (E (x) E*) vec(X).
     """
     e = np.stack([bright_state(spec), [0.0, 0.0, 1.0]], axis=1)
-    u = (u2 - np.eye(2)).reshape(-1, 4) @ np.kron(e, e.conj()).T + np.eye(3).reshape(-1)
-    return u.reshape(u2.shape[:-2] + (3, 3))
+    x = np.stack([a - 1.0, b, -np.conj(b), np.conj(a) - 1.0], axis=-1)
+    u = x @ np.kron(e, e.conj()).T + np.eye(3).reshape(-1)
+    return u.reshape(np.shape(a) + (3, 3))
 
 
 def _chron_product(mats: np.ndarray) -> np.ndarray:
@@ -144,28 +178,31 @@ def _chron_product(mats: np.ndarray) -> np.ndarray:
 
 
 def _cf4_steps(coupling: Callable[[np.ndarray], np.ndarray], t0: float,
-               t1: float, steps: int) -> np.ndarray:
+               t1: float, steps: int, scale=1.0):
     """Per-step fourth-order commutator-free propagators of the 2x2 block over [t0, t1].
 
     `coupling(t)` returns the complex coupling c at an array of times; it is
-    called once per Gauss node. Each factor is the SU(2) step at a real
-    combination of the two nodes' couplings. The result has shape
-    (steps, 2, 2), step k propagating over [t0 + k h, t0 + (k+1) h].
+    called once per Gauss node. The block is propagated under s c for every
+    s in `scale` (a scalar, or an array that becomes a trailing batch axis).
+    Each factor is the SU(2) step at a real combination of the two nodes'
+    couplings. Returns Cayley-Klein arrays (a, b) of shape
+    (steps,) + np.shape(scale), step k propagating over [t0 + k h, t0 + (k+1) h].
     """
     h = (t1 - t0) / steps
     base = t0 + np.arange(steps) * h
     c1 = coupling(base + _GAUSS_C[0] * h)
     c2 = coupling(base + _GAUSS_C[1] * h)
     a1, a2 = _CF4_A
-    first = _su2_step(a1 * c1 + a2 * c2, h)   # acts first
-    second = _su2_step(a2 * c1 + a1 * c2, h)
-    return second @ first
+    first = _su2_step(a1 * c1 + a2 * c2, h, scale)   # acts first
+    second = _su2_step(a2 * c1 + a1 * c2, h, scale)
+    return _ck_product(*second, *first)
 
 
 def cf4(coupling: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
-        steps: int) -> np.ndarray:
-    """Fourth-order commutator-free 2x2 block propagator over [t0, t1] (see `_cf4_steps`)."""
-    return _chron_product(_cf4_steps(coupling, t0, t1, steps))
+        steps: int, scale=1.0):
+    """Fourth-order commutator-free block propagator over [t0, t1] as its
+    Cayley-Klein pair (a, b), one per scale (see `_cf4_steps`)."""
+    return _ordered_product(*_cf4_steps(coupling, t0, t1, steps, scale))
 
 
 def check_steps(steps: int, n_samples: int = 0):
@@ -178,29 +215,39 @@ def check_steps(steps: int, n_samples: int = 0):
         raise ValueError(f"steps = {steps} below schedule resolution {n_samples}")
 
 
-def propagate_unitary(schedule: PulseSchedule, epsilon: float = 0.0,
+def propagate_unitary(schedule: PulseSchedule, epsilon: Union[float, np.ndarray] = 0.0,
                       steps: int = DEFAULT_STEPS, t0: float = 0.0,
                       t1: Optional[float] = None,
                       check: bool = True) -> PropagationResult:
     """Closed-system propagator over [t0, t1] (default the full cycle).
 
-    With check=True a half-resolution pass estimates the truncation error;
-    an estimate above 1e-6 is flagged (converged=False), never silently.
+    `epsilon` is a scalar or a 1-D array; an array propagates every point in
+    one pass and returns `unitary` of shape (n, 3, 3) with per-point
+    `truncation_error` and `converged` arrays. With check=True a pass at
+    2 * (steps // 4) steps, even so that the phase jump at T/2 stays on a
+    step boundary, estimates the truncation error; an estimate above 1e-6 is
+    flagged (converged=False), never silently.
     """
+    eps = np.asarray(epsilon, dtype=float)
+    if eps.ndim > 1:
+        raise ValueError(f"epsilon must be a scalar or a 1-D array, got shape {eps.shape}")
     if t1 is None:
         t1 = schedule.duration
     check_steps(steps, schedule.n_samples if (t0, t1) == (0.0, schedule.duration) else 0)
+    if check and steps < 4:
+        raise ValueError(f"the truncation check needs steps >= 4, got {steps}")
 
-    def coupling(t):
-        return _coupling(schedule, t, epsilon)
+    def block(n):
+        return cf4(partial(_coupling, schedule), t0, t1, n, 1.0 + eps)
 
-    u = _embed(schedule.spec, cf4(coupling, t0, t1, steps))
-    err = 0.0
-    converged = True
+    u = _embed(schedule.spec, *block(steps))
+    err = np.zeros(eps.shape)
     if check:
-        u_half = _embed(schedule.spec, cf4(coupling, t0, t1, steps // 2))
-        err = float(np.max(np.abs(u - u_half)))
-        converged = err < 1e-6
+        u_coarse = _embed(schedule.spec, *block(2 * (steps // 4)))
+        err = np.max(np.abs(u - u_coarse), axis=(-2, -1))
+    converged = err < 1e-6
+    if eps.ndim == 0:
+        err, converged = float(err), bool(converged)
     return PropagationResult(unitary=u, steps=steps, truncation_error=err,
                              converged=converged)
 
@@ -208,11 +255,11 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: float = 0.0,
 def survival_probability(schedule: PulseSchedule, epsilon: float,
                          steps: int = DEFAULT_STEPS // 2) -> float:
     """|<psi_0(T/2)|psi_eps(T/2)>|^2 for evolution of |b> over the first segment."""
-    half = schedule.duration / 2.0
-    u_ideal = cf4(lambda t: _coupling(schedule, t, 0.0), 0.0, half, steps)
-    u_err = cf4(lambda t: _coupling(schedule, t, epsilon), 0.0, half, steps)
-    # |b> is the first block basis vector, and E preserves inner products
-    overlap = np.vdot(u_ideal[:, 0], u_err[:, 0])
+    a, b = cf4(partial(_coupling, schedule), 0.0, schedule.duration / 2.0, steps,
+               np.array([1.0, 1.0 + epsilon]))
+    # |b> is the first block basis vector, mapped to (a, -b*); E preserves
+    # inner products
+    overlap = np.conj(a[0]) * a[1] + b[0] * np.conj(b[1])
     return float(abs(overlap) ** 2)
 
 
@@ -248,10 +295,11 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
     trace, and so does their affine combination.
     """
     check_steps(steps, schedule.n_samples)
-    half = _embed(schedule.spec,
-                  _cf4_steps(lambda t: _coupling(schedule, t, noise.epsilon),
-                             0.0, schedule.duration, 2 * steps))
+    a, b = _cf4_steps(partial(_coupling, schedule), 0.0, schedule.duration,
+                      2 * steps, 1.0 + noise.epsilon)
+    half = _embed(schedule.spec, a, b)
     first, second = half[0::2], half[1::2]
+    whole = _embed(schedule.spec, *_ck_product(a[1::2], b[1::2], a[0::2], b[0::2]))
     h = schedule.duration / steps
     rates = _dephasing_rates(noise)
     e_quarter = np.exp(0.25 * h * rates)
@@ -259,7 +307,7 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
     two_halves = (e_quarter[:, None]
                   * (_lift(second) @ (e_half[:, None] * _lift(first)))
                   * e_quarter)
-    full = e_half[:, None] * _lift(second @ first) * e_half
+    full = e_half[:, None] * _lift(whole) * e_half
     return _chron_product((4.0 * two_halves - full) / 3.0)
 
 

@@ -24,9 +24,10 @@ def ket(dim: int, index: int) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """max |U^dag U - I|, a cheap distance from the unitary group."""
+    """max |U^dag U - I|, a cheap distance from the unitary group; for a stack
+    of matrices (..., n, n), the largest over the stack."""
     u = np.asarray(u, dtype=complex)
-    d = u.conj().T @ u - np.eye(u.shape[0])
+    d = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])
     return float(np.max(np.abs(d)))
 
 

@@ -138,6 +138,9 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("synth", {"gate": "Q"}),
     ("rb", {"gate": "X"}),
     ("sweep", {"mode": "rb", "gate": "X", "lengths": [1, 2]}),
+    # a direct sweep needs its gate; an rb-mode sweep checks one it is given
+    ("sweep", {}),
+    ("sweep", {"mode": "rb", "gate": "Q"}),
     # steps below the schedule resolution, or none at all
     ("propagate", {"gate": "X", "n_samples": 1024, "steps": 256}),
     ("qpt", {"gate": "X", "n_samples": 1024, "steps": 256}),
@@ -214,3 +217,53 @@ def test_rb_fit_failure_exits_3(tmp_path, capsys, command, seed, extra):
 def test_mismatched_command_and_config(tmp_path):
     cfg = _write(tmp_path, "c.json", {"experiment": "synth", "gate": "X"})
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+# the truncation estimate of this eta = 1 gate at 256 steps is 2.5e-6 > 1e-6
+_UNCONVERGED = {"gate": {"theta": 1.0, "phi": 0.3, "gamma": 2.0, "eta": 1.0},
+                "n_samples": 256, "steps": 256}
+
+
+def _table(path):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+def test_qpt_unconverged_propagation_exits_3(tmp_path):
+    cfg = _write(tmp_path, "c.json", {"experiment": "qpt", "analytic": True, **_UNCONVERGED})
+    out = tmp_path / "o"
+    assert main(["qpt", "--config", cfg, "--out", str(out)]) == 3
+    assert "qpt_summary.csv" in (out / "manifest.txt").read_text()
+    [row] = _table(out / "qpt_summary.csv")
+    assert list(row) == ["process_fidelity", "iterations", "converged", "truncation_error"]
+    assert row["converged"] == "True"       # the MLE's flag
+    assert float(row["truncation_error"]) > 1e-6
+
+
+def test_direct_sweep_unconverged_point_exits_3(tmp_path):
+    cfg = _write(tmp_path, "c.json", {
+        "experiment": "sweep", "epsilon_grid": [-0.1, 0.0, 0.1], **_UNCONVERGED,
+        "schemes": [{"eta": 0.0}, {"eta": 1.0}]})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "sweep.csv" in (out / "manifest.txt").read_text()
+    rows = _table(out / "sweep.csv")
+    assert len(rows) == 6
+    errors = {(r["scheme"], float(r["epsilon"])): float(r["truncation_error"]) for r in rows}
+    assert errors["holonomic:eta=1", 0.0] > 1e-6
+    assert errors["holonomic:eta=0", 0.0] < 1e-6
+
+
+def test_rb_sweep_does_not_need_a_gate(tmp_path):
+    base = {"experiment": "sweep", "mode": "rb", "lengths": [1, 2, 4], "sequences": 3,
+            "n_samples": 256, "steps": 512, "epsilon_grid": [0.02]}
+    outs = []
+    for name, cfg in (("a", base), ("b", dict(base, gate="X"))):
+        out = tmp_path / name
+        assert main(["sweep", "--config", _write(tmp_path, f"{name}.json", cfg),
+                     "--out", str(out), "--seed", "1"]) == 0
+        rows = _table(out / "sweep.csv")
+        assert list(rows[0]) == ["epsilon", "scheme", "infidelity_mean", "infidelity_std"]
+        outs.append(rows)
+    assert outs[0] == outs[1]

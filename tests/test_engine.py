@@ -59,13 +59,20 @@ def test_propagator_matches_qutrit_expm_reference():
 
 
 def test_coupling_scales_exactly_with_amplitude_error():
-    sched = _sched()
+    # the kernel takes (1+eps) as a scale axis on the error-free coupling
+    sched = _sched("H", eta=1.0)
     t = np.linspace(0.0, sched.duration, 65)
-    c0 = _coupling(sched, t, 0.0)
-    for eps in (0.1, -0.2):
-        assert np.array_equal(_coupling(sched, t, eps), (1.0 + eps) * c0)
+    c0 = _coupling(sched, t)
+    dt = sched.duration / 512
+    scale = np.array([1.1, 0.8, 1.0])
+    a, b = _su2_step(c0, dt, scale)
+    assert a.shape == b.shape == (65, 3)
+    for k, s in enumerate(scale):
+        ref_a, ref_b = _su2_step(s * c0, dt)
+        assert np.max(np.abs(a[:, k] - ref_a)) <= 1e-15
+        assert np.max(np.abs(b[:, k] - ref_b)) <= 1e-15
     with pytest.raises(ValueError):
-        _coupling(sched, -1.0, 0.0)
+        _coupling(sched, -1.0)
 
 
 def test_closed_form_step_matches_expm():
@@ -74,9 +81,10 @@ def test_closed_form_step_matches_expm():
     sched = _sched("H", eta=1.0)
     t = np.linspace(0.0, sched.duration, 33)     # Omega = 0 at 0, T/2 and T
     cases = [(c, 0.37), (c, 4.0), (np.zeros(2, dtype=complex), 0.37),
-             (_coupling(sched, t, 0.2), sched.duration / 2048)]
+             (1.2 * _coupling(sched, t), sched.duration / 2048)]
     for cs, dt in cases:
-        u = _su2_step(cs, dt)
+        a, b = _su2_step(cs, dt)
+        u = np.array([[a, b], [-np.conj(b), np.conj(a)]]).transpose(2, 0, 1)
         ref = np.array([expm(-1j * dt * np.array([[0.0, x], [np.conj(x), 0.0]]))
                         for x in cs])
         assert np.max(np.abs(u - ref)) <= 1e-13
@@ -88,6 +96,32 @@ def test_unitarity_and_step_doubling():
     assert unitarity_defect(res.unitary) < 1e-12
     assert res.converged
     assert res.truncation_error < 1e-9
+
+
+def test_step_doubling_compares_an_even_coarse_pass():
+    # steps = 258 is 2 mod 4: a coarse pass at steps // 2 = 129 would put the
+    # phase jump at T/2 inside a step and inflate the estimate 20-fold
+    sched = synthesize(GateSpec(theta=1.0, phi=0.3, gamma=2.0, eta=1.0), n_samples=256)
+    e256 = propagate_unitary(sched, steps=256).truncation_error
+    e258 = propagate_unitary(sched, steps=258).truncation_error
+    assert 0.5 * e256 <= e258 <= 2.0 * e256
+    half = sched.duration / 2.0
+    with pytest.raises(ValueError):
+        propagate_unitary(sched, steps=2, t1=half)
+    assert propagate_unitary(sched, steps=2, t1=half, check=False).unitary.shape == (3, 3)
+
+
+def test_epsilon_batch_shapes():
+    # agreement with per-point calls is a property test in test_properties.py
+    sched = _sched("H", eta=1.0)
+    res = propagate_unitary(sched, np.array([-0.2, 0.0, 0.3]), 512)
+    assert res.unitary.shape == (3, 3, 3) and res.steps == 512
+    assert res.truncation_error.shape == res.converged.shape == (3,)
+    one = propagate_unitary(sched, 0.3, 512)
+    assert one.unitary.shape == (3, 3)
+    assert isinstance(one.truncation_error, float) and isinstance(one.converged, bool)
+    with pytest.raises(ValueError):
+        propagate_unitary(sched, np.zeros((2, 2)), 512)
 
 
 def test_gate_fidelity_closed():

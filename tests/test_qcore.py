@@ -48,3 +48,12 @@ def test_leakage():
     # swap |1> <-> |a>
     u = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
     assert leakage(u) == pytest.approx(1.0)
+
+
+def test_unitarity_defect_of_a_stack_is_the_worst_matrix():
+    stack = np.array([np.eye(3), np.diag([1.0, 1.0, 1.001]), np.diag([1.0, 0.999, 1.0])],
+                     dtype=complex)
+    assert unitarity_defect(stack[0]) == 0.0
+    assert unitarity_defect(stack) == pytest.approx(1.001 ** 2 - 1.0, rel=1e-12)
+    assert unitarity_defect(stack.reshape(3, 1, 3, 3)) == unitarity_defect(stack)
+    assert unitarity_defect(stack[::-1]) == unitarity_defect(stack)
