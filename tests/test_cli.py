@@ -138,9 +138,6 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("synth", {"gate": "Q"}),
     ("rb", {"gate": "X"}),
     ("sweep", {"mode": "rb", "gate": "X", "lengths": [1, 2]}),
-    # a direct sweep needs its gate; an rb-mode sweep checks one it is given
-    ("sweep", {}),
-    ("sweep", {"mode": "rb", "gate": "Q"}),
     # steps below the schedule resolution, or none at all
     ("propagate", {"gate": "X", "n_samples": 1024, "steps": 256}),
     ("qpt", {"gate": "X", "n_samples": 1024, "steps": 256}),
@@ -186,6 +183,9 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("propagate", {"gate": "X", "noise": {"prep_error": 0.01}}),
     ("qpt", {"gate": "X", "noise": {"gamma_0a": 10.0}}),
     ("qpt", {"gate": "X", "analytic": True, "shots": 100}),
+    # a direct sweep needs its gate; an rb-mode sweep checks one it is given
+    ("sweep", {}),
+    ("sweep", {"mode": "rb", "gate": "Q"}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})
