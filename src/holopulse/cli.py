@@ -306,6 +306,9 @@ def _sweep_rows(cfg, seed):
         raise ConfigError(f"sweep mode must be 'direct' or 'rb', got {mode!r}")
     elif set(cfg) & {"noise", "lengths", "sequences"}:
         raise ConfigError("a direct sweep reads none of 'noise', 'lengths', 'sequences'")
+    elif isinstance(cfg.get("gate"), dict) and {"eta", "scheme"} & set(cfg["gate"]):
+        raise ConfigError("a direct sweep reads only theta, phi and gamma of its gate; "
+                          "set 'eta' and 'scheme' in 'schemes'")
     else:
         base = parse_gate(cfg)
     points = []

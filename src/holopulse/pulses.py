@@ -53,6 +53,8 @@ class GateSpec:
 
     @classmethod
     def dynamical(cls, theta: float, phi: float, eta: float) -> "GateSpec":
+        """The dynamical-scheme gate, gamma = -2*pi*eta. Since gamma must lie in
+        (-2pi, 2pi], eta must lie in [-1, 1): eta = 1 (gamma = -2pi) is rejected."""
         return cls(theta=theta, phi=phi, gamma=dynamical_gamma(eta),
                    eta=eta, scheme=DYNAMICAL)
 

@@ -51,6 +51,10 @@ class SidebandSystem:
 
 @dataclass
 class SidebandReport:
+    """Gate figures of the full model. `conditional_phase` is the phase of
+    u = <1,1|U|1,1> taken in (gamma - pi, gamma + pi], the branch centred on
+    the target gamma, so it is continuous at the target (a target of pi reads
+    pi, not -pi, whatever the rounding of Im u)."""
     conditional_phase: float
     subspace_fidelity: float
     leakage: float
@@ -97,7 +101,7 @@ def verify_full_model(schedule: PulseSchedule, sys: SidebandSystem,
     u11, _ = cf4(coupling, 0.0, schedule.duration, steps)     # U2[0, 0] = a
     target = np.exp(1j * spec.gamma)
     return SidebandReport(
-        conditional_phase=float(np.angle(u11)),
+        conditional_phase=float(spec.gamma + np.angle(u11 * np.conj(target))),
         subspace_fidelity=float(abs(3.0 + np.conj(u11) * target) / 4.0),
         leakage=float(max(0.0, 1.0 - abs(u11) ** 2)),
         n_max=sys.n_max, fixed_point_deviation=0.0,

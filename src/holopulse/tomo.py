@@ -1,9 +1,13 @@
 """Simulated prepare/measure pipeline and maximum-likelihood process tomography.
 
-Channels are lists of Kraus operators on the qubit subspace. Propagators of
-the three-level engine enter through their qubit block; any leaked population
-is read out as a dark count. Process matrices chi live in the (I, X, Y, Z)
-operator basis with Tr chi = 1 for a trace-preserving channel.
+A qubit channel is its Choi matrix J = sum_ij |i><j| (x) Lambda(|i><j|),
+input factor first. Propagators of the three-level engine enter through
+their qubit block, so J may be trace-decreasing: leaked population is read
+out as a dark count. One measurement model serves the simulator and the MLE:
+the setting (prep j, basis b) has the bright operator rho_j^T (x) E_b, whose
+bright probability is Tr(J rho_j^T (x) E_b), and the table of these 18
+operators is built once at import. Process matrices chi live in the
+(I, X, Y, Z) operator basis with Tr chi = 1 for a trace-preserving channel.
 
 The MLE is the standard fixed-point ascent on the Choi matrix with a
 trace-preservation projection each step, started from linear inversion
@@ -11,7 +15,7 @@ projected onto the positive cone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +25,9 @@ from .qcore import PAULIS, SX, SY, ket
 
 PREP_LABELS = tuple(range(6))
 BASES = ("x", "y", "z")
+# the MLE stops when the log-likelihood gains less than MLE_TOL in a step
+MLE_TOL = 1e-10
+MLE_MAX_ITER = 10000
 
 
 def rotation(axis: str, angle: float) -> np.ndarray:
@@ -37,6 +44,8 @@ _PREP_ROTATIONS = (
     rotation("x", -np.pi / 2.0),       # |+i>
     rotation("x", np.pi / 2.0),        # |-i>
 )
+# X rho_j X = rho_{_X_FLIP[j]}: the state a preparation error leaves instead
+_X_FLIP = [1, 0, 2, 3, 5, 4]
 
 # pre-rotation mapping the measured axis onto z before bright/dark readout
 _MEAS_PREROT = {
@@ -61,21 +70,28 @@ def measurement_effect(basis: str) -> np.ndarray:
     return r.conj().T @ np.outer(ket(2, 0), ket(2, 0).conj()) @ r
 
 
+def _setting_operators() -> np.ndarray:
+    """(6, 3, 2, 4, 4): rho_j^T (x) E for the bright and the dark effect of
+    every setting (j, b); an outcome has probability Tr(J op)."""
+    rho_t = [np.outer(psi, psi.conj()).T for psi in map(prepare_input, PREP_LABELS)]
+    bright = np.array([[np.kron(r, measurement_effect(b)) for b in BASES] for r in rho_t])
+    dark = np.array([np.kron(r, np.eye(2)) for r in rho_t])[:, None] - bright
+    return np.stack([bright, dark], axis=2)
+
+
+_SETTINGS = _setting_operators()
+
+
 @dataclass(frozen=True)
 class QubitChannel:
-    """A (possibly trace-decreasing) qubit channel as Kraus operators."""
-    kraus: tuple
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        out = np.zeros((2, 2), dtype=complex)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return out
+    """A (possibly trace-decreasing) qubit channel as its 4x4 Choi matrix."""
+    choi: np.ndarray
 
 
 def unitary_channel(u: np.ndarray) -> QubitChannel:
-    return QubitChannel(kraus=(np.asarray(u, dtype=complex),))
+    """rho -> u rho u^dag: J = |v><v| with v = u^T flattened row-major."""
+    v = np.asarray(u, dtype=complex).T.reshape(4)
+    return QubitChannel(choi=np.outer(v, v.conj()))
 
 
 def propagator_channel(u3: np.ndarray) -> QubitChannel:
@@ -83,23 +99,7 @@ def propagator_channel(u3: np.ndarray) -> QubitChannel:
     u3 = np.asarray(u3, dtype=complex)
     if u3.shape != (3, 3):
         raise ValueError("expected a 3x3 propagator")
-    return QubitChannel(kraus=(u3[:2, :2],))
-
-
-def depolarizing_channel(d: float) -> QubitChannel:
-    """rho -> (1-d) rho + d I/2."""
-    if not 0.0 <= d <= 1.0:
-        raise ValueError("depolarizing parameter must lie in [0, 1]")
-    return QubitChannel(kraus=(
-        np.sqrt(1.0 - 0.75 * d) * PAULIS[0],
-        np.sqrt(0.25 * d) * PAULIS[1],
-        np.sqrt(0.25 * d) * PAULIS[2],
-        np.sqrt(0.25 * d) * PAULIS[3]))
-
-
-def compose(outer: QubitChannel, inner: QubitChannel) -> QubitChannel:
-    """Channel applying `inner` first, then `outer`."""
-    return QubitChannel(kraus=tuple(a @ b for a in outer.kraus for b in inner.kraus))
+    return unitary_channel(u3[:2, :2])
 
 
 @dataclass(frozen=True)
@@ -120,25 +120,24 @@ class CountsRecord:
             raise ValueError("bright count outside [0, shots]")
 
 
-def bright_probability(channel: QubitChannel, noise: NoiseModel,
-                       prep: int, basis: str) -> float:
-    """Born-rule bright probability including SPAM errors."""
-    psi = prepare_input(prep)
-    rho = np.outer(psi, psi.conj())
-    if noise.prep_error > 0.0:
-        rho = (1.0 - noise.prep_error) * rho + noise.prep_error * (SX @ rho @ SX)
-    rho = channel.apply(rho)
-    p = float(np.real(np.trace(measurement_effect(basis) @ rho)))
-    p = min(max(p, 0.0), 1.0)
+def _bright_probabilities(channel: QubitChannel, noise: NoiseModel) -> np.ndarray:
+    """(6, 3) Born-rule bright probabilities of every setting, SPAM included."""
+    bright = _SETTINGS[:, :, 0]
+    if noise.prep_error > 0.0:      # rho_j -> (1 - e) rho_j + e X rho_j X
+        bright = (1.0 - noise.prep_error) * bright + noise.prep_error * bright[_X_FLIP]
+    p = np.clip(np.real(np.einsum("jbkl,lk->jb", bright, channel.choi)), 0.0, 1.0)
     return (p * (1.0 - noise.detection_error_bright)
             + (1.0 - p) * noise.detection_error_dark)
 
 
+def _records(shots: int, bright: np.ndarray) -> list:
+    return [CountsRecord(prep=j, basis=b, shots=shots, bright=float(bright[j, k]))
+            for j in PREP_LABELS for k, b in enumerate(BASES)]
+
+
 def exact_records(channel: QubitChannel, noise: NoiseModel = NoiseModel()) -> list:
     """Analytic mode: exact probabilities, no sampling (shots = 1)."""
-    return [CountsRecord(prep=j, basis=b, shots=1,
-                         bright=bright_probability(channel, noise, j, b))
-            for j in PREP_LABELS for b in BASES]
+    return _records(1, _bright_probabilities(channel, noise))
 
 
 def simulate_counts(channel: QubitChannel, noise: NoiseModel, shots: int,
@@ -147,13 +146,7 @@ def simulate_counts(channel: QubitChannel, noise: NoiseModel, shots: int,
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
-    records = []
-    for j in PREP_LABELS:
-        for b in BASES:
-            p = bright_probability(channel, noise, j, b)
-            records.append(CountsRecord(prep=j, basis=b, shots=shots,
-                                        bright=float(rng.binomial(shots, p))))
-    return records
+    return _records(shots, rng.binomial(shots, _bright_probabilities(channel, noise)))
 
 
 def records_to_csv(records: Sequence[CountsRecord]) -> str:
@@ -161,15 +154,6 @@ def records_to_csv(records: Sequence[CountsRecord]) -> str:
     for r in records:
         lines.append("%d,%s,%d,%.17g" % (r.prep, r.basis, r.shots, r.bright))
     return "\n".join(lines) + "\n"
-
-
-def records_from_csv(text: str) -> list:
-    records = []
-    for line in text.strip().splitlines()[1:]:
-        prep, basis, shots, bright = line.split(",")
-        records.append(CountsRecord(prep=int(prep), basis=basis,
-                                    shots=int(shots), bright=float(bright)))
-    return records
 
 
 # --- Choi / chi machinery -------------------------------------------------
@@ -187,49 +171,12 @@ def _pauli_vecs() -> np.ndarray:
 _PAULI_V = _pauli_vecs()
 
 
-def choi_of_channel(channel: QubitChannel) -> np.ndarray:
-    """J = sum_ij |i><j| (x) Lambda(|i><j|), input factor first."""
-    j = np.zeros((4, 4), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[a, b] = 1.0
-            j += np.kron(e, channel.apply(e))
-    return j
-
-
 def chi_from_choi(choi: np.ndarray) -> np.ndarray:
     return _PAULI_V.conj().T @ choi @ _PAULI_V / 4.0
 
 
-def choi_from_chi(chi: np.ndarray) -> np.ndarray:
-    return _PAULI_V @ chi @ _PAULI_V.conj().T
-
-
 def chi_of_channel(channel: QubitChannel) -> np.ndarray:
-    return chi_from_choi(choi_of_channel(channel))
-
-
-def check_process_matrix(chi: np.ndarray, herm_tol: float = 1e-10,
-                         trace_tol: float = 1e-8, psd_tol: float = 1e-8,
-                         tp_tol: float = 1e-6) -> np.ndarray:
-    """Validate Hermiticity, trace, positivity and trace preservation."""
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape != (4, 4):
-        raise ValueError("chi must be 4x4")
-    if np.max(np.abs(chi - chi.conj().T)) > herm_tol:
-        raise ValueError("chi not Hermitian within tolerance")
-    if abs(np.trace(chi) - 1.0) > trace_tol:
-        raise ValueError(f"chi trace {np.trace(chi)} deviates from 1")
-    if float(np.min(np.linalg.eigvalsh((chi + chi.conj().T) / 2))) < -psd_tol:
-        raise ValueError("chi not positive semidefinite within tolerance")
-    tp = np.zeros((2, 2), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            tp += chi[m, n] * PAULIS[n].conj().T @ PAULIS[m]
-    if np.max(np.abs(tp - np.eye(2))) > tp_tol:
-        raise ValueError("chi violates trace preservation beyond tolerance")
-    return chi
+    return chi_from_choi(channel.choi)
 
 
 def process_fidelity(chi_a: np.ndarray, chi_b: np.ndarray) -> float:
@@ -252,27 +199,9 @@ class MLEResult:
     log_likelihood: float
 
 
-def _record_effects(records):
-    """(operator, count) pairs for both outcomes of every record."""
-    ops, counts = [], []
-    for r in records:
-        psi = prepare_input(r.prep)
-        rho_t = np.outer(psi, psi.conj()).T
-        e_bright = measurement_effect(r.basis)
-        e_dark = np.eye(2) - e_bright
-        ops.append(np.kron(rho_t, e_bright))
-        counts.append(float(r.bright))
-        ops.append(np.kron(rho_t, e_dark))
-        counts.append(float(r.shots) - float(r.bright))
-    return np.array(ops), np.array(counts)
-
-
 def _project_tp(choi: np.ndarray) -> np.ndarray:
     """Sandwich with (Tr_out J)^(-1/2) on the input factor: restores Tr_out J = I."""
-    lam = np.zeros((2, 2), dtype=complex)
-    for k in range(2):
-        sel = np.ix_([0 * 2 + k, 1 * 2 + k], [0 * 2 + k, 1 * 2 + k])
-        lam += choi[sel]
+    lam = np.trace(choi.reshape(2, 2, 2, 2), axis1=1, axis2=3)
     w, v = np.linalg.eigh((lam + lam.conj().T) / 2.0)
     w = np.maximum(w, 1e-14)
     inv_sqrt = v @ np.diag(w ** -0.5) @ v.conj().T
@@ -297,35 +226,34 @@ def _linear_inversion(ops: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return _project_tp(j)
 
 
-def log_likelihood(choi: np.ndarray, records) -> float:
-    ops, counts = _record_effects(records)
-    p = np.maximum(np.real(np.einsum("kij,ji->k", ops, choi)), 1e-300)
-    return float(np.sum(counts * np.log(p)))
-
-
-def mle_process(records, tol: float = 1e-10, max_iter: int = 10000) -> MLEResult:
+def mle_process(records) -> MLEResult:
     """Iterative MLE of the process matrix from all 18 tomography settings."""
     seen = {(r.prep, r.basis) for r in records}
     expected = {(j, b) for j in PREP_LABELS for b in BASES}
     if seen != expected:
         raise ValueError(f"missing (prep, basis) settings: {sorted(expected - seen)}")
-    ops, counts = _record_effects(records)
+    # bright and dark operator and count of every record, in record order
+    ops = _SETTINGS[[r.prep for r in records],
+                    [BASES.index(r.basis) for r in records]].reshape(-1, 4, 4)
+    counts = np.array([(float(r.bright), float(r.shots) - float(r.bright))
+                       for r in records]).reshape(-1)
     total = np.sum(counts)
-    shots = np.array([float(r.shots) for r in records for _ in (0, 1)])
+    shots = np.repeat([float(r.shots) for r in records], 2)
     choi = _linear_inversion(ops, counts / shots)
     ll = -np.inf
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MLE_MAX_ITER + 1):
         p = np.maximum(np.real(np.einsum("kij,ji->k", ops, choi)), 1e-14)
         r_op = np.einsum("k,kij->ij", counts / (p * total), ops)
         choi = _project_tp(r_op @ choi @ r_op)
         ll_new = float(np.sum(counts * np.log(p)))
-        if ll_new - ll < tol and iterations > 1:
+        if ll_new - ll < MLE_TOL and iterations > 1:
             converged = True
             break
         ll = ll_new
     chi = chi_from_choi(choi)
     chi = (chi + chi.conj().T) / 2.0
-    return MLEResult(chi=chi, choi=choi, iterations=iterations,
-                     converged=converged, log_likelihood=log_likelihood(choi, records))
+    p = np.maximum(np.real(np.einsum("kij,ji->k", ops, choi)), 1e-300)
+    return MLEResult(chi=chi, choi=choi, iterations=iterations, converged=converged,
+                     log_likelihood=float(np.sum(counts * np.log(p))))

@@ -186,6 +186,9 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     # a direct sweep needs its gate; an rb-mode sweep checks one it is given
     ("sweep", {}),
     ("sweep", {"mode": "rb", "gate": "Q"}),
+    # a direct sweep takes eta and scheme from 'schemes', never from its gate
+    ("sweep", {"gate": {"theta": 1.0, "phi": 0.3, "gamma": 2.0, "eta": 0.7}}),
+    ("sweep", {"gate": {"theta": 1.0, "phi": 0.3, "gamma": 2.0, "scheme": "dynamical"}}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})
@@ -242,9 +245,11 @@ def test_qpt_unconverged_propagation_exits_3(tmp_path):
 
 
 def test_direct_sweep_unconverged_point_exits_3(tmp_path):
+    # 'schemes' sets eta; the sweep reads theta, phi and gamma of the gate
+    gate = {k: v for k, v in _UNCONVERGED["gate"].items() if k != "eta"}
     cfg = _write(tmp_path, "c.json", {
         "experiment": "sweep", "epsilon_grid": [-0.1, 0.0, 0.1], **_UNCONVERGED,
-        "schemes": [{"eta": 0.0}, {"eta": 1.0}]})
+        "gate": gate, "schemes": [{"eta": 0.0}, {"eta": 1.0}]})
     out = tmp_path / "o"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
     assert "sweep.csv" in (out / "manifest.txt").read_text()

@@ -1,12 +1,19 @@
-"""Property tests of the closed propagator's epsilon batch axis."""
+"""Property tests: the closed propagator's epsilon batch axis, the gate and
+tone-file round trips, and the tomography measurement model."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from holopulse.engine import dark_state, propagate_unitary
-from holopulse.pulses import GateSpec, synthesize
-from holopulse.qcore import unitarity_defect
+from holopulse.engine import NoiseModel, dark_state, propagate_unitary
+from holopulse.gates import axis_angle, target_unitary
+from holopulse.pulses import GateSpec, export_tones, parse_tones, synthesize
+from holopulse.qcore import SX, unitarity_defect
+from holopulse.tomo import (BASES, PREP_LABELS, exact_records, measurement_effect,
+                            prepare_input, propagator_channel)
 
 STEPS = 512
 
@@ -45,3 +52,74 @@ def test_dark_state_is_fixed_across_the_batch(spec, grid):
 def test_stacked_unitarity_defect_is_the_worst_matrix(spec, grid):
     u = propagate_unitary(synthesize(spec, n_samples=256), grid, STEPS, check=False).unitary
     assert unitarity_defect(u) == max(unitarity_defect(m) for m in u)
+
+
+# every angle GateSpec admits, its endpoints drawn on purpose
+angles = st.builds(
+    GateSpec,
+    theta=st.floats(0.0, np.pi) | st.sampled_from([0.0, np.pi]),
+    phi=st.floats(-np.pi, np.pi, exclude_max=True) | st.sampled_from([-np.pi, 0.0]),
+    gamma=(st.floats(-2.0 * np.pi, 2.0 * np.pi, exclude_min=True)
+           | st.sampled_from([2.0 * np.pi, np.pi, -np.pi, 0.0])))
+
+
+@few
+@given(spec=angles)
+def test_axis_angle_round_trip_is_phase_equivalent(spec):
+    u = target_unitary(spec)
+    back = target_unitary(axis_angle(u))
+    overlap = np.trace(u.conj().T @ back)      # 2 e^{i alpha} for a global phase
+    assert np.max(np.abs(back - overlap / abs(overlap) * u)) <= 1e-7
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def _schedule_bits(s):
+    spec = s.spec
+    return [spec.scheme] + _bits(spec.theta, spec.phi, spec.gamma, spec.eta, s.duration,
+                                 s.omega_max, s.times, s.omega0, s.phi0, s.omega1, s.phi1)
+
+
+@few
+@given(spec=gates, omega_max=st.floats(1e3, 1e6))
+def test_tone_file_round_trip_is_bitwise(spec, omega_max):
+    sched = synthesize(spec, omega_max, n_samples=256)
+    with tempfile.TemporaryDirectory() as tmp:
+        back = parse_tones(export_tones(sched, Path(tmp) / "tones.csv"))
+    assert _schedule_bits(back) == _schedule_bits(sched)
+
+
+def _kraus_bright(k, noise, prep, basis):
+    """The Born rule in Kraus form: Tr(E_b K rho_j' K^dag), then detection."""
+    psi = prepare_input(prep)
+    rho = np.outer(psi, psi.conj())
+    rho = (1.0 - noise.prep_error) * rho + noise.prep_error * (SX @ rho @ SX)
+    p = np.real(np.trace(measurement_effect(basis) @ k @ rho @ k.conj().T))
+    p = min(max(p, 0.0), 1.0)
+    return (p * (1.0 - noise.detection_error_bright)
+            + (1.0 - p) * noise.detection_error_dark)
+
+
+probabilities = st.floats(0.0, 0.2)
+
+
+@few
+@given(spec=gates, leak=st.floats(0.0, 0.3), prep_error=probabilities,
+       bright_error=probabilities, dark_error=probabilities)
+def test_exact_records_match_the_kraus_born_rule(spec, leak, prep_error,
+                                                 bright_error, dark_error):
+    u3 = np.eye(3, dtype=complex)
+    u3[:2, :2] = target_unitary(spec)
+    mix = np.eye(3, dtype=complex)      # turns |1> towards |a> by the angle leak
+    mix[1, 1] = mix[2, 2] = np.cos(leak)
+    mix[1, 2], mix[2, 1] = -np.sin(leak), np.sin(leak)
+    u3 = mix @ u3
+    noise = NoiseModel(prep_error=prep_error, detection_error_bright=bright_error,
+                       detection_error_dark=dark_error)
+    records = exact_records(propagator_channel(u3), noise)
+    assert [(r.prep, r.basis) for r in records] == [
+        (j, b) for j in PREP_LABELS for b in BASES]
+    for r in records:
+        assert abs(r.bright - _kraus_bright(u3[:2, :2], noise, r.prep, r.basis)) <= 1e-15

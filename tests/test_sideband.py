@@ -40,6 +40,13 @@ def test_conditional_phase_tracks_gamma(gamma):
     assert report.subspace_fidelity > 0.999
 
 
+def test_conditional_phase_at_pi_is_on_the_target_branch():
+    # here Im u11 rounds below zero, so np.angle(u11) alone would give -pi
+    sched = synthesize_cphase(np.pi, 2.0 * np.pi * 1.0e4, 0.5, n_samples=512)
+    report = verify_full_model(sched, SidebandSystem(), steps=1024)
+    assert report.conditional_phase == pytest.approx(np.pi, abs=1e-6)
+
+
 def test_report_text_round():
     sched = synthesize_cphase(np.pi, 2.0 * np.pi * 1.0e4, 0.2, n_samples=512)
     report = verify_full_model(sched, SidebandSystem(n_max=5), steps=2048)

@@ -4,14 +4,32 @@ import pytest
 from holopulse.engine import NoiseModel
 from holopulse.gates import target_unitary
 from holopulse.pulses import named_gate
-from holopulse.qcore import PAULIS, SX, SZ
-from holopulse.tomo import (BASES, PREP_LABELS, CountsRecord, bright_probability,
-                            check_process_matrix, chi_of_channel, choi_from_chi,
-                            choi_of_channel, compose, depolarizing_channel,
+from holopulse.qcore import PAULIS, SX
+from holopulse.tomo import (CountsRecord, QubitChannel, chi_from_choi, chi_of_channel,
                             exact_records, mle_process, prepare_input,
-                            process_fidelity, propagator_channel,
-                            records_from_csv, records_to_csv, simulate_counts,
-                            unitary_channel)
+                            process_fidelity, propagator_channel, records_to_csv,
+                            simulate_counts, unitary_channel)
+
+
+def check_process_matrix(chi, herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-8, tp_tol=1e-6):
+    """Assert Hermiticity, unit trace, positivity and trace preservation."""
+    chi = np.asarray(chi, dtype=complex)
+    assert chi.shape == (4, 4)
+    assert np.max(np.abs(chi - chi.conj().T)) <= herm_tol
+    assert abs(np.trace(chi) - 1.0) <= trace_tol
+    assert np.min(np.linalg.eigvalsh((chi + chi.conj().T) / 2)) >= -psd_tol
+    tp = sum(chi[m, n] * PAULIS[n].conj().T @ PAULIS[m]
+             for m in range(4) for n in range(4))
+    assert np.max(np.abs(tp - np.eye(2))) <= tp_tol
+
+
+def depolarized(u, d):
+    """rho -> (1 - d) u rho u^dag + d I/2, from its Choi matrix."""
+    return QubitChannel(choi=(1.0 - d) * unitary_channel(u).choi + d * np.eye(4) / 2.0)
+
+
+def bright(records):
+    return {(r.prep, r.basis): r.bright for r in records}
 
 
 def test_prepared_states():
@@ -26,21 +44,20 @@ def test_prepared_states():
 
 
 def test_bright_probability_identity_channel():
-    ch = unitary_channel(np.eye(2))
-    noise = NoiseModel()
-    assert bright_probability(ch, noise, 0, "z") == pytest.approx(1.0)
-    assert bright_probability(ch, noise, 1, "z") == pytest.approx(0.0, abs=1e-12)
-    assert bright_probability(ch, noise, 2, "x") == pytest.approx(1.0)
-    assert bright_probability(ch, noise, 4, "y") == pytest.approx(1.0)
-    assert bright_probability(ch, noise, 2, "z") == pytest.approx(0.5)
+    p = bright(exact_records(unitary_channel(np.eye(2))))
+    assert p[0, "z"] == pytest.approx(1.0)
+    assert p[1, "z"] == pytest.approx(0.0, abs=1e-12)
+    assert p[2, "x"] == pytest.approx(1.0)
+    assert p[4, "y"] == pytest.approx(1.0)
+    assert p[2, "z"] == pytest.approx(0.5)
 
 
 def test_bright_probability_spam():
-    ch = unitary_channel(np.eye(2))
     noise = NoiseModel(prep_error=0.1, detection_error_bright=0.02,
                        detection_error_dark=0.03)
+    p = bright(exact_records(unitary_channel(np.eye(2)), noise))
     # p = 0.9 bright -> 0.9*0.98 + 0.1*0.03
-    assert bright_probability(ch, noise, 0, "z") == pytest.approx(0.9 * 0.98 + 0.1 * 0.03)
+    assert p[0, "z"] == pytest.approx(0.9 * 0.98 + 0.1 * 0.03)
 
 
 def test_chi_of_unitary_channels():
@@ -55,7 +72,7 @@ def test_chi_of_unitary_channels():
 
 
 def test_chi_depolarizing():
-    chi = chi_of_channel(depolarizing_channel(0.2))
+    chi = chi_of_channel(depolarized(np.eye(2), 0.2))
     assert chi[0, 0] == pytest.approx(1.0 - 0.15)
     for k in (1, 2, 3):
         assert chi[k, k] == pytest.approx(0.05)
@@ -63,9 +80,11 @@ def test_chi_depolarizing():
 
 
 def test_choi_chi_round_trip():
-    from holopulse.tomo import chi_from_choi
-    chi = chi_of_channel(compose(unitary_channel(SZ), depolarizing_channel(0.1)))
-    assert np.allclose(chi_from_choi(choi_from_chi(chi)), chi, atol=1e-12)
+    # J = sum_mn chi_mn |P_m>><<P_n|, with |P>> = sum_i |i> (x) P|i> = vec(P^T)
+    a = np.random.default_rng(5).normal(size=(4, 4, 2)) @ (1.0, 1j)
+    chi = a @ a.conj().T / np.trace(a @ a.conj().T)
+    vecs = np.array([p.T.reshape(4) for p in PAULIS]).T
+    assert np.allclose(chi_from_choi(vecs @ chi @ vecs.conj().T), chi, atol=1e-12)
 
 
 def test_process_fidelity_metric():
@@ -86,8 +105,10 @@ def test_counts_record_validation():
 
 def test_records_csv_round_trip():
     recs = exact_records(unitary_channel(SX))
-    text = records_to_csv(recs)
-    back = records_from_csv(text)
+    lines = records_to_csv(recs).splitlines()
+    assert lines[0] == "prep,basis,shots,bright"
+    back = [CountsRecord(prep=int(j), basis=b, shots=int(n), bright=float(x))
+            for j, b, n, x in (line.split(",") for line in lines[1:])]
     assert back == recs
 
 
@@ -112,7 +133,7 @@ def test_mle_analytic_unitaries():
 
 
 def test_mle_analytic_depolarized():
-    ch = compose(depolarizing_channel(0.08), unitary_channel(SX))
+    ch = depolarized(SX, 0.08)
     res = mle_process(exact_records(ch))
     ideal = chi_of_channel(ch)
     # self-overlap of a mixed channel is below 1; the estimate must match it
@@ -139,5 +160,8 @@ def test_propagator_channel_trace_loss():
     # leak 1% of |1> amplitude out of the qubit block
     u3[1, 1] = np.sqrt(0.99)
     ch = propagator_channel(u3)
-    rho = ch.apply(np.diag([0.0, 1.0]).astype(complex))
-    assert np.trace(rho).real == pytest.approx(0.99)
+    # Tr Lambda(|1><1|) = sum_k J[(1, k), (1, k)]
+    assert np.trace(ch.choi.reshape(2, 2, 2, 2)[1, :, 1, :]).real == pytest.approx(0.99)
+    p = bright(exact_records(ch))
+    assert p[1, "z"] == pytest.approx(0.0, abs=1e-12)
+    assert p[2, "x"] == pytest.approx((1.0 + np.sqrt(0.99)) ** 2 / 4.0)
