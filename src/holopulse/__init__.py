@@ -1,6 +1,6 @@
 """holopulse: inverse-engineered two-tone pulses for robust holonomic qutrit gates."""
 
-from .paths import DYNAMICAL, HOLONOMIC, PathParams, dynamical_gamma
+from .paths import DYNAMICAL, HOLONOMIC, dynamical_gamma
 from .pulses import (GateSpec, OMEGA_MAX_DEFAULT, PulseSchedule, compute_duration,
                      export_tones, named_gate, parse_tones, synthesize)
 from .engine import (NoiseModel, PropagationResult, dephasing_from_t2,

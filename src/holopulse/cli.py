@@ -4,11 +4,12 @@ Subcommands: synth | propagate | qpt | rb | sweep | sideband | export-awg.
 Each takes a JSON config file, an optional seed override, and an output
 directory. A command accepts only the config keys it reads, and parses the
 whole config before it creates the output directory. Every output file
-starts with header lines echoing the full effective config, and a
-manifest.txt lists the files written, so runs are reproducible byte-for-byte
-given (config, seed). Exit codes: 0 success; 2 "config error", nothing
-written; 3 a result did not converge or an RB fit failed (manifest.txt lists
-the files written before that).
+starts with header lines echoing the full effective config, except
+tones.csv, which carries the tone-descriptor header that
+`pulses.parse_tones` reads; a manifest.txt lists the files written, so runs
+are reproducible byte-for-byte given (config, seed). Exit codes: 0 success;
+2 "config error", nothing written; 3 a result did not converge or an RB fit
+failed (manifest.txt lists the files written before that).
 """
 from __future__ import annotations
 

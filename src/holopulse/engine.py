@@ -96,13 +96,6 @@ def bright_state(spec) -> np.ndarray:
                      0.0], dtype=complex)
 
 
-def dark_state(spec) -> np.ndarray:
-    """|d> = -cos(t/2) e^{-i phi}|0> - sin(t/2)|1>."""
-    return np.array([-np.cos(spec.theta / 2.0) * np.exp(-1j * spec.phi),
-                     -np.sin(spec.theta / 2.0),
-                     0.0], dtype=complex)
-
-
 def _coupling(schedule: PulseSchedule, t) -> np.ndarray:
     """Bright-auxiliary coupling c(t) = <b|H|a> = Omega(t) e^{-i phi0(t)} / 2.
 
@@ -111,7 +104,7 @@ def _coupling(schedule: PulseSchedule, t) -> np.ndarray:
     static amplitude error scales it to (1+eps) c, which the kernel takes as
     its `scale`.
     """
-    omega, phi0, _, _, _ = controls_arrays(schedule.path_params(), t)
+    omega, phi0 = controls_arrays(schedule.spec, schedule.duration, t)
     return 0.5 * omega * np.exp(-1j * phi0)
 
 
@@ -205,9 +198,9 @@ def cf4(coupling: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
     return _ordered_product(*_cf4_steps(coupling, t0, t1, steps, scale))
 
 
-def check_steps(steps: int, n_samples: int = 0):
+def check_steps(steps: int, n_samples: int):
     """Reject step counts below 2, odd, or coarser than `n_samples`, the
-    sampling of a schedule propagated over its full cycle (0 for a part)."""
+    sampling of the schedule they propagate over its full cycle."""
     if steps < 2 or steps % 2:
         raise ValueError(f"steps must be even and >= 2 (the phase jump must fall "
                          f"on a step boundary), got {steps}")
@@ -216,10 +209,9 @@ def check_steps(steps: int, n_samples: int = 0):
 
 
 def propagate_unitary(schedule: PulseSchedule, epsilon: Union[float, np.ndarray] = 0.0,
-                      steps: int = DEFAULT_STEPS, t0: float = 0.0,
-                      t1: Optional[float] = None,
+                      steps: int = DEFAULT_STEPS,
                       check: bool = True) -> PropagationResult:
-    """Closed-system propagator over [t0, t1] (default the full cycle).
+    """Closed-system propagator over the full cycle [0, T].
 
     `epsilon` is a scalar or a 1-D array; an array propagates every point in
     one pass and returns `unitary` of shape (n, 3, 3) with per-point
@@ -231,14 +223,12 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: Union[float, np.ndarray]
     eps = np.asarray(epsilon, dtype=float)
     if eps.ndim > 1:
         raise ValueError(f"epsilon must be a scalar or a 1-D array, got shape {eps.shape}")
-    if t1 is None:
-        t1 = schedule.duration
-    check_steps(steps, schedule.n_samples if (t0, t1) == (0.0, schedule.duration) else 0)
+    check_steps(steps, schedule.n_samples)
     if check and steps < 4:
         raise ValueError(f"the truncation check needs steps >= 4, got {steps}")
 
     def block(n):
-        return cf4(partial(_coupling, schedule), t0, t1, n, 1.0 + eps)
+        return cf4(partial(_coupling, schedule), 0.0, schedule.duration, n, 1.0 + eps)
 
     u = _embed(schedule.spec, *block(steps))
     err = np.zeros(eps.shape)

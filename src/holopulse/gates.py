@@ -8,7 +8,9 @@ import numpy as np
 
 from .paths import HOLONOMIC
 from .pulses import GateSpec
-from .qcore import PAULIS, SI, SX, SY, SZ, unitarity_defect
+from .qcore import SI, SX, SY, SZ, UNITARY_TOL, unitarity_defect
+
+NONZERO_TOL = 1e-12     # canonical_phase: smallest entry magnitude taken as nonzero
 
 
 def target_unitary(spec: GateSpec) -> np.ndarray:
@@ -21,12 +23,12 @@ def target_unitary(spec: GateSpec) -> np.ndarray:
     return np.exp(1j * half) * (np.cos(half) * SI - 1j * np.sin(half) * n_sigma)
 
 
-def canonical_phase(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def canonical_phase(u: np.ndarray) -> np.ndarray:
     """Rescale a matrix so its first nonzero entry (row-major) is real positive."""
     u = np.asarray(u, dtype=complex)
     flat = u.reshape(-1)
     for entry in flat:
-        if abs(entry) > tol:
+        if abs(entry) > NONZERO_TOL:
             return u * (abs(entry) / entry)
     return u
 
@@ -42,8 +44,7 @@ def _wrap_phi(phi: float) -> float:
     return float(phi)
 
 
-def axis_angle(u: np.ndarray, eta: float = 0.0, scheme: str = HOLONOMIC,
-               u_tol: float = 1e-9) -> GateSpec:
+def axis_angle(u: np.ndarray, eta: float = 0.0, scheme: str = HOLONOMIC) -> GateSpec:
     """Decompose a 2x2 unitary into the canonical (theta, phi, gamma) spec.
 
     gamma is canonicalized to [0, pi] (flipping the axis when needed); at
@@ -53,7 +54,7 @@ def axis_angle(u: np.ndarray, eta: float = 0.0, scheme: str = HOLONOMIC,
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 unitary, got shape {u.shape}")
-    if unitarity_defect(u) >= u_tol:
+    if unitarity_defect(u) >= UNITARY_TOL:
         raise ValueError("axis_angle input is not unitary within tolerance")
     det = np.linalg.det(u)
     v = u / np.sqrt(det)      # SU(2) representative, sign branch arbitrary

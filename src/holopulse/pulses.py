@@ -12,17 +12,18 @@ max_t Omega(t) = Omega_max; it is never taken from quoted nominal values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .paths import DYNAMICAL, HOLONOMIC, SCHEMES, PathParams, controls_arrays, dynamical_gamma
+from .paths import DYNAMICAL, HOLONOMIC, SCHEMES, controls_arrays, dynamical_gamma
 
 OMEGA_MAX_DEFAULT = 2.0 * np.pi * 1.0e4   # rad/s
 TONE0_HZ_DEFAULT = 12.6428e9              # |0> <-> |a| transition
 TONE1_HZ_DEFAULT = TONE0_HZ_DEFAULT - 12.5e6   # |1> <-> |a| transition
+PEAK_REL_TOL = 1e-3     # allowed relative miss of the peak Rabi rate
 
 _HEADER_KEYS = ("omega_max_rad_s", "duration_s", "sample_rate_hz", "scheme",
                 "eta", "theta_rad", "phi_rad", "gamma_rad", "tone0_hz", "tone1_hz")
@@ -57,10 +58,6 @@ class GateSpec:
         (-2pi, 2pi], eta must lie in [-1, 1): eta = 1 (gamma = -2pi) is rejected."""
         return cls(theta=theta, phi=phi, gamma=dynamical_gamma(eta),
                    eta=eta, scheme=DYNAMICAL)
-
-    def path_params(self, duration: float) -> PathParams:
-        return PathParams(duration=duration, eta=self.eta,
-                          scheme=self.scheme, gamma=self.gamma)
 
 
 _NAMED = {
@@ -103,16 +100,13 @@ class PulseSchedule:
     def sample_rate(self) -> float:
         return self.n_samples / self.duration
 
-    def path_params(self) -> PathParams:
-        return self.spec.path_params(self.duration)
-
-    def validate(self, rel_tol: float = 1e-3):
+    def validate(self):
         """Check the schedule invariants; raises on violation."""
         total = np.hypot(self.omega0, self.omega1)
         if np.any(self.omega0 < 0) or np.any(self.omega1 < 0):
             raise ValueError("negative tone amplitude")
         peak = float(np.max(total))
-        if abs(peak - self.omega_max) > rel_tol * self.omega_max:
+        if abs(peak - self.omega_max) > PEAK_REL_TOL * self.omega_max:
             raise ValueError(f"peak Rabi rate {peak} misses omega_max {self.omega_max}")
         n = self.n_samples
         for k in (0, n // 2, n):
@@ -177,9 +171,8 @@ def synthesize(spec: GateSpec, omega_max: float = OMEGA_MAX_DEFAULT,
     check_sampling(omega_max, n_samples)
     duration = compute_duration(spec, omega_max)
     times = np.linspace(0.0, duration, n_samples + 1)
-    omega, phi0, _, _, _ = controls_arrays(spec.path_params(duration), times)
+    omega, phi0 = controls_arrays(spec, duration, times)
     # endpoint clamps: Omega vanishes exactly at 0, T/2, T
-    omega = omega.copy()
     omega[[0, n_samples // 2, n_samples]] = 0.0
     omega0 = omega * np.sin(spec.theta / 2.0)
     omega1 = omega * np.cos(spec.theta / 2.0)

@@ -13,6 +13,9 @@ SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SI, SX, SY, SZ)
 
+UNITARY_TOL = 1e-9          # largest unitarity defect accepted of a propagator
+TARGET_UNITARY_TOL = 1e-12  # ... and of an analytic 2x2 target
+
 
 def ket(dim: int, index: int) -> np.ndarray:
     """Basis column vector |index> in a dim-dimensional space."""
@@ -31,12 +34,7 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(d)))
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
-    return unitarity_defect(u) < tol
-
-
-def fidelity_qubit_subspace(u: np.ndarray, v: np.ndarray,
-                            u_tol: float = 1e-9, v_tol: float = 1e-12) -> float:
+def fidelity_qubit_subspace(u: np.ndarray, v: np.ndarray) -> float:
     """|Tr(P U^dag P V)|/2: overlap of a 3x3 propagator with a 2x2 target.
 
     P projects onto the {|0>,|1>} qubit subspace; the metric is insensitive
@@ -48,20 +46,20 @@ def fidelity_qubit_subspace(u: np.ndarray, v: np.ndarray,
         raise ValueError(f"expected a 3x3 propagator, got {u.shape}")
     if v.shape != (2, 2):
         raise ValueError(f"expected a 2x2 target, got {v.shape}")
-    if unitarity_defect(u) >= u_tol:
+    if unitarity_defect(u) >= UNITARY_TOL:
         raise ValueError("propagator is not unitary within tolerance")
-    if unitarity_defect(v) >= v_tol:
+    if unitarity_defect(v) >= TARGET_UNITARY_TOL:
         raise ValueError("target is not unitary within tolerance")
     block = u[:2, :2]
     return float(abs(np.trace(block.conj().T @ v)) / 2.0)
 
 
-def leakage(u: np.ndarray, u_tol: float = 1e-9) -> float:
+def leakage(u: np.ndarray) -> float:
     """Worst-case population transferred to |a> from a qubit basis state."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (3, 3):
         raise ValueError(f"expected a 3x3 propagator, got {u.shape}")
-    if unitarity_defect(u) >= u_tol:
+    if unitarity_defect(u) >= UNITARY_TOL:
         raise ValueError("propagator is not unitary within tolerance")
     return float(max(abs(u[2, 0]) ** 2, abs(u[2, 1]) ** 2))
 

@@ -16,7 +16,7 @@ F_gate = 1 - (1 - p_gate/p_ref)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import warnings
 
@@ -24,10 +24,9 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .engine import NoiseModel, check_steps, open_superoperator, propagate_unitary
-from .gates import axis_angle, clifford_table, target_unitary
+from .gates import axis_angle, clifford_table, phase_equivalent, target_unitary
 from .paths import DYNAMICAL, HOLONOMIC
 from .pulses import OMEGA_MAX_DEFAULT, GateSpec, check_sampling, synthesize
-from .qcore import SX
 
 
 @dataclass(frozen=True)
@@ -264,7 +263,6 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
         # decay interpretation is approximate when the interleaved gate is
         # not itself a Clifford (e.g. T)
         table = clifford_table(config.eta, config.scheme)
-        from .gates import phase_equivalent
         g = target_unitary(config.interleaved)
         metadata["interleaved_is_clifford"] = any(
             phase_equivalent(g, el.matrix) for el in table)

@@ -92,7 +92,7 @@ def verify_full_model(schedule: PulseSchedule, sys: SidebandSystem,
     spec = schedule.spec
 
     def coupling(t):
-        omega_eff, phi0, _, _, _ = controls_arrays(schedule.path_params(), t)
+        omega_eff, phi0 = controls_arrays(spec, schedule.duration, t)
         phi_eff = phi0 + np.pi - spec.phi
         omega_r = omega_eff / (2.0 * sys.eta_ld)
         phi = -(phi_eff + np.pi / 2.0)

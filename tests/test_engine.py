@@ -1,10 +1,13 @@
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from holopulse.engine import (_CF4_A, _GAUSS_C, NoiseModel, _coupling,
-                              _dephasing_rates, _su2_step, bright_state,
-                              dark_state, dephasing_from_t2, open_superoperator,
+                              _dephasing_rates, _embed, _su2_step, bright_state,
+                              cf4, dephasing_from_t2, open_superoperator,
                               propagate_unitary, survival_probability,
                               trace_defect)
 from holopulse.gates import target_unitary
@@ -17,11 +20,17 @@ def _sched(name="X", eta=0.0, n=256):
     return synthesize(named_gate(name, eta=eta), n_samples=n)
 
 
+def _half_loop(sched, steps, epsilon=0.0):
+    """Qutrit propagator over the first segment [0, T/2]."""
+    block = cf4(partial(_coupling, sched), 0.0, sched.duration / 2.0, steps, 1.0 + epsilon)
+    return _embed(sched.spec, *block)
+
+
 def _qutrit_hamiltonians(sched, t, epsilon):
     """Two-tone qutrit Hamiltonians (shape (len(t), 3, 3)), built tone by tone:
     <0|H|a> = (1+eps) Omega0 e^{-i phi0} / 2, <1|H|a> = (1+eps) Omega1 e^{-i phi1} / 2."""
     spec = sched.spec
-    omega, phi0, *_ = controls_arrays(sched.path_params(), t)
+    omega, phi0 = controls_arrays(spec, sched.duration, t)
     phi1 = phi0 + np.pi - spec.phi
     h = np.zeros(np.shape(t) + (3, 3), dtype=complex)
     h[..., 0, 2] = 0.5 * (1.0 + epsilon) * omega * np.sin(spec.theta / 2.0) * np.exp(-1j * phi0)
@@ -52,9 +61,10 @@ def test_propagator_matches_qutrit_expm_reference():
         else:
             spec = GateSpec(theta, phi, rng.uniform(-np.pi, np.pi), eta)
         sched = synthesize(spec, n_samples=256)
-        for t1, steps in ((sched.duration, 256), (sched.duration / 2.0, 128)):
+        full = propagate_unitary(sched, eps, 256, check=False).unitary
+        for t1, steps, u in ((sched.duration, 256, full),
+                             (sched.duration / 2.0, 128, _half_loop(sched, 128, eps))):
             ref = _cf4_expm(lambda t: _qutrit_hamiltonians(sched, t, eps), 0.0, t1, steps)
-            u = propagate_unitary(sched, eps, steps, t1=t1, check=False).unitary
             assert np.max(np.abs(u - ref)) <= 1e-12, (spec, eps, t1)
 
 
@@ -105,10 +115,11 @@ def test_step_doubling_compares_an_even_coarse_pass():
     e256 = propagate_unitary(sched, steps=256).truncation_error
     e258 = propagate_unitary(sched, steps=258).truncation_error
     assert 0.5 * e256 <= e258 <= 2.0 * e256
-    half = sched.duration / 2.0
+    # the check's coarse pass needs steps >= 4, even on a 2-interval schedule
+    coarse = replace(sched, times=sched.times[::128])
     with pytest.raises(ValueError):
-        propagate_unitary(sched, steps=2, t1=half)
-    assert propagate_unitary(sched, steps=2, t1=half, check=False).unitary.shape == (3, 3)
+        propagate_unitary(coarse, steps=2)
+    assert propagate_unitary(coarse, steps=2, check=False).unitary.shape == (3, 3)
 
 
 def test_epsilon_batch_shapes():
@@ -137,7 +148,9 @@ def test_dark_state_invariance():
     spec = GateSpec(theta=0.8, phi=0.3, gamma=1.3, eta=0.5)
     sched = synthesize(spec, n_samples=256)
     u = propagate_unitary(sched, steps=2048, check=False).unitary
-    d = dark_state(spec)
+    # |d> = -cos(t/2) e^{-i phi}|0> - sin(t/2)|1>, orthogonal to |b> and |a>
+    d = np.array([-np.cos(spec.theta / 2.0) * np.exp(-1j * spec.phi),
+                  -np.sin(spec.theta / 2.0), 0.0])
     assert abs(abs(np.vdot(d, u @ d)) - 1.0) < 1e-9
 
 
@@ -154,9 +167,8 @@ def test_bright_state_holonomy():
 def test_half_loop_reaches_auxiliary():
     spec = GateSpec(theta=0.8, phi=0.3, gamma=1.3, eta=0.0)
     sched = synthesize(spec, n_samples=256)
-    res = propagate_unitary(sched, steps=1024, t1=sched.duration / 2.0, check=False)
     b = bright_state(spec)
-    assert abs(res.unitary @ b)[2] == pytest.approx(1.0, abs=1e-9)
+    assert abs(_half_loop(sched, 1024) @ b)[2] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_survival_quadratic_small_epsilon():
@@ -309,4 +321,4 @@ def test_open_step_validation():
         with pytest.raises(ValueError):
             open_superoperator(sched, noise, steps)
     with pytest.raises(ValueError):
-        propagate_unitary(sched, steps=0, t1=sched.duration / 2.0)
+        propagate_unitary(sched, steps=0)

@@ -1,5 +1,6 @@
-"""Property tests: the closed propagator's epsilon batch axis, the gate and
-tone-file round trips, and the tomography measurement model."""
+"""Property tests: the inverse-engineered controls, the closed propagator's
+epsilon batch axis, the gate and tone-file round trips, and the tomography
+measurement model."""
 import tempfile
 from pathlib import Path
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from holopulse.engine import NoiseModel, dark_state, propagate_unitary
+from holopulse.engine import NoiseModel, propagate_unitary
 from holopulse.gates import axis_angle, target_unitary
+from holopulse.paths import DYNAMICAL, HOLONOMIC, controls_arrays
 from holopulse.pulses import GateSpec, export_tones, parse_tones, synthesize
 from holopulse.qcore import SX, unitarity_defect
 from holopulse.tomo import (BASES, PREP_LABELS, exact_records, measurement_effect,
@@ -25,6 +27,39 @@ gates = st.builds(
     eta=st.floats(-1.0, 1.0))
 epsilons = arrays(np.float64, st.integers(1, 6), elements=st.floats(-0.5, 0.5))
 few = settings(derandomize=True, deadline=None, max_examples=25)
+
+T = 1.0e-4
+paths = (st.builds(GateSpec, theta=st.just(0.0), phi=st.just(0.0), eta=st.floats(-1.0, 1.0),
+                   gamma=st.floats(-2.0 * np.pi, 2.0 * np.pi, exclude_min=True))
+         | st.builds(GateSpec.dynamical, theta=st.just(0.0), phi=st.just(0.0),
+                     eta=st.floats(-1.0, 1.0, exclude_max=True)))
+
+
+@few
+@given(spec=paths)
+def test_controls_invert_the_path(spec):
+    """Omega sin(chi) = alpha_dot and Omega cos(chi) = f_dot sin(alpha) with
+    chi = phi0 + beta, for alpha, f and beta in closed form: the sign of f
+    flips on segment 2 of a dynamical path, and beta jumps by gamma at T/2 on
+    a holonomic one."""
+    t = np.linspace(0.0, T, 513)
+    omega, phi0 = controls_arrays(spec, T, t)
+    alpha = np.pi * np.sin(np.pi * t / T) ** 2
+    adot = (np.pi ** 2 / T) * np.sin(2.0 * np.pi * t / T)
+    second = t > T / 2.0
+    sign = np.where(second & (spec.scheme == DYNAMICAL), -1.0, 1.0)
+    jump = spec.gamma if spec.scheme == HOLONOMIC else 0.0
+    beta = np.where(second, jump, 0.0) + sign * (4.0 * spec.eta / 3.0) * np.sin(alpha) ** 3
+    fdot_sin = sign * 4.0 * spec.eta * np.sin(alpha) ** 3 * adot
+    chi = phi0 + beta
+    scale = np.pi ** 2 / T
+    assert np.all(omega >= 0.0)
+    assert np.max(np.abs(omega * np.sin(chi) - adot)) <= 1e-12 * scale
+    assert np.max(np.abs(omega * np.cos(chi) - fdot_sin)) <= 1e-12 * scale
+    # chi is +pi/2 at T/2 (segment 1) and tends to -pi/2 just after it, so
+    # phi0 = chi - beta shows the step of beta there
+    _, (half, after) = controls_arrays(spec, T, [T / 2.0, T / 2.0 * (1.0 + 1e-6)])
+    assert abs((-np.pi / 2.0 - after) - (np.pi / 2.0 - half) - jump) <= 1e-12
 
 
 @few
@@ -42,7 +77,9 @@ def test_batch_matches_scalar_calls(spec, grid):
 @few
 @given(spec=gates, grid=epsilons)
 def test_dark_state_is_fixed_across_the_batch(spec, grid):
-    d = dark_state(spec)
+    # |d> = -cos(t/2) e^{-i phi}|0> - sin(t/2)|1>, orthogonal to |b> and |a>
+    d = np.array([-np.cos(spec.theta / 2.0) * np.exp(-1j * spec.phi),
+                  -np.sin(spec.theta / 2.0), 0.0])
     u = propagate_unitary(synthesize(spec, n_samples=256), grid, STEPS, check=False).unitary
     assert np.max(np.abs(u @ d - d)) <= 1e-13
 

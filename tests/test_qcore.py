@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from holopulse.qcore import (PAULIS, SI, SX, SY, SZ, fidelity_qubit_subspace,
-                             is_unitary, ket, leakage, unitarity_defect)
+from holopulse.qcore import (PAULIS, SI, SX, SY, SZ, fidelity_qubit_subspace, ket,
+                             leakage, unitarity_defect)
 
 
 def test_pauli_algebra():

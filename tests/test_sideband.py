@@ -75,12 +75,11 @@ def test_full_model_matches_truncated_ladder():
     gamma, steps = 1.1, 1024
     sys = SidebandSystem(n_max=3, eta_ld=0.1)
     sched = synthesize_cphase(gamma, 2.0 * np.pi * 1.0e4, 0.2, n_samples=512)
-    params = sched.spec.path_params(sched.duration)
     dt = sched.duration / steps
     base = np.arange(steps) * dt
     hams = []
     for c in _GAUSS_C:
-        omega, phi0, *_ = controls_arrays(params, base + c * dt)
+        omega, phi0 = controls_arrays(sched.spec, sched.duration, base + c * dt)
         phi_eff = phi0 + np.pi - sched.spec.phi
         hams.append(_anti_jc_ladder(sys, omega / (2.0 * sys.eta_ld),
                                     -(phi_eff + np.pi / 2.0)))
