@@ -217,8 +217,11 @@ def _qpt(cfg, seed):
 
 
 def _rb_config(cfg, seed, noise, lengths=(1, 2, 4, 8, 12, 16, 24, 32)) -> RBConfig:
+    lengths = cfg.get("lengths", list(lengths))
+    if not isinstance(lengths, list):
+        raise ConfigError(f"'lengths' must be a list of sequence lengths, got {lengths!r}")
     return RBConfig(
-        lengths=tuple(int(m) for m in cfg.get("lengths", lengths)),
+        lengths=tuple(int(m) for m in lengths),
         n_sequences=int(cfg.get("sequences", 20)),
         shots=None if cfg.get("shots") is None else int(cfg["shots"]),
         seed=seed, noise=noise, eta=float(cfg.get("eta", 0.0)),

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -89,6 +90,7 @@ class CliffordElement:
     index: int
     spec: GateSpec
     matrix: np.ndarray
+    recovery: GateSpec      # the spec that undoes it, as `axis_angle` would give
 
 
 def _clifford_axis_angles():
@@ -111,19 +113,58 @@ def _clifford_axis_angles():
     return axes
 
 
+def _axis_spec(axis, gamma: float, eta: float, scheme: str) -> GateSpec:
+    theta = float(np.arccos(np.clip(axis[2], -1.0, 1.0)))
+    phi = _wrap_phi(float(np.arctan2(axis[1], axis[0])))
+    if abs(np.sin(theta)) < 1e-12:
+        phi = 0.0
+    return GateSpec(theta=theta, phi=phi, gamma=gamma, eta=eta, scheme=scheme)
+
+
+def _inverse_axis(axis, gamma: float) -> np.ndarray:
+    """The axis `axis_angle` gives the inverse rotation, whose angle stays gamma
+    in [0, pi]: -axis, except that a half turn takes the sign whose first
+    nonzero component is positive."""
+    inverse = -np.asarray(axis, dtype=float)
+    if gamma == np.pi and inverse[np.flatnonzero(inverse)[0]] < 0:
+        inverse = -inverse
+    return inverse
+
+
 @lru_cache(maxsize=None)
 def clifford_table(eta: float = 0.0, scheme: str = HOLONOMIC) -> tuple:
-    """The 24 single-qubit Cliffords with canonical specs and matrices."""
-    elements = [CliffordElement(
-        index=0,
-        spec=GateSpec(theta=0.0, phi=0.0, gamma=0.0, eta=eta, scheme=scheme),
-        matrix=np.eye(2, dtype=complex))]
+    """The 24 single-qubit Cliffords with canonical specs and matrices.
+
+    Each element also carries its recovery: the canonical spec of its
+    inverse, built from the exact axis so that equal gates get equal angles.
+    """
+    identity = GateSpec(theta=0.0, phi=0.0, gamma=0.0, eta=eta, scheme=scheme)
+    elements = [CliffordElement(index=0, spec=identity,
+                                matrix=np.eye(2, dtype=complex), recovery=identity)]
     for k, (axis, gamma) in enumerate(_clifford_axis_angles(), start=1):
-        theta = float(np.arccos(np.clip(axis[2], -1.0, 1.0)))
-        phi = _wrap_phi(float(np.arctan2(axis[1], axis[0])))
-        if abs(np.sin(theta)) < 1e-12:
-            phi = 0.0
-        spec = GateSpec(theta=theta, phi=phi, gamma=gamma, eta=eta, scheme=scheme)
+        spec = _axis_spec(axis, gamma, eta, scheme)
         elements.append(CliffordElement(
-            index=k, spec=spec, matrix=canonical_phase(target_unitary(spec))))
+            index=k, spec=spec, matrix=canonical_phase(target_unitary(spec)),
+            recovery=_axis_spec(_inverse_axis(axis, gamma), gamma, eta, scheme)))
     return tuple(elements)
+
+
+@lru_cache(maxsize=None)
+def _clifford_matrices() -> np.ndarray:
+    return np.stack([el.matrix for el in clifford_table()])
+
+
+def clifford_index(u: np.ndarray) -> Optional[int]:
+    """The index of the Clifford equal to the 2x2 unitary u up to a global
+    phase (the test of `phase_equivalent`), or None if u is no Clifford."""
+    overlap = np.abs(np.einsum("kab,ab->k", _clifford_matrices().conj(), u))
+    k = int(np.argmax(overlap))
+    return k if abs(overlap[k] - 2.0) < 1e-9 else None
+
+
+@lru_cache(maxsize=None)
+def clifford_products() -> tuple:
+    """The Cayley table of the 24 Cliffords: products[i][j] is the index of
+    C_i C_j (C_j applied first)."""
+    mats = _clifford_matrices()
+    return tuple(tuple(clifford_index(a @ b) for b in mats) for a in mats)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,8 @@ _NAMED = {
 
 def named_gate(name: str, eta: float = 0.0, scheme: str = HOLONOMIC) -> GateSpec:
     """Standard gates by name: X, H, T, S, I."""
+    if not isinstance(name, str):
+        raise TypeError(f"gate name must be a string, got {name!r}")
     try:
         theta, phi, gamma = _NAMED[name.upper()]
     except KeyError:
@@ -143,11 +146,18 @@ def peak_envelope(eta: float) -> float:
     return float(max(vals[k], -res.fun))
 
 
+@lru_cache(maxsize=256)
+def _peak(eta: float) -> float:
+    """`peak_envelope(eta)`, searched once per eta. The search is looked up in
+    the module at call time, so a wrapper set there sees every real search."""
+    return peak_envelope(eta)
+
+
 def compute_duration(spec: GateSpec, omega_max: float = OMEGA_MAX_DEFAULT) -> float:
     """Minimal cycle time T such that max_t Omega(t) = omega_max."""
     if not omega_max > 0:
         raise ValueError("omega_max must be positive")
-    return math.pi ** 2 * peak_envelope(spec.eta) / omega_max
+    return math.pi ** 2 * _peak(spec.eta) / omega_max
 
 
 def check_sampling(omega_max: float, n_samples: int):

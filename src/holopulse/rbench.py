@@ -2,12 +2,20 @@
 
 Sequences of uniformly random Cliffords (optionally with a fixed gate
 interleaved) are closed by an exact-inverse recovery gate; survival is the
-population returned to |0>. Each gate is compiled to a pulse schedule and
-propagated by the engine (closed-system with a static amplitude error, or
-open-system when dephasing rates are present); per-gate propagators are
-cached, so a full run costs one propagation per distinct gate spec, and a
-reference and an interleaved run sharing a `GateCache` propagate the common
-Cliffords once.
+population returned to |0>. When every gate is a Clifford, the recovery is
+read from the Cayley table of the group (the inverse of the accumulated
+index); a non-Clifford interleaved gate such as T takes it from `axis_angle`
+of the accumulated product.
+
+Each gate is compiled to a pulse schedule and propagated by the engine
+(closed-system with a static amplitude error, or open-system when dephasing
+rates are present). `GateCache` propagates only what the drive tells apart:
+the bright-auxiliary block depends on (gamma, eta, scheme) alone, so a closed
+run makes one propagation per gamma and embeds the block per gate; under
+dephasing, R_phi = diag(1, e^{i phi}, 1) maps |b(theta, 0)> to
+|b(theta, phi)>, fixes |a> and commutes with both dephasing operators, so one
+channel per (theta, gamma) serves every phi. A reference and an interleaved
+run sharing a `GateCache` propagate the common gates once.
 
 Decay curves are fitted to F = A p^m + B; average and per-gate fidelities
 follow from F_ave = 1 - (1 - p_ref)/2 and
@@ -15,7 +23,7 @@ F_gate = 1 - (1 - p_gate/p_ref)/2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import warnings
@@ -23,8 +31,10 @@ import warnings
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
-from .engine import NoiseModel, check_steps, open_superoperator, propagate_unitary
-from .gates import axis_angle, clifford_table, phase_equivalent, target_unitary
+from .engine import (NoiseModel, _embed, bright_state, check_steps, open_superoperator,
+                     propagate_unitary)
+from .gates import (axis_angle, clifford_index, clifford_products, clifford_table,
+                    target_unitary)
 from .paths import DYNAMICAL, HOLONOMIC
 from .pulses import OMEGA_MAX_DEFAULT, GateSpec, check_sampling, synthesize
 
@@ -81,32 +91,47 @@ def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None,
     """m random Cliffords (+ optional interleaved gate) plus the recovery.
 
     Returns (gate_specs, recovery_spec); applying all gates in order acts as
-    the identity on an ideal qubit, up to a global phase.
+    the identity on an ideal qubit, up to a global phase. The recovery is the
+    Cayley-table inverse of the accumulated Clifford when every gate is a
+    Clifford, else `axis_angle` of the inverse of the accumulated product.
     """
     if m < 1:
         raise ValueError("sequence length must be >= 1")
     table = clifford_table(eta, scheme)
     idx = rng.integers(0, len(table), size=m)
     specs = []
-    acc = np.eye(2, dtype=complex)
     for i in idx:
-        specs.append(table[int(i)].spec)
-        acc = table[int(i)].matrix @ acc
+        specs.append(table[i].spec)
         if interleaved is not None:
             specs.append(interleaved)
-            acc = target_unitary(interleaved) @ acc
-    recovery = axis_angle(acc.conj().T, eta=eta, scheme=scheme)
-    return specs, recovery
+    g = None if interleaved is None else target_unitary(interleaved)
+    k = None if g is None else clifford_index(g)
+    if g is None or k is not None:
+        products = clifford_products()
+        acc = 0
+        for i in idx:
+            acc = products[i][acc]
+            if k is not None:
+                acc = products[k][acc]
+        return specs, table[acc].recovery
+    acc = np.eye(2, dtype=complex)
+    for i in idx:
+        acc = g @ (table[i].matrix @ acc)
+    return specs, axis_angle(acc.conj().T, eta=eta, scheme=scheme)
 
 
 def _canonical_spec(spec: GateSpec) -> GateSpec:
-    """The spec with its angles rounded to 14 decimals: the cache key, and the
-    spec a cached channel is propagated from, so that the channel depends on
-    the key alone and not on which of several equal-key specs came first."""
+    """The spec with its angles rounded to 14 decimals, from which a cached
+    channel is built, so that the channel depends on the rounded angles alone
+    and not on which of several near-equal specs came first. A spec that
+    rounding would carry out of GateSpec's domain (gamma = 2 pi) stays as is."""
     theta, phi, eta = (round(x, 14) for x in (spec.theta, spec.phi, spec.eta))
-    if spec.scheme == DYNAMICAL:
-        return GateSpec.dynamical(theta, phi, eta)
-    return GateSpec(theta, phi, round(spec.gamma, 14), eta, spec.scheme)
+    try:
+        if spec.scheme == DYNAMICAL:
+            return GateSpec.dynamical(theta, phi, eta)
+        return GateSpec(theta, phi, round(spec.gamma, 14), eta, spec.scheme)
+    except ValueError:
+        return spec
 
 
 def _dephased(noise: NoiseModel) -> bool:
@@ -116,25 +141,53 @@ def _dephased(noise: NoiseModel) -> bool:
 class GateCache:
     """Per-gate propagators (3x3 unitary, or 9x9 superoperator under dephasing).
 
-    Keyed on everything that sets the channel, so one cache can serve several
-    RB runs (reference and interleaved) without returning a wrong channel.
+    One propagation serves every gate that differs from its representative,
+    the canonical spec at phi = 0, only by an exact symmetry:
+    - closed: the block U2 = E^dag U E depends on (gamma, eta, scheme) and
+      epsilon alone, so the representative also has theta = 0, and each gate
+      is the embedding of its block, |d><d| + E U2 E^dag;
+    - dephased: Phi(theta, phi, gamma) = (R (x) R*) Phi(theta, 0, gamma)
+      (R (x) R*)^dag with R = diag(1, e^{i phi}, 1), elementwise
+      Phi[k, l] r_k conj(r_l) for the diagonal r of R (x) R*.
+    Keyed on everything else that sets the channel, so one cache can serve
+    several RB runs (reference and interleaved); a repeated spec returns its
+    channel from a memo.
     """
 
     def __init__(self):
-        self._store = {}
+        self._channels = {}
+        self._propagated = {}
 
     def channel(self, spec: GateSpec, config: RBConfig):
-        spec = _canonical_spec(spec)
         key = (spec, config.noise, config.omega_max, config.n_samples, config.steps)
-        if key not in self._store:
-            sched = synthesize(spec, config.omega_max, config.n_samples)
-            if _dephased(config.noise):
-                self._store[key] = open_superoperator(sched, config.noise, config.steps)
-            else:
-                res = propagate_unitary(sched, config.noise.epsilon, config.steps,
-                                        check=False)
-                self._store[key] = res.unitary
-        return self._store[key]
+        channel = self._channels.get(key)
+        if channel is None:
+            channel = self._channels[key] = self._build(_canonical_spec(spec), config)
+        return channel
+
+    def _build(self, spec: GateSpec, config: RBConfig):
+        dephased = _dephased(config.noise)
+        rep = replace(spec, theta=spec.theta if dephased else 0.0, phi=0.0)
+        key = (rep, config.noise, config.omega_max, config.n_samples, config.steps)
+        if key not in self._propagated:
+            self._propagated[key] = _propagate(rep, config, dephased)
+        if not dephased:
+            return _embed(spec, *self._propagated[key])
+        r = np.array([1.0, np.exp(1j * spec.phi), 1.0])
+        r = np.outer(r, r.conj()).reshape(-1)      # the diagonal of R (x) R*
+        return self._propagated[key] * np.outer(r, r.conj())
+
+
+def _propagate(rep: GateSpec, config: RBConfig, dephased: bool):
+    """The representative's 9x9 channel, or the Cayley-Klein pair (a, b) of
+    its block U2 = E^dag U E when closed."""
+    sched = synthesize(rep, config.omega_max, config.n_samples)
+    if dephased:
+        return open_superoperator(sched, config.noise, config.steps)
+    u = propagate_unitary(sched, config.noise.epsilon, config.steps, check=False).unitary
+    e = np.stack([bright_state(rep), [0.0, 0.0, 1.0]], axis=1)
+    block = e.conj().T @ u @ e
+    return block[0, 0], block[0, 1]
 
 
 def _survival_pulse(specs, recovery, cache: GateCache, config: RBConfig) -> float:
@@ -262,10 +315,8 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
     if config.interleaved is not None:
         # decay interpretation is approximate when the interleaved gate is
         # not itself a Clifford (e.g. T)
-        table = clifford_table(config.eta, config.scheme)
-        g = target_unitary(config.interleaved)
-        metadata["interleaved_is_clifford"] = any(
-            phase_equivalent(g, el.matrix) for el in table)
+        metadata["interleaved_is_clifford"] = (
+            clifford_index(target_unitary(config.interleaved)) is not None)
     return RBCurve(lengths=lengths, means=means, stds=stds, a=a, p=p, b=b,
                    cov=cov, f_ave=average_fidelity(p), metadata=metadata)
 

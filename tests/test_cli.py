@@ -189,6 +189,11 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     # a direct sweep takes eta and scheme from 'schemes', never from its gate
     ("sweep", {"gate": {"theta": 1.0, "phi": 0.3, "gamma": 2.0, "eta": 0.7}}),
     ("sweep", {"gate": {"theta": 1.0, "phi": 0.3, "gamma": 2.0, "scheme": "dynamical"}}),
+    # a gate name that is no string; lengths that are no list
+    ("synth", {"gate": {"name": 5}}),
+    ("rb", {"interleaved": {"name": None}}),
+    ("rb", {"lengths": "124"}),
+    ("sweep", {"mode": "rb", "lengths": "124"}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})

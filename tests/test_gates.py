@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from holopulse.gates import (axis_angle, canonical_phase, clifford_table,
-                             phase_equivalent, target_unitary)
+from holopulse.gates import (axis_angle, canonical_phase, clifford_index,
+                             clifford_products, clifford_table, phase_equivalent,
+                             target_unitary)
 from holopulse.pulses import GateSpec, named_gate
 from holopulse.qcore import SX, SZ, unitarity_defect
 
@@ -89,10 +90,22 @@ def test_clifford_table_size_and_distinctness():
 def test_clifford_table_closure():
     table = clifford_table()
     mats = [el.matrix for el in table]
-    for a in mats:
-        for b in mats:
-            prod = a @ b
-            assert any(phase_equivalent(prod, c) for c in mats)
+    products = clifford_products()
+    for i, a in enumerate(mats):
+        for j, b in enumerate(mats):
+            assert phase_equivalent(a @ b, mats[products[i][j]])
+    assert clifford_index(target_unitary(named_gate("T"))) is None
+
+
+def test_clifford_recovery_is_axis_angle_of_the_inverse():
+    for el in clifford_table(0.3):
+        assert el.recovery.eta == 0.3
+        assert phase_equivalent(target_unitary(el.recovery) @ el.matrix, np.eye(2))
+        back = axis_angle(el.matrix.conj().T, eta=0.3)
+        assert back.theta == pytest.approx(el.recovery.theta, abs=1e-12)
+        assert back.gamma == pytest.approx(el.recovery.gamma, abs=1e-12)
+        dphi = (back.phi - el.recovery.phi + np.pi) % (2.0 * np.pi) - np.pi
+        assert abs(dphi) <= 1e-12
 
 
 def test_clifford_specs_reproduce_matrices():

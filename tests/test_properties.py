@@ -1,6 +1,8 @@
 """Property tests: the inverse-engineered controls, the closed propagator's
-epsilon batch axis, the gate and tone-file round trips, and the tomography
-measurement model."""
+epsilon batch axis, the gate and tone-file round trips, the tomography
+measurement model, the RB gate cache and recovery, and the CLI on fuzzed
+configs."""
+import json
 import tempfile
 from pathlib import Path
 
@@ -9,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from holopulse.engine import NoiseModel, propagate_unitary
-from holopulse.gates import axis_angle, target_unitary
+from holopulse.cli import main
+from holopulse.engine import (NoiseModel, dephasing_from_t2, open_superoperator,
+                              propagate_unitary)
+from holopulse.gates import axis_angle, phase_equivalent, target_unitary
 from holopulse.paths import DYNAMICAL, HOLONOMIC, controls_arrays
-from holopulse.pulses import GateSpec, export_tones, parse_tones, synthesize
+from holopulse.pulses import GateSpec, export_tones, named_gate, parse_tones, synthesize
+from holopulse.rbench import GateCache, RBConfig, build_sequence
 from holopulse.qcore import SX, unitarity_defect
 from holopulse.tomo import (BASES, PREP_LABELS, exact_records, measurement_effect,
                             prepare_input, propagator_channel)
@@ -160,3 +165,81 @@ def test_exact_records_match_the_kraus_born_rule(spec, leak, prep_error,
         (j, b) for j in PREP_LABELS for b in BASES]
     for r in records:
         assert abs(r.bright - _kraus_bright(u3[:2, :2], noise, r.prep, r.basis)) <= 1e-15
+
+
+@few
+@given(spec=angles, eta=st.floats(-1.0, 1.0), dephased=st.booleans())
+def test_cached_channel_matches_a_direct_propagation(spec, eta, dephased):
+    """The cache builds a gate from a representative at phi = 0 (and theta = 0
+    when closed); the same spec propagated directly gives the same channel."""
+    spec = GateSpec(spec.theta, spec.phi, spec.gamma, eta)
+    noise = dephasing_from_t2(20e-3, 200e-3) if dephased else NoiseModel(epsilon=0.05)
+    cfg = RBConfig(eta=eta, noise=noise, n_samples=256, steps=STEPS)
+    sched = synthesize(spec, cfg.omega_max, cfg.n_samples)
+    if dephased:
+        direct = open_superoperator(sched, noise, STEPS)
+    else:
+        direct = propagate_unitary(sched, noise.epsilon, STEPS, check=False).unitary
+    assert np.max(np.abs(GateCache().channel(spec, cfg) - direct)) <= 1e-13
+
+
+@few
+@given(m=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       name=st.sampled_from([None, "X", "T"]), eta=st.floats(-1.0, 1.0))
+def test_recovery_closes_the_sequence(m, seed, name, eta):
+    """The Cayley-table recovery (no interleaved gate, or the Clifford X) and
+    the axis_angle one (T) return the sequence to I up to a global phase."""
+    interleaved = None if name is None else named_gate(name, eta)
+    specs, recovery = build_sequence(m, np.random.default_rng(seed), interleaved, eta)
+    assert len(specs) == (m if name is None else 2 * m)
+    acc = np.eye(2, dtype=complex)
+    for spec in specs + [recovery]:
+        assert spec.eta == eta
+        acc = target_unitary(spec) @ acc
+    assert phase_equivalent(acc, np.eye(2))
+
+
+# small valid configs of every command; the edits below never raise
+# n_samples or steps above 1024
+_SMALL = {
+    "synth": {"gate": "X", "n_samples": 256},
+    "export-awg": {"gate": {"theta": 1.1, "phi": 0.4, "gamma": 2.0}, "n_samples": 256},
+    "propagate": {"gate": {"theta": 1.1, "phi": 0.4, "gamma": 2.0, "eta": 0.3},
+                  "epsilon": 0.05, "n_samples": 256, "steps": 512},
+    "qpt": {"gate": "H", "analytic": True, "n_samples": 256, "steps": 512},
+    "rb": {"interleaved": "T", "noise": {"epsilon": 0.05}, "lengths": [1, 2, 4],
+           "sequences": 2, "n_samples": 256, "steps": 512},
+    "sweep": {"gate": "X", "epsilon_grid": {"min": -0.1, "max": 0.1, "points": 3},
+              "n_samples": 256, "steps": 512},
+    "sideband": {"gamma": 1.5, "n_samples": 512, "steps": 1024},
+}
+_FIELDS = sorted({key for cfg in _SMALL.values() for key in cfg}
+                 | {"experiment", "seed", "noise", "shots", "eta", "scheme", "mode",
+                    "schemes", "omega_max", "n_max", "eta_ld", "bogus"})
+_VALUES = st.sampled_from([
+    None, True, False, -1, 0, 2, 3, 0.5, -0.25, 1e-3, float("nan"), "", "X", "T",
+    "124", "rb", "dynamical", [], [1, 2, 4], [0.05], ["a"], [[1]], {}, {"name": 5},
+    {"name": None}, {"theta": 1.0}, {"epsilon": 0.05}, {"gamma_1a": 100.0},
+    [{"eta": 0.5}, {"eta": 1.0}]])
+_DELETE = object()
+_EDITS = (st.tuples(st.sampled_from(_FIELDS), _VALUES | st.just(_DELETE))
+          | st.tuples(st.sampled_from(["n_samples", "steps"]),
+                      st.sampled_from([256, 512, 1024])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(command=st.sampled_from(sorted(_SMALL)), edits=st.lists(_EDITS, min_size=1, max_size=3))
+def test_fuzzed_config_exits_cleanly(command, edits):
+    """Exit code 0, 2 or 3; 2 is a config error and leaves no output directory."""
+    cfg = {"experiment": command, **_SMALL[command]}
+    for key, value in edits:
+        if value is _DELETE:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "c.json", Path(tmp) / "out"
+        path.write_text(json.dumps(cfg))
+        status = main([command, "--config", str(path), "--out", str(out)])
+        assert status in (0, 2, 3)
+        assert out.exists() == (status != 2)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from holopulse import rbench
 from holopulse.engine import NoiseModel, dephasing_from_t2
 from holopulse.gates import clifford_table, phase_equivalent, target_unitary
 from holopulse.pulses import GateSpec, named_gate
@@ -183,3 +184,32 @@ def test_cached_channel_depends_on_key_only():
     e = GateSpec.dynamical(np.nextafter(theta, 0.0), 0.3, 0.2)
     closed = replace(cfg, noise=NoiseModel(epsilon=0.05))
     assert np.array_equal(GateCache().channel(d, closed), GateCache().channel(e, closed))
+
+
+def _recording(fn, results):
+    def recorded(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+    return recorded
+
+
+def test_default_closed_rb_propagates_once_per_gamma(monkeypatch):
+    # the Cliffords and their recoveries have gamma in {0, pi/2, 2pi/3, pi}
+    calls = []
+    monkeypatch.setattr(rbench, "propagate_unitary", _recording(rbench.propagate_unitary, calls))
+    run_rb(RBConfig(noise=NoiseModel(epsilon=0.05)))
+    assert len(calls) == 4
+
+
+def test_dephased_rb_propagates_once_per_theta_gamma(monkeypatch):
+    calls, sequences = [], []
+    monkeypatch.setattr(rbench, "open_superoperator", _recording(rbench.open_superoperator, calls))
+    monkeypatch.setattr(rbench, "build_sequence", _recording(rbench.build_sequence, sequences))
+    cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=4, seed=7, eta=0.2,
+                   noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
+    cache = GateCache()
+    run_rb(cfg, cache)
+    run_rb(replace(cfg, interleaved=named_gate("T", eta=0.2)), cache)
+    keys = {(round(s.theta, 14), round(s.gamma, 14))
+            for specs, recovery in sequences for s in specs + [recovery]}
+    assert len(calls) == len(keys) > 10
