@@ -46,6 +46,16 @@ _ALLOWED_KEYS = {
 }
 _NOISE_KEYS = {"epsilon", "gamma_1a", "gamma_0a", "prep_error",
                "detection_error_bright", "detection_error_dark"}
+# Upper bounds on the sizes a config may ask for, checked at parse time. A
+# larger value overflows (shots), exhausts memory (the open channel holds
+# about 3 kB per step, 0.8 GB at MAX_STEPS) or asks for a run of no
+# practical length (sequences, lengths, grid points).
+MAX_STEPS = 2 ** 18
+MAX_N_SAMPLES = 2 ** 18
+MAX_SHOTS = 10 ** 9
+MAX_SEQUENCES = 10 ** 4
+MAX_LENGTH = 10 ** 4
+MAX_GRID_POINTS = 10 ** 4
 
 
 class ConfigError(ValueError):
@@ -61,6 +71,14 @@ def _object(raw, allowed, what) -> dict:
         raise ConfigError(f"unknown {what} fields {sorted(unknown)}; "
                           f"accepted: {sorted(allowed)}")
     return raw
+
+
+def _size(value, name, bound) -> int:
+    """`value` as an int no larger than `bound`."""
+    size = int(value)
+    if size > bound:
+        raise ConfigError(f"{name} must be <= {bound}, got {value!r}")
+    return size
 
 
 def load_config(path, kind_override=None) -> dict:
@@ -113,9 +131,9 @@ def parse_noise(cfg, fields=_NOISE_KEYS) -> NoiseModel:
 def _schedule(cfg, synth, n_samples, steps=None, omega_key="omega_max"):
     """(synth(omega_max, n_samples), steps through the steps guard, or None)."""
     sched = synth(float(cfg.get(omega_key, OMEGA_MAX_DEFAULT)),
-                  int(cfg.get("n_samples", n_samples)))
+                  _size(cfg.get("n_samples", n_samples), "n_samples", MAX_N_SAMPLES))
     if steps is not None:
-        steps = int(cfg.get("steps", steps))
+        steps = _size(cfg.get("steps", steps), "steps", MAX_STEPS)
         check_steps(steps, sched.n_samples)
     return sched, steps
 
@@ -186,7 +204,7 @@ def _qpt(cfg, seed):
     analytic = bool(cfg.get("analytic", False))
     if analytic and "shots" in cfg:
         raise ConfigError("'shots' is not read when 'analytic' is true")
-    shots = None if analytic else int(cfg.get("shots", 10000))
+    shots = None if analytic else _size(cfg.get("shots", 10000), "shots", MAX_SHOTS)
     if shots is not None and shots < 1:
         raise ConfigError(f"shots must be >= 1, got {shots}")
 
@@ -221,13 +239,14 @@ def _rb_config(cfg, seed, noise, lengths=(1, 2, 4, 8, 12, 16, 24, 32)) -> RBConf
     if not isinstance(lengths, list):
         raise ConfigError(f"'lengths' must be a list of sequence lengths, got {lengths!r}")
     return RBConfig(
-        lengths=tuple(int(m) for m in lengths),
-        n_sequences=int(cfg.get("sequences", 20)),
-        shots=None if cfg.get("shots") is None else int(cfg["shots"]),
+        lengths=tuple(_size(m, "a sequence length", MAX_LENGTH) for m in lengths),
+        n_sequences=_size(cfg.get("sequences", 20), "sequences", MAX_SEQUENCES),
+        shots=None if cfg.get("shots") is None else _size(cfg["shots"], "shots", MAX_SHOTS),
         seed=seed, noise=noise, eta=float(cfg.get("eta", 0.0)),
         scheme=cfg.get("scheme", HOLONOMIC),
         omega_max=float(cfg.get("omega_max", OMEGA_MAX_DEFAULT)),
-        n_samples=int(cfg.get("n_samples", 1024)), steps=int(cfg.get("steps", 2048)))
+        n_samples=_size(cfg.get("n_samples", 1024), "n_samples", MAX_N_SAMPLES),
+        steps=_size(cfg.get("steps", 2048), "steps", MAX_STEPS))
 
 
 def _rb(cfg, seed):
@@ -270,7 +289,8 @@ def _sweep_grid(cfg):
     else:
         raw = _object(raw, {"min", "max", "points"}, "epsilon_grid")
         grid = np.linspace(float(raw.get("min", -0.2)), float(raw.get("max", 0.2)),
-                           int(raw.get("points", 41)))
+                           _size(raw.get("points", 41), "epsilon_grid points",
+                                 MAX_GRID_POINTS))
     if grid.size == 0:
         raise ConfigError("epsilon grid is empty")
     if np.any(np.abs(grid) > 0.5):

@@ -24,12 +24,22 @@ at 1e-9 is reached at the default resolution. U2 depends on the path
 matrix is built. `sideband` drives the same kernel with the
 anti-Jaynes-Cummings coupling of its n = 0 block.
 
-Open-system evolution (two pure-dephasing dissipators) embeds the same
+Open-system evolution (two pure-dephasing dissipators) runs on the same
 per-step CF4 pairs (`_cf4_steps`) at every half step and at every full step
-(the Cayley-Klein product of its two halves): the dissipator is diagonal on
-vec(rho), so its exponential is elementwise, and each step is a Strang
-splitting around U (x) U*, Richardson-extrapolated to fourth order. All
-steps are batched and reduced by one ordered product of 9x9 matrices.
+(the Cayley-Klein product of its two halves). Each step is a Strang
+splitting of the exact dephasing factor around rho -> U rho U^dag,
+Richardson-extrapolated to fourth order. The channel is a real 9x9 in the
+coordinates r = vec(Re rho + Im rho) = C vec(rho), row-major, with
+C = (1-i)/2 I + (1+i)/2 P and P the transpose permutation: the dissipator is
+diagonal on vec(rho) and symmetric under P, so its exponential is the same
+elementwise factor on r. U = I + E X E^dag is affine in
+x = (Re a - 1, Im a, Re b, Im b), so the lift R(U) - I is a quadratic form
+F K in x, with F the 14 non-constant products x_i x_j (x_0 = 1) and K a real
+14 x 81 matrix built once per gate from |b> (`_lift_coefficients`). A batch
+of Strang steps is one real (n x 14) @ (14 x 81) product (`_strang_steps`),
+the Richardson combination one batched real product, and all steps are
+reduced by one ordered product of real 9x9 matrices; the channel converts
+back to vec(rho) once, as C^-1 R C.
 
 The coupling is evaluated from the schedule's continuous-time control law
 (gate spec + duration); the sampled arrays are the export artifact.
@@ -148,9 +158,8 @@ def _embed(spec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Qutrit propagators |d><d| + E U2 E^dag, E = [|b>, |a>], for a batch of
     blocks U2 = [[a, b], [-b*, a*]]; shape a.shape + (3, 3).
 
-    Evaluated as I + E (U2 - I) E^dag, which keeps the identity exact: a step
-    with U2 near I then adds no rounding bias that would build up over the
-    steps of the open channel. On row-major vec, E X E^dag is (E (x) E*) vec(X).
+    Evaluated as I + E (U2 - I) E^dag, which keeps the identity exact. On
+    row-major vec, E X E^dag is (E (x) E*) vec(X).
     """
     e = np.stack([bright_state(spec), [0.0, 0.0, 1.0]], axis=1)
     x = np.stack([a - 1.0, b, -np.conj(b), np.conj(a) - 1.0], axis=-1)
@@ -267,38 +276,75 @@ def _dephasing_rates(noise: NoiseModel) -> np.ndarray:
     return rates.reshape(-1)
 
 
-def _lift(u: np.ndarray) -> np.ndarray:
-    """Batched U (x) U*, the map rho -> U rho U^dag on row-major vec(rho)."""
-    n, d = u.shape[0], u.shape[-1]
-    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
+# r = vec(Re rho + Im rho) = C vec(rho) on row-major vec; C^-1 = C*
+_TRANSPOSE = np.eye(9)[np.arange(9).reshape(3, 3).T.reshape(-1)]
+_TO_REAL = 0.5 * (1.0 - 1.0j) * np.eye(9) + 0.5 * (1.0 + 1.0j) * _TRANSPOSE
+_FROM_REAL = _TO_REAL.conj()
+# U2 - I = sum_k x_k G_k over x = (Re a - 1, Im a, Re b, Im b)
+_SU2_GENERATORS = np.array([[[1, 0], [0, 1]], [[1j, 0], [0, -1j]],
+                            [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
+# the products x_i x_j, i <= j, of (x_0 = 1, x) other than x_0 x_0
+_PAIR_I, _PAIR_J = (k[1:] for k in np.triu_indices(5))
+
+
+def _lift_coefficients(spec) -> np.ndarray:
+    """Real K, shape (14, 81), with R(U) - I = F K for every block (a, b).
+
+    R(U) = C (U (x) U*) C^-1 is the lift of rho -> U rho U^dag to the real
+    coordinates, and U = sum_k x_k M_k with x_0 = 1, M_0 = I and
+    M_k = E G_k E^dag, so U (x) U* = sum_{k,l} x_k x_l M_k (x) M_l*. Row p of K
+    is the coefficient of the product F_p = x_i x_j, flattened row-major. It is
+    real because R(U) is real for every real x.
+    """
+    e = np.stack([bright_state(spec), [0.0, 0.0, 1.0]], axis=1)
+    m = np.concatenate([np.eye(3)[None], e @ _SU2_GENERATORS @ e.conj().T])
+    lift = (m[:, None, :, None, :, None]
+            * m.conj()[None, :, None, :, None, :]).reshape(5, 5, 9, 9)
+    pair = (lift + lift.swapaxes(0, 1))[_PAIR_I, _PAIR_J]
+    pair[_PAIR_I == _PAIR_J] /= 2.0
+    return (_TO_REAL @ pair @ _FROM_REAL).real.reshape(14, 81)
+
+
+def _strang_steps(coef: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  rates: np.ndarray, t: float) -> np.ndarray:
+    """Real Strang steps E(t) R(U) E(t), E(t) = exp(D t), for a batch of
+    blocks (a, b); shape (n, 9, 9).
+
+    Entry (k, l) of a step carries the factor w_kl = exp(t (d_k + d_l)), so
+    the step is diag(w) + F (K o w): the identity part of R(U) is added
+    exactly. Every step repeats the rounding of w, which therefore builds up
+    over the steps, so each w_kl is one exponential, rounded once.
+    """
+    x = np.stack([np.ones(a.shape), a.real - 1.0, a.imag, b.real, b.imag], axis=-1)
+    w = np.exp(t * np.add.outer(rates, rates)).reshape(-1)
+    steps = (x[:, _PAIR_I] * x[:, _PAIR_J]) @ (coef * w)
+    steps[:, ::10] += w[::10]
+    return steps.reshape(-1, 9, 9)
 
 
 def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
                        steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Full-cycle quantum channel as a 9x9 matrix on row-major vec(rho).
 
-    Each step of length h is the Strang splitting S_h = E(h/2) (U (x) U*) E(h/2)
-    of the exact dephasing factor E(t) = exp(D t) around the CF4 propagator U,
-    Richardson-extrapolated to fourth order as (4 S_{h/2} S_{h/2} - S_h) / 3.
-    The CF4 propagators are computed once on the 2*steps half steps; a full
-    step's U is the product of its two halves. Every factor preserves the
-    trace, and so does their affine combination.
+    Each step of length h is the Strang splitting S_h = E(h/2) R(U) E(h/2)
+    of the exact dephasing factor E(t) = exp(D t) around the lift R(U) of the
+    CF4 propagator U, Richardson-extrapolated to fourth order as
+    (4 S_{h/2} S_{h/2} - S_h) / 3, in the real coordinates
+    r = vec(Re rho + Im rho). The CF4 propagators are computed once on the
+    2*steps half steps; a full step's U is the product of its two halves.
+    Every factor preserves the trace, and so does their affine combination.
     """
     check_steps(steps, schedule.n_samples)
     a, b = _cf4_steps(partial(_coupling, schedule), 0.0, schedule.duration,
                       2 * steps, 1.0 + noise.epsilon)
-    half = _embed(schedule.spec, a, b)
-    first, second = half[0::2], half[1::2]
-    whole = _embed(schedule.spec, *_ck_product(a[1::2], b[1::2], a[0::2], b[0::2]))
+    coef = _lift_coefficients(schedule.spec)
     h = schedule.duration / steps
     rates = _dephasing_rates(noise)
-    e_quarter = np.exp(0.25 * h * rates)
-    e_half = np.exp(0.5 * h * rates)
-    two_halves = (e_quarter[:, None]
-                  * (_lift(second) @ (e_half[:, None] * _lift(first)))
-                  * e_quarter)
-    full = e_half[:, None] * _lift(whole) * e_half
-    return _chron_product((4.0 * two_halves - full) / 3.0)
+    half = _strang_steps(coef, a, b, rates, 0.25 * h)
+    full = _strang_steps(coef, *_ck_product(a[1::2], b[1::2], a[0::2], b[0::2]),
+                         rates, 0.5 * h)
+    real = _chron_product((4.0 * (half[1::2] @ half[0::2]) - full) / 3.0)
+    return _FROM_REAL @ real @ _TO_REAL
 
 
 def trace_defect(superop: np.ndarray) -> float:

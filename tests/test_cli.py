@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from holopulse.cli import ConfigError, load_config, main, parse_gate, parse_noise
+from holopulse.cli import (MAX_STEPS, ConfigError, load_config, main, parse_gate,
+                           parse_noise)
 from holopulse.paths import DYNAMICAL
 
 
@@ -194,6 +195,20 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("rb", {"interleaved": {"name": None}}),
     ("rb", {"lengths": "124"}),
     ("sweep", {"mode": "rb", "lengths": "124"}),
+    # sizes above their bound, rejected before any run starts
+    ("rb", {"shots": 1e300}),
+    ("qpt", {"gate": "X", "shots": 1e300}),
+    ("propagate", {"gate": "X", "steps": 1e300}),
+    ("sweep", {"gate": "X", "steps": 1e300}),
+    ("sideband", {"steps": 1e300}),
+    ("rb", {"steps": 1e300}),
+    ("synth", {"gate": "X", "n_samples": 1e300}),
+    ("rb", {"n_samples": 1e300}),
+    ("rb", {"sequences": 1e300}),
+    ("sweep", {"mode": "rb", "sequences": 1e300}),
+    ("rb", {"lengths": [1, 2, 1e300]}),
+    ("sweep", {"gate": "X", "epsilon_grid": {"points": 1e300}}),
+    ("propagate", {"gate": "X", "n_samples": 256, "steps": MAX_STEPS + 2}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})

@@ -1,9 +1,11 @@
 """Property tests: the inverse-engineered controls, the closed propagator's
-epsilon batch axis, the gate and tone-file round trips, the tomography
+epsilon batch axis and ideal gates, the real open channel against its
+complex Strang formula, the gate and tone-file round trips, the tomography
 measurement model, the RB gate cache and recovery, and the CLI on fuzzed
 configs."""
 import json
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from holopulse.cli import main
-from holopulse.engine import (NoiseModel, dephasing_from_t2, open_superoperator,
-                              propagate_unitary)
+from holopulse.engine import (NoiseModel, _cf4_steps, _ck_product, _coupling,
+                              _dephasing_rates, _embed, dephasing_from_t2,
+                              open_superoperator, propagate_unitary, trace_defect)
 from holopulse.gates import axis_angle, phase_equivalent, target_unitary
 from holopulse.paths import DYNAMICAL, HOLONOMIC, controls_arrays
 from holopulse.pulses import GateSpec, export_tones, named_gate, parse_tones, synthesize
 from holopulse.rbench import GateCache, RBConfig, build_sequence
-from holopulse.qcore import SX, unitarity_defect
+from holopulse.qcore import SX, fidelity_qubit_subspace, leakage, unitarity_defect
 from holopulse.tomo import (BASES, PREP_LABELS, exact_records, measurement_effect,
                             prepare_input, propagator_channel)
 
@@ -94,6 +97,54 @@ def test_dark_state_is_fixed_across_the_batch(spec, grid):
 def test_stacked_unitarity_defect_is_the_worst_matrix(spec, grid):
     u = propagate_unitary(synthesize(spec, n_samples=256), grid, STEPS, check=False).unitary
     assert unitarity_defect(u) == max(unitarity_defect(m) for m in u)
+
+
+@few
+@given(spec=gates)
+def test_ideal_gate_reaches_its_target(spec):
+    """Without an amplitude error the propagated gate is its target on the
+    qubit subspace and leaves nothing in |a>."""
+    u = propagate_unitary(synthesize(spec, n_samples=256), 0.0, STEPS, check=False).unitary
+    assert 1.0 - fidelity_qubit_subspace(u, target_unitary(spec)) <= 1e-9
+    assert leakage(u) <= 1e-9
+
+
+def _complex_channel(sched, noise, steps):
+    """The Strang-Richardson channel on vec(rho), each step lifted as
+    np.kron(U, U*) and multiplied in order."""
+    a, b = _cf4_steps(partial(_coupling, sched), 0.0, sched.duration, 2 * steps,
+                      1.0 + noise.epsilon)
+    half = _embed(sched.spec, a, b)
+    whole = _embed(sched.spec, *_ck_product(a[1::2], b[1::2], a[0::2], b[0::2]))
+    h = sched.duration / steps
+    rates = _dephasing_rates(noise)
+    quarter, halved = np.diag(np.exp(0.25 * h * rates)), np.diag(np.exp(0.5 * h * rates))
+    channel = np.eye(9, dtype=complex)
+    for k in range(steps):
+        first, second = (quarter @ np.kron(u, u.conj()) @ quarter
+                         for u in half[2 * k:2 * k + 2])
+        full = halved @ np.kron(whole[k], whole[k].conj()) @ halved
+        channel = (4.0 * second @ first - full) / 3.0 @ channel
+    return channel
+
+
+@few
+@given(spec=gates, epsilon=st.floats(-0.5, 0.5), gamma_1a=st.floats(0.0, 3000.0),
+       gamma_0a=st.floats(0.0, 1000.0), steps=st.sampled_from([256, 512]),
+       parts=arrays(np.float64, (2, 3, 3), elements=st.floats(-1.0, 1.0)))
+def test_real_open_channel_matches_the_complex_formula(spec, epsilon, gamma_1a, gamma_0a,
+                                                       steps, parts):
+    """The real 9x9 kernel returns the complex Strang-Richardson channel: it
+    preserves the trace and maps Hermitian rho to Hermitian rho."""
+    sched = synthesize(spec, n_samples=256)
+    noise = NoiseModel(epsilon=epsilon, gamma_1a=gamma_1a, gamma_0a=gamma_0a)
+    phi = open_superoperator(sched, noise, steps)
+    assert phi.shape == (9, 9) and np.iscomplexobj(phi)
+    assert np.max(np.abs(phi - _complex_channel(sched, noise, steps))) <= 1e-12
+    assert trace_defect(phi) <= 1e-12
+    g = parts[0] + 1j * parts[1]
+    rho = (phi @ (g + g.conj().T).reshape(-1)).reshape(3, 3)
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
 
 
 # every angle GateSpec admits, its endpoints drawn on purpose
