@@ -47,9 +47,11 @@ _ALLOWED_KEYS = {
 _NOISE_KEYS = {"epsilon", "gamma_1a", "gamma_0a", "prep_error",
                "detection_error_bright", "detection_error_dark"}
 # Upper bounds on the sizes a config may ask for, checked at parse time. A
-# larger value overflows (shots), exhausts memory (the open channel holds
-# about 3 kB per step, 0.8 GB at MAX_STEPS) or asks for a run of no
-# practical length (sequences, lengths, grid points).
+# larger value overflows (shots) or asks for a run of no practical length.
+# None of them sizes a propagation's memory: the propagators make and reduce
+# their steps one block at a time (engine._CLOSED_BLOCK, engine._OPEN_BLOCK),
+# so a propagation holds about 40 MB at most, also at MAX_STEPS or with
+# MAX_GRID_POINTS epsilon points.
 MAX_STEPS = 2 ** 18
 MAX_N_SAMPLES = 2 ** 18
 MAX_SHOTS = 10 ** 9

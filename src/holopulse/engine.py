@@ -17,11 +17,12 @@ combinations of the coupling at the two Gauss nodes, reduced by one ordered
 pairwise product. Every array carries a trailing batch axis for the scale
 s = 1 + eps: the control law is evaluated once at the Gauss nodes, and a
 whole epsilon grid is propagated in one pass (`propagate_unitary` with an
-array of eps). Every factor is exactly unitary, and step-doubling agreement
-at 1e-9 is reached at the default resolution. U2 depends on the path
-(gamma, eta, scheme) and eps only; the qutrit propagator is its embedding
-|d><d| + E U2 E^dag with E = [|b>, |a>] (`_embed`), the only place a 3x3
-matrix is built. `sideband` drives the same kernel with the
+array of eps). The steps are made and reduced one fixed-size block at a time
+(`_blockwise`), so memory does not grow with the step count. Every factor
+is exactly unitary, and step-doubling agreement at 1e-9 is reached at the
+default resolution. U2 depends on the path (gamma, eta, scheme) and eps
+only; the qutrit propagator is its embedding |d><d| + E U2 E^dag with
+E = [|b>, |a>] (`_embed`), the only place a 3x3 matrix is built. `sideband` drives the same kernel with the
 anti-Jaynes-Cummings coupling of its n = 0 block.
 
 Open-system evolution (two pure-dephasing dissipators) runs on the same
@@ -37,9 +38,9 @@ x = (Re a - 1, Im a, Re b, Im b), so the lift R(U) - I is a quadratic form
 F K in x, with F the 14 non-constant products x_i x_j (x_0 = 1) and K a real
 14 x 81 matrix built once per gate from |b> (`_lift_coefficients`). A batch
 of Strang steps is one real (n x 14) @ (14 x 81) product (`_strang_steps`),
-the Richardson combination one batched real product, and all steps are
-reduced by one ordered product of real 9x9 matrices; the channel converts
-back to vec(rho) once, as C^-1 R C.
+the Richardson combination one batched real product, and the steps are
+reduced, block by block, by an ordered product of real 9x9 matrices; the
+channel converts back to vec(rho) once, as C^-1 R C.
 
 The coupling is evaluated from the schedule's continuous-time control law
 (gate spec + duration); the sampled arrays are the export artifact.
@@ -61,6 +62,14 @@ DEFAULT_STEPS = 8192
 _SQ3 = np.sqrt(3.0)
 _GAUSS_C = (0.5 - _SQ3 / 6.0, 0.5 + _SQ3 / 6.0)
 _CF4_A = (0.25 + _SQ3 / 6.0, 0.25 - _SQ3 / 6.0)
+# Steps made and reduced at a time, which bounds a propagation's memory. The
+# closed kernel holds about 105 B per step and epsilon point: its block counts
+# steps x points (27 MB; a scalar epsilon, about 145 B per step, 38 MB). The
+# open kernel holds about 3 kB per step (12 MB). Runs up to a 21-point sweep
+# at 8192 steps, 32768 closed or 4096 open steps are one block, whose
+# arithmetic is that of an unblocked product.
+_CLOSED_BLOCK = 2 ** 18
+_OPEN_BLOCK = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,8 @@ def _chron_product(mats: np.ndarray) -> np.ndarray:
 
 
 def _cf4_steps(coupling: Callable[[np.ndarray], np.ndarray], t0: float,
-               t1: float, steps: int, scale=1.0):
+               t1: float, steps: int, scale=1.0, start: int = 0,
+               stop: Optional[int] = None):
     """Per-step fourth-order commutator-free propagators of the 2x2 block over [t0, t1].
 
     `coupling(t)` returns the complex coupling c at an array of times; it is
@@ -188,10 +198,12 @@ def _cf4_steps(coupling: Callable[[np.ndarray], np.ndarray], t0: float,
     s in `scale` (a scalar, or an array that becomes a trailing batch axis).
     Each factor is the SU(2) step at a real combination of the two nodes'
     couplings. Returns Cayley-Klein arrays (a, b) of shape
-    (steps,) + np.shape(scale), step k propagating over [t0 + k h, t0 + (k+1) h].
+    (stop - start,) + np.shape(scale) for the steps k in [start, stop) of the
+    `steps` uniform steps (all of them by default), step k propagating over
+    [t0 + k h, t0 + (k+1) h].
     """
     h = (t1 - t0) / steps
-    base = t0 + np.arange(steps) * h
+    base = t0 + np.arange(start, steps if stop is None else stop) * h
     c1 = coupling(base + _GAUSS_C[0] * h)
     c2 = coupling(base + _GAUSS_C[1] * h)
     a1, a2 = _CF4_A
@@ -200,11 +212,44 @@ def _cf4_steps(coupling: Callable[[np.ndarray], np.ndarray], t0: float,
     return _ck_product(*second, *first)
 
 
+def _blockwise(block: Callable[[int, int], object], steps: int, size: int,
+               product: Callable[[object, object], object]):
+    """Ordered product of `block(start, stop)` over consecutive blocks of at
+    most `size` of the `steps` steps; `product(later, earlier)` multiplies two
+    partial products.
+
+    Only one block's steps exist at a time. Block products are merged
+    pairwise as they arrive: a partial product is merged with the one before
+    it whenever both cover the same number of blocks, so at most
+    log2(blocks) + 1 partials are held. With `size` a power of two and
+    `block` a pairwise reduction, the product tree is that of one pairwise
+    reduction over all steps; a single block is returned as
+    `block(0, steps)` made it.
+    """
+    partials = []       # (blocks covered, product), counts strictly decreasing
+    for start in range(0, steps, size):
+        count, value = 1, block(start, min(start + size, steps))
+        while partials and partials[-1][0] == count:
+            covered, earlier = partials.pop()
+            count, value = count + covered, product(value, earlier)
+        partials.append((count, value))
+    value = partials.pop()[1]
+    while partials:
+        value = product(value, partials.pop()[1])
+    return value
+
+
 def cf4(coupling: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
         steps: int, scale=1.0):
     """Fourth-order commutator-free block propagator over [t0, t1] as its
-    Cayley-Klein pair (a, b), one per scale (see `_cf4_steps`)."""
-    return _ordered_product(*_cf4_steps(coupling, t0, t1, steps, scale))
+    Cayley-Klein pair (a, b), one per scale (see `_cf4_steps`). The steps are
+    made and reduced at most `_CLOSED_BLOCK` (steps x scales) elements at a
+    time, in blocks of a power of two steps (see `_blockwise`)."""
+    size = 1 << (max(1, _CLOSED_BLOCK // np.size(scale)).bit_length() - 1)
+    return _blockwise(
+        lambda start, stop: _ordered_product(
+            *_cf4_steps(coupling, t0, t1, steps, scale, start, stop)),
+        steps, size, lambda later, earlier: _ck_product(*later, *earlier))
 
 
 def check_steps(steps: int, n_samples: int):
@@ -333,17 +378,23 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
     r = vec(Re rho + Im rho). The CF4 propagators are computed once on the
     2*steps half steps; a full step's U is the product of its two halves.
     Every factor preserves the trace, and so does their affine combination.
+    The steps are made and reduced `_OPEN_BLOCK` at a time.
     """
     check_steps(steps, schedule.n_samples)
-    a, b = _cf4_steps(partial(_coupling, schedule), 0.0, schedule.duration,
-                      2 * steps, 1.0 + noise.epsilon)
+    coupling = partial(_coupling, schedule)
     coef = _lift_coefficients(schedule.spec)
     h = schedule.duration / steps
     rates = _dephasing_rates(noise)
-    half = _strang_steps(coef, a, b, rates, 0.25 * h)
-    full = _strang_steps(coef, *_ck_product(a[1::2], b[1::2], a[0::2], b[0::2]),
-                         rates, 0.5 * h)
-    real = _chron_product((4.0 * (half[1::2] @ half[0::2]) - full) / 3.0)
+
+    def block(start, stop):
+        a, b = _cf4_steps(coupling, 0.0, schedule.duration, 2 * steps,
+                          1.0 + noise.epsilon, 2 * start, 2 * stop)
+        half = _strang_steps(coef, a, b, rates, 0.25 * h)
+        full = _strang_steps(coef, *_ck_product(a[1::2], b[1::2], a[0::2], b[0::2]),
+                             rates, 0.5 * h)
+        return _chron_product((4.0 * (half[1::2] @ half[0::2]) - full) / 3.0)
+
+    real = _blockwise(block, steps, _OPEN_BLOCK, np.matmul)
     return _FROM_REAL @ real @ _TO_REAL
 
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .paths import DYNAMICAL, HOLONOMIC, SCHEMES, controls_arrays, dynamical_gamma
 
@@ -126,7 +124,7 @@ class PulseSchedule:
 
 
 def _envelope_factor(s, eta):
-    """Peak-search objective: Omega(sT)*T/pi^2 as a function of s = t/T."""
+    """The dimensionless envelope Omega(sT)*T/pi^2 as a function of s = t/T."""
     s = np.asarray(s, dtype=float)
     alpha = np.pi * np.sin(np.pi * s) ** 2
     return np.abs(np.sin(2.0 * np.pi * s)) * np.sqrt(
@@ -134,30 +132,17 @@ def _envelope_factor(s, eta):
 
 
 def peak_envelope(eta: float) -> float:
-    """max_s of the dimensionless envelope, located to relative ~1e-10."""
-    grid = np.linspace(0.0, 0.5, 8193)
-    vals = _envelope_factor(grid, eta)
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda s: -_envelope_factor(s, eta),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-14})
-    return float(max(vals[k], -res.fun))
-
-
-@lru_cache(maxsize=256)
-def _peak(eta: float) -> float:
-    """`peak_envelope(eta)`, searched once per eta. The search is looked up in
-    the module at call time, so a wrapper set there sees every real search."""
-    return peak_envelope(eta)
+    """max_s of the dimensionless envelope, exactly: both of its factors,
+    |sin(2 pi s)| and sqrt(1 + 16 eta^2 sin(alpha)^6), peak at s = 1/4, where
+    alpha = pi/2, so the maximum is the envelope there, sqrt(1 + 16 eta^2)."""
+    return float(_envelope_factor(0.25, eta))
 
 
 def compute_duration(spec: GateSpec, omega_max: float = OMEGA_MAX_DEFAULT) -> float:
     """Minimal cycle time T such that max_t Omega(t) = omega_max."""
     if not omega_max > 0:
         raise ValueError("omega_max must be positive")
-    return math.pi ** 2 * _peak(spec.eta) / omega_max
+    return math.pi ** 2 * peak_envelope(spec.eta) / omega_max
 
 
 def check_sampling(omega_max: float, n_samples: int):

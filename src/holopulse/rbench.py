@@ -29,7 +29,6 @@ from typing import Optional
 import warnings
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .engine import (NoiseModel, _embed, bright_state, check_steps, open_superoperator,
                      propagate_unitary)
@@ -242,7 +241,12 @@ def decay_model(m, a, p, b):
 
 
 def fit_decay(lengths, means, sigma=None):
-    """Levenberg-Marquardt fit of F = A p^m + B, seeded from a log-linear fit."""
+    """Levenberg-Marquardt fit of F = A p^m + B, seeded from a log-linear fit.
+
+    scipy is imported here, at the first fit: no other code path needs it,
+    and its import would dominate the start-up of every command."""
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     lengths = np.asarray(lengths, dtype=float)
     means = np.asarray(means, dtype=float)
     b0 = 0.5    # |0>-survival decays toward 1/2; clamped to [0, 1] by construction

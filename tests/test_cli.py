@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holopulse
 from holopulse.cli import (MAX_STEPS, ConfigError, load_config, main, parse_gate,
                            parse_noise)
 from holopulse.paths import DYNAMICAL
@@ -292,3 +297,44 @@ def test_rb_sweep_does_not_need_a_gate(tmp_path):
         assert list(rows[0]) == ["epsilon", "scheme", "infidelity_mean", "infidelity_std"]
         outs.append(rows)
     assert outs[0] == outs[1]
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+from pathlib import Path
+import holopulse, holopulse.cli
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+if loaded:
+    sys.exit(f"importing holopulse loaded {loaded}")
+sys.modules["scipy"] = None     # from here on, any scipy import fails
+out = Path(sys.argv[1])
+for k, cfg in enumerate(json.loads(sys.argv[2])):
+    path = out / f"{k}.json"
+    path.write_text(json.dumps(cfg))
+    status = holopulse.cli.main([cfg["experiment"], "--config", str(path),
+                                 "--out", str(out / f"out{k}"), "--seed", "7"])
+    if status != 0:
+        sys.exit(f"{cfg} exited {status}")
+"""
+
+
+def test_numpy_commands_need_no_scipy(tmp_path):
+    # only the RB fit imports scipy; every other command runs on numpy alone
+    configs = [
+        {"experiment": "synth", "gate": "X", "n_samples": 256},
+        {"experiment": "propagate", "gate": "H", "epsilon": 0.05, "n_samples": 256,
+         "steps": 512},
+        {"experiment": "qpt", "gate": "X", "shots": 2000, "n_samples": 256,
+         "steps": 1024},
+        {"experiment": "qpt", "gate": "T", "analytic": True, "n_samples": 256,
+         "steps": 1024},
+        {"experiment": "sideband", "gamma": 1.5, "eta": 0.2, "n_samples": 512,
+         "steps": 1024},
+        {"experiment": "sweep", "gate": "X", "n_samples": 256, "steps": 512,
+         "epsilon_grid": {"min": -0.2, "max": 0.2, "points": 5}},
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(holopulse.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path),
+                           json.dumps(configs)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from holopulse.engine import (_CF4_A, _GAUSS_C, NoiseModel, _coupling,
+from holopulse import engine
+from holopulse.engine import (_CF4_A, _GAUSS_C, NoiseModel, _blockwise, _coupling,
                               _dephasing_rates, _embed, _su2_step, bright_state,
                               cf4, dephasing_from_t2, open_superoperator,
                               propagate_unitary, survival_probability,
@@ -322,3 +324,58 @@ def test_open_step_validation():
             open_superoperator(sched, noise, steps)
     with pytest.raises(ValueError):
         propagate_unitary(sched, steps=0)
+
+
+def _pairwise(factors):
+    """The product tree of `_ordered_product` over string factors."""
+    while len(factors) > 1:
+        n = len(factors)
+        paired = [f"({factors[k + 1]} {factors[k]})" for k in range(0, n - n % 2, 2)]
+        factors = paired + factors[n - n % 2:]
+    return factors[0]
+
+
+def test_blocks_of_a_power_of_two_keep_the_pairwise_tree():
+    for steps in range(1, 70):
+        whole = _pairwise([str(k) for k in range(steps)])
+        for size in (1, 2, 4, 8, 64):
+            blocked = _blockwise(
+                lambda start, stop: _pairwise([str(k) for k in range(start, stop)]),
+                steps, size, lambda later, earlier: f"({later} {earlier})")
+            assert blocked == whole, (steps, size)
+
+
+def test_multi_block_kernels_match_one_block(monkeypatch):
+    sched = _sched("H", eta=0.5)
+    grid = np.linspace(-0.2, 0.2, 21)
+    noise = NoiseModel(epsilon=0.05, gamma_1a=300.0, gamma_0a=100.0)
+    steps = 2050                        # the last block is partial
+    one = propagate_unitary(sched, grid, steps, check=False).unitary
+    one_scalar = propagate_unitary(sched, 0.1, steps, check=False).unitary
+    one_open = open_superoperator(sched, noise, steps)
+    monkeypatch.setattr(engine, "_CLOSED_BLOCK", 21 * 100)     # 64-step blocks
+    monkeypatch.setattr(engine, "_OPEN_BLOCK", 48)
+    many = propagate_unitary(sched, grid, steps, check=False).unitary
+    assert np.max(np.abs(many - one)) <= 1e-13
+    many_scalar = propagate_unitary(sched, 0.1, steps, check=False).unitary
+    assert np.max(np.abs(many_scalar - one_scalar)) <= 1e-13
+    assert np.max(np.abs(open_superoperator(sched, noise, steps) - one_open)) <= 1e-13
+
+
+def _peak_mb(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_propagation_memory_does_not_grow_with_steps():
+    # holding every step at once took 195 MB and 172 MB
+    sched = _sched("T", eta=0.2)
+    noise = NoiseModel(gamma_1a=100.0, gamma_0a=10.0)
+    assert _peak_mb(lambda: open_superoperator(sched, noise, 2 ** 16)) <= 40.0
+    sched = synthesize(GateSpec(theta=1.1, phi=0.4, gamma=2.0, eta=1.0), n_samples=1024)
+    grid = np.linspace(-0.2, 0.2, 201)
+    assert _peak_mb(lambda: propagate_unitary(sched, grid, 8192)) <= 60.0

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from holopulse.paths import DYNAMICAL, HOLONOMIC
-from holopulse.pulses import (OMEGA_MAX_DEFAULT, GateSpec, compute_duration,
-                              export_tones, named_gate, parse_tones,
-                              peak_envelope, synthesize)
+from holopulse.pulses import (OMEGA_MAX_DEFAULT, GateSpec, _envelope_factor,
+                              compute_duration, export_tones, named_gate,
+                              parse_tones, peak_envelope, synthesize)
 
 
 def test_duration_eta_zero_anchor():
@@ -28,6 +28,22 @@ def test_peak_envelope_against_dense_grid():
         vals = np.abs(np.sin(2.0 * np.pi * s)) * np.sqrt(
             1.0 + 16.0 * eta ** 2 * np.sin(alpha) ** 6)
         assert peak_envelope(eta) == pytest.approx(float(np.max(vals)), rel=1e-9)
+
+
+def test_peak_envelope_equals_bounded_brent():
+    # the peak was an 8193-point grid search refined by scipy's bounded Brent;
+    # the grid holds the maximiser s = 1/4, so the refinement never raised it.
+    # Every duration, and with it every output, depends on the peak's bits.
+    from scipy.optimize import minimize_scalar
+
+    grid = np.linspace(0.0, 0.5, 8193)
+    for eta in [*np.linspace(-1.0, 1.0, 401), 0.0, 0.2, 1.0]:
+        vals = _envelope_factor(grid, eta)
+        k = int(np.argmax(vals))
+        res = minimize_scalar(lambda s: -_envelope_factor(s, eta),
+                              bounds=(grid[k - 1], grid[k + 1]), method="bounded",
+                              options={"xatol": 1e-14})
+        assert peak_envelope(eta) == max(vals[k], -res.fun), eta
 
 
 def test_duration_grows_with_eta():
