@@ -36,7 +36,7 @@ from .tomo import (chi_of_channel, exact_records, mle_process,
 _ALLOWED_KEYS = {
     "synth": {"gate", "omega_max", "n_samples"},
     "export-awg": {"gate", "omega_max", "n_samples"},
-    "propagate": {"gate", "omega_max", "n_samples", "steps", "noise", "epsilon"},
+    "propagate": {"gate", "omega_max", "n_samples", "steps", "noise"},
     "qpt": {"gate", "omega_max", "n_samples", "steps", "noise", "shots", "analytic"},
     "rb": {"omega_max", "n_samples", "steps", "noise", "lengths", "sequences", "shots",
            "interleaved", "eta", "scheme"},
@@ -184,7 +184,7 @@ def _synth(cfg, seed):
 
 def _propagate(cfg, seed):
     spec = parse_gate(cfg)
-    eps = float(cfg.get("epsilon", parse_noise(cfg, {"epsilon"}).epsilon))
+    eps = parse_noise(cfg, {"epsilon"}).epsilon
     sched, steps = _schedule(cfg, partial(synthesize, spec), 4096, 8192)
 
     def run(writer: OutputWriter):
@@ -295,7 +295,7 @@ def _sweep_grid(cfg):
                                  MAX_GRID_POINTS))
     if grid.size == 0:
         raise ConfigError("epsilon grid is empty")
-    if np.any(np.abs(grid) > 0.5):
+    if not np.all(np.abs(grid) <= 0.5):
         raise ConfigError("epsilon grid must stay within [-0.5, 0.5]")
     return grid
 

@@ -85,12 +85,21 @@ class NoiseModel:
     def __post_init__(self):
         if not -0.5 <= self.epsilon <= 0.5:
             raise ValueError(f"epsilon must lie in [-0.5, 0.5], got {self.epsilon}")
-        if self.gamma_1a < 0 or self.gamma_0a < 0:
-            raise ValueError("dephasing rates must be >= 0")
+        for name in ("gamma_1a", "gamma_0a"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate < np.inf:
+                raise ValueError(f"dephasing rate {name} must be finite and >= 0, got {rate}")
         for name in ("prep_error", "detection_error_bright", "detection_error_dark"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p}")
+
+    def readout(self, p):
+        """Probability of a bright count when the bright population is p,
+        clipped to [0, 1], with both detection errors."""
+        p = np.clip(p, 0.0, 1.0)
+        return (p * (1.0 - self.detection_error_bright)
+                + (1.0 - p) * self.detection_error_dark)
 
 
 def dephasing_from_t2(t2_1a: float = 20e-3, t2_0a: float = 200e-3, **kw) -> NoiseModel:

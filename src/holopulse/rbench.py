@@ -7,15 +7,14 @@ read from the Cayley table of the group (the inverse of the accumulated
 index); a non-Clifford interleaved gate such as T takes it from `axis_angle`
 of the accumulated product.
 
-Each gate is compiled to a pulse schedule and propagated by the engine
-(closed-system with a static amplitude error, or open-system when dephasing
-rates are present). `GateCache` propagates only what the drive tells apart:
-the bright-auxiliary block depends on (gamma, eta, scheme) alone, so a closed
-run makes one propagation per gamma and embeds the block per gate; under
-dephasing, R_phi = diag(1, e^{i phi}, 1) maps |b(theta, 0)> to
-|b(theta, phi)>, fixes |a> and commutes with both dephasing operators, so one
-channel per (theta, gamma) serves every phi. A reference and an interleaved
-run sharing a `GateCache` propagate the common gates once.
+Every gate, the recovery included, is a 9x9 channel on row-major vec(rho)
+from `GateCache`, so one survival loop serves every noise model: the lift
+U (x) U* of the propagated unitary when closed (a static amplitude error),
+the engine's open-system channel under dephasing, and in the synthetic
+"exact" mode the lift of the ideal gate followed by a depolarizer. The cache
+propagates only what the drive tells apart: one block per gamma when closed,
+one channel per (theta, gamma) under dephasing. A reference and an
+interleaved run sharing a cache propagate the common gates once.
 
 Decay curves are fitted to F = A p^m + B; average and per-gate fidelities
 follow from F_ave = 1 - (1 - p_ref)/2 and
@@ -66,6 +65,9 @@ class RBConfig:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.mode not in ("pulse", "exact"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not 0.0 <= self.depolarizing <= (1.0 if self.mode == "exact" else 0.0):
+            raise ValueError("depolarizing must be 0, or in [0, 1] in exact mode, "
+                             f"got {self.depolarizing}")
         clifford_table(self.eta, self.scheme)    # rejects a bad eta or scheme
         if self.mode == "pulse":
             check_sampling(self.omega_max, self.n_samples)
@@ -133,18 +135,33 @@ def _canonical_spec(spec: GateSpec) -> GateSpec:
         return spec
 
 
-def _dephased(noise: NoiseModel) -> bool:
-    return noise.gamma_1a > 0.0 or noise.gamma_0a > 0.0
+def _dephased(config: RBConfig) -> bool:
+    noise = config.noise
+    return config.mode == "pulse" and (noise.gamma_1a > 0.0 or noise.gamma_0a > 0.0)
+
+
+def _key(spec: GateSpec, config: RBConfig) -> tuple:
+    """Everything that sets the channel of `spec` under `config`."""
+    return (spec, config.mode, config.depolarizing, config.noise, config.omega_max,
+            config.n_samples, config.steps)
+
+
+def _depolarizer(d: float) -> np.ndarray:
+    """rho -> (1 - d) rho + d Tr(rho) P/2, P = diag(1, 1, 0), on row-major vec."""
+    vec_i = np.eye(3).reshape(-1)       # Tr rho = vec_i . vec(rho); vec(P) = vec_i - e_8
+    return (1.0 - d) * np.eye(9) + 0.5 * d * np.outer(vec_i - np.eye(9)[8], vec_i)
 
 
 class GateCache:
-    """Per-gate propagators (3x3 unitary, or 9x9 superoperator under dephasing).
+    """Per-gate channels: 9x9 superoperators on row-major vec(rho).
 
     One propagation serves every gate that differs from its representative,
     the canonical spec at phi = 0, only by an exact symmetry:
     - closed: the block U2 = E^dag U E depends on (gamma, eta, scheme) and
       epsilon alone, so the representative also has theta = 0, and each gate
-      is the embedding of its block, |d><d| + E U2 E^dag;
+      is the lift U (x) U* of the embedding U = |d><d| + E U2 E^dag of its
+      block; in "exact" mode the block is the ideal diag(e^{i gamma},
+      e^{-i gamma}), followed by the depolarizer;
     - dephased: Phi(theta, phi, gamma) = (R (x) R*) Phi(theta, 0, gamma)
       (R (x) R*)^dag with R = diag(1, e^{i phi}, 1), elementwise
       Phi[k, l] r_k conj(r_l) for the diagonal r of R (x) R*.
@@ -157,29 +174,34 @@ class GateCache:
         self._channels = {}
         self._propagated = {}
 
-    def channel(self, spec: GateSpec, config: RBConfig):
-        key = (spec, config.noise, config.omega_max, config.n_samples, config.steps)
+    def channel(self, spec: GateSpec, config: RBConfig) -> np.ndarray:
+        key = _key(spec, config)
         channel = self._channels.get(key)
         if channel is None:
             channel = self._channels[key] = self._build(_canonical_spec(spec), config)
         return channel
 
-    def _build(self, spec: GateSpec, config: RBConfig):
-        dephased = _dephased(config.noise)
+    def _build(self, spec: GateSpec, config: RBConfig) -> np.ndarray:
+        dephased = _dephased(config)
         rep = replace(spec, theta=spec.theta if dephased else 0.0, phi=0.0)
-        key = (rep, config.noise, config.omega_max, config.n_samples, config.steps)
+        key = _key(rep, config)
         if key not in self._propagated:
             self._propagated[key] = _propagate(rep, config, dephased)
-        if not dephased:
-            return _embed(spec, *self._propagated[key])
-        r = np.array([1.0, np.exp(1j * spec.phi), 1.0])
-        r = np.outer(r, r.conj()).reshape(-1)      # the diagonal of R (x) R*
-        return self._propagated[key] * np.outer(r, r.conj())
+        if dephased:
+            r = np.array([1.0, np.exp(1j * spec.phi), 1.0])
+            r = np.outer(r, r.conj()).reshape(-1)      # the diagonal of R (x) R*
+            return self._propagated[key] * np.outer(r, r.conj())
+        u = _embed(spec, *self._propagated[key])
+        lift = np.kron(u, u.conj())
+        return _depolarizer(config.depolarizing) @ lift if config.depolarizing else lift
 
 
 def _propagate(rep: GateSpec, config: RBConfig, dephased: bool):
     """The representative's 9x9 channel, or the Cayley-Klein pair (a, b) of
-    its block U2 = E^dag U E when closed."""
+    its block U2 = E^dag U E when closed; in "exact" mode the ideal block,
+    since the gate is |d><d| + e^{i gamma}|b><b|."""
+    if config.mode == "exact":
+        return np.exp(1j * rep.gamma), 0j
     sched = synthesize(rep, config.omega_max, config.n_samples)
     if dephased:
         return open_superoperator(sched, config.noise, config.steps)
@@ -189,47 +211,13 @@ def _propagate(rep: GateSpec, config: RBConfig, dephased: bool):
     return block[0, 0], block[0, 1]
 
 
-def _survival_pulse(specs, recovery, cache: GateCache, config: RBConfig) -> float:
-    """Exact |0>-return probability through the pulse pipeline, with SPAM."""
-    noise = config.noise
-    rho = np.zeros((3, 3), dtype=complex)
-    rho[0, 0] = 1.0 - noise.prep_error
-    rho[1, 1] = noise.prep_error
-    if _dephased(noise):
-        v = rho.reshape(-1)
-        for spec in specs:
-            v = cache.channel(spec, config) @ v
-        v = cache.channel(recovery, config) @ v
-        p0 = float(np.real(v.reshape(3, 3)[0, 0]))
-    else:
-        for spec in specs:
-            u = cache.channel(spec, config)
-            rho = u @ rho @ u.conj().T
-        u = cache.channel(recovery, config)
-        rho = u @ rho @ u.conj().T
-        p0 = float(np.real(rho[0, 0]))
-    p0 = min(max(p0, 0.0), 1.0)
-    return (p0 * (1.0 - noise.detection_error_bright)
-            + (1.0 - p0) * noise.detection_error_dark)
-
-
-def _survival_exact(specs, recovery, config: RBConfig) -> float:
-    """Ideal-unitary sequence with an optional depolarizing step per gate."""
-    noise = config.noise
-    rho = np.array([[1.0 - noise.prep_error, 0.0], [0.0, noise.prep_error]],
-                   dtype=complex)
-    d = config.depolarizing
-    for spec in specs:
-        u = target_unitary(spec)
-        rho = u @ rho @ u.conj().T
-        if d > 0.0:
-            rho = (1.0 - d) * rho + d * np.trace(rho) * np.eye(2) / 2.0
-    u = target_unitary(recovery)
-    rho = u @ rho @ u.conj().T
-    p0 = float(np.real(rho[0, 0]))
-    p0 = min(max(p0, 0.0), 1.0)
-    return (p0 * (1.0 - noise.detection_error_bright)
-            + (1.0 - p0) * noise.detection_error_dark)
+def _survival(specs, recovery, cache: GateCache, config: RBConfig) -> float:
+    """Exact |0>-return probability of the sequence, with SPAM."""
+    v = np.zeros(9, dtype=complex)      # row-major vec(rho)
+    v[0], v[4] = 1.0 - config.noise.prep_error, config.noise.prep_error
+    for spec in [*specs, recovery]:
+        v = cache.channel(spec, config) @ v
+    return float(config.noise.readout(np.real(v[0])))
 
 
 class FitError(RuntimeError):
@@ -286,7 +274,7 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
 
     Pass one `cache` to several runs to propagate each distinct gate once.
     """
-    if cache is None and config.mode == "pulse":
+    if cache is None:
         cache = GateCache()
     means, stds = [], []
     for m in config.lengths:
@@ -296,10 +284,7 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
                 entropy=(config.seed, int(m), j)))
             specs, recovery = build_sequence(int(m), rng, config.interleaved,
                                              config.eta, config.scheme)
-            if config.mode == "pulse":
-                f = _survival_pulse(specs, recovery, cache, config)
-            else:
-                f = _survival_exact(specs, recovery, config)
+            f = _survival(specs, recovery, cache, config)
             if config.shots is not None:
                 f = float(rng.binomial(config.shots, f)) / config.shots
             fids.append(f)

@@ -125,9 +125,7 @@ def _bright_probabilities(channel: QubitChannel, noise: NoiseModel) -> np.ndarra
     bright = _SETTINGS[:, :, 0]
     if noise.prep_error > 0.0:      # rho_j -> (1 - e) rho_j + e X rho_j X
         bright = (1.0 - noise.prep_error) * bright + noise.prep_error * bright[_X_FLIP]
-    p = np.clip(np.real(np.einsum("jbkl,lk->jb", bright, channel.choi)), 0.0, 1.0)
-    return (p * (1.0 - noise.detection_error_bright)
-            + (1.0 - p) * noise.detection_error_dark)
+    return noise.readout(np.real(np.einsum("jbkl,lk->jb", bright, channel.choi)))
 
 
 def _records(shots: int, bright: np.ndarray) -> list:

@@ -69,12 +69,12 @@ def test_synth_outputs(tmp_path):
 
 def test_propagate_header_echoes_config(tmp_path):
     cfg = _write(tmp_path, "c.json", {"experiment": "propagate", "gate": "X",
-                                      "epsilon": 0.05, "n_samples": 256,
+                                      "noise": {"epsilon": 0.05}, "n_samples": 256,
                                       "steps": 512})
     out = tmp_path / "out"
     assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
     text = (out / "propagate.csv").read_text()
-    assert '# epsilon = 0.05' in text
+    assert '# noise = {"epsilon": 0.05}' in text
     assert '# gate = "X"' in text
     row = text.strip().splitlines()[-1]
     assert float(row.split(",")[1]) < 1.0    # fidelity drops under the error
@@ -214,6 +214,16 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("rb", {"lengths": [1, 2, 1e300]}),
     ("sweep", {"gate": "X", "epsilon_grid": {"points": 1e300}}),
     ("propagate", {"gate": "X", "n_samples": 256, "steps": MAX_STEPS + 2}),
+    # dephasing rates that are not finite
+    ("rb", {"noise": {"gamma_1a": float("nan")}}),
+    ("rb", {"noise": {"gamma_1a": float("inf")}}),
+    ("sweep", {"mode": "rb", "noise": {"gamma_0a": float("nan")}}),
+    # epsilon is read from 'noise' alone, and every epsilon is bounded
+    ("propagate", {"gate": "X", "epsilon": 0.05}),
+    ("propagate", {"gate": "X", "epsilon": 5, "noise": {"epsilon": 0.05}}),
+    ("propagate", {"gate": "X", "noise": {"epsilon": float("nan")}}),
+    ("sweep", {"gate": "X", "epsilon_grid": [float("nan")]}),
+    ("sweep", {"gate": "X", "epsilon_grid": {"max": float("nan")}}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})
@@ -322,8 +332,8 @@ def test_numpy_commands_need_no_scipy(tmp_path):
     # only the RB fit imports scipy; every other command runs on numpy alone
     configs = [
         {"experiment": "synth", "gate": "X", "n_samples": 256},
-        {"experiment": "propagate", "gate": "H", "epsilon": 0.05, "n_samples": 256,
-         "steps": 512},
+        {"experiment": "propagate", "gate": "H", "noise": {"epsilon": 0.05},
+         "n_samples": 256, "steps": 512},
         {"experiment": "qpt", "gate": "X", "shots": 2000, "n_samples": 256,
          "steps": 1024},
         {"experiment": "qpt", "gate": "T", "analytic": True, "n_samples": 256,

@@ -6,6 +6,7 @@ configs."""
 import json
 import tempfile
 from functools import partial
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from holopulse import rbench
 from holopulse.cli import main
 from holopulse.engine import (NoiseModel, _cf4_steps, _ck_product, _coupling,
                               _dephasing_rates, _embed, dephasing_from_t2,
@@ -20,7 +22,7 @@ from holopulse.engine import (NoiseModel, _cf4_steps, _ck_product, _coupling,
 from holopulse.gates import axis_angle, phase_equivalent, target_unitary
 from holopulse.paths import DYNAMICAL, HOLONOMIC, controls_arrays
 from holopulse.pulses import GateSpec, export_tones, named_gate, parse_tones, synthesize
-from holopulse.rbench import GateCache, RBConfig, build_sequence
+from holopulse.rbench import GateCache, RBConfig, build_sequence, run_rb
 from holopulse.qcore import SX, fidelity_qubit_subspace, leakage, unitarity_defect
 from holopulse.tomo import (BASES, PREP_LABELS, exact_records, measurement_effect,
                             prepare_input, propagator_channel)
@@ -222,7 +224,8 @@ def test_exact_records_match_the_kraus_born_rule(spec, leak, prep_error,
 @given(spec=angles, eta=st.floats(-1.0, 1.0), dephased=st.booleans())
 def test_cached_channel_matches_a_direct_propagation(spec, eta, dephased):
     """The cache builds a gate from a representative at phi = 0 (and theta = 0
-    when closed); the same spec propagated directly gives the same channel."""
+    when closed); the same spec propagated directly gives the same channel,
+    the lift U (x) U* of its unitary when closed."""
     spec = GateSpec(spec.theta, spec.phi, spec.gamma, eta)
     noise = dephasing_from_t2(20e-3, 200e-3) if dephased else NoiseModel(epsilon=0.05)
     cfg = RBConfig(eta=eta, noise=noise, n_samples=256, steps=STEPS)
@@ -230,7 +233,8 @@ def test_cached_channel_matches_a_direct_propagation(spec, eta, dephased):
     if dephased:
         direct = open_superoperator(sched, noise, STEPS)
     else:
-        direct = propagate_unitary(sched, noise.epsilon, STEPS, check=False).unitary
+        u = propagate_unitary(sched, noise.epsilon, STEPS, check=False).unitary
+        direct = np.kron(u, u.conj())
     assert np.max(np.abs(GateCache().channel(spec, cfg) - direct)) <= 1e-13
 
 
@@ -250,13 +254,69 @@ def test_recovery_closes_the_sequence(m, seed, name, eta):
     assert phase_equivalent(acc, np.eye(2))
 
 
+def _reference_survival(specs, cfg):
+    """The |0>-return probability by direct formulas, with no cache: 3x3
+    conjugation by each propagated unitary when closed, each gate's own
+    open_superoperator when dephased, and 2x2 ideal targets, each followed by
+    the depolarizer, in exact mode."""
+    noise = cfg.noise
+    if cfg.mode == "exact":
+        rho = np.diag([1.0 - noise.prep_error, noise.prep_error]).astype(complex)
+        for spec in specs:
+            u = target_unitary(spec)
+            rho = u @ rho @ u.conj().T
+            rho = (1.0 - cfg.depolarizing) * rho + cfg.depolarizing * np.trace(rho) * np.eye(2) / 2.0
+    else:
+        rho = np.diag([1.0 - noise.prep_error, noise.prep_error, 0.0]).astype(complex)
+        for spec in specs:
+            sched = synthesize(spec, cfg.omega_max, cfg.n_samples)
+            if noise.gamma_1a > 0.0:
+                rho = (open_superoperator(sched, noise, cfg.steps) @ rho.reshape(-1)).reshape(3, 3)
+            else:
+                u = propagate_unitary(sched, noise.epsilon, cfg.steps, check=False).unitary
+                rho = u @ rho @ u.conj().T
+    p = min(max(float(np.real(rho[0, 0])), 0.0), 1.0)
+    return (p * (1.0 - noise.detection_error_bright)
+            + (1.0 - p) * noise.detection_error_dark)
+
+
+@few
+@given(eta=st.floats(-1.0, 1.0), epsilon=st.floats(-0.5, 0.5), gamma_1a=st.sampled_from([0.0, 300.0]),
+       prep_error=probabilities, bright_error=probabilities, dark_error=probabilities,
+       name=st.sampled_from([None, "X", "T"]), exact=st.booleans(),
+       depolarizing=st.floats(0.0, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+def test_rb_means_match_the_direct_formulas(eta, epsilon, gamma_1a, prep_error, bright_error,
+                                            dark_error, name, exact, depolarizing, seed):
+    """run_rb, whose every gate is a cached 9x9 channel, averages the
+    survival that direct propagation of every gate gives, in every mode."""
+    noise = NoiseModel(epsilon=epsilon, gamma_1a=gamma_1a, gamma_0a=0.1 * gamma_1a,
+                       prep_error=prep_error, detection_error_bright=bright_error,
+                       detection_error_dark=dark_error)
+    mode = {"mode": "exact", "depolarizing": depolarizing} if exact else {}
+    cfg = RBConfig(lengths=(1, 2, 3), n_sequences=2, seed=seed, eta=eta, noise=noise,
+                   interleaved=None if name is None else named_gate(name, eta),
+                   n_samples=256, steps=STEPS, **mode)
+    reference = []
+    for m in cfg.lengths:
+        survival = []
+        for j in range(cfg.n_sequences):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, m, j)))
+            specs, recovery = build_sequence(m, rng, cfg.interleaved, eta)
+            survival.append(_reference_survival(specs + [recovery], cfg))
+        reference.append(np.mean(survival))
+    no_fit = (1.0, 1.0, 0.0, np.zeros((3, 3)))     # the means alone are compared
+    with mock.patch.object(rbench, "fit_decay", return_value=no_fit):
+        means = run_rb(cfg).means
+    assert np.max(np.abs(means - reference)) <= 1e-13
+
+
 # small valid configs of every command; the edits below never raise
 # n_samples or steps above 1024
 _SMALL = {
     "synth": {"gate": "X", "n_samples": 256},
     "export-awg": {"gate": {"theta": 1.1, "phi": 0.4, "gamma": 2.0}, "n_samples": 256},
     "propagate": {"gate": {"theta": 1.1, "phi": 0.4, "gamma": 2.0, "eta": 0.3},
-                  "epsilon": 0.05, "n_samples": 256, "steps": 512},
+                  "noise": {"epsilon": 0.05}, "n_samples": 256, "steps": 512},
     "qpt": {"gate": "H", "analytic": True, "n_samples": 256, "steps": 512},
     "rb": {"interleaved": "T", "noise": {"epsilon": 0.05}, "lengths": [1, 2, 4],
            "sequences": 2, "n_samples": 256, "steps": 512},

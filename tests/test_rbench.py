@@ -144,6 +144,10 @@ def test_config_validation():
                 {"scheme": "dynamical", "eta": 1.0}):
         with pytest.raises(ValueError):
             RBConfig(**bad)
+    for bad in (dict(depolarizing=0.1), dict(mode="exact", depolarizing=float("nan")),
+                dict(mode="exact", depolarizing=1.5)):
+        with pytest.raises(ValueError):     # depolarizing is exact mode's channel
+            RBConfig(**bad)
     RBConfig(n_samples=1024, steps=256, mode="exact")    # steps unused
     RBConfig(n_samples=128, omega_max=-1.0, mode="exact")
 
