@@ -212,13 +212,13 @@ def _qpt(cfg, seed):
 
     def run(writer: OutputWriter):
         res = propagate_unitary(sched, noise.epsilon, steps)
-        channel = propagator_channel(res.unitary)
+        choi = propagator_channel(res.unitary)
         if shots is None:
-            records = exact_records(channel, noise)
+            counts = exact_records(choi, noise)
         else:
-            records = simulate_counts(channel, noise, shots, seed=seed)
-        writer.write("counts.csv", records_to_csv(records))
-        mle = mle_process(records)
+            counts = simulate_counts(choi, noise, shots, seed=seed)
+        writer.write("counts.csv", records_to_csv(counts))
+        mle = mle_process(counts)
         ideal = chi_of_channel(unitary_channel(target_unitary(spec)))
         fatt = process_fidelity(mle.chi, ideal)
         body = ["component,m,n,re,im"]

@@ -22,7 +22,8 @@ array of eps). The steps are made and reduced one fixed-size block at a time
 is exactly unitary, and step-doubling agreement at 1e-9 is reached at the
 default resolution. U2 depends on the path (gamma, eta, scheme) and eps
 only; the qutrit propagator is its embedding |d><d| + E U2 E^dag with
-E = [|b>, |a>] (`_embed`), the only place a 3x3 matrix is built. `sideband` drives the same kernel with the
+E = [|b>, |a>] (`block_basis`), and `_embed` is the only place a 3x3
+matrix is built. `sideband` drives the same kernel with the
 anti-Jaynes-Cummings coupling of its n = 0 block.
 
 Open-system evolution (two pure-dephasing dissipators) runs on the same
@@ -124,6 +125,11 @@ def bright_state(spec) -> np.ndarray:
                      0.0], dtype=complex)
 
 
+def block_basis(spec) -> np.ndarray:
+    """E = [|b>, |a>], shape (3, 2): the driven block's basis, U2 = E^dag U E."""
+    return np.stack([bright_state(spec), [0.0, 0.0, 1.0]], axis=1)
+
+
 def _coupling(schedule: PulseSchedule, t) -> np.ndarray:
     """Bright-auxiliary coupling c(t) = <b|H|a> = Omega(t) e^{-i phi0(t)} / 2.
 
@@ -179,7 +185,7 @@ def _embed(spec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Evaluated as I + E (U2 - I) E^dag, which keeps the identity exact. On
     row-major vec, E X E^dag is (E (x) E*) vec(X).
     """
-    e = np.stack([bright_state(spec), [0.0, 0.0, 1.0]], axis=1)
+    e = block_basis(spec)
     x = np.stack([a - 1.0, b, -np.conj(b), np.conj(a) - 1.0], axis=-1)
     u = x @ np.kron(e, e.conj()).T + np.eye(3).reshape(-1)
     return u.reshape(np.shape(a) + (3, 3))
@@ -350,7 +356,7 @@ def _lift_coefficients(spec) -> np.ndarray:
     is the coefficient of the product F_p = x_i x_j, flattened row-major. It is
     real because R(U) is real for every real x.
     """
-    e = np.stack([bright_state(spec), [0.0, 0.0, 1.0]], axis=1)
+    e = block_basis(spec)
     m = np.concatenate([np.eye(3)[None], e @ _SU2_GENERATORS @ e.conj().T])
     lift = (m[:, None, :, None, :, None]
             * m.conj()[None, :, None, :, None, :]).reshape(5, 5, 9, 9)

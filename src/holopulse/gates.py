@@ -77,12 +77,7 @@ def axis_angle(u: np.ndarray, eta: float = 0.0, scheme: str = HOLONOMIC) -> Gate
                 if comp < 0:
                     n = -n
                 break
-    gamma = 2.0 * np.arctan2(s, c)
-    theta = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
-    phi = _wrap_phi(float(np.arctan2(n[1], n[0])))
-    if abs(np.sin(theta)) < 1e-12:
-        phi = 0.0
-    return GateSpec(theta=theta, phi=phi, gamma=float(gamma), eta=eta, scheme=scheme)
+    return _axis_spec(n, float(2.0 * np.arctan2(s, c)), eta, scheme)
 
 
 @dataclass(frozen=True)
@@ -114,6 +109,7 @@ def _clifford_axis_angles():
 
 
 def _axis_spec(axis, gamma: float, eta: float, scheme: str) -> GateSpec:
+    """The spec of the turn by gamma about the unit axis; phi = 0 on the z axis."""
     theta = float(np.arccos(np.clip(axis[2], -1.0, 1.0)))
     phi = _wrap_phi(float(np.arctan2(axis[1], axis[0])))
     if abs(np.sin(theta)) < 1e-12:

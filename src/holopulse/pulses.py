@@ -209,7 +209,8 @@ def export_tones(schedule: PulseSchedule, path) -> Path:
 
 
 def parse_tones(path) -> PulseSchedule:
-    """Read a tone-descriptor file back into a PulseSchedule."""
+    """Read a tone-descriptor file back into a PulseSchedule; raises if it
+    breaks a schedule invariant (`PulseSchedule.validate`)."""
     meta = {}
     rows = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
@@ -232,8 +233,10 @@ def parse_tones(path) -> PulseSchedule:
     spec = GateSpec(theta=float(meta["theta_rad"]), phi=float(meta["phi_rad"]),
                     gamma=float(meta["gamma_rad"]), eta=float(meta["eta"]),
                     scheme=meta["scheme"])
-    return PulseSchedule(
+    schedule = PulseSchedule(
         spec=spec, duration=float(meta["duration_s"]), times=data[:, 0],
         omega0=data[:, 1], phi0=data[:, 2], omega1=data[:, 3], phi1=data[:, 4],
         omega_max=float(meta["omega_max_rad_s"]),
         tone0_hz=float(meta["tone0_hz"]), tone1_hz=float(meta["tone1_hz"]))
+    schedule.validate()
+    return schedule

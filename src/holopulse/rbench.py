@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .engine import (NoiseModel, _embed, bright_state, check_steps, open_superoperator,
+from .engine import (NoiseModel, _embed, block_basis, check_steps, open_superoperator,
                      propagate_unitary)
 from .gates import (axis_angle, clifford_index, clifford_products, clifford_table,
                     target_unitary)
@@ -69,6 +69,10 @@ class RBConfig:
             raise ValueError("depolarizing must be 0, or in [0, 1] in exact mode, "
                              f"got {self.depolarizing}")
         clifford_table(self.eta, self.scheme)    # rejects a bad eta or scheme
+        noise = self.noise
+        if self.mode == "exact" and (noise.epsilon or noise.gamma_1a or noise.gamma_0a):
+            raise ValueError("exact mode reads only the SPAM fields of noise; epsilon, "
+                             "gamma_1a and gamma_0a must be 0")
         if self.mode == "pulse":
             check_sampling(self.omega_max, self.n_samples)
             check_steps(self.steps, self.n_samples)
@@ -206,7 +210,7 @@ def _propagate(rep: GateSpec, config: RBConfig, dephased: bool):
     if dephased:
         return open_superoperator(sched, config.noise, config.steps)
     u = propagate_unitary(sched, config.noise.epsilon, config.steps, check=False).unitary
-    e = np.stack([bright_state(rep), [0.0, 0.0, 1.0]], axis=1)
+    e = block_basis(rep)
     block = e.conj().T @ u @ e
     return block[0, 0], block[0, 1]
 

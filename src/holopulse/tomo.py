@@ -1,13 +1,16 @@
 """Simulated prepare/measure pipeline and maximum-likelihood process tomography.
 
-A qubit channel is its Choi matrix J = sum_ij |i><j| (x) Lambda(|i><j|),
-input factor first. Propagators of the three-level engine enter through
-their qubit block, so J may be trace-decreasing: leaked population is read
-out as a dark count. One measurement model serves the simulator and the MLE:
-the setting (prep j, basis b) has the bright operator rho_j^T (x) E_b, whose
-bright probability is Tr(J rho_j^T (x) E_b), and the table of these 18
-operators is built once at import. Process matrices chi live in the
-(I, X, Y, Z) operator basis with Tr chi = 1 for a trace-preserving channel.
+Channels and data sets are plain arrays. A qubit channel is its 4x4 Choi matrix
+J = sum_ij |i><j| (x) Lambda(|i><j|), input factor first. Propagators of the
+three-level engine enter through their qubit block, so J may be
+trace-decreasing: leaked population is read out as a dark count. A data set
+is one `Counts` value: the (6, 3) table of bright counts over (prep j,
+basis b) and the shots behind each entry. One measurement model serves the
+simulator and the MLE: the setting (j, b) has the bright operator
+rho_j^T (x) E_b, whose bright probability is Tr(J rho_j^T (x) E_b), and the
+table of these 18 operators is built once at import. Process matrices chi
+live in the (I, X, Y, Z) operator basis with Tr chi = 1 for a
+trace-preserving channel.
 
 The MLE is the standard fixed-point ascent on the Choi matrix with a
 trace-preservation projection each step, started from linear inversion
@@ -16,7 +19,7 @@ projected onto the positive cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,75 +85,54 @@ def _setting_operators() -> np.ndarray:
 _SETTINGS = _setting_operators()
 
 
-@dataclass(frozen=True)
-class QubitChannel:
-    """A (possibly trace-decreasing) qubit channel as its 4x4 Choi matrix."""
-    choi: np.ndarray
-
-
-def unitary_channel(u: np.ndarray) -> QubitChannel:
-    """rho -> u rho u^dag: J = |v><v| with v = u^T flattened row-major."""
+def unitary_channel(u: np.ndarray) -> np.ndarray:
+    """Choi matrix of rho -> u rho u^dag: J = |v><v|, v = u^T flattened row-major."""
     v = np.asarray(u, dtype=complex).T.reshape(4)
-    return QubitChannel(choi=np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
-def propagator_channel(u3: np.ndarray) -> QubitChannel:
-    """Qubit block of a 3x3 propagator; leakage shows up as trace loss."""
+def propagator_channel(u3: np.ndarray) -> np.ndarray:
+    """Choi matrix of a 3x3 propagator's qubit block; leakage is trace loss."""
     u3 = np.asarray(u3, dtype=complex)
     if u3.shape != (3, 3):
         raise ValueError("expected a 3x3 propagator")
     return unitary_channel(u3[:2, :2])
 
 
-@dataclass(frozen=True)
-class CountsRecord:
-    prep: int
-    basis: str
+class Counts(NamedTuple):
+    """bright[j, b] of `shots` readouts for every (prep j, basis b): integer
+    counts when sampled, bright probabilities with shots = 1 when analytic."""
+    bright: np.ndarray
     shots: int
-    bright: float    # integer counts, or a probability when shots == 1 (analytic)
-
-    def __post_init__(self):
-        if self.prep not in PREP_LABELS:
-            raise ValueError(f"bad prep label {self.prep}")
-        if self.basis not in BASES:
-            raise ValueError(f"bad basis label {self.basis!r}")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if not 0.0 <= self.bright <= self.shots:
-            raise ValueError("bright count outside [0, shots]")
 
 
-def _bright_probabilities(channel: QubitChannel, noise: NoiseModel) -> np.ndarray:
+def _bright_probabilities(choi: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """(6, 3) Born-rule bright probabilities of every setting, SPAM included."""
     bright = _SETTINGS[:, :, 0]
     if noise.prep_error > 0.0:      # rho_j -> (1 - e) rho_j + e X rho_j X
         bright = (1.0 - noise.prep_error) * bright + noise.prep_error * bright[_X_FLIP]
-    return noise.readout(np.real(np.einsum("jbkl,lk->jb", bright, channel.choi)))
+    return noise.readout(np.real(np.einsum("jbkl,lk->jb", bright, choi)))
 
 
-def _records(shots: int, bright: np.ndarray) -> list:
-    return [CountsRecord(prep=j, basis=b, shots=shots, bright=float(bright[j, k]))
-            for j in PREP_LABELS for k, b in enumerate(BASES)]
-
-
-def exact_records(channel: QubitChannel, noise: NoiseModel = NoiseModel()) -> list:
+def exact_records(choi: np.ndarray, noise: NoiseModel = NoiseModel()) -> Counts:
     """Analytic mode: exact probabilities, no sampling (shots = 1)."""
-    return _records(1, _bright_probabilities(channel, noise))
+    return Counts(_bright_probabilities(choi, noise), 1)
 
 
-def simulate_counts(channel: QubitChannel, noise: NoiseModel, shots: int,
-                    seed: int = 0) -> list:
+def simulate_counts(choi: np.ndarray, noise: NoiseModel, shots: int,
+                    seed: int = 0) -> Counts:
     """Binomially sampled counts for all 18 (prep, basis) settings."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
-    return _records(shots, rng.binomial(shots, _bright_probabilities(channel, noise)))
+    return Counts(rng.binomial(shots, _bright_probabilities(choi, noise)), shots)
 
 
-def records_to_csv(records: Sequence[CountsRecord]) -> str:
+def records_to_csv(counts: Counts) -> str:
+    """One row per setting, prep-major."""
     lines = ["prep,basis,shots,bright"]
-    for r in records:
-        lines.append("%d,%s,%d,%.17g" % (r.prep, r.basis, r.shots, r.bright))
+    lines += ["%d,%s,%d,%.17g" % (j, b, counts.shots, counts.bright[j, k])
+              for j in PREP_LABELS for k, b in enumerate(BASES)]
     return "\n".join(lines) + "\n"
 
 
@@ -169,12 +151,9 @@ def _pauli_vecs() -> np.ndarray:
 _PAULI_V = _pauli_vecs()
 
 
-def chi_from_choi(choi: np.ndarray) -> np.ndarray:
+def chi_of_channel(choi: np.ndarray) -> np.ndarray:
+    """Process matrix of the channel with Choi matrix `choi`."""
     return _PAULI_V.conj().T @ choi @ _PAULI_V / 4.0
-
-
-def chi_of_channel(channel: QubitChannel) -> np.ndarray:
-    return chi_from_choi(channel.choi)
 
 
 def process_fidelity(chi_a: np.ndarray, chi_b: np.ndarray) -> float:
@@ -224,19 +203,13 @@ def _linear_inversion(ops: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return _project_tp(j)
 
 
-def mle_process(records) -> MLEResult:
-    """Iterative MLE of the process matrix from all 18 tomography settings."""
-    seen = {(r.prep, r.basis) for r in records}
-    expected = {(j, b) for j in PREP_LABELS for b in BASES}
-    if seen != expected:
-        raise ValueError(f"missing (prep, basis) settings: {sorted(expected - seen)}")
-    # bright and dark operator and count of every record, in record order
-    ops = _SETTINGS[[r.prep for r in records],
-                    [BASES.index(r.basis) for r in records]].reshape(-1, 4, 4)
-    counts = np.array([(float(r.bright), float(r.shots) - float(r.bright))
-                       for r in records]).reshape(-1)
+def mle_process(table: Counts) -> MLEResult:
+    """Iterative MLE of the process matrix from the (6, 3) count table."""
+    bright, shots = table
+    # the bright and the dark operator and count of every setting, prep-major
+    ops = _SETTINGS.reshape(-1, 4, 4)
+    counts = np.stack([bright, shots - bright], axis=-1).astype(float).reshape(-1)
     total = np.sum(counts)
-    shots = np.repeat([float(r.shots) for r in records], 2)
     choi = _linear_inversion(ops, counts / shots)
     ll = -np.inf
     iterations = 0
@@ -250,7 +223,7 @@ def mle_process(records) -> MLEResult:
             converged = True
             break
         ll = ll_new
-    chi = chi_from_choi(choi)
+    chi = chi_of_channel(choi)
     chi = (chi + chi.conj().T) / 2.0
     p = np.maximum(np.real(np.einsum("kij,ji->k", ops, choi)), 1e-300)
     return MLEResult(chi=chi, choi=choi, iterations=iterations, converged=converged,

@@ -102,6 +102,15 @@ def test_qpt_seed_changes_counts(tmp_path):
                      "--seed", seed]) == 0
         outs.append((out / "counts.csv").read_text())
     assert outs[0] != outs[1]
+    for text in outs:
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        assert lines[0] == "prep,basis,shots,bright"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(int(j), b) for j, b, _, _ in rows] == [
+            (j, b) for j in range(6) for b in ("x", "y", "z")]
+        for _, _, shots, bright in rows:
+            assert int(shots) == 200
+            assert bright.isdigit() and 0 <= int(bright) <= 200
 
 
 def test_rb_command(tmp_path):

@@ -139,3 +139,22 @@ def test_parse_rejects_missing_metadata(tmp_path):
     p.write_text("# eta = 0.0\n0,0,0,0,0\n")
     with pytest.raises(ValueError):
         parse_tones(p)
+
+
+def _negate_omega0(rows):
+    cells = rows[64].split(",")
+    cells[1] = "-" + cells[1]
+    return rows[:64] + [",".join(cells)] + rows[65:]
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (_negate_omega0, "negative tone amplitude"),
+    (lambda rows: rows[:8], "misses omega_max"),     # a file cut after 8 samples
+], ids=["negated_omega0", "truncated"])
+def test_parse_rejects_damaged_samples(tmp_path, damage, reason):
+    path = export_tones(synthesize(named_gate("X"), n_samples=256), tmp_path / "tones.csv")
+    lines = path.read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    path.write_text("\n".join(header + damage(lines[len(header):])) + "\n")
+    with pytest.raises(ValueError, match=reason):
+        parse_tones(path)

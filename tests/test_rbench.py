@@ -148,8 +148,13 @@ def test_config_validation():
                 dict(mode="exact", depolarizing=1.5)):
         with pytest.raises(ValueError):     # depolarizing is exact mode's channel
             RBConfig(**bad)
+    for bad in (dict(epsilon=0.3), dict(gamma_1a=100.0), dict(gamma_0a=10.0)):
+        with pytest.raises(ValueError):     # exact mode ignores the pulse noise
+            RBConfig(mode="exact", noise=NoiseModel(**bad))
     RBConfig(n_samples=1024, steps=256, mode="exact")    # steps unused
     RBConfig(n_samples=128, omega_max=-1.0, mode="exact")
+    RBConfig(mode="exact", noise=NoiseModel(prep_error=0.01, detection_error_bright=0.02,
+                                            detection_error_dark=0.03))    # SPAM is read
 
 
 def test_shared_cache_matches_separate_runs():

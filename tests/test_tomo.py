@@ -5,10 +5,9 @@ from holopulse.engine import NoiseModel
 from holopulse.gates import target_unitary
 from holopulse.pulses import named_gate
 from holopulse.qcore import PAULIS, SX
-from holopulse.tomo import (CountsRecord, QubitChannel, chi_from_choi, chi_of_channel,
-                            exact_records, mle_process, prepare_input,
-                            process_fidelity, propagator_channel, records_to_csv,
-                            simulate_counts, unitary_channel)
+from holopulse.tomo import (BASES, chi_of_channel, exact_records, mle_process,
+                            prepare_input, process_fidelity, propagator_channel,
+                            records_to_csv, simulate_counts, unitary_channel)
 
 
 def check_process_matrix(chi, herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-8, tp_tol=1e-6):
@@ -25,11 +24,12 @@ def check_process_matrix(chi, herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-8, tp_t
 
 def depolarized(u, d):
     """rho -> (1 - d) u rho u^dag + d I/2, from its Choi matrix."""
-    return QubitChannel(choi=(1.0 - d) * unitary_channel(u).choi + d * np.eye(4) / 2.0)
+    return (1.0 - d) * unitary_channel(u) + d * np.eye(4) / 2.0
 
 
-def bright(records):
-    return {(r.prep, r.basis): r.bright for r in records}
+def bright(counts):
+    """The table as {(prep, basis): bright}."""
+    return {(j, b): counts.bright[j, k] for j in range(6) for k, b in enumerate(BASES)}
 
 
 def test_prepared_states():
@@ -84,7 +84,7 @@ def test_choi_chi_round_trip():
     a = np.random.default_rng(5).normal(size=(4, 4, 2)) @ (1.0, 1j)
     chi = a @ a.conj().T / np.trace(a @ a.conj().T)
     vecs = np.array([p.T.reshape(4) for p in PAULIS]).T
-    assert np.allclose(chi_from_choi(vecs @ chi @ vecs.conj().T), chi, atol=1e-12)
+    assert np.allclose(chi_of_channel(vecs @ chi @ vecs.conj().T), chi, atol=1e-12)
 
 
 def test_process_fidelity_metric():
@@ -94,38 +94,32 @@ def test_process_fidelity_metric():
     assert process_fidelity(chi_x, chi_i) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_counts_record_validation():
-    with pytest.raises(ValueError):
-        CountsRecord(prep=7, basis="z", shots=10, bright=5)
-    with pytest.raises(ValueError):
-        CountsRecord(prep=0, basis="w", shots=10, bright=5)
-    with pytest.raises(ValueError):
-        CountsRecord(prep=0, basis="z", shots=10, bright=11)
-
-
 def test_records_csv_round_trip():
-    recs = exact_records(unitary_channel(SX))
-    lines = records_to_csv(recs).splitlines()
+    counts = exact_records(unitary_channel(SX))
+    lines = records_to_csv(counts).splitlines()
     assert lines[0] == "prep,basis,shots,bright"
-    back = [CountsRecord(prep=int(j), basis=b, shots=int(n), bright=float(x))
-            for j, b, n, x in (line.split(",") for line in lines[1:])]
-    assert back == recs
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(j), b) for j, b, _, _ in rows] == [
+        (j, b) for j in range(6) for b in BASES]
+    assert {int(n) for _, _, n, _ in rows} == {counts.shots}
+    back = np.array([float(x) for *_, x in rows]).reshape(6, 3)
+    assert np.array_equal(back, counts.bright)
 
 
 def test_simulate_counts_deterministic():
     ch = unitary_channel(SX)
     a = simulate_counts(ch, NoiseModel(), 500, seed=3)
     b = simulate_counts(ch, NoiseModel(), 500, seed=3)
-    assert a == b
+    assert a.bright.shape == (6, 3) and a.shots == b.shots == 500
+    assert np.array_equal(a.bright, b.bright)
     c = simulate_counts(ch, NoiseModel(), 500, seed=4)
-    assert a != c
+    assert not np.array_equal(a.bright, c.bright)
 
 
 def test_mle_analytic_unitaries():
     for name in ("X", "H", "T"):
         u = target_unitary(named_gate(name))
-        recs = exact_records(unitary_channel(u))
-        res = mle_process(recs)
+        res = mle_process(exact_records(unitary_channel(u)))
         assert res.converged
         ideal = chi_of_channel(unitary_channel(u))
         assert process_fidelity(res.chi, ideal) > 1.0 - 1e-6
@@ -143,25 +137,19 @@ def test_mle_analytic_depolarized():
 
 def test_mle_sampled():
     u = target_unitary(named_gate("X"))
-    recs = simulate_counts(unitary_channel(u), NoiseModel(), 10000, seed=11)
-    res = mle_process(recs)
+    res = mle_process(simulate_counts(unitary_channel(u), NoiseModel(), 10000, seed=11))
     ideal = chi_of_channel(unitary_channel(u))
     assert process_fidelity(res.chi, ideal) > 0.99
-
-
-def test_mle_requires_complete_settings():
-    recs = exact_records(unitary_channel(SX))[:-1]
-    with pytest.raises(ValueError):
-        mle_process(recs)
 
 
 def test_propagator_channel_trace_loss():
     u3 = np.eye(3, dtype=complex)
     # leak 1% of |1> amplitude out of the qubit block
     u3[1, 1] = np.sqrt(0.99)
-    ch = propagator_channel(u3)
+    choi = propagator_channel(u3)
+    assert choi.shape == (4, 4)
     # Tr Lambda(|1><1|) = sum_k J[(1, k), (1, k)]
-    assert np.trace(ch.choi.reshape(2, 2, 2, 2)[1, :, 1, :]).real == pytest.approx(0.99)
-    p = bright(exact_records(ch))
+    assert np.trace(choi.reshape(2, 2, 2, 2)[1, :, 1, :]).real == pytest.approx(0.99)
+    p = bright(exact_records(choi))
     assert p[1, "z"] == pytest.approx(0.0, abs=1e-12)
     assert p[2, "x"] == pytest.approx((1.0 + np.sqrt(0.99)) ** 2 / 4.0)
