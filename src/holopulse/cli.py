@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, sideband
-from .engine import NoiseModel, check_steps, propagate_unitary
+from .engine import DEFAULT_STEPS, NoiseModel, check_steps, propagate_unitary
 from .gates import target_unitary
 from .paths import DYNAMICAL, HOLONOMIC
 from .pulses import OMEGA_MAX_DEFAULT, GateSpec, export_tones, named_gate, synthesize
@@ -185,7 +185,7 @@ def _synth(cfg, seed):
 def _propagate(cfg, seed):
     spec = parse_gate(cfg)
     eps = parse_noise(cfg, {"epsilon"}).epsilon
-    sched, steps = _schedule(cfg, partial(synthesize, spec), 4096, 8192)
+    sched, steps = _schedule(cfg, partial(synthesize, spec), 4096, DEFAULT_STEPS)
 
     def run(writer: OutputWriter):
         res = propagate_unitary(sched, eps, steps)
@@ -202,7 +202,7 @@ def _propagate(cfg, seed):
 def _qpt(cfg, seed):
     spec = parse_gate(cfg)
     noise = parse_noise(cfg, _NOISE_KEYS - {"gamma_1a", "gamma_0a"})
-    sched, steps = _schedule(cfg, partial(synthesize, spec), 4096, 8192)
+    sched, steps = _schedule(cfg, partial(synthesize, spec), 4096, DEFAULT_STEPS)
     analytic = bool(cfg.get("analytic", False))
     if analytic and "shots" in cfg:
         raise ConfigError("'shots' is not read when 'analytic' is true")
@@ -236,19 +236,23 @@ def _qpt(cfg, seed):
     return run
 
 
-def _rb_config(cfg, seed, noise, lengths=(1, 2, 4, 8, 12, 16, 24, 32)) -> RBConfig:
+def _rb_config(cfg, seed, noise, lengths=RBConfig.lengths) -> RBConfig:
+    """The config's RBConfig; a key it omits takes RBConfig's default, and
+    `lengths` the given ones."""
     lengths = cfg.get("lengths", list(lengths))
     if not isinstance(lengths, list):
         raise ConfigError(f"'lengths' must be a list of sequence lengths, got {lengths!r}")
     return RBConfig(
         lengths=tuple(_size(m, "a sequence length", MAX_LENGTH) for m in lengths),
-        n_sequences=_size(cfg.get("sequences", 20), "sequences", MAX_SEQUENCES),
+        n_sequences=_size(cfg.get("sequences", RBConfig.n_sequences), "sequences",
+                          MAX_SEQUENCES),
         shots=None if cfg.get("shots") is None else _size(cfg["shots"], "shots", MAX_SHOTS),
-        seed=seed, noise=noise, eta=float(cfg.get("eta", 0.0)),
-        scheme=cfg.get("scheme", HOLONOMIC),
-        omega_max=float(cfg.get("omega_max", OMEGA_MAX_DEFAULT)),
-        n_samples=_size(cfg.get("n_samples", 1024), "n_samples", MAX_N_SAMPLES),
-        steps=_size(cfg.get("steps", 2048), "steps", MAX_STEPS))
+        seed=seed, noise=noise, eta=float(cfg.get("eta", RBConfig.eta)),
+        scheme=cfg.get("scheme", RBConfig.scheme),
+        omega_max=float(cfg.get("omega_max", RBConfig.omega_max)),
+        n_samples=_size(cfg.get("n_samples", RBConfig.n_samples), "n_samples",
+                        MAX_N_SAMPLES),
+        steps=_size(cfg.get("steps", RBConfig.steps), "steps", MAX_STEPS))
 
 
 def _rb(cfg, seed):
@@ -324,10 +328,10 @@ def _sweep_rows(cfg, seed):
     grid = _sweep_grid(cfg)
     mode = cfg.get("mode", "direct")
     if mode == "rb":    # the grid sets epsilon; RB averages over the Cliffords
+        _object(cfg, _ALLOWED_KEYS["sweep"] - {"gate"} | {"experiment", "seed"},
+                "rb-mode sweep config")
         rb_cfg = _rb_config(cfg, seed, parse_noise(cfg, _NOISE_KEYS - {"epsilon"}),
                             lengths=(1, 2, 4, 8, 12, 16))
-        if "gate" in cfg:   # accepted, and checked, but not read
-            parse_gate(cfg)
     elif mode != "direct":
         raise ConfigError(f"sweep mode must be 'direct' or 'rb', got {mode!r}")
     elif set(cfg) & {"noise", "lengths", "sequences"}:
@@ -385,7 +389,7 @@ def _sideband(cfg, seed):
                                      eta_ld=float(cfg.get("eta_ld", 0.1)))
     sched, steps = _schedule(
         cfg, lambda omega, n: sideband.synthesize_cphase(gamma, omega, eta, n),
-        4096, 8192, omega_key="omega_eff_max")
+        4096, DEFAULT_STEPS, omega_key="omega_eff_max")
 
     def run(writer: OutputWriter):
         report = sideband.verify_full_model(sched, system, steps)
@@ -413,18 +417,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--mode", choices=("direct", "rb"), default=None,
-                        help="sweep fidelity mode override")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, kind_override=args.command)
         if cfg["experiment"] != args.command:
             raise ConfigError(
                 f"config is for {cfg['experiment']!r} but command is {args.command!r}")
-        if args.mode is not None:
-            if args.command != "sweep":
-                raise ConfigError("--mode only applies to the sweep command")
-            cfg["mode"] = args.mode
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")

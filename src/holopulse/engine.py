@@ -13,12 +13,13 @@ s [[0, c], [c*, 0]] has the closed-form exponential
 (`_su2_step`), and a product of two blocks is four elementwise complex
 products (`_ck_product`). Closed-system evolution uses a fourth-order
 commutator-free scheme (`cf4`): per step, two such exponentials of real
-combinations of the coupling at the two Gauss nodes, reduced by one ordered
-pairwise product. Every array carries a trailing batch axis for the scale
-s = 1 + eps: the control law is evaluated once at the Gauss nodes, and a
-whole epsilon grid is propagated in one pass (`propagate_unitary` with an
-array of eps). The steps are made and reduced one fixed-size block at a time
-(`_blockwise`), so memory does not grow with the step count. Every factor
+combinations of the coupling at the two Gauss nodes. Every array carries a
+trailing batch axis for the scale s = 1 + eps: the control law is evaluated
+once at the Gauss nodes, and a whole epsilon grid is propagated in one pass
+(`propagate_unitary` with an array of eps). Both kernels reduce their steps
+with the one pairwise ordered product (`_ordered_product`), whose tree
+`_blockwise` follows to make the steps one block at a time, split at powers
+of two, so memory does not grow with the step count. Every factor
 is exactly unitary, and step-doubling agreement at 1e-9 is reached at the
 default resolution. U2 depends on the path (gamma, eta, scheme) and eps
 only; the qutrit propagator is its embedding |d><d| + E U2 E^dag with
@@ -39,9 +40,9 @@ x = (Re a - 1, Im a, Re b, Im b), so the lift R(U) - I is a quadratic form
 F K in x, with F the 14 non-constant products x_i x_j (x_0 = 1) and K a real
 14 x 81 matrix built once per gate from |b> (`_lift_coefficients`). A batch
 of Strang steps is one real (n x 14) @ (14 x 81) product (`_strang_steps`),
-the Richardson combination one batched real product, and the steps are
-reduced, block by block, by an ordered product of real 9x9 matrices; the
-channel converts back to vec(rho) once, as C^-1 R C.
+the Richardson combination one batched real product, and the same blockwise
+reduction multiplies the real 9x9 steps; the channel converts back to
+vec(rho) once, as C^-1 R C.
 
 The coupling is evaluated from the schedule's continuous-time control law
 (gate spec + duration); the sampled arrays are the export artifact.
@@ -159,23 +160,28 @@ def _su2_step(c: np.ndarray, dt: float, scale=1.0):
     return a, np.sin(theta, out=theta) * phase
 
 
-def _ck_product(a2, b2, a1, b1):
-    """(a, b) of U2 U1 for Cayley-Klein pairs: four elementwise complex products."""
+def _ck_product(later, earlier):
+    """(a, b) of U2 U1 for Cayley-Klein pairs later = (a2, b2), earlier = (a1, b1)."""
+    (a2, b2), (a1, b1) = later, earlier
     return a2 * a1 - b2 * np.conj(b1), a2 * b1 + b2 * np.conj(a1)
 
 
-def _ordered_product(a: np.ndarray, b: np.ndarray):
-    """(a, b) of U[-1] ... U[0] over the leading axis, by pairwise reduction;
-    any trailing axes are a batch."""
-    while a.shape[0] > 1:
-        n = a.shape[0]
-        pa, pb = _ck_product(a[1:n - n % 2:2], b[1:n - n % 2:2],
-                             a[0:n - n % 2:2], b[0:n - n % 2:2])
+def _ordered_product(steps: tuple, product: Callable[[tuple, tuple], tuple]) -> tuple:
+    """Ordered product steps[-1] ... steps[0] over the leading axis by pairwise
+    reduction, kept as an axis of length one so that a product of two results
+    is an array product too (numpy scalars round differently). `steps` is a
+    tuple of stacked factors, (a, b) closed or (m,) open, `product(later,
+    earlier)` multiplies two such tuples, and trailing axes are a batch."""
+    while steps[0].shape[0] > 1:
+        n = steps[0].shape[0]
+        even = n - n % 2
+        paired = product(tuple(s[1:even:2] for s in steps),
+                         tuple(s[0:even:2] for s in steps))
         if n % 2:
-            pa = np.concatenate([pa, a[-1:]], axis=0)
-            pb = np.concatenate([pb, b[-1:]], axis=0)
-        a, b = pa, pb
-    return a[0], b[0]
+            paired = tuple(np.concatenate([p, s[-1:]], axis=0)
+                           for p, s in zip(paired, steps))
+        steps = paired
+    return steps
 
 
 def _embed(spec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,18 +195,6 @@ def _embed(spec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = np.stack([a - 1.0, b, -np.conj(b), np.conj(a) - 1.0], axis=-1)
     u = x @ np.kron(e, e.conj()).T + np.eye(3).reshape(-1)
     return u.reshape(np.shape(a) + (3, 3))
-
-
-def _chron_product(mats: np.ndarray) -> np.ndarray:
-    """Ordered product mats[-1] @ ... @ mats[0] via pairwise reduction."""
-    while mats.shape[0] > 1:
-        n = mats.shape[0]
-        paired = mats[1:n - n % 2:2] @ mats[0:n - n % 2:2]
-        if n % 2:
-            mats = np.concatenate([paired, mats[-1:]], axis=0)
-        else:
-            mats = paired
-    return mats[0]
 
 
 def _cf4_steps(coupling: Callable[[np.ndarray], np.ndarray], t0: float,
@@ -224,34 +218,25 @@ def _cf4_steps(coupling: Callable[[np.ndarray], np.ndarray], t0: float,
     a1, a2 = _CF4_A
     first = _su2_step(a1 * c1 + a2 * c2, h, scale)   # acts first
     second = _su2_step(a2 * c1 + a1 * c2, h, scale)
-    return _ck_product(*second, *first)
+    return _ck_product(second, first)
 
 
-def _blockwise(block: Callable[[int, int], object], steps: int, size: int,
-               product: Callable[[object, object], object]):
-    """Ordered product of `block(start, stop)` over consecutive blocks of at
-    most `size` of the `steps` steps; `product(later, earlier)` multiplies two
-    partial products.
+def _blockwise(make_steps: Callable[[int, int], tuple], start: int, stop: int,
+               size: int, product: Callable[[tuple, tuple], tuple]) -> tuple:
+    """`_ordered_product` of the steps `make_steps(start, stop)` with at most
+    `size` steps made at a time.
 
-    Only one block's steps exist at a time. Block products are merged
-    pairwise as they arrive: a partial product is merged with the one before
-    it whenever both cover the same number of blocks, so at most
-    log2(blocks) + 1 partials are held. With `size` a power of two and
-    `block` a pairwise reduction, the product tree is that of one pairwise
-    reduction over all steps; a single block is returned as
-    `block(0, steps)` made it.
+    A range longer than `size` is split at the largest power of two below
+    its length, the root of the pairwise reduction's own tree. With `size` a
+    power of two the blocks form the tree of one reduction over the whole
+    range, and its arithmetic too unless a factor array exceeds 256 KiB,
+    where numpy multiplies a temporary in place, operands swapped.
     """
-    partials = []       # (blocks covered, product), counts strictly decreasing
-    for start in range(0, steps, size):
-        count, value = 1, block(start, min(start + size, steps))
-        while partials and partials[-1][0] == count:
-            covered, earlier = partials.pop()
-            count, value = count + covered, product(value, earlier)
-        partials.append((count, value))
-    value = partials.pop()[1]
-    while partials:
-        value = product(value, partials.pop()[1])
-    return value
+    if stop - start <= size:
+        return _ordered_product(make_steps(start, stop), product)
+    half = 1 << ((stop - start - 1).bit_length() - 1)
+    return product(_blockwise(make_steps, start + half, stop, size, product),
+                   _blockwise(make_steps, start, start + half, size, product))
 
 
 def cf4(coupling: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
@@ -261,10 +246,9 @@ def cf4(coupling: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
     made and reduced at most `_CLOSED_BLOCK` (steps x scales) elements at a
     time, in blocks of a power of two steps (see `_blockwise`)."""
     size = 1 << (max(1, _CLOSED_BLOCK // np.size(scale)).bit_length() - 1)
-    return _blockwise(
-        lambda start, stop: _ordered_product(
-            *_cf4_steps(coupling, t0, t1, steps, scale, start, stop)),
-        steps, size, lambda later, earlier: _ck_product(*later, *earlier))
+    a, b = _blockwise(partial(_cf4_steps, coupling, t0, t1, steps, scale),
+                      0, steps, size, _ck_product)
+    return a[0], b[0]
 
 
 def check_steps(steps: int, n_samples: int):
@@ -405,12 +389,13 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
         a, b = _cf4_steps(coupling, 0.0, schedule.duration, 2 * steps,
                           1.0 + noise.epsilon, 2 * start, 2 * stop)
         half = _strang_steps(coef, a, b, rates, 0.25 * h)
-        full = _strang_steps(coef, *_ck_product(a[1::2], b[1::2], a[0::2], b[0::2]),
+        full = _strang_steps(coef, *_ck_product((a[1::2], b[1::2]), (a[0::2], b[0::2])),
                              rates, 0.5 * h)
-        return _chron_product((4.0 * (half[1::2] @ half[0::2]) - full) / 3.0)
+        return ((4.0 * (half[1::2] @ half[0::2]) - full) / 3.0,)
 
-    real = _blockwise(block, steps, _OPEN_BLOCK, np.matmul)
-    return _FROM_REAL @ real @ _TO_REAL
+    real, = _blockwise(block, 0, steps, _OPEN_BLOCK,
+                       lambda later, earlier: (later[0] @ earlier[0],))
+    return _FROM_REAL @ real[0] @ _TO_REAL
 
 
 def trace_defect(superop: np.ndarray) -> float:

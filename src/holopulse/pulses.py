@@ -121,6 +121,13 @@ class PulseSchedule:
             ratio = self.omega0[live] / self.omega1[live]
             if np.max(np.abs(ratio - np.tan(self.spec.theta / 2.0))) > 1e-9:
                 raise ValueError("tone amplitude ratio drifts from tan(theta/2)")
+        duration = compute_duration(self.spec, self.omega_max)
+        if not math.isclose(self.duration, duration, rel_tol=1e-12):
+            raise ValueError(f"duration {self.duration} is not the {duration} s "
+                             f"that omega_max and eta fix")
+        grid = np.linspace(0.0, self.duration, n + 1)
+        if np.max(np.abs(self.times - grid)) > 1e-12 * self.duration:
+            raise ValueError("sample times are not the uniform grid over [0, duration]")
 
 
 def _envelope_factor(s, eta):
@@ -210,7 +217,8 @@ def export_tones(schedule: PulseSchedule, path) -> Path:
 
 def parse_tones(path) -> PulseSchedule:
     """Read a tone-descriptor file back into a PulseSchedule; raises if it
-    breaks a schedule invariant (`PulseSchedule.validate`)."""
+    breaks a schedule invariant (`PulseSchedule.validate`) or if its
+    sample_rate_hz is not n_samples / duration_s."""
     meta = {}
     rows = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
@@ -239,4 +247,8 @@ def parse_tones(path) -> PulseSchedule:
         omega_max=float(meta["omega_max_rad_s"]),
         tone0_hz=float(meta["tone0_hz"]), tone1_hz=float(meta["tone1_hz"]))
     schedule.validate()
+    rate = float(meta["sample_rate_hz"])
+    if not math.isclose(rate, schedule.sample_rate, rel_tol=1e-12):
+        raise ValueError(f"sample_rate_hz {rate} is not n_samples / duration_s "
+                         f"= {schedule.sample_rate}")
     return schedule

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import cf4
+from .engine import DEFAULT_STEPS, cf4
 from .paths import controls_arrays
 from .pulses import GateSpec, PulseSchedule, synthesize
 
@@ -81,7 +81,7 @@ def synthesize_cphase(gamma: float, omega_eff_max: float, eta: float,
 
 
 def verify_full_model(schedule: PulseSchedule, sys: SidebandSystem,
-                      steps: int = 8192) -> SidebandReport:
+                      steps: int = DEFAULT_STEPS) -> SidebandReport:
     """Propagate the anti-JC ladder block of |1,1> and score it against the target.
 
     The block {|1,1>, |a,0>} has <1,1|H|a,0> = i * Omega_r * eta_ld *

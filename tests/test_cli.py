@@ -152,7 +152,7 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("rb", {"interleaved": "Q"}),
     ("synth", {"gate": "Q"}),
     ("rb", {"gate": "X"}),
-    ("sweep", {"mode": "rb", "gate": "X", "lengths": [1, 2]}),
+    ("sweep", {"mode": "rb", "lengths": [1, 2]}),
     # steps below the schedule resolution, or none at all
     ("propagate", {"gate": "X", "n_samples": 1024, "steps": 256}),
     ("qpt", {"gate": "X", "n_samples": 1024, "steps": 256}),
@@ -182,7 +182,7 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("qpt", {"gate": "X", "seed": -1}),
     ("rb", {"scheme": "bogus"}),
     ("rb", {"scheme": "dynamical", "eta": 1.0}),
-    ("sweep", {"gate": "X", "mode": "rb", "schemes": [
+    ("sweep", {"mode": "rb", "schemes": [
         {"scheme": "holonomic"}, {"scheme": "dynamical", "eta": 1.0}]}),
     # keys the command does not read
     ("synth", {"gate": "X", "steps": 512}),
@@ -193,12 +193,12 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("sweep", {"gate": "X", "noise": {"epsilon": 0.1}}),
     ("sweep", {"gate": "X", "lengths": [1, 2, 4]}),
     ("sweep", {"gate": "X", "sequences": 5}),
-    ("sweep", {"gate": "X", "mode": "rb", "noise": {"epsilon": 0.1}}),
+    ("sweep", {"mode": "rb", "noise": {"epsilon": 0.1}}),
     ("propagate", {"gate": "X", "noise": {"gamma_1a": 100.0}}),
     ("propagate", {"gate": "X", "noise": {"prep_error": 0.01}}),
     ("qpt", {"gate": "X", "noise": {"gamma_0a": 10.0}}),
     ("qpt", {"gate": "X", "analytic": True, "shots": 100}),
-    # a direct sweep needs its gate; an rb-mode sweep checks one it is given
+    # a direct sweep needs its gate; an rb-mode sweep reads none
     ("sweep", {}),
     ("sweep", {"mode": "rb", "gate": "Q"}),
     # a direct sweep takes eta and scheme from 'schemes', never from its gate
@@ -233,6 +233,7 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("propagate", {"gate": "X", "noise": {"epsilon": float("nan")}}),
     ("sweep", {"gate": "X", "epsilon_grid": [float("nan")]}),
     ("sweep", {"gate": "X", "epsilon_grid": {"max": float("nan")}}),
+    ("sweep", {"mode": "rb", "gate": "X"}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})
@@ -246,7 +247,7 @@ def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
 @pytest.mark.parametrize("command, seed, extra", [
     # at seed 4 the reference curve at epsilon = 0.05 fits p = 1.00006
     ("rb", "4", {"noise": {"epsilon": 0.05}}),
-    ("sweep", "4", {"mode": "rb", "gate": "X", "epsilon_grid": [0.05]}),
+    ("sweep", "4", {"mode": "rb", "epsilon_grid": [0.05]}),
     # at seed 0 the fit reaches curve_fit's maxfev
     ("rb", "0", {"noise": {"epsilon": 0.01}, "sequences": 2, "shots": 100}),
 ])
@@ -307,15 +308,25 @@ def test_direct_sweep_unconverged_point_exits_3(tmp_path):
 def test_rb_sweep_does_not_need_a_gate(tmp_path):
     base = {"experiment": "sweep", "mode": "rb", "lengths": [1, 2, 4], "sequences": 3,
             "n_samples": 256, "steps": 512, "epsilon_grid": [0.02]}
-    outs = []
-    for name, cfg in (("a", base), ("b", dict(base, gate="X"))):
-        out = tmp_path / name
-        assert main(["sweep", "--config", _write(tmp_path, f"{name}.json", cfg),
-                     "--out", str(out), "--seed", "1"]) == 0
-        rows = _table(out / "sweep.csv")
-        assert list(rows[0]) == ["epsilon", "scheme", "infidelity_mean", "infidelity_std"]
-        outs.append(rows)
-    assert outs[0] == outs[1]
+    out = tmp_path / "a"
+    assert main(["sweep", "--config", _write(tmp_path, "a.json", base),
+                 "--out", str(out), "--seed", "1"]) == 0
+    rows = _table(out / "sweep.csv")
+    assert list(rows[0]) == ["epsilon", "scheme", "infidelity_mean", "infidelity_std"]
+    # an rb-mode sweep reads no gate, so it rejects one
+    out = tmp_path / "b"
+    assert main(["sweep", "--config", _write(tmp_path, "b.json", dict(base, gate="X")),
+                 "--out", str(out), "--seed", "1"]) == 2
+    assert not out.exists()
+
+
+def test_sweep_mode_is_set_in_the_config_alone(tmp_path):
+    cfg = _write(tmp_path, "c.json", {"experiment": "sweep", "gate": "X"})
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg, "--mode", "rb", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 _WITHOUT_SCIPY = """

@@ -335,14 +335,19 @@ def _pairwise(factors):
     return factors[0]
 
 
+_join = np.frompyfunc(lambda later, earlier: f"({later} {earlier})", 2, 1)
+
+
 def test_blocks_of_a_power_of_two_keep_the_pairwise_tree():
+    def labels(start, stop):
+        return (np.array([str(k) for k in range(start, stop)], dtype=object),)
+
     for steps in range(1, 70):
         whole = _pairwise([str(k) for k in range(steps)])
         for size in (1, 2, 4, 8, 64):
-            blocked = _blockwise(
-                lambda start, stop: _pairwise([str(k) for k in range(start, stop)]),
-                steps, size, lambda later, earlier: f"({later} {earlier})")
-            assert blocked == whole, (steps, size)
+            blocked, = _blockwise(labels, 0, steps, size,
+                                  lambda later, earlier: (_join(later[0], earlier[0]),))
+            assert blocked.tolist() == [whole], (steps, size)
 
 
 def test_multi_block_kernels_match_one_block(monkeypatch):
@@ -360,6 +365,25 @@ def test_multi_block_kernels_match_one_block(monkeypatch):
     many_scalar = propagate_unitary(sched, 0.1, steps, check=False).unitary
     assert np.max(np.abs(many_scalar - one_scalar)) <= 1e-13
     assert np.max(np.abs(open_superoperator(sched, noise, steps) - one_open)) <= 1e-13
+
+
+def test_power_of_two_blocks_are_bitwise_one_block(monkeypatch):
+    # No batch: at 2050 steps one block of 21 points holds arrays over
+    # 256 KiB, whose products numpy rounds differently (see `_blockwise`); the
+    # 21-point batch moves by about 5e-16.
+    sched = _sched("H", eta=0.5)
+    noise = NoiseModel(epsilon=0.05, gamma_1a=300.0, gamma_0a=100.0)
+    steps = 2050                        # the last block is partial
+
+    def kernels():
+        return (propagate_unitary(sched, 0.1, steps, check=False).unitary,
+                open_superoperator(sched, noise, steps))
+
+    one = kernels()
+    monkeypatch.setattr(engine, "_CLOSED_BLOCK", 64)     # 64-step blocks
+    monkeypatch.setattr(engine, "_OPEN_BLOCK", 64)
+    for blocked, whole in zip(kernels(), one):
+        assert np.array_equal(blocked, whole)
 
 
 def _peak_mb(run):

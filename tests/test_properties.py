@@ -117,7 +117,7 @@ def _complex_channel(sched, noise, steps):
     a, b = _cf4_steps(partial(_coupling, sched), 0.0, sched.duration, 2 * steps,
                       1.0 + noise.epsilon)
     half = _embed(sched.spec, a, b)
-    whole = _embed(sched.spec, *_ck_product(a[1::2], b[1::2], a[0::2], b[0::2]))
+    whole = _embed(sched.spec, *_ck_product((a[1::2], b[1::2]), (a[0::2], b[0::2])))
     h = sched.duration / steps
     rates = _dephasing_rates(noise)
     quarter, halved = np.diag(np.exp(0.25 * h * rates)), np.diag(np.exp(0.5 * h * rates))

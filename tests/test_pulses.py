@@ -147,14 +147,38 @@ def _negate_omega0(rows):
     return rows[:64] + [",".join(cells)] + rows[65:]
 
 
+def _time_column(change):
+    """Damage that replaces the t_s column ts by change(ts)."""
+    def damage(header, rows):
+        times = change([row.split(",")[0] for row in rows])
+        return header, [",".join([t] + row.split(",")[1:]) for t, row in zip(times, rows)]
+    return damage
+
+
+def _header_value(key, change):
+    """Damage that replaces the value v of header line `key` by change(v)."""
+    prefix = f"# {key} = "
+
+    def damage(header, rows):
+        return [prefix + change(line[len(prefix):]) if line.startswith(prefix) else line
+                for line in header], rows
+    return damage
+
+
 @pytest.mark.parametrize("damage, reason", [
-    (_negate_omega0, "negative tone amplitude"),
-    (lambda rows: rows[:8], "misses omega_max"),     # a file cut after 8 samples
-], ids=["negated_omega0", "truncated"])
+    (lambda header, rows: (header, _negate_omega0(rows)), "negative tone amplitude"),
+    (lambda header, rows: (header, rows[:8]), "misses omega_max"),   # cut after 8 samples
+    (_time_column(lambda ts: ["0"] * len(ts)), "sample times"),
+    (_time_column(lambda ts: ts[::-1]), "sample times"),
+    (_header_value("sample_rate_hz", lambda v: "9" + v), "sample_rate_hz"),
+    (_header_value("duration_s", lambda v: repr(2.0 * float(v))), "omega_max and eta fix"),
+], ids=["negated_omega0", "truncated", "zero_times", "reversed_times",
+        "sample_rate_digit", "doubled_duration"])
 def test_parse_rejects_damaged_samples(tmp_path, damage, reason):
     path = export_tones(synthesize(named_gate("X"), n_samples=256), tmp_path / "tones.csv")
     lines = path.read_text().splitlines()
     header = [line for line in lines if line.startswith("#")]
-    path.write_text("\n".join(header + damage(lines[len(header):])) + "\n")
+    header, rows = damage(header, lines[len(header):])
+    path.write_text("\n".join(header + rows) + "\n")
     with pytest.raises(ValueError, match=reason):
         parse_tones(path)
