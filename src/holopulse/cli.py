@@ -1,9 +1,10 @@
 """Config-driven command-line runner.
 
-Subcommands: synth | propagate | qpt | rb | sweep | sideband | export-awg.
-Each takes a JSON config file, an optional seed override, and an output
-directory. A command accepts only the config keys it reads, and parses the
-whole config before it creates the output directory. Every output file
+Subcommands: synth | propagate | qpt | rb | sweep | sideband. Each takes a
+JSON config file, an optional seed override, and an output directory. A
+command accepts exactly the config keys its parse reads, and parses the whole
+config before it creates the output directory; omega_max is read by synth
+and by rb or an rb-mode sweep under dephasing. Every output file
 starts with header lines echoing the full effective config, except
 tones.csv, which carries the tone-descriptor header that
 `pulses.parse_tones` reads; a manifest.txt lists the files written, so runs
@@ -33,19 +34,6 @@ from .tomo import (chi_of_channel, exact_records, mle_process,
                    process_fidelity, propagator_channel, records_to_csv,
                    simulate_counts, unitary_channel)
 
-_ALLOWED_KEYS = {
-    "synth": {"gate", "omega_max", "n_samples"},
-    "export-awg": {"gate", "omega_max", "n_samples"},
-    "propagate": {"gate", "omega_max", "n_samples", "steps", "noise"},
-    "qpt": {"gate", "omega_max", "n_samples", "steps", "noise", "shots", "analytic"},
-    "rb": {"omega_max", "n_samples", "steps", "noise", "lengths", "sequences", "shots",
-           "interleaved", "eta", "scheme"},
-    "sweep": {"gate", "omega_max", "n_samples", "steps", "noise", "epsilon_grid",
-              "schemes", "mode", "lengths", "sequences"},
-    "sideband": {"gamma", "eta", "omega_eff_max", "n_max", "eta_ld", "n_samples", "steps"},
-}
-_NOISE_KEYS = {"epsilon", "gamma_1a", "gamma_0a", "prep_error",
-               "detection_error_bright", "detection_error_dark"}
 # Upper bounds on the sizes a config may ask for, checked at parse time. A
 # larger value overflows (shots) or asks for a run of no practical length.
 # None of them sizes a propagation's memory: the propagators make and reduce
@@ -58,82 +46,101 @@ MAX_SHOTS = 10 ** 9
 MAX_SEQUENCES = 10 ** 4
 MAX_LENGTH = 10 ** 4
 MAX_GRID_POINTS = 10 ** 4
+_SPAM = ("prep_error", "detection_error_bright", "detection_error_dark")
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _object(raw, allowed, what) -> dict:
-    """`raw` as a JSON object whose keys all lie in `allowed`."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {what} fields {sorted(unknown)}; "
-                          f"accepted: {sorted(allowed)}")
-    return raw
+class _Object(dict):
+    """A JSON object whose check() rejects each key not read through get or []."""
+
+    def __init__(self, raw, what):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{what} must be a JSON object")
+        super().__init__(raw)
+        self.what, self.read = what, set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        if key not in self:
+            raise ConfigError(f"{self.what} object missing field {key!r}")
+        return super().__getitem__(key)
+
+    def check(self):
+        unknown = set(self) - self.read
+        if unknown:
+            raise ConfigError(f"unknown {self.what} fields {sorted(unknown)}; "
+                              f"this run reads {sorted(self.read)}")
 
 
-def _size(value, name, bound) -> int:
-    """`value` as an int no larger than `bound`."""
+def _size(value, name, bound=np.inf) -> int:
+    """`value` as an int no larger than `bound`: no JSON boolean, no fraction."""
     size = int(value)
+    if isinstance(value, bool) or size != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if size > bound:
         raise ConfigError(f"{name} must be <= {bound}, got {value!r}")
     return size
 
 
-def load_config(path, kind_override=None) -> dict:
+def load_config(path, kind_override=None) -> _Object:
+    """The config at `path`; main checks its keys after the command's parse."""
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = _Object(json.loads(Path(path).read_text(encoding="utf-8")), "config root")
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
     kind = cfg.get("experiment", kind_override)
     if kind is None:
         raise ConfigError("config field 'experiment' is required")
-    if kind not in _ALLOWED_KEYS:
+    if kind not in _COMMANDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; "
-                          f"expected one of {sorted(_ALLOWED_KEYS)}")
-    _object(cfg, _ALLOWED_KEYS[kind] | {"experiment", "seed"}, f"{kind!r} config")
-    cfg["experiment"] = kind
+                          f"expected one of {sorted(_COMMANDS)}")
+    cfg["experiment"], cfg.what = kind, f"{kind!r} config"
     return cfg
 
 
-def parse_gate(cfg, key="gate") -> GateSpec:
+def parse_gate(cfg, key="gate", eta=0.0, angles_only=False) -> GateSpec:
+    """The gate at `key`: a name, at `eta`, or an object. An object reads its
+    own eta and scheme; with `angles_only` it reads neither and is holonomic at `eta`."""
     raw = cfg.get(key)
     if raw is None:
         raise ConfigError(f"config field '{key}' is required")
-    if isinstance(raw, str):
-        raw = {"name": raw, "eta": cfg.get("eta", 0.0)}
-    raw = _object(raw, {"name", "theta", "phi", "gamma", "eta", "scheme"}, "gate")
-    try:
-        eta = float(raw.get("eta", 0.0))
-        scheme = raw.get("scheme", HOLONOMIC)
-        if "name" in raw:
-            return named_gate(raw["name"], eta=eta, scheme=scheme)
-        if scheme == DYNAMICAL:
-            return GateSpec.dynamical(float(raw["theta"]), float(raw["phi"]), eta)
-        return GateSpec(theta=float(raw["theta"]), phi=float(raw["phi"]),
-                        gamma=float(raw["gamma"]), eta=eta, scheme=scheme)
-    except KeyError as exc:
-        raise ConfigError(f"gate object missing field {exc}")
+    named, scheme = isinstance(raw, str), HOLONOMIC
+    gate = _Object({"name": raw} if named else raw, "gate")
+    if not (named or angles_only):
+        eta, scheme = float(gate.get("eta", 0.0)), gate.get("scheme", HOLONOMIC)
+    if "name" in gate:
+        spec = named_gate(gate["name"], eta=eta, scheme=scheme)
+    elif scheme == DYNAMICAL:
+        spec = GateSpec.dynamical(float(gate["theta"]), float(gate["phi"]), eta)
+    else:
+        spec = GateSpec(theta=float(gate["theta"]), phi=float(gate["phi"]),
+                        gamma=float(gate["gamma"]), eta=eta, scheme=scheme)
+    gate.check()
+    return spec
 
 
-def parse_noise(cfg, fields=_NOISE_KEYS) -> NoiseModel:
+def parse_noise(cfg, fields=tuple(NoiseModel.__dataclass_fields__)) -> NoiseModel:
     """The config's noise model; `fields` are the ones the command models."""
-    raw = _object(cfg.get("noise", {}), fields, "noise")
+    noise = _Object(cfg.get("noise", {}), "noise")
     try:
-        return NoiseModel(**{k: float(v) for k, v in raw.items()})
+        model = NoiseModel(**{k: float(noise[k]) for k in fields if k in noise})
     except ValueError as exc:
         raise ConfigError(f"invalid noise model: {exc}")
+    noise.check()
+    return model
 
 
-def _schedule(cfg, synth, n_samples, steps=None, omega_key="omega_max"):
-    """(synth(omega_max, n_samples), steps through the steps guard, or None)."""
-    sched = synth(float(cfg.get(omega_key, OMEGA_MAX_DEFAULT)),
-                  _size(cfg.get("n_samples", n_samples), "n_samples", MAX_N_SAMPLES))
+def _schedule(cfg, synth, n_samples, steps=None):
+    """(synth(n_samples), steps through the steps guard, or None)."""
+    sched = synth(n_samples=_size(cfg.get("n_samples", n_samples), "n_samples",
+                                  MAX_N_SAMPLES))
     if steps is not None:
         steps = _size(cfg.get("steps", steps), "steps", MAX_STEPS)
         check_steps(steps, sched.n_samples)
@@ -142,9 +149,7 @@ def _schedule(cfg, synth, n_samples, steps=None, omega_key="omega_max"):
 
 def _header(cfg: dict, seed) -> str:
     lines = [f"# artifact_version = {__version__}"]
-    flat = dict(cfg)
-    if seed is not None:
-        flat["seed"] = seed
+    flat = dict(cfg, seed=seed)
     for key in sorted(flat):
         lines.append(f"# {key} = {json.dumps(flat[key], sort_keys=True)}")
     return "\n".join(lines) + "\n"
@@ -171,7 +176,8 @@ class OutputWriter:
 # Each command parses its config and returns run(writer) -> exit status.
 
 def _synth(cfg, seed):
-    sched, _ = _schedule(cfg, partial(synthesize, parse_gate(cfg)), 4096)
+    omega_max = float(cfg.get("omega_max", OMEGA_MAX_DEFAULT))
+    sched, _ = _schedule(cfg, partial(synthesize, parse_gate(cfg), omega_max), 4096)
 
     def run(writer: OutputWriter):
         export_tones(sched, writer.out_dir / "tones.csv")
@@ -184,7 +190,7 @@ def _synth(cfg, seed):
 
 def _propagate(cfg, seed):
     spec = parse_gate(cfg)
-    eps = parse_noise(cfg, {"epsilon"}).epsilon
+    eps = parse_noise(cfg, ("epsilon",)).epsilon
     sched, steps = _schedule(cfg, partial(synthesize, spec), 4096, DEFAULT_STEPS)
 
     def run(writer: OutputWriter):
@@ -201,11 +207,11 @@ def _propagate(cfg, seed):
 
 def _qpt(cfg, seed):
     spec = parse_gate(cfg)
-    noise = parse_noise(cfg, _NOISE_KEYS - {"gamma_1a", "gamma_0a"})
+    noise = parse_noise(cfg, ("epsilon",) + _SPAM)
     sched, steps = _schedule(cfg, partial(synthesize, spec), 4096, DEFAULT_STEPS)
-    analytic = bool(cfg.get("analytic", False))
-    if analytic and "shots" in cfg:
-        raise ConfigError("'shots' is not read when 'analytic' is true")
+    analytic = cfg.get("analytic", False)
+    if not isinstance(analytic, bool):
+        raise ConfigError(f"'analytic' must be true or false, got {analytic!r}")
     shots = None if analytic else _size(cfg.get("shots", 10000), "shots", MAX_SHOTS)
     if shots is not None and shots < 1:
         raise ConfigError(f"shots must be >= 1, got {shots}")
@@ -236,29 +242,32 @@ def _qpt(cfg, seed):
     return run
 
 
-def _rb_config(cfg, seed, noise, lengths=RBConfig.lengths) -> RBConfig:
-    """The config's RBConfig; a key it omits takes RBConfig's default, and
-    `lengths` the given ones."""
+def _rb_config(cfg, seed, noise, lengths=RBConfig.lengths, **fields) -> RBConfig:
+    """The config's RBConfig with `fields`; a key it omits takes RBConfig's
+    default, and `lengths` the given ones. omega_max is read under dephasing
+    alone: the closed dynamics are invariant under t -> omega_max t."""
     lengths = cfg.get("lengths", list(lengths))
     if not isinstance(lengths, list):
         raise ConfigError(f"'lengths' must be a list of sequence lengths, got {lengths!r}")
+    if noise.gamma_1a > 0.0 or noise.gamma_0a > 0.0:
+        fields["omega_max"] = float(cfg.get("omega_max", RBConfig.omega_max))
     return RBConfig(
         lengths=tuple(_size(m, "a sequence length", MAX_LENGTH) for m in lengths),
         n_sequences=_size(cfg.get("sequences", RBConfig.n_sequences), "sequences",
                           MAX_SEQUENCES),
-        shots=None if cfg.get("shots") is None else _size(cfg["shots"], "shots", MAX_SHOTS),
-        seed=seed, noise=noise, eta=float(cfg.get("eta", RBConfig.eta)),
-        scheme=cfg.get("scheme", RBConfig.scheme),
-        omega_max=float(cfg.get("omega_max", RBConfig.omega_max)),
+        seed=seed, noise=noise,
         n_samples=_size(cfg.get("n_samples", RBConfig.n_samples), "n_samples",
                         MAX_N_SAMPLES),
-        steps=_size(cfg.get("steps", RBConfig.steps), "steps", MAX_STEPS))
+        steps=_size(cfg.get("steps", RBConfig.steps), "steps", MAX_STEPS), **fields)
 
 
 def _rb(cfg, seed):
-    ref_cfg = _rb_config(cfg, seed, parse_noise(cfg))
+    eta, shots = float(cfg.get("eta", RBConfig.eta)), cfg.get("shots")
+    ref_cfg = _rb_config(cfg, seed, parse_noise(cfg), eta=eta,
+                         scheme=cfg.get("scheme", RBConfig.scheme),
+                         shots=None if shots is None else _size(shots, "shots", MAX_SHOTS))
     int_cfg = (None if cfg.get("interleaved") is None
-               else replace(ref_cfg, interleaved=parse_gate(cfg, key="interleaved")))
+               else replace(ref_cfg, interleaved=parse_gate(cfg, "interleaved", eta)))
 
     def run(writer: OutputWriter):
         cache = GateCache()     # the interleaved run reuses the reference Cliffords
@@ -278,11 +287,12 @@ def _parse_sweep_schemes(cfg):
                               {"scheme": HOLONOMIC, "eta": 1.0}])
     out = []
     for item in raw:
-        item = _object(item, {"scheme", "eta"}, "sweep scheme")
+        item = _Object(item, "sweep scheme")
         scheme = item.get("scheme", HOLONOMIC)
         if scheme not in (HOLONOMIC, DYNAMICAL):
             raise ConfigError(f"unknown scheme {scheme!r}")
         out.append((scheme, float(item.get("eta", 0.0))))
+        item.check()
     if not 2 <= len(out) <= 3:
         raise ConfigError("sweep needs two or three schemes")
     return out
@@ -293,10 +303,11 @@ def _sweep_grid(cfg):
     if isinstance(raw, list):
         grid = np.asarray([float(x) for x in raw])
     else:
-        raw = _object(raw, {"min", "max", "points"}, "epsilon_grid")
+        raw = _Object(raw, "epsilon_grid")
         grid = np.linspace(float(raw.get("min", -0.2)), float(raw.get("max", 0.2)),
                            _size(raw.get("points", 41), "epsilon_grid points",
                                  MAX_GRID_POINTS))
+        raw.check()
     if grid.size == 0:
         raise ConfigError("epsilon grid is empty")
     if not np.all(np.abs(grid) <= 0.5):
@@ -328,29 +339,19 @@ def _sweep_rows(cfg, seed):
     grid = _sweep_grid(cfg)
     mode = cfg.get("mode", "direct")
     if mode == "rb":    # the grid sets epsilon; RB averages over the Cliffords
-        _object(cfg, _ALLOWED_KEYS["sweep"] - {"gate"} | {"experiment", "seed"},
-                "rb-mode sweep config")
-        rb_cfg = _rb_config(cfg, seed, parse_noise(cfg, _NOISE_KEYS - {"epsilon"}),
+        rb_cfg = _rb_config(cfg, seed, parse_noise(cfg, ("gamma_1a", "gamma_0a") + _SPAM),
                             lengths=(1, 2, 4, 8, 12, 16))
     elif mode != "direct":
         raise ConfigError(f"sweep mode must be 'direct' or 'rb', got {mode!r}")
-    elif set(cfg) & {"noise", "lengths", "sequences"}:
-        raise ConfigError("a direct sweep reads none of 'noise', 'lengths', 'sequences'")
-    elif isinstance(cfg.get("gate"), dict) and {"eta", "scheme"} & set(cfg["gate"]):
-        raise ConfigError("a direct sweep reads only theta, phi and gamma of its gate; "
-                          "set 'eta' and 'scheme' in 'schemes'")
-    else:
-        base = parse_gate(cfg)
+    else:               # 'schemes' sets eta and scheme
+        base = parse_gate(cfg, angles_only=True)
     points = []
     for scheme, eta in _parse_sweep_schemes(cfg):
         if mode == "rb":
             point = partial(_rb_points, replace(rb_cfg, eta=eta, scheme=scheme))
         else:
-            if scheme == DYNAMICAL:
-                spec = GateSpec.dynamical(base.theta, base.phi, eta)
-            else:
-                spec = GateSpec(theta=base.theta, phi=base.phi, gamma=base.gamma,
-                                eta=eta, scheme=scheme)
+            spec = (GateSpec.dynamical(base.theta, base.phi, eta) if scheme == DYNAMICAL
+                    else replace(base, eta=eta))
             sched, steps = _schedule(cfg, partial(synthesize, spec), 1024, 2048)
             point = partial(_direct_points, sched, steps, target_unitary(spec))
         points.append((f"{scheme}:eta={eta:g}", point))
@@ -385,11 +386,9 @@ def _sweep(cfg, seed):
 def _sideband(cfg, seed):
     gamma = float(cfg.get("gamma", np.pi))
     eta = float(cfg.get("eta", 0.2))
-    system = sideband.SidebandSystem(n_max=int(cfg.get("n_max", 5)),
-                                     eta_ld=float(cfg.get("eta_ld", 0.1)))
-    sched, steps = _schedule(
-        cfg, lambda omega, n: sideband.synthesize_cphase(gamma, omega, eta, n),
-        4096, DEFAULT_STEPS, omega_key="omega_eff_max")
+    system = sideband.SidebandSystem(n_max=_size(cfg.get("n_max", 5), "n_max"))
+    synth = partial(sideband.synthesize_cphase, gamma, OMEGA_MAX_DEFAULT, eta)
+    sched, steps = _schedule(cfg, synth, 4096, DEFAULT_STEPS)
 
     def run(writer: OutputWriter):
         report = sideband.verify_full_model(sched, system, steps)
@@ -400,7 +399,6 @@ def _sideband(cfg, seed):
 
 _COMMANDS = {
     "synth": _synth,
-    "export-awg": _synth,
     "propagate": _propagate,
     "qpt": _qpt,
     "rb": _rb,
@@ -423,10 +421,12 @@ def main(argv=None) -> int:
         if cfg["experiment"] != args.command:
             raise ConfigError(
                 f"config is for {cfg['experiment']!r} but command is {args.command!r}")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = cfg.get("seed", 0)       # read even when --seed overrides it
+        seed = int(seed if args.seed is None else args.seed)
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         run = _COMMANDS[args.command](cfg, seed)
+        cfg.check()
     except (ValueError, TypeError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

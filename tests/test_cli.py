@@ -20,9 +20,11 @@ def _write(tmp_path, name, cfg):
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
+    # main rejects a key that the command's parse did not read
     path = _write(tmp_path, "c.json", {"experiment": "synth", "gate": "X", "zz": 1})
-    with pytest.raises(ConfigError):
-        load_config(path)
+    out = tmp_path / "o"
+    assert main(["synth", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_load_config_rejects_bad_kind(tmp_path):
@@ -138,7 +140,7 @@ def test_sideband_bad_system_is_config_error(tmp_path, capsys, bad):
     assert not out.exists()
 
 
-# one valid gate setting per command that takes omega_max and n_samples
+# one valid gate setting per command that propagates
 _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
           "sweep": {"gate": "X"}}
 
@@ -162,8 +164,11 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     *[(command, {**gate, "n_samples": 128, "steps": 256})
       for command, gate in _GATES.items()],
     ("synth", {"gate": "X", "n_samples": 128}),
-    ("export-awg", {"gate": "X", "n_samples": 257}),
+    ("synth", {"gate": "X", "n_samples": 257}),
     ("sideband", {"n_samples": 128, "steps": 256}),
+    # omega_max changes no closed-system output: propagate, qpt, a closed rb and
+    # a direct sweep reject it as an unknown key, and sideband its omega_eff_max;
+    # synth checks its value
     *[(command, {**gate, "omega_max": value})
       for command, gate in _GATES.items() for value in (0.0, -1.0, float("inf"))],
     ("synth", {"gate": "X", "omega_max": -1.0}),
@@ -187,8 +192,8 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     # keys the command does not read
     ("synth", {"gate": "X", "steps": 512}),
     ("synth", {"gate": "X", "noise": {}}),
-    ("export-awg", {"gate": "X", "steps": 512}),
-    ("export-awg", {"gate": "X", "noise": {}}),
+    ("propagate", {"gate": {"name": "X", "theta": 0.3, "phi": 1.0, "gamma": 0.2}}),
+    ("propagate", {"gate": "X", "omega_max": 2.0 * np.pi * 3.7e4}),
     ("sweep", {"gate": "X", "realizations": 5}),
     ("sweep", {"gate": "X", "noise": {"epsilon": 0.1}}),
     ("sweep", {"gate": "X", "lengths": [1, 2, 4]}),
@@ -234,6 +239,24 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("sweep", {"gate": "X", "epsilon_grid": [float("nan")]}),
     ("sweep", {"gate": "X", "epsilon_grid": {"max": float("nan")}}),
     ("sweep", {"mode": "rb", "gate": "X"}),
+    # a dephased rb reads omega_max, and checks its value
+    *[("rb", {"noise": {"gamma_1a": 100.0}, "omega_max": value})
+      for value in (0.0, -1.0, float("inf"))],
+    # a named gate takes no angles; a direct sweep's gate and a closed rb no omega_max
+    ("synth", {"gate": {"name": "X", "theta": 0.3}}),
+    ("sweep", {"gate": {"name": "X", "eta": 0.5}}),
+    ("sweep", {"gate": "X", "omega_max": 2.0 * np.pi * 3.7e4}),
+    ("rb", {"omega_max": 2.0 * np.pi * 3.7e4}),
+    ("sideband", {"omega_eff_max": 2.0 * np.pi * 3.7e4}),
+    # a size is an integer, and analytic a JSON boolean
+    ("synth", {"gate": "X", "n_samples": 256.7}),
+    ("synth", {"gate": "X", "n_samples": True}),
+    ("qpt", {"gate": "X", "shots": 100.5}),
+    ("rb", {"lengths": [1, 2, 4.5]}),
+    ("sweep", {"gate": "X", "epsilon_grid": {"points": 5.5}}),
+    ("sideband", {"n_max": 5.5}),
+    ("qpt", {"gate": "X", "analytic": "false"}),
+    ("qpt", {"gate": "X", "analytic": 0.5}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})
@@ -321,12 +344,14 @@ def test_rb_sweep_does_not_need_a_gate(tmp_path):
 
 
 def test_sweep_mode_is_set_in_the_config_alone(tmp_path):
-    cfg = _write(tmp_path, "c.json", {"experiment": "sweep", "gate": "X"})
-    out = tmp_path / "o"
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", cfg, "--mode", "rb", "--out", str(out)])
-    assert exc.value.code == 2
-    assert not out.exists()
+    # argparse rejects a --mode flag, and export-awg, which is synth's old name
+    for command, flags in (("sweep", ["--mode", "rb"]), ("export-awg", [])):
+        cfg = _write(tmp_path, "c.json", {"experiment": command, "gate": "X"})
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 _WITHOUT_SCIPY = """

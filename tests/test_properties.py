@@ -2,8 +2,9 @@
 epsilon batch axis and ideal gates, the real open channel against its
 complex Strang formula, the gate and tone-file round trips, the tomography
 measurement model, the RB gate cache and recovery, and the CLI on fuzzed
-configs."""
+configs and on edits of every config key."""
 import json
+import re
 import tempfile
 from functools import partial
 from unittest import mock
@@ -316,7 +317,6 @@ def test_rb_means_match_the_direct_formulas(eta, epsilon, gamma_1a, prep_error, 
 # n_samples or steps above 1024
 _SMALL = {
     "synth": {"gate": "X", "n_samples": 256},
-    "export-awg": {"gate": {"theta": 1.1, "phi": 0.4, "gamma": 2.0}, "n_samples": 256},
     "propagate": {"gate": {"theta": 1.1, "phi": 0.4, "gamma": 2.0, "eta": 0.3},
                   "noise": {"epsilon": 0.05}, "n_samples": 256, "steps": 512},
     "qpt": {"gate": "H", "analytic": True, "n_samples": 256, "steps": 512},
@@ -356,3 +356,128 @@ def test_fuzzed_config_exits_cleanly(command, edits):
         status = main([command, "--config", str(path), "--out", str(out)])
         assert status in (0, 2, 3)
         assert out.exists() == (status != 2)
+
+
+# small valid configs that together read every key a command accepts; each
+# gate-taking config but one names its gate by angles, so that the nested
+# gate edits apply
+_ANGLES = {"theta": 1.1, "phi": 0.4, "gamma": 2.0}
+_BASES = [
+    ("synth", {"gate": _ANGLES, "n_samples": 256}),
+    ("propagate", {"gate": dict(_ANGLES, eta=0.3), "noise": {"epsilon": 0.05},
+                   "n_samples": 256, "steps": 512}),
+    ("qpt", {"gate": _ANGLES, "analytic": True, "n_samples": 256, "steps": 512}),
+    ("qpt", {"gate": "H", "analytic": False, "shots": 200, "noise": {"prep_error": 0.01},
+             "n_samples": 256, "steps": 512}),
+    ("rb", {"interleaved": "T", "noise": {"epsilon": 0.05}, "lengths": [1, 2, 4],
+            "sequences": 2, "n_samples": 256, "steps": 512}),
+    ("rb", {"noise": {"gamma_1a": 100.0, "gamma_0a": 10.0}, "eta": 0.2,
+            "lengths": [1, 4, 16], "sequences": 2, "n_samples": 256, "steps": 512}),
+    ("sweep", {"mode": "direct", "gate": _ANGLES, "n_samples": 256, "steps": 512,
+               "epsilon_grid": {"min": -0.1, "max": 0.1, "points": 3}}),
+    ("sweep", {"mode": "rb", "epsilon_grid": [0.05], "lengths": [1, 2, 4], "sequences": 2,
+               "n_samples": 256, "steps": 512}),
+    ("sideband", {"gamma": 1.5, "n_samples": 512, "steps": 1024}),
+]
+# one or more edits of every key that any command accepted before commands
+# read exactly their keys, nested fields and a bogus key included; each value
+# is valid wherever the key is read, and differs from the key's default
+_OMEGA = 2.0 * np.pi * 3.7e4
+_KEY_EDITS = [
+    (("experiment",), "synth"), (("experiment",), "qpt"), (("seed",), 5),
+    (("gate",), "H"), (("gate",), {"theta": 0.7, "phi": -0.2, "gamma": 1.3}),
+    (("gate", "name"), "H"), (("gate", "theta"), 0.7), (("gate", "phi"), -0.2),
+    (("gate", "gamma"), 1.3), (("gate", "eta"), 0.6), (("gate", "scheme"), DYNAMICAL),
+    (("gate", "bogus"), 1),
+    (("omega_max",), _OMEGA), (("n_samples",), 512), (("steps",), 1024),
+    (("noise", "epsilon"), 0.03), (("noise", "gamma_1a"), 50.0),
+    (("noise", "gamma_0a"), 5.0), (("noise", "prep_error"), 0.02),
+    (("noise", "detection_error_bright"), 0.02), (("noise", "detection_error_dark"), 0.03),
+    (("noise", "bogus"), 1),
+    (("shots",), 300), (("analytic",), True), (("analytic",), False),
+    (("lengths",), [1, 2, 3]), (("sequences",), 3),
+    (("interleaved",), "H"), (("interleaved",), dict(_ANGLES, eta=0.2)),
+    (("eta",), 0.5), (("scheme",), DYNAMICAL),
+    (("epsilon_grid",), [0.05, 0.1]), (("epsilon_grid", "min"), -0.15),
+    (("epsilon_grid", "max"), 0.15), (("epsilon_grid", "points"), 5),
+    (("epsilon_grid", "bogus"), 1),
+    (("schemes",), [{"eta": 0.5}, {"eta": 1.0}]),
+    (("schemes",), [{"scheme": DYNAMICAL, "eta": 0.5}, {"eta": 0.5}]),
+    (("schemes",), [{"eta": 0.0, "bogus": 1}, {"eta": 1.0}]),
+    (("mode",), "rb"), (("mode",), "direct"),
+    (("gamma",), 2.0), (("omega_eff_max",), _OMEGA), (("n_max",), 6),
+    (("eta_ld",), 0.2), (("bogus",), 1),
+]
+# keys that may change no output, with the interface that keeps each
+_KEPT = {
+    "n_samples": "criterion 9 and the benchmark workloads pass it",
+    "seed": "criterion 9 passes --seed, which overrides it",
+    "sideband eta": "the benchmark's verify workload passes it",
+    "sideband steps": "the benchmark's verify workload passes it",
+    # fidelity to the gate's own target, leakage and the truncation estimate
+    # are invariant under a rotation of the gate axis about z
+    "propagate gate.phi": "part of the gate, which synth and qpt read",
+    "sweep gate.phi": "part of the gate, which synth and qpt read",
+}
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _outputs(command, cfg):
+    """(exit status, {file: its lines without the header})."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "c.json", Path(tmp) / "out"
+        path.write_text(json.dumps(cfg))
+        status = main([command, "--config", str(path), "--out", str(out), "--seed", "3"])
+        files = {p.name: [ln for ln in p.read_text().splitlines() if not ln.startswith("#")]
+                 for p in sorted(out.iterdir())} if out.exists() else {}
+    return status, files
+
+
+def _moved(a, b):
+    """Whether lines b differ from lines a in their text, or in a number x by
+    more than 1e-12 max(1, |x|). The floor is 1 because every reported figure
+    below 1 (an infidelity, a leakage, a truncation estimate) is computed from
+    amplitudes of order 1, whose rounding alone moves it by about 1e-16."""
+    if len(a) != len(b) or any(_NUMBER.split(x) != _NUMBER.split(y) for x, y in zip(a, b)):
+        return True
+    pairs = np.array([[float(u), float(v)] for x, y in zip(a, b)
+                      for u, v in zip(_NUMBER.findall(x), _NUMBER.findall(y))]).reshape(-1, 2)
+    return bool(np.any(np.abs(pairs[:, 0] - pairs[:, 1])
+                       > 1e-12 * np.maximum(1.0, np.max(np.abs(pairs), axis=1))))
+
+
+def _edited(cfg, path, value):
+    """cfg with the field at `path` set, or None when the edit changes nothing
+    or names a field of a value that is no object."""
+    cfg = json.loads(json.dumps(cfg))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent.setdefault(key, {})
+        if not isinstance(parent, dict):
+            return None
+    if parent.get(path[-1], _DELETE) == value:
+        return None
+    parent[path[-1]] = value
+    return cfg
+
+
+def test_every_accepted_key_moves_an_output():
+    """An edit of any key is a config error or moves some output, unless the
+    key is kept in _KEPT for an interface that passes it."""
+    inert = []
+    for command, base in _BASES:
+        base = {"experiment": command, **base}
+        status, reference = _outputs(command, base)
+        assert status == 0, base
+        for path, value in _KEY_EDITS:
+            cfg = _edited(base, path, value)
+            key = ".".join(path)
+            if cfg is None or key in _KEPT or f"{command} {key}" in _KEPT:
+                continue
+            status, files = _outputs(command, cfg)
+            if status == 2:
+                assert not files
+            elif files.keys() == reference.keys() and not any(
+                    _moved(reference[f], files[f]) for f in files):
+                inert.append((command, key, value))
+    assert inert == []
