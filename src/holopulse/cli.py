@@ -4,13 +4,14 @@ Subcommands: synth | propagate | qpt | rb | sweep | sideband. Each takes a
 JSON config file, an optional seed override, and an output directory. A
 command accepts exactly the config keys its parse reads, and parses the whole
 config before it creates the output directory; omega_max is read by synth
-and by rb or an rb-mode sweep under dephasing. Every output file
-starts with header lines echoing the full effective config, except
-tones.csv, which carries the tone-descriptor header that
-`pulses.parse_tones` reads; a manifest.txt lists the files written, so runs
-are reproducible byte-for-byte given (config, seed). Exit codes: 0 success;
-2 "config error", nothing written; 3 a result did not converge or an RB fit
-failed (manifest.txt lists the files written before that).
+and by rb or an rb-mode sweep under dephasing; an rb-mode sweep reports
+`rbench.decay_rate`, which reads no sequences or SPAM. Every output file starts
+with header lines echoing the full effective config, except tones.csv, which
+carries the tone-descriptor header that `pulses.parse_tones` reads; a
+manifest.txt lists the files written, so runs are reproducible byte-for-byte
+given (config, seed). Exit codes: 0 success; 2 "config error", nothing
+written; 3 a result did not converge or the fit of rb failed (manifest.txt
+lists the files written before that).
 """
 from __future__ import annotations
 
@@ -29,7 +30,8 @@ from .gates import target_unitary
 from .paths import DYNAMICAL, HOLONOMIC
 from .pulses import OMEGA_MAX_DEFAULT, GateSpec, export_tones, named_gate, synthesize
 from .qcore import fidelity_qubit_subspace, leakage
-from .rbench import FitError, GateCache, RBConfig, curve_to_csv, fit_summary, run_rb
+from .rbench import (FitError, GateCache, RBConfig, curve_to_csv, decay_rate, fit_summary,
+                     run_rb)
 from .tomo import (chi_of_channel, exact_records, mle_process,
                    process_fidelity, propagator_channel, records_to_csv,
                    simulate_counts, unitary_channel)
@@ -105,18 +107,19 @@ def load_config(path, kind_override=None) -> _Object:
     return cfg
 
 
-def parse_gate(cfg, key="gate", eta=0.0, angles_only=False) -> GateSpec:
-    """The gate at `key`: a name, at `eta`, or an object. An object reads its
-    own eta and scheme; with `angles_only` it reads neither and is holonomic at `eta`."""
+def parse_gate(cfg, key="gate", eta=0.0, scheme=None) -> GateSpec:
+    """The gate at `key`: a name, holonomic at `eta`, or an object with its own eta
+    and scheme; given `scheme`, an object is of it at `eta` (dynamical: no gamma)."""
     raw = cfg.get(key)
     if raw is None:
         raise ConfigError(f"config field '{key}' is required")
-    named, scheme = isinstance(raw, str), HOLONOMIC
+    named = isinstance(raw, str)
     gate = _Object({"name": raw} if named else raw, "gate")
-    if not (named or angles_only):
+    own = not named and scheme is None
+    if own:
         eta, scheme = float(gate.get("eta", 0.0)), gate.get("scheme", HOLONOMIC)
-    if "name" in gate:
-        spec = named_gate(gate["name"], eta=eta, scheme=scheme)
+    if "name" in gate:      # a name sets all three angles
+        spec = named_gate(gate["name"], eta=eta, scheme=scheme if own else HOLONOMIC)
     elif scheme == DYNAMICAL:
         spec = GateSpec.dynamical(float(gate["theta"]), float(gate["phi"]), eta)
     else:
@@ -242,20 +245,14 @@ def _qpt(cfg, seed):
     return run
 
 
-def _rb_config(cfg, seed, noise, lengths=RBConfig.lengths, **fields) -> RBConfig:
+def _rb_config(cfg, noise, **fields) -> RBConfig:
     """The config's RBConfig with `fields`; a key it omits takes RBConfig's
-    default, and `lengths` the given ones. omega_max is read under dephasing
-    alone: the closed dynamics are invariant under t -> omega_max t."""
-    lengths = cfg.get("lengths", list(lengths))
-    if not isinstance(lengths, list):
-        raise ConfigError(f"'lengths' must be a list of sequence lengths, got {lengths!r}")
+    default. omega_max is read under dephasing alone: the closed dynamics are
+    invariant under t -> omega_max t."""
     if noise.gamma_1a > 0.0 or noise.gamma_0a > 0.0:
         fields["omega_max"] = float(cfg.get("omega_max", RBConfig.omega_max))
     return RBConfig(
-        lengths=tuple(_size(m, "a sequence length", MAX_LENGTH) for m in lengths),
-        n_sequences=_size(cfg.get("sequences", RBConfig.n_sequences), "sequences",
-                          MAX_SEQUENCES),
-        seed=seed, noise=noise,
+        noise=noise,
         n_samples=_size(cfg.get("n_samples", RBConfig.n_samples), "n_samples",
                         MAX_N_SAMPLES),
         steps=_size(cfg.get("steps", RBConfig.steps), "steps", MAX_STEPS), **fields)
@@ -263,9 +260,15 @@ def _rb_config(cfg, seed, noise, lengths=RBConfig.lengths, **fields) -> RBConfig
 
 def _rb(cfg, seed):
     eta, shots = float(cfg.get("eta", RBConfig.eta)), cfg.get("shots")
-    ref_cfg = _rb_config(cfg, seed, parse_noise(cfg), eta=eta,
-                         scheme=cfg.get("scheme", RBConfig.scheme),
-                         shots=None if shots is None else _size(shots, "shots", MAX_SHOTS))
+    lengths = cfg.get("lengths", list(RBConfig.lengths))
+    if not isinstance(lengths, list):
+        raise ConfigError(f"'lengths' must be a list of sequence lengths, got {lengths!r}")
+    ref_cfg = _rb_config(
+        cfg, parse_noise(cfg), eta=eta, seed=seed,
+        lengths=tuple(_size(m, "a sequence length", MAX_LENGTH) for m in lengths),
+        n_sequences=_size(cfg.get("sequences", RBConfig.n_sequences), "sequences",
+                          MAX_SEQUENCES),
+        shots=None if shots is None else _size(shots, "shots", MAX_SHOTS))
     int_cfg = (None if cfg.get("interleaved") is None
                else replace(ref_cfg, interleaved=parse_gate(cfg, "interleaved", eta)))
 
@@ -273,7 +276,8 @@ def _rb(cfg, seed):
         cache = GateCache()     # the interleaved run reuses the reference Cliffords
         ref = run_rb(ref_cfg, cache)
         writer.write("rb_reference.csv", curve_to_csv(ref, ref_cfg.n_sequences))
-        writer.write("rb_reference_fit.txt", fit_summary(ref))
+        writer.write("rb_reference_fit.txt",
+                     fit_summary(ref, p_spectral=decay_rate(ref_cfg, cache)))
         if int_cfg is not None:
             inter = run_rb(int_cfg, cache)
             writer.write("rb_interleaved.csv", curve_to_csv(inter, int_cfg.n_sequences))
@@ -282,13 +286,12 @@ def _rb(cfg, seed):
     return run
 
 
-def _parse_sweep_schemes(cfg):
-    raw = cfg.get("schemes", [{"scheme": HOLONOMIC, "eta": 0.0},
-                              {"scheme": HOLONOMIC, "eta": 1.0}])
+def _parse_sweep_schemes(cfg, rb):
+    """(scheme, eta) per item; rb mode reads eta alone: RB's Cliffords are holonomic."""
     out = []
-    for item in raw:
+    for item in cfg.get("schemes", [{"eta": 0.0}, {"eta": 1.0}]):
         item = _Object(item, "sweep scheme")
-        scheme = item.get("scheme", HOLONOMIC)
+        scheme = HOLONOMIC if rb else item.get("scheme", HOLONOMIC)
         if scheme not in (HOLONOMIC, DYNAMICAL):
             raise ConfigError(f"unknown scheme {scheme!r}")
         out.append((scheme, float(item.get("eta", 0.0))))
@@ -316,39 +319,34 @@ def _sweep_grid(cfg):
 
 
 def _direct_points(sched, steps, target, grid):
-    """(infidelity, std, truncation_error, converged) per epsilon, from one
-    batched propagation with the truncation check."""
+    """(infidelity, truncation_error, converged) per epsilon from one checked batch."""
     res = propagate_unitary(sched, grid, steps)
-    return [(1.0 - fidelity_qubit_subspace(u, target), 0.0, float(err), bool(ok))
+    return [(1.0 - fidelity_qubit_subspace(u, target), float(err), bool(ok))
             for u, err, ok in zip(res.unitary, res.truncation_error, res.converged)]
 
 
 def _rb_points(rb_cfg, grid):
-    """(infidelity, std, None, True) per epsilon: RB propagates unchecked."""
-    points = []
-    for eps in grid:
-        curve = run_rb(replace(rb_cfg, noise=replace(rb_cfg.noise, epsilon=float(eps))))
-        perr = float(np.sqrt(max(curve.cov[1, 1], 0.0)))
-        points.append((1.0 - curve.f_ave, perr / 2.0, None, True))
-    return points
+    """(infidelity, None, True) per epsilon: (1 - p)/2 at RB's decay p, unchecked."""
+    cache, noise = GateCache(), rb_cfg.noise
+    configs = [replace(rb_cfg, noise=replace(noise, epsilon=float(eps))) for eps in grid]
+    return [((1.0 - decay_rate(config, cache)) / 2.0, None, True) for config in configs]
 
 
-def _sweep_rows(cfg, seed):
+def _sweep_rows(cfg):
     """Parse a sweep config into rows() -> [(epsilon, label, infidelity_mean,
-    std, truncation_error, converged)]; truncation_error is None in rb mode."""
-    grid = _sweep_grid(cfg)
-    mode = cfg.get("mode", "direct")
-    if mode == "rb":    # the grid sets epsilon; RB averages over the Cliffords
-        rb_cfg = _rb_config(cfg, seed, parse_noise(cfg, ("gamma_1a", "gamma_0a") + _SPAM),
-                            lengths=(1, 2, 4, 8, 12, 16))
-    elif mode != "direct":
+    truncation_error, converged)]; truncation_error is None in rb mode."""
+    grid, mode = _sweep_grid(cfg), cfg.get("mode", "direct")
+    if mode not in ("direct", "rb"):
         raise ConfigError(f"sweep mode must be 'direct' or 'rb', got {mode!r}")
-    else:               # 'schemes' sets eta and scheme
-        base = parse_gate(cfg, angles_only=True)
+    schemes = _parse_sweep_schemes(cfg, mode == "rb")
+    if mode == "rb":    # the grid sets epsilon; RB averages over the Cliffords
+        rb_cfg = _rb_config(cfg, parse_noise(cfg, ("gamma_1a", "gamma_0a")))
+    else:               # 'schemes' sets eta and scheme; a holonomic one needs gamma
+        base = parse_gate(cfg, scheme=HOLONOMIC if HOLONOMIC in dict(schemes) else DYNAMICAL)
     points = []
-    for scheme, eta in _parse_sweep_schemes(cfg):
+    for scheme, eta in schemes:
         if mode == "rb":
-            point = partial(_rb_points, replace(rb_cfg, eta=eta, scheme=scheme))
+            point = partial(_rb_points, replace(rb_cfg, eta=eta))
         else:
             spec = (GateSpec.dynamical(base.theta, base.phi, eta) if scheme == DYNAMICAL
                     else replace(base, eta=eta))
@@ -363,23 +361,22 @@ def _sweep_rows(cfg, seed):
 
 
 def run_sweep(cfg, seed):
-    """Robustness sweep rows (epsilon, scheme_label, infidelity_mean, std)."""
-    return [row[:4] for row in _sweep_rows(cfg, seed)()]
+    """Sweep rows (epsilon, scheme_label, infidelity_mean, truncation_error or None)."""
+    return [row[:4] for row in _sweep_rows(cfg)()]
 
 
 def _sweep(cfg, seed):
-    rows = _sweep_rows(cfg, seed)
-    checked = cfg.get("mode", "direct") == "direct"
+    rows = _sweep_rows(cfg)
 
     def run(writer: OutputWriter):
         table = rows()
-        body = ["epsilon,scheme,infidelity_mean,infidelity_std"
-                + (",truncation_error" if checked else "")]
-        for eps, label, mean, std, err, _ in table:
-            body.append("%.17g,%s,%.17g,%.17g" % (eps, label, mean, std)
+        checked = table[0][3] is not None
+        body = ["epsilon,scheme,infidelity_mean" + (",truncation_error" if checked else "")]
+        for eps, label, mean, err, _ in table:
+            body.append("%.17g,%s,%.17g" % (eps, label, mean)
                         + (",%.17g" % err if checked else ""))
         writer.write("sweep.csv", "\n".join(body) + "\n")
-        return 0 if all(row[5] for row in table) else 3
+        return 0 if all(row[4] for row in table) else 3
     return run
 
 

@@ -7,7 +7,6 @@ from typing import Optional
 
 import numpy as np
 
-from .paths import HOLONOMIC
 from .pulses import GateSpec
 from .qcore import SI, SX, SY, SZ, UNITARY_TOL, unitarity_defect
 
@@ -45,7 +44,7 @@ def _wrap_phi(phi: float) -> float:
     return float(phi)
 
 
-def axis_angle(u: np.ndarray, eta: float = 0.0, scheme: str = HOLONOMIC) -> GateSpec:
+def axis_angle(u: np.ndarray, eta: float = 0.0) -> GateSpec:
     """Decompose a 2x2 unitary into the canonical (theta, phi, gamma) spec.
 
     gamma is canonicalized to [0, pi] (flipping the axis when needed); at
@@ -68,7 +67,7 @@ def axis_angle(u: np.ndarray, eta: float = 0.0, scheme: str = HOLONOMIC) -> Gate
     sn = np.array([np.real(0.5j * np.trace(v @ p)) for p in (SX, SY, SZ)])
     s = float(np.linalg.norm(sn))
     if s < 1e-12:
-        return GateSpec(theta=0.0, phi=0.0, gamma=0.0, eta=eta, scheme=scheme)
+        return GateSpec(theta=0.0, phi=0.0, gamma=0.0, eta=eta)
     n = sn / s
     if c < 1e-12:
         # gamma = pi: both axis signs give the same rotation; pick a canon
@@ -77,7 +76,7 @@ def axis_angle(u: np.ndarray, eta: float = 0.0, scheme: str = HOLONOMIC) -> Gate
                 if comp < 0:
                     n = -n
                 break
-    return _axis_spec(n, float(2.0 * np.arctan2(s, c)), eta, scheme)
+    return _axis_spec(n, float(2.0 * np.arctan2(s, c)), eta)
 
 
 @dataclass(frozen=True)
@@ -108,13 +107,13 @@ def _clifford_axis_angles():
     return axes
 
 
-def _axis_spec(axis, gamma: float, eta: float, scheme: str) -> GateSpec:
+def _axis_spec(axis, gamma: float, eta: float) -> GateSpec:
     """The spec of the turn by gamma about the unit axis; phi = 0 on the z axis."""
     theta = float(np.arccos(np.clip(axis[2], -1.0, 1.0)))
     phi = _wrap_phi(float(np.arctan2(axis[1], axis[0])))
     if abs(np.sin(theta)) < 1e-12:
         phi = 0.0
-    return GateSpec(theta=theta, phi=phi, gamma=gamma, eta=eta, scheme=scheme)
+    return GateSpec(theta=theta, phi=phi, gamma=gamma, eta=eta)
 
 
 def _inverse_axis(axis, gamma: float) -> np.ndarray:
@@ -128,26 +127,33 @@ def _inverse_axis(axis, gamma: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def clifford_table(eta: float = 0.0, scheme: str = HOLONOMIC) -> tuple:
-    """The 24 single-qubit Cliffords with canonical specs and matrices.
+def clifford_table(eta: float = 0.0) -> tuple:
+    """The 24 single-qubit Cliffords with canonical holonomic specs and matrices.
 
     Each element also carries its recovery: the canonical spec of its
     inverse, built from the exact axis so that equal gates get equal angles.
     """
-    identity = GateSpec(theta=0.0, phi=0.0, gamma=0.0, eta=eta, scheme=scheme)
+    identity = GateSpec(theta=0.0, phi=0.0, gamma=0.0, eta=eta)
     elements = [CliffordElement(index=0, spec=identity,
                                 matrix=np.eye(2, dtype=complex), recovery=identity)]
     for k, (axis, gamma) in enumerate(_clifford_axis_angles(), start=1):
-        spec = _axis_spec(axis, gamma, eta, scheme)
+        spec = _axis_spec(axis, gamma, eta)
         elements.append(CliffordElement(
             index=k, spec=spec, matrix=canonical_phase(target_unitary(spec)),
-            recovery=_axis_spec(_inverse_axis(axis, gamma), gamma, eta, scheme)))
+            recovery=_axis_spec(_inverse_axis(axis, gamma), gamma, eta)))
     return tuple(elements)
 
 
 @lru_cache(maxsize=None)
 def _clifford_matrices() -> np.ndarray:
     return np.stack([el.matrix for el in clifford_table()])
+
+
+@lru_cache(maxsize=None)
+def _clifford_rotations() -> np.ndarray:
+    """The (24, 3, 3) Bloch rotations R[k, i, j] = Tr(sigma_i C_k sigma_j C_k^dag)/2."""
+    c, s = _clifford_matrices(), np.stack([SX, SY, SZ])
+    return np.real(np.einsum("iab,kbc,jcd,kad->kij", s, c, s, c.conj())) / 2.0
 
 
 def clifford_index(u: np.ndarray) -> Optional[int]:

@@ -18,7 +18,8 @@ interleaved run sharing a cache propagate the common gates once.
 
 Decay curves are fitted to F = A p^m + B; average and per-gate fidelities
 follow from F_ave = 1 - (1 - p_ref)/2 and
-F_gate = 1 - (1 - p_gate/p_ref)/2.
+F_gate = 1 - (1 - p_gate/p_ref)/2. `decay_rate` is p in the limit of many
+sequences (Wallman, Quantum 2, 47, 2018; Proctor et al., PRL 119, 130502, 2017).
 """
 from __future__ import annotations
 
@@ -31,9 +32,9 @@ import numpy as np
 
 from .engine import (NoiseModel, _embed, block_basis, check_steps, open_superoperator,
                      propagate_unitary)
-from .gates import (axis_angle, clifford_index, clifford_products, clifford_table,
-                    target_unitary)
-from .paths import DYNAMICAL, HOLONOMIC
+from .gates import (_clifford_rotations, axis_angle, clifford_index, clifford_products,
+                    clifford_table, target_unitary)
+from .paths import DYNAMICAL
 from .pulses import OMEGA_MAX_DEFAULT, GateSpec, check_sampling, synthesize
 
 
@@ -46,7 +47,6 @@ class RBConfig:
     interleaved: Optional[GateSpec] = None
     noise: NoiseModel = field(default_factory=NoiseModel)
     eta: float = 0.0
-    scheme: str = HOLONOMIC
     omega_max: float = OMEGA_MAX_DEFAULT
     n_samples: int = 1024
     steps: int = 2048
@@ -68,7 +68,7 @@ class RBConfig:
         if not 0.0 <= self.depolarizing <= (1.0 if self.mode == "exact" else 0.0):
             raise ValueError("depolarizing must be 0, or in [0, 1] in exact mode, "
                              f"got {self.depolarizing}")
-        clifford_table(self.eta, self.scheme)    # rejects a bad eta or scheme
+        clifford_table(self.eta)    # rejects a bad eta
         noise = self.noise
         if self.mode == "exact" and (noise.epsilon or noise.gamma_1a or noise.gamma_0a):
             raise ValueError("exact mode reads only the SPAM fields of noise; epsilon, "
@@ -86,13 +86,11 @@ class RBCurve:
     a: float
     p: float
     b: float
-    cov: np.ndarray
     f_ave: float
     metadata: dict = field(default_factory=dict)
 
 
-def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None,
-                   eta: float = 0.0, scheme: str = HOLONOMIC):
+def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None, eta: float = 0.0):
     """m random Cliffords (+ optional interleaved gate) plus the recovery.
 
     Returns (gate_specs, recovery_spec); applying all gates in order acts as
@@ -102,7 +100,7 @@ def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None,
     """
     if m < 1:
         raise ValueError("sequence length must be >= 1")
-    table = clifford_table(eta, scheme)
+    table = clifford_table(eta)
     idx = rng.integers(0, len(table), size=m)
     specs = []
     for i in idx:
@@ -122,7 +120,7 @@ def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None,
     acc = np.eye(2, dtype=complex)
     for i in idx:
         acc = g @ (table[i].matrix @ acc)
-    return specs, axis_angle(acc.conj().T, eta=eta, scheme=scheme)
+    return specs, axis_angle(acc.conj().T, eta=eta)
 
 
 def _canonical_spec(spec: GateSpec) -> GateSpec:
@@ -224,6 +222,16 @@ def _survival(specs, recovery, cache: GateCache, config: RBConfig) -> float:
     return float(config.noise.readout(np.real(v[0])))
 
 
+def decay_rate(config: RBConfig, cache: GateCache) -> float:
+    """Reference RB's decay p in the limit of many sequences, with no SPAM: the
+    real part of the eigenvalue of largest modulus of the 27x27 mean over the
+    Cliffords g of Phi_g (x) R_g, Phi_g the channel of g and R_g its Bloch rotation."""
+    twirl = np.mean([np.kron(cache.channel(el.spec, config), r) for el, r
+                     in zip(clifford_table(config.eta), _clifford_rotations())], axis=0)
+    eigenvalues = np.linalg.eigvals(twirl)
+    return float(np.real(eigenvalues[np.argmax(np.abs(eigenvalues))]))
+
+
 class FitError(RuntimeError):
     """The decay fit did not converge, or found no p in (0, 1]."""
 
@@ -255,14 +263,14 @@ def fit_decay(lengths, means, sigma=None):
         # degenerate (noise-free) curves leave the covariance singular
         warnings.simplefilter("ignore", OptimizeWarning)
         try:
-            popt, pcov = curve_fit(decay_model, lengths, means, p0=(a0, p0, b0),
-                                   sigma=sigma, method="lm", maxfev=20000)
+            popt, _ = curve_fit(decay_model, lengths, means, p0=(a0, p0, b0),
+                                sigma=sigma, method="lm", maxfev=20000)
         except RuntimeError as exc:     # no convergence within maxfev
             raise FitError(str(exc)) from exc
     a, p, b = (float(v) for v in popt)
     if not 0.0 < p <= 1.0 + 1e-9:
         raise FitError(f"fitted decay parameter p = {p} outside (0, 1]")
-    return a, min(p, 1.0), b, pcov
+    return a, min(p, 1.0), b
 
 
 def average_fidelity(p_ref: float) -> float:
@@ -286,8 +294,7 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
         for j in range(config.n_sequences):
             rng = np.random.default_rng(np.random.SeedSequence(
                 entropy=(config.seed, int(m), j)))
-            specs, recovery = build_sequence(int(m), rng, config.interleaved,
-                                             config.eta, config.scheme)
+            specs, recovery = build_sequence(int(m), rng, config.interleaved, config.eta)
             f = _survival(specs, recovery, cache, config)
             if config.shots is not None:
                 f = float(rng.binomial(config.shots, f)) / config.shots
@@ -295,14 +302,12 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
         means.append(float(np.mean(fids)))
         stds.append(float(np.std(fids)))
     lengths = np.asarray(config.lengths, dtype=int)
-    means = np.asarray(means)
-    stds = np.asarray(stds)
-    a, p, b, cov = fit_decay(lengths, means)
+    means, stds = np.asarray(means), np.asarray(stds)
+    a, p, b = fit_decay(lengths, means)
     metadata = {
         "interleaved": config.interleaved is not None,
         "mode": config.mode,
         "eta": config.eta,
-        "scheme": config.scheme,
         "seed": config.seed,
     }
     if config.interleaved is not None:
@@ -311,7 +316,7 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
         metadata["interleaved_is_clifford"] = (
             clifford_index(target_unitary(config.interleaved)) is not None)
     return RBCurve(lengths=lengths, means=means, stds=stds, a=a, p=p, b=b,
-                   cov=cov, f_ave=average_fidelity(p), metadata=metadata)
+                   f_ave=average_fidelity(p), metadata=metadata)
 
 
 def curve_to_csv(curve: RBCurve, n_sequences: int) -> str:
@@ -321,12 +326,14 @@ def curve_to_csv(curve: RBCurve, n_sequences: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fit_summary(curve: RBCurve, p_ref: Optional[float] = None) -> str:
-    """JSON-like text block with the fit parameters and derived fidelity."""
+def fit_summary(curve: RBCurve, p_ref: Optional[float] = None, p_spectral=None) -> str:
+    """JSON-like text block with the fit parameters, derived fidelity and p_spectral."""
     lines = ["{",
              '  "A": %.12g,' % curve.a,
              '  "p": %.12g,' % curve.p,
              '  "B": %.12g,' % curve.b]
+    if p_spectral is not None:
+        lines.append('  "p_spectral": %.12g,' % p_spectral)
     if curve.metadata.get("interleaved") and p_ref is not None:
         lines.append('  "F_gate": %.12g,' % interleaved_gate_fidelity(p_ref, curve.p))
     else:

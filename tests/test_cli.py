@@ -9,7 +9,7 @@ import pytest
 
 import holopulse
 from holopulse.cli import (MAX_STEPS, ConfigError, load_config, main, parse_gate,
-                           parse_noise)
+                           parse_noise, run_sweep)
 from holopulse.paths import DYNAMICAL
 
 
@@ -257,6 +257,10 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("sideband", {"n_max": 5.5}),
     ("qpt", {"gate": "X", "analytic": "false"}),
     ("qpt", {"gate": "X", "analytic": 0.5}),
+    # an all-dynamical sweep sets gamma = -2 pi eta, so it reads no gamma
+    ("sweep", {"gate": {"theta": 1.0, "phi": 0.3, "gamma": 2.0},
+               "schemes": [{"scheme": "dynamical", "eta": 0.5},
+                           {"scheme": "dynamical", "eta": 0.25}]}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})
@@ -270,7 +274,6 @@ def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
 @pytest.mark.parametrize("command, seed, extra", [
     # at seed 4 the reference curve at epsilon = 0.05 fits p = 1.00006
     ("rb", "4", {"noise": {"epsilon": 0.05}}),
-    ("sweep", "4", {"mode": "rb", "epsilon_grid": [0.05]}),
     # at seed 0 the fit reaches curve_fit's maxfev
     ("rb", "0", {"noise": {"epsilon": 0.01}, "sequences": 2, "shots": 100}),
 ])
@@ -329,18 +332,33 @@ def test_direct_sweep_unconverged_point_exits_3(tmp_path):
 
 
 def test_rb_sweep_does_not_need_a_gate(tmp_path):
-    base = {"experiment": "sweep", "mode": "rb", "lengths": [1, 2, 4], "sequences": 3,
-            "n_samples": 256, "steps": 512, "epsilon_grid": [0.02]}
+    base = {"experiment": "sweep", "mode": "rb", "n_samples": 256, "steps": 512,
+            "epsilon_grid": [0.02]}
     out = tmp_path / "a"
     assert main(["sweep", "--config", _write(tmp_path, "a.json", base),
                  "--out", str(out), "--seed", "1"]) == 0
     rows = _table(out / "sweep.csv")
-    assert list(rows[0]) == ["epsilon", "scheme", "infidelity_mean", "infidelity_std"]
+    assert list(rows[0]) == ["epsilon", "scheme", "infidelity_mean"]
     # an rb-mode sweep reads no gate, so it rejects one
     out = tmp_path / "b"
     assert main(["sweep", "--config", _write(tmp_path, "b.json", dict(base, gate="X")),
                  "--out", str(out), "--seed", "1"]) == 2
     assert not out.exists()
+
+
+def test_rb_sweep_is_monotone_in_the_amplitude_error():
+    # the exact decay at each epsilon, with no sampled sequences to scatter it
+    rows = run_sweep({"experiment": "sweep", "mode": "rb", "n_samples": 256, "steps": 512,
+                      "epsilon_grid": {"min": -0.2, "max": 0.2, "points": 9}}, 0)
+    infidelity = {}
+    for eps, label, mean, err in rows:
+        assert err is None
+        infidelity.setdefault(label, []).append(mean)
+    for values in infidelity.values():
+        assert abs(values[4]) <= 1e-12       # epsilon = 0
+        assert np.all(np.diff(values[:5]) < 0) and np.all(np.diff(values[4:]) > 0)
+    robust, plain = infidelity["holonomic:eta=1"], infidelity["holonomic:eta=0"]
+    assert robust[0] < plain[0] and robust[-1] < plain[-1]
 
 
 def test_sweep_mode_is_set_in_the_config_alone(tmp_path):
@@ -387,6 +405,13 @@ def test_numpy_commands_need_no_scipy(tmp_path):
          "steps": 1024},
         {"experiment": "sweep", "gate": "X", "n_samples": 256, "steps": 512,
          "epsilon_grid": {"min": -0.2, "max": 0.2, "points": 5}},
+        {"experiment": "sweep", "mode": "rb", "n_samples": 256, "steps": 512,
+         "epsilon_grid": [-0.1, 0.0, 0.1]},
+        # an all-dynamical sweep needs only the axis of its gate
+        {"experiment": "sweep", "gate": {"theta": 1.0, "phi": 0.3}, "n_samples": 256,
+         "steps": 512, "epsilon_grid": [-0.1, 0.1],
+         "schemes": [{"scheme": "dynamical", "eta": 0.5},
+                     {"scheme": "dynamical", "eta": 0.25}]},
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(holopulse.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path),

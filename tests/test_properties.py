@@ -20,10 +20,11 @@ from holopulse.cli import main
 from holopulse.engine import (NoiseModel, _cf4_steps, _ck_product, _coupling,
                               _dephasing_rates, _embed, dephasing_from_t2,
                               open_superoperator, propagate_unitary, trace_defect)
-from holopulse.gates import axis_angle, phase_equivalent, target_unitary
+from holopulse.gates import (axis_angle, clifford_products, clifford_table, phase_equivalent,
+                             target_unitary)
 from holopulse.paths import DYNAMICAL, HOLONOMIC, controls_arrays
 from holopulse.pulses import GateSpec, export_tones, named_gate, parse_tones, synthesize
-from holopulse.rbench import GateCache, RBConfig, build_sequence, run_rb
+from holopulse.rbench import GateCache, RBConfig, build_sequence, decay_rate, run_rb
 from holopulse.qcore import SX, fidelity_qubit_subspace, leakage, unitarity_defect
 from holopulse.tomo import (BASES, PREP_LABELS, exact_records, measurement_effect,
                             prepare_input, propagator_channel)
@@ -307,10 +308,43 @@ def test_rb_means_match_the_direct_formulas(eta, epsilon, gamma_1a, prep_error, 
             specs, recovery = build_sequence(m, rng, cfg.interleaved, eta)
             survival.append(_reference_survival(specs + [recovery], cfg))
         reference.append(np.mean(survival))
-    no_fit = (1.0, 1.0, 0.0, np.zeros((3, 3)))     # the means alone are compared
+    no_fit = (1.0, 1.0, 0.0)     # the means alone are compared
     with mock.patch.object(rbench, "fit_decay", return_value=no_fit):
         means = run_rb(cfg).means
     assert np.max(np.abs(means - reference)) <= 1e-13
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(eta=st.floats(0.0, 1.0), epsilon=st.floats(-0.2, 0.2), dephased=st.booleans())
+def test_sequence_average_decays_at_the_spectral_rates(eta, epsilon, dephased):
+    """The exact survival averaged over all Clifford sequences of length m is
+    A + B lam^m + C p^m from m = 16 on, at p = decay_rate and lam the
+    eigenvalue of second-largest modulus of the mean Clifford channel (the
+    leakage decay). The average comes from the transfer recursion on the
+    Cayley table: state[c] sums vec(rho) over the sequences whose product is C_c."""
+    rates = (300.0, 30.0) if dephased else (0.0, 0.0)
+    cfg = RBConfig(eta=eta, noise=NoiseModel(epsilon=epsilon, gamma_1a=rates[0],
+                                             gamma_0a=rates[1]),
+                   n_samples=256, steps=STEPS)
+    cache, table = GateCache(), clifford_table(eta)
+    channels = np.stack([cache.channel(el.spec, cfg) for el in table])
+    recoveries = np.stack([cache.channel(el.recovery, cfg) for el in table])
+    products = np.array(clifford_products())
+    state = np.zeros((len(table), 9), dtype=complex)
+    state[0, 0] = 1.0       # |0><0| before the first gate, the identity so far
+    survival = []
+    for _ in range(64):
+        new = np.zeros_like(state)
+        for g, channel in enumerate(channels):
+            new[products[g]] += state @ channel.T / len(table)
+        state = new
+        survival.append(np.real(np.sum(recoveries[:, 0, :] * state)))
+    eigenvalues = np.linalg.eigvals(np.mean(channels, axis=0))
+    lam = np.real(eigenvalues[np.argsort(-np.abs(eigenvalues))[1]])
+    m = np.arange(16, 65)
+    basis = np.stack([np.ones(m.size), lam ** m, decay_rate(cfg, cache) ** m], axis=1)
+    coeffs = np.linalg.lstsq(basis, survival[15:], rcond=None)[0]
+    assert np.max(np.abs(basis @ coeffs - survival[15:])) <= 1e-6
 
 
 # small valid configs of every command; the edits below never raise
@@ -375,8 +409,7 @@ _BASES = [
             "lengths": [1, 4, 16], "sequences": 2, "n_samples": 256, "steps": 512}),
     ("sweep", {"mode": "direct", "gate": _ANGLES, "n_samples": 256, "steps": 512,
                "epsilon_grid": {"min": -0.1, "max": 0.1, "points": 3}}),
-    ("sweep", {"mode": "rb", "epsilon_grid": [0.05], "lengths": [1, 2, 4], "sequences": 2,
-               "n_samples": 256, "steps": 512}),
+    ("sweep", {"mode": "rb", "epsilon_grid": [0.05], "n_samples": 256, "steps": 512}),
     ("sideband", {"gamma": 1.5, "n_samples": 512, "steps": 1024}),
 ]
 # one or more edits of every key that any command accepted before commands

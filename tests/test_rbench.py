@@ -8,7 +8,7 @@ from holopulse.engine import NoiseModel, dephasing_from_t2
 from holopulse.gates import clifford_table, phase_equivalent, target_unitary
 from holopulse.pulses import GateSpec, named_gate
 from holopulse.rbench import (FitError, GateCache, RBConfig, average_fidelity,
-                              build_sequence, curve_to_csv, decay_model,
+                              build_sequence, curve_to_csv, decay_model, decay_rate,
                               fit_decay, interleaved_gate_fidelity, run_rb)
 
 
@@ -39,7 +39,7 @@ def test_fit_decay_recovers_parameters():
     m = np.array([1, 2, 4, 8, 16, 32, 64])
     a, p, b = 0.47, 0.97, 0.51
     y = decay_model(m, a, p, b)
-    af, pf, bf, _ = fit_decay(m, y)
+    af, pf, bf = fit_decay(m, y)
     assert pf == pytest.approx(p, abs=1e-8)
     assert af == pytest.approx(a, abs=1e-6)
     assert bf == pytest.approx(b, abs=1e-6)
@@ -140,10 +140,8 @@ def test_config_validation():
     for omega_max in (0.0, -1.0, float("inf")):
         with pytest.raises(ValueError):
             RBConfig(omega_max=omega_max)
-    for bad in ({"scheme": "bogus"}, {"eta": float("nan")},
-                {"scheme": "dynamical", "eta": 1.0}):
-        with pytest.raises(ValueError):
-            RBConfig(**bad)
+    with pytest.raises(ValueError):
+        RBConfig(eta=float("nan"))
     for bad in (dict(depolarizing=0.1), dict(mode="exact", depolarizing=float("nan")),
                 dict(mode="exact", depolarizing=1.5)):
         with pytest.raises(ValueError):     # depolarizing is exact mode's channel
@@ -222,3 +220,25 @@ def test_dephased_rb_propagates_once_per_theta_gamma(monkeypatch):
     keys = {(round(s.theta, 14), round(s.gamma, 14))
             for specs, recovery in sequences for s in specs + [recovery]}
     assert len(calls) == len(keys) > 10
+
+
+@pytest.mark.parametrize("d", [0.01, 0.05])
+def test_decay_rate_of_a_depolarizer_is_one_minus_d(d):
+    # exact mode has no leakage: every Clifford is followed by the depolarizer
+    cfg = RBConfig(mode="exact", depolarizing=d)
+    assert abs(decay_rate(cfg, GateCache()) - (1.0 - d)) <= 1e-12
+
+
+@pytest.mark.parametrize("eta, noise, r", [
+    (0.0, NoiseModel(epsilon=0.05), 5.09e-3),
+    (0.0, NoiseModel(epsilon=0.2), 7.40e-2),
+    (1.0, NoiseModel(epsilon=0.05), 1.84e-5),
+    (1.0, NoiseModel(epsilon=0.2), 3.57e-3),
+    (0.2, NoiseModel(gamma_1a=100.0, gamma_0a=10.0), 2.86e-3),
+])
+def test_decay_rate_matches_the_spectral_table(eta, noise, r):
+    # r = (1 - p)/2 to three significant digits: the first four at RBConfig's
+    # defaults, the last on the configuration of the benchmark's rb_dephasing jobs
+    steps = {"n_samples": 256, "steps": 512} if noise.gamma_1a else {}
+    p = decay_rate(RBConfig(eta=eta, noise=noise, **steps), GateCache())
+    assert float("%.3g" % ((1.0 - p) / 2.0)) == r
