@@ -45,7 +45,8 @@ reduction multiplies the real 9x9 steps; the channel converts back to
 vec(rho) once, as C^-1 R C.
 
 The coupling is evaluated from the schedule's continuous-time control law
-(gate spec + duration); the sampled arrays are the export artifact.
+(gate spec + duration); its sample table is only the export artifact and is
+never built here.
 Basis order everywhere: (|0>, |1>, |a>), hbar = 1.
 """
 from __future__ import annotations
@@ -161,9 +162,11 @@ def _su2_step(c: np.ndarray, dt: float, scale=1.0):
 
 
 def _ck_product(later, earlier):
-    """(a, b) of U2 U1 for Cayley-Klein pairs later = (a2, b2), earlier = (a1, b1)."""
+    """(a, b) of U2 U1 for Cayley-Klein pairs later = (a2, b2), earlier = (a1, b1).
+    np.conj's temporary goes on the left, where numpy puts it when it reuses a
+    large one in place: the rounding then does not depend on the block size."""
     (a2, b2), (a1, b1) = later, earlier
-    return a2 * a1 - b2 * np.conj(b1), a2 * b1 + b2 * np.conj(a1)
+    return a2 * a1 - np.conj(b1) * b2, a2 * b1 + np.conj(a1) * b2
 
 
 def _ordered_product(steps: tuple, product: Callable[[tuple, tuple], tuple]) -> tuple:

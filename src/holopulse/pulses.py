@@ -8,11 +8,15 @@ offset by phi (phi0 - phi1 + pi = phi at every sample).
 
 The gate duration is always derived from the maximum-drive bound
 max_t Omega(t) = Omega_max; it is never taken from quoted nominal values.
+A `PulseSchedule` holds only what fixes the drive; the engine propagates its
+continuous control law, and the sample table, derived on first use, is the
+export artifact. `parse_tones` accepts a file only if it is that table.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +26,10 @@ from .paths import DYNAMICAL, HOLONOMIC, SCHEMES, controls_arrays, dynamical_gam
 OMEGA_MAX_DEFAULT = 2.0 * np.pi * 1.0e4   # rad/s
 TONE0_HZ_DEFAULT = 12.6428e9              # |0> <-> |a| transition
 TONE1_HZ_DEFAULT = TONE0_HZ_DEFAULT - 12.5e6   # |1> <-> |a| transition
-PEAK_REL_TOL = 1e-3     # allowed relative miss of the peak Rabi rate
 
 _HEADER_KEYS = ("omega_max_rad_s", "duration_s", "sample_rate_hz", "scheme",
                 "eta", "theta_rad", "phi_rad", "gamma_rad", "tone0_hz", "tone1_hz")
+_COLUMNS = ("t_s", "omega0_rad_s", "phi0_rad", "omega1_rad_s", "phi1_rad")
 
 
 @dataclass(frozen=True)
@@ -79,55 +83,44 @@ def named_gate(name: str, eta: float = 0.0, scheme: str = HOLONOMIC) -> GateSpec
     return GateSpec(theta=theta, phi=phi, gamma=gamma, eta=eta, scheme=scheme)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PulseSchedule:
-    """Sampled two-tone waveform over [0, T] for one gate."""
+    """One gate's two-tone drive at peak Rabi rate omega_max; n_samples sets
+    the resolution of its exported sample table (and the steps guard)."""
     spec: GateSpec
-    duration: float
-    times: np.ndarray
-    omega0: np.ndarray
-    omega1: np.ndarray
-    phi0: np.ndarray
-    phi1: np.ndarray
     omega_max: float
+    n_samples: int
     tone0_hz: float = TONE0_HZ_DEFAULT
     tone1_hz: float = TONE1_HZ_DEFAULT
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.times) - 1
+    @cached_property
+    def duration(self) -> float:
+        return compute_duration(self.spec, self.omega_max)
 
     @property
     def sample_rate(self) -> float:
         return self.n_samples / self.duration
 
-    def validate(self):
-        """Check the schedule invariants; raises on violation."""
-        total = np.hypot(self.omega0, self.omega1)
-        if np.any(self.omega0 < 0) or np.any(self.omega1 < 0):
-            raise ValueError("negative tone amplitude")
-        peak = float(np.max(total))
-        if abs(peak - self.omega_max) > PEAK_REL_TOL * self.omega_max:
-            raise ValueError(f"peak Rabi rate {peak} misses omega_max {self.omega_max}")
-        n = self.n_samples
-        for k in (0, n // 2, n):
-            if total[k] != 0.0:
-                raise ValueError(f"total Rabi rate nonzero at sample {k}")
-        dphi = self.phi0 - self.phi1 + np.pi
-        if np.max(np.abs(dphi - self.spec.phi)) > 1e-12:
-            raise ValueError("phi0 - phi1 + pi does not equal the constant phi")
-        live = self.omega1 > 1e-12 * self.omega_max
-        if np.any(live):
-            ratio = self.omega0[live] / self.omega1[live]
-            if np.max(np.abs(ratio - np.tan(self.spec.theta / 2.0))) > 1e-9:
-                raise ValueError("tone amplitude ratio drifts from tan(theta/2)")
-        duration = compute_duration(self.spec, self.omega_max)
-        if not math.isclose(self.duration, duration, rel_tol=1e-12):
-            raise ValueError(f"duration {self.duration} is not the {duration} s "
-                             f"that omega_max and eta fix")
-        grid = np.linspace(0.0, self.duration, n + 1)
-        if np.max(np.abs(self.times - grid)) > 1e-12 * self.duration:
-            raise ValueError("sample times are not the uniform grid over [0, duration]")
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """The (n_samples + 1, 5) table of the tone file's columns (t, Omega0,
+        phi0, Omega1, phi1) on the uniform grid over [0, T], so that both T/2
+        and T are samples. The phase jump at T/2 sits between adjacent
+        samples (Omega = 0 there, so it is free)."""
+        n, spec = self.n_samples, self.spec
+        times = np.linspace(0.0, self.duration, n + 1)
+        omega, phi0 = controls_arrays(spec, self.duration, times)
+        # endpoint clamps: Omega vanishes exactly at 0, T/2, T
+        omega[[0, n // 2, n]] = 0.0
+        return np.column_stack([times, omega * np.sin(spec.theta / 2.0), phi0,
+                                omega * np.cos(spec.theta / 2.0),
+                                phi0 + np.pi - spec.phi])
+
+    times = property(lambda self: self.samples[:, 0])
+    omega0 = property(lambda self: self.samples[:, 1])
+    phi0 = property(lambda self: self.samples[:, 2])
+    omega1 = property(lambda self: self.samples[:, 3])
+    phi1 = property(lambda self: self.samples[:, 4])
 
 
 def _envelope_factor(s, eta):
@@ -146,10 +139,14 @@ def peak_envelope(eta: float) -> float:
 
 
 def compute_duration(spec: GateSpec, omega_max: float = OMEGA_MAX_DEFAULT) -> float:
-    """Minimal cycle time T such that max_t Omega(t) = omega_max."""
+    """Minimal cycle time T such that max_t Omega(t) = omega_max; raises if it
+    overflows."""
     if not omega_max > 0:
         raise ValueError("omega_max must be positive")
-    return math.pi ** 2 * peak_envelope(spec.eta) / omega_max
+    duration = math.pi ** 2 * peak_envelope(spec.eta) / omega_max
+    if duration == math.inf:
+        raise ValueError(f"duration overflows at omega_max {omega_max}, eta {spec.eta}")
+    return duration
 
 
 def check_sampling(omega_max: float, n_samples: int):
@@ -164,91 +161,63 @@ def check_sampling(omega_max: float, n_samples: int):
 
 def synthesize(spec: GateSpec, omega_max: float = OMEGA_MAX_DEFAULT,
                n_samples: int = 4096) -> PulseSchedule:
-    """Compile a gate into a uniformly sampled two-tone schedule.
-
-    n_samples counts uniform intervals; the schedule holds n_samples + 1
-    samples so that both T/2 and T land exactly on samples. The phase jump at
-    T/2 sits between adjacent samples (Omega = 0 there, so it is free).
-    """
+    """The schedule of a gate at peak Rabi rate omega_max, sampled over
+    n_samples uniform intervals; raises if its duration overflows."""
     check_sampling(omega_max, n_samples)
-    duration = compute_duration(spec, omega_max)
-    times = np.linspace(0.0, duration, n_samples + 1)
-    omega, phi0 = controls_arrays(spec, duration, times)
-    # endpoint clamps: Omega vanishes exactly at 0, T/2, T
-    omega[[0, n_samples // 2, n_samples]] = 0.0
-    omega0 = omega * np.sin(spec.theta / 2.0)
-    omega1 = omega * np.cos(spec.theta / 2.0)
-    phi1 = phi0 + np.pi - spec.phi
-    sched = PulseSchedule(spec=spec, duration=duration, times=times,
-                          omega0=omega0, omega1=omega1, phi0=phi0, phi1=phi1,
-                          omega_max=omega_max)
-    sched.validate()
-    return sched
+    schedule = PulseSchedule(spec, omega_max, n_samples)
+    schedule.duration   # computed now, so that an overflow raises here
+    return schedule
 
 
 def export_tones(schedule: PulseSchedule, path) -> Path:
     """Write the tone-descriptor text file; deterministic bytes per input."""
-    if schedule.n_samples < 1:
-        raise ValueError("schedule has no samples")
-    schedule.validate()
     spec = schedule.spec
-    meta = {
-        "omega_max_rad_s": repr(schedule.omega_max),
-        "duration_s": repr(schedule.duration),
-        "sample_rate_hz": repr(schedule.sample_rate),
-        "scheme": spec.scheme,
-        "eta": repr(spec.eta),
-        "theta_rad": repr(spec.theta),
-        "phi_rad": repr(spec.phi),
-        "gamma_rad": repr(spec.gamma),
-        "tone0_hz": repr(schedule.tone0_hz),
-        "tone1_hz": repr(schedule.tone1_hz),
-    }
-    lines = [f"# {key} = {meta[key]}" for key in _HEADER_KEYS]
-    lines.append("# t_s,omega0_rad_s,phi0_rad,omega1_rad_s,phi1_rad")
-    for k in range(schedule.n_samples + 1):
-        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g" % (
-            schedule.times[k], schedule.omega0[k], schedule.phi0[k],
-            schedule.omega1[k], schedule.phi1[k]))
+    values = (schedule.omega_max, schedule.duration, schedule.sample_rate, spec.scheme,
+              spec.eta, spec.theta, spec.phi, spec.gamma, schedule.tone0_hz,
+              schedule.tone1_hz)
+    lines = [f"# {key} = {v if isinstance(v, str) else repr(v)}"
+             for key, v in zip(_HEADER_KEYS, values)]
+    lines.append("# " + ",".join(_COLUMNS))
+    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g" % tuple(row) for row in schedule.samples]
     out = Path(path)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
 
 
 def parse_tones(path) -> PulseSchedule:
-    """Read a tone-descriptor file back into a PulseSchedule; raises if it
-    breaks a schedule invariant (`PulseSchedule.validate`) or if its
-    sample_rate_hz is not n_samples / duration_s."""
-    meta = {}
-    rows = []
+    """Read a tone-descriptor file back into the schedule its header describes,
+    synthesized at n_samples = rows - 1. Raises ValueError unless duration_s,
+    sample_rate_hz and every sample match that schedule to within 1e-12 of
+    the largest magnitude in their column: the file must be the drive that
+    the engine propagates."""
+    meta, rows = {}, []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
+            key, eq, value = line[1:].partition("=")
+            if eq:
                 meta[key.strip()] = value.strip()
-            continue
-        rows.append([float(x) for x in line.split(",")])
+        elif line:
+            rows.append([float(x) for x in line.split(",")])
     missing = [k for k in _HEADER_KEYS if k not in meta]
     if missing:
         raise ValueError(f"tone descriptor missing metadata keys {missing}")
-    if not rows:
-        raise ValueError("tone descriptor has no sample rows")
-    data = np.array(rows, dtype=float)
     spec = GateSpec(theta=float(meta["theta_rad"]), phi=float(meta["phi_rad"]),
                     gamma=float(meta["gamma_rad"]), eta=float(meta["eta"]),
                     scheme=meta["scheme"])
-    schedule = PulseSchedule(
-        spec=spec, duration=float(meta["duration_s"]), times=data[:, 0],
-        omega0=data[:, 1], phi0=data[:, 2], omega1=data[:, 3], phi1=data[:, 4],
-        omega_max=float(meta["omega_max_rad_s"]),
-        tone0_hz=float(meta["tone0_hz"]), tone1_hz=float(meta["tone1_hz"]))
-    schedule.validate()
-    rate = float(meta["sample_rate_hz"])
-    if not math.isclose(rate, schedule.sample_rate, rel_tol=1e-12):
-        raise ValueError(f"sample_rate_hz {rate} is not n_samples / duration_s "
-                         f"= {schedule.sample_rate}")
+    schedule = replace(synthesize(spec, float(meta["omega_max_rad_s"]), len(rows) - 1),
+                       tone0_hz=float(meta["tone0_hz"]), tone1_hz=float(meta["tone1_hz"]))
+    for key, expected in (("duration_s", schedule.duration),
+                          ("sample_rate_hz", schedule.sample_rate)):
+        if not abs(float(meta[key]) - expected) <= 1e-12 * expected:
+            raise ValueError(f"{key} {meta[key]} is not the {expected!r} of the "
+                             f"schedule the header describes")
+    data, table = np.array(rows), schedule.samples
+    if data.shape != table.shape:
+        raise ValueError(f"sample rows have {data.shape[1]} columns, not {len(_COLUMNS)}")
+    miss = ~(np.abs(data - table) <= 1e-12 * np.max(np.abs(table), axis=0))
+    for name, bad in zip(_COLUMNS, miss.T):
+        if np.any(bad):
+            raise ValueError(f"{name} at sample {int(np.argmax(bad))} does not match "
+                             f"the schedule the header describes")
     return schedule

@@ -35,7 +35,8 @@ from .engine import (NoiseModel, _embed, block_basis, check_steps, open_superope
 from .gates import (_clifford_rotations, axis_angle, clifford_index, clifford_products,
                     clifford_table, target_unitary)
 from .paths import DYNAMICAL
-from .pulses import OMEGA_MAX_DEFAULT, GateSpec, check_sampling, synthesize
+from .pulses import (OMEGA_MAX_DEFAULT, GateSpec, check_sampling, compute_duration,
+                     synthesize)
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,7 @@ class RBConfig:
                              "gamma_1a and gamma_0a must be 0")
         if self.mode == "pulse":
             check_sampling(self.omega_max, self.n_samples)
+            compute_duration(GateSpec(0.0, 0.0, 0.0, self.eta), self.omega_max)
             check_steps(self.steps, self.n_samples)
 
 
@@ -240,7 +242,7 @@ def decay_model(m, a, p, b):
     return a * p ** np.asarray(m, dtype=float) + b
 
 
-def fit_decay(lengths, means, sigma=None):
+def fit_decay(lengths, means):
     """Levenberg-Marquardt fit of F = A p^m + B, seeded from a log-linear fit.
 
     scipy is imported here, at the first fit: no other code path needs it,
@@ -264,7 +266,7 @@ def fit_decay(lengths, means, sigma=None):
         warnings.simplefilter("ignore", OptimizeWarning)
         try:
             popt, _ = curve_fit(decay_model, lengths, means, p0=(a0, p0, b0),
-                                sigma=sigma, method="lm", maxfev=20000)
+                                method="lm", maxfev=20000)
         except RuntimeError as exc:     # no convergence within maxfev
             raise FitError(str(exc)) from exc
     a, p, b = (float(v) for v in popt)

@@ -261,6 +261,11 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("sweep", {"gate": {"theta": 1.0, "phi": 0.3, "gamma": 2.0},
                "schemes": [{"scheme": "dynamical", "eta": 0.5},
                            {"scheme": "dynamical", "eta": 0.25}]}),
+    # omega_max so small that the duration pi^2 sqrt(1 + 16 eta^2) / omega_max
+    # overflows: no tone file of inf/nan rows, no crash in the fit
+    ("synth", {"gate": "X", "n_samples": 256, "omega_max": 1e-310}),
+    ("rb", {"noise": {"gamma_1a": 100.0}, "lengths": [1, 2, 4], "sequences": 2,
+            "n_samples": 256, "steps": 512, "omega_max": 1e-320}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})

@@ -118,7 +118,7 @@ def test_step_doubling_compares_an_even_coarse_pass():
     e258 = propagate_unitary(sched, steps=258).truncation_error
     assert 0.5 * e256 <= e258 <= 2.0 * e256
     # the check's coarse pass needs steps >= 4, even on a 2-interval schedule
-    coarse = replace(sched, times=sched.times[::128])
+    coarse = replace(sched, n_samples=2)
     with pytest.raises(ValueError):
         propagate_unitary(coarse, steps=2)
     assert propagate_unitary(coarse, steps=2, check=False).unitary.shape == (3, 3)
@@ -368,19 +368,21 @@ def test_multi_block_kernels_match_one_block(monkeypatch):
 
 
 def test_power_of_two_blocks_are_bitwise_one_block(monkeypatch):
-    # No batch: at 2050 steps one block of 21 points holds arrays over
-    # 256 KiB, whose products numpy rounds differently (see `_blockwise`); the
-    # 21-point batch moves by about 5e-16.
+    # At 2050 steps one block of 21 points holds arrays over 256 KiB, which
+    # numpy multiplies in place as conj(b1) * b2; `_ck_product` writes that
+    # order, so the 21-point batch is bitwise equal too.
     sched = _sched("H", eta=0.5)
+    grid = np.linspace(-0.2, 0.2, 21)
     noise = NoiseModel(epsilon=0.05, gamma_1a=300.0, gamma_0a=100.0)
     steps = 2050                        # the last block is partial
 
     def kernels():
         return (propagate_unitary(sched, 0.1, steps, check=False).unitary,
+                propagate_unitary(sched, grid, steps, check=False).unitary,
                 open_superoperator(sched, noise, steps))
 
     one = kernels()
-    monkeypatch.setattr(engine, "_CLOSED_BLOCK", 64)     # 64-step blocks
+    monkeypatch.setattr(engine, "_CLOSED_BLOCK", 64)     # 64-step blocks, 2 on the batch
     monkeypatch.setattr(engine, "_OPEN_BLOCK", 64)
     for blocked, whole in zip(kernels(), one):
         assert np.array_equal(blocked, whole)
