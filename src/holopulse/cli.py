@@ -91,6 +91,13 @@ def _size(value, name, bound=np.inf) -> int:
     return size
 
 
+def _real(value, name) -> float:
+    """`value` as a float: a JSON number, no boolean or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_config(path, kind_override=None) -> _Object:
     """The config at `path`; main checks its keys after the command's parse."""
     try:
@@ -117,14 +124,13 @@ def parse_gate(cfg, key="gate", eta=0.0, scheme=None) -> GateSpec:
     gate = _Object({"name": raw} if named else raw, "gate")
     own = not named and scheme is None
     if own:
-        eta, scheme = float(gate.get("eta", 0.0)), gate.get("scheme", HOLONOMIC)
+        eta, scheme = _real(gate.get("eta", 0.0), "gate eta"), gate.get("scheme", HOLONOMIC)
     if "name" in gate:      # a name sets all three angles
         spec = named_gate(gate["name"], eta=eta, scheme=scheme if own else HOLONOMIC)
-    elif scheme == DYNAMICAL:
-        spec = GateSpec.dynamical(float(gate["theta"]), float(gate["phi"]), eta)
     else:
-        spec = GateSpec(theta=float(gate["theta"]), phi=float(gate["phi"]),
-                        gamma=float(gate["gamma"]), eta=eta, scheme=scheme)
+        theta, phi = _real(gate["theta"], "gate theta"), _real(gate["phi"], "gate phi")
+        spec = (GateSpec.dynamical(theta, phi, eta) if scheme == DYNAMICAL else
+                GateSpec(theta, phi, _real(gate["gamma"], "gate gamma"), eta, scheme))
     gate.check()
     return spec
 
@@ -133,7 +139,7 @@ def parse_noise(cfg, fields=tuple(NoiseModel.__dataclass_fields__)) -> NoiseMode
     """The config's noise model; `fields` are the ones the command models."""
     noise = _Object(cfg.get("noise", {}), "noise")
     try:
-        model = NoiseModel(**{k: float(noise[k]) for k in fields if k in noise})
+        model = NoiseModel(**{k: _real(noise[k], f"noise {k}") for k in fields if k in noise})
     except ValueError as exc:
         raise ConfigError(f"invalid noise model: {exc}")
     noise.check()
@@ -179,7 +185,7 @@ class OutputWriter:
 # Each command parses its config and returns run(writer) -> exit status.
 
 def _synth(cfg, seed):
-    omega_max = float(cfg.get("omega_max", OMEGA_MAX_DEFAULT))
+    omega_max = _real(cfg.get("omega_max", OMEGA_MAX_DEFAULT), "omega_max")
     sched, _ = _schedule(cfg, partial(synthesize, parse_gate(cfg), omega_max), 4096)
 
     def run(writer: OutputWriter):
@@ -250,7 +256,7 @@ def _rb_config(cfg, noise, **fields) -> RBConfig:
     default. omega_max is read under dephasing alone: the closed dynamics are
     invariant under t -> omega_max t."""
     if noise.gamma_1a > 0.0 or noise.gamma_0a > 0.0:
-        fields["omega_max"] = float(cfg.get("omega_max", RBConfig.omega_max))
+        fields["omega_max"] = _real(cfg.get("omega_max", RBConfig.omega_max), "omega_max")
     return RBConfig(
         noise=noise,
         n_samples=_size(cfg.get("n_samples", RBConfig.n_samples), "n_samples",
@@ -259,7 +265,7 @@ def _rb_config(cfg, noise, **fields) -> RBConfig:
 
 
 def _rb(cfg, seed):
-    eta, shots = float(cfg.get("eta", RBConfig.eta)), cfg.get("shots")
+    eta, shots = _real(cfg.get("eta", RBConfig.eta), "eta"), cfg.get("shots")
     lengths = cfg.get("lengths", list(RBConfig.lengths))
     if not isinstance(lengths, list):
         raise ConfigError(f"'lengths' must be a list of sequence lengths, got {lengths!r}")
@@ -294,7 +300,7 @@ def _parse_sweep_schemes(cfg, rb):
         scheme = HOLONOMIC if rb else item.get("scheme", HOLONOMIC)
         if scheme not in (HOLONOMIC, DYNAMICAL):
             raise ConfigError(f"unknown scheme {scheme!r}")
-        out.append((scheme, float(item.get("eta", 0.0))))
+        out.append((scheme, _real(item.get("eta", 0.0), "a sweep scheme's eta")))
         item.check()
     if not 2 <= len(out) <= 3:
         raise ConfigError("sweep needs two or three schemes")
@@ -304,10 +310,11 @@ def _parse_sweep_schemes(cfg, rb):
 def _sweep_grid(cfg):
     raw = cfg.get("epsilon_grid", {"min": -0.2, "max": 0.2, "points": 41})
     if isinstance(raw, list):
-        grid = np.asarray([float(x) for x in raw])
+        grid = np.asarray([_real(x, "an epsilon_grid entry") for x in raw])
     else:
         raw = _Object(raw, "epsilon_grid")
-        grid = np.linspace(float(raw.get("min", -0.2)), float(raw.get("max", 0.2)),
+        grid = np.linspace(_real(raw.get("min", -0.2), "epsilon_grid min"),
+                           _real(raw.get("max", 0.2), "epsilon_grid max"),
                            _size(raw.get("points", 41), "epsilon_grid points",
                                  MAX_GRID_POINTS))
         raw.check()
@@ -381,8 +388,8 @@ def _sweep(cfg, seed):
 
 
 def _sideband(cfg, seed):
-    gamma = float(cfg.get("gamma", np.pi))
-    eta = float(cfg.get("eta", 0.2))
+    gamma = _real(cfg.get("gamma", np.pi), "gamma")
+    eta = _real(cfg.get("eta", 0.2), "eta")
     system = sideband.SidebandSystem(n_max=_size(cfg.get("n_max", 5), "n_max"))
     synth = partial(sideband.synthesize_cphase, gamma, OMEGA_MAX_DEFAULT, eta)
     sched, steps = _schedule(cfg, synth, 4096, DEFAULT_STEPS)
@@ -418,8 +425,9 @@ def main(argv=None) -> int:
         if cfg["experiment"] != args.command:
             raise ConfigError(
                 f"config is for {cfg['experiment']!r} but command is {args.command!r}")
-        seed = cfg.get("seed", 0)       # read even when --seed overrides it
-        seed = int(seed if args.seed is None else args.seed)
+        seed = _size(cfg.get("seed", 0), "seed")    # checked even when --seed overrides it
+        if args.seed is not None:
+            seed = args.seed
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         run = _COMMANDS[args.command](cfg, seed)

@@ -105,19 +105,19 @@ class NoiseModel:
                 + (1.0 - p) * self.detection_error_dark)
 
 
-def dephasing_from_t2(t2_1a: float = 20e-3, t2_0a: float = 200e-3, **kw) -> NoiseModel:
+def dephasing_from_t2(t2_1a: float = 20e-3, t2_0a: float = 200e-3) -> NoiseModel:
     """Noise model whose coherences e-fold at the given Ramsey T2 times."""
-    return NoiseModel(gamma_1a=2.0 / t2_1a, gamma_0a=2.0 / t2_0a, **kw)
+    return NoiseModel(gamma_1a=2.0 / t2_1a, gamma_0a=2.0 / t2_0a)
 
 
 @dataclass
 class PropagationResult:
     """A closed-system propagation: one 3x3 unitary for a scalar epsilon, or
     a stack (n, 3, 3) with per-point truncation_error and converged arrays."""
-    unitary: Optional[np.ndarray] = None
-    steps: int = 0
-    truncation_error: Union[float, np.ndarray] = 0.0
-    converged: Union[bool, np.ndarray] = True
+    unitary: np.ndarray
+    steps: int
+    truncation_error: Union[float, np.ndarray]
+    converged: Union[bool, np.ndarray]
 
 
 def bright_state(spec) -> np.ndarray:

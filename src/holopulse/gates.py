@@ -81,7 +81,6 @@ def axis_angle(u: np.ndarray, eta: float = 0.0) -> GateSpec:
 
 @dataclass(frozen=True)
 class CliffordElement:
-    index: int
     spec: GateSpec
     matrix: np.ndarray
     recovery: GateSpec      # the spec that undoes it, as `axis_angle` would give
@@ -134,12 +133,12 @@ def clifford_table(eta: float = 0.0) -> tuple:
     inverse, built from the exact axis so that equal gates get equal angles.
     """
     identity = GateSpec(theta=0.0, phi=0.0, gamma=0.0, eta=eta)
-    elements = [CliffordElement(index=0, spec=identity,
-                                matrix=np.eye(2, dtype=complex), recovery=identity)]
-    for k, (axis, gamma) in enumerate(_clifford_axis_angles(), start=1):
+    elements = [CliffordElement(spec=identity, matrix=np.eye(2, dtype=complex),
+                                recovery=identity)]
+    for axis, gamma in _clifford_axis_angles():
         spec = _axis_spec(axis, gamma, eta)
         elements.append(CliffordElement(
-            index=k, spec=spec, matrix=canonical_phase(target_unitary(spec)),
+            spec=spec, matrix=canonical_phase(target_unitary(spec)),
             recovery=_axis_spec(_inverse_axis(axis, gamma), gamma, eta)))
     return tuple(elements)
 

@@ -10,12 +10,14 @@ The gate duration is always derived from the maximum-drive bound
 max_t Omega(t) = Omega_max; it is never taken from quoted nominal values.
 A `PulseSchedule` holds only what fixes the drive; the engine propagates its
 continuous control law, and the sample table, derived on first use, is the
-export artifact. `parse_tones` accepts a file only if it is that table.
+export artifact. The tone frequencies are the constants TONE0_HZ and
+TONE1_HZ. `parse_tones` accepts a file only if it is that table under those
+frequencies.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -24,8 +26,8 @@ import numpy as np
 from .paths import DYNAMICAL, HOLONOMIC, SCHEMES, controls_arrays, dynamical_gamma
 
 OMEGA_MAX_DEFAULT = 2.0 * np.pi * 1.0e4   # rad/s
-TONE0_HZ_DEFAULT = 12.6428e9              # |0> <-> |a| transition
-TONE1_HZ_DEFAULT = TONE0_HZ_DEFAULT - 12.5e6   # |1> <-> |a| transition
+TONE0_HZ = 12.6428e9              # |0> <-> |a| transition
+TONE1_HZ = TONE0_HZ - 12.5e6      # |1> <-> |a| transition
 
 _HEADER_KEYS = ("omega_max_rad_s", "duration_s", "sample_rate_hz", "scheme",
                 "eta", "theta_rad", "phi_rad", "gamma_rad", "tone0_hz", "tone1_hz")
@@ -90,8 +92,6 @@ class PulseSchedule:
     spec: GateSpec
     omega_max: float
     n_samples: int
-    tone0_hz: float = TONE0_HZ_DEFAULT
-    tone1_hz: float = TONE1_HZ_DEFAULT
 
     @cached_property
     def duration(self) -> float:
@@ -139,20 +139,18 @@ def peak_envelope(eta: float) -> float:
 
 
 def compute_duration(spec: GateSpec, omega_max: float = OMEGA_MAX_DEFAULT) -> float:
-    """Minimal cycle time T such that max_t Omega(t) = omega_max; raises if it
-    overflows."""
-    if not omega_max > 0:
-        raise ValueError("omega_max must be positive")
+    """Minimal cycle time T such that max_t Omega(t) = omega_max; raises for an
+    omega_max outside (0, inf), NaN included, and if T overflows."""
+    if not 0.0 < omega_max < math.inf:
+        raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
     duration = math.pi ** 2 * peak_envelope(spec.eta) / omega_max
     if duration == math.inf:
         raise ValueError(f"duration overflows at omega_max {omega_max}, eta {spec.eta}")
     return duration
 
 
-def check_sampling(omega_max: float, n_samples: int):
-    """Reject a peak Rabi rate not in (0, inf), and a sample count below 256 or odd."""
-    if not 0.0 < omega_max < math.inf:
-        raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
+def check_sampling(n_samples: int):
+    """Reject a sample count below 256 or odd."""
     if n_samples < 256:
         raise ValueError(f"n_samples must be >= 256, got {n_samples}")
     if n_samples % 2:
@@ -162,10 +160,11 @@ def check_sampling(omega_max: float, n_samples: int):
 def synthesize(spec: GateSpec, omega_max: float = OMEGA_MAX_DEFAULT,
                n_samples: int = 4096) -> PulseSchedule:
     """The schedule of a gate at peak Rabi rate omega_max, sampled over
-    n_samples uniform intervals; raises if its duration overflows."""
-    check_sampling(omega_max, n_samples)
+    n_samples uniform intervals; raises for a bad omega_max (see
+    `compute_duration`) or n_samples."""
+    check_sampling(n_samples)
     schedule = PulseSchedule(spec, omega_max, n_samples)
-    schedule.duration   # computed now, so that an overflow raises here
+    schedule.duration   # computed now, so that a bad omega_max raises here
     return schedule
 
 
@@ -173,8 +172,7 @@ def export_tones(schedule: PulseSchedule, path) -> Path:
     """Write the tone-descriptor text file; deterministic bytes per input."""
     spec = schedule.spec
     values = (schedule.omega_max, schedule.duration, schedule.sample_rate, spec.scheme,
-              spec.eta, spec.theta, spec.phi, spec.gamma, schedule.tone0_hz,
-              schedule.tone1_hz)
+              spec.eta, spec.theta, spec.phi, spec.gamma, TONE0_HZ, TONE1_HZ)
     lines = [f"# {key} = {v if isinstance(v, str) else repr(v)}"
              for key, v in zip(_HEADER_KEYS, values)]
     lines.append("# " + ",".join(_COLUMNS))
@@ -187,9 +185,10 @@ def export_tones(schedule: PulseSchedule, path) -> Path:
 def parse_tones(path) -> PulseSchedule:
     """Read a tone-descriptor file back into the schedule its header describes,
     synthesized at n_samples = rows - 1. Raises ValueError unless duration_s,
-    sample_rate_hz and every sample match that schedule to within 1e-12 of
-    the largest magnitude in their column: the file must be the drive that
-    the engine propagates."""
+    sample_rate_hz, tone0_hz and tone1_hz match that schedule and the tone
+    constants to within 1e-12 relative, and every sample matches it to within
+    1e-12 of the largest magnitude in its column: the file must be the drive
+    that the engine propagates."""
     meta, rows = {}, []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -205,13 +204,13 @@ def parse_tones(path) -> PulseSchedule:
     spec = GateSpec(theta=float(meta["theta_rad"]), phi=float(meta["phi_rad"]),
                     gamma=float(meta["gamma_rad"]), eta=float(meta["eta"]),
                     scheme=meta["scheme"])
-    schedule = replace(synthesize(spec, float(meta["omega_max_rad_s"]), len(rows) - 1),
-                       tone0_hz=float(meta["tone0_hz"]), tone1_hz=float(meta["tone1_hz"]))
+    schedule = synthesize(spec, float(meta["omega_max_rad_s"]), len(rows) - 1)
     for key, expected in (("duration_s", schedule.duration),
-                          ("sample_rate_hz", schedule.sample_rate)):
+                          ("sample_rate_hz", schedule.sample_rate),
+                          ("tone0_hz", TONE0_HZ), ("tone1_hz", TONE1_HZ)):
         if not abs(float(meta[key]) - expected) <= 1e-12 * expected:
             raise ValueError(f"{key} {meta[key]} is not the {expected!r} of the "
-                             f"schedule the header describes")
+                             f"drive the header describes")
     data, table = np.array(rows), schedule.samples
     if data.shape != table.shape:
         raise ValueError(f"sample rows have {data.shape[1]} columns, not {len(_COLUMNS)}")

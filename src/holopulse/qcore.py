@@ -1,4 +1,4 @@
-"""Pauli matrices, basis kets, and unitarity, fidelity and leakage metrics.
+"""Pauli matrices, and unitarity, fidelity and leakage metrics.
 
 Everything here works on plain numpy arrays (complex128) of tiny dimension.
 """
@@ -15,15 +15,6 @@ PAULIS = (SI, SX, SY, SZ)
 
 UNITARY_TOL = 1e-9          # largest unitarity defect accepted of a propagator
 TARGET_UNITARY_TOL = 1e-12  # ... and of an analytic 2x2 target
-
-
-def ket(dim: int, index: int) -> np.ndarray:
-    """Basis column vector |index> in a dim-dimensional space."""
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -75,7 +75,7 @@ class RBConfig:
             raise ValueError("exact mode reads only the SPAM fields of noise; epsilon, "
                              "gamma_1a and gamma_0a must be 0")
         if self.mode == "pulse":
-            check_sampling(self.omega_max, self.n_samples)
+            check_sampling(self.n_samples)
             compute_duration(GateSpec(0.0, 0.0, 0.0, self.eta), self.omega_max)
             check_steps(self.steps, self.n_samples)
 

@@ -5,12 +5,17 @@ J = sum_ij |i><j| (x) Lambda(|i><j|), input factor first. Propagators of the
 three-level engine enter through their qubit block, so J may be
 trace-decreasing: leaked population is read out as a dark count. A data set
 is one `Counts` value: the (6, 3) table of bright counts over (prep j,
-basis b) and the shots behind each entry. One measurement model serves the
+basis b) and the shots behind each entry.
+
+The inputs |0>, |1>, |+>, |->, |+i>, |-i> are rho_j = (I + r_j.sigma)/2 with
+Bloch vectors r_j = +z, -z, +x, -x, +y, -y, and basis b = x, y, z reads bright
+with the effect E_b = (I + sigma_b)/2. One measurement model serves the
 simulator and the MLE: the setting (j, b) has the bright operator
 rho_j^T (x) E_b, whose bright probability is Tr(J rho_j^T (x) E_b), and the
-table of these 18 operators is built once at import. Process matrices chi
-live in the (I, X, Y, Z) operator basis with Tr chi = 1 for a
-trace-preserving channel.
+table of these 18 operators is built once at import. Their entries are exact
+(0, 1, +-1/2, +-i/2, +-1/4 or +-i/4), so the analytic probabilities of a
+Pauli channel are too. Process matrices chi live in the (I, X, Y, Z)
+operator basis with Tr chi = 1 for a trace-preserving channel.
 
 The MLE is the standard fixed-point ascent on the Choi matrix with a
 trace-preservation projection each step, started from linear inversion
@@ -24,62 +29,30 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import NoiseModel
-from .qcore import PAULIS, SX, SY, ket
+from .qcore import PAULIS
 
-PREP_LABELS = tuple(range(6))
 BASES = ("x", "y", "z")
 # the MLE stops when the log-likelihood gains less than MLE_TOL in a step
 MLE_TOL = 1e-10
 MLE_MAX_ITER = 10000
 
-
-def rotation(axis: str, angle: float) -> np.ndarray:
-    """R_k(angle) = exp(-i angle sigma_k / 2)."""
-    sigma = {"x": SX, "y": SY}[axis]
-    return np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * sigma
-
-
-_PREP_ROTATIONS = (
-    np.eye(2, dtype=complex),          # |0>
-    rotation("x", np.pi),              # |1>
-    rotation("y", np.pi / 2.0),        # |+>
-    rotation("y", -np.pi / 2.0),       # |->
-    rotation("x", -np.pi / 2.0),       # |+i>
-    rotation("x", np.pi / 2.0),        # |-i>
-)
+# Bloch vectors (x, y, z) of the inputs |0>, |1>, |+>, |->, |+i>, |-i>
+_INPUTS = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
 # X rho_j X = rho_{_X_FLIP[j]}: the state a preparation error leaves instead
 _X_FLIP = [1, 0, 2, 3, 5, 4]
 
-# pre-rotation mapping the measured axis onto z before bright/dark readout
-_MEAS_PREROT = {
-    "x": rotation("y", -np.pi / 2.0),
-    "y": rotation("x", np.pi / 2.0),
-    "z": np.eye(2, dtype=complex),
-}
 
-
-def prepare_input(label: int) -> np.ndarray:
-    """The six tomography input states, built by rotating |0>."""
-    if label not in PREP_LABELS:
-        raise ValueError(f"prep label must be 0..5, got {label}")
-    return _PREP_ROTATIONS[label] @ ket(2, 0)
-
-
-def measurement_effect(basis: str) -> np.ndarray:
-    """Bright-outcome POVM effect for the given measurement basis."""
-    if basis not in BASES:
-        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    r = _MEAS_PREROT[basis]
-    return r.conj().T @ np.outer(ket(2, 0), ket(2, 0).conj()) @ r
+def _bloch_state(r: np.ndarray) -> np.ndarray:
+    """(I + r.sigma)/2 for every Bloch vector r along the last axis."""
+    return (PAULIS[0] + np.tensordot(r, PAULIS[1:], axes=1)) / 2.0
 
 
 def _setting_operators() -> np.ndarray:
-    """(6, 3, 2, 4, 4): rho_j^T (x) E for the bright and the dark effect of
-    every setting (j, b); an outcome has probability Tr(J op)."""
-    rho_t = [np.outer(psi, psi.conj()).T for psi in map(prepare_input, PREP_LABELS)]
-    bright = np.array([[np.kron(r, measurement_effect(b)) for b in BASES] for r in rho_t])
-    dark = np.array([np.kron(r, np.eye(2)) for r in rho_t])[:, None] - bright
-    return np.stack([bright, dark], axis=2)
+    """(6, 3, 2, 4, 4): rho_j^T (x) (I +- sigma_b)/2, the bright and the dark
+    operator of every setting (j, b); an outcome has probability Tr(J op)."""
+    rho_t = _bloch_state(_INPUTS).transpose(0, 2, 1)
+    effects = _bloch_state(np.stack([np.eye(3), -np.eye(3)], axis=1))
+    return np.einsum("jik,bcml->jbcimkl", rho_t, effects).reshape(6, 3, 2, 4, 4)
 
 
 _SETTINGS = _setting_operators()
@@ -132,23 +105,15 @@ def records_to_csv(counts: Counts) -> str:
     """One row per setting, prep-major."""
     lines = ["prep,basis,shots,bright"]
     lines += ["%d,%s,%d,%.17g" % (j, b, counts.shots, counts.bright[j, k])
-              for j in PREP_LABELS for k, b in enumerate(BASES)]
+              for j in range(6) for k, b in enumerate(BASES)]
     return "\n".join(lines) + "\n"
 
 
 # --- Choi / chi machinery -------------------------------------------------
 
-def _pauli_vecs() -> np.ndarray:
-    """Columns v_m with v_m[(i,k)] = E_m[k, i] (row-major kron of |i> x E|i>)."""
-    v = np.zeros((4, 4), dtype=complex)
-    for m, e in enumerate(PAULIS):
-        for i in range(2):
-            col = np.kron(ket(2, i), e @ ket(2, i))
-            v[:, m] += col
-    return v
-
-
-_PAULI_V = _pauli_vecs()
+# column m is vec(P_m^T), so that J = sum_mn chi_mn |P_m>><<P_n|; + 0.0 turns
+# the -0.0 real part of SY's -1j into 0.0
+_PAULI_V = np.array([p.T.reshape(4) for p in PAULIS]).T + 0.0
 
 
 def chi_of_channel(choi: np.ndarray) -> np.ndarray:

@@ -266,6 +266,27 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("synth", {"gate": "X", "n_samples": 256, "omega_max": 1e-310}),
     ("rb", {"noise": {"gamma_1a": 100.0}, "lengths": [1, 2, 4], "sequences": 2,
             "n_samples": 256, "steps": 512, "omega_max": 1e-320}),
+    # a seed is an integer, and every real-valued field a JSON number
+    ("qpt", {"gate": "X", "seed": 2.7}),
+    ("qpt", {"gate": "X", "seed": True}),
+    ("qpt", {"gate": "X", "seed": "3"}),
+    ("propagate", {"gate": {"theta": True, "phi": 0.0, "gamma": 1.0}}),
+    ("propagate", {"gate": {"theta": "1.0", "phi": 0.0, "gamma": 1.0}}),
+    ("propagate", {"gate": {"theta": 1.0, "phi": "0", "gamma": 1.0}}),
+    ("propagate", {"gate": {"theta": 1.0, "phi": 0.0, "gamma": False}}),
+    ("propagate", {"gate": {"name": "X", "eta": "0.5"}}),
+    ("propagate", {"gate": "X", "noise": {"epsilon": "0.05"}}),
+    ("qpt", {"gate": "X", "noise": {"prep_error": True}}),
+    ("rb", {"noise": {"gamma_1a": "100"}}),
+    ("synth", {"gate": "X", "omega_max": "6.3e4"}),
+    ("rb", {"noise": {"gamma_1a": 100.0}, "omega_max": True}),
+    ("rb", {"eta": "0.2"}),
+    ("sideband", {"eta": True}),
+    ("sideband", {"gamma": "1.5"}),
+    ("sweep", {"gate": "X", "schemes": [{"eta": "0"}, {"eta": 1.0}]}),
+    ("sweep", {"gate": "X", "epsilon_grid": [0.1, False]}),
+    ("sweep", {"gate": "X", "epsilon_grid": {"min": "-0.1"}}),
+    ("sweep", {"gate": "X", "epsilon_grid": {"max": False}}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})
@@ -273,6 +294,15 @@ def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_seed_is_checked_under_a_seed_override(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {"experiment": "qpt", "gate": "X", "analytic": True,
+                                      "n_samples": 256, "steps": 1024, "seed": 2.7})
+    out = tmp_path / "o"
+    assert main(["qpt", "--config", cfg, "--out", str(out), "--seed", "1"]) == 2
+    assert "seed must be an integer" in capsys.readouterr().err
     assert not out.exists()
 
 

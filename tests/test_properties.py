@@ -26,8 +26,7 @@ from holopulse.paths import DYNAMICAL, HOLONOMIC, controls_arrays
 from holopulse.pulses import GateSpec, export_tones, named_gate, parse_tones, synthesize
 from holopulse.rbench import GateCache, RBConfig, build_sequence, decay_rate, run_rb
 from holopulse.qcore import SX, fidelity_qubit_subspace, leakage, unitarity_defect
-from holopulse.tomo import (BASES, PREP_LABELS, exact_records, measurement_effect,
-                            prepare_input, propagator_channel)
+from holopulse.tomo import BASES, exact_records, propagator_channel
 
 STEPS = 512
 
@@ -188,12 +187,19 @@ def test_tone_file_round_trip_is_bitwise(spec, omega_max):
     assert _schedule_bits(back) == _schedule_bits(sched)
 
 
+# the inputs |0>, |1>, |+>, |->, |+i>, |-i>, and the bright state of each basis:
+# the +1 eigenvector of sigma_b
+_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]]) / np.sqrt(
+    [[1], [1], [2], [2], [2], [2]])
+_BRIGHT_KETS = {"x": _KETS[2], "y": _KETS[4], "z": _KETS[0]}
+
+
 def _kraus_bright(k, noise, prep, basis):
-    """The Born rule in Kraus form: Tr(E_b K rho_j' K^dag), then detection."""
-    psi = prepare_input(prep)
+    """The Born rule in Kraus form: <e_b| K rho_j' K^dag |e_b>, then detection."""
+    psi, e = _KETS[prep], _BRIGHT_KETS[basis]
     rho = np.outer(psi, psi.conj())
     rho = (1.0 - noise.prep_error) * rho + noise.prep_error * (SX @ rho @ SX)
-    p = np.real(np.trace(measurement_effect(basis) @ k @ rho @ k.conj().T))
+    p = np.real(e.conj() @ k @ rho @ k.conj().T @ e)
     p = min(max(p, 0.0), 1.0)
     return (p * (1.0 - noise.detection_error_bright)
             + (1.0 - p) * noise.detection_error_dark)
@@ -216,8 +222,8 @@ def test_exact_records_match_the_kraus_born_rule(spec, leak, prep_error,
     noise = NoiseModel(prep_error=prep_error, detection_error_bright=bright_error,
                        detection_error_dark=dark_error)
     counts = exact_records(propagator_channel(u3), noise)
-    assert counts.bright.shape == (len(PREP_LABELS), len(BASES)) and counts.shots == 1
-    for j in PREP_LABELS:
+    assert counts.bright.shape == (6, len(BASES)) and counts.shots == 1
+    for j in range(6):
         for k, b in enumerate(BASES):
             assert abs(counts.bright[j, k] - _kraus_bright(u3[:2, :2], noise, j, b)) <= 1e-15
 

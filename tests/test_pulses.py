@@ -46,6 +46,12 @@ def test_peak_envelope_equals_bounded_brent():
         assert peak_envelope(eta) == max(vals[k], -res.fun), eta
 
 
+def test_duration_rejects_omega_max_outside_0_inf():
+    for omega_max in (float("inf"), float("nan"), 0.0):
+        with pytest.raises(ValueError, match="omega_max must be positive and finite"):
+            compute_duration(named_gate("X"), omega_max)
+
+
 def test_duration_grows_with_eta():
     ds = [compute_duration(GateSpec(theta=0.0, phi=0.0, gamma=1.0, eta=e))
           for e in (0.0, 0.2, 0.5, 1.0)]
@@ -188,8 +194,11 @@ def _header_value(key, change):
     (_header_value("sample_rate_hz", lambda v: "9" + v), "sample_rate_hz"),
     (_header_value("duration_s", lambda v: repr(2.0 * float(v))), "duration_s"),
     (_phase_shift(0.1), "phi0_rad at sample 0 "),
+    (_header_value("tone0_hz", lambda v: "nan"), "tone0_hz nan"),
+    (_header_value("tone1_hz", lambda v: "-5.0"), "tone1_hz -5.0"),
 ], ids=["negated_omega0", "truncated", "zero_times", "reversed_times",
-        "sample_rate_digit", "doubled_duration", "shifted_phases"])
+        "sample_rate_digit", "doubled_duration", "shifted_phases", "nan_tone0",
+        "negative_tone1"])
 def test_parse_rejects_damaged_samples(tmp_path, damage, reason):
     path = export_tones(synthesize(named_gate("X"), n_samples=256), tmp_path / "tones.csv")
     lines = path.read_text().splitlines()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from holopulse.qcore import (PAULIS, SI, SX, SY, SZ, fidelity_qubit_subspace, ket,
-                             leakage, unitarity_defect)
+from holopulse.qcore import (PAULIS, SI, SX, SY, SZ, fidelity_qubit_subspace, leakage,
+                             unitarity_defect)
 
 
 def test_pauli_algebra():
@@ -12,14 +12,6 @@ def test_pauli_algebra():
     assert np.allclose(SX @ SY, 1j * SZ)
     for p in PAULIS[1:]:
         assert abs(np.trace(p)) < 1e-15
-
-
-def test_ket():
-    v = ket(3, 2)
-    assert v.shape == (3,)
-    assert v[2] == 1.0 and v[0] == 0.0
-    with pytest.raises(ValueError):
-        ket(2, 2)
 
 
 def test_fidelity_qubit_subspace_identity():

@@ -5,9 +5,9 @@ from holopulse.engine import NoiseModel
 from holopulse.gates import target_unitary
 from holopulse.pulses import named_gate
 from holopulse.qcore import PAULIS, SX
-from holopulse.tomo import (BASES, chi_of_channel, exact_records, mle_process,
-                            prepare_input, process_fidelity, propagator_channel,
-                            records_to_csv, simulate_counts, unitary_channel)
+from holopulse.tomo import (_SETTINGS, BASES, chi_of_channel, exact_records, mle_process,
+                            process_fidelity, propagator_channel, records_to_csv,
+                            simulate_counts, unitary_channel)
 
 
 def check_process_matrix(chi, herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-8, tp_tol=1e-6):
@@ -32,15 +32,28 @@ def bright(counts):
     return {(j, b): counts.bright[j, k] for j in range(6) for k, b in enumerate(BASES)}
 
 
+# Bloch vectors of the inputs |0>, |1>, |+>, |->, |+i>, |-i>
+INPUTS = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
+
+
 def test_prepared_states():
-    # |0>, |1>, |+>, |->, |+i>, |-i> up to global phase
-    bloch = {0: (0, 0, 1), 1: (0, 0, -1), 2: (1, 0, 0),
-             3: (-1, 0, 0), 4: (0, 1, 0), 5: (0, -1, 0)}
-    for label, (x, y, z) in bloch.items():
-        psi = prepare_input(label)
-        rho = np.outer(psi, psi.conj())
-        r = [np.real(np.trace(rho @ p)) for p in PAULIS[1:]]
-        assert np.allclose(r, (x, y, z), atol=1e-12)
+    # read back from the settings table: the bright and the dark operator of a
+    # setting add up to rho_j^T (x) I
+    for label, bloch in enumerate(INPUTS):
+        for k in range(len(BASES)):
+            both = (_SETTINGS[label, k, 0] + _SETTINGS[label, k, 1]).reshape(2, 2, 2, 2)
+            rho = np.trace(both, axis1=1, axis2=3).T / 2.0
+            r = [np.real(np.trace(rho @ p)) for p in PAULIS[1:]]
+            assert np.allclose(r, bloch, atol=1e-12)
+
+
+def test_pauli_channels_are_exact():
+    # P sigma_k P = s_k sigma_k, so a Pauli channel maps r_j to s * r_j, and the
+    # bright probability along axis b is (1 + s_b r_jb)/2, 0, 1/2 or 1, bit for bit
+    signs = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+    for p, s in zip(PAULIS, signs):
+        expect = (1.0 + np.array(s) * INPUTS) / 2.0
+        assert np.array_equal(exact_records(unitary_channel(p)).bright, expect)
 
 
 def test_bright_probability_identity_channel():
