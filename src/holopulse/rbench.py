@@ -16,8 +16,9 @@ propagates only what the drive tells apart: one block per gamma when closed,
 one channel per (theta, gamma) under dephasing. A reference and an
 interleaved run sharing a cache propagate the common gates once.
 
-Decay curves are fitted to F = A p^m + B; average and per-gate fidelities
-follow from F_ave = 1 - (1 - p_ref)/2 and
+Decay curves are fitted to F = A p^m + B by least squares over p in (0, 1],
+with A and B solved linearly at each p (variable projection, numpy alone);
+average and per-gate fidelities follow from F_ave = 1 - (1 - p_ref)/2 and
 F_gate = 1 - (1 - p_gate/p_ref)/2. `decay_rate` is p in the limit of many
 sequences (Wallman, Quantum 2, 47, 2018; Proctor et al., PRL 119, 130502, 2017).
 """
@@ -25,8 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Optional
-
-import warnings
 
 import numpy as np
 
@@ -235,44 +234,79 @@ def decay_rate(config: RBConfig, cache: GateCache) -> float:
 
 
 class FitError(RuntimeError):
-    """The decay fit did not converge, or found no p in (0, 1]."""
+    """The least-squares decay lies at p -> 0, or rises with m (A < 0)."""
 
 
-def decay_model(m, a, p, b):
-    return a * p ** np.asarray(m, dtype=float) + b
+_SQRT_EPS = np.sqrt(np.finfo(float).eps)
+# t = log(1 - p) from p = 1 - sqrt(eps) to p = sqrt(eps), spaced 0.009. At
+# p = 1 - sqrt(eps) the double p still holds half the digits of 1 - p, and A,
+# which grows as 1/(1 - p) toward a straight line, stays small enough that
+# A p^m + B reproduces the fitted curve to about 1e-10.
+_LOG_Q = np.linspace(np.log(_SQRT_EPS), np.log1p(-_SQRT_EPS), 2001)
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _projection(t, lengths, centred):
+    """(RSS, A, mean of p^m) of the least-squares A and B at each t = log(1 - p).
+
+    For fixed p the model is linear in A and B: with u = p^m - 1 (by expm1, to
+    full precision near p = 1) and centred u, y, A = u.y / u.u and
+    B = mean(y) - A mean(p^m). Where p^m underflows at every length, the
+    centred u is 0 and so is A."""
+    p = -np.expm1(t)
+    u = np.expm1(np.multiply.outer(np.log(p), lengths))
+    u_mean = u.mean(axis=-1)
+    u = u - u_mean[..., None]
+    uu = np.maximum(np.einsum("...i,...i->...", u, u), np.finfo(float).tiny)
+    a = (u @ centred) / uu
+    r = centred - a[..., None] * u
+    return np.einsum("...i,...i->...", r, r), a, 1.0 + u_mean
+
+
+def _golden_section(f, lo, hi):
+    """The minimum of f on [lo, hi], by golden-section search down to rounding."""
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    while lo < c < d < hi:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = f(d)
+    return c if fc <= fd else d
 
 
 def fit_decay(lengths, means):
-    """Levenberg-Marquardt fit of F = A p^m + B, seeded from a log-linear fit.
+    """Unweighted least-squares fit of F = A p^m + B over p in (0, 1].
 
-    scipy is imported here, at the first fit: no other code path needs it,
-    and its import would dominate the start-up of every command."""
-    from scipy.optimize import OptimizeWarning, curve_fit
-
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973):
+    A and B are linear, so the residual is a function of p alone. Its global
+    minimum is found on a grid in log(1 - p) over [sqrt(eps), 1 - sqrt(eps)]
+    and refined by golden-section search between the best point's neighbours.
+    At the grid's end p = 1 - sqrt(eps) the optimum is the limit p -> 1 (a
+    straight line, A -> infinity), and the fit returns that end. A curve whose
+    spread is within sqrt(eps) of its size shows no decay: p = 1 and A = B =
+    mean / 2, the minimum-norm split of a constant. Raises FitError when the
+    optimum lies at p -> 0, or when A < 0.
+    """
     lengths = np.asarray(lengths, dtype=float)
     means = np.asarray(means, dtype=float)
-    b0 = 0.5    # |0>-survival decays toward 1/2; clamped to [0, 1] by construction
-    y = means - b0
-    mask = y > 1e-9
-    if np.count_nonzero(mask) >= 2:
-        slope = np.polyfit(lengths[mask], np.log(y[mask]), 1)[0]
-        p0 = float(np.exp(slope))
-    else:
-        p0 = 0.99
-    p0 = min(max(p0, 1e-6), 1.0 - 1e-9)
-    a0 = float(y[0] / p0 ** lengths[0]) if y[0] > 0 else 0.5
-    with warnings.catch_warnings():
-        # degenerate (noise-free) curves leave the covariance singular
-        warnings.simplefilter("ignore", OptimizeWarning)
-        try:
-            popt, _ = curve_fit(decay_model, lengths, means, p0=(a0, p0, b0),
-                                method="lm", maxfev=20000)
-        except RuntimeError as exc:     # no convergence within maxfev
-            raise FitError(str(exc)) from exc
-    a, p, b = (float(v) for v in popt)
-    if not 0.0 < p <= 1.0 + 1e-9:
-        raise FitError(f"fitted decay parameter p = {p} outside (0, 1]")
-    return a, min(p, 1.0), b
+    mean = float(np.mean(means))
+    centred = means - mean
+    if np.linalg.norm(centred) <= _SQRT_EPS * np.linalg.norm(means):
+        return mean / 2.0, 1.0, mean / 2.0
+    k = int(np.argmin(_projection(_LOG_Q, lengths, centred)[0]))
+    if k == len(_LOG_Q) - 1:
+        raise FitError("the least-squares decay lies at p -> 0")
+    t = _LOG_Q[0] if k == 0 else _golden_section(
+        lambda s: _projection(s, lengths, centred)[0], _LOG_Q[k - 1], _LOG_Q[k + 1])
+    _, a, x_mean = _projection(t, lengths, centred)
+    if a < 0.0:
+        raise FitError(f"fitted A = {float(a)} < 0: the curve rises with m")
+    return float(a), float(-np.expm1(t)), float(mean - a * x_mean)
 
 
 def average_fidelity(p_ref: float) -> float:

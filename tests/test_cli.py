@@ -307,9 +307,10 @@ def test_config_seed_is_checked_under_a_seed_override(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, seed, extra", [
-    # at seed 4 the reference curve at epsilon = 0.05 fits p = 1.00006
+    # at seed 4 the reference curve at epsilon = 0.05 rises, then levels off
+    # (0.964, 0.982, 0.982): its least-squares decay lies at p -> 0
     ("rb", "4", {"noise": {"epsilon": 0.05}}),
-    # at seed 0 the fit reaches curve_fit's maxfev
+    # at seed 0 the reference curve is (1, 0.995, 0.995): again p -> 0
     ("rb", "0", {"noise": {"epsilon": 0.01}, "sequences": 2, "shots": 100}),
 ])
 def test_rb_fit_failure_exits_3(tmp_path, capsys, command, seed, extra):
@@ -427,7 +428,7 @@ for k, cfg in enumerate(json.loads(sys.argv[2])):
 
 
 def test_numpy_commands_need_no_scipy(tmp_path):
-    # only the RB fit imports scipy; every other command runs on numpy alone
+    # every command runs on numpy alone, rb and its fit included
     configs = [
         {"experiment": "synth", "gate": "X", "n_samples": 256},
         {"experiment": "propagate", "gate": "H", "noise": {"epsilon": 0.05},
@@ -447,9 +448,40 @@ def test_numpy_commands_need_no_scipy(tmp_path):
          "steps": 512, "epsilon_grid": [-0.1, 0.1],
          "schemes": [{"scheme": "dynamical", "eta": 0.5},
                      {"scheme": "dynamical", "eta": 0.25}]},
+        {"experiment": "rb", "noise": {"epsilon": 0.05}, "lengths": [1, 2, 4],
+         "sequences": 2, "n_samples": 256, "steps": 512},
+        {"experiment": "rb", "interleaved": "T", "noise": {"epsilon": 0.05},
+         "lengths": [1, 2, 4], "sequences": 2, "shots": 100, "n_samples": 256,
+         "steps": 512},
+        {"experiment": "rb", "noise": {"gamma_1a": 100.0, "gamma_0a": 10.0},
+         "lengths": [1, 2, 4], "sequences": 2, "shots": 100, "n_samples": 256,
+         "steps": 512},
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(holopulse.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path),
                            json.dumps(configs)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+_RB_RUN = """
+import sys
+from holopulse.engine import NoiseModel
+from holopulse.pulses import named_gate
+from holopulse.rbench import RBConfig, run_rb
+run_rb(RBConfig(lengths=(1, 2, 4), n_sequences=2, shots=100, seed=7,
+                interleaved=named_gate("T"),
+                noise=NoiseModel(gamma_1a=100.0, gamma_0a=10.0),
+                n_samples=256, steps=512))
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+sys.exit(f"run_rb loaded {loaded}" if loaded else 0)
+"""
+
+
+def test_run_rb_loads_no_scipy():
+    # unlike the blocked import above, this also catches an import whose
+    # failure the code would tolerate
+    env = dict(os.environ, PYTHONPATH=str(Path(holopulse.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _RB_RUN], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,8 @@
 """Property tests: the inverse-engineered controls, the closed propagator's
 epsilon batch axis and ideal gates, the real open channel against its
 complex Strang formula, the gate and tone-file round trips, the tomography
-measurement model, the RB gate cache and recovery, and the CLI on fuzzed
-configs and on edits of every config key."""
+measurement model, the RB gate cache, recovery and decay fit, and the CLI on
+fuzzed configs and on edits of every config key."""
 import json
 import re
 import tempfile
@@ -33,7 +33,7 @@ STEPS = 512
 gates = st.builds(
     GateSpec,
     theta=st.floats(0.0, np.pi),
-    phi=st.floats(-np.pi, np.pi),
+    phi=st.floats(-np.pi, np.pi, exclude_max=True),
     gamma=st.floats(-np.pi, np.pi),
     eta=st.floats(-1.0, 1.0))
 epsilons = arrays(np.float64, st.integers(1, 6), elements=st.floats(-0.5, 0.5))
@@ -351,6 +351,39 @@ def test_sequence_average_decays_at_the_spectral_rates(eta, epsilon, dephased):
     basis = np.stack([np.ones(m.size), lam ** m, decay_rate(cfg, cache) ** m], axis=1)
     coeffs = np.linalg.lstsq(basis, survival[15:], rcond=None)[0]
     assert np.max(np.abs(basis @ coeffs - survival[15:])) <= 1e-6
+
+
+def _decay(lengths, a, p, b):
+    return a * p ** lengths + b
+
+
+def _rss(lengths, means, *params):
+    residual = means - _decay(lengths, *params)
+    return residual @ residual
+
+
+@few
+@given(a=st.floats(0.2, 0.5), p=st.floats(0.9, 0.999), b=st.floats(0.45, 0.55),
+       sigma=st.floats(1e-4, 5e-3), seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_decay_is_no_worse_than_curve_fit(a, p, b, sigma, seed):
+    """On a noisy decay at the benchmark's lengths, fit_decay returns p in (0, 1]
+    with a residual no larger than that of scipy's Levenberg-Marquardt fit,
+    seeded from a log-linear fit of means - 1/2 (the fit fit_decay replaced)."""
+    from scipy.optimize import curve_fit
+    lengths = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+    rng = np.random.default_rng(seed)
+    means = _decay(lengths, a, p, b) + sigma * rng.standard_normal(lengths.size)
+    above = means - 0.5
+    mask = above > 1e-9
+    p0 = (float(np.exp(np.polyfit(lengths[mask], np.log(above[mask]), 1)[0]))
+          if np.count_nonzero(mask) >= 2 else 0.99)
+    p0 = min(max(p0, 1e-6), 1.0 - 1e-9)
+    a0 = float(above[0] / p0 ** lengths[0]) if above[0] > 0 else 0.5
+    reference, _ = curve_fit(_decay, lengths, means, p0=(a0, p0, 0.5), method="lm",
+                             maxfev=20000)
+    fit = rbench.fit_decay(lengths, means)
+    assert 0.0 < fit[1] <= 1.0
+    assert _rss(lengths, means, *fit) <= _rss(lengths, means, *reference) * (1.0 + 1e-9)
 
 
 # small valid configs of every command; the edits below never raise

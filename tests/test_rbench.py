@@ -8,7 +8,7 @@ from holopulse.engine import NoiseModel, dephasing_from_t2
 from holopulse.gates import clifford_table, phase_equivalent, target_unitary
 from holopulse.pulses import GateSpec, named_gate
 from holopulse.rbench import (FitError, GateCache, RBConfig, average_fidelity,
-                              build_sequence, curve_to_csv, decay_model, decay_rate,
+                              build_sequence, curve_to_csv, decay_rate,
                               fit_decay, interleaved_gate_fidelity, run_rb)
 
 
@@ -38,7 +38,7 @@ def test_build_sequence_interleaved_inverts():
 def test_fit_decay_recovers_parameters():
     m = np.array([1, 2, 4, 8, 16, 32, 64])
     a, p, b = 0.47, 0.97, 0.51
-    y = decay_model(m, a, p, b)
+    y = a * p ** m + b
     af, pf, bf = fit_decay(m, y)
     assert pf == pytest.approx(p, abs=1e-8)
     assert af == pytest.approx(a, abs=1e-6)
@@ -46,12 +46,30 @@ def test_fit_decay_recovers_parameters():
 
 
 @pytest.mark.parametrize("means", [
-    [1.0, 0.995, 0.995],    # curve_fit stops at maxfev
-    [0.6, 0.7, 0.9],        # p = 1.0001
+    [1.0, 0.995, 0.995],    # the optimum lies at p -> 0
+    [0.6, 0.7, 0.9],        # a rising curve: A < 0
 ])
 def test_fit_decay_failure_is_fit_error(means):
     with pytest.raises(FitError):
         fit_decay([1, 2, 4], means)
+
+
+def test_fit_decay_flat_curve_has_p_1():
+    # equal to rounding, as a noise-free closed run at epsilon = 0: every p
+    # fits, so no decay is reported and A = B splits the constant
+    a, p, b = fit_decay([1, 2, 4, 8], [1.0 - 1e-14, 1.0 - 2e-14, 1.0, 1.0 - 7e-14])
+    assert p == 1.0
+    assert a == b == pytest.approx(0.5, abs=1e-13)
+
+
+def test_fit_decay_straight_line_is_the_limit_p_to_1():
+    # a falling straight line is A p^m + B in the limit p -> 1, A -> infinity:
+    # the fit returns p just below 1 and reproduces the line
+    m = np.array([1, 2, 4, 8, 16, 32])
+    line = 0.99 - 0.003 * m
+    a, p, b = fit_decay(m, line)
+    assert 1.0 - 1e-7 < p < 1.0
+    assert np.max(np.abs(a * p ** m + b - line)) <= 1e-8
 
 
 def test_fidelity_formulas():
