@@ -255,7 +255,7 @@ def _rb_config(cfg, noise, **fields) -> RBConfig:
     """The config's RBConfig with `fields`; a key it omits takes RBConfig's
     default. omega_max is read under dephasing alone: the closed dynamics are
     invariant under t -> omega_max t."""
-    if noise.gamma_1a > 0.0 or noise.gamma_0a > 0.0:
+    if noise.dephased:
         fields["omega_max"] = _real(cfg.get("omega_max", RBConfig.omega_max), "omega_max")
     return RBConfig(
         noise=noise,

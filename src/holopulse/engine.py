@@ -97,6 +97,11 @@ class NoiseModel:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p}")
 
+    @property
+    def dephased(self) -> bool:
+        """Whether a dephasing rate is nonzero: gates are then channels, not unitaries."""
+        return self.gamma_1a > 0.0 or self.gamma_0a > 0.0
+
     def readout(self, p):
         """Probability of a bright count when the bright population is p,
         clipped to [0, 1], with both detection errors."""
@@ -200,10 +205,9 @@ def _embed(spec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return u.reshape(np.shape(a) + (3, 3))
 
 
-def _cf4_steps(coupling: Callable[[np.ndarray], np.ndarray], t0: float,
-               t1: float, steps: int, scale=1.0, start: int = 0,
-               stop: Optional[int] = None):
-    """Per-step fourth-order commutator-free propagators of the 2x2 block over [t0, t1].
+def _cf4_steps(coupling: Callable[[np.ndarray], np.ndarray], t1: float, steps: int,
+               scale=1.0, start: int = 0, stop: Optional[int] = None):
+    """Per-step fourth-order commutator-free propagators of the 2x2 block over [0, t1].
 
     `coupling(t)` returns the complex coupling c at an array of times; it is
     called once per Gauss node. The block is propagated under s c for every
@@ -212,10 +216,10 @@ def _cf4_steps(coupling: Callable[[np.ndarray], np.ndarray], t0: float,
     couplings. Returns Cayley-Klein arrays (a, b) of shape
     (stop - start,) + np.shape(scale) for the steps k in [start, stop) of the
     `steps` uniform steps (all of them by default), step k propagating over
-    [t0 + k h, t0 + (k+1) h].
+    [k h, (k+1) h].
     """
-    h = (t1 - t0) / steps
-    base = t0 + np.arange(start, steps if stop is None else stop) * h
+    h = t1 / steps
+    base = np.arange(start, steps if stop is None else stop) * h
     c1 = coupling(base + _GAUSS_C[0] * h)
     c2 = coupling(base + _GAUSS_C[1] * h)
     a1, a2 = _CF4_A
@@ -242,14 +246,13 @@ def _blockwise(make_steps: Callable[[int, int], tuple], start: int, stop: int,
                    _blockwise(make_steps, start, start + half, size, product))
 
 
-def cf4(coupling: Callable[[np.ndarray], np.ndarray], t0: float, t1: float,
-        steps: int, scale=1.0):
-    """Fourth-order commutator-free block propagator over [t0, t1] as its
+def cf4(coupling: Callable[[np.ndarray], np.ndarray], t1: float, steps: int, scale=1.0):
+    """Fourth-order commutator-free block propagator over [0, t1] as its
     Cayley-Klein pair (a, b), one per scale (see `_cf4_steps`). The steps are
     made and reduced at most `_CLOSED_BLOCK` (steps x scales) elements at a
     time, in blocks of a power of two steps (see `_blockwise`)."""
     size = 1 << (max(1, _CLOSED_BLOCK // np.size(scale)).bit_length() - 1)
-    a, b = _blockwise(partial(_cf4_steps, coupling, t0, t1, steps, scale),
+    a, b = _blockwise(partial(_cf4_steps, coupling, t1, steps, scale),
                       0, steps, size, _ck_product)
     return a[0], b[0]
 
@@ -284,7 +287,7 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: Union[float, np.ndarray]
         raise ValueError(f"the truncation check needs steps >= 4, got {steps}")
 
     def block(n):
-        return cf4(partial(_coupling, schedule), 0.0, schedule.duration, n, 1.0 + eps)
+        return cf4(partial(_coupling, schedule), schedule.duration, n, 1.0 + eps)
 
     u = _embed(schedule.spec, *block(steps))
     err = np.zeros(eps.shape)
@@ -301,7 +304,7 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: Union[float, np.ndarray]
 def survival_probability(schedule: PulseSchedule, epsilon: float,
                          steps: int = DEFAULT_STEPS // 2) -> float:
     """|<psi_0(T/2)|psi_eps(T/2)>|^2 for evolution of |b> over the first segment."""
-    a, b = cf4(partial(_coupling, schedule), 0.0, schedule.duration / 2.0, steps,
+    a, b = cf4(partial(_coupling, schedule), schedule.duration / 2.0, steps,
                np.array([1.0, 1.0 + epsilon]))
     # |b> is the first block basis vector, mapped to (a, -b*); E preserves
     # inner products
@@ -389,7 +392,7 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
     rates = _dephasing_rates(noise)
 
     def block(start, stop):
-        a, b = _cf4_steps(coupling, 0.0, schedule.duration, 2 * steps,
+        a, b = _cf4_steps(coupling, schedule.duration, 2 * steps,
                           1.0 + noise.epsilon, 2 * start, 2 * stop)
         half = _strang_steps(coef, a, b, rates, 0.25 * h)
         full = _strang_steps(coef, *_ck_product((a[1::2], b[1::2]), (a[0::2], b[0::2])),

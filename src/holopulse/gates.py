@@ -10,8 +10,6 @@ import numpy as np
 from .pulses import GateSpec
 from .qcore import SI, SX, SY, SZ, UNITARY_TOL, unitarity_defect
 
-NONZERO_TOL = 1e-12     # canonical_phase: smallest entry magnitude taken as nonzero
-
 
 def target_unitary(spec: GateSpec) -> np.ndarray:
     """e^{i gamma/2} exp(-i (gamma/2) n.sigma): rotation by gamma about n."""
@@ -21,16 +19,6 @@ def target_unitary(spec: GateSpec) -> np.ndarray:
     half = spec.gamma / 2.0
     n_sigma = n[0] * SX + n[1] * SY + n[2] * SZ
     return np.exp(1j * half) * (np.cos(half) * SI - 1j * np.sin(half) * n_sigma)
-
-
-def canonical_phase(u: np.ndarray) -> np.ndarray:
-    """Rescale a matrix so its first nonzero entry (row-major) is real positive."""
-    u = np.asarray(u, dtype=complex)
-    flat = u.reshape(-1)
-    for entry in flat:
-        if abs(entry) > NONZERO_TOL:
-            return u * (abs(entry) / entry)
-    return u
 
 
 def phase_equivalent(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
@@ -48,34 +36,27 @@ def axis_angle(u: np.ndarray, eta: float = 0.0) -> GateSpec:
     """Decompose a 2x2 unitary into the canonical (theta, phi, gamma) spec.
 
     gamma is canonicalized to [0, pi] (flipping the axis when needed); at
-    gamma = pi the remaining axis-sign ambiguity is broken by making the
-    first nonzero axis component positive. The identity maps to (0, 0, 0).
+    gamma = pi the remaining axis-sign ambiguity is broken by
+    `_half_turn_axis`. The identity maps to (0, 0, 0). A global phase of u
+    changes nothing: the angles are read from the entries of u / sqrt(det u).
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 unitary, got shape {u.shape}")
     if unitarity_defect(u) >= UNITARY_TOL:
         raise ValueError("axis_angle input is not unitary within tolerance")
-    det = np.linalg.det(u)
-    v = u / np.sqrt(det)      # SU(2) representative, sign branch arbitrary
-    c = np.real(np.trace(v)) / 2.0
-    if c < 0:
+    v = u / np.sqrt(np.linalg.det(u))     # SU(2) representative, sign branch arbitrary
+    if v[0, 0].real < 0:
         v = -v
-        c = -c
-    c = min(c, 1.0)
-    # v = c*I - i*s*(n.sigma)  =>  s*n_k = (i/2) Tr(v sigma_k)
-    sn = np.array([np.real(0.5j * np.trace(v @ p)) for p in (SX, SY, SZ)])
+    # v = c I - i s (n.sigma): v00 = c - i s n_z, v01 = -s n_y - i s n_x
+    c = min(v[0, 0].real, 1.0)
+    sn = -np.array([v[0, 1].imag, v[0, 1].real, v[0, 0].imag])
     s = float(np.linalg.norm(sn))
     if s < 1e-12:
         return GateSpec(theta=0.0, phi=0.0, gamma=0.0, eta=eta)
     n = sn / s
     if c < 1e-12:
-        # gamma = pi: both axis signs give the same rotation; pick a canon
-        for comp in n:
-            if abs(comp) > 1e-12:
-                if comp < 0:
-                    n = -n
-                break
+        n = _half_turn_axis(n)
     return _axis_spec(n, float(2.0 * np.arctan2(s, c)), eta)
 
 
@@ -115,31 +96,30 @@ def _axis_spec(axis, gamma: float, eta: float) -> GateSpec:
     return GateSpec(theta=theta, phi=phi, gamma=gamma, eta=eta)
 
 
-def _inverse_axis(axis, gamma: float) -> np.ndarray:
-    """The axis `axis_angle` gives the inverse rotation, whose angle stays gamma
-    in [0, pi]: -axis, except that a half turn takes the sign whose first
-    nonzero component is positive."""
-    inverse = -np.asarray(axis, dtype=float)
-    if gamma == np.pi and inverse[np.flatnonzero(inverse)[0]] < 0:
-        inverse = -inverse
-    return inverse
+def _half_turn_axis(axis):
+    """The sign of a half-turn axis that `axis_angle` reports: both signs give
+    the same rotation, and the first component above 1e-12 is made positive."""
+    first = next(x for x in axis if abs(x) > 1e-12)
+    return -axis if first < 0 else axis
 
 
 @lru_cache(maxsize=None)
 def clifford_table(eta: float = 0.0) -> tuple:
-    """The 24 single-qubit Cliffords with canonical holonomic specs and matrices.
-
-    Each element also carries its recovery: the canonical spec of its
-    inverse, built from the exact axis so that equal gates get equal angles.
+    """The 24 single-qubit Cliffords with canonical holonomic specs and their
+    target matrices, which carry no phase canon: every consumer ignores a
+    global phase. Each element also carries its recovery: the canonical spec
+    of its inverse, the turn by the same gamma in [0, pi] about -axis (a half
+    turn's sign set as `axis_angle` sets it), built from the exact axis so
+    that equal gates get equal angles.
     """
     identity = GateSpec(theta=0.0, phi=0.0, gamma=0.0, eta=eta)
     elements = [CliffordElement(spec=identity, matrix=np.eye(2, dtype=complex),
                                 recovery=identity)]
     for axis, gamma in _clifford_axis_angles():
         spec = _axis_spec(axis, gamma, eta)
-        elements.append(CliffordElement(
-            spec=spec, matrix=canonical_phase(target_unitary(spec)),
-            recovery=_axis_spec(_inverse_axis(axis, gamma), gamma, eta)))
+        inverse = _half_turn_axis(-axis) if gamma == np.pi else -axis
+        elements.append(CliffordElement(spec=spec, matrix=target_unitary(spec),
+                                        recovery=_axis_spec(inverse, gamma, eta)))
     return tuple(elements)
 
 

@@ -123,19 +123,11 @@ class PulseSchedule:
     phi1 = property(lambda self: self.samples[:, 4])
 
 
-def _envelope_factor(s, eta):
-    """The dimensionless envelope Omega(sT)*T/pi^2 as a function of s = t/T."""
-    s = np.asarray(s, dtype=float)
-    alpha = np.pi * np.sin(np.pi * s) ** 2
-    return np.abs(np.sin(2.0 * np.pi * s)) * np.sqrt(
-        1.0 + 16.0 * eta ** 2 * np.sin(alpha) ** 6)
-
-
 def peak_envelope(eta: float) -> float:
-    """max_s of the dimensionless envelope, exactly: both of its factors,
-    |sin(2 pi s)| and sqrt(1 + 16 eta^2 sin(alpha)^6), peak at s = 1/4, where
-    alpha = pi/2, so the maximum is the envelope there, sqrt(1 + 16 eta^2)."""
-    return float(_envelope_factor(0.25, eta))
+    """max_s of the dimensionless envelope Omega(sT) T / pi^2, exactly: both of
+    its factors, |sin(2 pi s)| and sqrt(1 + 16 eta^2 sin(alpha)^6), peak at
+    s = 1/4, where alpha = pi/2, so the maximum is sqrt(1 + 16 eta^2)."""
+    return math.sqrt(1.0 + 16.0 * eta ** 2)
 
 
 def compute_duration(spec: GateSpec, omega_max: float = OMEGA_MAX_DEFAULT) -> float:

@@ -17,7 +17,8 @@ one channel per (theta, gamma) under dephasing. A reference and an
 interleaved run sharing a cache propagate the common gates once.
 
 Decay curves are fitted to F = A p^m + B by least squares over p in (0, 1],
-with A and B solved linearly at each p (variable projection, numpy alone);
+with A and B solved linearly at each p (variable projection, numpy alone),
+on at least 4 distinct lengths, since the three parameters fit 3 exactly;
 average and per-gate fidelities follow from F_ave = 1 - (1 - p_ref)/2 and
 F_gate = 1 - (1 - p_gate/p_ref)/2. `decay_rate` is p in the limit of many
 sequences (Wallman, Quantum 2, 47, 2018; Proctor et al., PRL 119, 130502, 2017).
@@ -56,9 +57,9 @@ class RBConfig:
     def __post_init__(self):
         if any(m < 1 for m in self.lengths):
             raise ValueError("sequence lengths must be >= 1")
-        if len(set(self.lengths)) < 3:
-            raise ValueError("need at least 3 distinct sequence lengths to fit "
-                             "A p^m + B")
+        if len(set(self.lengths)) < 4:
+            raise ValueError("need at least 4 distinct sequence lengths: the "
+                             "three-parameter model A p^m + B interpolates 3 exactly")
         if self.n_sequences < 2:
             raise ValueError("need at least 2 sequences per length")
         if self.shots is not None and self.shots < 1:
@@ -138,11 +139,6 @@ def _canonical_spec(spec: GateSpec) -> GateSpec:
         return spec
 
 
-def _dephased(config: RBConfig) -> bool:
-    noise = config.noise
-    return config.mode == "pulse" and (noise.gamma_1a > 0.0 or noise.gamma_0a > 0.0)
-
-
 def _key(spec: GateSpec, config: RBConfig) -> tuple:
     """Everything that sets the channel of `spec` under `config`."""
     return (spec, config.mode, config.depolarizing, config.noise, config.omega_max,
@@ -185,11 +181,11 @@ class GateCache:
         return channel
 
     def _build(self, spec: GateSpec, config: RBConfig) -> np.ndarray:
-        dephased = _dephased(config)
+        dephased = config.noise.dephased     # exact mode admits no dephasing
         rep = replace(spec, theta=spec.theta if dephased else 0.0, phi=0.0)
         key = _key(rep, config)
         if key not in self._propagated:
-            self._propagated[key] = _propagate(rep, config, dephased)
+            self._propagated[key] = _propagate(rep, config)
         if dephased:
             r = np.array([1.0, np.exp(1j * spec.phi), 1.0])
             r = np.outer(r, r.conj()).reshape(-1)      # the diagonal of R (x) R*
@@ -199,14 +195,14 @@ class GateCache:
         return _depolarizer(config.depolarizing) @ lift if config.depolarizing else lift
 
 
-def _propagate(rep: GateSpec, config: RBConfig, dephased: bool):
+def _propagate(rep: GateSpec, config: RBConfig):
     """The representative's 9x9 channel, or the Cayley-Klein pair (a, b) of
     its block U2 = E^dag U E when closed; in "exact" mode the ideal block,
     since the gate is |d><d| + e^{i gamma}|b><b|."""
     if config.mode == "exact":
         return np.exp(1j * rep.gamma), 0j
     sched = synthesize(rep, config.omega_max, config.n_samples)
-    if dephased:
+    if config.noise.dephased:
         return open_superoperator(sched, config.noise, config.steps)
     u = propagate_unitary(sched, config.noise.epsilon, config.steps, check=False).unitary
     e = block_basis(rep)

@@ -98,7 +98,7 @@ def verify_full_model(schedule: PulseSchedule, sys: SidebandSystem,
         phi = -(phi_eff + np.pi / 2.0)
         return 1j * omega_r * sys.eta_ld * np.exp(1j * phi)
 
-    u11, _ = cf4(coupling, 0.0, schedule.duration, steps)     # U2[0, 0] = a
+    u11, _ = cf4(coupling, schedule.duration, steps)     # U2[0, 0] = a
     target = np.exp(1j * spec.gamma)
     return SidebandReport(
         conditional_phase=float(spec.gamma + np.angle(u11 * np.conj(target))),

@@ -117,7 +117,7 @@ def test_qpt_seed_changes_counts(tmp_path):
 
 def test_rb_command(tmp_path):
     cfg = _write(tmp_path, "c.json", {
-        "experiment": "rb", "lengths": [1, 2, 4], "sequences": 3,
+        "experiment": "rb", "lengths": [1, 2, 4, 8], "sequences": 3,
         "n_samples": 256, "steps": 512, "noise": {"epsilon": 0.05}})
     out = tmp_path / "out"
     assert main(["rb", "--config", cfg, "--out", str(out)]) == 0
@@ -196,7 +196,7 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("propagate", {"gate": "X", "omega_max": 2.0 * np.pi * 3.7e4}),
     ("sweep", {"gate": "X", "realizations": 5}),
     ("sweep", {"gate": "X", "noise": {"epsilon": 0.1}}),
-    ("sweep", {"gate": "X", "lengths": [1, 2, 4]}),
+    ("sweep", {"gate": "X", "lengths": [1, 2, 4, 8]}),
     ("sweep", {"gate": "X", "sequences": 5}),
     ("sweep", {"mode": "rb", "noise": {"epsilon": 0.1}}),
     ("propagate", {"gate": "X", "noise": {"gamma_1a": 100.0}}),
@@ -225,7 +225,7 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("rb", {"n_samples": 1e300}),
     ("rb", {"sequences": 1e300}),
     ("sweep", {"mode": "rb", "sequences": 1e300}),
-    ("rb", {"lengths": [1, 2, 1e300]}),
+    ("rb", {"lengths": [1, 2, 4, 1e300]}),
     ("sweep", {"gate": "X", "epsilon_grid": {"points": 1e300}}),
     ("propagate", {"gate": "X", "n_samples": 256, "steps": MAX_STEPS + 2}),
     # dephasing rates that are not finite
@@ -252,7 +252,7 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("synth", {"gate": "X", "n_samples": 256.7}),
     ("synth", {"gate": "X", "n_samples": True}),
     ("qpt", {"gate": "X", "shots": 100.5}),
-    ("rb", {"lengths": [1, 2, 4.5]}),
+    ("rb", {"lengths": [1, 2, 4, 4.5]}),
     ("sweep", {"gate": "X", "epsilon_grid": {"points": 5.5}}),
     ("sideband", {"n_max": 5.5}),
     ("qpt", {"gate": "X", "analytic": "false"}),
@@ -264,7 +264,7 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     # omega_max so small that the duration pi^2 sqrt(1 + 16 eta^2) / omega_max
     # overflows: no tone file of inf/nan rows, no crash in the fit
     ("synth", {"gate": "X", "n_samples": 256, "omega_max": 1e-310}),
-    ("rb", {"noise": {"gamma_1a": 100.0}, "lengths": [1, 2, 4], "sequences": 2,
+    ("rb", {"noise": {"gamma_1a": 100.0}, "lengths": [1, 2, 4, 8], "sequences": 2,
             "n_samples": 256, "steps": 512, "omega_max": 1e-320}),
     # a seed is an integer, and every real-valued field a JSON number
     ("qpt", {"gate": "X", "seed": 2.7}),
@@ -287,6 +287,8 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("sweep", {"gate": "X", "epsilon_grid": [0.1, False]}),
     ("sweep", {"gate": "X", "epsilon_grid": {"min": "-0.1"}}),
     ("sweep", {"gate": "X", "epsilon_grid": {"max": False}}),
+    # A p^m + B has three parameters: three distinct lengths fit any means exactly
+    ("rb", {"lengths": [1, 2, 4, 4]}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})
@@ -307,15 +309,16 @@ def test_config_seed_is_checked_under_a_seed_override(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, seed, extra", [
-    # at seed 4 the reference curve at epsilon = 0.05 rises, then levels off
-    # (0.964, 0.982, 0.982): its least-squares decay lies at p -> 0
-    ("rb", "4", {"noise": {"epsilon": 0.05}}),
-    # at seed 0 the reference curve is (1, 0.995, 0.995): again p -> 0
+    # settings found by search at lengths 1, 2, 4, 8. At seed 4, epsilon 0.03,
+    # 5 sequences and 100 shots the reference curve is (0.994, 0.98, 0.992,
+    # 0.98): its least-squares decay lies at p -> 0
+    ("rb", "4", {"noise": {"epsilon": 0.03}, "sequences": 5, "shots": 100}),
+    # at seed 0 the reference curve is (1, 0.995, 0.995, 0.995): again p -> 0
     ("rb", "0", {"noise": {"epsilon": 0.01}, "sequences": 2, "shots": 100}),
 ])
 def test_rb_fit_failure_exits_3(tmp_path, capsys, command, seed, extra):
     cfg = _write(tmp_path, "c.json", {
-        "experiment": command, "lengths": [1, 2, 4], "sequences": 3,
+        "experiment": command, "lengths": [1, 2, 4, 8], "sequences": 3,
         "n_samples": 256, "steps": 512, **extra})
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out), "--seed", seed]) == 3
@@ -448,13 +451,13 @@ def test_numpy_commands_need_no_scipy(tmp_path):
          "steps": 512, "epsilon_grid": [-0.1, 0.1],
          "schemes": [{"scheme": "dynamical", "eta": 0.5},
                      {"scheme": "dynamical", "eta": 0.25}]},
-        {"experiment": "rb", "noise": {"epsilon": 0.05}, "lengths": [1, 2, 4],
+        {"experiment": "rb", "noise": {"epsilon": 0.05}, "lengths": [1, 2, 4, 8],
          "sequences": 2, "n_samples": 256, "steps": 512},
         {"experiment": "rb", "interleaved": "T", "noise": {"epsilon": 0.05},
-         "lengths": [1, 2, 4], "sequences": 2, "shots": 100, "n_samples": 256,
+         "lengths": [1, 2, 4, 8], "sequences": 2, "shots": 100, "n_samples": 256,
          "steps": 512},
         {"experiment": "rb", "noise": {"gamma_1a": 100.0, "gamma_0a": 10.0},
-         "lengths": [1, 2, 4], "sequences": 2, "shots": 100, "n_samples": 256,
+         "lengths": [1, 2, 4, 8], "sequences": 2, "shots": 100, "n_samples": 256,
          "steps": 512},
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(holopulse.__file__).parents[1]))
@@ -469,7 +472,7 @@ import sys
 from holopulse.engine import NoiseModel
 from holopulse.pulses import named_gate
 from holopulse.rbench import RBConfig, run_rb
-run_rb(RBConfig(lengths=(1, 2, 4), n_sequences=2, shots=100, seed=7,
+run_rb(RBConfig(lengths=(1, 2, 4, 8), n_sequences=2, shots=100, seed=7,
                 interleaved=named_gate("T"),
                 noise=NoiseModel(gamma_1a=100.0, gamma_0a=10.0),
                 n_samples=256, steps=512))
@@ -485,3 +488,22 @@ def test_run_rb_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", _RB_RUN], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("extra, status", [({}, 0), ({"bogus": 1}, 2)])
+def test_module_entry_point(tmp_path, extra, status):
+    # `python -m holopulse.cli` runs main through the module's __main__ guard
+    # and exits with its status: 0 with a manifest, 2 with no --out
+    cfg = _write(tmp_path, "c.json", {"experiment": "synth", "gate": "X",
+                                      "n_samples": 256, **extra})
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(holopulse.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "holopulse.cli", "synth", "--config", cfg,
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == status, proc.stderr
+    if status == 0:
+        assert (out / "manifest.txt").read_text().splitlines()[-2:] == [
+            "tones.csv", "synth_summary.csv"]
+    else:
+        assert proc.stderr.startswith("config error") and not out.exists()

@@ -24,7 +24,7 @@ def _sched(name="X", eta=0.0, n=256):
 
 def _half_loop(sched, steps, epsilon=0.0):
     """Qutrit propagator over the first segment [0, T/2]."""
-    block = cf4(partial(_coupling, sched), 0.0, sched.duration / 2.0, steps, 1.0 + epsilon)
+    block = cf4(partial(_coupling, sched), sched.duration / 2.0, steps, 1.0 + epsilon)
     return _embed(sched.spec, *block)
 
 

@@ -3,9 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from holopulse.gates import (axis_angle, canonical_phase, clifford_index,
-                             clifford_products, clifford_table, phase_equivalent,
-                             target_unitary)
+from holopulse.gates import (axis_angle, clifford_index, clifford_products,
+                             clifford_table, phase_equivalent, target_unitary)
 from holopulse.pulses import GateSpec, named_gate
 from holopulse.qcore import SX, SZ, unitarity_defect
 
@@ -33,12 +32,6 @@ def test_target_is_unitary():
                         phi=rng.uniform(-np.pi, np.pi - 1e-9),
                         gamma=rng.uniform(-2 * np.pi + 1e-9, 2 * np.pi))
         assert unitarity_defect(target_unitary(spec)) < 1e-12
-
-
-def test_canonical_phase():
-    u = np.exp(1.3j) * np.eye(2)
-    v = canonical_phase(u)
-    assert v[0, 0] == pytest.approx(1.0)
 
 
 def test_axis_angle_round_trip():

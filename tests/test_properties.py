@@ -1,8 +1,9 @@
 """Property tests: the inverse-engineered controls, the closed propagator's
-epsilon batch axis and ideal gates, the real open channel against its
-complex Strang formula, the gate and tone-file round trips, the tomography
-measurement model, the RB gate cache, recovery and decay fit, and the CLI on
-fuzzed configs and on edits of every config key."""
+epsilon batch axis, ideal gates and the paper's first-order robustness law,
+the real open channel against its complex Strang formula, the gate and
+tone-file round trips, the tomography measurement model, the RB gate cache,
+recovery and decay fit, and the CLI on fuzzed configs and on edits of every
+config key."""
 import json
 import re
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 from holopulse import rbench
 from holopulse.cli import main
 from holopulse.engine import (NoiseModel, _cf4_steps, _ck_product, _coupling,
-                              _dephasing_rates, _embed, dephasing_from_t2,
+                              _dephasing_rates, _embed, block_basis, dephasing_from_t2,
                               open_superoperator, propagate_unitary, trace_defect)
 from holopulse.gates import (axis_angle, clifford_products, clifford_table, phase_equivalent,
                              target_unitary)
@@ -112,10 +113,35 @@ def test_ideal_gate_reaches_its_target(spec):
     assert leakage(u) <= 1e-9
 
 
+holonomic_gates = st.builds(
+    GateSpec, theta=st.floats(0.05, np.pi), phi=st.floats(0.05, np.pi, exclude_max=True),
+    gamma=st.floats(0.05, np.pi), eta=st.floats(0.0, 2.5))
+
+
+@few
+@given(spec=holonomic_gates)
+def test_first_order_robustness_law(spec):
+    """The paper's first-order law: on the driven block U2 = E^dag U E =
+    [[a, b], [-b*, a*]] of a holonomic gate, d a / d eps = 0 at eps = 0 and
+    |d b / d eps| = |sin(gamma/2) sin(pi eta) / eta| = pi |sin(gamma/2) sinc(eta)|
+    (pi |sin(gamma/2)| at eta = 0), so the infidelity is c2 eps^2 with
+    c2 = sin^2(gamma/2) sin^2(pi eta) / (2 eta)^2. The derivatives are
+    fourth-order central differences at eps = +-h, +-2h, from one batch."""
+    h = 1e-5
+    u = propagate_unitary(synthesize(spec, n_samples=256), np.array([-2, -1, 1, 2]) * h,
+                          8192, check=False).unitary
+    e = block_basis(spec)
+    block = e.conj().T @ u @ e
+    da, db = (np.array([1.0, -8.0, 8.0, -1.0]) @ block[:, 0, :]) / (12.0 * h)
+    law = np.pi * abs(np.sin(spec.gamma / 2.0) * np.sinc(spec.eta))   # sinc(0) = 1
+    assert abs(da) <= 1e-8
+    assert abs(abs(db) - law) <= 1e-9
+
+
 def _complex_channel(sched, noise, steps):
     """The Strang-Richardson channel on vec(rho), each step lifted as
     np.kron(U, U*) and multiplied in order."""
-    a, b = _cf4_steps(partial(_coupling, sched), 0.0, sched.duration, 2 * steps,
+    a, b = _cf4_steps(partial(_coupling, sched), sched.duration, 2 * steps,
                       1.0 + noise.epsilon)
     half = _embed(sched.spec, a, b)
     whole = _embed(sched.spec, *_ck_product((a[1::2], b[1::2]), (a[0::2], b[0::2])))
@@ -159,13 +185,27 @@ angles = st.builds(
            | st.sampled_from([2.0 * np.pi, np.pi, -np.pi, 0.0])))
 
 
+def _rotation_vector(spec):
+    """gamma n for the axis n of (theta, phi): well conditioned where phi is
+    not, near the poles, and where n is not, at small gamma."""
+    return spec.gamma * np.array([np.sin(spec.theta) * np.cos(spec.phi),
+                                  np.sin(spec.theta) * np.sin(spec.phi),
+                                  np.cos(spec.theta)])
+
+
 @few
-@given(spec=angles)
-def test_axis_angle_round_trip_is_phase_equivalent(spec):
+@given(spec=angles, alpha=st.floats(-np.pi, np.pi))
+def test_axis_angle_round_trip_is_phase_equivalent(spec, alpha):
+    """axis_angle inverts target_unitary up to a global phase, and ignores
+    one: u and e^{i alpha} u give the same rotation to 1e-12."""
     u = target_unitary(spec)
-    back = target_unitary(axis_angle(u))
-    overlap = np.trace(u.conj().T @ back)      # 2 e^{i alpha} for a global phase
-    assert np.max(np.abs(back - overlap / abs(overlap) * u)) <= 1e-7
+    back = axis_angle(u)
+    unitary = target_unitary(back)
+    overlap = np.trace(u.conj().T @ unitary)      # 2 e^{i alpha} for a global phase
+    assert np.max(np.abs(unitary - overlap / abs(overlap) * u)) <= 1e-7
+    shifted = axis_angle(np.exp(1j * alpha) * u)
+    assert abs(shifted.gamma - back.gamma) <= 1e-12
+    assert np.max(np.abs(_rotation_vector(shifted) - _rotation_vector(back))) <= 1e-12
 
 
 def _bits(*values):
@@ -303,7 +343,7 @@ def test_rb_means_match_the_direct_formulas(eta, epsilon, gamma_1a, prep_error, 
                        prep_error=prep_error, detection_error_bright=bright_error,
                        detection_error_dark=dark_error)
     mode = {"mode": "exact", "depolarizing": depolarizing} if exact else {}
-    cfg = RBConfig(lengths=(1, 2, 3), n_sequences=2, seed=seed, eta=eta, noise=noise,
+    cfg = RBConfig(lengths=(1, 2, 3, 4), n_sequences=2, seed=seed, eta=eta, noise=noise,
                    interleaved=None if name is None else named_gate(name, eta),
                    n_samples=256, steps=STEPS, **mode)
     reference = []
@@ -393,7 +433,7 @@ _SMALL = {
     "propagate": {"gate": {"theta": 1.1, "phi": 0.4, "gamma": 2.0, "eta": 0.3},
                   "noise": {"epsilon": 0.05}, "n_samples": 256, "steps": 512},
     "qpt": {"gate": "H", "analytic": True, "n_samples": 256, "steps": 512},
-    "rb": {"interleaved": "T", "noise": {"epsilon": 0.05}, "lengths": [1, 2, 4],
+    "rb": {"interleaved": "T", "noise": {"epsilon": 0.05}, "lengths": [1, 2, 4, 8],
            "sequences": 2, "n_samples": 256, "steps": 512},
     "sweep": {"gate": "X", "epsilon_grid": {"min": -0.1, "max": 0.1, "points": 3},
               "n_samples": 256, "steps": 512},
@@ -404,7 +444,7 @@ _FIELDS = sorted({key for cfg in _SMALL.values() for key in cfg}
                     "schemes", "omega_max", "n_max", "eta_ld", "bogus"})
 _VALUES = st.sampled_from([
     None, True, False, -1, 0, 2, 3, 0.5, -0.25, 1e-3, float("nan"), "", "X", "T",
-    "124", "rb", "dynamical", [], [1, 2, 4], [0.05], ["a"], [[1]], {}, {"name": 5},
+    "124", "rb", "dynamical", [], [1, 2, 4, 8], [0.05], ["a"], [[1]], {}, {"name": 5},
     {"name": None}, {"theta": 1.0}, {"epsilon": 0.05}, {"gamma_1a": 100.0},
     [{"eta": 0.5}, {"eta": 1.0}]])
 _DELETE = object()
@@ -442,10 +482,10 @@ _BASES = [
     ("qpt", {"gate": _ANGLES, "analytic": True, "n_samples": 256, "steps": 512}),
     ("qpt", {"gate": "H", "analytic": False, "shots": 200, "noise": {"prep_error": 0.01},
              "n_samples": 256, "steps": 512}),
-    ("rb", {"interleaved": "T", "noise": {"epsilon": 0.05}, "lengths": [1, 2, 4],
+    ("rb", {"interleaved": "T", "noise": {"epsilon": 0.05}, "lengths": [1, 2, 4, 8],
             "sequences": 2, "n_samples": 256, "steps": 512}),
     ("rb", {"noise": {"gamma_1a": 100.0, "gamma_0a": 10.0}, "eta": 0.2,
-            "lengths": [1, 4, 16], "sequences": 2, "n_samples": 256, "steps": 512}),
+            "lengths": [1, 4, 8, 16], "sequences": 2, "n_samples": 256, "steps": 512}),
     ("sweep", {"mode": "direct", "gate": _ANGLES, "n_samples": 256, "steps": 512,
                "epsilon_grid": {"min": -0.1, "max": 0.1, "points": 3}}),
     ("sweep", {"mode": "rb", "epsilon_grid": [0.05], "n_samples": 256, "steps": 512}),
@@ -467,7 +507,7 @@ _KEY_EDITS = [
     (("noise", "detection_error_bright"), 0.02), (("noise", "detection_error_dark"), 0.03),
     (("noise", "bogus"), 1),
     (("shots",), 300), (("analytic",), True), (("analytic",), False),
-    (("lengths",), [1, 2, 3]), (("sequences",), 3),
+    (("lengths",), [1, 2, 3, 4]), (("sequences",), 3),
     (("interleaved",), "H"), (("interleaved",), dict(_ANGLES, eta=0.2)),
     (("eta",), 0.5), (("scheme",), DYNAMICAL),
     (("epsilon_grid",), [0.05, 0.1]), (("epsilon_grid", "min"), -0.15),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from holopulse.paths import DYNAMICAL, HOLONOMIC
-from holopulse.pulses import (OMEGA_MAX_DEFAULT, GateSpec, _envelope_factor,
-                              compute_duration, export_tones, named_gate,
-                              parse_tones, peak_envelope, synthesize)
+from holopulse.pulses import (OMEGA_MAX_DEFAULT, GateSpec, compute_duration,
+                              export_tones, named_gate, parse_tones, peak_envelope,
+                              synthesize)
 
 
 def test_duration_eta_zero_anchor():
@@ -21,12 +21,18 @@ def test_duration_scales_inversely_with_drive():
         2.0 * compute_duration(spec, 4.0e4), rel=1e-12)
 
 
+def _envelope_factor(s, eta):
+    """The dimensionless envelope Omega(sT)*T/pi^2 as a function of s = t/T."""
+    s = np.asarray(s, dtype=float)
+    alpha = np.pi * np.sin(np.pi * s) ** 2
+    return np.abs(np.sin(2.0 * np.pi * s)) * np.sqrt(
+        1.0 + 16.0 * eta ** 2 * np.sin(alpha) ** 6)
+
+
 def test_peak_envelope_against_dense_grid():
+    s = np.linspace(0.0, 1.0, 2_000_001)
     for eta in (0.0, 0.2, 0.5, 1.0):
-        s = np.linspace(0.0, 1.0, 2_000_001)
-        alpha = np.pi * np.sin(np.pi * s) ** 2
-        vals = np.abs(np.sin(2.0 * np.pi * s)) * np.sqrt(
-            1.0 + 16.0 * eta ** 2 * np.sin(alpha) ** 6)
+        vals = _envelope_factor(s, eta)
         assert peak_envelope(eta) == pytest.approx(float(np.max(vals)), rel=1e-9)
 
 

@@ -46,12 +46,12 @@ def test_fit_decay_recovers_parameters():
 
 
 @pytest.mark.parametrize("means", [
-    [1.0, 0.995, 0.995],    # the optimum lies at p -> 0
-    [0.6, 0.7, 0.9],        # a rising curve: A < 0
+    [1.0, 0.995, 0.995, 0.995],     # the optimum lies at p -> 0
+    [0.6, 0.7, 0.9, 0.95],          # a rising curve: A < 0
 ])
 def test_fit_decay_failure_is_fit_error(means):
     with pytest.raises(FitError):
-        fit_decay([1, 2, 4], means)
+        fit_decay([1, 2, 4, 8], means)
 
 
 def test_fit_decay_flat_curve_has_p_1():
@@ -87,7 +87,7 @@ def test_rb_exact_depolarizing_recovers_p():
 
 
 def test_rb_deterministic():
-    cfg = RBConfig(lengths=(1, 2, 4), n_sequences=4, seed=9, mode="exact",
+    cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=4, seed=9, mode="exact",
                    depolarizing=0.05, shots=200)
     a = run_rb(cfg)
     b = run_rb(cfg)
@@ -96,7 +96,7 @@ def test_rb_deterministic():
 
 
 def test_rb_pulse_noiseless_near_perfect():
-    cfg = RBConfig(lengths=(1, 2, 4), n_sequences=3, seed=2,
+    cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=3, seed=2,
                    n_samples=256, steps=512)
     curve = run_rb(cfg)
     assert np.all(curve.means > 1.0 - 1e-6)
@@ -113,24 +113,24 @@ def test_rb_pulse_amplitude_error_decays():
 
 def test_rb_interleaved_metadata():
     s_gate = clifford_table()[5].spec     # a Clifford, quarter turn about z
-    cfg = RBConfig(lengths=(1, 2, 4), n_sequences=3, seed=2, interleaved=s_gate,
+    cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=3, seed=2, interleaved=s_gate,
                    mode="exact", depolarizing=0.02)
     curve = run_rb(cfg)
     assert curve.metadata["interleaved"] is True
     assert curve.metadata["interleaved_is_clifford"] is True
-    t_cfg = RBConfig(lengths=(1, 2, 4), n_sequences=3, seed=2,
+    t_cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=3, seed=2,
                      interleaved=named_gate("T"), mode="exact")
     assert run_rb(t_cfg).metadata["interleaved_is_clifford"] is False
 
 
 def test_curve_csv_shape():
-    cfg = RBConfig(lengths=(1, 2, 4), n_sequences=3, seed=0, mode="exact",
+    cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=3, seed=0, mode="exact",
                    depolarizing=0.01)
     curve = run_rb(cfg)
     text = curve_to_csv(curve, cfg.n_sequences)
     lines = text.strip().splitlines()
     assert lines[0] == "m,mean_fidelity,std,n_sequences"
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert lines[1].endswith(",3")
 
 
@@ -145,6 +145,8 @@ def test_config_validation():
         RBConfig(lengths=(1, 2))
     with pytest.raises(ValueError):
         RBConfig(lengths=(1, 2, 2))
+    with pytest.raises(ValueError, match="three-parameter model"):
+        RBConfig(lengths=(1, 2, 4, 4))
     with pytest.raises(ValueError):
         RBConfig(shots=0)
     with pytest.raises(ValueError):
@@ -175,9 +177,9 @@ def test_config_validation():
 
 def test_shared_cache_matches_separate_runs():
     noise = dephasing_from_t2(20e-3, 200e-3)
-    ref_cfg = RBConfig(lengths=(1, 2, 4), n_sequences=3, seed=4, eta=0.2,
+    ref_cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=3, seed=4, eta=0.2,
                        noise=noise, n_samples=256, steps=512)
-    int_cfg = RBConfig(lengths=(1, 2, 4), n_sequences=3, seed=4, eta=0.2,
+    int_cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=3, seed=4, eta=0.2,
                        noise=noise, n_samples=256, steps=512,
                        interleaved=named_gate("T", eta=0.2))
     cache = GateCache()
