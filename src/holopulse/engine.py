@@ -44,6 +44,15 @@ the Richardson combination one batched real product, and the same blockwise
 reduction multiplies the real 9x9 steps; the channel converts back to
 vec(rho) once, as C^-1 R C.
 
+The CF4 pairs of the open kernel are its "drive" (`open_drive`), and no
+gate sets it: c depends on the path (eta, scheme) and omega_max alone.
+theta never enters c, and enters a channel only through K. gamma enters
+only as the jump of beta at T/2, which multiplies c, and so every b, by
+e^{i gamma} on the steps after T/2, a step boundary since `steps` is even;
+the dynamical path has no jump. One drive per (path, epsilon, steps) thus
+serves every gate on that path, and a channel made from it costs K, the
+phased b, the Strang steps and their reduction.
+
 The coupling is evaluated from the schedule's continuous-time control law
 (gate spec + duration); its sample table is only the export artifact and is
 never built here.
@@ -51,13 +60,13 @@ Basis order everywhere: (|0>, |1>, |a>), hbar = 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .paths import controls_arrays
+from .paths import HOLONOMIC, controls_arrays
 from .pulses import PulseSchedule
 
 DEFAULT_STEPS = 8192
@@ -68,7 +77,8 @@ _CF4_A = (0.25 + _SQ3 / 6.0, 0.25 - _SQ3 / 6.0)
 # Steps made and reduced at a time, which bounds a propagation's memory. The
 # closed kernel holds about 105 B per step and epsilon point: its block counts
 # steps x points (27 MB; a scalar epsilon, about 145 B per step, 38 MB). The
-# open kernel holds about 3 kB per step (12 MB). Runs up to a 21-point sweep
+# open kernel holds about 3 kB per step (12 MB), besides its drive's 96 B per
+# step of the whole run (25 MB at 2^18 steps). Runs up to a 21-point sweep
 # at 8192 steps, 32768 closed or 4096 open steps are one block, whose
 # arithmetic is that of an unblocked product.
 _CLOSED_BLOCK = 2 ** 18
@@ -372,30 +382,95 @@ def _strang_steps(coef: np.ndarray, a: np.ndarray, b: np.ndarray,
     return steps.reshape(-1, 9, 9)
 
 
+def _drive_key(schedule: PulseSchedule, epsilon: float, steps: int) -> tuple:
+    """What sets a drive: the path (eta, scheme) with its duration's omega_max,
+    the scale 1 + epsilon and the step count; theta, phi and gamma do not."""
+    spec = schedule.spec
+    return spec.eta, spec.scheme, schedule.omega_max, float(epsilon), steps
+
+
+@dataclass(frozen=True)
+class OpenDrive:
+    """The gate-independent CF4 pairs of an open propagation (`open_drive`):
+    `half` the (a, b) of the 2*steps half steps, `full` those of the steps
+    full steps, both under the coupling with no phase jump at T/2."""
+    key: tuple
+    half: tuple
+    full: tuple
+
+    def fits(self, schedule: PulseSchedule, epsilon: float, steps: int) -> bool:
+        return self.key == _drive_key(schedule, epsilon, steps)
+
+
+def open_drive(schedule: PulseSchedule, epsilon: float = 0.0,
+               steps: int = DEFAULT_STEPS) -> OpenDrive:
+    """The drive of the path of `schedule` (its eta, scheme and omega_max) at
+    amplitude error epsilon and `steps` steps, which `open_superoperator`
+    shares among every gate on that path.
+
+    It is made from the holonomic path at gamma = 0 (the dynamical path has
+    no jump), `_OPEN_BLOCK` steps at a time, and holds 96 B per step.
+    """
+    check_steps(steps, schedule.n_samples)
+    spec = schedule.spec
+    path = replace(schedule, spec=replace(spec, gamma=0.0) if spec.scheme == HOLONOMIC
+                   else spec)
+    coupling = partial(_coupling, path)
+    half = np.empty((2, 2 * steps), dtype=complex)
+    full = np.empty((2, steps), dtype=complex)
+    for start in range(0, steps, _OPEN_BLOCK):
+        stop = min(start + _OPEN_BLOCK, steps)
+        a, b = _cf4_steps(coupling, path.duration, 2 * steps, 1.0 + epsilon,
+                          2 * start, 2 * stop)
+        half[:, 2 * start:2 * stop] = a, b
+        full[:, start:stop] = _ck_product((a[1::2], b[1::2]), (a[0::2], b[0::2]))
+    return OpenDrive(_drive_key(schedule, epsilon, steps), tuple(half), tuple(full))
+
+
+def _jumped(b: np.ndarray, first: int, phase: complex) -> np.ndarray:
+    """b with its entries from index `first` on multiplied by `phase`."""
+    if first >= len(b) or phase == 1.0:
+        return b
+    b = b.copy()
+    b[max(first, 0):] *= phase
+    return b
+
+
 def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
-                       steps: int = DEFAULT_STEPS) -> np.ndarray:
+                       steps: int = DEFAULT_STEPS,
+                       drive: Optional[OpenDrive] = None) -> np.ndarray:
     """Full-cycle quantum channel as a 9x9 matrix on row-major vec(rho).
 
     Each step of length h is the Strang splitting S_h = E(h/2) R(U) E(h/2)
     of the exact dephasing factor E(t) = exp(D t) around the lift R(U) of the
     CF4 propagator U, Richardson-extrapolated to fourth order as
     (4 S_{h/2} S_{h/2} - S_h) / 3, in the real coordinates
-    r = vec(Re rho + Im rho). The CF4 propagators are computed once on the
-    2*steps half steps; a full step's U is the product of its two halves.
-    Every factor preserves the trace, and so does their affine combination.
-    The steps are made and reduced `_OPEN_BLOCK` at a time.
+    r = vec(Re rho + Im rho). The CF4 propagators of the 2*steps half steps
+    and the steps full steps (each the product of its two halves) are the
+    `drive`, built here when none is given; a holonomic gate's phase jump
+    multiplies their b by e^{i gamma} after T/2. Every factor preserves the
+    trace, and so does their affine combination. The steps are made and
+    reduced `_OPEN_BLOCK` at a time.
     """
     check_steps(steps, schedule.n_samples)
-    coupling = partial(_coupling, schedule)
-    coef = _lift_coefficients(schedule.spec)
+    if drive is None:
+        drive = open_drive(schedule, noise.epsilon, steps)
+    elif not drive.fits(schedule, noise.epsilon, steps):
+        raise ValueError(f"the drive {drive.key} is not that of the path, epsilon "
+                         f"and steps {_drive_key(schedule, noise.epsilon, steps)}")
+    spec = schedule.spec
+    phase = np.exp(1j * spec.gamma) if spec.scheme == HOLONOMIC else 1.0
+    coef = _lift_coefficients(spec)
     h = schedule.duration / steps
     rates = _dephasing_rates(noise)
 
     def block(start, stop):
-        a, b = _cf4_steps(coupling, schedule.duration, 2 * steps,
-                          1.0 + noise.epsilon, 2 * start, 2 * stop)
-        half = _strang_steps(coef, a, b, rates, 0.25 * h)
-        full = _strang_steps(coef, *_ck_product((a[1::2], b[1::2]), (a[0::2], b[0::2])),
+        # half steps from steps on, full steps from steps/2 on, lie after T/2
+        a, b = (x[2 * start:2 * stop] for x in drive.half)
+        half = _strang_steps(coef, a, _jumped(b, steps - 2 * start, phase),
+                             rates, 0.25 * h)
+        a, b = (x[start:stop] for x in drive.full)
+        full = _strang_steps(coef, a, _jumped(b, steps // 2 - start, phase),
                              rates, 0.5 * h)
         return ((4.0 * (half[1::2] @ half[0::2]) - full) / 3.0,)
 

@@ -12,9 +12,12 @@ from `GateCache`, so one survival loop serves every noise model: the lift
 U (x) U* of the propagated unitary when closed (a static amplitude error),
 the engine's open-system channel under dephasing, and in the synthetic
 "exact" mode the lift of the ideal gate followed by a depolarizer. The cache
-propagates only what the drive tells apart: one block per gamma when closed,
+propagates only what the pulses tell apart: one block per gamma when closed,
 one channel per (theta, gamma) under dephasing. A reference and an
-interleaved run sharing a cache propagate the common gates once.
+interleaved run sharing a cache propagate the common gates once. Under
+dephasing, every channel on the Cliffords' path is made from one
+`engine.OpenDrive`, the gate-independent CF4 steps, which the cache makes
+once per (epsilon, omega_max, steps).
 
 Decay curves are fitted to F = A p^m + B by least squares over p in (0, 1],
 with A and B solved linearly at each p (variable projection, numpy alone),
@@ -30,11 +33,11 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import (NoiseModel, _embed, block_basis, check_steps, open_superoperator,
-                     propagate_unitary)
+from .engine import (NoiseModel, _embed, block_basis, check_steps, open_drive,
+                     open_superoperator, propagate_unitary)
 from .gates import (_clifford_rotations, axis_angle, clifford_index, clifford_products,
                     clifford_table, target_unitary)
-from .paths import DYNAMICAL
+from .paths import DYNAMICAL, HOLONOMIC
 from .pulses import (OMEGA_MAX_DEFAULT, GateSpec, check_sampling, compute_duration,
                      synthesize)
 
@@ -125,16 +128,19 @@ def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None, eta: flo
     return specs, axis_angle(acc.conj().T, eta=eta)
 
 
+_DIGITS = 14
+
+
 def _canonical_spec(spec: GateSpec) -> GateSpec:
-    """The spec with its angles rounded to 14 decimals, from which a cached
+    """The spec with its angles rounded to _DIGITS decimals, from which a cached
     channel is built, so that the channel depends on the rounded angles alone
     and not on which of several near-equal specs came first. A spec that
     rounding would carry out of GateSpec's domain (gamma = 2 pi) stays as is."""
-    theta, phi, eta = (round(x, 14) for x in (spec.theta, spec.phi, spec.eta))
+    theta, phi, eta = (round(x, _DIGITS) for x in (spec.theta, spec.phi, spec.eta))
     try:
         if spec.scheme == DYNAMICAL:
             return GateSpec.dynamical(theta, phi, eta)
-        return GateSpec(theta, phi, round(spec.gamma, 14), eta, spec.scheme)
+        return GateSpec(theta, phi, round(spec.gamma, _DIGITS), eta, spec.scheme)
     except ValueError:
         return spec
 
@@ -167,11 +173,21 @@ class GateCache:
     Keyed on everything else that sets the channel, so one cache can serve
     several RB runs (reference and interleaved); a repeated spec returns its
     channel from a memo.
+
+    Under dephasing the cache holds one drive (`engine.open_drive`): that of
+    the holonomic path at the config's eta, on which lie the Cliffords and
+    their recoveries, nearly every gate of a run. It is made on first use and
+    replaced, the old one dropped first, when the config's epsilon,
+    omega_max or steps change, so a cache never holds two. A
+    gate off that path (an interleaved gate with its own eta, or dynamical)
+    is one spec, whose one channel makes a drive of its own. The drive lives
+    in the cache, not in the module, so runs that share no cache share none.
     """
 
     def __init__(self):
         self._channels = {}
         self._propagated = {}
+        self._drive = None
 
     def channel(self, spec: GateSpec, config: RBConfig) -> np.ndarray:
         key = _key(spec, config)
@@ -185,7 +201,7 @@ class GateCache:
         rep = replace(spec, theta=spec.theta if dephased else 0.0, phi=0.0)
         key = _key(rep, config)
         if key not in self._propagated:
-            self._propagated[key] = _propagate(rep, config)
+            self._propagated[key] = self._propagate(rep, config)
         if dephased:
             r = np.array([1.0, np.exp(1j * spec.phi), 1.0])
             r = np.outer(r, r.conj()).reshape(-1)      # the diagonal of R (x) R*
@@ -194,20 +210,32 @@ class GateCache:
         lift = np.kron(u, u.conj())
         return _depolarizer(config.depolarizing) @ lift if config.depolarizing else lift
 
+    def _propagate(self, rep: GateSpec, config: RBConfig):
+        """The representative's 9x9 channel, or the Cayley-Klein pair (a, b) of
+        its block U2 = E^dag U E when closed; in "exact" mode the ideal block,
+        since the gate is |d><d| + e^{i gamma}|b><b|."""
+        if config.mode == "exact":
+            return np.exp(1j * rep.gamma), 0j
+        sched = synthesize(rep, config.omega_max, config.n_samples)
+        if config.noise.dephased:
+            return open_superoperator(sched, config.noise, config.steps,
+                                      self._drive_of(sched, config))
+        u = propagate_unitary(sched, config.noise.epsilon, config.steps, check=False).unitary
+        e = block_basis(rep)
+        block = e.conj().T @ u @ e
+        return block[0, 0], block[0, 1]
 
-def _propagate(rep: GateSpec, config: RBConfig):
-    """The representative's 9x9 channel, or the Cayley-Klein pair (a, b) of
-    its block U2 = E^dag U E when closed; in "exact" mode the ideal block,
-    since the gate is |d><d| + e^{i gamma}|b><b|."""
-    if config.mode == "exact":
-        return np.exp(1j * rep.gamma), 0j
-    sched = synthesize(rep, config.omega_max, config.n_samples)
-    if config.noise.dephased:
-        return open_superoperator(sched, config.noise, config.steps)
-    u = propagate_unitary(sched, config.noise.epsilon, config.steps, check=False).unitary
-    e = block_basis(rep)
-    block = e.conj().T @ u @ e
-    return block[0, 0], block[0, 1]
+    def _drive_of(self, sched, config: RBConfig):
+        """The held drive when `sched` is on the Cliffords' path, made first if
+        the one held is another config's; None off that path."""
+        spec = sched.spec
+        if spec.scheme != HOLONOMIC or spec.eta != round(config.eta, _DIGITS):
+            return None
+        if self._drive is None or not self._drive.fits(sched, config.noise.epsilon,
+                                                       config.steps):
+            self._drive = None          # dropped before the next one is made
+            self._drive = open_drive(sched, config.noise.epsilon, config.steps)
+        return self._drive
 
 
 def _survival(specs, recovery, cache: GateCache, config: RBConfig) -> float:

@@ -7,9 +7,10 @@ import pytest
 from scipy.linalg import expm
 
 from holopulse import engine
-from holopulse.engine import (_CF4_A, _GAUSS_C, NoiseModel, _blockwise, _coupling,
-                              _dephasing_rates, _embed, _su2_step, bright_state,
-                              cf4, dephasing_from_t2, open_superoperator,
+from holopulse.engine import (_CF4_A, _GAUSS_C, NoiseModel, _blockwise, _cf4_steps,
+                              _ck_product, _coupling, _dephasing_rates, _embed,
+                              _lift_coefficients, _strang_steps, _su2_step, bright_state,
+                              cf4, dephasing_from_t2, open_drive, open_superoperator,
                               propagate_unitary, survival_probability,
                               trace_defect)
 from holopulse.gates import target_unitary
@@ -386,6 +387,63 @@ def test_power_of_two_blocks_are_bitwise_one_block(monkeypatch):
     monkeypatch.setattr(engine, "_OPEN_BLOCK", 64)
     for blocked, whole in zip(kernels(), one):
         assert np.array_equal(blocked, whole)
+
+
+def _own_coupling_channel(sched, noise, steps):
+    """The open channel with every step made from the gate's own coupling,
+    phase jump included: `_cf4_steps` per block, as before drives were shared."""
+    coupling = partial(_coupling, sched)
+    coef = _lift_coefficients(sched.spec)
+    h = sched.duration / steps
+    rates = _dephasing_rates(noise)
+
+    def block(start, stop):
+        a, b = _cf4_steps(coupling, sched.duration, 2 * steps, 1.0 + noise.epsilon,
+                          2 * start, 2 * stop)
+        half = _strang_steps(coef, a, b, rates, 0.25 * h)
+        full = _strang_steps(coef, *_ck_product((a[1::2], b[1::2]), (a[0::2], b[0::2])),
+                             rates, 0.5 * h)
+        return ((4.0 * (half[1::2] @ half[0::2]) - full) / 3.0,)
+
+    real, = _blockwise(block, 0, steps, engine._OPEN_BLOCK,
+                       lambda later, earlier: (later[0] @ earlier[0],))
+    return engine._FROM_REAL @ real[0] @ engine._TO_REAL
+
+
+def test_a_shared_drive_gives_each_gate_its_own_channel(monkeypatch):
+    # 48-step blocks: the block of steps [1024, 1056) straddles T/2 at step 1025
+    monkeypatch.setattr(engine, "_OPEN_BLOCK", 48)
+    steps, rng = 2050, np.random.default_rng(3)
+    gammas = [2.0 * np.pi, np.nextafter(-2.0 * np.pi, 0.0), np.pi, -np.pi, 0.0,
+              *rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 3)]
+    for eta, epsilon in ((0.2, 0.0), (1.0, -0.15), (0.0, 0.3)):
+        noise = NoiseModel(epsilon=epsilon, gamma_1a=300.0, gamma_0a=100.0)
+        specs = [GateSpec(rng.uniform(0.0, np.pi), rng.uniform(-np.pi, np.pi), g, eta)
+                 for g in gammas]
+        dynamical = [GateSpec.dynamical(rng.uniform(0.0, np.pi), 0.5, -eta / 2.0)]
+        for group in (specs, dynamical):
+            drive = open_drive(synthesize(group[-1], n_samples=256), epsilon, steps)
+            for spec in group:
+                sched = synthesize(spec, n_samples=256)
+                err = np.max(np.abs(open_superoperator(sched, noise, steps, drive)
+                                    - _own_coupling_channel(sched, noise, steps)))
+                assert err <= 1e-14, (spec, epsilon, err)
+
+
+def test_a_drive_serves_only_its_own_path():
+    noise = NoiseModel(epsilon=0.05, gamma_1a=300.0)
+    sched = synthesize(GateSpec(1.0, 0.3, 2.0, 0.2), n_samples=256)
+    drive = open_drive(sched, 0.05, 512)
+    open_superoperator(synthesize(GateSpec(0.1, 0.0, -1.0, 0.2), n_samples=256), noise, 512,
+                       drive)
+    for other, eps, steps in ((GateSpec(1.0, 0.3, 2.0, 0.3), 0.05, 512),
+                              (GateSpec.dynamical(1.0, 0.3, 0.2), 0.05, 512),
+                              (sched.spec, 0.0, 512), (sched.spec, 0.05, 1024)):
+        with pytest.raises(ValueError):
+            open_superoperator(synthesize(other, n_samples=256), replace(noise, epsilon=eps),
+                               steps, drive)
+    with pytest.raises(ValueError):
+        open_superoperator(replace(sched, omega_max=0.5 * sched.omega_max), noise, 512, drive)
 
 
 def _peak_mb(run):

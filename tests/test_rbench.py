@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from holopulse import rbench
+from holopulse import engine, rbench
 from holopulse.engine import NoiseModel, dephasing_from_t2
 from holopulse.gates import clifford_table, phase_equivalent, target_unitary
 from holopulse.pulses import GateSpec, named_gate
@@ -240,6 +241,45 @@ def test_dephased_rb_propagates_once_per_theta_gamma(monkeypatch):
     keys = {(round(s.theta, 14), round(s.gamma, 14))
             for specs, recovery in sequences for s in specs + [recovery]}
     assert len(calls) == len(keys) > 10
+
+
+def test_one_drive_serves_every_gate_on_the_clifford_path(monkeypatch):
+    # a drive evaluates the controls once per Gauss node: 2 calls at 512 steps
+    calls = []
+    monkeypatch.setattr(engine, "controls_arrays", _recording(engine.controls_arrays, calls))
+    cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=4, seed=7, eta=0.2,
+                   noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
+    cache = GateCache()
+    run_rb(cfg, cache)
+    run_rb(replace(cfg, interleaved=named_gate("T", eta=0.2)), cache)
+    assert len(calls) == 2
+    # a dynamical interleaved gate with its own eta makes its own drive, once
+    run_rb(replace(cfg, interleaved=GateSpec.dynamical(1.1, 0.4, 0.3)), cache)
+    assert len(calls) == 4
+
+
+def test_a_cache_holds_one_drive(monkeypatch):
+    # a drive holds 96 B per step, 3.1 MB here; keeping a second one, even
+    # while the next is made, raises the peak by that much. 256-step blocks
+    # keep the channel's own workspace (about 3 kB per step of a block) below it.
+    monkeypatch.setattr(engine, "_OPEN_BLOCK", 256)
+    steps = 2 ** 15
+    cfg = RBConfig(eta=0.2, noise=NoiseModel(gamma_1a=100.0, gamma_0a=10.0),
+                   n_samples=256, steps=steps)
+    cache, spec = GateCache(), named_gate("X", eta=0.2)
+
+    def peak_after(epsilons):
+        for eps in epsilons:
+            cache.channel(spec, replace(cfg, noise=replace(cfg.noise, epsilon=eps)))
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        one = peak_after([0.0])
+        three = peak_after([0.01, 0.02])
+    finally:
+        tracemalloc.stop()
+    assert three - one < 0.5 * 96 * steps
 
 
 @pytest.mark.parametrize("d", [0.01, 0.05])
