@@ -51,7 +51,8 @@ only as the jump of beta at T/2, which multiplies c, and so every b, by
 e^{i gamma} on the steps after T/2, a step boundary since `steps` is even;
 the dynamical path has no jump. One drive per (path, epsilon, steps) thus
 serves every gate on that path, and a channel made from it costs K, the
-phased b, the Strang steps and their reduction.
+phased b, the Strang steps and their reduction. A channel given no drive
+makes its drive's steps one block at a time, as it uses them.
 
 The coupling is evaluated from the schedule's continuous-time control law
 (gate spec + duration); its sample table is only the export artifact and is
@@ -77,10 +78,10 @@ _CF4_A = (0.25 + _SQ3 / 6.0, 0.25 - _SQ3 / 6.0)
 # Steps made and reduced at a time, which bounds a propagation's memory. The
 # closed kernel holds about 105 B per step and epsilon point: its block counts
 # steps x points (27 MB; a scalar epsilon, about 145 B per step, 38 MB). The
-# open kernel holds about 3 kB per step (12 MB), besides its drive's 96 B per
-# step of the whole run (25 MB at 2^18 steps). Runs up to a 21-point sweep
-# at 8192 steps, 32768 closed or 4096 open steps are one block, whose
-# arithmetic is that of an unblocked product.
+# open kernel holds about 3 kB per step (12 MB); a shared drive (`open_drive`)
+# adds 96 B per step of the whole run (25 MB at 2^18 steps). Runs up to a
+# 21-point sweep at 8192 steps, 32768 closed or 4096 open steps are one block,
+# whose arithmetic is that of an unblocked product.
 _CLOSED_BLOCK = 2 ** 18
 _OPEN_BLOCK = 2 ** 12
 
@@ -401,6 +402,29 @@ class OpenDrive:
     def fits(self, schedule: PulseSchedule, epsilon: float, steps: int) -> bool:
         return self.key == _drive_key(schedule, epsilon, steps)
 
+    def steps(self, start: int, stop: int) -> tuple:
+        """The pairs of the full steps [start, stop), as `_drive_steps` makes them."""
+        return (tuple(x[2 * start:2 * stop] for x in self.half),
+                tuple(x[start:stop] for x in self.full))
+
+
+def _drive_steps(path: PulseSchedule, epsilon: float, steps: int, start: int,
+                 stop: int) -> tuple:
+    """The drive's CF4 pairs of the full steps [start, stop): ((a, b) of their
+    2 (stop - start) half steps, (a, b) of the full steps), each full step the
+    product of its two halves. `path` is a schedule with no phase jump."""
+    a, b = _cf4_steps(partial(_coupling, path), path.duration, 2 * steps, 1.0 + epsilon,
+                      2 * start, 2 * stop)
+    return (a, b), _ck_product((a[1::2], b[1::2]), (a[0::2], b[0::2]))
+
+
+def _jumpless(schedule: PulseSchedule) -> PulseSchedule:
+    """`schedule` on the holonomic path at gamma = 0; the dynamical path has no jump."""
+    spec = schedule.spec
+    if spec.scheme != HOLONOMIC:
+        return schedule
+    return replace(schedule, spec=replace(spec, gamma=0.0))
+
 
 def open_drive(schedule: PulseSchedule, epsilon: float = 0.0,
                steps: int = DEFAULT_STEPS) -> OpenDrive:
@@ -408,22 +432,16 @@ def open_drive(schedule: PulseSchedule, epsilon: float = 0.0,
     amplitude error epsilon and `steps` steps, which `open_superoperator`
     shares among every gate on that path.
 
-    It is made from the holonomic path at gamma = 0 (the dynamical path has
-    no jump), `_OPEN_BLOCK` steps at a time, and holds 96 B per step.
+    It is made `_OPEN_BLOCK` steps at a time and holds 96 B per step.
     """
     check_steps(steps, schedule.n_samples)
-    spec = schedule.spec
-    path = replace(schedule, spec=replace(spec, gamma=0.0) if spec.scheme == HOLONOMIC
-                   else spec)
-    coupling = partial(_coupling, path)
+    path = _jumpless(schedule)
     half = np.empty((2, 2 * steps), dtype=complex)
     full = np.empty((2, steps), dtype=complex)
     for start in range(0, steps, _OPEN_BLOCK):
         stop = min(start + _OPEN_BLOCK, steps)
-        a, b = _cf4_steps(coupling, path.duration, 2 * steps, 1.0 + epsilon,
-                          2 * start, 2 * stop)
-        half[:, 2 * start:2 * stop] = a, b
-        full[:, start:stop] = _ck_product((a[1::2], b[1::2]), (a[0::2], b[0::2]))
+        half[:, 2 * start:2 * stop], full[:, start:stop] = _drive_steps(
+            path, epsilon, steps, start, stop)
     return OpenDrive(_drive_key(schedule, epsilon, steps), tuple(half), tuple(full))
 
 
@@ -447,15 +465,18 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
     (4 S_{h/2} S_{h/2} - S_h) / 3, in the real coordinates
     r = vec(Re rho + Im rho). The CF4 propagators of the 2*steps half steps
     and the steps full steps (each the product of its two halves) are the
-    `drive`, built here when none is given; a holonomic gate's phase jump
+    `drive`; given none, the channel makes them one block at a time, so its
+    memory does not grow with `steps`. A holonomic gate's phase jump
     multiplies their b by e^{i gamma} after T/2. Every factor preserves the
     trace, and so does their affine combination. The steps are made and
     reduced `_OPEN_BLOCK` at a time.
     """
     check_steps(steps, schedule.n_samples)
     if drive is None:
-        drive = open_drive(schedule, noise.epsilon, steps)
-    elif not drive.fits(schedule, noise.epsilon, steps):
+        drive_steps = partial(_drive_steps, _jumpless(schedule), noise.epsilon, steps)
+    elif drive.fits(schedule, noise.epsilon, steps):
+        drive_steps = drive.steps
+    else:
         raise ValueError(f"the drive {drive.key} is not that of the path, epsilon "
                          f"and steps {_drive_key(schedule, noise.epsilon, steps)}")
     spec = schedule.spec
@@ -466,11 +487,10 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
 
     def block(start, stop):
         # half steps from steps on, full steps from steps/2 on, lie after T/2
-        a, b = (x[2 * start:2 * stop] for x in drive.half)
+        (a, b), (fa, fb) = drive_steps(start, stop)
         half = _strang_steps(coef, a, _jumped(b, steps - 2 * start, phase),
                              rates, 0.25 * h)
-        a, b = (x[start:stop] for x in drive.full)
-        full = _strang_steps(coef, a, _jumped(b, steps // 2 - start, phase),
+        full = _strang_steps(coef, fa, _jumped(fb, steps // 2 - start, phase),
                              rates, 0.5 * h)
         return ((4.0 * (half[1::2] @ half[0::2]) - full) / 3.0,)
 

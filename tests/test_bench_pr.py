@@ -95,3 +95,9 @@ def test_diff_file_reports_the_largest_numeric_move(tmp_path):
     assert moved["max_abs"] == pytest.approx(1e-7)
     assert moved["max_rel"] == pytest.approx(1e-7 / 0.2500001)
     assert bench_pr.diff_file(a, c) == {"status": "differs"}
+    # other bytes, every number equal: a renamed column, or 0.5 written as 0.50
+    renamed, padded = tmp_path / "renamed", tmp_path / "padded"
+    renamed.write_text("m,avg\n1,0.5\n2,0.25\n")
+    padded.write_text("m,mean\n1,0.50\n2,0.25\n")
+    assert bench_pr.diff_file(a, renamed) == {"status": "differs"}
+    assert bench_pr.diff_file(a, padded) == {"status": "differs"}

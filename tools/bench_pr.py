@@ -1,17 +1,17 @@
 """Benchmark a change against its parent commit and diff their outputs.
 
-    python3 tools/bench_pr.py --parent REV --pr N [--pairs 10] [--seconds S]
-                              [--first-seed 101] [--output-jobs 4]
+    python3 tools/bench_pr.py --parent REV --pr N
 
 Run from the root of a holopulse checkout. The change is the working tree as
 it is on disk; the parent REV is checked out, detached, into a temporary
 `git worktree` that is removed at exit (local git only). For every workload
-of BENCHMARK.json the script runs `perfbench/run.py --trace 0` for --pairs
-pairs of the two trees, pair i at seed --first-seed + i, the parent first on
-odd seeds; then one `--trace 1` run of TRACED_SECONDS per side at seed 1.
-Next it runs jobs 0 .. --output-jobs - 1 of every workload at seeds 1 and 2
-in both trees and lists each output file as identical or moved, with its
-largest numeric change. It writes BENCH_<N>.json: every run's final JSON
+of BENCHMARK.json the script runs `perfbench/run.py --trace 0`, at the run
+length BENCHMARK.json fixes, for PAIRS pairs of the two trees, pair i at
+seed FIRST_SEED + i, the parent first on odd seeds; then one `--trace 1`
+run of TRACED_SECONDS per side at seed 1. Next it runs jobs
+0 .. OUTPUT_JOBS - 1 of every workload at seeds 1 and 2 in both trees and
+lists each output file as identical, moved (with its largest numeric
+change) or differing. It writes BENCH_<N>.json: every run's final JSON
 line, a summary per workload and end-to-end metric (`summarize`), and the
 output diff.
 
@@ -34,6 +34,9 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+FIRST_SEED = 101
+OUTPUT_JOBS = 8
 OUTPUT_SEEDS = (1, 2)
 TRACED_SECONDS = 2.0
 # a gain needs this share of the pairs won (ties count for neither side)
@@ -131,8 +134,9 @@ def _numbers(text):
 
 
 def diff_file(parent: Path, change: Path) -> dict:
-    """"identical", or "moved" with the largest absolute and relative change
-    of its numbers when both files hold as many, else "differs"."""
+    """"identical"; "moved", with the largest absolute and relative change of
+    its numbers, when the files hold as many numbers and some differ; else
+    "differs" (a change that is not numeric, or not only)."""
     a, b = parent.read_bytes(), change.read_bytes()
     if a == b:
         return {"status": "identical"}
@@ -140,6 +144,8 @@ def diff_file(parent: Path, change: Path) -> dict:
     if len(x) != len(y):
         return {"status": "differs"}
     pairs = [(p, c) for p, c in zip(x, y) if p != c]
+    if not pairs:
+        return {"status": "differs"}
     return {"status": "moved",
             "max_abs": max(abs(p - c) for p, c in pairs),
             "max_rel": max(abs(p - c) / max(abs(p), abs(c)) for p, c in pairs)}
@@ -203,11 +209,8 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
     parser.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--output-jobs", type=int, default=4)
     args = parser.parse_args(argv)
+    args.seconds = bench["run_seconds"]
     args.workloads = [w["name"] for w in bench["workloads"]]
     args.end_to_end = bench["end_to_end"]
     return args
@@ -222,8 +225,8 @@ def main(argv=None):
         try:
             trees = {"parent": parent_tree, "change": ROOT}
             runs, traced = [], []
-            for i in range(args.pairs):
-                seed = args.first_seed + i
+            for i in range(PAIRS):
+                seed = FIRST_SEED + i
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for workload in args.workloads:
                     for side in order:
@@ -240,7 +243,7 @@ def main(argv=None):
             outs = {side: Path(tmp) / f"out_{side}" for side in trees}
             for side, tree in trees.items():
                 _log(f"outputs: {side}")
-                run_jobs(tree, outs[side], args.workloads, args.output_jobs)
+                run_jobs(tree, outs[side], args.workloads, OUTPUT_JOBS)
             files = diff_outputs(outs["parent"], outs["change"])
         finally:
             _git("worktree", "remove", "--force", str(parent_tree))
@@ -252,18 +255,18 @@ def main(argv=None):
     report = {
         "description": (
             f"perfbench/run.py --trace 0 --seconds {args.seconds:g} runs of the parent "
-            f"commit and this change: {args.pairs} seeds ({args.first_seed}-"
-            f"{args.first_seed + args.pairs - 1}) per workload, the parent first on odd "
+            f"commit and this change: {PAIRS} seeds ({FIRST_SEED}-"
+            f"{FIRST_SEED + PAIRS - 1}) per workload, the parent first on odd "
             f"seeds; then one --trace 1 --seconds {TRACED_SECONDS:g} run per side "
             f"and workload at seed 1. 'printed' is the final JSON line of each run. "
-            f"Outputs: jobs 0-{args.output_jobs - 1} of each workload at seeds "
+            f"Outputs: jobs 0-{OUTPUT_JOBS - 1} of each workload at seeds "
             f"{', '.join(map(str, OUTPUT_SEEDS))}, run in both trees."),
         "parent": parent_rev,
         "host": host,
         "runs": runs,
         "traced": traced,
         "summary": summarize(runs, args.end_to_end),
-        "outputs": {"jobs": args.output_jobs, "seeds": list(OUTPUT_SEEDS),
+        "outputs": {"jobs": OUTPUT_JOBS, "seeds": list(OUTPUT_SEEDS),
                     "counts": {s: statuses.count(s) for s in sorted(set(statuses))},
                     "files": files},
     }
