@@ -180,7 +180,8 @@ class GateCache:
     replaced, the old one dropped first, when the config's epsilon,
     omega_max or steps change, so a cache never holds two. A
     gate off that path (an interleaved gate with its own eta, or dynamical)
-    is one spec, whose one channel makes a drive of its own. The drive lives
+    is one spec, whose one channel is made with no drive: it makes its own
+    steps block by block (`engine.open_superoperator`). The drive lives
     in the cache, not in the module, so runs that share no cache share none.
     """
 
