@@ -44,15 +44,20 @@ the Richardson combination one batched real product, and the same blockwise
 reduction multiplies the real 9x9 steps; the channel converts back to
 vec(rho) once, as C^-1 R C.
 
-The CF4 pairs of the open kernel are its "drive" (`open_drive`), and no
+The CF4 pairs of the open kernel are its "drive" (`drive_steps`), and no
 gate sets it: c depends on the path (eta, scheme) and omega_max alone.
 theta never enters c, and enters a channel only through K. gamma enters
 only as the jump of beta at T/2, which multiplies c, and so every b, by
 e^{i gamma} on the steps after T/2, a step boundary since `steps` is even;
-the dynamical path has no jump. One drive per (path, epsilon, steps) thus
-serves every gate on that path, and a channel made from it costs K, the
-phased b, the Strang steps and their reduction. A channel given no drive
-makes its drive's steps one block at a time, as it uses them.
+the dynamical path has no jump. The drive of one block of steps is thus a
+pure function of (eta, scheme, omega_max, epsilon, steps, block), and
+`open_superoperator` calls it, or a memo of it that its caller passes, with
+its own gate's path for every block; a channel made from a remembered block
+costs K, the phased b, the Strang steps and their reduction. A memo of two
+blocks (`rbench.GateCache`) shares the drive of a one-block run (up to
+`_OPEN_BLOCK` steps) between two paths and that of a two-block run within
+one; above two blocks its slots are cycled through and every channel makes
+its own steps, so it never holds more than two blocks (0.8 MB).
 
 The coupling is evaluated from the schedule's continuous-time control law
 (gate spec + duration); its sample table is only the export artifact and is
@@ -61,14 +66,14 @@ Basis order everywhere: (|0>, |1>, |a>), hbar = 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .paths import HOLONOMIC, controls_arrays
-from .pulses import PulseSchedule
+from .paths import DYNAMICAL, HOLONOMIC, controls_arrays
+from .pulses import GateSpec, PulseSchedule, compute_duration
 
 DEFAULT_STEPS = 8192
 
@@ -78,8 +83,8 @@ _CF4_A = (0.25 + _SQ3 / 6.0, 0.25 - _SQ3 / 6.0)
 # Steps made and reduced at a time, which bounds a propagation's memory. The
 # closed kernel holds about 105 B per step and epsilon point: its block counts
 # steps x points (27 MB; a scalar epsilon, about 145 B per step, 38 MB). The
-# open kernel holds about 3 kB per step (12 MB); a shared drive (`open_drive`)
-# adds 96 B per step of the whole run (25 MB at 2^18 steps). Runs up to a
+# open kernel holds about 3 kB per step (12 MB); its drive is 96 B per step of
+# a block (0.4 MB), of which a memo (`drive_steps`) keeps two. Runs up to a
 # 21-point sweep at 8192 steps, 32768 closed or 4096 open steps are one block,
 # whose arithmetic is that of an unblocked product.
 _CLOSED_BLOCK = 2 ** 18
@@ -148,15 +153,16 @@ def block_basis(spec) -> np.ndarray:
     return np.stack([bright_state(spec), [0.0, 0.0, 1.0]], axis=1)
 
 
-def _coupling(schedule: PulseSchedule, t) -> np.ndarray:
-    """Bright-auxiliary coupling c(t) = <b|H|a> = Omega(t) e^{-i phi0(t)} / 2.
+def _coupling(spec, duration: float, t) -> np.ndarray:
+    """Bright-auxiliary coupling c(t) = <b|H|a> = Omega(t) e^{-i phi0(t)} / 2
+    of the gate `spec` at cycle time `duration`.
 
     The two tones add up to H = c|b><a| + h.c.: <0|H|a> = c sin(theta/2) and
     <1|H|a> = -c cos(theta/2) e^{i phi}, since phi1 = phi0 + pi - phi. A
     static amplitude error scales it to (1+eps) c, which the kernel takes as
     its `scale`.
     """
-    omega, phi0 = controls_arrays(schedule.spec, schedule.duration, t)
+    omega, phi0 = controls_arrays(spec, duration, t)
     return 0.5 * omega * np.exp(-1j * phi0)
 
 
@@ -297,8 +303,10 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: Union[float, np.ndarray]
     if check and steps < 4:
         raise ValueError(f"the truncation check needs steps >= 4, got {steps}")
 
+    coupling = partial(_coupling, schedule.spec, schedule.duration)
+
     def block(n):
-        return cf4(partial(_coupling, schedule), schedule.duration, n, 1.0 + eps)
+        return cf4(coupling, schedule.duration, n, 1.0 + eps)
 
     u = _embed(schedule.spec, *block(steps))
     err = np.zeros(eps.shape)
@@ -315,8 +323,8 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: Union[float, np.ndarray]
 def survival_probability(schedule: PulseSchedule, epsilon: float,
                          steps: int = DEFAULT_STEPS // 2) -> float:
     """|<psi_0(T/2)|psi_eps(T/2)>|^2 for evolution of |b> over the first segment."""
-    a, b = cf4(partial(_coupling, schedule), schedule.duration / 2.0, steps,
-               np.array([1.0, 1.0 + epsilon]))
+    a, b = cf4(partial(_coupling, schedule.spec, schedule.duration), schedule.duration / 2.0,
+               steps, np.array([1.0, 1.0 + epsilon]))
     # |b> is the first block basis vector, mapped to (a, -b*); E preserves
     # inner products
     overlap = np.conj(a[0]) * a[1] + b[0] * np.conj(b[1])
@@ -383,66 +391,23 @@ def _strang_steps(coef: np.ndarray, a: np.ndarray, b: np.ndarray,
     return steps.reshape(-1, 9, 9)
 
 
-def _drive_key(schedule: PulseSchedule, epsilon: float, steps: int) -> tuple:
-    """What sets a drive: the path (eta, scheme) with its duration's omega_max,
-    the scale 1 + epsilon and the step count; theta, phi and gamma do not."""
-    spec = schedule.spec
-    return spec.eta, spec.scheme, schedule.omega_max, float(epsilon), steps
-
-
-@dataclass(frozen=True)
-class OpenDrive:
-    """The gate-independent CF4 pairs of an open propagation (`open_drive`):
-    `half` the (a, b) of the 2*steps half steps, `full` those of the steps
-    full steps, both under the coupling with no phase jump at T/2."""
-    key: tuple
-    half: tuple
-    full: tuple
-
-    def fits(self, schedule: PulseSchedule, epsilon: float, steps: int) -> bool:
-        return self.key == _drive_key(schedule, epsilon, steps)
-
-    def steps(self, start: int, stop: int) -> tuple:
-        """The pairs of the full steps [start, stop), as `_drive_steps` makes them."""
-        return (tuple(x[2 * start:2 * stop] for x in self.half),
-                tuple(x[start:stop] for x in self.full))
-
-
-def _drive_steps(path: PulseSchedule, epsilon: float, steps: int, start: int,
-                 stop: int) -> tuple:
-    """The drive's CF4 pairs of the full steps [start, stop): ((a, b) of their
-    2 (stop - start) half steps, (a, b) of the full steps), each full step the
-    product of its two halves. `path` is a schedule with no phase jump."""
-    a, b = _cf4_steps(partial(_coupling, path), path.duration, 2 * steps, 1.0 + epsilon,
-                      2 * start, 2 * stop)
-    return (a, b), _ck_product((a[1::2], b[1::2]), (a[0::2], b[0::2]))
-
-
-def _jumpless(schedule: PulseSchedule) -> PulseSchedule:
-    """`schedule` on the holonomic path at gamma = 0; the dynamical path has no jump."""
-    spec = schedule.spec
-    if spec.scheme != HOLONOMIC:
-        return schedule
-    return replace(schedule, spec=replace(spec, gamma=0.0))
-
-
-def open_drive(schedule: PulseSchedule, epsilon: float = 0.0,
-               steps: int = DEFAULT_STEPS) -> OpenDrive:
-    """The drive of the path of `schedule` (its eta, scheme and omega_max) at
-    amplitude error epsilon and `steps` steps, which `open_superoperator`
-    shares among every gate on that path.
-
-    It is made `_OPEN_BLOCK` steps at a time and holds 96 B per step.
-    """
-    check_steps(steps, schedule.n_samples)
-    path = _jumpless(schedule)
-    half = np.empty((2, 2 * steps), dtype=complex)
-    full = np.empty((2, steps), dtype=complex)
-    for start in range(0, steps, _OPEN_BLOCK):
-        stop = min(start + _OPEN_BLOCK, steps)
-        half[:, 2 * start:2 * stop], full[:, start:stop] = _drive_steps(
-            path, epsilon, steps, start, stop)
-    return OpenDrive(_drive_key(schedule, epsilon, steps), tuple(half), tuple(full))
+def drive_steps(eta: float, scheme: str, omega_max: float, epsilon: float, steps: int,
+                start: int, stop: int) -> tuple:
+    """The drive of the path (eta, scheme) at peak Rabi rate omega_max,
+    amplitude error epsilon and `steps` steps, over the full steps
+    [start, stop): ((a, b) of their 2 (stop - start) half steps, (a, b) of the
+    full steps), each full step the product of its two halves, under the
+    coupling of the path with no phase jump (theta = phi = gamma = 0). The
+    arrays are read-only, so a memo can hand one block to every gate."""
+    spec = (GateSpec.dynamical(0.0, 0.0, eta) if scheme == DYNAMICAL
+            else GateSpec(0.0, 0.0, 0.0, eta, scheme))
+    duration = compute_duration(spec, omega_max)
+    a, b = _cf4_steps(partial(_coupling, spec, duration), duration, 2 * steps,
+                      1.0 + epsilon, 2 * start, 2 * stop)
+    full = _ck_product((a[1::2], b[1::2]), (a[0::2], b[0::2]))
+    for x in (a, b, *full):
+        x.flags.writeable = False
+    return (a, b), full
 
 
 def _jumped(b: np.ndarray, first: int, phase: complex) -> np.ndarray:
@@ -456,7 +421,7 @@ def _jumped(b: np.ndarray, first: int, phase: complex) -> np.ndarray:
 
 def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
                        steps: int = DEFAULT_STEPS,
-                       drive: Optional[OpenDrive] = None) -> np.ndarray:
+                       drive: Callable[..., tuple] = drive_steps) -> np.ndarray:
     """Full-cycle quantum channel as a 9x9 matrix on row-major vec(rho).
 
     Each step of length h is the Strang splitting S_h = E(h/2) R(U) E(h/2)
@@ -465,20 +430,13 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
     (4 S_{h/2} S_{h/2} - S_h) / 3, in the real coordinates
     r = vec(Re rho + Im rho). The CF4 propagators of the 2*steps half steps
     and the steps full steps (each the product of its two halves) are the
-    `drive`; given none, the channel makes them one block at a time, so its
-    memory does not grow with `steps`. A holonomic gate's phase jump
+    drive, which `drive` (`drive_steps`, or a memo of it) makes for the
+    schedule's own path one block at a time; a holonomic gate's phase jump
     multiplies their b by e^{i gamma} after T/2. Every factor preserves the
     trace, and so does their affine combination. The steps are made and
-    reduced `_OPEN_BLOCK` at a time.
+    reduced `_OPEN_BLOCK` at a time, so memory does not grow with `steps`.
     """
     check_steps(steps, schedule.n_samples)
-    if drive is None:
-        drive_steps = partial(_drive_steps, _jumpless(schedule), noise.epsilon, steps)
-    elif drive.fits(schedule, noise.epsilon, steps):
-        drive_steps = drive.steps
-    else:
-        raise ValueError(f"the drive {drive.key} is not that of the path, epsilon "
-                         f"and steps {_drive_key(schedule, noise.epsilon, steps)}")
     spec = schedule.spec
     phase = np.exp(1j * spec.gamma) if spec.scheme == HOLONOMIC else 1.0
     coef = _lift_coefficients(spec)
@@ -487,7 +445,8 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
 
     def block(start, stop):
         # half steps from steps on, full steps from steps/2 on, lie after T/2
-        (a, b), (fa, fb) = drive_steps(start, stop)
+        (a, b), (fa, fb) = drive(spec.eta, spec.scheme, schedule.omega_max, noise.epsilon,
+                                 steps, start, stop)
         half = _strang_steps(coef, a, _jumped(b, steps - 2 * start, phase),
                              rates, 0.25 * h)
         full = _strang_steps(coef, fa, _jumped(fb, steps // 2 - start, phase),

@@ -15,9 +15,9 @@ the engine's open-system channel under dephasing, and in the synthetic
 propagates only what the pulses tell apart: one block per gamma when closed,
 one channel per (theta, gamma) under dephasing. A reference and an
 interleaved run sharing a cache propagate the common gates once. Under
-dephasing, every channel on the Cliffords' path is made from one
-`engine.OpenDrive`, the gate-independent CF4 steps, which the cache makes
-once per (epsilon, omega_max, steps).
+dephasing, the cache's memo of `engine.drive_steps`, the gate-independent
+CF4 steps, makes them once per path, epsilon, omega_max and steps for every
+channel of a run of up to 4096 steps.
 
 Decay curves are fitted to F = A p^m + B by least squares over p in (0, 1],
 with A and B solved linearly at each p (variable projection, numpy alone),
@@ -29,15 +29,16 @@ sequences (Wallman, Quantum 2, 47, 2018; Proctor et al., PRL 119, 130502, 2017).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .engine import (NoiseModel, _embed, block_basis, check_steps, open_drive,
+from .engine import (NoiseModel, _embed, block_basis, check_steps, drive_steps,
                      open_superoperator, propagate_unitary)
 from .gates import (_clifford_rotations, axis_angle, clifford_index, clifford_products,
                     clifford_table, target_unitary)
-from .paths import DYNAMICAL, HOLONOMIC
+from .paths import DYNAMICAL
 from .pulses import (OMEGA_MAX_DEFAULT, GateSpec, check_sampling, compute_duration,
                      synthesize)
 
@@ -174,21 +175,20 @@ class GateCache:
     several RB runs (reference and interleaved); a repeated spec returns its
     channel from a memo.
 
-    Under dephasing the cache holds one drive (`engine.open_drive`): that of
-    the holonomic path at the config's eta, on which lie the Cliffords and
-    their recoveries, nearly every gate of a run. It is made on first use and
-    replaced, the old one dropped first, when the config's epsilon,
-    omega_max or steps change, so a cache never holds two. A
-    gate off that path (an interleaved gate with its own eta, or dynamical)
-    is one spec, whose one channel is made with no drive: it makes its own
-    steps block by block (`engine.open_superoperator`). The drive lives
-    in the cache, not in the module, so runs that share no cache share none.
+    Under dephasing every channel reads its drive's blocks through the
+    cache's memo of `engine.drive_steps`, which keeps the last two blocks
+    (at most 0.8 MB). A one-block run (up to 4096 steps) thus makes the drive
+    of the Cliffords' path once, and an interleaved gate off that path (its
+    own eta, or dynamical) takes the second slot; a two-block run shares the
+    drive within one path. Above two blocks (8192 steps) the slots are cycled
+    through and each channel makes its own steps. The memo lives in the
+    cache, not in the module, so runs that share no cache share none.
     """
 
     def __init__(self):
         self._channels = {}
         self._propagated = {}
-        self._drive = None
+        self._drive = lru_cache(maxsize=2)(drive_steps)
 
     def channel(self, spec: GateSpec, config: RBConfig) -> np.ndarray:
         key = _key(spec, config)
@@ -219,24 +219,11 @@ class GateCache:
             return np.exp(1j * rep.gamma), 0j
         sched = synthesize(rep, config.omega_max, config.n_samples)
         if config.noise.dephased:
-            return open_superoperator(sched, config.noise, config.steps,
-                                      self._drive_of(sched, config))
+            return open_superoperator(sched, config.noise, config.steps, self._drive)
         u = propagate_unitary(sched, config.noise.epsilon, config.steps, check=False).unitary
         e = block_basis(rep)
         block = e.conj().T @ u @ e
         return block[0, 0], block[0, 1]
-
-    def _drive_of(self, sched, config: RBConfig):
-        """The held drive when `sched` is on the Cliffords' path, made first if
-        the one held is another config's; None off that path."""
-        spec = sched.spec
-        if spec.scheme != HOLONOMIC or spec.eta != round(config.eta, _DIGITS):
-            return None
-        if self._drive is None or not self._drive.fits(sched, config.noise.epsilon,
-                                                       config.steps):
-            self._drive = None          # dropped before the next one is made
-            self._drive = open_drive(sched, config.noise.epsilon, config.steps)
-        return self._drive
 
 
 def _survival(specs, recovery, cache: GateCache, config: RBConfig) -> float:

@@ -101,3 +101,11 @@ def test_diff_file_reports_the_largest_numeric_move(tmp_path):
     padded.write_text("m,mean\n1,0.50\n2,0.25\n")
     assert bench_pr.diff_file(a, renamed) == {"status": "differs"}
     assert bench_pr.diff_file(a, padded) == {"status": "differs"}
+
+
+def test_the_output_jobs_end_with_criterion_9s_configs():
+    jobs = bench_pr.output_jobs(["rb_dephasing"])
+    assert len(jobs) == len(bench_pr.OUTPUT_SEEDS) * bench_pr.OUTPUT_JOBS + 2
+    assert jobs[0][0] == "rb_dephasing/seed1/job0/0_rb"
+    assert [job[:2] for job in jobs[-2:]] == [("criterion9/qpt", "qpt"),
+                                              ("criterion9/sweep", "sweep")]

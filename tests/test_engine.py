@@ -1,6 +1,6 @@
 import tracemalloc
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from holopulse import engine
 from holopulse.engine import (_CF4_A, _GAUSS_C, NoiseModel, _blockwise, _cf4_steps,
                               _ck_product, _coupling, _dephasing_rates, _embed,
                               _lift_coefficients, _strang_steps, _su2_step, bright_state,
-                              cf4, dephasing_from_t2, open_drive, open_superoperator,
+                              cf4, dephasing_from_t2, drive_steps, open_superoperator,
                               propagate_unitary, survival_probability,
                               trace_defect)
 from holopulse.gates import target_unitary
@@ -25,7 +25,8 @@ def _sched(name="X", eta=0.0, n=256):
 
 def _half_loop(sched, steps, epsilon=0.0):
     """Qutrit propagator over the first segment [0, T/2]."""
-    block = cf4(partial(_coupling, sched), sched.duration / 2.0, steps, 1.0 + epsilon)
+    block = cf4(partial(_coupling, sched.spec, sched.duration), sched.duration / 2.0, steps,
+                1.0 + epsilon)
     return _embed(sched.spec, *block)
 
 
@@ -75,7 +76,7 @@ def test_coupling_scales_exactly_with_amplitude_error():
     # the kernel takes (1+eps) as a scale axis on the error-free coupling
     sched = _sched("H", eta=1.0)
     t = np.linspace(0.0, sched.duration, 65)
-    c0 = _coupling(sched, t)
+    c0 = _coupling(sched.spec, sched.duration, t)
     dt = sched.duration / 512
     scale = np.array([1.1, 0.8, 1.0])
     a, b = _su2_step(c0, dt, scale)
@@ -85,7 +86,7 @@ def test_coupling_scales_exactly_with_amplitude_error():
         assert np.max(np.abs(a[:, k] - ref_a)) <= 1e-15
         assert np.max(np.abs(b[:, k] - ref_b)) <= 1e-15
     with pytest.raises(ValueError):
-        _coupling(sched, -1.0)
+        _coupling(sched.spec, sched.duration, -1.0)
 
 
 def test_closed_form_step_matches_expm():
@@ -94,7 +95,7 @@ def test_closed_form_step_matches_expm():
     sched = _sched("H", eta=1.0)
     t = np.linspace(0.0, sched.duration, 33)     # Omega = 0 at 0, T/2 and T
     cases = [(c, 0.37), (c, 4.0), (np.zeros(2, dtype=complex), 0.37),
-             (1.2 * _coupling(sched, t), sched.duration / 2048)]
+             (1.2 * _coupling(sched.spec, sched.duration, t), sched.duration / 2048)]
     for cs, dt in cases:
         a, b = _su2_step(cs, dt)
         u = np.array([[a, b], [-np.conj(b), np.conj(a)]]).transpose(2, 0, 1)
@@ -392,7 +393,7 @@ def test_power_of_two_blocks_are_bitwise_one_block(monkeypatch):
 def _own_coupling_channel(sched, noise, steps):
     """The open channel with every step made from the gate's own coupling,
     phase jump included: `_cf4_steps` per block, as before drives were shared."""
-    coupling = partial(_coupling, sched)
+    coupling = partial(_coupling, sched.spec, sched.duration)
     coef = _lift_coefficients(sched.spec)
     h = sched.duration / steps
     rates = _dephasing_rates(noise)
@@ -411,41 +412,29 @@ def _own_coupling_channel(sched, noise, steps):
 
 
 def test_a_shared_drive_gives_each_gate_its_own_channel(monkeypatch):
-    # 48-step blocks: the block of steps [1024, 1056) straddles T/2 at step 1025
-    monkeypatch.setattr(engine, "_OPEN_BLOCK", 48)
-    steps, rng = 2050, np.random.default_rng(3)
+    # 2050 steps in 48-step blocks: the block of steps [1024, 1056) straddles
+    # T/2 at step 1025. 512 steps are one block, which every gate after the
+    # first on a path reads from the memo.
+    rng = np.random.default_rng(3)
     gammas = [2.0 * np.pi, np.nextafter(-2.0 * np.pi, 0.0), np.pi, -np.pi, 0.0,
               *rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 3)]
-    for eta, epsilon in ((0.2, 0.0), (1.0, -0.15), (0.0, 0.3)):
-        noise = NoiseModel(epsilon=epsilon, gamma_1a=300.0, gamma_0a=100.0)
-        specs = [GateSpec(rng.uniform(0.0, np.pi), rng.uniform(-np.pi, np.pi), g, eta)
-                 for g in gammas]
-        dynamical = [GateSpec.dynamical(rng.uniform(0.0, np.pi), 0.5, -eta / 2.0)]
-        for group in (specs, dynamical):
-            drive = open_drive(synthesize(group[-1], n_samples=256), epsilon, steps)
-            for spec in group:
+    for steps, block in ((2050, 48), (512, engine._OPEN_BLOCK)):
+        monkeypatch.setattr(engine, "_OPEN_BLOCK", block)
+        for eta, epsilon in ((0.2, 0.0), (1.0, -0.15), (0.0, 0.3)):
+            noise = NoiseModel(epsilon=epsilon, gamma_1a=300.0, gamma_0a=100.0)
+            specs = [GateSpec(rng.uniform(0.0, np.pi), rng.uniform(-np.pi, np.pi), g, eta)
+                     for g in gammas]
+            dynamical = [GateSpec.dynamical(rng.uniform(0.0, np.pi), 0.5, -eta / 2.0)]
+            memo = lru_cache(maxsize=2)(drive_steps)
+            for spec in specs + dynamical:
                 sched = synthesize(spec, n_samples=256)
-                shared = open_superoperator(sched, noise, steps, drive)
+                shared = open_superoperator(sched, noise, steps, memo)
                 err = np.max(np.abs(shared - _own_coupling_channel(sched, noise, steps)))
                 assert err <= 1e-14, (spec, epsilon, err)
-                # given no drive, the channel makes the same steps block by block
+                # without the memo, the channel makes the same steps itself
                 assert np.array_equal(open_superoperator(sched, noise, steps), shared)
-
-
-def test_a_drive_serves_only_its_own_path():
-    noise = NoiseModel(epsilon=0.05, gamma_1a=300.0)
-    sched = synthesize(GateSpec(1.0, 0.3, 2.0, 0.2), n_samples=256)
-    drive = open_drive(sched, 0.05, 512)
-    open_superoperator(synthesize(GateSpec(0.1, 0.0, -1.0, 0.2), n_samples=256), noise, 512,
-                       drive)
-    for other, eps, steps in ((GateSpec(1.0, 0.3, 2.0, 0.3), 0.05, 512),
-                              (GateSpec.dynamical(1.0, 0.3, 0.2), 0.05, 512),
-                              (sched.spec, 0.0, 512), (sched.spec, 0.05, 1024)):
-        with pytest.raises(ValueError):
-            open_superoperator(synthesize(other, n_samples=256), replace(noise, epsilon=eps),
-                               steps, drive)
-    with pytest.raises(ValueError):
-        open_superoperator(replace(sched, omega_max=0.5 * sched.omega_max), noise, 512, drive)
+            if steps == 512:
+                assert memo.cache_info()[:2] == (len(specs) - 1, 2)     # hits, misses
 
 
 def _peak_mb(run):

@@ -141,8 +141,8 @@ def test_first_order_robustness_law(spec):
 def _complex_channel(sched, noise, steps):
     """The Strang-Richardson channel on vec(rho), each step lifted as
     np.kron(U, U*) and multiplied in order."""
-    a, b = _cf4_steps(partial(_coupling, sched), sched.duration, 2 * steps,
-                      1.0 + noise.epsilon)
+    a, b = _cf4_steps(partial(_coupling, sched.spec, sched.duration), sched.duration,
+                      2 * steps, 1.0 + noise.epsilon)
     half = _embed(sched.spec, a, b)
     whole = _embed(sched.spec, *_ck_product((a[1::2], b[1::2]), (a[0::2], b[0::2])))
     h = sched.duration / steps

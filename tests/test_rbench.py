@@ -7,6 +7,7 @@ import pytest
 from holopulse import engine, rbench
 from holopulse.engine import NoiseModel, dephasing_from_t2
 from holopulse.gates import clifford_table, phase_equivalent, target_unitary
+from holopulse.paths import HOLONOMIC
 from holopulse.pulses import GateSpec, named_gate
 from holopulse.rbench import (FitError, GateCache, RBConfig, average_fidelity,
                               build_sequence, curve_to_csv, decay_rate,
@@ -280,6 +281,38 @@ def test_a_cache_holds_one_drive(monkeypatch):
     finally:
         tracemalloc.stop()
     assert three - one < 0.5 * 96 * steps
+
+
+def test_a_cache_holds_no_drive_that_grows_with_steps():
+    # a drive held for the whole run, 96 B per step, took the peak from 17.0
+    # to 35.9 MB; the memo's two blocks do not depend on the step count
+    def peak(steps):
+        cfg = RBConfig(eta=0.2, noise=NoiseModel(gamma_1a=100.0, gamma_0a=10.0),
+                       n_samples=256, steps=steps)
+        cache = GateCache()
+        tracemalloc.start()
+        try:
+            for name in ("X", "H"):
+                cache.channel(named_gate(name, eta=0.2), cfg)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2 ** 18) <= peak(2 ** 16) + 4.0
+
+
+def test_no_gate_can_corrupt_a_shared_drive_block():
+    cfg = RBConfig(eta=0.2, noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
+    specs = [named_gate(name, eta=0.2) for name in ("X", "H", "T", "S")]
+    specs += [GateSpec(1.0, 0.3, -2.0, 0.2), GateSpec.dynamical(1.1, 0.4, 0.3)]
+    forward, backward = GateCache(), GateCache()
+    ahead = [forward.channel(spec, cfg) for spec in specs]
+    behind = [backward.channel(spec, cfg) for spec in reversed(specs)][::-1]
+    assert all(np.array_equal(x, y) for x, y in zip(ahead, behind))
+    (a, b), (fa, fb) = engine.drive_steps(0.2, HOLONOMIC, cfg.omega_max, 0.0, 512, 0, 512)
+    for x in (a, b, fa, fb):
+        with pytest.raises(ValueError):
+            x[0] = 1.0
 
 
 @pytest.mark.parametrize("d", [0.01, 0.05])

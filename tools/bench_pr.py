@@ -9,9 +9,10 @@ of BENCHMARK.json the script runs `perfbench/run.py --trace 0`, at the run
 length BENCHMARK.json fixes, for PAIRS pairs of the two trees, pair i at
 seed FIRST_SEED + i, the parent first on odd seeds; then one `--trace 1`
 run of TRACED_SECONDS per side at seed 1. Next it runs jobs
-0 .. OUTPUT_JOBS - 1 of every workload at seeds 1 and 2 in both trees and
-lists each output file as identical, moved (with its largest numeric
-change) or differing. It writes BENCH_<N>.json: every run's final JSON
+0 .. OUTPUT_JOBS - 1 of every workload at seeds 1 and 2, and criterion 9's
+`qpt` and `sweep` configs at seed 7 (CRITERION_9), in both trees and lists
+each output file as identical, moved (with its largest numeric change) or
+differing. It writes BENCH_<N>.json: every run's final JSON
 line, a summary per workload and end-to-end metric (`summarize`), and the
 output diff.
 
@@ -20,6 +21,7 @@ Runs are sequential, one process at a time, with BLAS at one thread.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -43,26 +45,30 @@ TRACED_SECONDS = 2.0
 WIN_SHARE = 0.9
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf", re.IGNORECASE)
 
-# Runs one tree's CLI on drawn jobs: argv is the tree's src, the perfbench
-# directory whose workloads draw the jobs, the output root, the workload,
-# the seed and the job count. Each call's config and exit code are written
+# criterion 9's configs (tests/test_acceptance.py), at CLI seed 7
+CRITERION_9 = (
+    ("qpt", {"experiment": "qpt", "gate": "X", "shots": 2000, "n_samples": 256,
+             "steps": 1024}, 7),
+    ("sweep", {"experiment": "sweep", "gate": "X", "n_samples": 256, "steps": 512,
+               "epsilon_grid": {"min": -0.2, "max": 0.2, "points": 5}}, 7),
+)
+
+# Runs one tree's CLI on the jobs read as JSON from stdin: argv is the tree's
+# src and the output root. Each call's config and exit code are written
 # beside its output directory, so the diff compares them too.
 _JOB_RUNNER = r"""
 import json, sys
 from pathlib import Path
-src, bench, root, workload, seed, jobs = sys.argv[1:]
-sys.path[:0] = [src, bench]
-import workloads
+src, root = sys.argv[1:]
+sys.path.insert(0, src)
 from holopulse import cli
-for index in range(int(jobs)):
-    for k, (command, cfg, cli_seed) in enumerate(workloads.draw_job(workload, int(seed), index)):
-        out = Path(root) / workload / f"seed{seed}" / f"job{index}" / f"{k}_{command}"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        cfg_path = out.parent / f"{k}_{command}.json"
-        cfg_path.write_text(json.dumps(cfg, sort_keys=True), encoding="utf-8")
-        rc = cli.main([command, "--config", str(cfg_path), "--seed", str(cli_seed),
-                       "--out", str(out)])
-        (out.parent / f"{k}_{command}.exit").write_text(f"{rc}\n", encoding="utf-8")
+for name, command, cfg, seed in json.load(sys.stdin):
+    out = Path(root) / name
+    out.parent.mkdir(parents=True, exist_ok=True)
+    cfg_path = out.parent / f"{out.name}.json"
+    cfg_path.write_text(json.dumps(cfg, sort_keys=True), encoding="utf-8")
+    rc = cli.main([command, "--config", str(cfg_path), "--seed", str(seed), "--out", str(out)])
+    (out.parent / f"{out.name}.exit").write_text(f"{rc}\n", encoding="utf-8")
 """
 
 
@@ -184,15 +190,25 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_jobs(tree: Path, out: Path, workloads, jobs: int):
-    """Jobs 0 .. jobs - 1 of each workload at OUTPUT_SEEDS, run on `tree`'s src
-    with the jobs that this checkout's perfbench draws."""
-    for workload in workloads:
-        for seed in OUTPUT_SEEDS:
-            subprocess.run([sys.executable, "-c", _JOB_RUNNER, str(tree / "src"),
-                            str(ROOT / "perfbench"), str(out), workload, str(seed),
-                            str(jobs)],
-                           env=_env(), capture_output=True, text=True, check=True)
+def output_jobs(workloads):
+    """[(output path, command, config, CLI seed)]: jobs 0 .. OUTPUT_JOBS - 1 of
+    each workload at OUTPUT_SEEDS, as this checkout's perfbench draws them,
+    then criterion 9's configs."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    drawn = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(drawn)
+    jobs = [(f"{workload}/seed{seed}/job{index}/{k}_{command}", command, cfg, cli_seed)
+            for workload in workloads for seed in OUTPUT_SEEDS for index in range(OUTPUT_JOBS)
+            for k, (command, cfg, cli_seed) in enumerate(drawn.draw_job(workload, seed, index))]
+    return jobs + [(f"criterion9/{command}", command, cfg, seed)
+                   for command, cfg, seed in CRITERION_9]
+
+
+def run_jobs(tree: Path, out: Path, jobs):
+    """Run `jobs` (see `output_jobs`) on `tree`'s src, their outputs under `out`."""
+    subprocess.run([sys.executable, "-c", _JOB_RUNNER, str(tree / "src"), str(out)],
+                   input=json.dumps(jobs), env=_env(), capture_output=True, text=True,
+                   check=True)
 
 
 def _git(*args) -> str:
@@ -241,9 +257,10 @@ def main(argv=None):
                                    "printed": bench_run(trees[side], workload, 1,
                                                         TRACED_SECONDS, 1)})
             outs = {side: Path(tmp) / f"out_{side}" for side in trees}
+            jobs = output_jobs(args.workloads)
             for side, tree in trees.items():
                 _log(f"outputs: {side}")
-                run_jobs(tree, outs[side], args.workloads, OUTPUT_JOBS)
+                run_jobs(tree, outs[side], jobs)
             files = diff_outputs(outs["parent"], outs["change"])
         finally:
             _git("worktree", "remove", "--force", str(parent_tree))
@@ -260,7 +277,8 @@ def main(argv=None):
             f"seeds; then one --trace 1 --seconds {TRACED_SECONDS:g} run per side "
             f"and workload at seed 1. 'printed' is the final JSON line of each run. "
             f"Outputs: jobs 0-{OUTPUT_JOBS - 1} of each workload at seeds "
-            f"{', '.join(map(str, OUTPUT_SEEDS))}, run in both trees."),
+            f"{', '.join(map(str, OUTPUT_SEEDS))} and criterion 9's qpt and sweep "
+            f"configs at seed 7, run in both trees."),
         "parent": parent_rev,
         "host": host,
         "runs": runs,
