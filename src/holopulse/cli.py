@@ -98,19 +98,17 @@ def _real(value, name) -> float:
     return float(value)
 
 
-def load_config(path, kind_override=None) -> _Object:
-    """The config at `path`; main checks its keys after the command's parse."""
+def load_config(path, command) -> _Object:
+    """The config at `path` for `command`, which its `experiment`, when given,
+    must name; main checks its keys after the command's parse."""
     try:
         cfg = _Object(json.loads(Path(path).read_text(encoding="utf-8")), "config root")
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    kind = cfg.get("experiment", kind_override)
-    if kind is None:
-        raise ConfigError("config field 'experiment' is required")
-    if kind not in _COMMANDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; "
-                          f"expected one of {sorted(_COMMANDS)}")
-    cfg["experiment"], cfg.what = kind, f"{kind!r} config"
+    kind = cfg.get("experiment", command)
+    if kind != command:
+        raise ConfigError(f"config is for {kind!r} but command is {command!r}")
+    cfg["experiment"], cfg.what = command, f"{command!r} config"
     return cfg
 
 
@@ -421,10 +419,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, kind_override=args.command)
-        if cfg["experiment"] != args.command:
-            raise ConfigError(
-                f"config is for {cfg['experiment']!r} but command is {args.command!r}")
+        cfg = load_config(args.config, args.command)
         seed = _size(cfg.get("seed", 0), "seed")    # checked even when --seed overrides it
         if args.seed is not None:
             seed = args.seed

@@ -50,14 +50,14 @@ theta never enters c, and enters a channel only through K. gamma enters
 only as the jump of beta at T/2, which multiplies c, and so every b, by
 e^{i gamma} on the steps after T/2, a step boundary since `steps` is even;
 the dynamical path has no jump. The drive of one block of steps is thus a
-pure function of (eta, scheme, omega_max, epsilon, steps, block), and
-`open_superoperator` calls it, or a memo of it that its caller passes, with
-its own gate's path for every block; a channel made from a remembered block
-costs K, the phased b, the Strang steps and their reduction. A memo of two
-blocks (`rbench.GateCache`) shares the drive of a one-block run (up to
-`_OPEN_BLOCK` steps) between two paths and that of a two-block run within
-one; above two blocks its slots are cycled through and every channel makes
-its own steps, so it never holds more than two blocks (0.8 MB).
+pure function of (eta, scheme, omega_max, epsilon, steps, block), memoized
+for its last two blocks (0.8 MB) in the process, and `open_superoperator`
+calls it with its own gate's path for every block; a channel made from a
+remembered block costs K, the phased b, the Strang steps and their
+reduction. The memo shares the drive of a one-block run (up to
+`_OPEN_BLOCK` steps) between two paths, as the Cliffords' and an
+interleaved gate's of RB, and that of a two-block run within one; above two
+blocks its slots are cycled through and every channel makes its own steps.
 
 The coupling is evaluated from the schedule's continuous-time control law
 (gate spec + duration); its sample table is only the export artifact and is
@@ -67,7 +67,7 @@ Basis order everywhere: (|0>, |1>, |a>), hbar = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -84,9 +84,10 @@ _CF4_A = (0.25 + _SQ3 / 6.0, 0.25 - _SQ3 / 6.0)
 # closed kernel holds about 105 B per step and epsilon point: its block counts
 # steps x points (27 MB; a scalar epsilon, about 145 B per step, 38 MB). The
 # open kernel holds about 3 kB per step (12 MB); its drive is 96 B per step of
-# a block (0.4 MB), of which a memo (`drive_steps`) keeps two. Runs up to a
-# 21-point sweep at 8192 steps, 32768 closed or 4096 open steps are one block,
-# whose arithmetic is that of an unblocked product.
+# a block (0.4 MB), of which the memo of `drive_steps` keeps the last two made
+# in the process. Runs up to a 21-point sweep at 8192 steps, 32768 closed or
+# 4096 open steps are one block, whose arithmetic is that of an unblocked
+# product.
 _CLOSED_BLOCK = 2 ** 18
 _OPEN_BLOCK = 2 ** 12
 
@@ -391,6 +392,7 @@ def _strang_steps(coef: np.ndarray, a: np.ndarray, b: np.ndarray,
     return steps.reshape(-1, 9, 9)
 
 
+@lru_cache(maxsize=2)
 def drive_steps(eta: float, scheme: str, omega_max: float, epsilon: float, steps: int,
                 start: int, stop: int) -> tuple:
     """The drive of the path (eta, scheme) at peak Rabi rate omega_max,
@@ -398,7 +400,7 @@ def drive_steps(eta: float, scheme: str, omega_max: float, epsilon: float, steps
     [start, stop): ((a, b) of their 2 (stop - start) half steps, (a, b) of the
     full steps), each full step the product of its two halves, under the
     coupling of the path with no phase jump (theta = phi = gamma = 0). The
-    arrays are read-only, so a memo can hand one block to every gate."""
+    arrays are read-only, so the memo hands one block to every gate."""
     spec = (GateSpec.dynamical(0.0, 0.0, eta) if scheme == DYNAMICAL
             else GateSpec(0.0, 0.0, 0.0, eta, scheme))
     duration = compute_duration(spec, omega_max)
@@ -420,8 +422,7 @@ def _jumped(b: np.ndarray, first: int, phase: complex) -> np.ndarray:
 
 
 def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
-                       steps: int = DEFAULT_STEPS,
-                       drive: Callable[..., tuple] = drive_steps) -> np.ndarray:
+                       steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Full-cycle quantum channel as a 9x9 matrix on row-major vec(rho).
 
     Each step of length h is the Strang splitting S_h = E(h/2) R(U) E(h/2)
@@ -430,11 +431,12 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
     (4 S_{h/2} S_{h/2} - S_h) / 3, in the real coordinates
     r = vec(Re rho + Im rho). The CF4 propagators of the 2*steps half steps
     and the steps full steps (each the product of its two halves) are the
-    drive, which `drive` (`drive_steps`, or a memo of it) makes for the
-    schedule's own path one block at a time; a holonomic gate's phase jump
-    multiplies their b by e^{i gamma} after T/2. Every factor preserves the
-    trace, and so does their affine combination. The steps are made and
-    reduced `_OPEN_BLOCK` at a time, so memory does not grow with `steps`.
+    drive, which `drive_steps` makes for the schedule's own path one block at
+    a time, or hands back from its memo of the last two blocks made in the
+    process; a holonomic gate's phase jump multiplies their b by
+    e^{i gamma} after T/2. Every factor preserves the trace, and so does
+    their affine combination. The steps are made and reduced `_OPEN_BLOCK`
+    at a time, so memory does not grow with `steps`.
     """
     check_steps(steps, schedule.n_samples)
     spec = schedule.spec
@@ -445,8 +447,8 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
 
     def block(start, stop):
         # half steps from steps on, full steps from steps/2 on, lie after T/2
-        (a, b), (fa, fb) = drive(spec.eta, spec.scheme, schedule.omega_max, noise.epsilon,
-                                 steps, start, stop)
+        (a, b), (fa, fb) = drive_steps(spec.eta, spec.scheme, schedule.omega_max,
+                                       noise.epsilon, steps, start, stop)
         half = _strang_steps(coef, a, _jumped(b, steps - 2 * start, phase),
                              rates, 0.25 * h)
         full = _strang_steps(coef, fa, _jumped(fb, steps // 2 - start, phase),

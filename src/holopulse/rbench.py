@@ -15,9 +15,8 @@ the engine's open-system channel under dephasing, and in the synthetic
 propagates only what the pulses tell apart: one block per gamma when closed,
 one channel per (theta, gamma) under dephasing. A reference and an
 interleaved run sharing a cache propagate the common gates once. Under
-dephasing, the cache's memo of `engine.drive_steps`, the gate-independent
-CF4 steps, makes them once per path, epsilon, omega_max and steps for every
-channel of a run of up to 4096 steps.
+dephasing, the channels share the gate-independent CF4 steps through the
+engine's memo (see `engine.drive_steps`).
 
 Decay curves are fitted to F = A p^m + B by least squares over p in (0, 1],
 with A and B solved linearly at each p (variable projection, numpy alone),
@@ -29,13 +28,12 @@ sequences (Wallman, Quantum 2, 47, 2018; Proctor et al., PRL 119, 130502, 2017).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .engine import (NoiseModel, _embed, block_basis, check_steps, drive_steps,
-                     open_superoperator, propagate_unitary)
+from .engine import (NoiseModel, _embed, block_basis, check_steps, open_superoperator,
+                     propagate_unitary)
 from .gates import (_clifford_rotations, axis_angle, clifford_index, clifford_products,
                     clifford_table, target_unitary)
 from .paths import DYNAMICAL
@@ -147,9 +145,10 @@ def _canonical_spec(spec: GateSpec) -> GateSpec:
 
 
 def _key(spec: GateSpec, config: RBConfig) -> tuple:
-    """Everything that sets the channel of `spec` under `config`."""
+    """Everything that sets the channel of `spec` under `config`; n_samples sets
+    none, since the engine reads the continuous control law."""
     return (spec, config.mode, config.depolarizing, config.noise, config.omega_max,
-            config.n_samples, config.steps)
+            config.steps)
 
 
 def _depolarizer(d: float) -> np.ndarray:
@@ -173,22 +172,13 @@ class GateCache:
       Phi[k, l] r_k conj(r_l) for the diagonal r of R (x) R*.
     Keyed on everything else that sets the channel, so one cache can serve
     several RB runs (reference and interleaved); a repeated spec returns its
-    channel from a memo.
-
-    Under dephasing every channel reads its drive's blocks through the
-    cache's memo of `engine.drive_steps`, which keeps the last two blocks
-    (at most 0.8 MB). A one-block run (up to 4096 steps) thus makes the drive
-    of the Cliffords' path once, and an interleaved gate off that path (its
-    own eta, or dynamical) takes the second slot; a two-block run shares the
-    drive within one path. Above two blocks (8192 steps) the slots are cycled
-    through and each channel makes its own steps. The memo lives in the
-    cache, not in the module, so runs that share no cache share none.
+    channel from a memo. The drive under dephasing is shared by the engine
+    (see `engine.drive_steps`).
     """
 
     def __init__(self):
         self._channels = {}
         self._propagated = {}
-        self._drive = lru_cache(maxsize=2)(drive_steps)
 
     def channel(self, spec: GateSpec, config: RBConfig) -> np.ndarray:
         key = _key(spec, config)
@@ -219,7 +209,7 @@ class GateCache:
             return np.exp(1j * rep.gamma), 0j
         sched = synthesize(rep, config.omega_max, config.n_samples)
         if config.noise.dephased:
-            return open_superoperator(sched, config.noise, config.steps, self._drive)
+            return open_superoperator(sched, config.noise, config.steps)
         u = propagate_unitary(sched, config.noise.epsilon, config.steps, check=False).unitary
         e = block_basis(rep)
         block = e.conj().T @ u @ e

@@ -30,7 +30,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 def test_load_config_rejects_bad_kind(tmp_path):
     path = _write(tmp_path, "c.json", {"experiment": "teleport"})
     with pytest.raises(ConfigError):
-        load_config(path)
+        load_config(path, "synth")
 
 
 def test_parse_gate_variants():
@@ -289,11 +289,27 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("sweep", {"gate": "X", "epsilon_grid": {"max": False}}),
     # A p^m + B has three parameters: three distinct lengths fit any means exactly
     ("rb", {"lengths": [1, 2, 4, 4]}),
+    # a given experiment must name the command
+    ("synth", {"gate": "X", "experiment": None}),
+    # a sweep's mode, and its two or three schemes of a known kind
+    ("sweep", {"gate": "X", "mode": "grid"}),
+    ("sweep", {"gate": "X", "schemes": [{"scheme": "adiabatic"}, {"eta": 1.0}]}),
+    ("sweep", {"gate": "X", "schemes": [{"eta": 0.0}]}),
+    ("sweep", {"gate": "X", "schemes": [{"eta": 0.0}, {"eta": 0.25}, {"eta": 0.5},
+                                        {"eta": 1.0}]}),
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_missing_config_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(tmp_path / "none.json"), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()

@@ -1,6 +1,6 @@
 import tracemalloc
 from dataclasses import replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 import pytest
@@ -425,16 +425,17 @@ def test_a_shared_drive_gives_each_gate_its_own_channel(monkeypatch):
             specs = [GateSpec(rng.uniform(0.0, np.pi), rng.uniform(-np.pi, np.pi), g, eta)
                      for g in gammas]
             dynamical = [GateSpec.dynamical(rng.uniform(0.0, np.pi), 0.5, -eta / 2.0)]
-            memo = lru_cache(maxsize=2)(drive_steps)
-            for spec in specs + dynamical:
-                sched = synthesize(spec, n_samples=256)
-                shared = open_superoperator(sched, noise, steps, memo)
-                err = np.max(np.abs(shared - _own_coupling_channel(sched, noise, steps)))
-                assert err <= 1e-14, (spec, epsilon, err)
-                # without the memo, the channel makes the same steps itself
-                assert np.array_equal(open_superoperator(sched, noise, steps), shared)
+            scheds = [synthesize(spec, n_samples=256) for spec in specs + dynamical]
+            drive_steps.cache_clear()
+            shared = [open_superoperator(sched, noise, steps) for sched in scheds]
             if steps == 512:
-                assert memo.cache_info()[:2] == (len(specs) - 1, 2)     # hits, misses
+                assert drive_steps.cache_info()[:2] == (len(specs) - 1, 2)  # hits, misses
+            for sched, channel in zip(scheds, shared):
+                err = np.max(np.abs(channel - _own_coupling_channel(sched, noise, steps)))
+                assert err <= 1e-14, (sched.spec, epsilon, err)
+                # with the memo empty, the channel makes the same steps itself
+                drive_steps.cache_clear()
+                assert np.array_equal(open_superoperator(sched, noise, steps), channel)
 
 
 def _peak_mb(run):
@@ -452,8 +453,8 @@ def test_propagation_memory_does_not_grow_with_steps():
     noise = NoiseModel(gamma_1a=100.0, gamma_0a=10.0)
     peak = _peak_mb(lambda: open_superoperator(sched, noise, 2 ** 16))
     assert peak <= 40.0
-    # with no drive given, the channel makes its drive's steps block by block:
-    # a whole-run drive, 96 B per step, would add 19 MB from 2^16 to 2^18 steps
+    # the channel makes its drive's steps block by block and the memo keeps two
+    # blocks: a whole-run drive, 96 B per step, would add 19 MB from 2^16 to 2^18 steps
     assert _peak_mb(lambda: open_superoperator(sched, noise, 2 ** 18)) <= peak + 4.0
     sched = synthesize(GateSpec(theta=1.1, phi=0.4, gamma=2.0, eta=1.0), n_samples=1024)
     grid = np.linspace(-0.2, 0.2, 201)

@@ -246,24 +246,43 @@ def test_dephased_rb_propagates_once_per_theta_gamma(monkeypatch):
 
 def test_one_drive_serves_every_gate_on_the_clifford_path(monkeypatch):
     # a drive evaluates the controls once per Gauss node: 2 calls at 512 steps
-    calls = []
+    calls, channels = [], []
     monkeypatch.setattr(engine, "controls_arrays", _recording(engine.controls_arrays, calls))
+    monkeypatch.setattr(rbench, "open_superoperator",
+                        _recording(rbench.open_superoperator, channels))
+    engine.drive_steps.cache_clear()
     cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=4, seed=7, eta=0.2,
                    noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
     cache = GateCache()
     run_rb(cfg, cache)
     run_rb(replace(cfg, interleaved=named_gate("T", eta=0.2)), cache)
     assert len(calls) == 2
+    assert engine.drive_steps.cache_info()[:2] == (len(channels) - 1, 1)   # hits, misses
     # a dynamical interleaved gate with its own eta makes its own drive, once
     run_rb(replace(cfg, interleaved=GateSpec.dynamical(1.1, 0.4, 0.3)), cache)
     assert len(calls) == 4
+    assert engine.drive_steps.cache_info()[:2] == (len(channels) - 2, 2)
 
 
-def test_a_cache_holds_one_drive(monkeypatch):
-    # a drive holds 96 B per step, 3.1 MB here; keeping a second one, even
-    # while the next is made, raises the peak by that much. 256-step blocks
-    # keep the channel's own workspace (about 3 kB per step of a block) below it.
+def test_gate_caches_share_one_drive(monkeypatch):
+    # the memo belongs to the engine, not to a cache: a second cache reads the
+    # drive the first one made
+    calls = []
+    monkeypatch.setattr(engine, "controls_arrays", _recording(engine.controls_arrays, calls))
+    engine.drive_steps.cache_clear()
+    cfg = RBConfig(eta=0.2, noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
+    for cache in (GateCache(), GateCache()):
+        cache.channel(named_gate("X", eta=0.2), cfg)
+    assert len(calls) == 2
+
+
+def test_the_drive_memo_stays_bounded_across_epsilons(monkeypatch):
+    # each epsilon has its own drive, 96 B per step and 3.1 MB here: a memo
+    # that kept more than its last two blocks (49 kB) would raise the peak by
+    # that much per epsilon. 256-step blocks keep the channel's own workspace
+    # (about 3 kB per step of a block) below it.
     monkeypatch.setattr(engine, "_OPEN_BLOCK", 256)
+    engine.drive_steps.cache_clear()
     steps = 2 ** 15
     cfg = RBConfig(eta=0.2, noise=NoiseModel(gamma_1a=100.0, gamma_0a=10.0),
                    n_samples=256, steps=steps)
@@ -302,6 +321,7 @@ def test_a_cache_holds_no_drive_that_grows_with_steps():
 
 
 def test_no_gate_can_corrupt_a_shared_drive_block():
+    engine.drive_steps.cache_clear()
     cfg = RBConfig(eta=0.2, noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
     specs = [named_gate(name, eta=0.2) for name in ("X", "H", "T", "S")]
     specs += [GateSpec(1.0, 0.3, -2.0, 0.2), GateSpec.dynamical(1.1, 0.4, 0.3)]
