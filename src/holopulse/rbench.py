@@ -27,6 +27,7 @@ sequences (Wallman, Quantum 2, 47, 2018; Proctor et al., PRL 119, 130502, 2017).
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -365,7 +366,7 @@ def curve_to_csv(curve: RBCurve, n_sequences: int) -> str:
 
 
 def fit_summary(curve: RBCurve, p_ref: Optional[float] = None, p_spectral=None) -> str:
-    """JSON-like text block with the fit parameters, derived fidelity and p_spectral."""
+    """JSON object with the fit parameters, derived fidelity, p_spectral and metadata."""
     lines = ["{",
              '  "A": %.12g,' % curve.a,
              '  "p": %.12g,' % curve.p,
@@ -377,9 +378,7 @@ def fit_summary(curve: RBCurve, p_ref: Optional[float] = None, p_spectral=None) 
     else:
         lines.append('  "F_ave": %.12g,' % curve.f_ave)
     for key in sorted(curve.metadata):
-        lines.append('  "%s": %s,' % (key, repr(curve.metadata[key]).lower()
-                                      if isinstance(curve.metadata[key], bool)
-                                      else repr(curve.metadata[key])))
+        lines.append('  "%s": %s,' % (key, json.dumps(curve.metadata[key])))
     lines[-1] = lines[-1].rstrip(",")
     lines.append("}")
     return "\n".join(lines) + "\n"

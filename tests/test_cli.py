@@ -11,6 +11,7 @@ import holopulse
 from holopulse.cli import (MAX_STEPS, ConfigError, load_config, main, parse_gate,
                            parse_noise, run_sweep)
 from holopulse.paths import DYNAMICAL
+from holopulse.pulses import named_gate, parse_tones
 
 
 def _write(tmp_path, name, cfg):
@@ -62,8 +63,9 @@ def test_synth_outputs(tmp_path):
                                       "n_samples": 256})
     out = tmp_path / "out"
     assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "tones.csv").exists()
-    assert (out / "manifest.txt").exists()
+    # the tone file reads back as the schedule it describes
+    schedule = parse_tones(out / "tones.csv")
+    assert schedule.spec == named_gate("X") and schedule.n_samples == 256
     manifest = (out / "manifest.txt").read_text()
     assert "tones.csv" in manifest
     assert manifest.startswith("# artifact_version")
@@ -124,6 +126,20 @@ def test_rb_command(tmp_path):
     lines = (out / "rb_reference.csv").read_text().strip().splitlines()
     assert "m,mean_fidelity,std,n_sequences" in lines
     assert '"p":' in (out / "rb_reference_fit.txt").read_text()
+
+
+def test_rb_fit_files_are_json(tmp_path):
+    cfg = _write(tmp_path, "c.json", {
+        "experiment": "rb", "interleaved": "T", "lengths": [1, 2, 4, 8], "sequences": 2,
+        "shots": 100, "n_samples": 256, "steps": 512, "noise": {"epsilon": 0.05}})
+    out = tmp_path / "out"
+    assert main(["rb", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
+    for name, interleaved, fidelity in (("rb_reference_fit.txt", False, "F_ave"),
+                                        ("rb_interleaved_fit.txt", True, "F_gate")):
+        lines = (out / name).read_text().splitlines()
+        fit = json.loads("\n".join(ln for ln in lines if not ln.startswith("#")))
+        assert fit["mode"] == "pulse" and fit["interleaved"] is interleaved
+        assert fidelity in fit and "p" in fit
 
 
 def test_cli_error_exit_code(tmp_path):
@@ -427,31 +443,42 @@ def test_sweep_mode_is_set_in_the_config_alone(tmp_path):
         assert not out.exists()
 
 
-_WITHOUT_SCIPY = """
+_CLI_RUNS = """
 import json, sys
 from pathlib import Path
-import holopulse, holopulse.cli
-loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-if loaded:
-    sys.exit(f"importing holopulse loaded {loaded}")
-sys.modules["scipy"] = None     # from here on, any scipy import fails
+import holopulse.cli
 out = Path(sys.argv[1])
 for k, cfg in enumerate(json.loads(sys.argv[2])):
-    path = out / f"{k}.json"
+    path, run = out / f"{k}.json", out / f"out{k}"
     path.write_text(json.dumps(cfg))
     status = holopulse.cli.main([cfg["experiment"], "--config", str(path),
-                                 "--out", str(out / f"out{k}"), "--seed", "7"])
+                                 "--out", str(run), "--seed", "7"])
     if status != 0:
         sys.exit(f"{cfg} exited {status}")
+    listed = sorted(line for line in (run / "manifest.txt").read_text().splitlines()
+                    if line and not line.startswith("#"))
+    written = sorted(p.name for p in run.iterdir() if p.name != "manifest.txt")
+    if listed != written:
+        sys.exit(f"{cfg}: manifest lists {listed}, --out holds {written}")
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+sys.exit(f"the runs loaded {loaded}" if loaded else 0)
 """
 
 
 def test_numpy_commands_need_no_scipy(tmp_path):
-    # every command runs on numpy alone, rb and its fit included
+    # every command runs on numpy alone, rb and its fit included: no run loads a
+    # scipy module, not even one whose import failure the code would tolerate.
+    # Each run exits 0, and its manifest lists exactly the files in its --out.
+    dynamical = {"theta": 1.1, "phi": 0.4, "eta": 0.3, "scheme": "dynamical"}
+    dephased_rb = {"experiment": "rb", "noise": {"gamma_1a": 100.0, "gamma_0a": 10.0},
+                   "lengths": [1, 2, 4, 8], "sequences": 2, "shots": 100,
+                   "n_samples": 256, "steps": 512}
     configs = [
         {"experiment": "synth", "gate": "X", "n_samples": 256},
         {"experiment": "propagate", "gate": "H", "noise": {"epsilon": 0.05},
          "n_samples": 256, "steps": 512},
+        {"experiment": "propagate", "gate": dynamical, "n_samples": 256,
+         "steps": 1024},
         {"experiment": "qpt", "gate": "X", "shots": 2000, "n_samples": 256,
          "steps": 1024},
         {"experiment": "qpt", "gate": "T", "analytic": True, "n_samples": 256,
@@ -462,6 +489,9 @@ def test_numpy_commands_need_no_scipy(tmp_path):
          "epsilon_grid": {"min": -0.2, "max": 0.2, "points": 5}},
         {"experiment": "sweep", "mode": "rb", "n_samples": 256, "steps": 512,
          "epsilon_grid": [-0.1, 0.0, 0.1]},
+        # one drive per epsilon
+        {"experiment": "sweep", "mode": "rb", "noise": {"gamma_1a": 100.0, "gamma_0a": 10.0},
+         "n_samples": 256, "steps": 512, "epsilon_grid": [0.0, 0.02]},
         # an all-dynamical sweep needs only the axis of its gate
         {"experiment": "sweep", "gate": {"theta": 1.0, "phi": 0.3}, "n_samples": 256,
          "steps": 512, "epsilon_grid": [-0.1, 0.1],
@@ -472,36 +502,16 @@ def test_numpy_commands_need_no_scipy(tmp_path):
         {"experiment": "rb", "interleaved": "T", "noise": {"epsilon": 0.05},
          "lengths": [1, 2, 4, 8], "sequences": 2, "shots": 100, "n_samples": 256,
          "steps": 512},
-        {"experiment": "rb", "noise": {"gamma_1a": 100.0, "gamma_0a": 10.0},
-         "lengths": [1, 2, 4, 8], "sequences": 2, "shots": 100, "n_samples": 256,
-         "steps": 512},
+        dephased_rb,
+        # four blocks, more than the drive memo holds: each channel makes its own
+        dict(dephased_rb, steps=16384),
+        dict(dephased_rb, interleaved="T"),
+        # a dynamical interleaved gate with its own eta: a drive apart from the Cliffords'
+        dict(dephased_rb, interleaved=dynamical),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(holopulse.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path),
+    proc = subprocess.run([sys.executable, "-c", _CLI_RUNS, str(tmp_path),
                            json.dumps(configs)], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-
-
-_RB_RUN = """
-import sys
-from holopulse.engine import NoiseModel
-from holopulse.pulses import named_gate
-from holopulse.rbench import RBConfig, run_rb
-run_rb(RBConfig(lengths=(1, 2, 4, 8), n_sequences=2, shots=100, seed=7,
-                interleaved=named_gate("T"),
-                noise=NoiseModel(gamma_1a=100.0, gamma_0a=10.0),
-                n_samples=256, steps=512))
-loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-sys.exit(f"run_rb loaded {loaded}" if loaded else 0)
-"""
-
-
-def test_run_rb_loads_no_scipy():
-    # unlike the blocked import above, this also catches an import whose
-    # failure the code would tolerate
-    env = dict(os.environ, PYTHONPATH=str(Path(holopulse.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _RB_RUN], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
