@@ -5,64 +5,55 @@ fixed by (theta, phi), never moves. The Hamiltonian is therefore
 H(t) = (1+eps) c(t)|b><a| + h.c. with one complex scalar coupling
 c = Omega(t) e^{-i phi0(t)} / 2 (`_coupling`), and the closed dynamics is
 SU(2) on span{|b>, |a>}. Every block propagator is kept as its Cayley-Klein
-pair (a, b), U2 = [[a, b], [-b*, a*]]. The block Hamiltonian
-s [[0, c], [c*, 0]] has the closed-form exponential
-
-    a = cos(s |c| dt),   b = -i sin(s |c| dt) c/|c|
-
-(`_su2_step`), and a product of two blocks is four elementwise complex
+pair (a, b), U2 = [[a, b], [-b*, a*]]: the exponential of the block
+Hamiltonian s [[0, c], [c*, 0]] is a = cos(s |c| dt), b = -i sin(s |c| dt)
+c/|c| (`_su2_step`), and a product of two blocks is four elementwise complex
 products (`_ck_product`). Closed-system evolution uses a fourth-order
-commutator-free scheme (`cf4`): per step, two such exponentials of real
-combinations of the coupling at the two Gauss nodes. Every array carries a
-trailing batch axis for the scale s = 1 + eps: the control law is evaluated
-once at the Gauss nodes, and a whole epsilon grid is propagated in one pass
-(`propagate_unitary` with an array of eps). Both kernels reduce their steps
-with the one pairwise ordered product (`_ordered_product`), whose tree
-`_blockwise` follows to make the steps one block at a time, split at powers
-of two, so memory does not grow with the step count. Every factor
-is exactly unitary, and step-doubling agreement at 1e-9 is reached at the
-default resolution. U2 depends on the path (gamma, eta, scheme) and eps
-only; the qutrit propagator is its embedding |d><d| + E U2 E^dag with
-E = [|b>, |a>] (`block_basis`), and `_embed` is the only place a 3x3
-matrix is built. `sideband` drives the same kernel with the
-anti-Jaynes-Cummings coupling of its n = 0 block.
+commutator-free scheme (`cf4`), two such exponentials per step, batched over
+a trailing axis for the scale s = 1 + eps, so a whole epsilon grid is one
+pass. Both kernels reduce their steps with the one pairwise ordered product
+(`_ordered_product`), whose tree `_blockwise` follows to make the steps one
+block at a time, so memory does not grow with the step count. U2 depends on
+the path (gamma, eta, scheme) and eps only; the qutrit propagator is its
+embedding |d><d| + E U2 E^dag, E = [|b>, |a>] (`block_basis`, `_embed`).
+`sideband` drives the same kernel with the anti-Jaynes-Cummings coupling.
 
-Open-system evolution (two pure-dephasing dissipators) runs on the same
-per-step CF4 pairs (`_cf4_steps`) at every half step and at every full step
-(the Cayley-Klein product of its two halves). Each step is a Strang
-splitting of the exact dephasing factor around rho -> U rho U^dag,
-Richardson-extrapolated to fourth order. The channel is a real 9x9 in the
-coordinates r = vec(Re rho + Im rho) = C vec(rho), row-major, with
-C = (1-i)/2 I + (1+i)/2 P and P the transpose permutation: the dissipator is
-diagonal on vec(rho) and symmetric under P, so its exponential is the same
-elementwise factor on r. U = I + E X E^dag is affine in
-x = (Re a - 1, Im a, Re b, Im b), so the lift R(U) - I is a quadratic form
-F K in x, with F the 14 non-constant products x_i x_j (x_0 = 1) and K a real
-14 x 81 matrix built once per gate from |b> (`_lift_coefficients`). A batch
-of Strang steps is one real (n x 14) @ (14 x 81) product (`_strang_steps`),
-the Richardson combination one batched real product, and the same blockwise
-reduction multiplies the real 9x9 steps; the channel converts back to
-vec(rho) once, as C^-1 R C.
+The loop is its own mirror, so every kernel makes only its first half
+[0, T/2]. On the holonomic path c(T - t) = -c(t) e^{i gamma}, so the second
+half is U2 = D U1^dag D^dag with D = diag(1, e^{-i gamma}) on (|b>, |a>); on
+the dynamical path c(T - t) = c(t)*, so U2 = U1^T. The CF4 step, the Strang
+splitting and the Richardson combination are symmetric in time, so this
+holds step by step in the discrete kernels too (`cf4_loop`). On the qutrit,
+D is P = diag(1, 1, e^{-i gamma}), and the transpose is conjugated by
+R = diag(1, e^{2i phi}, 1). Both commute with the dissipator, so the second
+half's channel is P^ (T Phi1^T T) P^dag or R^ Phi1^T R^dag, with T the
+transpose permutation and P^ = P (x) P*, R^ elementwise phases
+(`_loop_channel`).
 
-The CF4 pairs of the open kernel are its "drive" (`drive_steps`), and no
-gate sets it: c depends on the path (eta, scheme) and omega_max alone.
-theta never enters c, and enters a channel only through K. gamma enters
-only as the jump of beta at T/2, which multiplies c, and so every b, by
-e^{i gamma} on the steps after T/2, a step boundary since `steps` is even;
-the dynamical path has no jump. The drive of one block of steps is thus a
-pure function of (eta, scheme, omega_max, epsilon, steps, block), memoized
-for its last two blocks (0.8 MB) in the process, and `open_superoperator`
-calls it with its own gate's path for every block; a channel made from a
-remembered block costs K, the phased b, the Strang steps and their
-reduction. The memo shares the drive of a one-block run (up to
-`_OPEN_BLOCK` steps) between two paths, as the Cliffords' and an
-interleaved gate's of RB, and that of a two-block run within one; above two
-blocks its slots are cycled through and every channel makes its own steps.
+Open-system evolution (two pure-dephasing dissipators) runs on the CF4 pairs
+(`_cf4_steps`) of every half step and every full step. Each step is a
+Strang splitting of the exact dephasing factor around rho -> U rho U^dag,
+Richardson-extrapolated to fourth order, as a real 9x9 in the coordinates
+r = vec(Re rho + Im rho) = C vec(rho), C = (1-i)/2 I + (1+i)/2 T: the
+dissipator is diagonal on vec(rho) and symmetric under T, so its exponential
+is the same elementwise factor on r. The lift R(U) - I is a quadratic form
+F K in x = (Re a - 1, Im a, Re b, Im b), F the 14 non-constant products
+x_i x_j (x_0 = 1) and K a real 14 x 81 matrix built once per gate from |b>
+(`_lift_coefficients`), so a batch of Strang steps is one real
+(n x 14) @ (14 x 81) product (`_strang_steps`).
 
-The coupling is evaluated from the schedule's continuous-time control law
-(gate spec + duration); its sample table is only the export artifact and is
-never built here.
-Basis order everywhere: (|0>, |1>, |a>), hbar = 1.
+On [0, T/2] both paths have sign = 1 and no phase jump, so c depends on eta
+and omega_max alone, and theta enters a channel only through K. The CF4
+pairs of that half are the open kernel's "drive" (`drive_steps`), a pure
+function of (eta, omega_max, epsilon, steps, block) memoized for its last
+two blocks (0.8 MB) in the process. The memo shares the drive of a one-block
+run (up to 2 `_OPEN_BLOCK` steps of the loop) between every gate at one eta,
+holonomic or dynamical, as RB's Cliffords and interleaved gate, and that of
+a two-block run within one; above two blocks every channel makes its own.
+
+The coupling is evaluated from the schedule's continuous-time control law;
+its sample table is only the export artifact. Basis order everywhere:
+(|0>, |1>, |a>), hbar = 1.
 """
 from __future__ import annotations
 
@@ -72,7 +63,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .paths import DYNAMICAL, HOLONOMIC, controls_arrays
+from .paths import DYNAMICAL, controls_arrays
 from .pulses import GateSpec, PulseSchedule, compute_duration
 
 DEFAULT_STEPS = 8192
@@ -81,13 +72,13 @@ _SQ3 = np.sqrt(3.0)
 _GAUSS_C = (0.5 - _SQ3 / 6.0, 0.5 + _SQ3 / 6.0)
 _CF4_A = (0.25 + _SQ3 / 6.0, 0.25 - _SQ3 / 6.0)
 # Steps made and reduced at a time, which bounds a propagation's memory. The
-# closed kernel holds about 105 B per step and epsilon point: its block counts
-# steps x points (27 MB; a scalar epsilon, about 145 B per step, 38 MB). The
-# open kernel holds about 3 kB per step (12 MB); its drive is 96 B per step of
-# a block (0.4 MB), of which the memo of `drive_steps` keeps the last two made
-# in the process. Runs up to a 21-point sweep at 8192 steps, 32768 closed or
-# 4096 open steps are one block, whose arithmetic is that of an unblocked
-# product.
+# closed kernel holds about 107 B per step and epsilon point: its block counts
+# steps x points (28 MB; a scalar epsilon, about 145 B per step, 38 MB). The
+# open kernel holds about 2.7 kB per step (11 MB); its drive is 96 B per step
+# of a block (0.4 MB), of which the memo of `drive_steps` keeps the last two
+# made in the process. The kernels make the first half of the loop, so runs up
+# to a 21-point sweep at 16384 steps, 2^19 closed or 8192 open steps are one
+# block, whose arithmetic is that of an unblocked product.
 _CLOSED_BLOCK = 2 ** 18
 _OPEN_BLOCK = 2 ** 12
 
@@ -275,12 +266,24 @@ def cf4(coupling: Callable[[np.ndarray], np.ndarray], t1: float, steps: int, sca
     return a[0], b[0]
 
 
+def cf4_loop(spec, coupling: Callable[[np.ndarray], np.ndarray], duration: float,
+             steps: int, scale=1.0) -> tuple:
+    """`cf4` over the loop [0, duration] of the gate `spec` in `steps` steps,
+    made from the steps/2 steps (a, b) of its first half: the second half is
+    (a*, -b e^{i gamma}) when holonomic, (a, -b*) when dynamical. A holonomic
+    `coupling` may carry a constant phase."""
+    a, b = cf4(coupling, duration / 2.0, steps // 2, scale)
+    if spec.scheme == DYNAMICAL:
+        return _ck_product((a, -np.conj(b)), (a, b))
+    return _ck_product((np.conj(a), -np.exp(1j * spec.gamma) * b), (a, b))
+
+
 def check_steps(steps: int, n_samples: int):
     """Reject step counts below 2, odd, or coarser than `n_samples`, the
     sampling of the schedule they propagate over its full cycle."""
     if steps < 2 or steps % 2:
-        raise ValueError(f"steps must be even and >= 2 (the phase jump must fall "
-                         f"on a step boundary), got {steps}")
+        raise ValueError(f"steps must be even and >= 2 (the loop's mirror point T/2 "
+                         f"must fall on a step boundary), got {steps}")
     if steps < n_samples:
         raise ValueError(f"steps = {steps} below schedule resolution {n_samples}")
 
@@ -288,14 +291,14 @@ def check_steps(steps: int, n_samples: int):
 def propagate_unitary(schedule: PulseSchedule, epsilon: Union[float, np.ndarray] = 0.0,
                       steps: int = DEFAULT_STEPS,
                       check: bool = True) -> PropagationResult:
-    """Closed-system propagator over the full cycle [0, T].
+    """Closed-system propagator over the full cycle [0, T] (`cf4_loop`).
 
     `epsilon` is a scalar or a 1-D array; an array propagates every point in
     one pass and returns `unitary` of shape (n, 3, 3) with per-point
     `truncation_error` and `converged` arrays. With check=True a pass at
-    2 * (steps // 4) steps, even so that the phase jump at T/2 stays on a
-    step boundary, estimates the truncation error; an estimate above 1e-6 is
-    flagged (converged=False), never silently.
+    2 * (steps // 4) steps, steps // 4 over each half, estimates the
+    truncation error; an estimate above 1e-6 is flagged (converged=False),
+    never silently.
     """
     eps = np.asarray(epsilon, dtype=float)
     if eps.ndim > 1:
@@ -307,7 +310,7 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: Union[float, np.ndarray]
     coupling = partial(_coupling, schedule.spec, schedule.duration)
 
     def block(n):
-        return cf4(coupling, schedule.duration, n, 1.0 + eps)
+        return cf4_loop(schedule.spec, coupling, schedule.duration, n, 1.0 + eps)
 
     u = _embed(schedule.spec, *block(steps))
     err = np.zeros(eps.shape)
@@ -346,9 +349,9 @@ def _dephasing_rates(noise: NoiseModel) -> np.ndarray:
     return rates.reshape(-1)
 
 
-# r = vec(Re rho + Im rho) = C vec(rho) on row-major vec; C^-1 = C*
-_TRANSPOSE = np.eye(9)[np.arange(9).reshape(3, 3).T.reshape(-1)]
-_TO_REAL = 0.5 * (1.0 - 1.0j) * np.eye(9) + 0.5 * (1.0 + 1.0j) * _TRANSPOSE
+# vec(rho^T) = vec(rho)[_SWAP]; r = vec(Re rho + Im rho) = C vec(rho), C^-1 = C*
+_SWAP = np.arange(9).reshape(3, 3).T.reshape(-1)
+_TO_REAL = 0.5 * (1.0 - 1.0j) * np.eye(9) + 0.5 * (1.0 + 1.0j) * np.eye(9)[_SWAP]
 _FROM_REAL = _TO_REAL.conj()
 # U2 - I = sum_k x_k G_k over x = (Re a - 1, Im a, Re b, Im b)
 _SU2_GENERATORS = np.array([[[1, 0], [0, 1]], [[1j, 0], [0, -1j]],
@@ -393,16 +396,14 @@ def _strang_steps(coef: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 @lru_cache(maxsize=2)
-def drive_steps(eta: float, scheme: str, omega_max: float, epsilon: float, steps: int,
+def drive_steps(eta: float, omega_max: float, epsilon: float, steps: int,
                 start: int, stop: int) -> tuple:
-    """The drive of the path (eta, scheme) at peak Rabi rate omega_max,
-    amplitude error epsilon and `steps` steps, over the full steps
-    [start, stop): ((a, b) of their 2 (stop - start) half steps, (a, b) of the
-    full steps), each full step the product of its two halves, under the
-    coupling of the path with no phase jump (theta = phi = gamma = 0). The
-    arrays are read-only, so the memo hands one block to every gate."""
-    spec = (GateSpec.dynamical(0.0, 0.0, eta) if scheme == DYNAMICAL
-            else GateSpec(0.0, 0.0, 0.0, eta, scheme))
+    """The drive at eta, peak Rabi rate omega_max, amplitude error epsilon
+    and `steps` steps over [0, T], over the full steps [start, stop) of the
+    first half: ((a, b) of their 2 (stop - start) half steps, (a, b) of the
+    full steps, each the product of its two halves), for every gate at eta.
+    The arrays are read-only, so the memo hands one block to every gate."""
+    spec = GateSpec(0.0, 0.0, 0.0, eta)
     duration = compute_duration(spec, omega_max)
     a, b = _cf4_steps(partial(_coupling, spec, duration), duration, 2 * steps,
                       1.0 + epsilon, 2 * start, 2 * stop)
@@ -412,13 +413,15 @@ def drive_steps(eta: float, scheme: str, omega_max: float, epsilon: float, steps
     return (a, b), full
 
 
-def _jumped(b: np.ndarray, first: int, phase: complex) -> np.ndarray:
-    """b with its entries from index `first` on multiplied by `phase`."""
-    if first >= len(b) or phase == 1.0:
-        return b
-    b = b.copy()
-    b[max(first, 0):] *= phase
-    return b
+def _loop_channel(spec, first: np.ndarray) -> np.ndarray:
+    """The loop's channel Phi2 Phi1 on row-major vec(rho) from its first
+    half's Phi1 (see the module docstring)."""
+    if spec.scheme == DYNAMICAL:
+        d, second = np.array([1.0, np.exp(2j * spec.phi), 1.0]), first.T
+    else:
+        d, second = np.array([1.0, 1.0, np.exp(-1j * spec.gamma)]), first.T[_SWAP][:, _SWAP]
+    d = np.kron(d, d.conj())
+    return (second * np.outer(d, d.conj())) @ first
 
 
 def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
@@ -429,35 +432,27 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
     of the exact dephasing factor E(t) = exp(D t) around the lift R(U) of the
     CF4 propagator U, Richardson-extrapolated to fourth order as
     (4 S_{h/2} S_{h/2} - S_h) / 3, in the real coordinates
-    r = vec(Re rho + Im rho). The CF4 propagators of the 2*steps half steps
-    and the steps full steps (each the product of its two halves) are the
-    drive, which `drive_steps` makes for the schedule's own path one block at
-    a time, or hands back from its memo of the last two blocks made in the
-    process; a holonomic gate's phase jump multiplies their b by
-    e^{i gamma} after T/2. Every factor preserves the trace, and so does
-    their affine combination. The steps are made and reduced `_OPEN_BLOCK`
-    at a time, so memory does not grow with `steps`.
+    r = vec(Re rho + Im rho). The steps/2 steps over [0, T/2] are made from
+    the drive (`drive_steps`) and reduced `_OPEN_BLOCK` at a time, so memory
+    does not grow with `steps`; `_loop_channel` closes the loop. Every factor
+    preserves the trace, and so do their affine combination and the mirror.
     """
     check_steps(steps, schedule.n_samples)
     spec = schedule.spec
-    phase = np.exp(1j * spec.gamma) if spec.scheme == HOLONOMIC else 1.0
     coef = _lift_coefficients(spec)
     h = schedule.duration / steps
     rates = _dephasing_rates(noise)
 
     def block(start, stop):
-        # half steps from steps on, full steps from steps/2 on, lie after T/2
-        (a, b), (fa, fb) = drive_steps(spec.eta, spec.scheme, schedule.omega_max,
-                                       noise.epsilon, steps, start, stop)
-        half = _strang_steps(coef, a, _jumped(b, steps - 2 * start, phase),
-                             rates, 0.25 * h)
-        full = _strang_steps(coef, fa, _jumped(fb, steps // 2 - start, phase),
-                             rates, 0.5 * h)
+        half, full = drive_steps(spec.eta, schedule.omega_max, noise.epsilon,
+                                 steps, start, stop)
+        half = _strang_steps(coef, *half, rates, 0.25 * h)
+        full = _strang_steps(coef, *full, rates, 0.5 * h)
         return ((4.0 * (half[1::2] @ half[0::2]) - full) / 3.0,)
 
-    real, = _blockwise(block, 0, steps, _OPEN_BLOCK,
+    real, = _blockwise(block, 0, steps // 2, _OPEN_BLOCK,
                        lambda later, earlier: (later[0] @ earlier[0],))
-    return _FROM_REAL @ real[0] @ _TO_REAL
+    return _loop_channel(spec, _FROM_REAL @ real[0] @ _TO_REAL)
 
 
 def trace_defect(superop: np.ndarray) -> float:

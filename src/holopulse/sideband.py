@@ -16,7 +16,8 @@ sum of 2x2 blocks. The spin-|0> states and |1,0> are uncoupled fixed points,
 and |1,1> lives in the n = 0 block, whose scalar coupling
 i * Omega_r * eta_ld * e^{i phi_anti_jc} equals the effective model's
 Omega_eff/2 * e^{-i phi_eff}. `verify_full_model` passes that coupling to
-the SU(2) block kernel `engine.cf4`, reads u = <1,1|U|1,1>, and scores the
+`engine.cf4_loop`, which closes the holonomic loop from the pair (a1, b1) of
+its first half: u = <1,1|U|1,1> = |a1|^2 + e^{i gamma} |b1|^2. It scores the
 computational subspace; no truncation enters.
 """
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_STEPS, cf4
-from .paths import controls_arrays
+from .engine import DEFAULT_STEPS, cf4_loop
+from .paths import HOLONOMIC, controls_arrays
 from .pulses import GateSpec, PulseSchedule, synthesize
 
 
@@ -90,6 +91,8 @@ def verify_full_model(schedule: PulseSchedule, sys: SidebandSystem,
     amplitude, and the fixed-point deviation is zero by construction.
     """
     spec = schedule.spec
+    if spec.scheme != HOLONOMIC:
+        raise ValueError(f"the controlled-phase loop is holonomic, not {spec.scheme}")
 
     def coupling(t):
         omega_eff, phi0 = controls_arrays(spec, schedule.duration, t)
@@ -98,7 +101,7 @@ def verify_full_model(schedule: PulseSchedule, sys: SidebandSystem,
         phi = -(phi_eff + np.pi / 2.0)
         return 1j * omega_r * sys.eta_ld * np.exp(1j * phi)
 
-    u11, _ = cf4(coupling, schedule.duration, steps)     # U2[0, 0] = a
+    u11, _ = cf4_loop(spec, coupling, schedule.duration, steps)     # U2[0, 0] = a
     target = np.exp(1j * spec.gamma)
     return SidebandReport(
         conditional_phase=float(spec.gamma + np.angle(u11 * np.conj(target))),

@@ -14,7 +14,7 @@ from holopulse.engine import (_CF4_A, _GAUSS_C, NoiseModel, _blockwise, _cf4_ste
                               propagate_unitary, survival_probability,
                               trace_defect)
 from holopulse.gates import target_unitary
-from holopulse.paths import controls_arrays
+from holopulse.paths import HOLONOMIC, controls_arrays
 from holopulse.pulses import GateSpec, named_gate, synthesize
 from holopulse.qcore import fidelity_qubit_subspace, leakage, unitarity_defect
 
@@ -28,6 +28,10 @@ def _half_loop(sched, steps, epsilon=0.0):
     block = cf4(partial(_coupling, sched.spec, sched.duration), sched.duration / 2.0, steps,
                 1.0 + epsilon)
     return _embed(sched.spec, *block)
+
+
+# gamma at the ends of (-2pi, 2pi] and at +-pi, 0
+_GAMMA_EDGES = (2.0 * np.pi, np.nextafter(-2.0 * np.pi, 0.0), np.pi, -np.pi, 0.0)
 
 
 def _qutrit_hamiltonians(sched, t, epsilon):
@@ -70,6 +74,40 @@ def test_propagator_matches_qutrit_expm_reference():
                              (sched.duration / 2.0, 128, _half_loop(sched, 128, eps))):
             ref = _cf4_expm(lambda t: _qutrit_hamiltonians(sched, t, eps), 0.0, t1, steps)
             assert np.max(np.abs(u - ref)) <= 1e-12, (spec, eps, t1)
+
+
+def _full_loop(sched, steps, scale):
+    """The qutrit propagators of `cf4` over the whole loop [0, T] under the
+    gate's own coupling, phase jump or sign flip included."""
+    block = cf4(partial(_coupling, sched.spec, sched.duration), sched.duration, steps, scale)
+    return _embed(sched.spec, *block)
+
+
+def _loop_specs(rng):
+    """Holonomic gates at eta 0, 0.2, 1 over the gamma edges and 3 random
+    gammas; dynamical gates whose gamma = -2 pi eta runs over the edges."""
+    gammas = (*_GAMMA_EDGES, *rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 3))
+    specs = [GateSpec(rng.uniform(0.0, np.pi), rng.uniform(-np.pi, np.pi), g, eta)
+             for eta in (0.0, 0.2, 1.0) for g in gammas]
+    return specs + [GateSpec.dynamical(rng.uniform(0.0, np.pi), rng.uniform(-np.pi, np.pi), eta)
+                    for eta in (-1.0, np.nextafter(1.0, 0.0), -0.5, 0.5, 0.0, 0.2)]
+
+
+def test_closed_loop_is_its_first_half_mirrored():
+    # propagate_unitary makes [0, T/2] only; the full loop makes every step
+    rng = np.random.default_rng(17)
+    grid = np.array([-0.2, 0.0, 0.13])
+    for spec in _loop_specs(rng):
+        sched = synthesize(spec, n_samples=256)
+        for steps in (512, 2050):       # 1025 steps a half
+            u = propagate_unitary(sched, grid, steps, check=False).unitary
+            ref = _full_loop(sched, steps, 1.0 + grid)
+            assert np.max(np.abs(u - ref)) <= 1e-13, (spec, steps)
+            # a mirror phased by e^{-i gamma} is the gate at -gamma
+            if spec.scheme == HOLONOMIC and np.sin(spec.gamma) ** 2 > 0.1:
+                flipped = synthesize(replace(spec, gamma=-spec.gamma), n_samples=256)
+                u = propagate_unitary(flipped, grid, steps, check=False).unitary
+                assert np.min(np.max(np.abs(u - ref), axis=(1, 2))) > 1e-3
 
 
 def test_coupling_scales_exactly_with_amplitude_error():
@@ -390,9 +428,10 @@ def test_power_of_two_blocks_are_bitwise_one_block(monkeypatch):
         assert np.array_equal(blocked, whole)
 
 
-def _own_coupling_channel(sched, noise, steps):
+def _own_coupling_channel(sched, noise, steps, stop=None):
     """The open channel with every step made from the gate's own coupling,
-    phase jump included: `_cf4_steps` per block, as before drives were shared."""
+    phase jump included: `_cf4_steps` per block, over the whole loop or its
+    steps [0, stop)."""
     coupling = partial(_coupling, sched.spec, sched.duration)
     coef = _lift_coefficients(sched.spec)
     h = sched.duration / steps
@@ -406,18 +445,18 @@ def _own_coupling_channel(sched, noise, steps):
                              rates, 0.5 * h)
         return ((4.0 * (half[1::2] @ half[0::2]) - full) / 3.0,)
 
-    real, = _blockwise(block, 0, steps, engine._OPEN_BLOCK,
+    real, = _blockwise(block, 0, steps if stop is None else stop, engine._OPEN_BLOCK,
                        lambda later, earlier: (later[0] @ earlier[0],))
     return engine._FROM_REAL @ real[0] @ engine._TO_REAL
 
 
 def test_a_shared_drive_gives_each_gate_its_own_channel(monkeypatch):
-    # 2050 steps in 48-step blocks: the block of steps [1024, 1056) straddles
-    # T/2 at step 1025. 512 steps are one block, which every gate after the
-    # first on a path reads from the memo.
+    # 2050 steps in 48-step blocks: a channel makes the first half's 1025
+    # steps, its last block partial, and the reference's block of steps
+    # [1024, 1056) straddles T/2. 512 steps are one block, which every gate
+    # after the first at one eta reads from the memo.
     rng = np.random.default_rng(3)
-    gammas = [2.0 * np.pi, np.nextafter(-2.0 * np.pi, 0.0), np.pi, -np.pi, 0.0,
-              *rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 3)]
+    gammas = [*_GAMMA_EDGES, *rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 3)]
     for steps, block in ((2050, 48), (512, engine._OPEN_BLOCK)):
         monkeypatch.setattr(engine, "_OPEN_BLOCK", block)
         for eta, epsilon in ((0.2, 0.0), (1.0, -0.15), (0.0, 0.3)):
@@ -429,13 +468,62 @@ def test_a_shared_drive_gives_each_gate_its_own_channel(monkeypatch):
             drive_steps.cache_clear()
             shared = [open_superoperator(sched, noise, steps) for sched in scheds]
             if steps == 512:
-                assert drive_steps.cache_info()[:2] == (len(specs) - 1, 2)  # hits, misses
+                # one miss per eta: at eta = 0 the dynamical gate's -0.0 is a hit
+                drives = len({sched.spec.eta for sched in scheds})
+                assert drive_steps.cache_info()[:2] == (len(scheds) - drives, drives)
             for sched, channel in zip(scheds, shared):
                 err = np.max(np.abs(channel - _own_coupling_channel(sched, noise, steps)))
                 assert err <= 1e-14, (sched.spec, epsilon, err)
                 # with the memo empty, the channel makes the same steps itself
                 drive_steps.cache_clear()
                 assert np.array_equal(open_superoperator(sched, noise, steps), channel)
+
+
+def _phased(d, channel):
+    """D^ channel D^dag for the qutrit diagonal d, D^ = diag(d) (x) diag(d)*."""
+    d = np.kron(d, np.conj(d))
+    return channel * np.outer(d, d.conj())
+
+
+def test_open_loop_is_its_first_half_mirrored():
+    # the mirror of the first half's channel against the channel whose steps
+    # all come from the gate's own coupling; each broken mirror misses by far
+    swap = np.arange(9).reshape(3, 3).T.reshape(-1)
+    noise = NoiseModel(epsilon=-0.1, gamma_1a=300.0, gamma_0a=100.0)
+    specs = [GateSpec(1.1, 0.4, 2.0, 0.2), GateSpec(0.3, -2.0, -1.0, 1.0),
+             GateSpec.dynamical(1.1, 0.5, -0.1), GateSpec.dynamical(2.0, -1.2, 0.3)]
+    for spec in specs:
+        sched = synthesize(spec, n_samples=256)
+        ref = _own_coupling_channel(sched, noise, 512)
+        first = _own_coupling_channel(sched, noise, 512, stop=256)
+        assert np.max(np.abs(open_superoperator(sched, noise, 512) - ref)) <= 1e-14
+        if spec.scheme == HOLONOMIC:
+            d = np.array([1.0, 1.0, np.exp(-1j * spec.gamma)])
+            broken = (_phased(d.conj(), first.T[swap][:, swap]),   # conjugated phase
+                      _phased(d, first.T),                         # no transpose permutation
+                      _phased(d, first[swap][:, swap]))            # no transpose
+        else:
+            d = np.array([1.0, np.exp(2j * spec.phi), 1.0])
+            broken = (_phased(d.conj(), first.T), _phased(d, first))
+        for second in broken:
+            assert np.max(np.abs(second @ first - ref)) > 1e-3, spec
+
+
+def test_holonomic_and_dynamical_gates_share_one_drive(monkeypatch):
+    # on [0, T/2] neither the scheme nor gamma sets the coupling
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return controls_arrays(*args)
+
+    monkeypatch.setattr(engine, "controls_arrays", recording)
+    noise = NoiseModel(gamma_1a=300.0, gamma_0a=100.0)
+    drive_steps.cache_clear()
+    for spec in (GateSpec(1.1, 0.4, 2.0, 0.3), GateSpec.dynamical(0.7, -0.2, 0.3)):
+        open_superoperator(synthesize(spec, n_samples=256), noise, 512)
+    assert drive_steps.cache_info()[:2] == (1, 1)      # hits, misses
+    assert len(calls) == 2                             # one drive, two Gauss nodes
 
 
 def _peak_mb(run):
@@ -454,7 +542,7 @@ def test_propagation_memory_does_not_grow_with_steps():
     peak = _peak_mb(lambda: open_superoperator(sched, noise, 2 ** 16))
     assert peak <= 40.0
     # the channel makes its drive's steps block by block and the memo keeps two
-    # blocks: a whole-run drive, 96 B per step, would add 19 MB from 2^16 to 2^18 steps
+    # blocks: one drive of the whole first half took the peak from 13.8 to 37.9 MB
     assert _peak_mb(lambda: open_superoperator(sched, noise, 2 ** 18)) <= peak + 4.0
     sched = synthesize(GateSpec(theta=1.1, phi=0.4, gamma=2.0, eta=1.0), n_samples=1024)
     grid = np.linspace(-0.2, 0.2, 201)

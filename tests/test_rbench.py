@@ -7,7 +7,6 @@ import pytest
 from holopulse import engine, rbench
 from holopulse.engine import NoiseModel, dephasing_from_t2
 from holopulse.gates import clifford_table, phase_equivalent, target_unitary
-from holopulse.paths import HOLONOMIC
 from holopulse.pulses import GateSpec, named_gate
 from holopulse.rbench import (FitError, GateCache, RBConfig, average_fidelity,
                               build_sequence, curve_to_csv, decay_rate,
@@ -277,10 +276,10 @@ def test_gate_caches_share_one_drive(monkeypatch):
 
 
 def test_the_drive_memo_stays_bounded_across_epsilons(monkeypatch):
-    # each epsilon has its own drive, 96 B per step and 3.1 MB here: a memo
-    # that kept more than its last two blocks (49 kB) would raise the peak by
-    # that much per epsilon. 256-step blocks keep the channel's own workspace
-    # (about 3 kB per step of a block) below it.
+    # each epsilon has its own drive, 96 B per step of the first half and
+    # 1.6 MB here: a memo that kept more than its last two blocks (49 kB) would
+    # raise the peak by that much per epsilon. 256-step blocks keep the
+    # channel's own workspace (about 2.7 kB per step of a block) below it.
     monkeypatch.setattr(engine, "_OPEN_BLOCK", 256)
     engine.drive_steps.cache_clear()
     steps = 2 ** 15
@@ -303,8 +302,9 @@ def test_the_drive_memo_stays_bounded_across_epsilons(monkeypatch):
 
 
 def test_a_cache_holds_no_drive_that_grows_with_steps():
-    # a drive held for the whole run, 96 B per step, took the peak from 17.0
-    # to 35.9 MB; the memo's two blocks do not depend on the step count
+    # one drive held for the whole first half, 96 B per step of it, took the
+    # peak from 13.8 to 37.9 MB; the memo's two blocks do not depend on the
+    # step count
     def peak(steps):
         cfg = RBConfig(eta=0.2, noise=NoiseModel(gamma_1a=100.0, gamma_0a=10.0),
                        n_samples=256, steps=steps)
@@ -329,7 +329,10 @@ def test_no_gate_can_corrupt_a_shared_drive_block():
     ahead = [forward.channel(spec, cfg) for spec in specs]
     behind = [backward.channel(spec, cfg) for spec in reversed(specs)][::-1]
     assert all(np.array_equal(x, y) for x, y in zip(ahead, behind))
-    (a, b), (fa, fb) = engine.drive_steps(0.2, HOLONOMIC, cfg.omega_max, 0.0, 512, 0, 512)
+    # the block the channels share: the first half's 256 steps, from the memo
+    hits = engine.drive_steps.cache_info().hits
+    (a, b), (fa, fb) = engine.drive_steps(0.2, cfg.omega_max, 0.0, 512, 0, 256)
+    assert engine.drive_steps.cache_info().hits == hits + 1
     for x in (a, b, fa, fb):
         with pytest.raises(ValueError):
             x[0] = 1.0

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from holopulse.engine import _CF4_A, _GAUSS_C
+from holopulse.engine import _CF4_A, _GAUSS_C, cf4
 from holopulse.paths import controls_arrays
+from holopulse.pulses import GateSpec, synthesize
 from holopulse.sideband import SidebandSystem, synthesize_cphase, verify_full_model
 
 
@@ -99,3 +100,33 @@ def test_full_model_matches_truncated_ladder():
     assert abs(report.conditional_phase - phase) <= 1e-10
     assert abs(report.subspace_fidelity - fidelity) <= 1e-10
     assert abs(report.leakage - leak) <= 1e-10
+
+
+def _anti_jc_coupling(sched, sys):
+    """<1,1|H|a,0> = i * omega_r * eta_ld * e^{i phi_anti_jc} at times t."""
+    def coupling(t):
+        omega_eff, phi0 = controls_arrays(sched.spec, sched.duration, t)
+        phi = -(phi0 + np.pi - sched.spec.phi + np.pi / 2.0)
+        return 1j * omega_eff / (2.0 * sys.eta_ld) * sys.eta_ld * np.exp(1j * phi)
+    return coupling
+
+
+def test_full_model_is_the_mirror_of_its_first_half():
+    # verify_full_model makes [0, T/2] only; here every step of [0, T] is made
+    sys = SidebandSystem(n_max=5)
+    for gamma in (2.0 * np.pi, np.nextafter(-2.0 * np.pi, 0.0), np.pi, -1.1, 0.3):
+        for eta, steps in ((0.0, 1024), (0.2, 2050), (1.0, 4096)):
+            sched = synthesize_cphase(gamma, 2.0 * np.pi * 1.0e4, eta, n_samples=512)
+            u11, _ = cf4(_anti_jc_coupling(sched, sys), sched.duration, steps)
+            target = np.exp(1j * gamma)
+            report = verify_full_model(sched, sys, steps=steps)
+            assert abs(report.conditional_phase
+                       - (gamma + np.angle(u11 * np.conj(target)))) <= 1e-14
+            assert abs(report.subspace_fidelity - abs(3.0 + np.conj(u11) * target) / 4.0) <= 1e-14
+            assert abs(report.leakage - max(0.0, 1.0 - abs(u11) ** 2)) <= 1e-14
+
+
+def test_full_model_takes_the_holonomic_loop():
+    sched = synthesize(GateSpec.dynamical(0.0, 0.5, 0.2), 2.0 * np.pi * 1.0e4, 512)
+    with pytest.raises(ValueError):
+        verify_full_model(sched, SidebandSystem())
