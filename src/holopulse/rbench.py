@@ -13,10 +13,11 @@ U (x) U* of the propagated unitary when closed (a static amplitude error),
 the engine's open-system channel under dephasing, and in the synthetic
 "exact" mode the lift of the ideal gate followed by a depolarizer. The cache
 propagates only what the pulses tell apart: one block per gamma when closed,
-one channel per (theta, gamma) under dephasing. A reference and an
-interleaved run sharing a cache propagate the common gates once. Under
-dephasing, the channels share the gate-independent CF4 steps through the
-engine's memo (see `engine.drive_steps`).
+one first-half channel per theta, closed per gamma, under dephasing. A
+reference and an interleaved run sharing a cache propagate the common gates
+once. Under dephasing, the channels share the gate-independent CF4 steps and
+each theta's first-half channel through the engine's memos (see
+`engine.drive_steps` and `engine.first_half_channel`).
 
 Decay curves are fitted to F = A p^m + B by least squares over p in (0, 1],
 with A and B solved linearly at each p (variable projection, numpy alone),
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -95,6 +97,14 @@ class RBCurve:
     metadata: dict = field(default_factory=dict)
 
 
+@lru_cache(maxsize=8)
+def _target_and_index(spec: GateSpec) -> tuple:
+    """The interleaved gate's target unitary, read-only, and its `clifford_index`."""
+    g = target_unitary(spec)
+    g.flags.writeable = False
+    return g, clifford_index(g)
+
+
 def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None, eta: float = 0.0):
     """m random Cliffords (+ optional interleaved gate) plus the recovery.
 
@@ -112,8 +122,7 @@ def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None, eta: flo
         specs.append(table[i].spec)
         if interleaved is not None:
             specs.append(interleaved)
-    g = None if interleaved is None else target_unitary(interleaved)
-    k = None if g is None else clifford_index(g)
+    g, k = (None, None) if interleaved is None else _target_and_index(interleaved)
     if g is None or k is not None:
         products = clifford_products()
         acc = 0
@@ -170,11 +179,13 @@ class GateCache:
       e^{-i gamma}), followed by the depolarizer;
     - dephased: Phi(theta, phi, gamma) = (R (x) R*) Phi(theta, 0, gamma)
       (R (x) R*)^dag with R = diag(1, e^{i phi}, 1), elementwise
-      Phi[k, l] r_k conj(r_l) for the diagonal r of R (x) R*.
+      Phi[k, l] r_k conj(r_l) for the diagonal r of R (x) R*; the engine
+      makes one first-half channel per theta and closes it per gamma.
     Keyed on everything else that sets the channel, so one cache can serve
     several RB runs (reference and interleaved); a repeated spec returns its
-    channel from a memo. The drive under dephasing is shared by the engine
-    (see `engine.drive_steps`).
+    channel from a memo. Under dephasing the drive and the first halves are
+    shared by the engine (see `engine.drive_steps` and
+    `engine.first_half_channel`).
     """
 
     def __init__(self):
@@ -353,7 +364,7 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
         # decay interpretation is approximate when the interleaved gate is
         # not itself a Clifford (e.g. T)
         metadata["interleaved_is_clifford"] = (
-            clifford_index(target_unitary(config.interleaved)) is not None)
+            _target_and_index(config.interleaved)[1] is not None)
     return RBCurve(lengths=lengths, means=means, stds=stds, a=a, p=p, b=b,
                    f_ave=average_fidelity(p), metadata=metadata)
 

@@ -10,8 +10,8 @@ from holopulse import engine
 from holopulse.engine import (_CF4_A, _GAUSS_C, NoiseModel, _blockwise, _cf4_steps,
                               _ck_product, _coupling, _dephasing_rates, _embed,
                               _lift_coefficients, _strang_steps, _su2_step, bright_state,
-                              cf4, dephasing_from_t2, drive_steps, open_superoperator,
-                              propagate_unitary, survival_probability,
+                              cf4, dephasing_from_t2, drive_steps, first_half_channel,
+                              open_superoperator, propagate_unitary, survival_probability,
                               trace_defect)
 from holopulse.gates import target_unitary
 from holopulse.paths import HOLONOMIC, controls_arrays
@@ -395,11 +395,13 @@ def test_multi_block_kernels_match_one_block(monkeypatch):
     grid = np.linspace(-0.2, 0.2, 21)
     noise = NoiseModel(epsilon=0.05, gamma_1a=300.0, gamma_0a=100.0)
     steps = 2050                        # the last block is partial
+    first_half_channel.cache_clear()
     one = propagate_unitary(sched, grid, steps, check=False).unitary
     one_scalar = propagate_unitary(sched, 0.1, steps, check=False).unitary
     one_open = open_superoperator(sched, noise, steps)
     monkeypatch.setattr(engine, "_CLOSED_BLOCK", 21 * 100)     # 64-step blocks
     monkeypatch.setattr(engine, "_OPEN_BLOCK", 48)
+    first_half_channel.cache_clear()    # its key holds no block size
     many = propagate_unitary(sched, grid, steps, check=False).unitary
     assert np.max(np.abs(many - one)) <= 1e-13
     many_scalar = propagate_unitary(sched, 0.1, steps, check=False).unitary
@@ -421,9 +423,11 @@ def test_power_of_two_blocks_are_bitwise_one_block(monkeypatch):
                 propagate_unitary(sched, grid, steps, check=False).unitary,
                 open_superoperator(sched, noise, steps))
 
+    first_half_channel.cache_clear()
     one = kernels()
     monkeypatch.setattr(engine, "_CLOSED_BLOCK", 64)     # 64-step blocks, 2 on the batch
     monkeypatch.setattr(engine, "_OPEN_BLOCK", 64)
+    first_half_channel.cache_clear()    # its key holds no block size
     for blocked, whole in zip(kernels(), one):
         assert np.array_equal(blocked, whole)
 
@@ -466,6 +470,7 @@ def test_a_shared_drive_gives_each_gate_its_own_channel(monkeypatch):
             dynamical = [GateSpec.dynamical(rng.uniform(0.0, np.pi), 0.5, -eta / 2.0)]
             scheds = [synthesize(spec, n_samples=256) for spec in specs + dynamical]
             drive_steps.cache_clear()
+            first_half_channel.cache_clear()
             shared = [open_superoperator(sched, noise, steps) for sched in scheds]
             if steps == 512:
                 # one miss per eta: at eta = 0 the dynamical gate's -0.0 is a hit
@@ -474,9 +479,32 @@ def test_a_shared_drive_gives_each_gate_its_own_channel(monkeypatch):
             for sched, channel in zip(scheds, shared):
                 err = np.max(np.abs(channel - _own_coupling_channel(sched, noise, steps)))
                 assert err <= 1e-14, (sched.spec, epsilon, err)
-                # with the memo empty, the channel makes the same steps itself
+                # with the memos empty, the channel makes the same steps itself
                 drive_steps.cache_clear()
+                first_half_channel.cache_clear()
                 assert np.array_equal(open_superoperator(sched, noise, steps), channel)
+
+
+def test_the_first_half_memo_stays_bounded():
+    # 400 thetas, over three times the bound: the memo keeps its last 128
+    # channels, about 1.7 kB each with their keys (0.22 MB); one that kept
+    # every theta would hold 0.7 MB. A channel at 256 steps takes about
+    # 0.4 MB more while it is made.
+    noise = NoiseModel(gamma_1a=300.0, gamma_0a=100.0)
+    scheds = [synthesize(GateSpec(theta, 0.0, 1.0, 0.2), n_samples=256)
+              for theta in np.linspace(0.0, np.pi, 400)]
+    first_half_channel.cache_clear()
+    tracemalloc.start()
+    try:
+        for sched in scheds:
+            open_superoperator(sched, noise, 256)
+            info = first_half_channel.cache_info()
+            assert info.currsize <= info.maxsize == 128
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first_half_channel.cache_info().misses == len(scheds)
+    assert held <= 0.3e6 and peak <= 1.0e6, (held, peak)
 
 
 def _phased(d, channel):
@@ -520,6 +548,7 @@ def test_holonomic_and_dynamical_gates_share_one_drive(monkeypatch):
     monkeypatch.setattr(engine, "controls_arrays", recording)
     noise = NoiseModel(gamma_1a=300.0, gamma_0a=100.0)
     drive_steps.cache_clear()
+    first_half_channel.cache_clear()
     for spec in (GateSpec(1.1, 0.4, 2.0, 0.3), GateSpec.dynamical(0.7, -0.2, 0.3)):
         open_superoperator(synthesize(spec, n_samples=256), noise, 512)
     assert drive_steps.cache_info()[:2] == (1, 1)      # hits, misses
@@ -539,6 +568,7 @@ def test_propagation_memory_does_not_grow_with_steps():
     # holding every step at once took 195 MB and 172 MB
     sched = _sched("T", eta=0.2)
     noise = NoiseModel(gamma_1a=100.0, gamma_0a=10.0)
+    first_half_channel.cache_clear()
     peak = _peak_mb(lambda: open_superoperator(sched, noise, 2 ** 16))
     assert peak <= 40.0
     # the channel makes its drive's steps block by block and the memo keeps two

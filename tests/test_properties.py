@@ -1,9 +1,9 @@
 """Property tests: the inverse-engineered controls, the closed propagator's
 epsilon batch axis, ideal gates and the paper's first-order robustness law,
-the real open channel against its complex Strang formula, the gate and
-tone-file round trips, the tomography measurement model, the RB gate cache,
-recovery and decay fit, and the CLI on fuzzed configs and on edits of every
-config key."""
+the real open channel against its complex Strang formula, the memo of its
+first half, the gate and tone-file round trips, the tomography measurement
+model, the RB gate cache, recovery and decay fit, and the CLI on fuzzed
+configs and on edits of every config key."""
 import json
 import re
 import tempfile
@@ -12,11 +12,12 @@ from unittest import mock
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from holopulse import rbench
+from holopulse import engine, rbench
 from holopulse.cli import main
 from holopulse.engine import (NoiseModel, _cf4_steps, _ck_product, _coupling,
                               _dephasing_rates, _embed, block_basis, dephasing_from_t2,
@@ -174,6 +175,36 @@ def test_real_open_channel_matches_the_complex_formula(spec, epsilon, gamma_1a, 
     g = parts[0] + 1j * parts[1]
     rho = (phi @ (g + g.conj().T).reshape(-1)).reshape(3, 3)
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+
+
+@few
+@given(spec=gates, gammas=st.lists(st.floats(-2.0 * np.pi, 2.0 * np.pi, exclude_min=True),
+                                   min_size=1, max_size=4),
+       eta=st.floats(-1.0, 1.0, exclude_max=True))
+def test_every_gamma_of_a_theta_closes_one_first_half(spec, gammas, eta):
+    """The gates of one (theta, phi, eta), holonomic at every gamma and
+    dynamical, share one memoized first-half channel, which is read-only; each
+    gate's channel is the same whether it made that half (memo cleared before
+    every gate) or read it, first or last."""
+    noise = NoiseModel(epsilon=0.05, gamma_1a=300.0, gamma_0a=100.0)
+    specs = [GateSpec(spec.theta, spec.phi, gamma, eta) for gamma in gammas]
+    specs.append(GateSpec.dynamical(spec.theta, spec.phi, eta))
+    scheds = [synthesize(s, n_samples=256) for s in specs]
+    cold = []
+    for sched in scheds:
+        engine.first_half_channel.cache_clear()
+        cold.append(open_superoperator(sched, noise, STEPS))
+    engine.first_half_channel.cache_clear()
+    forward = [open_superoperator(sched, noise, STEPS) for sched in scheds]
+    assert engine.first_half_channel.cache_info()[:2] == (len(scheds) - 1, 1)   # hits, misses
+    engine.first_half_channel.cache_clear()
+    backward = [open_superoperator(sched, noise, STEPS) for sched in reversed(scheds)][::-1]
+    for channels in (forward, backward):
+        assert all(np.array_equal(x, y) for x, y in zip(cold, channels))
+    first = engine.first_half_channel(spec.theta, spec.phi, eta, scheds[0].omega_max,
+                                      noise.epsilon, noise.gamma_1a, noise.gamma_0a, STEPS)
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
 
 
 # every angle GateSpec admits, its endpoints drawn on purpose

@@ -250,25 +250,32 @@ def test_one_drive_serves_every_gate_on_the_clifford_path(monkeypatch):
     monkeypatch.setattr(rbench, "open_superoperator",
                         _recording(rbench.open_superoperator, channels))
     engine.drive_steps.cache_clear()
+    engine.first_half_channel.cache_clear()
     cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=4, seed=7, eta=0.2,
                    noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
     cache = GateCache()
     run_rb(cfg, cache)
     run_rb(replace(cfg, interleaved=named_gate("T", eta=0.2)), cache)
     assert len(calls) == 2
-    assert engine.drive_steps.cache_info()[:2] == (len(channels) - 1, 1)   # hits, misses
+    # every first half the engine makes reads the drive; the other gammas of
+    # a theta read its first half
+    halves = engine.first_half_channel.cache_info().misses
+    assert halves < len(channels)
+    assert engine.drive_steps.cache_info()[:2] == (halves - 1, 1)   # hits, misses
     # a dynamical interleaved gate with its own eta makes its own drive, once
     run_rb(replace(cfg, interleaved=GateSpec.dynamical(1.1, 0.4, 0.3)), cache)
     assert len(calls) == 4
-    assert engine.drive_steps.cache_info()[:2] == (len(channels) - 2, 2)
+    halves = engine.first_half_channel.cache_info().misses
+    assert engine.drive_steps.cache_info()[:2] == (halves - 2, 2)
 
 
 def test_gate_caches_share_one_drive(monkeypatch):
-    # the memo belongs to the engine, not to a cache: a second cache reads the
-    # drive the first one made
+    # the memos belong to the engine, not to a cache: a second cache reads the
+    # first half the first one made
     calls = []
     monkeypatch.setattr(engine, "controls_arrays", _recording(engine.controls_arrays, calls))
     engine.drive_steps.cache_clear()
+    engine.first_half_channel.cache_clear()
     cfg = RBConfig(eta=0.2, noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
     for cache in (GateCache(), GateCache()):
         cache.channel(named_gate("X", eta=0.2), cfg)
@@ -282,6 +289,7 @@ def test_the_drive_memo_stays_bounded_across_epsilons(monkeypatch):
     # channel's own workspace (about 2.7 kB per step of a block) below it.
     monkeypatch.setattr(engine, "_OPEN_BLOCK", 256)
     engine.drive_steps.cache_clear()
+    engine.first_half_channel.cache_clear()
     steps = 2 ** 15
     cfg = RBConfig(eta=0.2, noise=NoiseModel(gamma_1a=100.0, gamma_0a=10.0),
                    n_samples=256, steps=steps)
@@ -327,6 +335,7 @@ def test_no_gate_can_corrupt_a_shared_drive_block():
     specs += [GateSpec(1.0, 0.3, -2.0, 0.2), GateSpec.dynamical(1.1, 0.4, 0.3)]
     forward, backward = GateCache(), GateCache()
     ahead = [forward.channel(spec, cfg) for spec in specs]
+    engine.first_half_channel.cache_clear()     # the backward run reads the drive again
     behind = [backward.channel(spec, cfg) for spec in reversed(specs)][::-1]
     assert all(np.array_equal(x, y) for x, y in zip(ahead, behind))
     # the block the channels share: the first half's 256 steps, from the memo
