@@ -9,9 +9,10 @@ and by rb or an rb-mode sweep under dephasing; an rb-mode sweep reports
 with header lines echoing the full effective config, except tones.csv, which
 carries the tone-descriptor header that `pulses.parse_tones` reads; a
 manifest.txt lists the files written, so runs are reproducible byte-for-byte
-given (config, seed). Exit codes: 0 success; 2 "config error", nothing
-written; 3 a result did not converge or the fit of rb failed (manifest.txt
-lists the files written before that).
+given (config, seed). main alone sets the exit status: 2, "config error", when
+the config or --out is unusable, and nothing is written; 3 when a write was
+flagged converged=False or the fit of rb failed (manifest.txt lists the files
+written); 0 otherwise.
 """
 from __future__ import annotations
 
@@ -155,24 +156,28 @@ def _schedule(cfg, synth, n_samples, steps=None):
 
 
 def _header(cfg: dict, seed) -> str:
-    lines = [f"# artifact_version = {__version__}"]
     flat = dict(cfg, seed=seed)
-    for key in sorted(flat):
-        lines.append(f"# {key} = {json.dumps(flat[key], sort_keys=True)}")
-    return "\n".join(lines) + "\n"
+    return "".join([f"# artifact_version = {__version__}\n"] + [
+        f"# {key} = {json.dumps(flat[key], sort_keys=True)}\n" for key in sorted(flat)])
 
 
 class OutputWriter:
+    """A run's files under one header; `converged` is False after a flagged write."""
+
     def __init__(self, out_dir: Path, cfg: dict, seed):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out_dir} cannot be a directory: {exc.strerror}")
         self.header = _header(cfg, seed)
-        self.files = []
+        self.files, self.converged = [], True
 
-    def write(self, name: str, body: str) -> Path:
+    def write(self, name: str, body: str, converged: bool = True) -> Path:
         path = self.out_dir / name
         path.write_text(self.header + body, encoding="utf-8")
         self.files.append(name)
+        self.converged = self.converged and bool(converged)
         return path
 
     def finish(self):
@@ -180,7 +185,7 @@ class OutputWriter:
         (self.out_dir / "manifest.txt").write_text(manifest, encoding="utf-8")
 
 
-# Each command parses its config and returns run(writer) -> exit status.
+# Each command parses its config and returns run(writer), which writes its files.
 
 def _synth(cfg, seed):
     omega_max = _real(cfg.get("omega_max", OMEGA_MAX_DEFAULT), "omega_max")
@@ -191,7 +196,6 @@ def _synth(cfg, seed):
         writer.files.append("tones.csv")
         writer.write("synth_summary.csv", "duration_s,omega_max_rad_s,n_samples\n"
                      "%.17g,%.17g,%d\n" % (sched.duration, sched.omega_max, sched.n_samples))
-        return 0
     return run
 
 
@@ -207,8 +211,7 @@ def _propagate(cfg, seed):
                      "epsilon,fidelity,infidelity,leakage,truncation_error,converged\n"
                      "%.17g,%.17g,%.17g,%.17g,%.17g,%s\n" % (
                          eps, fid, 1.0 - fid, leakage(res.unitary),
-                         res.truncation_error, res.converged))
-        return 0 if res.converged else 3
+                         res.truncation_error, res.converged), converged=res.converged)
     return run
 
 
@@ -234,18 +237,16 @@ def _qpt(cfg, seed):
         mle = mle_process(counts)
         ideal = chi_of_channel(unitary_channel(target_unitary(spec)))
         fatt = process_fidelity(mle.chi, ideal)
-        body = ["component,m,n,re,im"]
-        for label, chi in (("estimated", mle.chi), ("ideal", ideal)):
-            for m in range(4):
-                for n in range(4):
-                    body.append("%s,%d,%d,%.17g,%.17g" % (
-                        label, m, n, chi[m, n].real, chi[m, n].imag))
+        body = ["component,m,n,re,im"] + [
+            "%s,%d,%d,%.17g,%.17g" % (label, m, n, chi[m, n].real, chi[m, n].imag)
+            for label, chi in (("estimated", mle.chi), ("ideal", ideal))
+            for m in range(4) for n in range(4)]
         writer.write("chi.csv", "\n".join(body) + "\n")
         writer.write("qpt_summary.csv",
                      "process_fidelity,iterations,converged,truncation_error\n"
                      "%.17g,%d,%s,%.17g\n" % (fatt, mle.iterations, mle.converged,
-                                             res.truncation_error))
-        return 0 if mle.converged and res.converged else 3
+                                             res.truncation_error),
+                     converged=mle.converged and res.converged)
     return run
 
 
@@ -286,7 +287,6 @@ def _rb(cfg, seed):
             inter = run_rb(int_cfg, cache)
             writer.write("rb_interleaved.csv", curve_to_csv(inter, int_cfg.n_sequences))
             writer.write("rb_interleaved_fit.txt", fit_summary(inter, p_ref=ref.p))
-        return 0
     return run
 
 
@@ -324,22 +324,22 @@ def _sweep_grid(cfg):
 
 
 def _direct_points(sched, steps, target, grid):
-    """(infidelity, truncation_error, converged) per epsilon from one checked batch."""
+    """([(infidelity, truncation_error)] per epsilon, all converged), one checked batch."""
     res = propagate_unitary(sched, grid, steps)
-    return [(1.0 - fidelity_qubit_subspace(u, target), float(err), bool(ok))
-            for u, err, ok in zip(res.unitary, res.truncation_error, res.converged)]
+    return ([(1.0 - fidelity_qubit_subspace(u, target), float(err))
+             for u, err in zip(res.unitary, res.truncation_error)], bool(res.converged.all()))
 
 
 def _rb_points(rb_cfg, grid):
-    """(infidelity, None, True) per epsilon: (1 - p)/2 at RB's decay p, unchecked."""
+    """([(infidelity, None)] per epsilon, True): (1 - p)/2 at RB's decay p, unchecked."""
     cache, noise = GateCache(), rb_cfg.noise
     configs = [replace(rb_cfg, noise=replace(noise, epsilon=float(eps))) for eps in grid]
-    return [((1.0 - decay_rate(config, cache)) / 2.0, None, True) for config in configs]
+    return [((1.0 - decay_rate(config, cache)) / 2.0, None) for config in configs], True
 
 
 def _sweep_rows(cfg):
-    """Parse a sweep config into rows() -> [(epsilon, label, infidelity_mean,
-    truncation_error, converged)]; truncation_error is None in rb mode."""
+    """Parse a sweep config into rows() -> ([(epsilon, label, infidelity_mean,
+    truncation_error)], all converged); truncation_error is None in rb mode."""
     grid, mode = _sweep_grid(cfg), cfg.get("mode", "direct")
     if mode not in ("direct", "rb"):
         raise ConfigError(f"sweep mode must be 'direct' or 'rb', got {mode!r}")
@@ -360,28 +360,28 @@ def _sweep_rows(cfg):
         points.append((f"{scheme}:eta={eta:g}", point))
 
     def rows():
-        return [(float(eps), label, *result)
-                for label, point in points for eps, result in zip(grid, point(grid))]
+        results = [(label, *point(grid)) for label, point in points]
+        return ([(float(eps), label, *result) for label, column, _ in results
+                 for eps, result in zip(grid, column)], all(ok for _, _, ok in results))
     return rows
 
 
 def run_sweep(cfg, seed):
     """Sweep rows (epsilon, scheme_label, infidelity_mean, truncation_error or None)."""
-    return [row[:4] for row in _sweep_rows(cfg)()]
+    return _sweep_rows(cfg)()[0]
 
 
 def _sweep(cfg, seed):
     rows = _sweep_rows(cfg)
 
     def run(writer: OutputWriter):
-        table = rows()
+        table, converged = rows()
         checked = table[0][3] is not None
         body = ["epsilon,scheme,infidelity_mean" + (",truncation_error" if checked else "")]
-        for eps, label, mean, err, _ in table:
+        for eps, label, mean, err in table:
             body.append("%.17g,%s,%.17g" % (eps, label, mean)
                         + (",%.17g" % err if checked else ""))
-        writer.write("sweep.csv", "\n".join(body) + "\n")
-        return 0 if all(row[4] for row in table) else 3
+        writer.write("sweep.csv", "\n".join(body) + "\n", converged=converged)
     return run
 
 
@@ -395,18 +395,11 @@ def _sideband(cfg, seed):
     def run(writer: OutputWriter):
         report = sideband.verify_full_model(sched, system, steps)
         writer.write("sideband_report.csv", report.to_text())
-        return 0
     return run
 
 
-_COMMANDS = {
-    "synth": _synth,
-    "propagate": _propagate,
-    "qpt": _qpt,
-    "rb": _rb,
-    "sweep": _sweep,
-    "sideband": _sideband,
-}
+_COMMANDS = {"synth": _synth, "propagate": _propagate, "qpt": _qpt, "rb": _rb,
+             "sweep": _sweep, "sideband": _sideband}
 
 
 def main(argv=None) -> int:
@@ -421,23 +414,22 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command)
         seed = _size(cfg.get("seed", 0), "seed")    # checked even when --seed overrides it
-        if args.seed is not None:
-            seed = args.seed
+        seed = seed if args.seed is None else args.seed
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         run = _COMMANDS[args.command](cfg, seed)
         cfg.check()
+        writer = OutputWriter(args.out, cfg, seed)
     except (ValueError, TypeError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    writer = OutputWriter(args.out, cfg, seed)
     try:
-        status = run(writer)
+        run(writer)
     except FitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
-        status = 3
+        writer.converged = False
     writer.finish()
-    return status
+    return 0 if writer.converged else 3
 
 
 if __name__ == "__main__":

@@ -60,6 +60,10 @@ class RBConfig:
     depolarizing: float = 0.0            # synthetic channel in "exact" mode
 
     def __post_init__(self):
+        sizes = (*self.lengths, self.n_sequences, 1 if self.shots is None else self.shots)
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in sizes):
+            raise ValueError("sequence lengths, n_sequences and shots must be integers, got "
+                             f"{self.lengths}, {self.n_sequences!r} and {self.shots!r}")
         if any(m < 1 for m in self.lengths):
             raise ValueError("sequence lengths must be >= 1")
         if len(set(self.lengths)) < 4:

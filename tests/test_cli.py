@@ -323,6 +323,20 @@ def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("below", [None, "sub"])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, below):
+    # an --out that is a file, or lies below one: one line, no traceback, no file
+    cfg = _write(tmp_path, "c.json", {"experiment": "synth", "gate": "X", "n_samples": 256})
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile if below is None else afile / below
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(out) in err and len(err.splitlines()) == 1
+    assert afile.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.json"]
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["synth", "--config", str(tmp_path / "none.json"), "--out", str(out)]) == 2
@@ -383,6 +397,16 @@ def test_qpt_unconverged_propagation_exits_3(tmp_path):
     [row] = _table(out / "qpt_summary.csv")
     assert list(row) == ["process_fidelity", "iterations", "converged", "truncation_error"]
     assert row["converged"] == "True"       # the MLE's flag
+    assert float(row["truncation_error"]) > 1e-6
+
+
+def test_propagate_unconverged_exits_3(tmp_path):
+    cfg = _write(tmp_path, "c.json", {"experiment": "propagate", **_UNCONVERGED})
+    out = tmp_path / "o"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 3
+    assert "propagate.csv" in (out / "manifest.txt").read_text()
+    [row] = _table(out / "propagate.csv")
+    assert row["converged"] == "False"
     assert float(row["truncation_error"]) > 1e-6
 
 

@@ -395,7 +395,6 @@ def test_multi_block_kernels_match_one_block(monkeypatch):
     grid = np.linspace(-0.2, 0.2, 21)
     noise = NoiseModel(epsilon=0.05, gamma_1a=300.0, gamma_0a=100.0)
     steps = 2050                        # the last block is partial
-    first_half_channel.cache_clear()
     one = propagate_unitary(sched, grid, steps, check=False).unitary
     one_scalar = propagate_unitary(sched, 0.1, steps, check=False).unitary
     one_open = open_superoperator(sched, noise, steps)
@@ -423,7 +422,6 @@ def test_power_of_two_blocks_are_bitwise_one_block(monkeypatch):
                 propagate_unitary(sched, grid, steps, check=False).unitary,
                 open_superoperator(sched, noise, steps))
 
-    first_half_channel.cache_clear()
     one = kernels()
     monkeypatch.setattr(engine, "_CLOSED_BLOCK", 64)     # 64-step blocks, 2 on the batch
     monkeypatch.setattr(engine, "_OPEN_BLOCK", 64)
@@ -493,7 +491,6 @@ def test_the_first_half_memo_stays_bounded():
     noise = NoiseModel(gamma_1a=300.0, gamma_0a=100.0)
     scheds = [synthesize(GateSpec(theta, 0.0, 1.0, 0.2), n_samples=256)
               for theta in np.linspace(0.0, np.pi, 400)]
-    first_half_channel.cache_clear()
     tracemalloc.start()
     try:
         for sched in scheds:
@@ -547,8 +544,6 @@ def test_holonomic_and_dynamical_gates_share_one_drive(monkeypatch):
 
     monkeypatch.setattr(engine, "controls_arrays", recording)
     noise = NoiseModel(gamma_1a=300.0, gamma_0a=100.0)
-    drive_steps.cache_clear()
-    first_half_channel.cache_clear()
     for spec in (GateSpec(1.1, 0.4, 2.0, 0.3), GateSpec.dynamical(0.7, -0.2, 0.3)):
         open_superoperator(synthesize(spec, n_samples=256), noise, 512)
     assert drive_steps.cache_info()[:2] == (1, 1)      # hits, misses
@@ -568,7 +563,6 @@ def test_propagation_memory_does_not_grow_with_steps():
     # holding every step at once took 195 MB and 172 MB
     sched = _sched("T", eta=0.2)
     noise = NoiseModel(gamma_1a=100.0, gamma_0a=10.0)
-    first_half_channel.cache_clear()
     peak = _peak_mb(lambda: open_superoperator(sched, noise, 2 ** 16))
     assert peak <= 40.0
     # the channel makes its drive's steps block by block and the memo keeps two

@@ -170,6 +170,16 @@ def test_config_validation():
     for bad in (dict(epsilon=0.3), dict(gamma_1a=100.0), dict(gamma_0a=10.0)):
         with pytest.raises(ValueError):     # exact mode ignores the pulse noise
             RBConfig(mode="exact", noise=NoiseModel(**bad))
+    # a size is an integer and no boolean: lengths (1, 1.5, 2, 4) passed the
+    # 4-distinct check and ran at (1, 1, 2, 4); 2.5 sequences and a length of
+    # inf raised inside run_rb
+    exact = dict(mode="exact", depolarizing=0.02)
+    for bad in (dict(lengths=(1, 1.5, 2, 4)), dict(lengths=(1, 2, 4, float("inf"))),
+                dict(lengths=(True, 2, 4, 8)), dict(n_sequences=2.5),
+                dict(n_sequences=True), dict(shots=True), dict(shots=100.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            RBConfig(**exact, **bad)
+    RBConfig(lengths=tuple(np.arange(1, 5)), n_sequences=np.int64(2), shots=np.int32(10))
     RBConfig(n_samples=1024, steps=256, mode="exact")    # steps unused
     RBConfig(n_samples=128, omega_max=-1.0, mode="exact")
     RBConfig(mode="exact", noise=NoiseModel(prep_error=0.01, detection_error_bright=0.02,
@@ -249,8 +259,6 @@ def test_one_drive_serves_every_gate_on_the_clifford_path(monkeypatch):
     monkeypatch.setattr(engine, "controls_arrays", _recording(engine.controls_arrays, calls))
     monkeypatch.setattr(rbench, "open_superoperator",
                         _recording(rbench.open_superoperator, channels))
-    engine.drive_steps.cache_clear()
-    engine.first_half_channel.cache_clear()
     cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=4, seed=7, eta=0.2,
                    noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
     cache = GateCache()
@@ -274,8 +282,6 @@ def test_gate_caches_share_one_drive(monkeypatch):
     # first half the first one made
     calls = []
     monkeypatch.setattr(engine, "controls_arrays", _recording(engine.controls_arrays, calls))
-    engine.drive_steps.cache_clear()
-    engine.first_half_channel.cache_clear()
     cfg = RBConfig(eta=0.2, noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
     for cache in (GateCache(), GateCache()):
         cache.channel(named_gate("X", eta=0.2), cfg)
@@ -288,8 +294,6 @@ def test_the_drive_memo_stays_bounded_across_epsilons(monkeypatch):
     # raise the peak by that much per epsilon. 256-step blocks keep the
     # channel's own workspace (about 2.7 kB per step of a block) below it.
     monkeypatch.setattr(engine, "_OPEN_BLOCK", 256)
-    engine.drive_steps.cache_clear()
-    engine.first_half_channel.cache_clear()
     steps = 2 ** 15
     cfg = RBConfig(eta=0.2, noise=NoiseModel(gamma_1a=100.0, gamma_0a=10.0),
                    n_samples=256, steps=steps)
@@ -329,7 +333,6 @@ def test_a_cache_holds_no_drive_that_grows_with_steps():
 
 
 def test_no_gate_can_corrupt_a_shared_drive_block():
-    engine.drive_steps.cache_clear()
     cfg = RBConfig(eta=0.2, noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
     specs = [named_gate(name, eta=0.2) for name in ("X", "H", "T", "S")]
     specs += [GateSpec(1.0, 0.3, -2.0, 0.2), GateSpec.dynamical(1.1, 0.4, 0.3)]
