@@ -1,6 +1,8 @@
 """Analytic gate targets, axis-angle decomposition, and the 24 Cliffords."""
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -8,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .pulses import GateSpec
-from .qcore import SI, SX, SY, SZ, UNITARY_TOL, unitarity_defect
+from .qcore import SI, SX, SY, SZ, UNITARY_TOL
 
 
 def target_unitary(spec: GateSpec) -> np.ndarray:
@@ -39,25 +41,35 @@ def axis_angle(u: np.ndarray, eta: float = 0.0) -> GateSpec:
     gamma = pi the remaining axis-sign ambiguity is broken by
     `_half_turn_axis`. The identity maps to (0, 0, 0). A global phase of u
     changes nothing: the angles are read from the entries of u / sqrt(det u).
+    The four entries are read as Python complex numbers and the unitarity
+    check, the determinant and the angles are scalar arithmetic; u is
+    rejected when an entry of U^dag U - I reaches UNITARY_TOL in modulus,
+    as `qcore.unitarity_defect` measures it.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 unitary, got shape {u.shape}")
-    if unitarity_defect(u) >= UNITARY_TOL:
+    (u00, u01), (u10, u11) = u.tolist()
+    # the entries 00, 01 and 11 of U^dag U - I; its 10 entry is the conjugate of 01
+    defects = (u00.conjugate() * u00 + u10.conjugate() * u10 - 1.0,
+               u00.conjugate() * u01 + u10.conjugate() * u11,
+               u01.conjugate() * u01 + u11.conjugate() * u11 - 1.0)
+    if not all(abs(d) < UNITARY_TOL for d in defects):
         raise ValueError("axis_angle input is not unitary within tolerance")
-    v = u / np.sqrt(np.linalg.det(u))     # SU(2) representative, sign branch arbitrary
-    if v[0, 0].real < 0:
-        v = -v
+    root = cmath.sqrt(u00 * u11 - u01 * u10)
+    v00, v01 = u00 / root, u01 / root     # SU(2) representative, sign branch arbitrary
+    if v00.real < 0:
+        v00, v01 = -v00, -v01
     # v = c I - i s (n.sigma): v00 = c - i s n_z, v01 = -s n_y - i s n_x
-    c = min(v[0, 0].real, 1.0)
-    sn = -np.array([v[0, 1].imag, v[0, 1].real, v[0, 0].imag])
-    s = float(np.linalg.norm(sn))
+    c = min(v00.real, 1.0)
+    sn = (-v01.imag, -v01.real, -v00.imag)
+    s = math.sqrt(sn[0] * sn[0] + sn[1] * sn[1] + sn[2] * sn[2])
     if s < 1e-12:
         return GateSpec(theta=0.0, phi=0.0, gamma=0.0, eta=eta)
-    n = sn / s
+    n = tuple(x / s for x in sn)
     if c < 1e-12:
-        n = _half_turn_axis(n)
-    return _axis_spec(n, float(2.0 * np.arctan2(s, c)), eta)
+        n = _half_turn_axis(np.array(n))
+    return _axis_spec(n, 2.0 * math.atan2(s, c), eta)
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,21 @@ interleaved) are closed by an exact-inverse recovery gate; survival is the
 population returned to |0>. When every gate is a Clifford, the recovery is
 read from the Cayley table of the group (the inverse of the accumulated
 index); a non-Clifford interleaved gate such as T takes it from `axis_angle`
-of the accumulated product.
+of the accumulated product, an ordered product of the precomputed g @ C_i
+taken in pairs.
 
 Every gate, the recovery included, is a 9x9 channel on row-major vec(rho)
-from `GateCache`, so one survival loop serves every noise model: the lift
-U (x) U* of the propagated unitary when closed (a static amplitude error),
-the engine's open-system channel under dephasing, and in the synthetic
-"exact" mode the lift of the ideal gate followed by a depolarizer. The cache
-propagates only what the pulses tell apart: one block per gamma when closed,
-one first-half channel per theta, closed per gamma, under dephasing. A
-reference and an interleaved run sharing a cache propagate the common gates
-once. Under dephasing, the channels share the gate-independent CF4 steps and
+from `GateCache`, under every noise model: the lift U (x) U* of the
+propagated unitary when closed (a static amplitude error), the engine's
+open-system channel under dephasing, and in the synthetic "exact" mode the
+lift of the ideal gate followed by a depolarizer. The survivals of one
+length run in lock-step: its sequences, all built first, each from its own
+stream, advance together as one stack of vec(rho), multiplied at each
+position by the stacked channels of that position; a run looks each
+distinct spec up in the cache once. The cache propagates only what the
+pulses tell apart: one block per gamma when closed, one first-half channel
+per theta, closed per gamma, under dephasing. A reference and an
+interleaved run sharing a cache propagate the common gates once. Under dephasing, the channels share the gate-independent CF4 steps and
 each theta's first-half channel through the engine's memos (see
 `engine.drive_steps` and `engine.first_half_channel`).
 
@@ -37,8 +41,8 @@ import numpy as np
 
 from .engine import (NoiseModel, _embed, block_basis, check_steps, open_superoperator,
                      propagate_unitary)
-from .gates import (_clifford_rotations, axis_angle, clifford_index, clifford_products,
-                    clifford_table, target_unitary)
+from .gates import (_clifford_matrices, _clifford_rotations, axis_angle, clifford_index,
+                    clifford_products, clifford_table, target_unitary)
 from .paths import DYNAMICAL
 from .pulses import (OMEGA_MAX_DEFAULT, GateSpec, check_sampling, compute_duration,
                      synthesize)
@@ -60,10 +64,14 @@ class RBConfig:
     depolarizing: float = 0.0            # synthetic channel in "exact" mode
 
     def __post_init__(self):
-        sizes = (*self.lengths, self.n_sequences, 1 if self.shots is None else self.shots)
+        sizes = (*self.lengths, self.n_sequences, 1 if self.shots is None else self.shots,
+                 self.seed)
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in sizes):
-            raise ValueError("sequence lengths, n_sequences and shots must be integers, got "
-                             f"{self.lengths}, {self.n_sequences!r} and {self.shots!r}")
+            raise ValueError("sequence lengths, n_sequences, shots and seed must be integers, "
+                             f"got {self.lengths}, {self.n_sequences!r}, {self.shots!r} and "
+                             f"{self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if any(m < 1 for m in self.lengths):
             raise ValueError("sequence lengths must be >= 1")
         if len(set(self.lengths)) < 4:
@@ -109,35 +117,52 @@ def _target_and_index(spec: GateSpec) -> tuple:
     return g, clifford_index(g)
 
 
+@lru_cache(maxsize=8)
+def _interleaved_cliffords(spec: GateSpec) -> np.ndarray:
+    """The read-only (24, 2, 2) stack g @ C_i of the interleaved gate g after each Clifford."""
+    stack = _target_and_index(spec)[0] @ _clifford_matrices()
+    stack.flags.writeable = False
+    return stack
+
+
+def _ordered_product(mats: np.ndarray) -> np.ndarray:
+    """M[k-1] @ ... @ M[0] of a (k, 2, 2) stack, as a pairwise tree of batched
+    products: each level multiplies neighbours, M[2j+1] @ M[2j], and carries an
+    odd last factor up unpaired."""
+    while len(mats) > 1:
+        pairs = mats[1::2] @ mats[:len(mats) - 1:2]
+        mats = np.concatenate([pairs, mats[-1:]]) if len(mats) % 2 else pairs
+    return mats[0]
+
+
 def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None, eta: float = 0.0):
     """m random Cliffords (+ optional interleaved gate) plus the recovery.
 
     Returns (gate_specs, recovery_spec); applying all gates in order acts as
     the identity on an ideal qubit, up to a global phase. The recovery is the
     Cayley-table inverse of the accumulated Clifford when every gate is a
-    Clifford, else `axis_angle` of the inverse of the accumulated product.
+    Clifford, else `axis_angle` of the inverse of the accumulated product,
+    the ordered product of the stacked g @ C_i at the drawn indices.
     """
     if m < 1:
         raise ValueError("sequence length must be >= 1")
     table = clifford_table(eta)
     idx = rng.integers(0, len(table), size=m)
-    specs = []
-    for i in idx:
-        specs.append(table[i].spec)
-        if interleaved is not None:
-            specs.append(interleaved)
+    drawn = idx.tolist()
+    if interleaved is None:
+        specs = [table[i].spec for i in drawn]
+    else:
+        specs = [spec for i in drawn for spec in (table[i].spec, interleaved)]
     g, k = (None, None) if interleaved is None else _target_and_index(interleaved)
     if g is None or k is not None:
         products = clifford_products()
         acc = 0
-        for i in idx:
+        for i in drawn:
             acc = products[i][acc]
             if k is not None:
                 acc = products[k][acc]
         return specs, table[acc].recovery
-    acc = np.eye(2, dtype=complex)
-    for i in idx:
-        acc = g @ (table[i].matrix @ acc)
+    acc = _ordered_product(_interleaved_cliffords(interleaved)[idx])
     return specs, axis_angle(acc.conj().T, eta=eta)
 
 
@@ -187,7 +212,9 @@ class GateCache:
       makes one first-half channel per theta and closes it per gamma.
     Keyed on everything else that sets the channel, so one cache can serve
     several RB runs (reference and interleaved); a repeated spec returns its
-    channel from a memo. Under dephasing the drive and the first halves are
+    channel from a memo. `run_rb` asks once per distinct spec of a run and
+    stacks the channels of each position for its lock-step survivals per
+    length. Under dephasing the drive and the first halves are
     shared by the engine (see `engine.drive_steps` and
     `engine.first_half_channel`).
     """
@@ -232,13 +259,16 @@ class GateCache:
         return block[0, 0], block[0, 1]
 
 
-def _survival(specs, recovery, cache: GateCache, config: RBConfig) -> float:
-    """Exact |0>-return probability of the sequence, with SPAM."""
-    v = np.zeros(9, dtype=complex)      # row-major vec(rho)
-    v[0], v[4] = 1.0 - config.noise.prep_error, config.noise.prep_error
-    for spec in [*specs, recovery]:
-        v = cache.channel(spec, config) @ v
-    return float(config.noise.readout(np.real(v[0])))
+def _survivals(sequences, channel, noise: NoiseModel) -> np.ndarray:
+    """Exact |0>-return probabilities of equal-length sequences, with SPAM, in
+    lock-step: the (n, 9, 1) stack of row-major vec(rho) is multiplied at each
+    position by the stacked channels of that position's gates, so it holds n
+    channels at a time. `channel` maps a spec to its 9x9 channel."""
+    v = np.zeros((len(sequences), 9, 1), dtype=complex)
+    v[:, 0], v[:, 4] = 1.0 - noise.prep_error, noise.prep_error
+    for column in zip(*[[*specs, recovery] for specs, recovery in sequences]):
+        v = np.stack([channel(spec) for spec in column]) @ v
+    return noise.readout(np.real(v[:, 0, 0]))
 
 
 def decay_rate(config: RBConfig, cache: GateCache) -> float:
@@ -342,17 +372,18 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
     """
     if cache is None:
         cache = GateCache()
+    # the cache builds a six-field key per lookup: ask it once per distinct spec
+    channel = lru_cache(maxsize=None)(lambda spec: cache.channel(spec, config))
     means, stds = [], []
     for m in config.lengths:
-        fids = []
-        for j in range(config.n_sequences):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=(config.seed, int(m), j)))
-            specs, recovery = build_sequence(int(m), rng, config.interleaved, config.eta)
-            f = _survival(specs, recovery, cache, config)
-            if config.shots is not None:
-                f = float(rng.binomial(config.shots, f)) / config.shots
-            fids.append(f)
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, int(m), j)))
+                for j in range(config.n_sequences)]
+        sequences = [build_sequence(int(m), rng, config.interleaved, config.eta) for rng in rngs]
+        fids = _survivals(sequences, channel, config.noise)
+        if config.shots is not None:
+            # each sequence's shots come from its own stream, after its integers draw
+            fids = np.array([rng.binomial(config.shots, f)
+                             for rng, f in zip(rngs, fids)]) / config.shots
         means.append(float(np.mean(fids)))
         stds.append(float(np.std(fids)))
     lengths = np.asarray(config.lengths, dtype=int)

@@ -1,5 +1,6 @@
 """The summary arithmetic of tools/bench_pr.py on synthetic runs; no benchmark runs."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -109,3 +110,16 @@ def test_the_output_jobs_end_with_criterion_9s_configs():
     assert jobs[0][0] == "rb_dephasing/seed1/job0/0_rb"
     assert [job[:2] for job in jobs[-2:]] == [("criterion9/qpt", "qpt"),
                                               ("criterion9/sweep", "sweep")]
+
+
+def test_the_parent_is_a_plain_export_of_its_commit(tmp_path):
+    # git archive | tar -x: the commit's files, with no .git and no new worktree
+    try:
+        head = bench_pr._git("rev-parse", "HEAD")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs a git checkout with a commit")
+    worktrees = bench_pr._git("worktree", "list")
+    tree = bench_pr.export_tree(head, tmp_path / "parent")
+    assert (tree / "src" / "holopulse" / "__init__.py").is_file()
+    assert not (tree / ".git").exists()
+    assert bench_pr._git("worktree", "list") == worktrees

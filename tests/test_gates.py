@@ -6,7 +6,7 @@ import pytest
 from holopulse.gates import (axis_angle, clifford_index, clifford_products,
                              clifford_table, phase_equivalent, target_unitary)
 from holopulse.pulses import GateSpec, named_gate
-from holopulse.qcore import SX, SZ, unitarity_defect
+from holopulse.qcore import SX, SZ, UNITARY_TOL, unitarity_defect
 
 
 def test_named_targets():
@@ -65,6 +65,26 @@ def test_axis_angle_identity_and_validation():
         axis_angle(np.eye(3))
     with pytest.raises(ValueError):
         axis_angle(1.5 * np.eye(2))
+
+
+def test_axis_angle_rejects_what_unitarity_defect_rejects():
+    # the scalar check reads U^dag U - I entry by entry: unitaries scaled off
+    # the group by 4e-9 and 4e-10, and sheared, on either side of UNITARY_TOL
+    rng = np.random.default_rng(8)
+    bases = [target_unitary(named_gate(name)) for name in ("X", "H", "T")]
+    bases += [target_unitary(GateSpec(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi),
+                                      rng.uniform(-np.pi, np.pi))) for _ in range(3)]
+    table = [scale * u for u in bases for scale in (1 + 2e-9, 1 - 2e-9, 1 + 2e-10, 1 - 2e-10)]
+    table += [u @ np.array([[1.0, shear], [0.0, 1.0]]) for u in bases
+              for shear in (2e-9, 5e-10, 3e-10j)]
+    rejected = [unitarity_defect(u) >= UNITARY_TOL for u in table]
+    assert 0 < sum(rejected) < len(table)
+    for u, reject in zip(table, rejected):
+        if reject:
+            with pytest.raises(ValueError, match="not unitary"):
+                axis_angle(u)
+        else:
+            assert phase_equivalent(target_unitary(axis_angle(u)), u, tol=1e-8)
 
 
 def test_axis_angle_pi_rotation_canonical():

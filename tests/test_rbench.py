@@ -36,6 +36,42 @@ def test_build_sequence_interleaved_inverts():
     assert phase_equivalent(acc, np.eye(2), tol=1e-9)
 
 
+@pytest.mark.parametrize("interleaved", [
+    named_gate("T"), GateSpec.dynamical(1.1, 0.4, 0.3), GateSpec(0.7, -2.1, 1.3, 0.2)])
+def test_pairwise_recovery_product_matches_the_sequential_one(interleaved):
+    # the ordered product of the stacked g @ C_i at the drawn indices, taken
+    # as a tree of pairs, against g @ (C_i @ acc) accumulated gate by gate
+    g, k = rbench._target_and_index(interleaved)
+    assert k is None        # a non-Clifford: its recovery takes the product
+    matrices = [el.matrix for el in clifford_table()]
+    rng = np.random.default_rng(11)
+    for m in (*range(1, 10), 16, 31, 32, 33, 63, 64):
+        idx = rng.integers(0, 24, size=m)
+        acc = np.eye(2, dtype=complex)
+        for i in idx:
+            acc = g @ (matrices[i] @ acc)
+        pairwise = rbench._ordered_product(rbench._interleaved_cliffords(interleaved)[idx])
+        assert np.max(np.abs(pairwise - acc)) <= 1e-14
+
+
+def test_a_lock_step_survival_does_not_depend_on_its_batch():
+    noise = NoiseModel(gamma_1a=100.0, gamma_0a=10.0, prep_error=0.01,
+                       detection_error_bright=0.02, detection_error_dark=0.03)
+    cfg = RBConfig(eta=0.2, noise=noise, n_samples=256, steps=512,
+                   interleaved=named_gate("T", eta=0.2))
+    cache = GateCache()
+
+    def channel(spec):
+        return cache.channel(spec, cfg)
+
+    sequences = [build_sequence(6, np.random.default_rng(j), cfg.interleaved, cfg.eta)
+                 for j in range(5)]
+    batch = rbench._survivals(sequences, channel, noise)
+    alone = [rbench._survivals([seq], channel, noise)[0] for seq in sequences]
+    assert batch.tolist() == alone
+    assert np.all((0.0 < batch) & (batch < 1.0))
+
+
 def test_fit_decay_recovers_parameters():
     m = np.array([1, 2, 4, 8, 16, 32, 64])
     a, p, b = 0.47, 0.97, 0.51
@@ -176,10 +212,16 @@ def test_config_validation():
     exact = dict(mode="exact", depolarizing=0.02)
     for bad in (dict(lengths=(1, 1.5, 2, 4)), dict(lengths=(1, 2, 4, float("inf"))),
                 dict(lengths=(True, 2, 4, 8)), dict(n_sequences=2.5),
-                dict(n_sequences=True), dict(shots=True), dict(shots=100.0)):
+                dict(n_sequences=True), dict(shots=True), dict(shots=100.0),
+                dict(seed=1.5), dict(seed=True)):
         with pytest.raises(ValueError, match="must be integers"):
             RBConfig(**exact, **bad)
-    RBConfig(lengths=tuple(np.arange(1, 5)), n_sequences=np.int64(2), shots=np.int32(10))
+    # a seed of 1.5 or -1 raised TypeError or ValueError inside SeedSequence,
+    # and True ran as seed 1
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        RBConfig(**exact, seed=-1)
+    RBConfig(lengths=tuple(np.arange(1, 5)), n_sequences=np.int64(2), shots=np.int32(10),
+             seed=np.uint32(3))
     RBConfig(n_samples=1024, steps=256, mode="exact")    # steps unused
     RBConfig(n_samples=128, omega_max=-1.0, mode="exact")
     RBConfig(mode="exact", noise=NoiseModel(prep_error=0.01, detection_error_bright=0.02,

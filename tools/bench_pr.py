@@ -3,8 +3,9 @@
     python3 tools/bench_pr.py --parent REV --pr N
 
 Run from the root of a holopulse checkout. The change is the working tree as
-it is on disk; the parent REV is checked out, detached, into a temporary
-`git worktree` that is removed at exit (local git only). For every workload
+it is on disk; the parent REV's files are unpacked with `git archive REV |
+tar -x` into a temporary directory that is removed at exit, so the script
+only reads the repository's .git (local git only). For every workload
 of BENCHMARK.json the script runs `perfbench/run.py --trace 0`, at the run
 length BENCHMARK.json fixes, for PAIRS pairs of the two trees, pair i at
 seed FIRST_SEED + i, the parent first on odd seeds; then one `--trace 1`
@@ -216,6 +217,16 @@ def _git(*args) -> str:
                           check=True).stdout.strip()
 
 
+def export_tree(rev: str, dest: Path) -> Path:
+    """Unpack the files of commit `rev` into the new directory `dest`."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
+                             check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, capture_output=True,
+                   check=True)
+    return dest
+
+
 def _log(message):
     print(message, file=sys.stderr, flush=True)
 
@@ -236,35 +247,30 @@ def main(argv=None):
     args = parse_args(argv)
     parent_rev = _git("rev-parse", args.parent)
     with tempfile.TemporaryDirectory(prefix="bench_pr_") as tmp:
-        parent_tree = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(parent_tree), parent_rev)
-        try:
-            trees = {"parent": parent_tree, "change": ROOT}
-            runs, traced = [], []
-            for i in range(PAIRS):
-                seed = FIRST_SEED + i
-                order = ("parent", "change") if seed % 2 else ("change", "parent")
-                for workload in args.workloads:
-                    for side in order:
-                        _log(f"trace 0: {workload} seed {seed} {side}")
-                        runs.append({"workload": workload, "seed": seed, "side": side,
-                                     "printed": bench_run(trees[side], workload, seed,
-                                                          args.seconds, 0)})
+        parent_tree = export_tree(parent_rev, Path(tmp) / "parent")
+        trees = {"parent": parent_tree, "change": ROOT}
+        runs, traced = [], []
+        for i in range(PAIRS):
+            seed = FIRST_SEED + i
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
             for workload in args.workloads:
-                for side in ("parent", "change"):
-                    _log(f"trace 1: {workload} {side}")
-                    traced.append({"workload": workload, "seed": 1, "side": side,
-                                   "printed": bench_run(trees[side], workload, 1,
-                                                        TRACED_SECONDS, 1)})
-            outs = {side: Path(tmp) / f"out_{side}" for side in trees}
-            jobs = output_jobs(args.workloads)
-            for side, tree in trees.items():
-                _log(f"outputs: {side}")
-                run_jobs(tree, outs[side], jobs)
-            files = diff_outputs(outs["parent"], outs["change"])
-        finally:
-            _git("worktree", "remove", "--force", str(parent_tree))
-            _git("worktree", "prune")
+                for side in order:
+                    _log(f"trace 0: {workload} seed {seed} {side}")
+                    runs.append({"workload": workload, "seed": seed, "side": side,
+                                 "printed": bench_run(trees[side], workload, seed,
+                                                      args.seconds, 0)})
+        for workload in args.workloads:
+            for side in ("parent", "change"):
+                _log(f"trace 1: {workload} {side}")
+                traced.append({"workload": workload, "seed": 1, "side": side,
+                               "printed": bench_run(trees[side], workload, 1,
+                                                    TRACED_SECONDS, 1)})
+        outs = {side: Path(tmp) / f"out_{side}" for side in trees}
+        jobs = output_jobs(args.workloads)
+        for side, tree in trees.items():
+            _log(f"outputs: {side}")
+            run_jobs(tree, outs[side], jobs)
+        files = diff_outputs(outs["parent"], outs["change"])
     host = {"nproc": os.cpu_count(), "machine": platform.machine(),
             "python": platform.python_version(), "numpy": numpy.__version__,
             "blas_threads": 1}
