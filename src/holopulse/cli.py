@@ -332,9 +332,8 @@ def _direct_points(sched, steps, target, grid):
 
 def _rb_points(rb_cfg, grid):
     """([(infidelity, None)] per epsilon, True): (1 - p)/2 at RB's decay p, unchecked."""
-    cache, noise = GateCache(), rb_cfg.noise
-    configs = [replace(rb_cfg, noise=replace(noise, epsilon=float(eps))) for eps in grid]
-    return [((1.0 - decay_rate(config, cache)) / 2.0, None) for config in configs], True
+    configs = [replace(rb_cfg, noise=replace(rb_cfg.noise, epsilon=float(eps))) for eps in grid]
+    return [((1.0 - decay_rate(config)) / 2.0, None) for config in configs], True
 
 
 def _sweep_rows(cfg):

@@ -12,7 +12,8 @@ products (`_ck_product`). Closed-system evolution uses a fourth-order
 commutator-free scheme (`cf4`), two such exponentials per step, batched over
 a trailing axis for the scale s = 1 + eps, so a whole epsilon grid is one
 pass. Both kernels reduce their steps with the one pairwise ordered product
-(`_ordered_product`), whose tree `_blockwise` follows to make the steps one
+(`_ordered_product`; `_matmul` multiplies the open kernel's 9x9s and RB's
+2x2 recovery factors), whose tree `_blockwise` follows to make the steps one
 block at a time, so memory does not grow with the step count. U2 depends on
 the path (gamma, eta, scheme) and eps only; the qutrit propagator is its
 embedding |d><d| + E U2 E^dag, E = [|b>, |a>] (`block_basis`, `_embed`).
@@ -27,8 +28,9 @@ holds step by step in the discrete kernels too (`cf4_loop`). On the qutrit,
 D is P = diag(1, 1, e^{-i gamma}), and the transpose is conjugated by
 R = diag(1, e^{2i phi}, 1). Both commute with the dissipator, so the second
 half's channel is P^ (T Phi1^T T) P^dag or R^ Phi1^T R^dag, with T the
-transpose permutation and P^ = P (x) P*, R^ elementwise phases
-(`_loop_channel`).
+transpose permutation, P^ = P (x) P* and R^ = R (x) R* applied as elementwise
+phases (`_conjugate_by_diagonal`, which also turns RB's dephased gates to
+each phi; `_loop_channel`).
 
 Open-system evolution (two pure-dephasing dissipators) runs on the CF4 pairs
 (`_cf4_steps`) of every half step and every full step. Each step is a
@@ -209,6 +211,11 @@ def _ordered_product(steps: tuple, product: Callable[[tuple, tuple], tuple]) -> 
     return steps
 
 
+def _matmul(later: tuple, earlier: tuple) -> tuple:
+    """`_ordered_product`'s product of one-matrix tuples (m,): later @ earlier."""
+    return (later[0] @ earlier[0],)
+
+
 def _embed(spec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Qutrit propagators |d><d| + E U2 E^dag, E = [|b>, |a>], for a batch of
     blocks U2 = [[a, b], [-b*, a*]]; shape a.shape + (3, 3).
@@ -335,6 +342,8 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: Union[float, np.ndarray]
 def survival_probability(schedule: PulseSchedule, epsilon: float,
                          steps: int = DEFAULT_STEPS // 2) -> float:
     """|<psi_0(T/2)|psi_eps(T/2)>|^2 for evolution of |b> over the first segment."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     a, b = cf4(partial(_coupling, schedule.spec, schedule.duration), schedule.duration / 2.0,
                steps, np.array([1.0, 1.0 + epsilon]))
     # |b> is the first block basis vector, mapped to (a, -b*); E preserves
@@ -450,11 +459,17 @@ def first_half_channel(theta: float, phi: float, eta: float, omega_max: float,
         full = _strang_steps(coef, *full, rates, 0.5 * h)
         return ((4.0 * (half[1::2] @ half[0::2]) - full) / 3.0,)
 
-    real, = _blockwise(block, 0, steps // 2, _OPEN_BLOCK,
-                       lambda later, earlier: (later[0] @ earlier[0],))
+    real, = _blockwise(block, 0, steps // 2, _OPEN_BLOCK, _matmul)
     first = _FROM_REAL @ real[0] @ _TO_REAL
     first.flags.writeable = False
     return first
+
+
+def _conjugate_by_diagonal(channel: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(D (x) D*) channel (D (x) D*)^dag on row-major vec for D = diag(d): the
+    elementwise channel[k, l] r_k conj(r_l), r the diagonal of D (x) D*."""
+    r = np.outer(d, d.conj()).reshape(-1)
+    return channel * np.outer(r, r.conj())
 
 
 def _loop_channel(spec, first: np.ndarray) -> np.ndarray:
@@ -464,8 +479,7 @@ def _loop_channel(spec, first: np.ndarray) -> np.ndarray:
         d, second = np.array([1.0, np.exp(2j * spec.phi), 1.0]), first.T
     else:
         d, second = np.array([1.0, 1.0, np.exp(-1j * spec.gamma)]), first.T[_SWAP][:, _SWAP]
-    d = np.outer(d, d.conj()).reshape(-1)
-    return (second * np.outer(d, d.conj())) @ first
+    return _conjugate_by_diagonal(second, d) @ first
 
 
 def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,

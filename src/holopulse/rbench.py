@@ -5,8 +5,8 @@ interleaved) are closed by an exact-inverse recovery gate; survival is the
 population returned to |0>. When every gate is a Clifford, the recovery is
 read from the Cayley table of the group (the inverse of the accumulated
 index); a non-Clifford interleaved gate such as T takes it from `axis_angle`
-of the accumulated product, an ordered product of the precomputed g @ C_i
-taken in pairs.
+of the accumulated product, the engine's pairwise ordered product of the
+precomputed g @ C_i.
 
 Every gate, the recovery included, is a 9x9 channel on row-major vec(rho)
 from `GateCache`, under every noise model: the lift U (x) U* of the
@@ -15,13 +15,14 @@ open-system channel under dephasing, and in the synthetic "exact" mode the
 lift of the ideal gate followed by a depolarizer. The survivals of one
 length run in lock-step: its sequences, all built first, each from its own
 stream, advance together as one stack of vec(rho), multiplied at each
-position by the stacked channels of that position; a run looks each
-distinct spec up in the cache once. The cache propagates only what the
-pulses tell apart: one block per gamma when closed, one first-half channel
-per theta, closed per gamma, under dephasing. A reference and an
-interleaved run sharing a cache propagate the common gates once. Under dephasing, the channels share the gate-independent CF4 steps and
-each theta's first-half channel through the engine's memos (see
-`engine.drive_steps` and `engine.first_half_channel`).
+position by the stacked channels of that position. The cache keeps one
+memo per noise model, which builds each distinct spec's channel once for
+every run on that model: a reference run, its interleaved run and
+`decay_rate` share their common gates. It propagates only what the pulses
+tell apart: one block per gamma when closed, one first-half channel per
+theta, closed per gamma, under dephasing, where the channels also share
+the gate-independent CF4 steps and each theta's first-half channel through
+the engine's memos (see `engine.drive_steps` and `engine.first_half_channel`).
 
 Decay curves are fitted to F = A p^m + B by least squares over p in (0, 1],
 with A and B solved linearly at each p (variable projection, numpy alone),
@@ -34,13 +35,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
 
-from .engine import (NoiseModel, _embed, block_basis, check_steps, open_superoperator,
-                     propagate_unitary)
+from .engine import (NoiseModel, _conjugate_by_diagonal, _embed, _matmul, _ordered_product,
+                     block_basis, check_steps, open_superoperator, propagate_unitary)
 from .gates import (_clifford_matrices, _clifford_rotations, axis_angle, clifford_index,
                     clifford_products, clifford_table, target_unitary)
 from .paths import DYNAMICAL
@@ -110,29 +111,12 @@ class RBCurve:
 
 
 @lru_cache(maxsize=8)
-def _target_and_index(spec: GateSpec) -> tuple:
-    """The interleaved gate's target unitary, read-only, and its `clifford_index`."""
+def _interleaved(spec: GateSpec) -> tuple:
+    """The interleaved gate g's `clifford_index` and read-only stack g @ C_i, (24, 2, 2)."""
     g = target_unitary(spec)
-    g.flags.writeable = False
-    return g, clifford_index(g)
-
-
-@lru_cache(maxsize=8)
-def _interleaved_cliffords(spec: GateSpec) -> np.ndarray:
-    """The read-only (24, 2, 2) stack g @ C_i of the interleaved gate g after each Clifford."""
-    stack = _target_and_index(spec)[0] @ _clifford_matrices()
+    stack = g @ _clifford_matrices()
     stack.flags.writeable = False
-    return stack
-
-
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """M[k-1] @ ... @ M[0] of a (k, 2, 2) stack, as a pairwise tree of batched
-    products: each level multiplies neighbours, M[2j+1] @ M[2j], and carries an
-    odd last factor up unpaired."""
-    while len(mats) > 1:
-        pairs = mats[1::2] @ mats[:len(mats) - 1:2]
-        mats = np.concatenate([pairs, mats[-1:]]) if len(mats) % 2 else pairs
-    return mats[0]
+    return clifford_index(g), stack
 
 
 def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None, eta: float = 0.0):
@@ -153,8 +137,8 @@ def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None, eta: flo
         specs = [table[i].spec for i in drawn]
     else:
         specs = [spec for i in drawn for spec in (table[i].spec, interleaved)]
-    g, k = (None, None) if interleaved is None else _target_and_index(interleaved)
-    if g is None or k is not None:
+    k, stack = (None, None) if interleaved is None else _interleaved(interleaved)
+    if interleaved is None or k is not None:
         products = clifford_products()
         acc = 0
         for i in drawn:
@@ -162,7 +146,7 @@ def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None, eta: flo
             if k is not None:
                 acc = products[k][acc]
         return specs, table[acc].recovery
-    acc = _ordered_product(_interleaved_cliffords(interleaved)[idx])
+    (acc,), = _ordered_product((stack[idx],), _matmul)
     return specs, axis_angle(acc.conj().T, eta=eta)
 
 
@@ -183,11 +167,10 @@ def _canonical_spec(spec: GateSpec) -> GateSpec:
         return spec
 
 
-def _key(spec: GateSpec, config: RBConfig) -> tuple:
-    """Everything that sets the channel of `spec` under `config`; n_samples sets
-    none, since the engine reads the continuous control law."""
-    return (spec, config.mode, config.depolarizing, config.noise, config.omega_max,
-            config.steps)
+def _settings(config: RBConfig) -> tuple:
+    """Everything in `config` that sets a gate's channel; n_samples sets none,
+    since the engine reads the continuous control law."""
+    return config.mode, config.depolarizing, config.noise, config.omega_max, config.steps
 
 
 def _depolarizer(d: float) -> np.ndarray:
@@ -207,56 +190,55 @@ class GateCache:
       block; in "exact" mode the block is the ideal diag(e^{i gamma},
       e^{-i gamma}), followed by the depolarizer;
     - dephased: Phi(theta, phi, gamma) = (R (x) R*) Phi(theta, 0, gamma)
-      (R (x) R*)^dag with R = diag(1, e^{i phi}, 1), elementwise
-      Phi[k, l] r_k conj(r_l) for the diagonal r of R (x) R*; the engine
-      makes one first-half channel per theta and closes it per gamma.
-    Keyed on everything else that sets the channel, so one cache can serve
-    several RB runs (reference and interleaved); a repeated spec returns its
-    channel from a memo. `run_rb` asks once per distinct spec of a run and
-    stacks the channels of each position for its lock-step survivals per
-    length. Under dephasing the drive and the first halves are
-    shared by the engine (see `engine.drive_steps` and
-    `engine.first_half_channel`).
+      (R (x) R*)^dag with R = diag(1, e^{i phi}, 1), elementwise phases
+      (`engine._conjugate_by_diagonal`); the engine makes one first-half
+      channel per theta and closes it per gamma.
+    One memo per noise model: `channels(config)` is the memoized spec ->
+    channel for the config's channel settings (`_settings`), read by every
+    run on the cache with those settings: a reference run, its interleaved
+    run and `decay_rate`. The memo holds no reference to the cache, so a
+    dropped cache is freed at once, without the cycle collector.
     """
 
     def __init__(self):
-        self._channels = {}
-        self._propagated = {}
+        self._memos = {}
 
-    def channel(self, spec: GateSpec, config: RBConfig) -> np.ndarray:
-        key = _key(spec, config)
-        channel = self._channels.get(key)
-        if channel is None:
-            channel = self._channels[key] = self._build(_canonical_spec(spec), config)
-        return channel
+    def channels(self, config: RBConfig):
+        """The memoized spec -> channel of `config`'s channel settings."""
+        settings = _settings(config)
+        if settings not in self._memos:
+            self._memos[settings] = lru_cache(maxsize=None)(partial(_build_channel, config, {}))
+        return self._memos[settings]
 
-    def _build(self, spec: GateSpec, config: RBConfig) -> np.ndarray:
-        dephased = config.noise.dephased     # exact mode admits no dephasing
-        rep = replace(spec, theta=spec.theta if dephased else 0.0, phi=0.0)
-        key = _key(rep, config)
-        if key not in self._propagated:
-            self._propagated[key] = self._propagate(rep, config)
-        if dephased:
-            r = np.array([1.0, np.exp(1j * spec.phi), 1.0])
-            r = np.outer(r, r.conj()).reshape(-1)      # the diagonal of R (x) R*
-            return self._propagated[key] * np.outer(r, r.conj())
-        u = _embed(spec, *self._propagated[key])
-        lift = np.kron(u, u.conj())
-        return _depolarizer(config.depolarizing) @ lift if config.depolarizing else lift
 
-    def _propagate(self, rep: GateSpec, config: RBConfig):
-        """The representative's 9x9 channel, or the Cayley-Klein pair (a, b) of
-        its block U2 = E^dag U E when closed; in "exact" mode the ideal block,
-        since the gate is |d><d| + e^{i gamma}|b><b|."""
-        if config.mode == "exact":
-            return np.exp(1j * rep.gamma), 0j
-        sched = synthesize(rep, config.omega_max, config.n_samples)
-        if config.noise.dephased:
-            return open_superoperator(sched, config.noise, config.steps)
-        u = propagate_unitary(sched, config.noise.epsilon, config.steps, check=False).unitary
-        e = block_basis(rep)
-        block = e.conj().T @ u @ e
-        return block[0, 0], block[0, 1]
+def _build_channel(config: RBConfig, propagated: dict, spec: GateSpec) -> np.ndarray:
+    """The channel of `spec` under `config` from its representative's
+    propagation, kept in `propagated`, the representatives of these settings."""
+    spec = _canonical_spec(spec)
+    dephased = config.noise.dephased     # exact mode admits no dephasing
+    rep = replace(spec, theta=spec.theta if dephased else 0.0, phi=0.0)
+    if rep not in propagated:
+        propagated[rep] = _propagate(rep, config)
+    if dephased:
+        return _conjugate_by_diagonal(propagated[rep], np.array([1, np.exp(1j * spec.phi), 1]))
+    u = _embed(spec, *propagated[rep])
+    lift = np.kron(u, u.conj())
+    return _depolarizer(config.depolarizing) @ lift if config.depolarizing else lift
+
+
+def _propagate(rep: GateSpec, config: RBConfig):
+    """The representative's 9x9 channel, or the Cayley-Klein pair (a, b) of
+    its block U2 = E^dag U E when closed; in "exact" mode the ideal block,
+    since the gate is |d><d| + e^{i gamma}|b><b|."""
+    if config.mode == "exact":
+        return np.exp(1j * rep.gamma), 0j
+    sched = synthesize(rep, config.omega_max, config.n_samples)
+    if config.noise.dephased:
+        return open_superoperator(sched, config.noise, config.steps)
+    u = propagate_unitary(sched, config.noise.epsilon, config.steps, check=False).unitary
+    e = block_basis(rep)
+    block = e.conj().T @ u @ e
+    return block[0, 0], block[0, 1]
 
 
 def _survivals(sequences, channel, noise: NoiseModel) -> np.ndarray:
@@ -271,11 +253,16 @@ def _survivals(sequences, channel, noise: NoiseModel) -> np.ndarray:
     return noise.readout(np.real(v[:, 0, 0]))
 
 
-def decay_rate(config: RBConfig, cache: GateCache) -> float:
+def decay_rate(config: RBConfig, cache: Optional[GateCache] = None) -> float:
     """Reference RB's decay p in the limit of many sequences, with no SPAM: the
     real part of the eigenvalue of largest modulus of the 27x27 mean over the
-    Cliffords g of Phi_g (x) R_g, Phi_g the channel of g and R_g its Bloch rotation."""
-    twirl = np.mean([np.kron(cache.channel(el.spec, config), r) for el, r
+    Cliffords g of Phi_g (x) R_g, Phi_g the channel of g and R_g its Bloch
+    rotation. It reads `cache`'s one memo per noise model, which holds no
+    reference to the cache, so a run's channels serve it (see `GateCache`)."""
+    if cache is None:
+        cache = GateCache()
+    channel = cache.channels(config)
+    twirl = np.mean([np.kron(channel(el.spec), r) for el, r
                      in zip(clifford_table(config.eta), _clifford_rotations())], axis=0)
     eigenvalues = np.linalg.eigvals(twirl)
     return float(np.real(eigenvalues[np.argmax(np.abs(eigenvalues))]))
@@ -372,8 +359,7 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
     """
     if cache is None:
         cache = GateCache()
-    # the cache builds a six-field key per lookup: ask it once per distinct spec
-    channel = lru_cache(maxsize=None)(lambda spec: cache.channel(spec, config))
+    channel = cache.channels(config)
     means, stds = [], []
     for m in config.lengths:
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, int(m), j)))
@@ -399,7 +385,7 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
         # decay interpretation is approximate when the interleaved gate is
         # not itself a Clifford (e.g. T)
         metadata["interleaved_is_clifford"] = (
-            _target_and_index(config.interleaved)[1] is not None)
+            _interleaved(config.interleaved)[0] is not None)
     return RBCurve(lengths=lengths, means=means, stds=stds, a=a, p=p, b=b,
                    f_ave=average_fidelity(p), metadata=metadata)
 

@@ -1,4 +1,5 @@
-"""The summary arithmetic of tools/bench_pr.py on synthetic runs; no benchmark runs."""
+"""The summary arithmetic of tools/bench_pr.py on synthetic runs, and its runners on
+fake trees that fail; no benchmark runs."""
 import importlib.util
 import subprocess
 from pathlib import Path
@@ -123,3 +124,48 @@ def test_the_parent_is_a_plain_export_of_its_commit(tmp_path):
     assert (tree / "src" / "holopulse" / "__init__.py").is_file()
     assert not (tree / ".git").exists()
     assert bench_pr._git("worktree", "list") == worktrees
+
+
+_FAKE_RUN = '''
+import argparse, json, sys
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(flag)
+args = parser.parse_args()
+if args.seed == "102":
+    sys.exit("Traceback: the job raised")
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {"job_ref.mean": {"value": 1.0, "unit": "ref"},
+                              "accuracy_digits": {"value": 12.0, "unit": "digits"}}}))
+'''
+
+
+def test_a_failing_perfbench_run_is_listed_and_pairs_with_nothing(tmp_path, monkeypatch):
+    # the parent's run at seed 102 exits 1; the other runs still go on
+    trees = {}
+    for side, script in (("parent", _FAKE_RUN), ("change", _FAKE_RUN.replace("102", "-1"))):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(script)
+        trees[side] = tmp_path / side
+    monkeypatch.setattr(bench_pr, "PAIRS", 3)
+    runs, traced, failed = bench_pr.bench_runs(trees, ["sweep"], 0.1)
+    assert len(runs) == 5 and len(traced) == 2
+    assert [(f["seed"], f["side"], f["trace"], f["exit"]) for f in failed] == [
+        (102, "parent", 0, 1)]
+    assert failed[0]["stderr"].strip() == "Traceback: the job raised"
+    assert bench_pr.summarize(runs, METRICS)["sweep"]["pairs"] == 2
+
+
+def test_a_cli_job_that_raises_writes_its_type_and_the_next_job_runs(tmp_path):
+    package = tmp_path / "tree" / "src" / "holopulse"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "def main(argv):\n"
+        "    if argv[0] == 'bad':\n"
+        "        raise ZeroDivisionError('a job that raises')\n"
+        "    return 0\n")
+    jobs = [("w/0_bad", "bad", {}, 1), ("w/1_rb", "rb", {}, 1)]
+    bench_pr.run_jobs(tmp_path / "tree", tmp_path / "out", jobs)
+    assert (tmp_path / "out" / "w" / "0_bad.exit").read_text() == "ZeroDivisionError\n"
+    assert (tmp_path / "out" / "w" / "1_rb.exit").read_text() == "0\n"

@@ -280,6 +280,9 @@ def test_step_validation():
         propagate_unitary(sched, steps=256)    # below schedule resolution
     with pytest.raises(ValueError):
         propagate_unitary(sched, steps=1025)
+    for steps in (0, -2):       # no step of the first segment to make
+        with pytest.raises(ValueError):
+            survival_probability(sched, 0.01, steps)
 
 
 def _lindblad_dissipator(noise):

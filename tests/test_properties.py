@@ -314,7 +314,7 @@ def test_cached_channel_matches_a_direct_propagation(spec, eta, dephased):
     else:
         u = propagate_unitary(sched, noise.epsilon, STEPS, check=False).unitary
         direct = np.kron(u, u.conj())
-    assert np.max(np.abs(GateCache().channel(spec, cfg) - direct)) <= 1e-13
+    assert np.max(np.abs(GateCache().channels(cfg)(spec) - direct)) <= 1e-13
 
 
 @few
@@ -404,8 +404,9 @@ def test_sequence_average_decays_at_the_spectral_rates(eta, epsilon, dephased):
                                              gamma_0a=rates[1]),
                    n_samples=256, steps=STEPS)
     cache, table = GateCache(), clifford_table(eta)
-    channels = np.stack([cache.channel(el.spec, cfg) for el in table])
-    recoveries = np.stack([cache.channel(el.recovery, cfg) for el in table])
+    memo = cache.channels(cfg)
+    channels = np.stack([memo(el.spec) for el in table])
+    recoveries = np.stack([memo(el.recovery) for el in table])
     products = np.array(clifford_products())
     state = np.zeros((len(table), 9), dtype=complex)
     state[0, 0] = 1.0       # |0><0| before the first gate, the identity so far

@@ -1,4 +1,7 @@
+import gc
 import tracemalloc
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -41,7 +44,8 @@ def test_build_sequence_interleaved_inverts():
 def test_pairwise_recovery_product_matches_the_sequential_one(interleaved):
     # the ordered product of the stacked g @ C_i at the drawn indices, taken
     # as a tree of pairs, against g @ (C_i @ acc) accumulated gate by gate
-    g, k = rbench._target_and_index(interleaved)
+    g = target_unitary(interleaved)
+    k, stack = rbench._interleaved(interleaved)
     assert k is None        # a non-Clifford: its recovery takes the product
     matrices = [el.matrix for el in clifford_table()]
     rng = np.random.default_rng(11)
@@ -50,7 +54,7 @@ def test_pairwise_recovery_product_matches_the_sequential_one(interleaved):
         acc = np.eye(2, dtype=complex)
         for i in idx:
             acc = g @ (matrices[i] @ acc)
-        pairwise = rbench._ordered_product(rbench._interleaved_cliffords(interleaved)[idx])
+        (pairwise,), = engine._ordered_product((stack[idx],), engine._matmul)
         assert np.max(np.abs(pairwise - acc)) <= 1e-14
 
 
@@ -59,11 +63,7 @@ def test_a_lock_step_survival_does_not_depend_on_its_batch():
                        detection_error_bright=0.02, detection_error_dark=0.03)
     cfg = RBConfig(eta=0.2, noise=noise, n_samples=256, steps=512,
                    interleaved=named_gate("T", eta=0.2))
-    cache = GateCache()
-
-    def channel(spec):
-        return cache.channel(spec, cfg)
-
+    channel = GateCache().channels(cfg)
     sequences = [build_sequence(6, np.random.default_rng(j), cfg.interleaved, cfg.eta)
                  for j in range(5)]
     batch = rbench._survivals(sequences, channel, noise)
@@ -228,7 +228,10 @@ def test_config_validation():
                                             detection_error_dark=0.03))    # SPAM is read
 
 
-def test_shared_cache_matches_separate_runs():
+def test_shared_cache_matches_separate_runs(monkeypatch):
+    built, sequences = [], []
+    monkeypatch.setattr(rbench, "_build_channel", _recording(rbench._build_channel, built, 2))
+    monkeypatch.setattr(rbench, "build_sequence", _recording(rbench.build_sequence, sequences))
     noise = dephasing_from_t2(20e-3, 200e-3)
     ref_cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=3, seed=4, eta=0.2,
                        noise=noise, n_samples=256, steps=512)
@@ -236,19 +239,44 @@ def test_shared_cache_matches_separate_runs():
                        noise=noise, n_samples=256, steps=512,
                        interleaved=named_gate("T", eta=0.2))
     cache = GateCache()
-    shared = [run_rb(ref_cfg, cache), run_rb(int_cfg, cache)]
-    separate = [run_rb(ref_cfg), run_rb(int_cfg)]
-    for a, b in zip(shared, separate):
+    shared = [run_rb(ref_cfg, cache), decay_rate(ref_cfg, cache), run_rb(int_cfg, cache)]
+    # one memo for both runs and decay_rate, which builds each distinct spec once
+    assert cache.channels(ref_cfg) is cache.channels(int_cfg)
+    specs = {s for specs, recovery in sequences for s in specs + [recovery]}
+    specs |= {el.spec for el in clifford_table(0.2)}
+    assert Counter(built) == Counter(specs)
+    separate = [run_rb(ref_cfg), decay_rate(ref_cfg), run_rb(int_cfg)]
+    assert shared[1] == separate[1]
+    for a, b in zip(shared[::2], separate[::2]):
         assert np.array_equal(a.means, b.means) and a.p == b.p
     # the shared cache returns what a fresh propagation gives, whatever changed
     spec = named_gate("X", eta=0.2)
     for changed in (dict(noise=NoiseModel(gamma_1a=1.0)), dict(steps=1024),
                     dict(omega_max=0.5 * ref_cfg.omega_max), dict(n_samples=512)):
         cfg = replace(ref_cfg, **changed)
-        assert np.array_equal(cache.channel(spec, cfg), GateCache().channel(spec, cfg))
-        if "n_samples" not in changed:     # the others change the channel
-            assert not np.array_equal(cache.channel(spec, cfg),
-                                      cache.channel(spec, ref_cfg))
+        assert np.array_equal(cache.channels(cfg)(spec), GateCache().channels(cfg)(spec))
+        if "n_samples" in changed:      # sets no channel: the memo is shared
+            assert cache.channels(cfg) is cache.channels(ref_cfg)
+        else:                           # the others change the channel, in a memo of their own
+            assert cache.channels(cfg) is not cache.channels(ref_cfg)
+            assert not np.array_equal(cache.channels(cfg)(spec),
+                                      cache.channels(ref_cfg)(spec))
+
+
+def test_a_dropped_cache_is_freed_without_the_collector():
+    # a memo that closed over its cache would keep the cache in a reference
+    # cycle until a full collection, and every run's channels with it
+    cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=2, mode="exact", depolarizing=0.02)
+    gc.disable()
+    try:
+        cache = GateCache()
+        run_rb(cfg, cache)
+        decay_rate(cfg, cache)
+        dropped = weakref.ref(cache)
+        del cache
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_cached_channel_depends_on_key_only():
@@ -259,17 +287,19 @@ def test_cached_channel_depends_on_key_only():
     theta = 0.9553166181245093
     a = GateSpec(theta, np.pi / 4.0, 2.0 * np.pi / 3.0, 0.2)
     b = replace(a, theta=np.nextafter(theta, 0.0))
-    assert np.array_equal(GateCache().channel(a, cfg), GateCache().channel(b, cfg))
+    assert np.array_equal(GateCache().channels(cfg)(a), GateCache().channels(cfg)(b))
     d = GateSpec.dynamical(theta, 0.3, 0.2)
     e = GateSpec.dynamical(np.nextafter(theta, 0.0), 0.3, 0.2)
     closed = replace(cfg, noise=NoiseModel(epsilon=0.05))
-    assert np.array_equal(GateCache().channel(d, closed), GateCache().channel(e, closed))
+    assert np.array_equal(GateCache().channels(closed)(d), GateCache().channels(closed)(e))
 
 
-def _recording(fn, results):
+def _recording(fn, results, arg=None):
+    """`fn`, appending each result to `results`, or argument `arg` when given."""
     def recorded(*args, **kwargs):
-        results.append(fn(*args, **kwargs))
-        return results[-1]
+        result = fn(*args, **kwargs)
+        results.append(result if arg is None else args[arg])
+        return result
     return recorded
 
 
@@ -326,7 +356,7 @@ def test_gate_caches_share_one_drive(monkeypatch):
     monkeypatch.setattr(engine, "controls_arrays", _recording(engine.controls_arrays, calls))
     cfg = RBConfig(eta=0.2, noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
     for cache in (GateCache(), GateCache()):
-        cache.channel(named_gate("X", eta=0.2), cfg)
+        cache.channels(cfg)(named_gate("X", eta=0.2))
     assert len(calls) == 2
 
 
@@ -343,7 +373,7 @@ def test_the_drive_memo_stays_bounded_across_epsilons(monkeypatch):
 
     def peak_after(epsilons):
         for eps in epsilons:
-            cache.channel(spec, replace(cfg, noise=replace(cfg.noise, epsilon=eps)))
+            cache.channels(replace(cfg, noise=replace(cfg.noise, epsilon=eps)))(spec)
         return tracemalloc.get_traced_memory()[1]
 
     tracemalloc.start()
@@ -366,7 +396,7 @@ def test_a_cache_holds_no_drive_that_grows_with_steps():
         tracemalloc.start()
         try:
             for name in ("X", "H"):
-                cache.channel(named_gate(name, eta=0.2), cfg)
+                cache.channels(cfg)(named_gate(name, eta=0.2))
             return tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
@@ -379,9 +409,9 @@ def test_no_gate_can_corrupt_a_shared_drive_block():
     specs = [named_gate(name, eta=0.2) for name in ("X", "H", "T", "S")]
     specs += [GateSpec(1.0, 0.3, -2.0, 0.2), GateSpec.dynamical(1.1, 0.4, 0.3)]
     forward, backward = GateCache(), GateCache()
-    ahead = [forward.channel(spec, cfg) for spec in specs]
+    ahead = [forward.channels(cfg)(spec) for spec in specs]
     engine.first_half_channel.cache_clear()     # the backward run reads the drive again
-    behind = [backward.channel(spec, cfg) for spec in reversed(specs)][::-1]
+    behind = [backward.channels(cfg)(spec) for spec in reversed(specs)][::-1]
     assert all(np.array_equal(x, y) for x, y in zip(ahead, behind))
     # the block the channels share: the first half's 256 steps, from the memo
     hits = engine.drive_steps.cache_info().hits

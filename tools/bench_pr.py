@@ -15,7 +15,10 @@ run of TRACED_SECONDS per side at seed 1. Next it runs jobs
 each output file as identical, moved (with its largest numeric change) or
 differing. It writes BENCH_<N>.json: every run's final JSON
 line, a summary per workload and end-to-end metric (`summarize`), and the
-output diff.
+output diff. A perfbench run that exits non-zero is listed with its exit code
+and the tail of its stderr, and its seed pairs with nothing; a CLI job that
+raises writes the exception's type name as its exit code. Either way the
+comparison goes on.
 
 Runs are sequential, one process at a time, with BLAS at one thread.
 """
@@ -42,6 +45,7 @@ FIRST_SEED = 101
 OUTPUT_JOBS = 8
 OUTPUT_SEEDS = (1, 2)
 TRACED_SECONDS = 2.0
+STDERR_TAIL = 2000      # characters of a failed run's stderr kept in the report
 # a gain needs this share of the pairs won (ties count for neither side)
 WIN_SHARE = 0.9
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf", re.IGNORECASE)
@@ -55,8 +59,9 @@ CRITERION_9 = (
 )
 
 # Runs one tree's CLI on the jobs read as JSON from stdin: argv is the tree's
-# src and the output root. Each call's config and exit code are written
-# beside its output directory, so the diff compares them too.
+# src and the output root. Each call's config and exit code, or the type name
+# of what it raised, are written beside its output directory, so the diff
+# compares them too.
 _JOB_RUNNER = r"""
 import json, sys
 from pathlib import Path
@@ -68,7 +73,10 @@ for name, command, cfg, seed in json.load(sys.stdin):
     out.parent.mkdir(parents=True, exist_ok=True)
     cfg_path = out.parent / f"{out.name}.json"
     cfg_path.write_text(json.dumps(cfg, sort_keys=True), encoding="utf-8")
-    rc = cli.main([command, "--config", str(cfg_path), "--seed", str(seed), "--out", str(out)])
+    try:
+        rc = cli.main([command, "--config", str(cfg_path), "--seed", str(seed), "--out", str(out)])
+    except Exception as exc:
+        rc = type(exc).__name__
     (out.parent / f"{out.name}.exit").write_text(f"{rc}\n", encoding="utf-8")
 """
 
@@ -183,12 +191,40 @@ def _env():
 
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The final JSON line of one perfbench run in `tree`."""
+    """One perfbench run in `tree`: {"printed": its final JSON line}, or
+    {"exit": its exit code, "stderr": the last STDERR_TAIL characters of its
+    stderr} when it exits non-zero."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, env=_env(), capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        cwd=tree, env=_env(), capture_output=True, text=True)
+    if proc.returncode:
+        return {"exit": proc.returncode, "stderr": proc.stderr[-STDERR_TAIL:]}
+    return {"printed": json.loads(proc.stdout.strip().splitlines()[-1])}
+
+
+def bench_runs(trees: dict, workloads, seconds: float):
+    """(runs, traced, failed): the PAIRS pairs of `--trace 0` runs of `seconds`
+    per workload, the parent first on odd seeds, then one `--trace 1` run of
+    TRACED_SECONDS per side and workload at seed 1. A run that exits non-zero
+    goes to `failed` with its exit code and stderr tail, not to its list."""
+    runs, traced, failed = [], [], []
+
+    def run(into, workload, seed, side, seconds, trace):
+        _log(f"trace {trace}: {workload} seed {seed} {side}")
+        record = {"workload": workload, "seed": seed, "side": side, "trace": trace,
+                  **bench_run(trees[side], workload, seed, seconds, trace)}
+        (into if "printed" in record else failed).append(record)
+
+    for i in range(PAIRS):
+        seed = FIRST_SEED + i
+        for workload in workloads:
+            for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+                run(runs, workload, seed, side, seconds, 0)
+    for workload in workloads:
+        for side in ("parent", "change"):
+            run(traced, workload, 1, side, TRACED_SECONDS, 1)
+    return runs, traced, failed
 
 
 def output_jobs(workloads):
@@ -249,22 +285,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench_pr_") as tmp:
         parent_tree = export_tree(parent_rev, Path(tmp) / "parent")
         trees = {"parent": parent_tree, "change": ROOT}
-        runs, traced = [], []
-        for i in range(PAIRS):
-            seed = FIRST_SEED + i
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for workload in args.workloads:
-                for side in order:
-                    _log(f"trace 0: {workload} seed {seed} {side}")
-                    runs.append({"workload": workload, "seed": seed, "side": side,
-                                 "printed": bench_run(trees[side], workload, seed,
-                                                      args.seconds, 0)})
-        for workload in args.workloads:
-            for side in ("parent", "change"):
-                _log(f"trace 1: {workload} {side}")
-                traced.append({"workload": workload, "seed": 1, "side": side,
-                               "printed": bench_run(trees[side], workload, 1,
-                                                    TRACED_SECONDS, 1)})
+        runs, traced, failed = bench_runs(trees, args.workloads, args.seconds)
         outs = {side: Path(tmp) / f"out_{side}" for side in trees}
         jobs = output_jobs(args.workloads)
         for side, tree in trees.items():
@@ -281,7 +302,8 @@ def main(argv=None):
             f"commit and this change: {PAIRS} seeds ({FIRST_SEED}-"
             f"{FIRST_SEED + PAIRS - 1}) per workload, the parent first on odd "
             f"seeds; then one --trace 1 --seconds {TRACED_SECONDS:g} run per side "
-            f"and workload at seed 1. 'printed' is the final JSON line of each run. "
+            f"and workload at seed 1. 'printed' is the final JSON line of each run; "
+            f"'failed_runs' lists the runs that exited non-zero, which pair with nothing. "
             f"Outputs: jobs 0-{OUTPUT_JOBS - 1} of each workload at seeds "
             f"{', '.join(map(str, OUTPUT_SEEDS))} and criterion 9's qpt and sweep "
             f"configs at seed 7, run in both trees."),
@@ -289,6 +311,7 @@ def main(argv=None):
         "host": host,
         "runs": runs,
         "traced": traced,
+        "failed_runs": failed,
         "summary": summarize(runs, args.end_to_end),
         "outputs": {"jobs": OUTPUT_JOBS, "seeds": list(OUTPUT_SEEDS),
                     "counts": {s: statuses.count(s) for s in sorted(set(statuses))},
@@ -302,6 +325,9 @@ def main(argv=None):
                  f"change {m['change']['median']:.6g} won {m['won']}/{entry['pairs']}"
                  f"{' BEYOND BOUND' if m['beyond_bound'] else ''}"
                  f"{' gain' if m['gain'] else ''}")
+    for run in failed:
+        _log(f"FAILED: {run['workload']} seed {run['seed']} {run['side']} "
+             f"trace {run['trace']}: exit {run['exit']}")
     _log(f"outputs: {report['outputs']['counts']}; wrote {path.name}")
 
 
