@@ -24,7 +24,7 @@ The loop is its own mirror, so every kernel makes only its first half
 half is U2 = D U1^dag D^dag with D = diag(1, e^{-i gamma}) on (|b>, |a>); on
 the dynamical path c(T - t) = c(t)*, so U2 = U1^T. The CF4 step, the Strang
 splitting and the Richardson combination are symmetric in time, so this
-holds step by step in the discrete kernels too (`cf4_loop`). On the qutrit,
+holds step by step in the discrete kernels too (`_loop_block`). On the qutrit,
 D is P = diag(1, 1, e^{-i gamma}), and the transpose is conjugated by
 R = diag(1, e^{2i phi}, 1). Both commute with the dissipator, so the second
 half's channel is P^ (T Phi1^T T) P^dag or R^ Phi1^T R^dag, with T the
@@ -45,21 +45,29 @@ x_i x_j (x_0 = 1) and K a real 14 x 81 matrix built once per gate from |b>
 (n x 14) @ (14 x 81) product (`_strang_steps`).
 
 On [0, T/2] both paths have sign = 1 and no phase jump, so c depends on eta
-and omega_max alone, and theta enters a channel only through K. The CF4
-pairs of that half are the open kernel's "drive" (`drive_steps`), a pure
-function of (eta, omega_max, epsilon, steps, block) memoized for its last
-two blocks (0.8 MB) in the process. The memo shares the drive of a one-block
-run (up to 2 `_OPEN_BLOCK` steps of the loop) between every gate at one eta,
-holonomic or dynamical, as RB's Cliffords and interleaved gate, and that of
-a two-block run within one; above two blocks every channel makes its own.
-
-Neither gamma nor the scheme enters the first half, so its channel Phi1
-(`first_half_channel`) is a pure function of (theta, phi, eta, omega_max,
-epsilon, gamma_1a, gamma_0a, steps), memoized for its last 128 keys (about
-1.7 kB each with its key, 0.2 MB) in the process: every gamma of one theta,
-as RB's gates under dephasing, makes Phi1 once and closes it by
-`_loop_channel`. A default dephased RB run, reference and interleaved T and
-its `decay_rate`, makes 87 to 98 of them (RB seeds 0 to 5).
+and omega_max alone: the first half is the same for every gate at one eta,
+whatever theta, phi, gamma or scheme, and theta enters an open channel only
+through K. Three memos in the process make what the gates share once; each
+is a pure function of its key and hands out read-only arrays:
+- `first_half_block`, the closed first half's pair (a, b) at (eta,
+  omega_max, epsilon, steps), epsilon a float or, for a batch, a tuple: its
+  last 16 keys, about 1.1 kB each with a scalar epsilon and 64 B more per
+  point of a batch (0.6 MB for the CLI's largest grid, 10^4 points).
+  `propagate_unitary` and `survival_probability` read it, so a closed RB run
+  makes one first half and closes it per gate (`_loop_block`).
+- `drive_steps`, the open kernel's "drive": the CF4 pairs of the half steps
+  and full steps of one block of that half at (eta, omega_max, epsilon,
+  steps, block), for its last two blocks (0.8 MB). It shares the drive of a
+  one-block run (up to 2 `_OPEN_BLOCK` steps of the loop) between every gate
+  at one eta, holonomic or dynamical, as RB's Cliffords and interleaved
+  gate, and that of a two-block run within one; above two blocks every
+  channel makes its own.
+- `first_half_channel`, the first half's channel Phi1 at (theta, phi, eta,
+  omega_max, epsilon, gamma_1a, gamma_0a, steps), for its last 128 keys
+  (about 1.7 kB each with its key, 0.2 MB): every gamma of one theta, as
+  RB's gates under dephasing, makes Phi1 once and closes it by
+  `_loop_channel`. A default dephased RB run, reference and interleaved T
+  and its `decay_rate`, makes 87 to 98 of them (RB seeds 0 to 5).
 
 The coupling is evaluated from the schedule's continuous-time control law;
 its sample table is only the export artifact. Basis order everywhere:
@@ -281,16 +289,39 @@ def cf4(coupling: Callable[[np.ndarray], np.ndarray], t1: float, steps: int, sca
     return a[0], b[0]
 
 
-def cf4_loop(spec, coupling: Callable[[np.ndarray], np.ndarray], duration: float,
-             steps: int, scale=1.0) -> tuple:
-    """`cf4` over the loop [0, duration] of the gate `spec` in `steps` steps,
-    made from the steps/2 steps (a, b) of its first half: the second half is
-    (a*, -b e^{i gamma}) when holonomic, (a, -b*) when dynamical. A holonomic
-    `coupling` may carry a constant phase."""
-    a, b = cf4(coupling, duration / 2.0, steps // 2, scale)
+def _loop_block(spec, a, b) -> tuple:
+    """(a, b) of the loop of the gate `spec` from the pair (a, b) of its first
+    half: the second half is (a*, -b e^{i gamma}) when holonomic, (a, -b*)
+    when dynamical."""
     if spec.scheme == DYNAMICAL:
         return _ck_product((a, -np.conj(b)), (a, b))
     return _ck_product((np.conj(a), -np.exp(1j * spec.gamma) * b), (a, b))
+
+
+def cf4_loop(spec, coupling: Callable[[np.ndarray], np.ndarray], duration: float,
+             steps: int, scale=1.0) -> tuple:
+    """`cf4` over the loop [0, duration] of the gate `spec` in `steps` steps,
+    made from the steps/2 steps of its first half and closed by `_loop_block`.
+    A holonomic `coupling` may carry a constant phase."""
+    return _loop_block(spec, *cf4(coupling, duration / 2.0, steps // 2, scale))
+
+
+@lru_cache(maxsize=16)
+def first_half_block(eta: float, omega_max: float, epsilon, steps: int) -> tuple:
+    """The Cayley-Klein pair (a, b) of the first half [0, T/2] of every gate
+    at eta, either scheme and any (theta, phi, gamma), at peak Rabi rate
+    omega_max, amplitude error epsilon and `steps` steps over [0, T]: `cf4`
+    over its steps/2 steps. `epsilon` is a float, or a tuple for a batch,
+    whose pair has shape (n,): a 1-tuple rounds as a batch, not as the float.
+    The arrays are read-only, so the memo hands one pair to every gate."""
+    spec = GateSpec(0.0, 0.0, 0.0, eta)
+    duration = compute_duration(spec, omega_max)
+    pair = cf4(partial(_coupling, spec, duration), duration / 2.0, steps // 2,
+               1.0 + np.asarray(epsilon, dtype=float))
+    for x in pair:
+        if x.flags.writeable:       # a batch; a numpy scalar is read-only
+            x.flags.writeable = False
+    return pair
 
 
 def check_steps(steps: int, n_samples: int):
@@ -306,32 +337,36 @@ def check_steps(steps: int, n_samples: int):
 def propagate_unitary(schedule: PulseSchedule, epsilon: Union[float, np.ndarray] = 0.0,
                       steps: int = DEFAULT_STEPS,
                       check: bool = True) -> PropagationResult:
-    """Closed-system propagator over the full cycle [0, T] (`cf4_loop`).
+    """Closed-system propagator over the full cycle [0, T]: the first half
+    (`first_half_block`, from its memo when another gate at eta made it),
+    closed by `_loop_block`.
 
-    `epsilon` is a scalar or a 1-D array; an array propagates every point in
-    one pass and returns `unitary` of shape (n, 3, 3) with per-point
+    `epsilon` is a scalar or a non-empty 1-D array; an array propagates every
+    point in one pass and returns `unitary` of shape (n, 3, 3) with per-point
     `truncation_error` and `converged` arrays. With check=True a pass at
     2 * (steps // 4) steps, steps // 4 over each half, estimates the
     truncation error; an estimate above 1e-6 is flagged (converged=False),
     never silently.
     """
     eps = np.asarray(epsilon, dtype=float)
-    if eps.ndim > 1:
-        raise ValueError(f"epsilon must be a scalar or a 1-D array, got shape {eps.shape}")
+    if eps.ndim > 1 or eps.size == 0:
+        raise ValueError(f"epsilon must be a scalar or a non-empty 1-D array, "
+                         f"got shape {eps.shape}")
     check_steps(steps, schedule.n_samples)
     if check and steps < 4:
         raise ValueError(f"the truncation check needs steps >= 4, got {steps}")
 
-    coupling = partial(_coupling, schedule.spec, schedule.duration)
+    spec = schedule.spec
+    key = float(eps) if eps.ndim == 0 else tuple(eps.tolist())
 
-    def block(n):
-        return cf4_loop(schedule.spec, coupling, schedule.duration, n, 1.0 + eps)
+    def unitary(n):
+        first = first_half_block(spec.eta, schedule.omega_max, key, n)
+        return _embed(spec, *_loop_block(spec, *first))
 
-    u = _embed(schedule.spec, *block(steps))
+    u = unitary(steps)
     err = np.zeros(eps.shape)
     if check:
-        u_coarse = _embed(schedule.spec, *block(2 * (steps // 4)))
-        err = np.max(np.abs(u - u_coarse), axis=(-2, -1))
+        err = np.max(np.abs(u - unitary(2 * (steps // 4))), axis=(-2, -1))
     converged = err < 1e-6
     if eps.ndim == 0:
         err, converged = float(err), bool(converged)
@@ -341,11 +376,12 @@ def propagate_unitary(schedule: PulseSchedule, epsilon: Union[float, np.ndarray]
 
 def survival_probability(schedule: PulseSchedule, epsilon: float,
                          steps: int = DEFAULT_STEPS // 2) -> float:
-    """|<psi_0(T/2)|psi_eps(T/2)>|^2 for evolution of |b> over the first segment."""
+    """|<psi_0(T/2)|psi_eps(T/2)>|^2 for evolution of |b> over the first
+    segment in `steps` steps, from the first half's memo (`first_half_block`)."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    a, b = cf4(partial(_coupling, schedule.spec, schedule.duration), schedule.duration / 2.0,
-               steps, np.array([1.0, 1.0 + epsilon]))
+    a, b = first_half_block(schedule.spec.eta, schedule.omega_max, (0.0, float(epsilon)),
+                            2 * steps)
     # |b> is the first block basis vector, mapped to (a, -b*); E preserves
     # inner products
     overlap = np.conj(a[0]) * a[1] + b[0] * np.conj(b[1])

@@ -18,11 +18,12 @@ stream, advance together as one stack of vec(rho), multiplied at each
 position by the stacked channels of that position. The cache keeps one
 memo per noise model, which builds each distinct spec's channel once for
 every run on that model: a reference run, its interleaved run and
-`decay_rate` share their common gates. It propagates only what the pulses
-tell apart: one block per gamma when closed, one first-half channel per
-theta, closed per gamma, under dephasing, where the channels also share
-the gate-independent CF4 steps and each theta's first-half channel through
-the engine's memos (see `engine.drive_steps` and `engine.first_half_channel`).
+`decay_rate` share their common gates. A channel is one engine call,
+`propagate_unitary` when closed and `open_superoperator` under dephasing;
+what the pulses do not tell apart, the engine's memos make once: the closed
+first half at eta (`engine.first_half_block`), the open kernel's CF4 drive
+(`engine.drive_steps`) and each theta's first-half channel
+(`engine.first_half_channel`).
 
 Decay curves are fitted to F = A p^m + B by least squares over p in (0, 1],
 with A and B solved linearly at each p (variable projection, numpy alone),
@@ -41,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import (NoiseModel, _conjugate_by_diagonal, _embed, _matmul, _ordered_product,
-                     block_basis, check_steps, open_superoperator, propagate_unitary)
+                     check_steps, open_superoperator, propagate_unitary)
 from .gates import (_clifford_matrices, _clifford_rotations, axis_angle, clifford_index,
                     clifford_products, clifford_table, target_unitary)
 from .paths import DYNAMICAL
@@ -182,17 +183,16 @@ def _depolarizer(d: float) -> np.ndarray:
 class GateCache:
     """Per-gate channels: 9x9 superoperators on row-major vec(rho).
 
-    One propagation serves every gate that differs from its representative,
-    the canonical spec at phi = 0, only by an exact symmetry:
-    - closed: the block U2 = E^dag U E depends on (gamma, eta, scheme) and
-      epsilon alone, so the representative also has theta = 0, and each gate
-      is the lift U (x) U* of the embedding U = |d><d| + E U2 E^dag of its
-      block; in "exact" mode the block is the ideal diag(e^{i gamma},
-      e^{-i gamma}), followed by the depolarizer;
+    Each distinct spec's channel is built once per memo, from its canonical
+    spec (`_build_channel`):
+    - closed: the lift U (x) U* of its propagated unitary, whose first half
+      the engine makes once for every gate at eta (`engine.first_half_block`);
+      in "exact" mode U is the ideal gate |d><d| + e^{i gamma}|b><b|,
+      followed by the depolarizer;
     - dephased: Phi(theta, phi, gamma) = (R (x) R*) Phi(theta, 0, gamma)
       (R (x) R*)^dag with R = diag(1, e^{i phi}, 1), elementwise phases
-      (`engine._conjugate_by_diagonal`); the engine makes one first-half
-      channel per theta and closes it per gamma.
+      (`engine._conjugate_by_diagonal`), so that every phi of a theta reads
+      the one first-half channel the engine makes and closes per gamma.
     One memo per noise model: `channels(config)` is the memoized spec ->
     channel for the config's channel settings (`_settings`), read by every
     run on the cache with those settings: a reference run, its interleaved
@@ -207,38 +207,25 @@ class GateCache:
         """The memoized spec -> channel of `config`'s channel settings."""
         settings = _settings(config)
         if settings not in self._memos:
-            self._memos[settings] = lru_cache(maxsize=None)(partial(_build_channel, config, {}))
+            self._memos[settings] = lru_cache(maxsize=None)(partial(_build_channel, config))
         return self._memos[settings]
 
 
-def _build_channel(config: RBConfig, propagated: dict, spec: GateSpec) -> np.ndarray:
-    """The channel of `spec` under `config` from its representative's
-    propagation, kept in `propagated`, the representatives of these settings."""
+def _build_channel(config: RBConfig, spec: GateSpec) -> np.ndarray:
+    """The channel of `spec`, rounded to its canonical spec, under `config`
+    (see `GateCache`)."""
     spec = _canonical_spec(spec)
-    dephased = config.noise.dephased     # exact mode admits no dephasing
-    rep = replace(spec, theta=spec.theta if dephased else 0.0, phi=0.0)
-    if rep not in propagated:
-        propagated[rep] = _propagate(rep, config)
-    if dephased:
-        return _conjugate_by_diagonal(propagated[rep], np.array([1, np.exp(1j * spec.phi), 1]))
-    u = _embed(spec, *propagated[rep])
+    if config.noise.dephased:       # exact mode admits no dephasing
+        sched = synthesize(replace(spec, phi=0.0), config.omega_max, config.n_samples)
+        return _conjugate_by_diagonal(open_superoperator(sched, config.noise, config.steps),
+                                      np.array([1, np.exp(1j * spec.phi), 1]))
+    if config.mode == "exact":
+        u = _embed(spec, np.exp(1j * spec.gamma), 0j)
+    else:
+        sched = synthesize(spec, config.omega_max, config.n_samples)
+        u = propagate_unitary(sched, config.noise.epsilon, config.steps, check=False).unitary
     lift = np.kron(u, u.conj())
     return _depolarizer(config.depolarizing) @ lift if config.depolarizing else lift
-
-
-def _propagate(rep: GateSpec, config: RBConfig):
-    """The representative's 9x9 channel, or the Cayley-Klein pair (a, b) of
-    its block U2 = E^dag U E when closed; in "exact" mode the ideal block,
-    since the gate is |d><d| + e^{i gamma}|b><b|."""
-    if config.mode == "exact":
-        return np.exp(1j * rep.gamma), 0j
-    sched = synthesize(rep, config.omega_max, config.n_samples)
-    if config.noise.dephased:
-        return open_superoperator(sched, config.noise, config.steps)
-    u = propagate_unitary(sched, config.noise.epsilon, config.steps, check=False).unitary
-    e = block_basis(rep)
-    block = e.conj().T @ u @ e
-    return block[0, 0], block[0, 1]
 
 
 def _survivals(sequences, channel, noise: NoiseModel) -> np.ndarray:

@@ -113,7 +113,7 @@ def test_the_output_jobs_end_with_criterion_9s_configs():
                                               ("criterion9/sweep", "sweep")]
 
 
-def test_the_parent_is_a_plain_export_of_its_commit(tmp_path):
+def test_the_parent_is_a_plain_export_of_its_commit(tmp_path, monkeypatch):
     # git archive | tar -x: the commit's files, with no .git and no new worktree
     try:
         head = bench_pr._git("rev-parse", "HEAD")
@@ -124,6 +124,35 @@ def test_the_parent_is_a_plain_export_of_its_commit(tmp_path):
     assert (tree / "src" / "holopulse" / "__init__.py").is_file()
     assert not (tree / ".git").exists()
     assert bench_pr._git("worktree", "list") == worktrees
+    # the change is exported the same way: its tracked files as they stand,
+    # an uncommitted edit, a staged file and a deletion included, and nothing
+    # untracked; the tree, the index and the stash stay as they were
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@localhost",
+                               *args], cwd=repo, capture_output=True, text=True,
+                              check=True).stdout
+
+    git("init", "-q")
+    (repo / "edited.py").write_text("committed\n")
+    (repo / "deleted.py").write_text("committed\n")
+    git("add", ".")
+    git("commit", "-q", "-m", "base")
+    monkeypatch.setattr(bench_pr, "ROOT", repo)
+    clean = bench_pr.export_tree(bench_pr.working_tree_rev(), tmp_path / "clean")
+    assert sorted(p.name for p in clean.iterdir()) == ["deleted.py", "edited.py"]
+    (repo / "edited.py").write_text("uncommitted\n")
+    (repo / "deleted.py").unlink()
+    (repo / "staged.py").write_text("staged\n")
+    git("add", "staged.py")
+    (repo / "untracked.py").write_text("untracked\n")
+    status = git("status", "--porcelain")
+    change = bench_pr.export_tree(bench_pr.working_tree_rev(), tmp_path / "change")
+    assert sorted(p.name for p in change.iterdir()) == ["edited.py", "staged.py"]
+    assert (change / "edited.py").read_text() == "uncommitted\n"
+    assert git("status", "--porcelain") == status and git("stash", "list") == ""
 
 
 _FAKE_RUN = '''

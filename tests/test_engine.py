@@ -10,7 +10,8 @@ from holopulse import engine
 from holopulse.engine import (_CF4_A, _GAUSS_C, NoiseModel, _blockwise, _cf4_steps,
                               _ck_product, _coupling, _dephasing_rates, _embed,
                               _lift_coefficients, _strang_steps, _su2_step, bright_state,
-                              cf4, dephasing_from_t2, drive_steps, first_half_channel,
+                              cf4, dephasing_from_t2, drive_steps, first_half_block,
+                              first_half_channel,
                               open_superoperator, propagate_unitary, survival_probability,
                               trace_defect)
 from holopulse.gates import target_unitary
@@ -175,6 +176,9 @@ def test_epsilon_batch_shapes():
     assert isinstance(one.truncation_error, float) and isinstance(one.converged, bool)
     with pytest.raises(ValueError):
         propagate_unitary(sched, np.zeros((2, 2)), 512)
+    # an empty grid raised ZeroDivisionError from cf4's block size
+    with pytest.raises(ValueError, match="non-empty"):
+        propagate_unitary(sched, np.zeros(0), 512)
 
 
 def test_gate_fidelity_closed():
@@ -403,7 +407,8 @@ def test_multi_block_kernels_match_one_block(monkeypatch):
     one_open = open_superoperator(sched, noise, steps)
     monkeypatch.setattr(engine, "_CLOSED_BLOCK", 21 * 100)     # 64-step blocks
     monkeypatch.setattr(engine, "_OPEN_BLOCK", 48)
-    first_half_channel.cache_clear()    # its key holds no block size
+    first_half_block.cache_clear()      # the memos' keys hold no block size
+    first_half_channel.cache_clear()
     many = propagate_unitary(sched, grid, steps, check=False).unitary
     assert np.max(np.abs(many - one)) <= 1e-13
     many_scalar = propagate_unitary(sched, 0.1, steps, check=False).unitary
@@ -428,7 +433,8 @@ def test_power_of_two_blocks_are_bitwise_one_block(monkeypatch):
     one = kernels()
     monkeypatch.setattr(engine, "_CLOSED_BLOCK", 64)     # 64-step blocks, 2 on the batch
     monkeypatch.setattr(engine, "_OPEN_BLOCK", 64)
-    first_half_channel.cache_clear()    # its key holds no block size
+    first_half_block.cache_clear()      # the memos' keys hold no block size
+    first_half_channel.cache_clear()
     for blocked, whole in zip(kernels(), one):
         assert np.array_equal(blocked, whole)
 

@@ -21,7 +21,8 @@ from holopulse import engine, rbench
 from holopulse.cli import main
 from holopulse.engine import (NoiseModel, _cf4_steps, _ck_product, _coupling,
                               _dephasing_rates, _embed, block_basis, dephasing_from_t2,
-                              open_superoperator, propagate_unitary, trace_defect)
+                              open_superoperator, propagate_unitary, survival_probability,
+                              trace_defect)
 from holopulse.gates import (axis_angle, clifford_products, clifford_table, phase_equivalent,
                              target_unitary)
 from holopulse.paths import DYNAMICAL, HOLONOMIC, controls_arrays
@@ -177,6 +178,55 @@ def test_real_open_channel_matches_the_complex_formula(spec, epsilon, gamma_1a, 
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
 
 
+signed_zeros = st.sampled_from([0.0, -0.0])
+loop_gates = st.tuples(st.floats(0.0, np.pi), st.floats(-np.pi, np.pi, exclude_max=True),
+                       st.floats(-2.0 * np.pi, 2.0 * np.pi, exclude_min=True), st.booleans())
+
+
+def _bits(*values):
+    return [np.asarray(v).tobytes() for v in values]
+
+
+@few
+@given(gates=st.lists(loop_gates, min_size=1, max_size=4),
+       eta=st.floats(-1.0, 1.0, exclude_max=True) | signed_zeros,
+       epsilon=st.floats(-0.5, 0.5) | signed_zeros,
+       grid=arrays(np.float64, st.integers(1, 4), elements=st.floats(-0.5, 0.5) | signed_zeros))
+def test_every_gate_at_eta_has_the_memos_first_half(gates, eta, epsilon, grid):
+    """The closed first half is one memo entry for every gate at eta, either
+    scheme and any (theta, phi, gamma): `cf4` on the gate's own coupling
+    gives the memo's pair bit for bit, for a scalar epsilon and a grid, with
+    +-0.0 in eta and epsilon sharing one entry. `propagate_unitary` and
+    `survival_probability` give the same bits with the memo warm and cold."""
+    specs = [GateSpec.dynamical(theta, phi, gate_eta) if dynamical
+             else GateSpec(theta, phi, gamma, gate_eta)
+             for theta, phi, gamma, dynamical in gates
+             for gate_eta in ({eta, -eta} if eta == 0.0 else (eta,))]
+    scheds = [synthesize(spec, n_samples=256) for spec in specs]
+    for sched in scheds:
+        coupling = partial(_coupling, sched.spec, sched.duration)
+        for key in (epsilon, -epsilon, tuple(grid.tolist())):
+            memo = engine.first_half_block(sched.spec.eta, sched.omega_max, key, STEPS)
+            own = engine.cf4(coupling, sched.duration / 2.0, STEPS // 2,
+                             1.0 + np.asarray(key))
+            assert _bits(*memo) == _bits(*own), (sched.spec, key)
+
+    def results(sched):
+        scalar = propagate_unitary(sched, epsilon, STEPS)
+        batch = propagate_unitary(sched, grid, STEPS)
+        return _bits(scalar.unitary, scalar.truncation_error, batch.unitary,
+                     batch.truncation_error, survival_probability(sched, epsilon, STEPS // 2))
+
+    engine.first_half_block.cache_clear()
+    warm = [results(sched) for sched in scheds]
+    keys = {(epsilon, STEPS), (epsilon, STEPS // 2), (tuple(grid), STEPS),
+            (tuple(grid), STEPS // 2), ((0.0, epsilon), STEPS)}
+    assert engine.first_half_block.cache_info().misses == len(keys)
+    for sched, made in zip(scheds, warm):
+        engine.first_half_block.cache_clear()
+        assert results(sched) == made, sched.spec
+
+
 @few
 @given(spec=gates, gammas=st.lists(st.floats(-2.0 * np.pi, 2.0 * np.pi, exclude_min=True),
                                    min_size=1, max_size=4),
@@ -239,10 +289,6 @@ def test_axis_angle_round_trip_is_phase_equivalent(spec, alpha):
     assert np.max(np.abs(_rotation_vector(shifted) - _rotation_vector(back))) <= 1e-12
 
 
-def _bits(*values):
-    return [np.asarray(v, dtype=float).tobytes() for v in values]
-
-
 def _schedule_bits(s):
     spec = s.spec
     return [spec.scheme] + _bits(spec.theta, spec.phi, spec.gamma, spec.eta, s.duration,
@@ -302,9 +348,9 @@ def test_exact_records_match_the_kraus_born_rule(spec, leak, prep_error,
 @few
 @given(spec=angles, eta=st.floats(-1.0, 1.0), dephased=st.booleans())
 def test_cached_channel_matches_a_direct_propagation(spec, eta, dephased):
-    """The cache builds a gate from a representative at phi = 0 (and theta = 0
-    when closed); the same spec propagated directly gives the same channel,
-    the lift U (x) U* of its unitary when closed."""
+    """The cache's channel is the spec's own: the lift U (x) U* of its
+    propagated unitary when closed, bit for bit at the canonical spec, and
+    under dephasing the channel it turns from phi = 0."""
     spec = GateSpec(spec.theta, spec.phi, spec.gamma, eta)
     noise = dephasing_from_t2(20e-3, 200e-3) if dephased else NoiseModel(epsilon=0.05)
     cfg = RBConfig(eta=eta, noise=noise, n_samples=256, steps=STEPS)
@@ -314,6 +360,9 @@ def test_cached_channel_matches_a_direct_propagation(spec, eta, dephased):
     else:
         u = propagate_unitary(sched, noise.epsilon, STEPS, check=False).unitary
         direct = np.kron(u, u.conj())
+        canonical = synthesize(rbench._canonical_spec(spec), cfg.omega_max, cfg.n_samples)
+        u = propagate_unitary(canonical, noise.epsilon, STEPS, check=False).unitary
+        assert np.array_equal(GateCache().channels(cfg)(spec), np.kron(u, u.conj()))
     assert np.max(np.abs(GateCache().channels(cfg)(spec) - direct)) <= 1e-13
 
 

@@ -230,7 +230,7 @@ def test_config_validation():
 
 def test_shared_cache_matches_separate_runs(monkeypatch):
     built, sequences = [], []
-    monkeypatch.setattr(rbench, "_build_channel", _recording(rbench._build_channel, built, 2))
+    monkeypatch.setattr(rbench, "_build_channel", _recording(rbench._build_channel, built, 1))
     monkeypatch.setattr(rbench, "build_sequence", _recording(rbench.build_sequence, sequences))
     noise = dephasing_from_t2(20e-3, 200e-3)
     ref_cfg = RBConfig(lengths=(1, 2, 4, 8), n_sequences=3, seed=4, eta=0.2,
@@ -303,15 +303,27 @@ def _recording(fn, results, arg=None):
     return recorded
 
 
-def test_default_closed_rb_propagates_once_per_gamma(monkeypatch):
-    # the Cliffords and their recoveries have gamma in {0, pi/2, 2pi/3, pi}
-    calls = []
-    monkeypatch.setattr(rbench, "propagate_unitary", _recording(rbench.propagate_unitary, calls))
-    run_rb(RBConfig(noise=NoiseModel(epsilon=0.05)))
-    assert len(calls) == 4
+def test_closed_rb_makes_one_first_half(monkeypatch):
+    # every gate at one eta shares the closed first half, whatever its gamma
+    # or scheme: a reference run and a T-interleaved run each make it once,
+    # one drive evaluated at its two Gauss nodes, and close it per gate
+    calls, propagated = [], []
+    monkeypatch.setattr(engine, "controls_arrays", _recording(engine.controls_arrays, calls))
+    monkeypatch.setattr(rbench, "propagate_unitary",
+                        _recording(rbench.propagate_unitary, propagated))
+    cfg = RBConfig(noise=NoiseModel(epsilon=0.05))
+    for interleaved in (None, named_gate("T")):
+        engine.first_half_block.cache_clear()
+        calls.clear()
+        run_rb(replace(cfg, interleaved=interleaved))
+        assert engine.first_half_block.cache_info().misses == 1
+        assert len(calls) == 2
+    assert len(propagated) > 24
 
 
-def test_dephased_rb_propagates_once_per_theta_gamma(monkeypatch):
+def test_dephased_rb_makes_one_first_half_channel_per_theta(monkeypatch):
+    # each distinct spec is one channel; the gates of one rounded theta, at
+    # every phi and gamma, close one first-half channel
     calls, sequences = [], []
     monkeypatch.setattr(rbench, "open_superoperator", _recording(rbench.open_superoperator, calls))
     monkeypatch.setattr(rbench, "build_sequence", _recording(rbench.build_sequence, sequences))
@@ -320,9 +332,10 @@ def test_dephased_rb_propagates_once_per_theta_gamma(monkeypatch):
     cache = GateCache()
     run_rb(cfg, cache)
     run_rb(replace(cfg, interleaved=named_gate("T", eta=0.2)), cache)
-    keys = {(round(s.theta, 14), round(s.gamma, 14))
-            for specs, recovery in sequences for s in specs + [recovery]}
-    assert len(calls) == len(keys) > 10
+    specs = {s for specs, recovery in sequences for s in specs + [recovery]}
+    thetas = {round(s.theta, 14) for s in specs}
+    assert len(calls) == len(specs)
+    assert engine.first_half_channel.cache_info().misses == len(thetas) > 10
 
 
 def test_one_drive_serves_every_gate_on_the_clifford_path(monkeypatch):

@@ -2,11 +2,14 @@
 
     python3 tools/bench_pr.py --parent REV --pr N
 
-Run from the root of a holopulse checkout. The change is the working tree as
-it is on disk; the parent REV's files are unpacked with `git archive REV |
-tar -x` into a temporary directory that is removed at exit, so the script
-only reads the repository's .git (local git only). For every workload
-of BENCHMARK.json the script runs `perfbench/run.py --trace 0`, at the run
+Run from the root of a holopulse checkout. Both sides are unpacked the same
+way, with `git archive | tar -x`, into a temporary directory that is removed
+at exit: the parent REV, and the change as the commit `git stash create`
+makes of the tracked files as they stand in the working tree (HEAD when none
+changed), which touches neither the tree, the index nor the stash. So the
+script writes nothing outside that directory but git objects (local git
+only), and no untracked file of the checkout reaches a run. For every
+workload of BENCHMARK.json the script runs `perfbench/run.py --trace 0`, at the run
 length BENCHMARK.json fixes, for PAIRS pairs of the two trees, pair i at
 seed FIRST_SEED + i, the parent first on odd seeds; then one `--trace 1`
 run of TRACED_SECONDS per side at seed 1. Next it runs jobs
@@ -253,6 +256,14 @@ def _git(*args) -> str:
                           check=True).stdout.strip()
 
 
+def working_tree_rev() -> str:
+    """A commit of the tracked files as they stand in the working tree, made
+    by `git stash create` (under a fixed identity, which it records but needs
+    no configuration for); HEAD when none changed."""
+    return (_git("-c", "user.name=bench_pr", "-c", "user.email=bench_pr@localhost",
+                 "stash", "create") or _git("rev-parse", "HEAD"))
+
+
 def export_tree(rev: str, dest: Path) -> Path:
     """Unpack the files of commit `rev` into the new directory `dest`."""
     dest.mkdir(parents=True)
@@ -281,10 +292,9 @@ def parse_args(argv=None):
 
 def main(argv=None):
     args = parse_args(argv)
-    parent_rev = _git("rev-parse", args.parent)
+    revs = {"parent": _git("rev-parse", args.parent), "change": working_tree_rev()}
     with tempfile.TemporaryDirectory(prefix="bench_pr_") as tmp:
-        parent_tree = export_tree(parent_rev, Path(tmp) / "parent")
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {side: export_tree(rev, Path(tmp) / side) for side, rev in revs.items()}
         runs, traced, failed = bench_runs(trees, args.workloads, args.seconds)
         outs = {side: Path(tmp) / f"out_{side}" for side in trees}
         jobs = output_jobs(args.workloads)
@@ -307,7 +317,7 @@ def main(argv=None):
             f"Outputs: jobs 0-{OUTPUT_JOBS - 1} of each workload at seeds "
             f"{', '.join(map(str, OUTPUT_SEEDS))} and criterion 9's qpt and sweep "
             f"configs at seed 7, run in both trees."),
-        "parent": parent_rev,
+        "parent": revs["parent"],
         "host": host,
         "runs": runs,
         "traced": traced,
