@@ -17,7 +17,8 @@ pass. Both kernels reduce their steps with the one pairwise ordered product
 block at a time, so memory does not grow with the step count. U2 depends on
 the path (gamma, eta, scheme) and eps only; the qutrit propagator is its
 embedding |d><d| + E U2 E^dag, E = [|b>, |a>] (`block_basis`, `_embed`).
-`sideband` drives the same kernel with the anti-Jaynes-Cummings coupling.
+`sideband`'s n = 0 block is the theta = 0 gate's, its coupling times a
+constant phase, so it reads the same first half.
 
 The loop is its own mirror, so every kernel makes only its first half
 [0, T/2]. On the holonomic path c(T - t) = -c(t) e^{i gamma}, so the second
@@ -53,8 +54,10 @@ is a pure function of its key and hands out read-only arrays:
   omega_max, epsilon, steps), epsilon a float or, for a batch, a tuple: its
   last 16 keys, about 1.1 kB each with a scalar epsilon and 64 B more per
   point of a batch (0.6 MB for the CLI's largest grid, 10^4 points).
-  `propagate_unitary` and `survival_probability` read it, so a closed RB run
-  makes one first half and closes it per gate (`_loop_block`).
+  `propagate_unitary`, `survival_probability` and
+  `sideband.verify_full_model` read it, so a closed RB run makes one first
+  half and closes it per gate (`_loop_block`), and so does every sideband
+  report at one eta.
 - `drive_steps`, the open kernel's "drive": the CF4 pairs of the half steps
   and full steps of one block of that half at (eta, omega_max, epsilon,
   steps, block), for its last two blocks (0.8 MB). It shares the drive of a
@@ -296,14 +299,6 @@ def _loop_block(spec, a, b) -> tuple:
     if spec.scheme == DYNAMICAL:
         return _ck_product((a, -np.conj(b)), (a, b))
     return _ck_product((np.conj(a), -np.exp(1j * spec.gamma) * b), (a, b))
-
-
-def cf4_loop(spec, coupling: Callable[[np.ndarray], np.ndarray], duration: float,
-             steps: int, scale=1.0) -> tuple:
-    """`cf4` over the loop [0, duration] of the gate `spec` in `steps` steps,
-    made from the steps/2 steps of its first half and closed by `_loop_block`.
-    A holonomic `coupling` may carry a constant phase."""
-    return _loop_block(spec, *cf4(coupling, duration / 2.0, steps // 2, scale))
 
 
 @lru_cache(maxsize=16)

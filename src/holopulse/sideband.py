@@ -14,11 +14,12 @@ In the first-order Lamb-Dicke, rotating-wave anti-Jaynes-Cummings model the
 blue sideband couples only |1,n+1> <-> |a,n>, so the Fock ladder is a direct
 sum of 2x2 blocks. The spin-|0> states and |1,0> are uncoupled fixed points,
 and |1,1> lives in the n = 0 block, whose scalar coupling
-i * Omega_r * eta_ld * e^{i phi_anti_jc} equals the effective model's
-Omega_eff/2 * e^{-i phi_eff}. `verify_full_model` passes that coupling to
-`engine.cf4_loop`, which closes the holonomic loop from the pair (a1, b1) of
-its first half: u = <1,1|U|1,1> = |a1|^2 + e^{i gamma} |b1|^2. It scores the
-computational subspace; no truncation enters.
+i * Omega_r * eta_ld * e^{i phi_anti_jc} works out to -c(t) e^{i phi}, with
+c(t) the engine's coupling of the theta = 0 gate. A constant phase changes
+only the phase of b1, so `verify_full_model` reads the engine's shared first
+half (`engine.first_half_block`) and closes the loop from its pair (a1, b1)
+(`engine._loop_block`): u = <1,1|U|1,1> = |a1|^2 + e^{i gamma} |b1|^2. It
+scores the computational subspace; neither n_max nor eta_ld enters.
 """
 from __future__ import annotations
 
@@ -26,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_STEPS, cf4_loop
-from .paths import HOLONOMIC, controls_arrays
+from .engine import DEFAULT_STEPS, _loop_block, first_half_block
+# controls_arrays is unused here: the engine evaluates the sideband's controls.
+# It stays importable as sideband.controls_arrays, which perfbench's spans patch.
+from .paths import HOLONOMIC, controls_arrays  # noqa: F401
 from .pulses import GateSpec, PulseSchedule, synthesize
 
 
@@ -86,22 +89,18 @@ def verify_full_model(schedule: PulseSchedule, sys: SidebandSystem,
     """Propagate the anti-JC ladder block of |1,1> and score it against the target.
 
     The block {|1,1>, |a,0>} has <1,1|H|a,0> = i * Omega_r * eta_ld *
-    e^{i phi_anti_jc}. Every other computational state is an exact fixed
-    point, so the computational block is diag(1, 1, 1, u) with u the |1,1>
-    amplitude, and the fixed-point deviation is zero by construction.
+    e^{i phi_anti_jc} = -c(t) e^{i phi}, c(t) the coupling of the theta = 0
+    gate, so neither n_max nor eta_ld enters: u is the |1,1> amplitude of the
+    engine's loop (`first_half_block`, from its memo when another gate at eta
+    made it). Every other computational state is an exact fixed point, so the
+    computational block is diag(1, 1, 1, u), and the fixed-point deviation is
+    zero by construction.
     """
     spec = schedule.spec
     if spec.scheme != HOLONOMIC:
         raise ValueError(f"the controlled-phase loop is holonomic, not {spec.scheme}")
-
-    def coupling(t):
-        omega_eff, phi0 = controls_arrays(spec, schedule.duration, t)
-        phi_eff = phi0 + np.pi - spec.phi
-        omega_r = omega_eff / (2.0 * sys.eta_ld)
-        phi = -(phi_eff + np.pi / 2.0)
-        return 1j * omega_r * sys.eta_ld * np.exp(1j * phi)
-
-    u11, _ = cf4_loop(spec, coupling, schedule.duration, steps)     # U2[0, 0] = a
+    first = first_half_block(spec.eta, schedule.omega_max, 0.0, steps)
+    u11, _ = _loop_block(spec, *first)      # U2[0, 0] = a
     target = np.exp(1j * spec.gamma)
     return SidebandReport(
         conditional_phase=float(spec.gamma + np.angle(u11 * np.conj(target))),

@@ -185,16 +185,71 @@ def test_a_failing_perfbench_run_is_listed_and_pairs_with_nothing(tmp_path, monk
     assert bench_pr.summarize(runs, METRICS)["sweep"]["pairs"] == 2
 
 
+_FAKE_CLI = """
+import json, sys
+def main(argv):
+    with open(json.load(open(argv[2]))["log"], "a") as log:
+        log.write(__file__.split("/")[-4] + " " + argv[0] + "\\n")
+    if argv[0] == "bad":
+        raise ZeroDivisionError("a job that raises")
+    return 3 if argv[0] == "flagged" else 0
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _fake_trees(tmp_path):
+    trees = {}
+    for side in ("parent", "change"):
+        package = tmp_path / side / "src" / "holopulse"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(_FAKE_CLI)
+        trees[side] = tmp_path / side
+    return trees
+
+
 def test_a_cli_job_that_raises_writes_its_type_and_the_next_job_runs(tmp_path):
-    package = tmp_path / "tree" / "src" / "holopulse"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text("")
-    (package / "cli.py").write_text(
-        "def main(argv):\n"
-        "    if argv[0] == 'bad':\n"
-        "        raise ZeroDivisionError('a job that raises')\n"
-        "    return 0\n")
-    jobs = [("w/0_bad", "bad", {}, 1), ("w/1_rb", "rb", {}, 1)]
-    bench_pr.run_jobs(tmp_path / "tree", tmp_path / "out", jobs)
-    assert (tmp_path / "out" / "w" / "0_bad.exit").read_text() == "ZeroDivisionError\n"
-    assert (tmp_path / "out" / "w" / "1_rb.exit").read_text() == "0\n"
+    # each call is its own `python -m holopulse.cli` process on its tree's src
+    trees = _fake_trees(tmp_path)
+    log = str(tmp_path / "calls.log")
+    jobs = [("w/0_bad", "bad", {"log": log}, 1), ("w/1_rb", "rb", {"log": log}, 1),
+            ("v/seed1/job0/0_rb", "rb", {"log": log}, 1),
+            ("v/seed1/job0/1_flagged", "flagged", {"log": log}, 1)]
+    outs = {side: tmp_path / f"out_{side}" for side in trees}
+    records = bench_pr.cold_runs(trees, outs, jobs)
+    for side in trees:
+        assert (outs[side] / "w" / "0_bad.exit").read_text() == "ZeroDivisionError\n"
+        assert (outs[side] / "w" / "1_rb.exit").read_text() == "0\n"
+        assert (outs[side] / "v" / "seed1" / "job0" / "1_flagged.exit").read_text() == "3\n"
+    # the side that goes first alternates per job; a drawn job's calls run together
+    assert (tmp_path / "calls.log").read_text().split("\n")[:-1] == [
+        "parent bad", "change bad", "change rb", "parent rb",
+        "parent rb", "parent flagged", "change rb", "change flagged"]
+    assert [(r["job"], r["workload"], r["side"]) for r in records] == [
+        ("w/0_bad", "w", "parent"), ("w/0_bad", "w", "change"),
+        ("w/1_rb", "w", "change"), ("w/1_rb", "w", "parent"),
+        ("v/seed1/job0", "v", "parent"), ("v/seed1/job0", "v", "change")]
+    assert all(r["seconds"] > 0.0 for r in records)
+
+
+def test_the_cold_summary_pairs_each_job_of_a_workload():
+    parent = [1.0 + 0.1 * k for k in range(10)]
+    change = [0.6 * p for p in parent[:9]] + [parent[9] + 0.1]
+    records = ([{"job": f"verify/seed1/job{k}", "workload": "verify", "side": "parent",
+                 "seconds": t} for k, t in enumerate(parent)]
+               + [{"job": f"verify/seed1/job{k}", "workload": "verify", "side": "change",
+                   "seconds": t} for k, t in enumerate(change)])
+    # a job run on one side only pairs with nothing
+    records.append({"job": "sweep/seed1/job0", "workload": "sweep", "side": "parent",
+                    "seconds": 9.0})
+    records.append({"job": "verify/seed2/job0", "workload": "verify", "side": "change",
+                    "seconds": 9.0})
+    summary = bench_pr.summarize_cold(records)
+    assert set(summary) == {"verify"}
+    entry = summary["verify"]
+    assert (entry["pairs"], entry["won"], entry["lost"]) == (10, 9, 1)
+    assert entry["parent"] == pytest.approx({"median": 1.45, "q1": 1.225, "q3": 1.675})
+    assert entry["change"]["median"] == pytest.approx(
+        bench_pr.quartiles(change)[1])
+    assert entry["gain"]

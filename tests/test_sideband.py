@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from holopulse.engine import _CF4_A, _GAUSS_C, cf4
+from holopulse import engine, sideband
+from holopulse.engine import _CF4_A, _GAUSS_C, cf4, first_half_block, propagate_unitary
 from holopulse.paths import controls_arrays
 from holopulse.pulses import GateSpec, synthesize
 from holopulse.sideband import SidebandSystem, synthesize_cphase, verify_full_model
@@ -130,3 +131,24 @@ def test_full_model_takes_the_holonomic_loop():
     sched = synthesize(GateSpec.dynamical(0.0, 0.5, 0.2), 2.0 * np.pi * 1.0e4, 512)
     with pytest.raises(ValueError):
         verify_full_model(sched, SidebandSystem())
+
+
+def test_full_model_shares_the_gates_first_half(monkeypatch):
+    # the n = 0 block is the theta = 0 gate's: every sideband report and every
+    # gate at one eta close one first half, made once
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return controls_arrays(*args)
+
+    for module in (engine, sideband):
+        monkeypatch.setattr(module, "controls_arrays", recording)
+    first_half_block.cache_clear()
+    for gamma in (np.pi, 0.7):
+        verify_full_model(synthesize_cphase(gamma, 2.0 * np.pi * 1.0e4, 0.2, n_samples=512),
+                          SidebandSystem(), steps=4096)
+    propagate_unitary(synthesize(GateSpec(1.1, 0.4, 2.0, 0.2), 2.0 * np.pi * 1.0e4, 512),
+                      0.0, 4096, check=False)
+    assert first_half_block.cache_info()[:2] == (2, 1)      # hits, misses
+    assert len(calls) == 2                                  # one first half, two Gauss nodes

@@ -12,16 +12,19 @@ only), and no untracked file of the checkout reaches a run. For every
 workload of BENCHMARK.json the script runs `perfbench/run.py --trace 0`, at the run
 length BENCHMARK.json fixes, for PAIRS pairs of the two trees, pair i at
 seed FIRST_SEED + i, the parent first on odd seeds; then one `--trace 1`
-run of TRACED_SECONDS per side at seed 1. Next it runs jobs
-0 .. OUTPUT_JOBS - 1 of every workload at seeds 1 and 2, and criterion 9's
-`qpt` and `sweep` configs at seed 7 (CRITERION_9), in both trees and lists
-each output file as identical, moved (with its largest numeric change) or
-differing. It writes BENCH_<N>.json: every run's final JSON
-line, a summary per workload and end-to-end metric (`summarize`), and the
-output diff. A perfbench run that exits non-zero is listed with its exit code
-and the tail of its stderr, and its seed pairs with nothing; a CLI job that
-raises writes the exception's type name as its exit code. Either way the
-comparison goes on.
+run of TRACED_SECONDS per side at seed 1. Next it runs every CLI call of
+jobs 0 .. OUTPUT_JOBS - 1 of every workload at seeds 1 and 2, and of
+criterion 9's `qpt` and `sweep` configs at seed 7 (CRITERION_9), as its own
+`python -m holopulse.cli` process in both trees, the side that goes first
+alternating per job. It times each job cold, interpreter start included
+(`cold_runs`, `summarize_cold`), and lists each output file as identical,
+moved (with its largest numeric change) or differing. It writes
+BENCH_<N>.json: every run's final JSON line, a summary per workload and
+end-to-end metric (`summarize`), the cold job times with their summary per
+workload, and the output diff. A perfbench run that exits non-zero is listed
+with its exit code and the tail of its stderr, and its seed pairs with
+nothing; a CLI call that raises writes the exception's type name as its exit
+code. Either way the comparison goes on.
 
 Runs are sequential, one process at a time, with BLAS at one thread.
 """
@@ -37,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from collections import defaultdict
 from pathlib import Path
 
@@ -60,29 +64,6 @@ CRITERION_9 = (
     ("sweep", {"experiment": "sweep", "gate": "X", "n_samples": 256, "steps": 512,
                "epsilon_grid": {"min": -0.2, "max": 0.2, "points": 5}}, 7),
 )
-
-# Runs one tree's CLI on the jobs read as JSON from stdin: argv is the tree's
-# src and the output root. Each call's config and exit code, or the type name
-# of what it raised, are written beside its output directory, so the diff
-# compares them too.
-_JOB_RUNNER = r"""
-import json, sys
-from pathlib import Path
-src, root = sys.argv[1:]
-sys.path.insert(0, src)
-from holopulse import cli
-for name, command, cfg, seed in json.load(sys.stdin):
-    out = Path(root) / name
-    out.parent.mkdir(parents=True, exist_ok=True)
-    cfg_path = out.parent / f"{out.name}.json"
-    cfg_path.write_text(json.dumps(cfg, sort_keys=True), encoding="utf-8")
-    try:
-        rc = cli.main([command, "--config", str(cfg_path), "--seed", str(seed), "--out", str(out)])
-    except Exception as exc:
-        rc = type(exc).__name__
-    (out.parent / f"{out.name}.exit").write_text(f"{rc}\n", encoding="utf-8")
-"""
-
 
 def quartiles(values):
     """(first quartile, median, third quartile), inclusive method; one value is all three."""
@@ -108,14 +89,27 @@ def _failed_share(printed):
     return sum(p["failed"] for p in printed) / attempted if attempted else 0.0
 
 
+def compare(parent, change, worse=1.0) -> dict:
+    """Paired values of the two sides: each side's median and quartiles, the
+    pairs won and lost by the change (`worse` is the sign of a worsening, 1
+    when lower is better; ties count for neither side), and `gain` when the
+    change won at least WIN_SHARE of the pairs and its median is better by
+    more than the parent's interquartile range."""
+    moves = [worse * (c - p) for p, c in zip(parent, change)]
+    (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
+    won = sum(m < 0 for m in moves)
+    return {"parent": {"median": pmed, "q1": pq1, "q3": pq3},
+            "change": {"median": cmed, "q1": cq1, "q3": cq3},
+            "won": won, "lost": sum(m > 0 for m in moves),
+            "gain": won >= WIN_SHARE * len(moves) and worse * (pmed - cmed) > pq3 - pq1}
+
+
 def summarize(runs, end_to_end):
     """Per workload and end-to-end metric of `end_to_end` (BENCHMARK.json's
-    entries: name, better, bound): each side's median and quartiles, the
-    pairs won and lost by the change, `beyond_bound` when the change's median
-    is worse than the parent's by more than bound x |parent median|, and
-    `gain` when the change won at least WIN_SHARE of the pairs and its median
-    is better by more than the parent's interquartile range. Per workload
-    also the failed share of each side and whether every run was correct.
+    entries: name, better, bound): the `compare` entry of its pairs, with
+    `beyond_bound` when the change's median is worse than the parent's by
+    more than bound x |parent median|. Per workload also the failed share of
+    each side and whether every run was correct.
     """
     summary = {}
     for workload in sorted({run["workload"] for run in runs}):
@@ -130,19 +124,11 @@ def summarize(runs, end_to_end):
         for metric in end_to_end:
             name = metric["name"]
             worse = 1.0 if metric["better"] == "lower" else -1.0     # sign of a worsening
-            parent = [p["metrics"][name]["value"] for p, _ in pairs]
-            change = [c["metrics"][name]["value"] for _, c in pairs]
-            moves = [worse * (c - p) for p, c in zip(parent, change)]
-            (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
-            won = sum(m < 0 for m in moves)
-            entry["metrics"][name] = {
-                "parent": {"median": pmed, "q1": pq1, "q3": pq3},
-                "change": {"median": cmed, "q1": cq1, "q3": cq3},
-                "won": won, "lost": sum(m > 0 for m in moves),
-                "beyond_bound": worse * (cmed - pmed) > metric["bound"] * abs(pmed),
-                "gain": (won >= WIN_SHARE * len(pairs)
-                         and worse * (pmed - cmed) > pq3 - pq1),
-            }
+            m = compare([p["metrics"][name]["value"] for p, _ in pairs],
+                        [c["metrics"][name]["value"] for _, c in pairs], worse)
+            m["beyond_bound"] = (worse * (m["change"]["median"] - m["parent"]["median"])
+                                 > metric["bound"] * abs(m["parent"]["median"]))
+            entry["metrics"][name] = m
         summary[workload] = entry
     return summary
 
@@ -244,11 +230,73 @@ def output_jobs(workloads):
                    for command, cfg, seed in CRITERION_9]
 
 
-def run_jobs(tree: Path, out: Path, jobs):
-    """Run `jobs` (see `output_jobs`) on `tree`'s src, their outputs under `out`."""
-    subprocess.run([sys.executable, "-c", _JOB_RUNNER, str(tree / "src"), str(out)],
-                   input=json.dumps(jobs), env=_env(), capture_output=True, text=True,
-                   check=True)
+def _exit_record(proc) -> str:
+    """A CLI call's exit code, or, when it raised, the type name of its
+    exception, read from the last line of its traceback."""
+    if proc.returncode and "Traceback (most recent call last)" in proc.stderr:
+        last = proc.stderr.strip().splitlines()[-1]
+        return last.split(":")[0].rsplit(".", 1)[-1]
+    return str(proc.returncode)
+
+
+def cli_call(tree: Path, out: Path, command: str, cfg: dict, seed: int) -> float:
+    """Run one CLI call as its own `python -m holopulse.cli` process on
+    `tree`'s src, its output in `out` and its config and exit record (see
+    `_exit_record`) beside it; return its wall seconds, interpreter start
+    included."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    cfg_path = out.parent / f"{out.name}.json"
+    cfg_path.write_text(json.dumps(cfg, sort_keys=True), encoding="utf-8")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "holopulse.cli", command, "--config", str(cfg_path),
+         "--seed", str(seed), "--out", str(out)],
+        cwd=tree, env={**_env(), "PYTHONPATH": str(tree / "src")}, capture_output=True,
+        text=True)
+    seconds = time.perf_counter() - start
+    (out.parent / f"{out.name}.exit").write_text(f"{_exit_record(proc)}\n", encoding="utf-8")
+    return seconds
+
+
+def _job_of(name: str) -> str:
+    """The job of an `output_jobs` call: workload/seedS/jobI for a drawn job's
+    call, the call itself for a criterion 9 config."""
+    parts = name.split("/")
+    return "/".join(parts[:3]) if len(parts) == 4 else name
+
+
+def cold_runs(trees: dict, outs: dict, jobs) -> list:
+    """Every call of `jobs` (see `output_jobs`) in both trees, each its own
+    process (`cli_call`), outputs under outs[side]; per job the parent goes
+    first on even jobs and the change on odd ones. One record per job and
+    side: its workload and its wall seconds, summed over its calls."""
+    grouped = defaultdict(list)
+    for job in jobs:
+        grouped[_job_of(job[0])].append(job)
+    records = []
+    for i, (job, calls) in enumerate(grouped.items()):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            _log(f"cold: {job} {side}")
+            seconds = sum(cli_call(trees[side], outs[side] / name, command, cfg, seed)
+                          for name, command, cfg, seed in calls)
+            records.append({"job": job, "workload": job.split("/")[0], "side": side,
+                            "seconds": seconds})
+    return records
+
+
+def summarize_cold(records) -> dict:
+    """Per workload: the `compare` entry of the wall seconds of its jobs run
+    on both sides, and their number."""
+    by_job = defaultdict(dict)
+    for record in records:
+        by_job[record["workload"], record["job"]][record["side"]] = record["seconds"]
+    summary = {}
+    for workload in sorted({w for w, _ in by_job}):
+        pairs = [(sides["parent"], sides["change"]) for (w, _), sides in sorted(by_job.items())
+                 if w == workload and len(sides) == 2]
+        if pairs:
+            summary[workload] = {"pairs": len(pairs), **compare(*zip(*pairs))}
+    return summary
 
 
 def _git(*args) -> str:
@@ -297,10 +345,7 @@ def main(argv=None):
         trees = {side: export_tree(rev, Path(tmp) / side) for side, rev in revs.items()}
         runs, traced, failed = bench_runs(trees, args.workloads, args.seconds)
         outs = {side: Path(tmp) / f"out_{side}" for side in trees}
-        jobs = output_jobs(args.workloads)
-        for side, tree in trees.items():
-            _log(f"outputs: {side}")
-            run_jobs(tree, outs[side], jobs)
+        cold = cold_runs(trees, outs, output_jobs(args.workloads))
         files = diff_outputs(outs["parent"], outs["change"])
     host = {"nproc": os.cpu_count(), "machine": platform.machine(),
             "python": platform.python_version(), "numpy": numpy.__version__,
@@ -314,15 +359,19 @@ def main(argv=None):
             f"seeds; then one --trace 1 --seconds {TRACED_SECONDS:g} run per side "
             f"and workload at seed 1. 'printed' is the final JSON line of each run; "
             f"'failed_runs' lists the runs that exited non-zero, which pair with nothing. "
-            f"Outputs: jobs 0-{OUTPUT_JOBS - 1} of each workload at seeds "
-            f"{', '.join(map(str, OUTPUT_SEEDS))} and criterion 9's qpt and sweep "
-            f"configs at seed 7, run in both trees."),
+            f"Outputs and 'cold': every CLI call of jobs 0-{OUTPUT_JOBS - 1} of each "
+            f"workload at seeds {', '.join(map(str, OUTPUT_SEEDS))} and of criterion 9's "
+            f"qpt and sweep configs at seed 7, each its own python -m holopulse.cli "
+            f"process in both trees, the parent first on even jobs; 'cold' holds each "
+            f"job's wall seconds, interpreter start included, and per workload both "
+            f"medians and quartiles and the pairs won."),
         "parent": revs["parent"],
         "host": host,
         "runs": runs,
         "traced": traced,
         "failed_runs": failed,
         "summary": summarize(runs, args.end_to_end),
+        "cold": {"jobs": cold, "summary": summarize_cold(cold)},
         "outputs": {"jobs": OUTPUT_JOBS, "seeds": list(OUTPUT_SEEDS),
                     "counts": {s: statuses.count(s) for s in sorted(set(statuses))},
                     "files": files},
@@ -335,6 +384,9 @@ def main(argv=None):
                  f"change {m['change']['median']:.6g} won {m['won']}/{entry['pairs']}"
                  f"{' BEYOND BOUND' if m['beyond_bound'] else ''}"
                  f"{' gain' if m['gain'] else ''}")
+    for workload, m in report["cold"]["summary"].items():
+        _log(f"{workload} cold s: parent {m['parent']['median']:.4g} "
+             f"change {m['change']['median']:.4g} won {m['won']}/{m['pairs']}")
     for run in failed:
         _log(f"FAILED: {run['workload']} seed {run['seed']} {run['side']} "
              f"trace {run['trace']}: exit {run['exit']}")
