@@ -2,7 +2,7 @@
 
 from .paths import DYNAMICAL, HOLONOMIC, dynamical_gamma
 from .pulses import (GateSpec, OMEGA_MAX_DEFAULT, PulseSchedule, compute_duration,
-                     export_tones, named_gate, parse_tones, synthesize)
+                     export_tones, named_gate, synthesize)
 from .engine import (NoiseModel, PropagationResult, dephasing_from_t2,
                      propagate_unitary, survival_probability)
 from .gates import axis_angle, clifford_table, target_unitary

@@ -1,18 +1,18 @@
 """Config-driven command-line runner.
 
-Subcommands: synth | propagate | qpt | rb | sweep | sideband. Each takes a
-JSON config file, an optional seed override, and an output directory. A
-command accepts exactly the config keys its parse reads, and parses the whole
-config before it creates the output directory; omega_max is read by synth
-and by rb or an rb-mode sweep under dephasing; an rb-mode sweep reports
-`rbench.decay_rate`, which reads no sequences or SPAM. Every output file starts
-with header lines echoing the full effective config, except tones.csv, which
-carries the tone-descriptor header that `pulses.parse_tones` reads; a
-manifest.txt lists the files written, so runs are reproducible byte-for-byte
-given (config, seed). main alone sets the exit status: 2, "config error", when
-the config or --out is unusable, and nothing is written; 3 when a write was
-flagged converged=False or the fit of rb failed (manifest.txt lists the files
-written); 0 otherwise.
+Subcommands: synth | propagate | qpt | rb | sweep | sideband. Each takes a JSON
+config file, an optional seed override, and an output directory. A command
+accepts exactly the config keys its parse reads, and parses the whole config
+before it creates the output directory; omega_max is read by synth and by rb or
+an rb-mode sweep under dephasing; an rb-mode sweep reports `rbench.decay_rate`,
+which reads no sequences or SPAM. Every output file starts with header lines
+echoing the config keys as given (not the defaults left out) and the seed,
+except tones.csv, which carries the tone-descriptor header of
+`pulses.export_tones`; a manifest.txt lists the files written, so runs are
+reproducible byte-for-byte given (config, seed). main alone sets the exit
+status: 2, "config error", when the config or --out is unusable, and nothing is
+written; 3 when a write was flagged converged=False or the fit of rb failed
+(manifest.txt lists the files written); 0 otherwise.
 """
 from __future__ import annotations
 

@@ -54,10 +54,10 @@ is a pure function of its key and hands out read-only arrays:
   omega_max, epsilon, steps), epsilon a float or, for a batch, a tuple: its
   last 16 keys, about 1.1 kB each with a scalar epsilon and 64 B more per
   point of a batch (0.6 MB for the CLI's largest grid, 10^4 points).
-  `propagate_unitary`, `survival_probability` and
-  `sideband.verify_full_model` read it, so a closed RB run makes one first
-  half and closes it per gate (`_loop_block`), and so does every sideband
-  report at one eta.
+  `propagate_unitary` (and through it `sideband.verify_full_model`) and
+  `survival_probability` read it, so a closed RB run makes one first half
+  and closes it per gate (`_loop_block`), and so does every sideband report
+  at one eta.
 - `drive_steps`, the open kernel's "drive": the CF4 pairs of the half steps
   and full steps of one block of that half at (eta, omega_max, epsilon,
   steps, block), for its last two blocks (0.8 MB). It shares the drive of a

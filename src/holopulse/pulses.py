@@ -11,8 +11,8 @@ max_t Omega(t) = Omega_max; it is never taken from quoted nominal values.
 A `PulseSchedule` holds only what fixes the drive; the engine propagates its
 continuous control law, and the sample table, derived on first use, is the
 export artifact. The tone frequencies are the constants TONE0_HZ and
-TONE1_HZ. `parse_tones` accepts a file only if it is that table under those
-frequencies.
+TONE1_HZ. The tone file's header names everything `synthesize` needs, so
+re-running it on those values and comparing bytes checks a file.
 """
 from __future__ import annotations
 
@@ -173,42 +173,3 @@ def export_tones(schedule: PulseSchedule, path) -> Path:
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
 
-
-def parse_tones(path) -> PulseSchedule:
-    """Read a tone-descriptor file back into the schedule its header describes,
-    synthesized at n_samples = rows - 1. Raises ValueError unless duration_s,
-    sample_rate_hz, tone0_hz and tone1_hz match that schedule and the tone
-    constants to within 1e-12 relative, and every sample matches it to within
-    1e-12 of the largest magnitude in its column: the file must be the drive
-    that the engine propagates."""
-    meta, rows = {}, []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line.startswith("#"):
-            key, eq, value = line[1:].partition("=")
-            if eq:
-                meta[key.strip()] = value.strip()
-        elif line:
-            rows.append([float(x) for x in line.split(",")])
-    missing = [k for k in _HEADER_KEYS if k not in meta]
-    if missing:
-        raise ValueError(f"tone descriptor missing metadata keys {missing}")
-    spec = GateSpec(theta=float(meta["theta_rad"]), phi=float(meta["phi_rad"]),
-                    gamma=float(meta["gamma_rad"]), eta=float(meta["eta"]),
-                    scheme=meta["scheme"])
-    schedule = synthesize(spec, float(meta["omega_max_rad_s"]), len(rows) - 1)
-    for key, expected in (("duration_s", schedule.duration),
-                          ("sample_rate_hz", schedule.sample_rate),
-                          ("tone0_hz", TONE0_HZ), ("tone1_hz", TONE1_HZ)):
-        if not abs(float(meta[key]) - expected) <= 1e-12 * expected:
-            raise ValueError(f"{key} {meta[key]} is not the {expected!r} of the "
-                             f"drive the header describes")
-    data, table = np.array(rows), schedule.samples
-    if data.shape != table.shape:
-        raise ValueError(f"sample rows have {data.shape[1]} columns, not {len(_COLUMNS)}")
-    miss = ~(np.abs(data - table) <= 1e-12 * np.max(np.abs(table), axis=0))
-    for name, bad in zip(_COLUMNS, miss.T):
-        if np.any(bad):
-            raise ValueError(f"{name} at sample {int(np.argmax(bad))} does not match "
-                             f"the schedule the header describes")
-    return schedule

@@ -16,8 +16,8 @@ lift of the ideal gate followed by a depolarizer. The survivals of one
 length run in lock-step: its sequences, all built first, each from its own
 stream, advance together as one stack of vec(rho), multiplied at each
 position by the stacked channels of that position. The cache keeps one
-memo per noise model, which builds each distinct spec's channel once for
-every run on that model: a reference run, its interleaved run and
+memo per noise model (its last `_CHANNEL_MEMO_SIZE` channels), which every
+run on that model reads: a reference run, its interleaved run and
 `decay_rate` share their common gates. A channel is one engine call,
 `propagate_unitary` when closed and `open_superoperator` under dephasing;
 what the pulses do not tell apart, the engine's memos make once: the closed
@@ -152,6 +152,9 @@ def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None, eta: flo
 
 
 _DIGITS = 14
+# the most channels one memo keeps, least recently used dropped first (about
+# 1.5 kB each); an rb_dephasing-sized run builds fewer than 100
+_CHANNEL_MEMO_SIZE = 256
 
 
 def _canonical_spec(spec: GateSpec) -> GateSpec:
@@ -196,8 +199,9 @@ class GateCache:
     One memo per noise model: `channels(config)` is the memoized spec ->
     channel for the config's channel settings (`_settings`), read by every
     run on the cache with those settings: a reference run, its interleaved
-    run and `decay_rate`. The memo holds no reference to the cache, so a
-    dropped cache is freed at once, without the cycle collector.
+    run and `decay_rate`. It keeps the last `_CHANNEL_MEMO_SIZE` (a dropped one
+    is rebuilt bit for bit) and holds no reference to the cache, so a dropped
+    cache is freed at once, without the cycle collector.
     """
 
     def __init__(self):
@@ -207,7 +211,8 @@ class GateCache:
         """The memoized spec -> channel of `config`'s channel settings."""
         settings = _settings(config)
         if settings not in self._memos:
-            self._memos[settings] = lru_cache(maxsize=None)(partial(_build_channel, config))
+            memo = lru_cache(maxsize=_CHANNEL_MEMO_SIZE)(partial(_build_channel, config))
+            self._memos[settings] = memo
         return self._memos[settings]
 
 

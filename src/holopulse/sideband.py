@@ -16,10 +16,10 @@ sum of 2x2 blocks. The spin-|0> states and |1,0> are uncoupled fixed points,
 and |1,1> lives in the n = 0 block, whose scalar coupling
 i * Omega_r * eta_ld * e^{i phi_anti_jc} works out to -c(t) e^{i phi}, with
 c(t) the engine's coupling of the theta = 0 gate. A constant phase changes
-only the phase of b1, so `verify_full_model` reads the engine's shared first
-half (`engine.first_half_block`) and closes the loop from its pair (a1, b1)
-(`engine._loop_block`): u = <1,1|U|1,1> = |a1|^2 + e^{i gamma} |b1|^2. It
-scores the computational subspace; neither n_max nor eta_ld enters.
+only the phase of b1, so `verify_full_model` reads u = <1,1|U|1,1> =
+|a1|^2 + e^{i gamma} |b1|^2 as U[1, 1] of that gate (`engine.propagate_unitary`,
+from the engine's shared first half). It scores the computational subspace;
+neither n_max nor eta_ld enters.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_STEPS, _loop_block, first_half_block
+from .engine import DEFAULT_STEPS, propagate_unitary
 # controls_arrays is unused here: the engine evaluates the sideband's controls.
 # It stays importable as sideband.controls_arrays, which perfbench's spans patch.
 from .paths import HOLONOMIC, controls_arrays  # noqa: F401
@@ -90,17 +90,16 @@ def verify_full_model(schedule: PulseSchedule, sys: SidebandSystem,
 
     The block {|1,1>, |a,0>} has <1,1|H|a,0> = i * Omega_r * eta_ld *
     e^{i phi_anti_jc} = -c(t) e^{i phi}, c(t) the coupling of the theta = 0
-    gate, so neither n_max nor eta_ld enters: u is the |1,1> amplitude of the
-    engine's loop (`first_half_block`, from its memo when another gate at eta
-    made it). Every other computational state is an exact fixed point, so the
-    computational block is diag(1, 1, 1, u), and the fixed-point deviation is
-    zero by construction.
+    gate, so neither n_max nor eta_ld enters: u is the loop's a, U[1, 1] of
+    that gate (|b> = -|1> at theta = 0), propagated unchecked over `steps`,
+    which `engine.check_steps` takes. Every other computational state is an
+    exact fixed point, so the computational block is diag(1, 1, 1, u), and
+    the fixed-point deviation is zero by construction.
     """
     spec = schedule.spec
     if spec.scheme != HOLONOMIC:
         raise ValueError(f"the controlled-phase loop is holonomic, not {spec.scheme}")
-    first = first_half_block(spec.eta, schedule.omega_max, 0.0, steps)
-    u11, _ = _loop_block(spec, *first)      # U2[0, 0] = a
+    u11 = propagate_unitary(schedule, 0.0, steps, check=False).unitary[1, 1]
     target = np.exp(1j * spec.gamma)
     return SidebandReport(
         conditional_phase=float(spec.gamma + np.angle(u11 * np.conj(target))),

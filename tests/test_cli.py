@@ -11,7 +11,7 @@ import holopulse
 from holopulse.cli import (MAX_STEPS, ConfigError, load_config, main, parse_gate,
                            parse_noise, run_sweep)
 from holopulse.paths import DYNAMICAL
-from holopulse.pulses import named_gate, parse_tones
+from holopulse.pulses import named_gate, synthesize
 
 
 def _write(tmp_path, name, cfg):
@@ -58,14 +58,13 @@ def test_parse_noise():
         parse_noise({"noise": {"epsilon": 0.9}})
 
 
-def test_synth_outputs(tmp_path):
+def test_synth_outputs(tmp_path, check_tone_file):
     cfg = _write(tmp_path, "c.json", {"experiment": "synth", "gate": "X",
                                       "n_samples": 256})
     out = tmp_path / "out"
     assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
-    # the tone file reads back as the schedule it describes
-    schedule = parse_tones(out / "tones.csv")
-    assert schedule.spec == named_gate("X") and schedule.n_samples == 256
+    # the tone file is the schedule of the config, bit for bit
+    check_tone_file(out / "tones.csv", synthesize(named_gate("X"), n_samples=256))
     manifest = (out / "manifest.txt").read_text()
     assert "tones.csv" in manifest
     assert manifest.startswith("# artifact_version")

@@ -3,8 +3,7 @@ import pytest
 
 from holopulse.paths import DYNAMICAL, HOLONOMIC
 from holopulse.pulses import (OMEGA_MAX_DEFAULT, GateSpec, compute_duration,
-                              export_tones, named_gate, parse_tones, peak_envelope,
-                              synthesize)
+                              export_tones, named_gate, peak_envelope, synthesize)
 
 
 def test_duration_eta_zero_anchor():
@@ -124,19 +123,12 @@ def test_synthesize_rejects_bad_sampling():
         synthesize(spec, n_samples=257)
 
 
-def test_export_parse_round_trip(tmp_path):
-    # at eta = 1e4 the phases reach 1.3e4 rad; parse_tones compares relative to them
+def test_export_parse_round_trip(tmp_path, check_tone_file):
+    # at eta = 1e4 the phases reach 1.3e4 rad; %.17g still round-trips them
     for eta in (1.0, 1e4):
         sched = synthesize(named_gate("H", eta=eta), n_samples=256)
-        path = tmp_path / "tones.csv"
-        export_tones(sched, path)
-        back = parse_tones(path)
-        assert back.spec == sched.spec
-        assert back.duration == pytest.approx(sched.duration, rel=1e-12)
-        for a, b in ((back.times, sched.times), (back.omega0, sched.omega0),
-                     (back.omega1, sched.omega1), (back.phi0, sched.phi0),
-                     (back.phi1, sched.phi1)):
-            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+        path = export_tones(sched, tmp_path / "tones.csv")
+        check_tone_file(path, sched)
 
 
 def test_export_deterministic_bytes(tmp_path):
@@ -145,71 +137,3 @@ def test_export_deterministic_bytes(tmp_path):
     export_tones(sched, p1)
     export_tones(sched, p2)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_parse_rejects_missing_metadata(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("# eta = 0.0\n0,0,0,0,0\n")
-    with pytest.raises(ValueError):
-        parse_tones(p)
-
-
-def _negate_omega0(rows):
-    cells = rows[64].split(",")
-    cells[1] = "-" + cells[1]
-    return rows[:64] + [",".join(cells)] + rows[65:]
-
-
-def _time_column(change):
-    """Damage that replaces the t_s column ts by change(ts)."""
-    def damage(header, rows):
-        times = change([row.split(",")[0] for row in rows])
-        return header, [",".join([t] + row.split(",")[1:]) for t, row in zip(times, rows)]
-    return damage
-
-
-def _phase_shift(delta):
-    """Damage that adds delta to both tone phases: the same phase offset phi,
-    so every schedule invariant holds, but a different drive."""
-    def damage(header, rows):
-        shifted = []
-        for row in rows:
-            cells = row.split(",")
-            for k in (2, 4):
-                cells[k] = "%.17g" % (float(cells[k]) + delta)
-            shifted.append(",".join(cells))
-        return header, shifted
-    return damage
-
-
-def _header_value(key, change):
-    """Damage that replaces the value v of header line `key` by change(v)."""
-    prefix = f"# {key} = "
-
-    def damage(header, rows):
-        return [prefix + change(line[len(prefix):]) if line.startswith(prefix) else line
-                for line in header], rows
-    return damage
-
-
-@pytest.mark.parametrize("damage, reason", [
-    (lambda header, rows: (header, _negate_omega0(rows)), "omega0_rad_s at sample 64"),
-    (lambda header, rows: (header, rows[:8]), "n_samples must be >= 256"),   # cut after 8
-    (_time_column(lambda ts: ["0"] * len(ts)), "t_s at sample 1 "),
-    (_time_column(lambda ts: ts[::-1]), "t_s at sample 0 "),
-    (_header_value("sample_rate_hz", lambda v: "9" + v), "sample_rate_hz"),
-    (_header_value("duration_s", lambda v: repr(2.0 * float(v))), "duration_s"),
-    (_phase_shift(0.1), "phi0_rad at sample 0 "),
-    (_header_value("tone0_hz", lambda v: "nan"), "tone0_hz nan"),
-    (_header_value("tone1_hz", lambda v: "-5.0"), "tone1_hz -5.0"),
-], ids=["negated_omega0", "truncated", "zero_times", "reversed_times",
-        "sample_rate_digit", "doubled_duration", "shifted_phases", "nan_tone0",
-        "negative_tone1"])
-def test_parse_rejects_damaged_samples(tmp_path, damage, reason):
-    path = export_tones(synthesize(named_gate("X"), n_samples=256), tmp_path / "tones.csv")
-    lines = path.read_text().splitlines()
-    header = [line for line in lines if line.startswith("#")]
-    header, rows = damage(header, lines[len(header):])
-    path.write_text("\n".join(header + rows) + "\n")
-    with pytest.raises(ValueError, match=reason):
-        parse_tones(path)

@@ -279,6 +279,25 @@ def test_a_dropped_cache_is_freed_without_the_collector():
         gc.enable()
 
 
+def test_the_channel_memo_is_bounded(monkeypatch):
+    # each T recovery is a spec of its own; a memo that kept them all would
+    # grow with the sequences, and one that drops them must rebuild them bitwise
+    cfg = RBConfig(lengths=(1, 2, 3, 4), n_sequences=4, seed=3, noise=NoiseModel(epsilon=0.05),
+                   interleaved=named_gate("T"), n_samples=256, steps=512)
+    monkeypatch.setattr(rbench, "_CHANNEL_MEMO_SIZE", None)
+    free = GateCache()
+    unbounded = run_rb(cfg, free)
+    monkeypatch.setattr(rbench, "_CHANNEL_MEMO_SIZE", 8)
+    small = GateCache()
+    bounded = run_rb(cfg, small)
+    kept, held = small.channels(cfg).cache_info(), free.channels(cfg).cache_info()
+    assert kept.maxsize == 8 and kept.currsize == 8 < held.currsize
+    assert kept.misses > held.misses        # dropped channels were built again
+    for field in ("means", "stds", "a", "p", "b"):
+        assert np.asarray(getattr(bounded, field)).tobytes() == \
+            np.asarray(getattr(unbounded, field)).tobytes()
+
+
 def test_cached_channel_depends_on_key_only():
     # recovery gates from axis_angle differ from each other in the last bits;
     # specs that share a key must get the same channel whichever comes first

@@ -133,6 +133,17 @@ def test_full_model_takes_the_holonomic_loop():
         verify_full_model(sched, SidebandSystem())
 
 
+@pytest.mark.parametrize("steps, reason", [
+    (4097, "even"), (1, "even"), (0, "even"), (-2, "even"), (256, "below schedule resolution"),
+])
+def test_full_model_checks_its_step_count(steps, reason):
+    # an odd count would integrate steps - 1 and report steps; a count below 2
+    # would divide by zero; a count below n_samples is coarser than the schedule
+    sched = synthesize_cphase(np.pi, 2.0 * np.pi * 1.0e4, 0.2, n_samples=512)
+    with pytest.raises(ValueError, match=reason):
+        verify_full_model(sched, SidebandSystem(), steps=steps)
+
+
 def test_full_model_shares_the_gates_first_half(monkeypatch):
     # the n = 0 block is the theta = 0 gate's: every sideband report and every
     # gate at one eta close one first half, made once
