@@ -48,7 +48,7 @@ x_i x_j (x_0 = 1) and K a real 14 x 81 matrix built once per gate from |b>
 On [0, T/2] both paths have sign = 1 and no phase jump, so c depends on eta
 and omega_max alone: the first half is the same for every gate at one eta,
 whatever theta, phi, gamma or scheme, and theta enters an open channel only
-through K. Three memos in the process make what the gates share once; each
+through K. Four memos in the process make what the gates share once; each
 is a pure function of its key and hands out read-only arrays:
 - `first_half_block`, the closed first half's pair (a, b) at (eta,
   omega_max, epsilon, steps), epsilon a float or, for a batch, a tuple: its
@@ -70,7 +70,19 @@ is a pure function of its key and hands out read-only arrays:
   (about 1.7 kB each with its key, 0.2 MB): every gamma of one theta, as
   RB's gates under dephasing, makes Phi1 once and closes it by
   `_loop_channel`. A default dephased RB run, reference and interleaved T
-  and its `decay_rate`, makes 87 to 98 of them (RB seeds 0 to 5).
+  and its `decay_rate`, makes 15 of them (RB seeds 0 to 5): the Cliffords'
+  thetas and the nine nodes of one theta series.
+- `first_half_series`, Phi1(theta, phi = 0) for every theta at (eta,
+  omega_max, epsilon, gamma_1a, gamma_0a, steps), as a Fourier series in
+  theta/2, for its last 4 keys (about 43 kB each at 32 samples, 0.3 MB at
+  the cap of 256). Phi1 is 4 pi-periodic in theta, and two exact diagonal
+  symmetries give its samples over [0, 4 pi) from n/4 + 1 first halves in
+  [0, pi]. It starts at n = 32 and doubles n while the sum of its top
+  quarter of harmonics (its tail) exceeds `_SERIES_TOL` = 1e-13; a setting
+  still above it at n = 256 builds each theta directly, so which of the two
+  a setting gets depends on its key alone. RB's recoveries of a dephased
+  run whose interleaved gate is not a Clifford read it: each has a theta of
+  its own, which no memo of first halves could share.
 
 The coupling is evaluated from the schedule's continuous-time control law;
 its sample table is only the export artifact. Basis order everywhere:
@@ -232,11 +244,15 @@ def _embed(spec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     blocks U2 = [[a, b], [-b*, a*]]; shape a.shape + (3, 3).
 
     Evaluated as I + E (U2 - I) E^dag, which keeps the identity exact. On
-    row-major vec, E X E^dag is (E (x) E*) vec(X).
+    row-major vec, E X E^dag is (E (x) E*) vec(X), here a broadcast outer
+    product, whose entries are those of np.kron's bit for bit.
     """
     e = block_basis(spec)
-    x = np.stack([a - 1.0, b, -np.conj(b), np.conj(a) - 1.0], axis=-1)
-    u = x @ np.kron(e, e.conj()).T + np.eye(3).reshape(-1)
+    x = np.empty(np.shape(a) + (4,), dtype=complex)
+    x[..., 0], x[..., 1] = a - 1.0, b
+    x[..., 2], x[..., 3] = -np.conj(b), np.conj(a) - 1.0
+    basis = (e[:, None, :, None] * e.conj()[None, :, None, :]).reshape(9, 4)
+    u = x @ basis.T + np.eye(3).reshape(-1)
     return u.reshape(np.shape(a) + (3, 3))
 
 
@@ -498,9 +514,102 @@ def first_half_channel(theta: float, phi: float, eta: float, omega_max: float,
 
 def _conjugate_by_diagonal(channel: np.ndarray, d: np.ndarray) -> np.ndarray:
     """(D (x) D*) channel (D (x) D*)^dag on row-major vec for D = diag(d): the
-    elementwise channel[k, l] r_k conj(r_l), r the diagonal of D (x) D*."""
+    elementwise channel[k, l] r_k conj(r_l), r the diagonal of D (x) D*, for
+    one channel or a stack of them."""
     r = np.outer(d, d.conj()).reshape(-1)
     return channel * np.outer(r, r.conj())
+
+
+# The theta series of Phi1 starts at _SERIES_MIN samples over [0, 4 pi) and
+# doubles them while its tail exceeds _SERIES_TOL; a setting whose tail still
+# exceeds it at _SERIES_MAX samples builds each theta directly.
+_SERIES_MIN = 32
+_SERIES_MAX = 256
+_SERIES_TOL = 1e-13
+# Phi1(theta + 2 pi) = P^ Phi1(theta) P^dag and Phi1(-theta) = D^ Phi1(theta) D^dag
+_SHIFT = np.array([1.0, 1.0, -1.0])         # P
+_MIRROR = np.array([-1.0, 1.0, 1.0])        # D
+
+
+def _series_samples(built: np.ndarray) -> np.ndarray:
+    """Phi1 at theta_j = 4 pi j / n, j = 0 ... n - 1, from the n/4 + 1 builds
+    `built` at theta_j in [0, pi]: theta in (pi, 2 pi] is 2 pi - theta_j, in
+    (2 pi, 3 pi] 2 pi + theta_j, and in (3 pi, 4 pi) -theta_j."""
+    back = built[::-1]
+    return np.concatenate([built, _conjugate_by_diagonal(back[1:], _SHIFT * _MIRROR),
+                           _conjugate_by_diagonal(built[1:], _SHIFT),
+                           _conjugate_by_diagonal(back[1:-1], _MIRROR)])
+
+
+@dataclass(frozen=True)
+class FirstHalfSeries:
+    """Phi1(theta, phi = 0) of one setting as the Fourier series
+    sum_k c_k e^{i k theta / 2} over k = -n/2 ... n/2 of its n samples, or,
+    where that series misses `_SERIES_TOL` (`direct`), as direct builds.
+
+    `tail` is the sum over |k| > 3n/8 of the largest entry of c_k. Past
+    harmonic 4 of the half-angle the coefficients fall geometrically, so the
+    top quarter of the harmonics bounds what aliases into the series."""
+    key: tuple                  # (eta, omega_max, epsilon, gamma_1a, gamma_0a, steps)
+    coefficients: np.ndarray    # (n + 1, 81), read-only
+    tail: float
+    direct: bool
+
+    def evaluate(self, theta: float) -> np.ndarray:
+        """The series at theta, a complex 9x9 on row-major vec(rho)."""
+        half = len(self.coefficients) // 2
+        return (np.exp(0.5j * theta * np.arange(-half, half + 1))
+                @ self.coefficients).reshape(9, 9)
+
+    def __call__(self, theta: float) -> np.ndarray:
+        """Phi1 at theta and phi = 0: the series, or a direct build when `direct`."""
+        if self.direct:
+            return first_half_channel(theta, 0.0, *self.key)
+        return self.evaluate(theta)
+
+
+def _fourier(samples: np.ndarray) -> tuple:
+    """(c, tail) of the n samples over [0, 4 pi): c_k for k = -n/2 ... n/2,
+    the Nyquist term split between its two ends, by one DFT matrix product."""
+    n = len(samples)
+    harmonics = np.arange(-(n // 2), n // 2 + 1)
+    dft = np.exp(-2j * np.pi * (np.multiply.outer(harmonics, np.arange(n)) % n) / n) / n
+    dft[[0, -1]] /= 2.0
+    coef = dft @ samples.reshape(n, 81)
+    tail = float(np.abs(coef[np.abs(harmonics) > 3 * n // 8]).max(axis=1).sum())
+    return coef, tail
+
+
+@lru_cache(maxsize=4)
+def first_half_series(eta: float, omega_max: float, epsilon: float, gamma_1a: float,
+                      gamma_0a: float, steps: int) -> FirstHalfSeries:
+    """Phi1(theta, 0) for every theta at one setting (the arguments of
+    `first_half_channel` but theta and phi), as a `FirstHalfSeries`.
+
+    At phi = 0, theta enters Phi1 only through `_lift_coefficients`, a trig
+    polynomial of theta/2, so Phi1 is 4 pi-periodic in theta. Its n samples
+    over [0, 4 pi) come from the n/4 + 1 `first_half_channel` builds in
+    [0, pi] by two exact diagonal symmetries (`_series_samples`), which both
+    commute with the dephasing. From n = `_SERIES_MIN` the samples double
+    while the tail exceeds `_SERIES_TOL`, reusing every earlier build; above
+    `_SERIES_MAX` the series gives way to direct builds. Which of the two a
+    setting gets depends on its key alone."""
+    key = (eta, omega_max, epsilon, gamma_1a, gamma_0a, steps)
+    quarter = _SERIES_MIN // 4
+
+    def builds(thetas):
+        return np.stack([first_half_channel(t, 0.0, *key) for t in thetas])
+
+    built = builds([np.pi * j / quarter for j in range(quarter + 1)])
+    while True:
+        coef, tail = _fourier(_series_samples(built))
+        if tail <= _SERIES_TOL or 8 * quarter > _SERIES_MAX:
+            coef.flags.writeable = False
+            return FirstHalfSeries(key, coef, tail, direct=tail > _SERIES_TOL)
+        finer = np.empty((2 * quarter + 1, 9, 9), dtype=complex)
+        finer[0::2] = built
+        finer[1::2] = builds([np.pi * (2 * j + 1) / (2 * quarter) for j in range(quarter)])
+        built, quarter = finer, 2 * quarter
 
 
 def _loop_channel(spec, first: np.ndarray) -> np.ndarray:

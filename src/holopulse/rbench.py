@@ -8,11 +8,17 @@ index); a non-Clifford interleaved gate such as T takes it from `axis_angle`
 of the accumulated product, the engine's pairwise ordered product of the
 precomputed g @ C_i.
 
-Every gate, the recovery included, is a 9x9 channel on row-major vec(rho)
-from `GateCache`, under every noise model: the lift U (x) U* of the
-propagated unitary when closed (a static amplitude error), the engine's
-open-system channel under dephasing, and in the synthetic "exact" mode the
-lift of the ideal gate followed by a depolarizer. The survivals of one
+Every gate, the recovery included, is a 9x9 channel on row-major vec(rho),
+under every noise model: the lift U (x) U* of the propagated unitary when
+closed (a static amplitude error), the engine's open-system channel under
+dephasing, and in the synthetic "exact" mode the lift of the ideal gate
+followed by a depolarizer. `GateCache` builds and keeps them, but for the
+recoveries of a dephased run whose interleaved gate is not a Clifford: each
+of those has a continuous theta of its own, which no memo would hit again,
+so it reads the engine's theta series of the first half
+(`engine.first_half_series`, built once per setting) and is not kept.
+Which channels read the series is a function of the config alone, so a
+rerun in a warm process gives the bits of a fresh one. The survivals of one
 length run in lock-step: its sequences, all built first, each from its own
 stream, advance together as one stack of vec(rho), multiplied at each
 position by the stacked channels of that position. The cache keeps one
@@ -41,8 +47,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import (NoiseModel, _conjugate_by_diagonal, _embed, _matmul, _ordered_product,
-                     check_steps, open_superoperator, propagate_unitary)
+from .engine import (NoiseModel, _conjugate_by_diagonal, _embed, _loop_channel, _matmul,
+                     _ordered_product, check_steps, first_half_series, open_superoperator,
+                     propagate_unitary)
 from .gates import (_clifford_matrices, _clifford_rotations, axis_angle, clifford_index,
                     clifford_products, clifford_table, target_unitary)
 from .paths import DYNAMICAL
@@ -194,8 +201,13 @@ class GateCache:
       followed by the depolarizer;
     - dephased: Phi(theta, phi, gamma) = (R (x) R*) Phi(theta, 0, gamma)
       (R (x) R*)^dag with R = diag(1, e^{i phi}, 1), elementwise phases
-      (`engine._conjugate_by_diagonal`), so that every phi of a theta reads
-      the one first-half channel the engine makes and closes per gamma.
+      (`_turned`), so that every phi of a theta reads the one first-half
+      channel the engine makes and closes per gamma.
+    The recoveries of a dephased run with a non-Clifford interleaved gate
+    are not built here but from the engine's theta series
+    (`_series_channel`, chosen by `_recovery_channel`), and no memo keeps
+    them: the cache's channels are all direct builds, so a recovery one ulp
+    from a Clifford's spec never reads a channel of the other kind.
     One memo per noise model: `channels(config)` is the memoized spec ->
     channel for the config's channel settings (`_settings`), read by every
     run on the cache with those settings: a reference run, its interleaved
@@ -222,8 +234,7 @@ def _build_channel(config: RBConfig, spec: GateSpec) -> np.ndarray:
     spec = _canonical_spec(spec)
     if config.noise.dephased:       # exact mode admits no dephasing
         sched = synthesize(replace(spec, phi=0.0), config.omega_max, config.n_samples)
-        return _conjugate_by_diagonal(open_superoperator(sched, config.noise, config.steps),
-                                      np.array([1, np.exp(1j * spec.phi), 1]))
+        return _turned(spec, open_superoperator(sched, config.noise, config.steps))
     if config.mode == "exact":
         u = _embed(spec, np.exp(1j * spec.gamma), 0j)
     else:
@@ -233,15 +244,45 @@ def _build_channel(config: RBConfig, spec: GateSpec) -> np.ndarray:
     return _depolarizer(config.depolarizing) @ lift if config.depolarizing else lift
 
 
-def _survivals(sequences, channel, noise: NoiseModel) -> np.ndarray:
+def _turned(spec: GateSpec, channel: np.ndarray) -> np.ndarray:
+    """The channel of `spec` from that of its phi = 0 gate: (R (x) R*) channel
+    (R (x) R*)^dag, R = diag(1, e^{i phi}, 1)."""
+    return _conjugate_by_diagonal(channel, np.array([1, np.exp(1j * spec.phi), 1]))
+
+
+def _series_channel(config: RBConfig, spec: GateSpec) -> np.ndarray:
+    """The dephased channel of `spec`, rounded to its canonical spec, from the
+    engine's theta series of the first half (`engine.first_half_series`),
+    closed by the loop's mirror and turned to its phi; built anew each call."""
+    spec = _canonical_spec(spec)
+    noise = config.noise
+    series = first_half_series(spec.eta, config.omega_max, noise.epsilon, noise.gamma_1a,
+                               noise.gamma_0a, config.steps)
+    return _turned(spec, _loop_channel(replace(spec, phi=0.0), series(spec.theta)))
+
+
+def _recovery_channel(config: RBConfig):
+    """The spec -> channel of `config`'s recovery gates when they read the
+    series (`_series_channel`): in a dephased run whose interleaved gate is
+    not a Clifford, whose recoveries have a continuous theta each. None,
+    for the cache's memo, otherwise."""
+    if (config.noise.dephased and config.interleaved is not None
+            and _interleaved(config.interleaved)[0] is None):
+        return partial(_series_channel, config)
+    return None
+
+
+def _survivals(sequences, channel, noise: NoiseModel, recovery=None) -> np.ndarray:
     """Exact |0>-return probabilities of equal-length sequences, with SPAM, in
     lock-step: the (n, 9, 1) stack of row-major vec(rho) is multiplied at each
     position by the stacked channels of that position's gates, so it holds n
-    channels at a time. `channel` maps a spec to its 9x9 channel."""
+    channels at a time. `channel` maps a gate's spec to its 9x9 channel, and
+    `recovery` a recovery's (`channel` when None)."""
     v = np.zeros((len(sequences), 9, 1), dtype=complex)
     v[:, 0], v[:, 4] = 1.0 - noise.prep_error, noise.prep_error
-    for column in zip(*[[*specs, recovery] for specs, recovery in sequences]):
+    for column in zip(*[specs for specs, _ in sequences]):
         v = np.stack([channel(spec) for spec in column]) @ v
+    v = np.stack([(recovery or channel)(spec) for _, spec in sequences]) @ v
     return noise.readout(np.real(v[:, 0, 0]))
 
 
@@ -351,13 +392,13 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
     """
     if cache is None:
         cache = GateCache()
-    channel = cache.channels(config)
+    channel, recovery = cache.channels(config), _recovery_channel(config)
     means, stds = [], []
     for m in config.lengths:
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, int(m), j)))
                 for j in range(config.n_sequences)]
         sequences = [build_sequence(int(m), rng, config.interleaved, config.eta) for rng in rngs]
-        fids = _survivals(sequences, channel, config.noise)
+        fids = _survivals(sequences, channel, config.noise, recovery)
         if config.shots is not None:
             # each sequence's shots come from its own stream, after its integers draw
             fids = np.array([rng.binomial(config.shots, f)

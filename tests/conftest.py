@@ -14,6 +14,7 @@ def cold_engine_memos():
     engine.first_half_block.cache_clear()
     engine.drive_steps.cache_clear()
     engine.first_half_channel.cache_clear()
+    engine.first_half_series.cache_clear()
 
 
 def _check_tone_file(path, schedule):

@@ -483,15 +483,18 @@ for k, cfg in enumerate(json.loads(sys.argv[2])):
     written = sorted(p.name for p in run.iterdir() if p.name != "manifest.txt")
     if listed != written:
         sys.exit(f"{cfg}: manifest lists {listed}, --out holds {written}")
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "fft"])
 sys.exit(f"the runs loaded {loaded}" if loaded else 0)
 """
 
 
 def test_numpy_commands_need_no_scipy(tmp_path):
     # every command runs on numpy alone, rb and its fit included: no run loads a
-    # scipy module, not even one whose import failure the code would tolerate.
-    # Each run exits 0, and its manifest lists exactly the files in its --out.
+    # scipy module, not even one whose import failure the code would tolerate,
+    # nor numpy.fft, which numpy imports lazily (a dephased T run's theta
+    # series takes its coefficients by a DFT matrix product). Each run exits
+    # 0, and its manifest lists exactly the files in its --out.
     dynamical = {"theta": 1.1, "phi": 0.4, "eta": 0.3, "scheme": "dynamical"}
     dephased_rb = {"experiment": "rb", "noise": {"gamma_1a": 100.0, "gamma_0a": 10.0},
                    "lengths": [1, 2, 4, 8], "sequences": 2, "shots": 100,
@@ -528,6 +531,7 @@ def test_numpy_commands_need_no_scipy(tmp_path):
         dephased_rb,
         # four blocks, more than the drive memo holds: each channel makes its own
         dict(dephased_rb, steps=16384),
+        # its recoveries read the engine's theta series of the first half
         dict(dephased_rb, interleaved="T"),
         # a dynamical interleaved gate with its own eta: a drive apart from the Cliffords'
         dict(dephased_rb, interleaved=dynamical),

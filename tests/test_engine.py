@@ -4,14 +4,16 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from holopulse import engine
 from holopulse.engine import (_CF4_A, _GAUSS_C, NoiseModel, _blockwise, _cf4_steps,
                               _ck_product, _coupling, _dephasing_rates, _embed,
-                              _lift_coefficients, _strang_steps, _su2_step, bright_state,
-                              cf4, dephasing_from_t2, drive_steps, first_half_block,
-                              first_half_channel,
+                              _lift_coefficients, _strang_steps, _su2_step, block_basis,
+                              bright_state, cf4, dephasing_from_t2, drive_steps,
+                              first_half_block, first_half_channel, first_half_series,
                               open_superoperator, propagate_unitary, survival_probability,
                               trace_defect)
 from holopulse.gates import target_unitary
@@ -511,6 +513,108 @@ def test_the_first_half_memo_stays_bounded():
         tracemalloc.stop()
     assert first_half_channel.cache_info().misses == len(scheds)
     assert held <= 0.3e6 and peak <= 1.0e6, (held, peak)
+
+
+OMEGA = 2.0 * np.pi * 1.0e6
+# the theta series against direct first-half builds: its tolerance on the
+# truncation, plus the rounding of a direct build, about 5e-14 at 2048 steps
+SERIES_BOUND = engine._SERIES_TOL + 1e-13
+
+
+def _series_error(series, thetas):
+    """Largest |series - direct build| at `thetas`, the sum read in full."""
+    return max(np.max(np.abs(series.evaluate(t) - first_half_channel(t, 0.0, *series.key)))
+               for t in thetas)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(eta=st.floats(-1.0, 1.0), epsilon=st.floats(-0.2, 0.2),
+       gamma_1a=st.floats(0.0, 1e5), gamma_0a=st.floats(0.0, 1e5),
+       steps=st.sampled_from([512, 2048]),
+       thetas=st.lists(st.floats(0.0, np.pi), min_size=3, max_size=3))
+def test_the_theta_series_matches_direct_builds(eta, epsilon, gamma_1a, gamma_0a, steps,
+                                                thetas):
+    # up to 1e5 s^-1 at |eta| <= 1 the series reaches its tolerance by 64
+    # samples, and the tail estimate bounds what it misses by
+    series = first_half_series(eta, OMEGA, epsilon, gamma_1a, gamma_0a, steps)
+    assert not series.direct and len(series.coefficients) - 1 <= 64
+    assert series.tail <= engine._SERIES_TOL
+    error = _series_error(series, thetas)
+    assert error <= SERIES_BOUND and error <= series.tail + 1e-13, (error, series.tail)
+    assert np.array_equal(series(thetas[0]), series.evaluate(thetas[0]))
+    assert not series.coefficients.flags.writeable
+
+
+def test_the_tail_bounds_the_truncation_error(monkeypatch):
+    # eta = 10 at 1e6 s^-1 needs 256 samples. Below that the tail misses the
+    # tolerance, and it bounds the series' error: at 32 and 64 samples, where
+    # the series misses by far more than rounding, and at 128, where it
+    # misses by rounding alone but the tail is not yet below the tolerance
+    key = (10.0, OMEGA, 0.0, 1e6, 1e6, 512)
+    thetas = np.random.default_rng(5).uniform(0.0, np.pi, 5)
+    for cap, truncated in ((32, 1e-3), (64, 1e-6), (128, 0.0)):
+        monkeypatch.setattr(engine, "_SERIES_MAX", cap)
+        first_half_series.cache_clear()
+        series = first_half_series(*key)
+        assert series.direct and len(series.coefficients) == cap + 1
+        error = _series_error(series, thetas)
+        assert truncated <= error <= series.tail, (cap, error, series.tail)
+    monkeypatch.undo()
+    first_half_series.cache_clear()
+    first_half_channel.cache_clear()
+    series = first_half_series(*key)
+    assert not series.direct and len(series.coefficients) == 257
+    assert _series_error(series, thetas) <= SERIES_BOUND
+    # the nodes nest: 65 builds at theta = j pi / 64 make all four rounds
+    assert first_half_channel.cache_info().misses == 65 + len(thetas)
+
+
+def test_above_the_cap_the_series_gives_direct_builds(monkeypatch):
+    # a setting whose tail misses the tolerance at the cap builds each theta
+    # directly, bit for bit, whatever the memo held before
+    monkeypatch.setattr(engine, "_SERIES_TOL", 1e-30)
+    key = (0.2, OMEGA, 0.0, 100.0, 10.0, 512)
+    series = first_half_series(*key)
+    assert series.direct and len(series.coefficients) == engine._SERIES_MAX + 1
+    for theta in np.random.default_rng(2).uniform(0.0, np.pi, 4):
+        first = series(theta)
+        first_half_channel.cache_clear()
+        assert np.array_equal(first, first_half_channel(theta, 0.0, *key))
+
+
+def test_the_series_memo_stays_bounded():
+    # 20 settings, five times the bound: the memo keeps its last 4 series,
+    # about 43 kB each at 32 samples, and the first-half memo the last 128 of
+    # their nodes: about 0.5 MB held in all, where a memo that kept every
+    # setting would hold 1.1 MB.
+    tracemalloc.start()
+    try:
+        for epsilon in np.linspace(-0.2, 0.2, 20):
+            first_half_series(0.2, OMEGA, float(epsilon), 300.0, 100.0, 64)
+            info = first_half_series.cache_info()
+            assert info.currsize <= info.maxsize == 4
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first_half_series.cache_info().misses == 20
+    assert held <= 0.8e6 and peak <= 1.0e6, (held, peak)
+
+
+def test_embed_matches_the_kron_form():
+    # the broadcast outer product has np.kron's entries bit for bit, for a
+    # scalar block and for a batch
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        spec = GateSpec(rng.uniform(0.0, np.pi), rng.uniform(-np.pi, np.pi),
+                        rng.uniform(-np.pi, np.pi), rng.uniform(-1.0, 1.0))
+        e = block_basis(spec)
+        for shape in ((), (21,)):
+            z = rng.normal(size=(4,) + shape)
+            a, b = z[0] + 1j * z[1], z[2] + 1j * z[3]
+            x = np.stack([a - 1.0, b, -np.conj(b), np.conj(a) - 1.0], axis=-1)
+            kron = (x @ np.kron(e, e.conj()).T + np.eye(3).reshape(-1)).reshape(shape + (3, 3))
+            assert np.array_equal(_embed(spec, a, b), kron)
+
 
 
 def _phased(d, channel):

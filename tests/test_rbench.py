@@ -1,8 +1,10 @@
 import gc
+import importlib.util
 import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,10 +241,15 @@ def test_shared_cache_matches_separate_runs(monkeypatch):
                        noise=noise, n_samples=256, steps=512,
                        interleaved=named_gate("T", eta=0.2))
     cache = GateCache()
-    shared = [run_rb(ref_cfg, cache), decay_rate(ref_cfg, cache), run_rb(int_cfg, cache)]
-    # one memo for both runs and decay_rate, which builds each distinct spec once
+    shared = [run_rb(ref_cfg, cache), decay_rate(ref_cfg, cache)]
+    reference = len(sequences)
+    shared.append(run_rb(int_cfg, cache))
+    # one memo for both runs and decay_rate, which builds each distinct spec
+    # once; the T run's recoveries come from the engine's theta series, not
+    # from the memo
     assert cache.channels(ref_cfg) is cache.channels(int_cfg)
-    specs = {s for specs, recovery in sequences for s in specs + [recovery]}
+    specs = {s for specs, _ in sequences for s in specs}
+    specs |= {recovery for _, recovery in sequences[:reference]}
     specs |= {el.spec for el in clifford_table(0.2)}
     assert Counter(built) == Counter(specs)
     separate = [run_rb(ref_cfg), decay_rate(ref_cfg), run_rb(int_cfg)]
@@ -341,8 +348,10 @@ def test_closed_rb_makes_one_first_half(monkeypatch):
 
 
 def test_dephased_rb_makes_one_first_half_channel_per_theta(monkeypatch):
-    # each distinct spec is one channel; the gates of one rounded theta, at
-    # every phi and gamma, close one first-half channel
+    # each distinct spec of the memo is one channel; the gates of one rounded
+    # theta, at every phi and gamma, close one first-half channel. The T run's
+    # recoveries make no channel call: they read one theta series, whose nine
+    # nodes theta = j pi / 8 are first halves too
     calls, sequences = [], []
     monkeypatch.setattr(rbench, "open_superoperator", _recording(rbench.open_superoperator, calls))
     monkeypatch.setattr(rbench, "build_sequence", _recording(rbench.build_sequence, sequences))
@@ -350,11 +359,71 @@ def test_dephased_rb_makes_one_first_half_channel_per_theta(monkeypatch):
                    noise=dephasing_from_t2(20e-3, 200e-3), n_samples=256, steps=512)
     cache = GateCache()
     run_rb(cfg, cache)
+    reference = len(sequences)
     run_rb(replace(cfg, interleaved=named_gate("T", eta=0.2)), cache)
-    specs = {s for specs, recovery in sequences for s in specs + [recovery]}
-    thetas = {round(s.theta, 14) for s in specs}
+    specs = {s for specs, _ in sequences for s in specs}
+    specs |= {recovery for _, recovery in sequences[:reference]}
+    thetas = {round(s.theta, 14) for s in specs} | {np.pi * j / 8 for j in range(9)}
     assert len(calls) == len(specs)
+    recoveries = len(sequences) - reference
+    assert engine.first_half_series.cache_info()[:2] == (recoveries - 1, 1)   # hits, misses
     assert engine.first_half_channel.cache_info().misses == len(thetas) > 10
+
+
+def _dephased_t_config(seed=3, **changes):
+    """A shots-off dephased T-interleaved run at rb_dephasing's setting."""
+    noise = NoiseModel(gamma_1a=100.0, gamma_0a=10.0, **changes.pop("noise", {}))
+    return replace(RBConfig(lengths=(1, 2, 4, 8), n_sequences=3, seed=seed, eta=0.2,
+                            noise=noise, n_samples=256, steps=512,
+                            interleaved=named_gate("T", eta=0.2)), **changes)
+
+
+def _curve_bytes(curve):
+    return [np.asarray(getattr(curve, f)).tobytes() for f in ("means", "stds", "a", "p", "b")]
+
+
+def test_a_dephased_t_run_is_the_same_warm_and_cold():
+    # which channels read the theta series depends on the config alone, so a
+    # run with every engine memo empty and one after runs at other settings
+    # filled them, the series memo included, give the same curve bit for bit
+    cfg = _dephased_t_config()
+    cold = _curve_bytes(run_rb(cfg))
+    for memo in (engine.first_half_block, engine.drive_steps, engine.first_half_channel,
+                 engine.first_half_series):
+        memo.cache_clear()
+    cache = GateCache()
+    for other in (_dephased_t_config(noise=dict(epsilon=0.02)), replace(cfg, steps=1024),
+                  replace(cfg, interleaved=None), _dephased_t_config(seed=4)):
+        run_rb(other, cache)
+    assert engine.first_half_series.cache_info().currsize == 3
+    assert _curve_bytes(run_rb(cfg, cache)) == cold
+    assert _curve_bytes(run_rb(cfg)) == cold
+
+
+def test_series_recoveries_match_direct_builds(monkeypatch):
+    # the recoveries of 8 drawn rb_dephasing jobs (perfbench's drawer, loaded
+    # from its file) with shots off: each channel the series gives is its
+    # direct build within the engine's series bound
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sequences = []
+    monkeypatch.setattr(rbench, "build_sequence", _recording(rbench.build_sequence, sequences))
+    worst = 0.0
+    for index in range(8):
+        (command, job, seed), = workloads.draw_job("rb_dephasing", 1, index)
+        assert command == "rb" and job["interleaved"] == "T"
+        cfg = RBConfig(lengths=tuple(job["lengths"]), n_sequences=job["sequences"],
+                       seed=seed, eta=job["eta"], noise=NoiseModel(**job["noise"]),
+                       n_samples=job["n_samples"], steps=job["steps"],
+                       interleaved=named_gate("T", eta=job["eta"]))
+        sequences.clear()
+        run_rb(cfg)
+        for _, recovery in sequences:
+            direct = rbench._build_channel(cfg, recovery)
+            worst = max(worst, np.max(np.abs(rbench._series_channel(cfg, recovery) - direct)))
+    assert len(sequences) == 60 and worst <= engine._SERIES_TOL + 1e-13, worst
 
 
 def test_one_drive_serves_every_gate_on_the_clifford_path(monkeypatch):
