@@ -70,8 +70,9 @@ is a pure function of its key and hands out read-only arrays:
   (about 1.7 kB each with its key, 0.2 MB): every gamma of one theta, as
   RB's gates under dephasing, makes Phi1 once and closes it by
   `_loop_channel`. A default dephased RB run, reference and interleaved T
-  and its `decay_rate`, makes 15 of them (RB seeds 0 to 5): the Cliffords'
-  thetas and the nine nodes of one theta series.
+  and its `decay_rate`, makes 12 of them (RB seeds 0 to 5): the nine nodes
+  j pi / 8 of one theta series, which hold 4 of the Cliffords' 7 thetas,
+  and the other 3.
 - `first_half_series`, Phi1(theta, phi = 0) for every theta at (eta,
   omega_max, epsilon, gamma_1a, gamma_0a, steps), as a Fourier series in
   theta/2, for its last 4 keys (about 43 kB each at 32 samples, 0.3 MB at

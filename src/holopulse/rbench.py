@@ -52,7 +52,6 @@ from .engine import (NoiseModel, _conjugate_by_diagonal, _embed, _loop_channel, 
                      propagate_unitary)
 from .gates import (_clifford_matrices, _clifford_rotations, axis_angle, clifford_index,
                     clifford_products, clifford_table, target_unitary)
-from .paths import DYNAMICAL
 from .pulses import (OMEGA_MAX_DEFAULT, GateSpec, check_sampling, compute_duration,
                      synthesize)
 
@@ -158,24 +157,9 @@ def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None, eta: flo
     return specs, axis_angle(acc.conj().T, eta=eta)
 
 
-_DIGITS = 14
 # the most channels one memo keeps, least recently used dropped first (about
 # 1.5 kB each); an rb_dephasing-sized run builds fewer than 100
 _CHANNEL_MEMO_SIZE = 256
-
-
-def _canonical_spec(spec: GateSpec) -> GateSpec:
-    """The spec with its angles rounded to _DIGITS decimals, from which a cached
-    channel is built, so that the channel depends on the rounded angles alone
-    and not on which of several near-equal specs came first. A spec that
-    rounding would carry out of GateSpec's domain (gamma = 2 pi) stays as is."""
-    theta, phi, eta = (round(x, _DIGITS) for x in (spec.theta, spec.phi, spec.eta))
-    try:
-        if spec.scheme == DYNAMICAL:
-            return GateSpec.dynamical(theta, phi, eta)
-        return GateSpec(theta, phi, round(spec.gamma, _DIGITS), eta, spec.scheme)
-    except ValueError:
-        return spec
 
 
 def _settings(config: RBConfig) -> tuple:
@@ -193,8 +177,8 @@ def _depolarizer(d: float) -> np.ndarray:
 class GateCache:
     """Per-gate channels: 9x9 superoperators on row-major vec(rho).
 
-    Each distinct spec's channel is built once per memo, from its canonical
-    spec (`_build_channel`):
+    Each distinct spec's channel is built once per memo, from that spec
+    (`_build_channel`):
     - closed: the lift U (x) U* of its propagated unitary, whose first half
       the engine makes once for every gate at eta (`engine.first_half_block`);
       in "exact" mode U is the ideal gate |d><d| + e^{i gamma}|b><b|,
@@ -229,9 +213,7 @@ class GateCache:
 
 
 def _build_channel(config: RBConfig, spec: GateSpec) -> np.ndarray:
-    """The channel of `spec`, rounded to its canonical spec, under `config`
-    (see `GateCache`)."""
-    spec = _canonical_spec(spec)
+    """The channel of `spec` under `config` (see `GateCache`)."""
     if config.noise.dephased:       # exact mode admits no dephasing
         sched = synthesize(replace(spec, phi=0.0), config.omega_max, config.n_samples)
         return _turned(spec, open_superoperator(sched, config.noise, config.steps))
@@ -251,10 +233,9 @@ def _turned(spec: GateSpec, channel: np.ndarray) -> np.ndarray:
 
 
 def _series_channel(config: RBConfig, spec: GateSpec) -> np.ndarray:
-    """The dephased channel of `spec`, rounded to its canonical spec, from the
-    engine's theta series of the first half (`engine.first_half_series`),
-    closed by the loop's mirror and turned to its phi; built anew each call."""
-    spec = _canonical_spec(spec)
+    """The dephased channel of `spec` from the engine's theta series of the
+    first half (`engine.first_half_series`), closed by the loop's mirror and
+    turned to its phi; built anew each call."""
     noise = config.noise
     series = first_half_series(spec.eta, config.omega_max, noise.epsilon, noise.gamma_1a,
                                noise.gamma_0a, config.steps)

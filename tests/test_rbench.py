@@ -307,17 +307,24 @@ def test_the_channel_memo_is_bounded(monkeypatch):
 
 def test_cached_channel_depends_on_key_only():
     # recovery gates from axis_angle differ from each other in the last bits;
-    # specs that share a key must get the same channel whichever comes first
+    # each spec's channel is the same whichever of its neighbours came first,
+    # and the channels of two specs one ulp apart agree to rounding
     cfg = RBConfig(eta=0.2, noise=dephasing_from_t2(20e-3, 200e-3),
                    n_samples=256, steps=512)
     theta = 0.9553166181245093
     a = GateSpec(theta, np.pi / 4.0, 2.0 * np.pi / 3.0, 0.2)
     b = replace(a, theta=np.nextafter(theta, 0.0))
-    assert np.array_equal(GateCache().channels(cfg)(a), GateCache().channels(cfg)(b))
     d = GateSpec.dynamical(theta, 0.3, 0.2)
     e = GateSpec.dynamical(np.nextafter(theta, 0.0), 0.3, 0.2)
     closed = replace(cfg, noise=NoiseModel(epsilon=0.05))
-    assert np.array_equal(GateCache().channels(closed)(d), GateCache().channels(closed)(e))
+    for config, neighbour, spec in ((cfg, a, b), (closed, d, e)):
+        fresh = GateCache().channels(config)(spec)
+        for memo in (engine.first_half_block, engine.drive_steps, engine.first_half_channel):
+            memo.cache_clear()
+        channel = GateCache().channels(config)
+        first = channel(neighbour)
+        assert np.array_equal(channel(spec), fresh)
+        assert np.max(np.abs(first - fresh)) <= 1e-15
 
 
 def _recording(fn, results, arg=None):
@@ -348,10 +355,11 @@ def test_closed_rb_makes_one_first_half(monkeypatch):
 
 
 def test_dephased_rb_makes_one_first_half_channel_per_theta(monkeypatch):
-    # each distinct spec of the memo is one channel; the gates of one rounded
-    # theta, at every phi and gamma, close one first-half channel. The T run's
+    # each distinct spec of the memo is one channel; the gates of one theta,
+    # at every phi and gamma, close one first-half channel. The T run's
     # recoveries make no channel call: they read one theta series, whose nine
-    # nodes theta = j pi / 8 are first halves too
+    # nodes theta = j pi / 8 are first halves too and hold 4 of the Cliffords'
+    # 7 thetas, so 12 in all
     calls, sequences = [], []
     monkeypatch.setattr(rbench, "open_superoperator", _recording(rbench.open_superoperator, calls))
     monkeypatch.setattr(rbench, "build_sequence", _recording(rbench.build_sequence, sequences))
@@ -363,11 +371,11 @@ def test_dephased_rb_makes_one_first_half_channel_per_theta(monkeypatch):
     run_rb(replace(cfg, interleaved=named_gate("T", eta=0.2)), cache)
     specs = {s for specs, _ in sequences for s in specs}
     specs |= {recovery for _, recovery in sequences[:reference]}
-    thetas = {round(s.theta, 14) for s in specs} | {np.pi * j / 8 for j in range(9)}
+    thetas = {s.theta for s in specs} | {np.pi * j / 8 for j in range(9)}
     assert len(calls) == len(specs)
     recoveries = len(sequences) - reference
     assert engine.first_half_series.cache_info()[:2] == (recoveries - 1, 1)   # hits, misses
-    assert engine.first_half_channel.cache_info().misses == len(thetas) > 10
+    assert engine.first_half_channel.cache_info().misses == len(thetas) == 12
 
 
 def _dephased_t_config(seed=3, **changes):
@@ -398,6 +406,26 @@ def test_a_dephased_t_run_is_the_same_warm_and_cold():
     assert engine.first_half_series.cache_info().currsize == 3
     assert _curve_bytes(run_rb(cfg, cache)) == cold
     assert _curve_bytes(run_rb(cfg)) == cold
+
+
+@pytest.mark.parametrize("name, first_halves", [(None, 7), ("X", 7), ("S", 7), ("H", 8)])
+def test_clifford_rb_builds_a_first_half_per_raw_theta(monkeypatch, name, first_halves):
+    # a dephased reference run, its decay_rate and a Clifford-interleaved run
+    # at rb_dephasing's setting read no theta series: each gate is built at its
+    # own theta, so the first halves are the distinct raw thetas of the specs.
+    # H's theta pi / 4 is one ulp from the table's and makes one of its own
+    sequences = []
+    monkeypatch.setattr(rbench, "build_sequence", _recording(rbench.build_sequence, sequences))
+    cfg = _dephased_t_config(interleaved=None)
+    cache = GateCache()
+    run_rb(cfg, cache)
+    decay_rate(cfg, cache)
+    if name is not None:
+        run_rb(replace(cfg, interleaved=named_gate(name, eta=0.2)), cache)
+    specs = {s for specs, recovery in sequences for s in (*specs, recovery)}
+    thetas = {s.theta for s in specs | {el.spec for el in clifford_table(0.2)}}
+    assert engine.first_half_series.cache_info().misses == 0
+    assert engine.first_half_channel.cache_info().misses == len(thetas) == first_halves
 
 
 def test_series_recoveries_match_direct_builds(monkeypatch):
