@@ -513,12 +513,19 @@ def first_half_channel(theta: float, phi: float, eta: float, omega_max: float,
     return first
 
 
+def _diagonal(k: int, phase) -> np.ndarray:
+    """A diagonal of ones with `phase` at k: (3,), or (..., 3) for an array of phases."""
+    d = np.ones((*np.shape(phase), 3), dtype=complex)
+    d[..., k] = phase
+    return d
+
+
 def _conjugate_by_diagonal(channel: np.ndarray, d: np.ndarray) -> np.ndarray:
     """(D (x) D*) channel (D (x) D*)^dag on row-major vec for D = diag(d): the
     elementwise channel[k, l] r_k conj(r_l), r the diagonal of D (x) D*, for
-    one channel or a stack of them."""
-    r = np.outer(d, d.conj()).reshape(-1)
-    return channel * np.outer(r, r.conj())
+    one channel or a stack of them, with one d or a stack (..., 3) of them."""
+    r = (d[..., :, None] * d.conj()[..., None, :]).reshape(*d.shape[:-1], 9)
+    return channel * (r[..., :, None] * r.conj()[..., None, :])
 
 
 # The theta series of Phi1 starts at _SERIES_MIN samples over [0, 4 pi) and
@@ -556,16 +563,18 @@ class FirstHalfSeries:
     tail: float
     direct: bool
 
-    def evaluate(self, theta: float) -> np.ndarray:
-        """The series at theta, a complex 9x9 on row-major vec(rho)."""
+    def evaluate(self, theta: np.ndarray) -> np.ndarray:
+        """The series at each theta of an array, a stack (n, 9, 9) on
+        row-major vec(rho), as a stacked mat-vec: it rounds each theta as
+        e(theta) @ c alone does, which one (n, K) @ (K, 81) product would not."""
         half = len(self.coefficients) // 2
-        return (np.exp(0.5j * theta * np.arange(-half, half + 1))
-                @ self.coefficients).reshape(9, 9)
+        e = np.exp(0.5j * theta[:, None] * np.arange(-half, half + 1))
+        return (e[:, None] @ self.coefficients).reshape(-1, 9, 9)
 
-    def __call__(self, theta: float) -> np.ndarray:
-        """Phi1 at theta and phi = 0: the series, or a direct build when `direct`."""
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        """Phi1 at each theta of an array and phi = 0: the series, or direct builds."""
         if self.direct:
-            return first_half_channel(theta, 0.0, *self.key)
+            return np.stack([first_half_channel(t, 0.0, *self.key) for t in theta.tolist()])
         return self.evaluate(theta)
 
 
@@ -613,13 +622,15 @@ def first_half_series(eta: float, omega_max: float, epsilon: float, gamma_1a: fl
         built, quarter = finer, 2 * quarter
 
 
-def _loop_channel(spec, first: np.ndarray) -> np.ndarray:
+def _loop_channel(first: np.ndarray, scheme: str, gamma, phi) -> np.ndarray:
     """The loop's channel Phi2 Phi1 on row-major vec(rho) from its first
-    half's Phi1 (see the module docstring)."""
-    if spec.scheme == DYNAMICAL:
-        d, second = np.array([1.0, np.exp(2j * spec.phi), 1.0]), first.T
+    half's Phi1 (see the module docstring), for one gate of `scheme`, or for
+    a stack of first halves whose gamma and phi are arrays."""
+    second = first.swapaxes(-1, -2)
+    if scheme == DYNAMICAL:
+        d = _diagonal(1, np.exp(2j * phi))
     else:
-        d, second = np.array([1.0, 1.0, np.exp(-1j * spec.gamma)]), first.T[_SWAP][:, _SWAP]
+        d, second = _diagonal(2, np.exp(-1j * gamma)), second[..., _SWAP, :][..., _SWAP]
     return _conjugate_by_diagonal(second, d) @ first
 
 
@@ -632,7 +643,7 @@ def open_superoperator(schedule: PulseSchedule, noise: NoiseModel,
     spec = schedule.spec
     first = first_half_channel(spec.theta, spec.phi, spec.eta, schedule.omega_max,
                                noise.epsilon, noise.gamma_1a, noise.gamma_0a, steps)
-    return _loop_channel(spec, first)
+    return _loop_channel(first, spec.scheme, spec.gamma, spec.phi)
 
 
 def trace_defect(superop: np.ndarray) -> float:

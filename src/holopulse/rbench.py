@@ -15,13 +15,15 @@ dephasing, and in the synthetic "exact" mode the lift of the ideal gate
 followed by a depolarizer. `GateCache` builds and keeps them, but for the
 recoveries of a dephased run whose interleaved gate is not a Clifford: each
 of those has a continuous theta of its own, which no memo would hit again,
-so it reads the engine's theta series of the first half
-(`engine.first_half_series`, built once per setting) and is not kept.
-Which channels read the series is a function of the config alone, so a
-rerun in a warm process gives the bits of a fresh one. The survivals of one
+so they read the engine's theta series of the first half
+(`engine.first_half_series`, built once per setting), a length's at once,
+and are not kept. Which channels read the series is a function of the
+config alone, so a rerun in a warm process gives the bits of a fresh one.
+A sequence is an array of indices into its run's gate stack (`_gate_stack`):
+the 24 Clifford channels, then the interleaved gate's. The survivals of one
 length run in lock-step: its sequences, all built first, each from its own
-stream, advance together as one stack of vec(rho), multiplied at each
-position by the stacked channels of that position. The cache keeps one
+stream, advance together as one stack of vec(rho), by one gather from the
+gate stack and one stacked product per position. The cache keeps one
 memo per noise model (its last `_CHANNEL_MEMO_SIZE` channels), which every
 run on that model reads: a reference run, its interleaved run and
 `decay_rate` share their common gates. A channel is one engine call,
@@ -47,11 +49,12 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import (NoiseModel, _conjugate_by_diagonal, _embed, _loop_channel, _matmul,
-                     _ordered_product, check_steps, first_half_series, open_superoperator,
-                     propagate_unitary)
+from .engine import (NoiseModel, _conjugate_by_diagonal, _diagonal, _embed, _loop_channel,
+                     _matmul, _ordered_product, check_steps, first_half_series,
+                     open_superoperator, propagate_unitary)
 from .gates import (_clifford_matrices, _clifford_rotations, axis_angle, clifford_index,
                     clifford_products, clifford_table, target_unitary)
+from .paths import HOLONOMIC
 from .pulses import (OMEGA_MAX_DEFAULT, GateSpec, check_sampling, compute_duration,
                      synthesize)
 
@@ -129,32 +132,30 @@ def _interleaved(spec: GateSpec) -> tuple:
 def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None, eta: float = 0.0):
     """m random Cliffords (+ optional interleaved gate) plus the recovery.
 
-    Returns (gate_specs, recovery_spec); applying all gates in order acts as
-    the identity on an ideal qubit, up to a global phase. The recovery is the
-    Cayley-table inverse of the accumulated Clifford when every gate is a
-    Clifford, else `axis_angle` of the inverse of the accumulated product,
-    the ordered product of the stacked g @ C_i at the drawn indices.
+    Returns (gates, recovery_spec): `gates` indexes the run's gate stack
+    (`_gate_stack`), the interleaved gate at 24, so [i0, 24, i1, 24, ...].
+    Applying all gates in order acts as the identity on an ideal qubit, up
+    to a global phase. The recovery is the Cayley-table inverse of the
+    accumulated Clifford when every gate is a Clifford, else `axis_angle` of
+    the inverse of the accumulated product, the ordered product of the
+    stacked g @ C_i at the drawn indices.
     """
     if m < 1:
         raise ValueError("sequence length must be >= 1")
     table = clifford_table(eta)
     idx = rng.integers(0, len(table), size=m)
-    drawn = idx.tolist()
-    if interleaved is None:
-        specs = [table[i].spec for i in drawn]
-    else:
-        specs = [spec for i in drawn for spec in (table[i].spec, interleaved)]
+    gates = idx if interleaved is None else np.array([idx, np.full(m, 24)]).T.ravel()
     k, stack = (None, None) if interleaved is None else _interleaved(interleaved)
     if interleaved is None or k is not None:
         products = clifford_products()
         acc = 0
-        for i in drawn:
+        for i in idx.tolist():
             acc = products[i][acc]
             if k is not None:
                 acc = products[k][acc]
-        return specs, table[acc].recovery
+        return gates, table[acc].recovery
     (acc,), = _ordered_product((stack[idx],), _matmul)
-    return specs, axis_angle(acc.conj().T, eta=eta)
+    return gates, axis_angle(acc.conj().T, eta=eta)
 
 
 # the most channels one memo keeps, least recently used dropped first (about
@@ -187,11 +188,12 @@ class GateCache:
       (R (x) R*)^dag with R = diag(1, e^{i phi}, 1), elementwise phases
       (`_turned`), so that every phi of a theta reads the one first-half
       channel the engine makes and closes per gamma.
-    The recoveries of a dephased run with a non-Clifford interleaved gate
-    are not built here but from the engine's theta series
-    (`_series_channel`, chosen by `_recovery_channel`), and no memo keeps
-    them: the cache's channels are all direct builds, so a recovery one ulp
-    from a Clifford's spec never reads a channel of the other kind.
+    A run reads each gate of its stack (`_gate_stack`) and each recovery
+    from the memo once. The recoveries of a dephased run with a non-Clifford
+    interleaved gate are not built here but from the engine's theta series,
+    a length's at once (`_series_channel`), and no memo keeps them: the
+    cache's channels are all direct builds, so a recovery one ulp from a
+    Clifford's spec never reads a channel of the other kind.
     One memo per noise model: `channels(config)` is the memoized spec ->
     channel for the config's channel settings (`_settings`), read by every
     run on the cache with those settings: a reference run, its interleaved
@@ -216,7 +218,7 @@ def _build_channel(config: RBConfig, spec: GateSpec) -> np.ndarray:
     """The channel of `spec` under `config` (see `GateCache`)."""
     if config.noise.dephased:       # exact mode admits no dephasing
         sched = synthesize(replace(spec, phi=0.0), config.omega_max, config.n_samples)
-        return _turned(spec, open_superoperator(sched, config.noise, config.steps))
+        return _turned(spec.phi, open_superoperator(sched, config.noise, config.steps))
     if config.mode == "exact":
         u = _embed(spec, np.exp(1j * spec.gamma), 0j)
     else:
@@ -226,58 +228,58 @@ def _build_channel(config: RBConfig, spec: GateSpec) -> np.ndarray:
     return _depolarizer(config.depolarizing) @ lift if config.depolarizing else lift
 
 
-def _turned(spec: GateSpec, channel: np.ndarray) -> np.ndarray:
-    """The channel of `spec` from that of its phi = 0 gate: (R (x) R*) channel
-    (R (x) R*)^dag, R = diag(1, e^{i phi}, 1)."""
-    return _conjugate_by_diagonal(channel, np.array([1, np.exp(1j * spec.phi), 1]))
+def _turned(phi, channel: np.ndarray) -> np.ndarray:
+    """The channel of a gate at `phi` from that of its phi = 0 gate: (R (x) R*)
+    channel (R (x) R*)^dag, R = diag(1, e^{i phi}, 1); for a stack, phi is
+    an array."""
+    return _conjugate_by_diagonal(channel, _diagonal(1, np.exp(1j * phi)))
 
 
-def _series_channel(config: RBConfig, spec: GateSpec) -> np.ndarray:
-    """The dephased channel of `spec` from the engine's theta series of the
-    first half (`engine.first_half_series`), closed by the loop's mirror and
-    turned to its phi; built anew each call."""
+def _series_channel(config: RBConfig, specs) -> np.ndarray:
+    """The dephased channels (n, 9, 9) of holonomic `specs` at config.eta, as
+    `axis_angle` gives them: the engine's theta series of the first half
+    (`engine.first_half_series`), closed by the loop's mirror and turned to
+    their phis, each step on the whole stack; built anew each call."""
     noise = config.noise
-    series = first_half_series(spec.eta, config.omega_max, noise.epsilon, noise.gamma_1a,
+    series = first_half_series(config.eta, config.omega_max, noise.epsilon, noise.gamma_1a,
                                noise.gamma_0a, config.steps)
-    return _turned(spec, _loop_channel(replace(spec, phi=0.0), series(spec.theta)))
+    theta, phi, gamma = np.array([(s.theta, s.phi, s.gamma) for s in specs]).T
+    return _turned(phi, _loop_channel(series(theta), HOLONOMIC, gamma, 0.0))
 
 
-def _recovery_channel(config: RBConfig):
-    """The spec -> channel of `config`'s recovery gates when they read the
-    series (`_series_channel`): in a dephased run whose interleaved gate is
-    not a Clifford, whose recoveries have a continuous theta each. None,
-    for the cache's memo, otherwise."""
-    if (config.noise.dephased and config.interleaved is not None
-            and _interleaved(config.interleaved)[0] is None):
-        return partial(_series_channel, config)
-    return None
+def _gate_stack(channel, eta: float, interleaved: Optional[GateSpec] = None) -> np.ndarray:
+    """The read-only (24 [+1], 9, 9) stack of a run's gate channels, which
+    `build_sequence`'s indices address: the Cliffords at `eta` in
+    `clifford_table` order, then the interleaved gate, if any."""
+    specs = [el.spec for el in clifford_table(eta)] + [interleaved] * (interleaved is not None)
+    stack = np.array([channel(spec) for spec in specs])
+    stack.flags.writeable = False
+    return stack
 
 
-def _survivals(sequences, channel, noise: NoiseModel, recovery=None) -> np.ndarray:
+def _survivals(gates, stack, recoveries, noise: NoiseModel) -> np.ndarray:
     """Exact |0>-return probabilities of equal-length sequences, with SPAM, in
-    lock-step: the (n, 9, 1) stack of row-major vec(rho) is multiplied at each
-    position by the stacked channels of that position's gates, so it holds n
-    channels at a time. `channel` maps a gate's spec to its 9x9 channel, and
-    `recovery` a recovery's (`channel` when None)."""
-    v = np.zeros((len(sequences), 9, 1), dtype=complex)
+    lock-step: the (n, 9, 1) stack of row-major vec(rho) advances by each
+    column of `gates` (n, L), the indices into `stack` (`_gate_stack`), as
+    v = stack[column] @ v, and last by the stacked `recoveries` (n, 9, 9)."""
+    v = np.zeros((len(gates), 9, 1), dtype=complex)
     v[:, 0], v[:, 4] = 1.0 - noise.prep_error, noise.prep_error
-    for column in zip(*[specs for specs, _ in sequences]):
-        v = np.stack([channel(spec) for spec in column]) @ v
-    v = np.stack([(recovery or channel)(spec) for _, spec in sequences]) @ v
-    return noise.readout(np.real(v[:, 0, 0]))
+    for column in gates.T:
+        v = stack[column] @ v
+    return noise.readout(np.real((recoveries @ v)[:, 0, 0]))
 
 
 def decay_rate(config: RBConfig, cache: Optional[GateCache] = None) -> float:
     """Reference RB's decay p in the limit of many sequences, with no SPAM: the
     real part of the eigenvalue of largest modulus of the 27x27 mean over the
     Cliffords g of Phi_g (x) R_g, Phi_g the channel of g and R_g its Bloch
-    rotation. It reads `cache`'s one memo per noise model, which holds no
-    reference to the cache, so a run's channels serve it (see `GateCache`)."""
+    rotation, one broadcast product of the Clifford stack (`_gate_stack`). It
+    reads `cache`'s one memo per noise model, which holds no reference to the
+    cache, so a run's channels serve it (see `GateCache`)."""
     if cache is None:
         cache = GateCache()
-    channel = cache.channels(config)
-    twirl = np.mean([np.kron(channel(el.spec), r) for el, r
-                     in zip(clifford_table(config.eta), _clifford_rotations())], axis=0)
+    channels, r = _gate_stack(cache.channels(config), config.eta), _clifford_rotations()
+    twirl = (channels[:, :, None, :, None] * r[:, None, :, None, :]).reshape(24, 27, 27).mean(0)
     eigenvalues = np.linalg.eigvals(twirl)
     return float(np.real(eigenvalues[np.argmax(np.abs(eigenvalues))]))
 
@@ -373,13 +375,21 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
     """
     if cache is None:
         cache = GateCache()
-    channel, recovery = cache.channels(config), _recovery_channel(config)
+    channel = cache.channels(config)
+    stack = _gate_stack(channel, config.eta, config.interleaved)
+    clifford = config.interleaved is None or _interleaved(config.interleaved)[0] is not None
+    # a dephased run's recoveries of a non-Clifford interleaved gate each have
+    # a continuous theta, which no memo would hit again: they read the series
+    series = config.noise.dephased and not clifford
     means, stds = [], []
     for m in config.lengths:
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, int(m), j)))
                 for j in range(config.n_sequences)]
-        sequences = [build_sequence(int(m), rng, config.interleaved, config.eta) for rng in rngs]
-        fids = _survivals(sequences, channel, config.noise, recovery)
+        gates, specs = zip(*[build_sequence(int(m), rng, config.interleaved, config.eta)
+                             for rng in rngs])
+        recoveries = (_series_channel(config, specs) if series
+                      else np.array([channel(s) for s in specs]))
+        fids = _survivals(np.array(gates), stack, recoveries, config.noise)
         if config.shots is not None:
             # each sequence's shots come from its own stream, after its integers draw
             fids = np.array([rng.binomial(config.shots, f)
@@ -398,8 +408,7 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
     if config.interleaved is not None:
         # decay interpretation is approximate when the interleaved gate is
         # not itself a Clifford (e.g. T)
-        metadata["interleaved_is_clifford"] = (
-            _interleaved(config.interleaved)[0] is not None)
+        metadata["interleaved_is_clifford"] = clifford
     return RBCurve(lengths=lengths, means=means, stds=stds, a=a, p=p, b=b,
                    f_ave=average_fidelity(p), metadata=metadata)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holopulse import engine
+from holopulse.gates import clifford_table
 from holopulse.pulses import TONE0_HZ, TONE1_HZ
 
 
@@ -48,3 +49,16 @@ def _check_tone_file(path, schedule):
 def check_tone_file():
     """`_check_tone_file`; session-scoped, so property tests may take it."""
     return _check_tone_file
+
+
+def _gate_specs(gates, eta, interleaved=None):
+    """The specs of `build_sequence`'s gate indices: the Cliffords at `eta` in
+    `clifford_table` order, then the interleaved gate at 24."""
+    specs = [el.spec for el in clifford_table(eta)] + [interleaved]
+    return [specs[i] for i in gates]
+
+
+@pytest.fixture(scope="session")
+def gate_specs():
+    """`_gate_specs`; session-scoped, so property tests may take it."""
+    return _gate_specs

@@ -155,6 +155,24 @@ def test_the_parent_is_a_plain_export_of_its_commit(tmp_path, monkeypatch):
     assert git("status", "--porcelain") == status and git("stash", "list") == ""
 
 
+def test_an_exported_tree_is_byte_compiled(tmp_path):
+    # every source of the tree gets a .pyc that an import accepts: this
+    # interpreter's magic number and the source's mtime and size
+    tree = tmp_path / "tree"
+    (tree / "src" / "pkg").mkdir(parents=True)
+    sources = [tree / "src" / "pkg" / "__init__.py", tree / "src" / "pkg" / "mod.py",
+               tree / "tool.py"]
+    for k, source in enumerate(sources):
+        source.write_text(f"X = {k}\n")
+    assert bench_pr.compile_tree(tree) == tree
+    for source in sources:
+        pyc = Path(importlib.util.cache_from_source(str(source))).read_bytes()
+        stat = source.stat()
+        assert pyc[:4] == importlib.util.MAGIC_NUMBER
+        assert int.from_bytes(pyc[8:12], "little") == int(stat.st_mtime) & 0xFFFFFFFF
+        assert int.from_bytes(pyc[12:16], "little") == stat.st_size
+
+
 _FAKE_RUN = '''
 import argparse, json, sys
 parser = argparse.ArgumentParser()

@@ -533,6 +533,9 @@ def test_numpy_commands_need_no_scipy(tmp_path):
         dict(dephased_rb, steps=16384),
         # its recoveries read the engine's theta series of the first half
         dict(dephased_rb, interleaved="T"),
+        # a Clifford interleaved gate: index 24 of the run's gate stack, and
+        # each recovery read from the Cayley table through products[k]
+        dict(dephased_rb, interleaved="X"),
         # a dynamical interleaved gate with its own eta: a drive apart from the Cliffords'
         dict(dephased_rb, interleaved=dynamical),
     ]

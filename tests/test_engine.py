@@ -523,8 +523,8 @@ SERIES_BOUND = engine._SERIES_TOL + 1e-13
 
 def _series_error(series, thetas):
     """Largest |series - direct build| at `thetas`, the sum read in full."""
-    return max(np.max(np.abs(series.evaluate(t) - first_half_channel(t, 0.0, *series.key)))
-               for t in thetas)
+    direct = np.stack([first_half_channel(t, 0.0, *series.key) for t in thetas])
+    return np.max(np.abs(series.evaluate(np.asarray(thetas)) - direct))
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)
@@ -541,7 +541,7 @@ def test_the_theta_series_matches_direct_builds(eta, epsilon, gamma_1a, gamma_0a
     assert series.tail <= engine._SERIES_TOL
     error = _series_error(series, thetas)
     assert error <= SERIES_BOUND and error <= series.tail + 1e-13, (error, series.tail)
-    assert np.array_equal(series(thetas[0]), series.evaluate(thetas[0]))
+    assert np.array_equal(series(np.asarray(thetas)), series.evaluate(np.asarray(thetas)))
     assert not series.coefficients.flags.writeable
 
 
@@ -577,7 +577,7 @@ def test_above_the_cap_the_series_gives_direct_builds(monkeypatch):
     series = first_half_series(*key)
     assert series.direct and len(series.coefficients) == engine._SERIES_MAX + 1
     for theta in np.random.default_rng(2).uniform(0.0, np.pi, 4):
-        first = series(theta)
+        first, = series(np.array([theta]))
         first_half_channel.cache_clear()
         assert np.array_equal(first, first_half_channel(theta, 0.0, *key))
 

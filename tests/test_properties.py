@@ -359,14 +359,18 @@ def test_cached_channel_matches_a_direct_propagation(spec, eta, dephased):
 @few
 @given(m=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
        name=st.sampled_from([None, "X", "T"]), eta=st.floats(-1.0, 1.0))
-def test_recovery_closes_the_sequence(m, seed, name, eta):
+def test_recovery_closes_the_sequence(gate_specs, m, seed, name, eta):
     """The Cayley-table recovery (no interleaved gate, or the Clifford X) and
-    the axis_angle one (T) return the sequence to I up to a global phase."""
+    the axis_angle one (T) return the sequence to I up to a global phase. The
+    gates are indices into the run's stack: Cliffords below 24, and the
+    interleaved gate at 24 after each of them."""
     interleaved = None if name is None else named_gate(name, eta)
-    specs, recovery = build_sequence(m, np.random.default_rng(seed), interleaved, eta)
-    assert len(specs) == (m if name is None else 2 * m)
+    gates, recovery = build_sequence(m, np.random.default_rng(seed), interleaved, eta)
+    assert gates.dtype.kind == "i" and len(gates) == (m if name is None else 2 * m)
+    assert np.all(gates[::1 if name is None else 2] < 24)
+    assert name is None or np.all(gates[1::2] == 24)
     acc = np.eye(2, dtype=complex)
-    for spec in specs + [recovery]:
+    for spec in gate_specs(gates, eta, interleaved) + [recovery]:
         assert spec.eta == eta
         acc = target_unitary(spec) @ acc
     assert phase_equivalent(acc, np.eye(2))
@@ -403,8 +407,9 @@ def _reference_survival(specs, cfg):
        prep_error=probabilities, bright_error=probabilities, dark_error=probabilities,
        name=st.sampled_from([None, "X", "T"]), exact=st.booleans(),
        depolarizing=st.floats(0.0, 0.1), seed=st.integers(0, 2 ** 32 - 1))
-def test_rb_means_match_the_direct_formulas(eta, epsilon, gamma_1a, prep_error, bright_error,
-                                            dark_error, name, exact, depolarizing, seed):
+def test_rb_means_match_the_direct_formulas(gate_specs, eta, epsilon, gamma_1a, prep_error,
+                                            bright_error, dark_error, name, exact,
+                                            depolarizing, seed):
     """run_rb, whose every gate is a cached 9x9 channel, averages the
     survival that direct propagation of every gate gives, in every mode."""
     if exact:       # exact mode rejects the pulse noise it would ignore
@@ -421,7 +426,8 @@ def test_rb_means_match_the_direct_formulas(eta, epsilon, gamma_1a, prep_error, 
         survival = []
         for j in range(cfg.n_sequences):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, m, j)))
-            specs, recovery = build_sequence(m, rng, cfg.interleaved, eta)
+            gates, recovery = build_sequence(m, rng, cfg.interleaved, eta)
+            specs = gate_specs(gates, eta, cfg.interleaved)
             survival.append(_reference_survival(specs + [recovery], cfg))
         reference.append(np.mean(survival))
     no_fit = (1.0, 1.0, 0.0)     # the means alone are compared

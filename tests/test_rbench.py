@@ -18,24 +18,26 @@ from holopulse.rbench import (FitError, GateCache, RBConfig, average_fidelity,
                               fit_decay, interleaved_gate_fidelity, run_rb)
 
 
-def test_build_sequence_inverts():
+def test_build_sequence_inverts(gate_specs):
     rng = np.random.default_rng(0)
     for m in (1, 3, 8):
-        specs, recovery = build_sequence(m, rng)
+        gates, recovery = build_sequence(m, rng)
+        assert gates.dtype.kind == "i" and len(gates) == m and np.all(gates < 24)
         acc = np.eye(2, dtype=complex)
-        for s in specs:
+        for s in gate_specs(gates, 0.0):
             acc = target_unitary(s) @ acc
         acc = target_unitary(recovery) @ acc
         assert phase_equivalent(acc, np.eye(2), tol=1e-9)
 
 
-def test_build_sequence_interleaved_inverts():
+def test_build_sequence_interleaved_inverts(gate_specs):
+    # the interleaved gate is index 24 of the run's stack, after each Clifford
     rng = np.random.default_rng(1)
     t_gate = named_gate("T")
-    specs, recovery = build_sequence(4, rng, interleaved=t_gate)
-    assert len(specs) == 8
+    gates, recovery = build_sequence(4, rng, interleaved=t_gate)
+    assert len(gates) == 8 and np.all(gates[0::2] < 24) and np.all(gates[1::2] == 24)
     acc = np.eye(2, dtype=complex)
-    for s in specs:
+    for s in gate_specs(gates, 0.0, t_gate):
         acc = target_unitary(s) @ acc
     acc = target_unitary(recovery) @ acc
     assert phase_equivalent(acc, np.eye(2), tol=1e-9)
@@ -66,10 +68,14 @@ def test_a_lock_step_survival_does_not_depend_on_its_batch():
     cfg = RBConfig(eta=0.2, noise=noise, n_samples=256, steps=512,
                    interleaved=named_gate("T", eta=0.2))
     channel = GateCache().channels(cfg)
+    stack = rbench._gate_stack(channel, cfg.eta, cfg.interleaved)
     sequences = [build_sequence(6, np.random.default_rng(j), cfg.interleaved, cfg.eta)
                  for j in range(5)]
-    batch = rbench._survivals(sequences, channel, noise)
-    alone = [rbench._survivals([seq], channel, noise)[0] for seq in sequences]
+    gates = np.array([g for g, _ in sequences])
+    recoveries = np.stack([channel(recovery) for _, recovery in sequences])
+    batch = rbench._survivals(gates, stack, recoveries, noise)
+    alone = [rbench._survivals(gates[j:j + 1], stack, recoveries[j:j + 1], noise)[0]
+             for j in range(len(sequences))]
     assert batch.tolist() == alone
     assert np.all((0.0 < batch) & (batch < 1.0))
 
@@ -230,7 +236,7 @@ def test_config_validation():
                                             detection_error_dark=0.03))    # SPAM is read
 
 
-def test_shared_cache_matches_separate_runs(monkeypatch):
+def test_shared_cache_matches_separate_runs(monkeypatch, gate_specs):
     built, sequences = [], []
     monkeypatch.setattr(rbench, "_build_channel", _recording(rbench._build_channel, built, 1))
     monkeypatch.setattr(rbench, "build_sequence", _recording(rbench.build_sequence, sequences))
@@ -248,7 +254,7 @@ def test_shared_cache_matches_separate_runs(monkeypatch):
     # once; the T run's recoveries come from the engine's theta series, not
     # from the memo
     assert cache.channels(ref_cfg) is cache.channels(int_cfg)
-    specs = {s for specs, _ in sequences for s in specs}
+    specs = {s for gates, _ in sequences for s in gate_specs(gates, 0.2, int_cfg.interleaved)}
     specs |= {recovery for _, recovery in sequences[:reference]}
     specs |= {el.spec for el in clifford_table(0.2)}
     assert Counter(built) == Counter(specs)
@@ -288,21 +294,23 @@ def test_a_dropped_cache_is_freed_without_the_collector():
 
 def test_the_channel_memo_is_bounded(monkeypatch):
     # each T recovery is a spec of its own; a memo that kept them all would
-    # grow with the sequences, and one that drops them must rebuild them bitwise
-    cfg = RBConfig(lengths=(1, 2, 3, 4), n_sequences=4, seed=3, noise=NoiseModel(epsilon=0.05),
-                   interleaved=named_gate("T"), n_samples=256, steps=512)
+    # grow with the sequences, and one that drops them must rebuild them
+    # bitwise: the T run's stack needs the 24 Cliffords again, which the
+    # reference run built and its recoveries pushed out of 8 entries
+    ref = RBConfig(lengths=(1, 2, 3, 4), n_sequences=4, seed=3, noise=NoiseModel(epsilon=0.05),
+                   n_samples=256, steps=512)
+    cfg = replace(ref, interleaved=named_gate("T"))
     monkeypatch.setattr(rbench, "_CHANNEL_MEMO_SIZE", None)
     free = GateCache()
-    unbounded = run_rb(cfg, free)
+    unbounded = [run_rb(ref, free), run_rb(cfg, free)]
     monkeypatch.setattr(rbench, "_CHANNEL_MEMO_SIZE", 8)
     small = GateCache()
-    bounded = run_rb(cfg, small)
+    bounded = [run_rb(ref, small), run_rb(cfg, small)]
     kept, held = small.channels(cfg).cache_info(), free.channels(cfg).cache_info()
     assert kept.maxsize == 8 and kept.currsize == 8 < held.currsize
     assert kept.misses > held.misses        # dropped channels were built again
-    for field in ("means", "stds", "a", "p", "b"):
-        assert np.asarray(getattr(bounded, field)).tobytes() == \
-            np.asarray(getattr(unbounded, field)).tobytes()
+    for b, u in zip(bounded, unbounded):
+        assert _curve_bytes(b) == _curve_bytes(u)
 
 
 def test_cached_channel_depends_on_key_only():
@@ -354,12 +362,13 @@ def test_closed_rb_makes_one_first_half(monkeypatch):
     assert len(propagated) > 24
 
 
-def test_dephased_rb_makes_one_first_half_channel_per_theta(monkeypatch):
-    # each distinct spec of the memo is one channel; the gates of one theta,
-    # at every phi and gamma, close one first-half channel. The T run's
-    # recoveries make no channel call: they read one theta series, whose nine
-    # nodes theta = j pi / 8 are first halves too and hold 4 of the Cliffords'
-    # 7 thetas, so 12 in all
+def test_dephased_rb_makes_one_first_half_channel_per_theta(monkeypatch, gate_specs):
+    # each distinct spec of the memo is one channel: every Clifford of the
+    # runs' stack, T, and the reference recoveries; the gates of one theta, at
+    # every phi and gamma, close one first-half channel. The T run's
+    # recoveries make no channel call: they read one theta series, once per
+    # length, whose nine nodes theta = j pi / 8 are first halves too and hold
+    # 4 of the Cliffords' 7 thetas, so 12 in all
     calls, sequences = [], []
     monkeypatch.setattr(rbench, "open_superoperator", _recording(rbench.open_superoperator, calls))
     monkeypatch.setattr(rbench, "build_sequence", _recording(rbench.build_sequence, sequences))
@@ -368,13 +377,16 @@ def test_dephased_rb_makes_one_first_half_channel_per_theta(monkeypatch):
     cache = GateCache()
     run_rb(cfg, cache)
     reference = len(sequences)
-    run_rb(replace(cfg, interleaved=named_gate("T", eta=0.2)), cache)
-    specs = {s for specs, _ in sequences for s in specs}
+    t_gate = named_gate("T", eta=0.2)
+    run_rb(replace(cfg, interleaved=t_gate), cache)
+    specs = {s for gates, _ in sequences for s in gate_specs(gates, 0.2, t_gate)}
+    specs |= {el.spec for el in clifford_table(0.2)} | {t_gate}
     specs |= {recovery for _, recovery in sequences[:reference]}
     thetas = {s.theta for s in specs} | {np.pi * j / 8 for j in range(9)}
     assert len(calls) == len(specs)
-    recoveries = len(sequences) - reference
-    assert engine.first_half_series.cache_info()[:2] == (recoveries - 1, 1)   # hits, misses
+    assert len(sequences) - reference == len(cfg.lengths) * cfg.n_sequences
+    # hits, misses: one series call per length
+    assert engine.first_half_series.cache_info()[:2] == (len(cfg.lengths) - 1, 1)
     assert engine.first_half_channel.cache_info().misses == len(thetas) == 12
 
 
@@ -409,7 +421,8 @@ def test_a_dephased_t_run_is_the_same_warm_and_cold():
 
 
 @pytest.mark.parametrize("name, first_halves", [(None, 7), ("X", 7), ("S", 7), ("H", 8)])
-def test_clifford_rb_builds_a_first_half_per_raw_theta(monkeypatch, name, first_halves):
+def test_clifford_rb_builds_a_first_half_per_raw_theta(monkeypatch, gate_specs, name,
+                                                      first_halves):
     # a dephased reference run, its decay_rate and a Clifford-interleaved run
     # at rb_dephasing's setting read no theta series: each gate is built at its
     # own theta, so the first halves are the distinct raw thetas of the specs.
@@ -420,9 +433,11 @@ def test_clifford_rb_builds_a_first_half_per_raw_theta(monkeypatch, name, first_
     cache = GateCache()
     run_rb(cfg, cache)
     decay_rate(cfg, cache)
+    interleaved = None if name is None else named_gate(name, eta=0.2)
     if name is not None:
-        run_rb(replace(cfg, interleaved=named_gate(name, eta=0.2)), cache)
-    specs = {s for specs, recovery in sequences for s in (*specs, recovery)}
+        run_rb(replace(cfg, interleaved=interleaved), cache)
+    specs = {s for gates, recovery in sequences
+             for s in (*gate_specs(gates, 0.2, interleaved), recovery)}
     thetas = {s.theta for s in specs | {el.spec for el in clifford_table(0.2)}}
     assert engine.first_half_series.cache_info().misses == 0
     assert engine.first_half_channel.cache_info().misses == len(thetas) == first_halves
@@ -448,10 +463,44 @@ def test_series_recoveries_match_direct_builds(monkeypatch):
                        interleaved=named_gate("T", eta=job["eta"]))
         sequences.clear()
         run_rb(cfg)
-        for _, recovery in sequences:
+        recoveries = [recovery for _, recovery in sequences]
+        for recovery, channel in zip(recoveries, rbench._series_channel(cfg, recoveries)):
             direct = rbench._build_channel(cfg, recovery)
-            worst = max(worst, np.max(np.abs(rbench._series_channel(cfg, recovery) - direct)))
+            worst = max(worst, np.max(np.abs(channel - direct)))
     assert len(sequences) == 60 and worst <= engine._SERIES_TOL + 1e-13, worst
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_batched_series_recoveries_are_each_recoverys_own(monkeypatch, direct):
+    # the stacked series, mirror and phi turn of a length's recoveries give
+    # each one bit for bit what its own scalar series(theta), loop closing
+    # and turn give, for a series and, with the samples capped and the
+    # tolerance out of reach, for direct builds; the series at one theta is
+    # the plain mat-vec e(theta) @ c
+    if direct:
+        monkeypatch.setattr(engine, "_SERIES_MAX", engine._SERIES_MIN)
+        monkeypatch.setattr(engine, "_SERIES_TOL", 1e-30)
+    sequences = []
+    monkeypatch.setattr(rbench, "build_sequence", _recording(rbench.build_sequence, sequences))
+    cfg = _dephased_t_config()
+    run_rb(cfg)
+    noise = cfg.noise
+    series = engine.first_half_series(cfg.eta, cfg.omega_max, noise.epsilon, noise.gamma_1a,
+                                      noise.gamma_0a, cfg.steps)
+    assert series.direct is direct
+    recoveries = [recovery for _, recovery in sequences]
+    batched = rbench._series_channel(cfg, recoveries)
+    half = len(series.coefficients) // 2
+    for spec, channel in zip(recoveries, batched):
+        first, = series(np.array([spec.theta]))
+        if direct:
+            assert np.array_equal(first, engine.first_half_channel(spec.theta, 0.0, *series.key))
+        else:
+            e = np.exp(0.5j * spec.theta * np.arange(-half, half + 1))
+            assert first.tobytes() == (e @ series.coefficients).reshape(9, 9).tobytes()
+        loop = engine._loop_channel(first, spec.scheme, spec.gamma, 0.0)
+        assert rbench._turned(spec.phi, loop).tobytes() == channel.tobytes()
+    assert len(recoveries) == len(cfg.lengths) * cfg.n_sequences
 
 
 def test_one_drive_serves_every_gate_on_the_clifford_path(monkeypatch):

@@ -8,7 +8,10 @@ at exit: the parent REV, and the change as the commit `git stash create`
 makes of the tracked files as they stand in the working tree (HEAD when none
 changed), which touches neither the tree, the index nor the stash. So the
 script writes nothing outside that directory but git objects (local git
-only), and no untracked file of the checkout reaches a run. For every
+only), and no untracked file of the checkout reaches a run. Each tree is
+byte-compiled into its own __pycache__ (`compile_tree`) before any timed
+run, as an install by pip would, so its cold calls read bytecode even where
+PYTHONDONTWRITEBYTECODE, which the runs inherit, forbids writing it. For every
 workload of BENCHMARK.json the script runs `perfbench/run.py --trace 0`, at the run
 length BENCHMARK.json fixes, for PAIRS pairs of the two trees, pair i at
 seed FIRST_SEED + i, the parent first on odd seeds; then one `--trace 1`
@@ -31,10 +34,12 @@ Runs are sequential, one process at a time, with BLAS at one thread.
 from __future__ import annotations
 
 import argparse
+import compileall
 import importlib.util
 import json
 import os
 import platform
+import py_compile
 import re
 import statistics
 import subprocess
@@ -322,6 +327,14 @@ def export_tree(rev: str, dest: Path) -> Path:
     return dest
 
 
+def compile_tree(tree: Path) -> Path:
+    """Byte-compile every .py file under `tree` into its own __pycache__,
+    checked by the source's mtime, as pip installs it."""
+    compileall.compile_dir(str(tree), quiet=1,
+                           invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+    return tree
+
+
 def _log(message):
     print(message, file=sys.stderr, flush=True)
 
@@ -342,7 +355,8 @@ def main(argv=None):
     args = parse_args(argv)
     revs = {"parent": _git("rev-parse", args.parent), "change": working_tree_rev()}
     with tempfile.TemporaryDirectory(prefix="bench_pr_") as tmp:
-        trees = {side: export_tree(rev, Path(tmp) / side) for side, rev in revs.items()}
+        trees = {side: compile_tree(export_tree(rev, Path(tmp) / side))
+                 for side, rev in revs.items()}
         runs, traced, failed = bench_runs(trees, args.workloads, args.seconds)
         outs = {side: Path(tmp) / f"out_{side}" for side in trees}
         cold = cold_runs(trees, outs, output_jobs(args.workloads))
