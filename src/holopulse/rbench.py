@@ -2,11 +2,17 @@
 
 Sequences of uniformly random Cliffords (optionally with a fixed gate
 interleaved) are closed by an exact-inverse recovery gate; survival is the
-population returned to |0>. When every gate is a Clifford, the recovery is
-read from the Cayley table of the group (the inverse of the accumulated
-index); a non-Clifford interleaved gate such as T takes it from `axis_angle`
-of the accumulated product, the engine's pairwise ordered product of the
-precomputed g @ C_i.
+population returned to |0>. The sequences of one length are drawn and closed
+at once (`build_sequence`), sequence j of length m from its own stream
+(seed, m, j) (`_streams`). Every run of a seed reads the same streams, so
+sequence j of length m draws the same Cliffords in a reference run and in
+its interleaved run: their survivals, and so their fitted decays, are
+correlated, and an error bar on a ratio of the two must allow for that.
+When every gate is a Clifford, the recovery is read from the Cayley table
+of the group (the inverse of the accumulated index); a non-Clifford
+interleaved gate such as T takes it from `axis_angle` of the accumulated
+product, the engine's pairwise ordered product of the precomputed g @ C_i,
+taken for all of a length's sequences as one batch.
 
 Every gate, the recovery included, is a 9x9 channel on row-major vec(rho),
 under every noise model: the lift U (x) U* of the propagated unitary when
@@ -19,23 +25,24 @@ so they read the engine's theta series of the first half
 (`engine.first_half_series`, built once per setting), a length's at once,
 and are not kept. Which channels read the series is a function of the
 config alone, so a rerun in a warm process gives the bits of a fresh one.
-A sequence is an array of indices into its run's gate stack (`_gate_stack`):
+A sequence is a row of indices into its run's gate stack (`_gate_stack`):
 the 24 Clifford channels, then the interleaved gate's. The survivals of one
-length run in lock-step: its sequences, all built first, each from its own
-stream, advance together as one stack of vec(rho), by one gather from the
-gate stack and one stacked product per position. The cache keeps one
-memo per noise model (its last `_CHANNEL_MEMO_SIZE` channels), which every
-run on that model reads: a reference run, its interleaved run and
-`decay_rate` share their common gates. A channel is one engine call,
-`propagate_unitary` when closed and `open_superoperator` under dephasing;
-what the pulses do not tell apart, the engine's memos make once: the closed
-first half at eta (`engine.first_half_block`), the open kernel's CF4 drive
+length run in lock-step: its sequences advance together as one stack of
+vec(rho), by one gather from the gate stack and one stacked product per
+position. The cache keeps one memo per noise model (its last
+`_CHANNEL_MEMO_SIZE` channels), which every run on that model reads: a
+reference run, its interleaved run and `decay_rate` share their common
+gates. A channel is one engine call, `propagate_unitary` when closed and
+`open_superoperator` under dephasing; what the pulses do not tell apart, the
+engine's memos make once: the closed first half at eta
+(`engine.first_half_block`), the open kernel's CF4 drive
 (`engine.drive_steps`) and each theta's first-half channel
 (`engine.first_half_channel`).
 
 Decay curves are fitted to F = A p^m + B by least squares over p in (0, 1],
-with A and B solved linearly at each p (variable projection, numpy alone),
-on at least 4 distinct lengths, since the three parameters fit 3 exactly;
+with A and B solved linearly at each p (variable projection, numpy alone;
+the grid's terms that read no data are made once per set of lengths), on at
+least 4 distinct lengths, since the three parameters fit 3 exactly;
 average and per-gate fidelities follow from F_ave = 1 - (1 - p_ref)/2 and
 F_gate = 1 - (1 - p_gate/p_ref)/2. `decay_rate` is p in the limit of many
 sequences (Wallman, Quantum 2, 47, 2018; Proctor et al., PRL 119, 130502, 2017).
@@ -129,33 +136,52 @@ def _interleaved(spec: GateSpec) -> tuple:
     return clifford_index(g), stack
 
 
-def build_sequence(m: int, rng, interleaved: Optional[GateSpec] = None, eta: float = 0.0):
-    """m random Cliffords (+ optional interleaved gate) plus the recovery.
+def build_sequence(m: int, rngs, interleaved: Optional[GateSpec] = None, eta: float = 0.0):
+    """One sequence of m random Cliffords (+ optional interleaved gate) and its
+    recovery per generator of `rngs`, all of one length at once.
 
-    Returns (gates, recovery_spec): `gates` indexes the run's gate stack
-    (`_gate_stack`), the interleaved gate at 24, so [i0, 24, i1, 24, ...].
-    Applying all gates in order acts as the identity on an ideal qubit, up
-    to a global phase. The recovery is the Cayley-table inverse of the
-    accumulated Clifford when every gate is a Clifford, else `axis_angle` of
-    the inverse of the accumulated product, the ordered product of the
-    stacked g @ C_i at the drawn indices.
+    Returns (gates, recoveries): `gates` is an (n, L) int array into the
+    run's gate stack (`_gate_stack`), row j drawn from rngs[j] by one
+    `integers(0, 24, size=m)`, the interleaved gate at 24, so a row reads
+    [i0, 24, i1, 24, ...]; `recoveries` holds row j's recovery spec at j.
+    Applying a row's gates and then its recovery acts as the identity on an
+    ideal qubit, up to a global phase. The recovery is the Cayley-table
+    inverse of the accumulated Clifford when every gate is a Clifford (a
+    loop over Python ints per row), else `axis_angle` of the inverse of the
+    accumulated product: one ordered product of the stacked g @ C_i at the
+    drawn indices, (m, n, 2, 2) with the rows as its trailing batch, then
+    one scalar `axis_angle` per row.
     """
     if m < 1:
         raise ValueError("sequence length must be >= 1")
     table = clifford_table(eta)
-    idx = rng.integers(0, len(table), size=m)
-    gates = idx if interleaved is None else np.array([idx, np.full(m, 24)]).T.ravel()
+    idx = np.array([rng.integers(0, len(table), size=m) for rng in rngs])
+    gates = idx if interleaved is None else np.stack(
+        [idx, np.full_like(idx, 24)], axis=-1).reshape(len(idx), 2 * m)
     k, stack = (None, None) if interleaved is None else _interleaved(interleaved)
     if interleaved is None or k is not None:
         products = clifford_products()
-        acc = 0
-        for i in idx.tolist():
-            acc = products[i][acc]
-            if k is not None:
-                acc = products[k][acc]
-        return gates, table[acc].recovery
-    (acc,), = _ordered_product((stack[idx],), _matmul)
-    return gates, axis_angle(acc.conj().T, eta=eta)
+        recoveries = []
+        for row in idx.tolist():
+            acc = 0
+            for i in row:
+                acc = products[i][acc]
+                if k is not None:
+                    acc = products[k][acc]
+            recoveries.append(table[acc].recovery)
+        return gates, recoveries
+    (acc,), = _ordered_product((stack[idx.T],), _matmul)
+    return gates, [axis_angle(a.conj().T, eta=eta) for a in acc]
+
+
+def _streams(seed: int, m: int, n: int) -> list:
+    """The generators of the n sequences of length m: sequence j reads the
+    stream (seed, m, j), the one `np.random.default_rng` makes of that
+    entropy, built without its dispatch. Every run of a seed reads the same
+    streams, so a reference run and its interleaved run draw the same
+    Cliffords for each (m, j)."""
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, m, j))))
+            for j in range(n)]
 
 
 # the most channels one memo keeps, least recently used dropped first (about
@@ -295,23 +321,52 @@ _SQRT_EPS = np.sqrt(np.finfo(float).eps)
 # A p^m + B reproduces the fitted curve to about 1e-10.
 _LOG_Q = np.linspace(np.log(_SQRT_EPS), np.log1p(-_SQRT_EPS), 2001)
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_TINY = np.finfo(float).tiny
 
 
-def _projection(t, lengths, centred):
-    """(RSS, A, mean of p^m) of the least-squares A and B at each t = log(1 - p).
-
-    For fixed p the model is linear in A and B: with u = p^m - 1 (by expm1, to
-    full precision near p = 1) and centred u, y, A = u.y / u.u and
-    B = mean(y) - A mean(p^m). Where p^m underflows at every length, the
-    centred u is 0 and so is A."""
+def _basis(t, lengths):
+    """(centred u, u.u, mean of u) at each t = log(1 - p), with u = p^m - 1 (by
+    expm1, to full precision near p = 1) and u.u floored at the smallest
+    normal double: the half of `_projection` that reads no data."""
     p = -np.expm1(t)
     u = np.expm1(np.multiply.outer(np.log(p), lengths))
     u_mean = u.mean(axis=-1)
     u = u - u_mean[..., None]
-    uu = np.maximum(np.einsum("...i,...i->...", u, u), np.finfo(float).tiny)
+    return u, np.maximum(np.einsum("...i,...i->...", u, u), _TINY), u_mean
+
+
+def _projection(t, lengths, centred, basis=None):
+    """(RSS, A, mean of p^m) of the least-squares A and B at each t = log(1 - p).
+
+    For fixed p the model is linear in A and B: with u = p^m - 1 and centred
+    u, y, A = u.y / u.u and B = mean(y) - A mean(p^m). Where p^m underflows
+    at every length, the centred u is 0 and so is A. `basis` is `_basis(t,
+    lengths)` when the caller has it."""
+    u, uu, u_mean = _basis(t, lengths) if basis is None else basis
     a = (u @ centred) / uu
     r = centred - a[..., None] * u
     return np.einsum("...i,...i->...", r, r), a, 1.0 + u_mean
+
+
+@lru_cache(maxsize=4)
+def _grid_basis(lengths: tuple) -> tuple:
+    """The read-only `_basis` of `_LOG_Q` at `lengths` (a tuple of floats): the
+    grid stage's data-independent terms, made once per set of lengths."""
+    basis = _basis(_LOG_Q, np.array(lengths))
+    for x in basis:
+        x.flags.writeable = False
+    return basis
+
+
+def _rss(t, lengths, centred):
+    """`_projection(t, lengths, centred)[0]` at one t, bit for bit: the same
+    ufuncs on the 1-D arrays, with no broadcasting and the mean as its sum
+    over the count, which is how `mean` takes it."""
+    u = np.expm1(np.log(-np.expm1(t)) * lengths)
+    u = u - np.add.reduce(u) / len(u)
+    a = (u @ centred) / np.maximum(np.einsum("i,i->", u, u), _TINY)
+    r = centred - a * u
+    return np.einsum("i,i->", r, r)
 
 
 def _golden_section(f, lo, hi):
@@ -335,8 +390,10 @@ def fit_decay(lengths, means):
 
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973):
     A and B are linear, so the residual is a function of p alone. Its global
-    minimum is found on a grid in log(1 - p) over [sqrt(eps), 1 - sqrt(eps)]
-    and refined by golden-section search between the best point's neighbours.
+    minimum is found on a grid in log(1 - p) over [sqrt(eps), 1 - sqrt(eps)],
+    whose data-independent terms are memoized per set of lengths
+    (`_grid_basis`), and refined by golden-section search between the best
+    point's neighbours on the scalar residual (`_rss`).
     At the grid's end p = 1 - sqrt(eps) the optimum is the limit p -> 1 (a
     straight line, A -> infinity), and the fit returns that end. A curve whose
     spread is within sqrt(eps) of its size shows no decay: p = 1 and A = B =
@@ -349,11 +406,12 @@ def fit_decay(lengths, means):
     centred = means - mean
     if np.linalg.norm(centred) <= _SQRT_EPS * np.linalg.norm(means):
         return mean / 2.0, 1.0, mean / 2.0
-    k = int(np.argmin(_projection(_LOG_Q, lengths, centred)[0]))
+    grid = _projection(_LOG_Q, lengths, centred, _grid_basis(tuple(lengths.tolist())))[0]
+    k = int(np.argmin(grid))
     if k == len(_LOG_Q) - 1:
         raise FitError("the least-squares decay lies at p -> 0")
     t = _LOG_Q[0] if k == 0 else _golden_section(
-        lambda s: _projection(s, lengths, centred)[0], _LOG_Q[k - 1], _LOG_Q[k + 1])
+        lambda s: _rss(s, lengths, centred), _LOG_Q[k - 1], _LOG_Q[k + 1])
     _, a, x_mean = _projection(t, lengths, centred)
     if a < 0.0:
         raise FitError(f"fitted A = {float(a)} < 0: the curve rises with m")
@@ -383,13 +441,11 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
     series = config.noise.dephased and not clifford
     means, stds = [], []
     for m in config.lengths:
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, int(m), j)))
-                for j in range(config.n_sequences)]
-        gates, specs = zip(*[build_sequence(int(m), rng, config.interleaved, config.eta)
-                             for rng in rngs])
+        rngs = _streams(config.seed, int(m), config.n_sequences)
+        gates, specs = build_sequence(int(m), rngs, config.interleaved, config.eta)
         recoveries = (_series_channel(config, specs) if series
                       else np.array([channel(s) for s in specs]))
-        fids = _survivals(np.array(gates), stack, recoveries, config.noise)
+        fids = _survivals(gates, stack, recoveries, config.noise)
         if config.shots is not None:
             # each sequence's shots come from its own stream, after its integers draw
             fids = np.array([rng.binomial(config.shots, f)

@@ -1,6 +1,7 @@
 """The summary arithmetic of tools/bench_pr.py on synthetic runs, and its runners on
 fake trees that fail; no benchmark runs."""
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -271,3 +272,68 @@ def test_the_cold_summary_pairs_each_job_of_a_workload():
     assert entry["change"]["median"] == pytest.approx(
         bench_pr.quartiles(change)[1])
     assert entry["gain"]
+
+
+_SLOT_RUN = '''
+import argparse, json
+from pathlib import Path
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(flag)
+args = parser.parse_args()
+slot = Path(__file__).resolve().parent.parent.name
+job = 1.0 + 0.01 * (int(args.seed) % 4) - (0.5 if slot == "change" else 0.0)
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {"job_ref.mean": {"value": job, "unit": "ref"},
+                              "accuracy_digits": {"value": 12.0, "unit": "digits"}}}))
+'''
+
+_SLOT_CLI = '''
+import sys, time
+from pathlib import Path
+slot = Path(__file__).resolve().parents[2].name
+time.sleep(0.2 if slot == "parent" else 0.0)
+out = Path(sys.argv[sys.argv.index("--out") + 1])
+out.mkdir(parents=True, exist_ok=True)
+(out / "result.csv").write_text("1\\n")
+'''
+
+
+def test_a_per_slot_offset_is_a_gain_that_its_null_vetoes(tmp_path, monkeypatch):
+    # one commit whose perfbench and CLI run faster in the change's slot than
+    # in the parent's: the plain comparison flags gain, and so does the null,
+    # which exports that commit into both slots at the same paths, so main
+    # marks the gain vetoed, in the summary and in the cold summary
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "src" / "holopulse").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(_SLOT_RUN)
+    (repo / "perfbench" / "workloads.py").write_text(
+        "def draw_job(workload, seed, index):\n    return [('rb', {'index': index}, 0)]\n")
+    (repo / "src" / "holopulse" / "__init__.py").write_text("")
+    (repo / "src" / "holopulse" / "cli.py").write_text(_SLOT_CLI)
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 0.1, "workloads": [{"name": "sweep"}], "end_to_end": METRICS}))
+    for args in (("init", "-q"), ("add", "."), ("commit", "-q", "-m", "fake")):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@localhost", *args],
+                       cwd=repo, capture_output=True, check=True)
+    monkeypatch.setattr(bench_pr, "ROOT", repo)
+    monkeypatch.setattr(bench_pr, "PAIRS", 3)
+    monkeypatch.setattr(bench_pr, "OUTPUT_JOBS", 3)
+    monkeypatch.setattr(bench_pr, "OUTPUT_SEEDS", (1,))
+    monkeypatch.setattr(bench_pr, "CRITERION_9", ())
+    bench_pr.main(["--parent", "HEAD", "--pr", "null"])
+    report = json.loads((repo / "BENCH_null.json").read_text())
+    job = report["summary"]["sweep"]["metrics"]["job_ref.mean"]
+    assert job["won"] == 3 and job["gain"]
+    assert job["null"]["won"] == 3 and job["null"]["gain"] and job["vetoed"]
+    digits = report["summary"]["sweep"]["metrics"]["accuracy_digits"]
+    assert not digits["gain"] and not digits["null"]["gain"] and not digits["vetoed"]
+    cold = report["cold"]["summary"]["sweep"]
+    assert cold["pairs"] == 3 and cold["gain"] and cold["null"]["gain"] and cold["vetoed"]
+    # the null has pairs and cold calls of its own, no traced runs, and the
+    # same outputs on both sides
+    assert len(report["null"]["runs"]) == 6 and len(report["traced"]) == 2
+    assert len(report["null"]["cold"]["jobs"]) == 6
+    assert report["outputs"]["counts"] == report["null"]["outputs"]["counts"] == {
+        "identical": 9}

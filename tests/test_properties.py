@@ -357,23 +357,26 @@ def test_cached_channel_matches_a_direct_propagation(spec, eta, dephased):
 
 
 @few
-@given(m=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+@given(m=st.integers(1, 40), n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
        name=st.sampled_from([None, "X", "T"]), eta=st.floats(-1.0, 1.0))
-def test_recovery_closes_the_sequence(gate_specs, m, seed, name, eta):
+def test_recovery_closes_the_sequence(gate_specs, m, n, seed, name, eta):
     """The Cayley-table recovery (no interleaved gate, or the Clifford X) and
-    the axis_angle one (T) return the sequence to I up to a global phase. The
-    gates are indices into the run's stack: Cliffords below 24, and the
-    interleaved gate at 24 after each of them."""
+    the axis_angle one (T) return each of a length's sequences to I up to a
+    global phase. The gates are rows of indices into the run's stack:
+    Cliffords below 24, and the interleaved gate at 24 after each of them."""
     interleaved = None if name is None else named_gate(name, eta)
-    gates, recovery = build_sequence(m, np.random.default_rng(seed), interleaved, eta)
-    assert gates.dtype.kind == "i" and len(gates) == (m if name is None else 2 * m)
-    assert np.all(gates[::1 if name is None else 2] < 24)
-    assert name is None or np.all(gates[1::2] == 24)
-    acc = np.eye(2, dtype=complex)
-    for spec in gate_specs(gates, eta, interleaved) + [recovery]:
-        assert spec.eta == eta
-        acc = target_unitary(spec) @ acc
-    assert phase_equivalent(acc, np.eye(2))
+    rngs = [np.random.default_rng((seed, j)) for j in range(n)]
+    gates, recoveries = build_sequence(m, rngs, interleaved, eta)
+    assert gates.dtype.kind == "i" and gates.shape == (n, m if name is None else 2 * m)
+    assert np.all(gates[:, ::1 if name is None else 2] < 24)
+    assert name is None or np.all(gates[:, 1::2] == 24)
+    assert len(recoveries) == n
+    for row, recovery in zip(gates, recoveries):
+        acc = np.eye(2, dtype=complex)
+        for spec in gate_specs(row, eta, interleaved) + [recovery]:
+            assert spec.eta == eta
+            acc = target_unitary(spec) @ acc
+        assert phase_equivalent(acc, np.eye(2))
 
 
 def _reference_survival(specs, cfg):
@@ -423,12 +426,11 @@ def test_rb_means_match_the_direct_formulas(gate_specs, eta, epsilon, gamma_1a, 
                    n_samples=256, steps=STEPS, **mode)
     reference = []
     for m in cfg.lengths:
-        survival = []
-        for j in range(cfg.n_sequences):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, m, j)))
-            gates, recovery = build_sequence(m, rng, cfg.interleaved, eta)
-            specs = gate_specs(gates, eta, cfg.interleaved)
-            survival.append(_reference_survival(specs + [recovery], cfg))
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, m, j)))
+                for j in range(cfg.n_sequences)]
+        gates, recoveries = build_sequence(m, rngs, cfg.interleaved, eta)
+        survival = [_reference_survival(gate_specs(row, eta, cfg.interleaved) + [recovery], cfg)
+                    for row, recovery in zip(gates, recoveries)]
         reference.append(np.mean(survival))
     no_fit = (1.0, 1.0, 0.0)     # the means alone are compared
     with mock.patch.object(rbench, "fit_decay", return_value=no_fit):

@@ -11,36 +11,39 @@ import pytest
 
 from holopulse import engine, rbench
 from holopulse.engine import NoiseModel, dephasing_from_t2
-from holopulse.gates import clifford_table, phase_equivalent, target_unitary
+from holopulse.gates import (axis_angle, clifford_products, clifford_table, phase_equivalent,
+                             target_unitary)
 from holopulse.pulses import GateSpec, named_gate
 from holopulse.rbench import (FitError, GateCache, RBConfig, average_fidelity,
                               build_sequence, curve_to_csv, decay_rate,
                               fit_decay, interleaved_gate_fidelity, run_rb)
 
 
+def _closes(gates, recovery, gate_specs, eta=0.0, interleaved=None):
+    """Whether one row of gates and its recovery make the identity, up to a phase."""
+    acc = np.eye(2, dtype=complex)
+    for s in gate_specs(gates, eta, interleaved) + [recovery]:
+        acc = target_unitary(s) @ acc
+    return phase_equivalent(acc, np.eye(2), tol=1e-9)
+
+
 def test_build_sequence_inverts(gate_specs):
-    rng = np.random.default_rng(0)
+    rngs = [np.random.default_rng(j) for j in range(3)]
     for m in (1, 3, 8):
-        gates, recovery = build_sequence(m, rng)
-        assert gates.dtype.kind == "i" and len(gates) == m and np.all(gates < 24)
-        acc = np.eye(2, dtype=complex)
-        for s in gate_specs(gates, 0.0):
-            acc = target_unitary(s) @ acc
-        acc = target_unitary(recovery) @ acc
-        assert phase_equivalent(acc, np.eye(2), tol=1e-9)
+        gates, recoveries = build_sequence(m, rngs)
+        assert gates.dtype.kind == "i" and gates.shape == (3, m) and np.all(gates < 24)
+        assert len(recoveries) == 3
+        assert all(_closes(row, r, gate_specs) for row, r in zip(gates, recoveries))
 
 
 def test_build_sequence_interleaved_inverts(gate_specs):
     # the interleaved gate is index 24 of the run's stack, after each Clifford
-    rng = np.random.default_rng(1)
     t_gate = named_gate("T")
-    gates, recovery = build_sequence(4, rng, interleaved=t_gate)
-    assert len(gates) == 8 and np.all(gates[0::2] < 24) and np.all(gates[1::2] == 24)
-    acc = np.eye(2, dtype=complex)
-    for s in gate_specs(gates, 0.0, t_gate):
-        acc = target_unitary(s) @ acc
-    acc = target_unitary(recovery) @ acc
-    assert phase_equivalent(acc, np.eye(2), tol=1e-9)
+    gates, recoveries = build_sequence(4, [np.random.default_rng(j) for j in (1, 2)],
+                                       interleaved=t_gate)
+    assert gates.shape == (2, 8) and len(recoveries) == 2
+    assert np.all(gates[:, 0::2] < 24) and np.all(gates[:, 1::2] == 24)
+    assert all(_closes(row, r, gate_specs, 0.0, t_gate) for row, r in zip(gates, recoveries))
 
 
 @pytest.mark.parametrize("interleaved", [
@@ -69,15 +72,131 @@ def test_a_lock_step_survival_does_not_depend_on_its_batch():
                    interleaved=named_gate("T", eta=0.2))
     channel = GateCache().channels(cfg)
     stack = rbench._gate_stack(channel, cfg.eta, cfg.interleaved)
-    sequences = [build_sequence(6, np.random.default_rng(j), cfg.interleaved, cfg.eta)
-                 for j in range(5)]
-    gates = np.array([g for g, _ in sequences])
-    recoveries = np.stack([channel(recovery) for _, recovery in sequences])
+    gates, specs = build_sequence(6, [np.random.default_rng(j) for j in range(5)],
+                                  cfg.interleaved, cfg.eta)
+    recoveries = np.stack([channel(recovery) for recovery in specs])
     batch = rbench._survivals(gates, stack, recoveries, noise)
     alone = [rbench._survivals(gates[j:j + 1], stack, recoveries[j:j + 1], noise)[0]
-             for j in range(len(sequences))]
+             for j in range(len(gates))]
     assert batch.tolist() == alone
     assert np.all((0.0 < batch) & (batch < 1.0))
+
+
+def _spec_bits(spec):
+    return np.array([spec.theta, spec.phi, spec.gamma, spec.eta]).tobytes(), spec.scheme
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("name", [None, "X", "T"])
+def test_one_call_per_length_is_each_sequence_built_alone(name, eta):
+    # run_rb's streams, drawn and closed a length at once, give each row the
+    # indices, layout and recovery of that sequence built on its own from its
+    # default_rng twin: the Cayley inverse over Python ints for a Clifford
+    # run, axis_angle of the sequence's own ordered product for T; and each
+    # stream is left where its twin is, so the shots draw the same binomials
+    interleaved = None if name is None else named_gate(name, eta)
+    table, products = clifford_table(eta), clifford_products()
+    k, stack = (None, None) if name is None else rbench._interleaved(interleaved)
+    assert name is None or (k is None) == (name == "T")
+    seed = 12345
+    for m in (1, 2, 3, 7, 32):
+        for n in (2, 10):
+            rngs = rbench._streams(seed, m, n)
+            gates, recoveries = build_sequence(m, rngs, interleaved, eta)
+            assert gates.dtype == np.int64 and len(recoveries) == n
+            for j, (row, recovery, rng) in enumerate(zip(gates, recoveries, rngs)):
+                twin = np.random.default_rng(np.random.SeedSequence((seed, m, j)))
+                idx = twin.integers(0, 24, size=m)
+                alone = idx if name is None else np.array([idx, np.full(m, 24)]).T.ravel()
+                assert row.tobytes() == alone.tobytes()
+                if name == "T":
+                    (acc,), = engine._ordered_product((stack[idx],), engine._matmul)
+                    expected = axis_angle(acc.conj().T, eta=eta)
+                else:
+                    acc = 0
+                    for i in idx.tolist():
+                        acc = products[i][acc]
+                        acc = acc if k is None else products[k][acc]
+                    expected = table[acc].recovery
+                assert _spec_bits(recovery) == _spec_bits(expected)
+                assert rng.binomial(1000, 0.37) == twin.binomial(1000, 0.37)
+
+
+def _random_curves(rng, count):
+    """`count` decays A p^m + B with noise, at 4 to 8 distinct lengths up to 64."""
+    for _ in range(count):
+        size = rng.integers(4, 9)
+        lengths = np.sort(rng.choice(np.arange(1, 65), size, replace=False)).astype(float)
+        a, p, b = rng.uniform(0.1, 0.6), rng.uniform(0.5, 1.0), rng.uniform(0.3, 0.6)
+        means = a * p ** lengths + b + rng.normal(0.0, 10.0 ** rng.uniform(-6, -1), size)
+        yield lengths, means - np.mean(means)
+
+
+def test_the_scalar_rss_is_the_projections_bit_for_bit():
+    # the golden-section search's residual at one t, over 10 000 draws of
+    # curve and t across the grid's span
+    rng = np.random.default_rng(21)
+    lo, hi = rbench._LOG_Q[0], rbench._LOG_Q[-1]
+    for lengths, centred in _random_curves(rng, 2000):
+        for t in rng.uniform(lo, hi, 5):
+            assert (rbench._rss(t, lengths, centred).tobytes()
+                    == rbench._projection(t, lengths, centred)[0].tobytes())
+
+
+def test_the_memoized_grid_is_the_projections_bit_for_bit():
+    # the grid stage's data-independent terms, read from the memo by lengths,
+    # give the residual of the whole projection at every grid point; every
+    # other draw reuses one of two sets of lengths, so the memo hits and misses
+    rng = np.random.default_rng(22)
+    rbench._grid_basis.cache_clear()
+    sets = [lengths for lengths, _ in _random_curves(rng, 2)]
+    for i, (lengths, centred) in enumerate(_random_curves(rng, 2000)):
+        if i % 2:
+            lengths = sets[i // 2 % 2]
+            centred = rng.normal(0.0, 0.1, len(lengths))
+        basis = rbench._grid_basis(tuple(lengths.tolist()))
+        assert not any(x.flags.writeable for x in basis)
+        memoized = rbench._projection(rbench._LOG_Q, lengths, centred, basis)[0]
+        assert memoized.tobytes() == rbench._projection(rbench._LOG_Q, lengths, centred)[0].tobytes()
+    info = rbench._grid_basis.cache_info()
+    assert info.hits > 0 and info.currsize <= info.maxsize
+
+
+def _projection_fit(lengths, means):
+    """`fit_decay` of a decaying curve by `_projection` alone: the whole grid
+    and every search step through the broadcast form, with no memo."""
+    lengths, means = np.asarray(lengths, dtype=float), np.asarray(means, dtype=float)
+    mean = float(np.mean(means))
+    centred = means - mean
+    grid = rbench._LOG_Q
+    k = int(np.argmin(rbench._projection(grid, lengths, centred)[0]))
+    t = grid[0] if k == 0 else rbench._golden_section(
+        lambda s: rbench._projection(s, lengths, centred)[0], grid[k - 1], grid[k + 1])
+    _, a, x_mean = rbench._projection(t, lengths, centred)
+    return float(a), float(-np.expm1(t)), float(mean - a * x_mean)
+
+
+def test_fit_decay_is_the_projections_fit_on_rb_dephasing_curves(monkeypatch):
+    # the 24 curves (reference and T-interleaved, shots on) of rb_dephasing
+    # jobs 0-11 at benchmark seed 1
+    curves = []
+
+    def recorded(lengths, means):
+        curves.append((lengths, means))
+        return fit(lengths, means)
+
+    fit = rbench.fit_decay
+    monkeypatch.setattr(rbench, "fit_decay", recorded)
+    workloads = _workloads()
+    for index in range(12):
+        (command, job, seed), = workloads.draw_job("rb_dephasing", 1, index)
+        cfg = _job_config(job, seed)
+        cache = GateCache()
+        run_rb(replace(cfg, interleaved=None), cache)
+        run_rb(cfg, cache)
+    assert len(curves) == 24
+    for lengths, means in curves:
+        assert fit(lengths, means) == _projection_fit(lengths, means)
 
 
 def test_fit_decay_recovers_parameters():
@@ -254,8 +373,9 @@ def test_shared_cache_matches_separate_runs(monkeypatch, gate_specs):
     # once; the T run's recoveries come from the engine's theta series, not
     # from the memo
     assert cache.channels(ref_cfg) is cache.channels(int_cfg)
-    specs = {s for gates, _ in sequences for s in gate_specs(gates, 0.2, int_cfg.interleaved)}
-    specs |= {recovery for _, recovery in sequences[:reference]}
+    specs = {s for gates, _ in sequences for row in gates
+             for s in gate_specs(row, 0.2, int_cfg.interleaved)}
+    specs |= {recovery for _, recoveries in sequences[:reference] for recovery in recoveries}
     specs |= {el.spec for el in clifford_table(0.2)}
     assert Counter(built) == Counter(specs)
     separate = [run_rb(ref_cfg), decay_rate(ref_cfg), run_rb(int_cfg)]
@@ -379,12 +499,14 @@ def test_dephased_rb_makes_one_first_half_channel_per_theta(monkeypatch, gate_sp
     reference = len(sequences)
     t_gate = named_gate("T", eta=0.2)
     run_rb(replace(cfg, interleaved=t_gate), cache)
-    specs = {s for gates, _ in sequences for s in gate_specs(gates, 0.2, t_gate)}
+    specs = {s for gates, _ in sequences for row in gates for s in gate_specs(row, 0.2, t_gate)}
     specs |= {el.spec for el in clifford_table(0.2)} | {t_gate}
-    specs |= {recovery for _, recovery in sequences[:reference]}
+    specs |= {recovery for _, recoveries in sequences[:reference] for recovery in recoveries}
     thetas = {s.theta for s in specs} | {np.pi * j / 8 for j in range(9)}
     assert len(calls) == len(specs)
-    assert len(sequences) - reference == len(cfg.lengths) * cfg.n_sequences
+    # one call per length, one row per sequence
+    assert len(sequences) - reference == reference == len(cfg.lengths)
+    assert [len(gates) for gates, _ in sequences] == [cfg.n_sequences] * 2 * len(cfg.lengths)
     # hits, misses: one series call per length
     assert engine.first_half_series.cache_info()[:2] == (len(cfg.lengths) - 1, 1)
     assert engine.first_half_channel.cache_info().misses == len(thetas) == 12
@@ -436,38 +558,50 @@ def test_clifford_rb_builds_a_first_half_per_raw_theta(monkeypatch, gate_specs, 
     interleaved = None if name is None else named_gate(name, eta=0.2)
     if name is not None:
         run_rb(replace(cfg, interleaved=interleaved), cache)
-    specs = {s for gates, recovery in sequences
-             for s in (*gate_specs(gates, 0.2, interleaved), recovery)}
+    specs = {s for gates, recoveries in sequences for row, recovery in zip(gates, recoveries)
+             for s in (*gate_specs(row, 0.2, interleaved), recovery)}
     thetas = {s.theta for s in specs | {el.spec for el in clifford_table(0.2)}}
     assert engine.first_half_series.cache_info().misses == 0
     assert engine.first_half_channel.cache_info().misses == len(thetas) == first_halves
+
+
+def _workloads():
+    """perfbench's job drawer, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _job_config(job, seed):
+    """The T-interleaved RBConfig of a drawn rb_dephasing job, as the CLI reads it."""
+    return RBConfig(lengths=tuple(job["lengths"]), n_sequences=job["sequences"],
+                    shots=job["shots"], seed=seed, eta=job["eta"],
+                    noise=NoiseModel(**job["noise"]), n_samples=job["n_samples"],
+                    steps=job["steps"], interleaved=named_gate("T", eta=job["eta"]))
 
 
 def test_series_recoveries_match_direct_builds(monkeypatch):
     # the recoveries of 8 drawn rb_dephasing jobs (perfbench's drawer, loaded
     # from its file) with shots off: each channel the series gives is its
     # direct build within the engine's series bound
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _workloads()
     sequences = []
     monkeypatch.setattr(rbench, "build_sequence", _recording(rbench.build_sequence, sequences))
     worst = 0.0
     for index in range(8):
         (command, job, seed), = workloads.draw_job("rb_dephasing", 1, index)
         assert command == "rb" and job["interleaved"] == "T"
-        cfg = RBConfig(lengths=tuple(job["lengths"]), n_sequences=job["sequences"],
-                       seed=seed, eta=job["eta"], noise=NoiseModel(**job["noise"]),
-                       n_samples=job["n_samples"], steps=job["steps"],
-                       interleaved=named_gate("T", eta=job["eta"]))
+        cfg = replace(_job_config(job, seed), shots=None)
         sequences.clear()
         run_rb(cfg)
-        recoveries = [recovery for _, recovery in sequences]
+        recoveries = [recovery for _, specs in sequences for recovery in specs]
         for recovery, channel in zip(recoveries, rbench._series_channel(cfg, recoveries)):
             direct = rbench._build_channel(cfg, recovery)
             worst = max(worst, np.max(np.abs(channel - direct)))
-    assert len(sequences) == 60 and worst <= engine._SERIES_TOL + 1e-13, worst
+    assert len(sequences) == 6 and len(recoveries) == 60
+    assert worst <= engine._SERIES_TOL + 1e-13, worst
 
 
 @pytest.mark.parametrize("direct", [False, True])
@@ -488,7 +622,7 @@ def test_batched_series_recoveries_are_each_recoverys_own(monkeypatch, direct):
     series = engine.first_half_series(cfg.eta, cfg.omega_max, noise.epsilon, noise.gamma_1a,
                                       noise.gamma_0a, cfg.steps)
     assert series.direct is direct
-    recoveries = [recovery for _, recovery in sequences]
+    recoveries = [recovery for _, specs in sequences for recovery in specs]
     batched = rbench._series_channel(cfg, recoveries)
     half = len(series.coefficients) // 2
     for spec, channel in zip(recoveries, batched):

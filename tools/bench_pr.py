@@ -24,7 +24,13 @@ alternating per job. It times each job cold, interpreter start included
 moved (with its largest numeric change) or differing. It writes
 BENCH_<N>.json: every run's final JSON line, a summary per workload and
 end-to-end metric (`summarize`), the cold job times with their summary per
-workload, and the output diff. A perfbench run that exits non-zero is listed
+workload, and the output diff. Then it measures its own noise: the parent is
+exported into both slots, at the paths the change used, and the same pairs,
+cold jobs and output diff run again (`measure`, no traced runs). That null
+compares code with itself, so a `gain` it flags comes from the slots or the
+host; each compared entry carries its null twin, and is `vetoed` when the
+null flags `gain` (or has no pairs), so no gain can be claimed from it in
+this run (`with_null`). A perfbench run that exits non-zero is listed
 with its exit code and the tail of its stderr, and its seed pairs with
 nothing; a CLI call that raises writes the exception's type name as its exit
 code. Either way the comparison goes on.
@@ -41,6 +47,7 @@ import os
 import platform
 import py_compile
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -138,6 +145,34 @@ def summarize(runs, end_to_end):
     return summary
 
 
+def with_null(entry: dict, null) -> dict:
+    """`entry`, a `compare` result, with its null twin (the same comparison of
+    the parent against itself, or None when the null has no pairs) and
+    `vetoed`: the null flags `gain`, or could not be compared, so this run
+    cannot claim a gain for it."""
+    entry["null"] = null
+    entry["vetoed"] = null is None or null["gain"]
+    return entry
+
+
+def veto(summary: dict, null: dict) -> dict:
+    """`summarize`'s `summary` with each metric's `with_null` entry from the
+    null's summary `null`."""
+    for workload, entry in summary.items():
+        metrics = null.get(workload, {}).get("metrics", {})
+        for name, m in entry["metrics"].items():
+            with_null(m, metrics.get(name))
+    return summary
+
+
+def veto_cold(summary: dict, null: dict) -> dict:
+    """`summarize_cold`'s `summary` with each workload's `with_null` entry
+    from the null's cold summary `null`."""
+    for workload, entry in summary.items():
+        with_null(entry, null.get(workload))
+    return summary
+
+
 def _numbers(text):
     return [float(x) for x in _NUMBER.findall(text)]
 
@@ -197,11 +232,12 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return {"printed": json.loads(proc.stdout.strip().splitlines()[-1])}
 
 
-def bench_runs(trees: dict, workloads, seconds: float):
+def bench_runs(trees: dict, workloads, seconds: float, traced_runs: bool = True):
     """(runs, traced, failed): the PAIRS pairs of `--trace 0` runs of `seconds`
-    per workload, the parent first on odd seeds, then one `--trace 1` run of
-    TRACED_SECONDS per side and workload at seed 1. A run that exits non-zero
-    goes to `failed` with its exit code and stderr tail, not to its list."""
+    per workload, the parent first on odd seeds, then, with `traced_runs`, one
+    `--trace 1` run of TRACED_SECONDS per side and workload at seed 1. A run
+    that exits non-zero goes to `failed` with its exit code and stderr tail,
+    not to its list."""
     runs, traced, failed = [], [], []
 
     def run(into, workload, seed, side, seconds, trace):
@@ -215,7 +251,7 @@ def bench_runs(trees: dict, workloads, seconds: float):
         for workload in workloads:
             for side in ("parent", "change") if seed % 2 else ("change", "parent"):
                 run(runs, workload, seed, side, seconds, 0)
-    for workload in workloads:
+    for workload in workloads if traced_runs else ():
         for side in ("parent", "change"):
             run(traced, workload, 1, side, TRACED_SECONDS, 1)
     return runs, traced, failed
@@ -335,6 +371,25 @@ def compile_tree(tree: Path) -> Path:
     return tree
 
 
+def measure(revs: dict, root: Path, workloads, seconds: float, jobs,
+            traced_runs: bool = True) -> dict:
+    """One comparison of the commits `revs` (side -> rev), each exported into
+    root/<side> and byte-compiled: the perfbench pairs (`bench_runs`), the
+    cold calls of `jobs` with outputs under root/out_<side> (`cold_runs`) and
+    the output diff. `root` is left holding only the trees and outputs."""
+    trees = {side: compile_tree(export_tree(rev, root / side)) for side, rev in revs.items()}
+    runs, traced, failed = bench_runs(trees, workloads, seconds, traced_runs)
+    outs = {side: root / f"out_{side}" for side in trees}
+    cold = cold_runs(trees, outs, jobs)
+    files = diff_outputs(outs["parent"], outs["change"])
+    return {"runs": runs, "traced": traced, "failed": failed, "cold": cold, "files": files}
+
+
+def _counts(files: dict) -> dict:
+    statuses = [f["status"] for f in files.values()]
+    return {s: statuses.count(s) for s in sorted(set(statuses))}
+
+
 def _log(message):
     print(message, file=sys.stderr, flush=True)
 
@@ -354,17 +409,20 @@ def parse_args(argv=None):
 def main(argv=None):
     args = parse_args(argv)
     revs = {"parent": _git("rev-parse", args.parent), "change": working_tree_rev()}
+    jobs = output_jobs(args.workloads)
     with tempfile.TemporaryDirectory(prefix="bench_pr_") as tmp:
-        trees = {side: compile_tree(export_tree(rev, Path(tmp) / side))
-                 for side, rev in revs.items()}
-        runs, traced, failed = bench_runs(trees, args.workloads, args.seconds)
-        outs = {side: Path(tmp) / f"out_{side}" for side in trees}
-        cold = cold_runs(trees, outs, output_jobs(args.workloads))
-        files = diff_outputs(outs["parent"], outs["change"])
+        root = Path(tmp)
+        pr = measure(revs, root, args.workloads, args.seconds, jobs)
+        for path in root.iterdir():     # the null takes the same paths
+            shutil.rmtree(path)
+        _log("null: the parent in both slots")
+        null = measure({side: revs["parent"] for side in revs}, root, args.workloads,
+                       args.seconds, jobs, traced_runs=False)
     host = {"nproc": os.cpu_count(), "machine": platform.machine(),
             "python": platform.python_version(), "numpy": numpy.__version__,
             "blas_threads": 1}
-    statuses = [f["status"] for f in files.values()]
+    null_summary = summarize(null["runs"], args.end_to_end)
+    null_cold = summarize_cold(null["cold"])
     report = {
         "description": (
             f"perfbench/run.py --trace 0 --seconds {args.seconds:g} runs of the parent "
@@ -378,17 +436,24 @@ def main(argv=None):
             f"qpt and sweep configs at seed 7, each its own python -m holopulse.cli "
             f"process in both trees, the parent first on even jobs; 'cold' holds each "
             f"job's wall seconds, interpreter start included, and per workload both "
-            f"medians and quartiles and the pairs won."),
+            f"medians and quartiles and the pairs won. 'null': the same pairs, cold "
+            f"calls and output diff with the parent exported into both slots, at the "
+            f"same paths and in the same order, and no traced runs; every compared "
+            f"entry of 'summary' and of the cold summary holds its null twin under "
+            f"'null', and is 'vetoed' when the null flags 'gain' or has no pairs: a "
+            f"claimed gain must not be vetoed."),
         "parent": revs["parent"],
         "host": host,
-        "runs": runs,
-        "traced": traced,
-        "failed_runs": failed,
-        "summary": summarize(runs, args.end_to_end),
-        "cold": {"jobs": cold, "summary": summarize_cold(cold)},
+        "runs": pr["runs"],
+        "traced": pr["traced"],
+        "failed_runs": pr["failed"],
+        "summary": veto(summarize(pr["runs"], args.end_to_end), null_summary),
+        "cold": {"jobs": pr["cold"], "summary": veto_cold(summarize_cold(pr["cold"]), null_cold)},
         "outputs": {"jobs": OUTPUT_JOBS, "seeds": list(OUTPUT_SEEDS),
-                    "counts": {s: statuses.count(s) for s in sorted(set(statuses))},
-                    "files": files},
+                    "counts": _counts(pr["files"]), "files": pr["files"]},
+        "null": {"runs": null["runs"], "failed_runs": null["failed"],
+                 "cold": {"jobs": null["cold"]},
+                 "outputs": {"counts": _counts(null["files"])}},
     }
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -397,14 +462,17 @@ def main(argv=None):
             _log(f"{workload} {name}: parent {m['parent']['median']:.6g} "
                  f"change {m['change']['median']:.6g} won {m['won']}/{entry['pairs']}"
                  f"{' BEYOND BOUND' if m['beyond_bound'] else ''}"
-                 f"{' gain' if m['gain'] else ''}")
+                 f"{' gain' if m['gain'] else ''}{' VETOED by the null' if m['vetoed'] else ''}")
     for workload, m in report["cold"]["summary"].items():
         _log(f"{workload} cold s: parent {m['parent']['median']:.4g} "
-             f"change {m['change']['median']:.4g} won {m['won']}/{m['pairs']}")
-    for run in failed:
-        _log(f"FAILED: {run['workload']} seed {run['seed']} {run['side']} "
-             f"trace {run['trace']}: exit {run['exit']}")
-    _log(f"outputs: {report['outputs']['counts']}; wrote {path.name}")
+             f"change {m['change']['median']:.4g} won {m['won']}/{m['pairs']}"
+             f"{' VETOED by the null' if m['vetoed'] else ''}")
+    for label, failed in (("", pr["failed"]), ("null ", null["failed"])):
+        for run in failed:
+            _log(f"FAILED: {label}{run['workload']} seed {run['seed']} {run['side']} "
+                 f"trace {run['trace']}: exit {run['exit']}")
+    _log(f"outputs: {report['outputs']['counts']}; null outputs: "
+         f"{report['null']['outputs']['counts']}; wrote {path.name}")
 
 
 if __name__ == "__main__":
