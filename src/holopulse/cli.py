@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -326,8 +326,9 @@ def _sweep_grid(cfg):
 def _direct_points(sched, steps, target, grid):
     """([(infidelity, truncation_error)] per epsilon, all converged), one checked batch."""
     res = propagate_unitary(sched, grid, steps)
-    return ([(1.0 - fidelity_qubit_subspace(u, target), float(err))
-             for u, err in zip(res.unitary, res.truncation_error)], bool(res.converged.all()))
+    infidelity = 1.0 - fidelity_qubit_subspace(res.unitary, target)
+    return ([(float(inf), float(err)) for inf, err in zip(infidelity, res.truncation_error)],
+            bool(res.converged.all()))
 
 
 def _rb_points(rb_cfg, grid):
@@ -401,7 +402,10 @@ _COMMANDS = {"synth": _synth, "propagate": _propagate, "qpt": _qpt, "rb": _rb,
              "sweep": _sweep, "sideband": _sideband}
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args does not
+    change it, and looks up sys.stderr only when it reports a usage error."""
     parser = argparse.ArgumentParser(
         prog="holopulse",
         description="Compile and simulate robust holonomic qutrit gates.")
@@ -409,7 +413,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default="out", help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.command)
         seed = _size(cfg.get("seed", 0), "seed")    # checked even when --seed overrides it

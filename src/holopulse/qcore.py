@@ -25,24 +25,32 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(d)))
 
 
-def fidelity_qubit_subspace(u: np.ndarray, v: np.ndarray) -> float:
+def fidelity_qubit_subspace(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """|Tr(P U^dag P V)|/2: overlap of a 3x3 propagator with a 2x2 target.
 
     P projects onto the {|0>,|1>} qubit subspace; the metric is insensitive
-    to the global phase of either input.
+    to the global phase of either input. `u` may be a stack (..., 3, 3): the
+    result is then an array of shape u.shape[:-2], and a float for one
+    matrix. Unitarity is checked once over the stack (its worst matrix) and
+    once for the target. The modulus is hypot(re, im), which is what abs()
+    of one complex scalar computes; np.abs of an array rounds differently
+    (by 1 ulp on about half of a sweep's points), so a stacked call returns
+    each matrix's scalar fidelity bit for bit.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if u.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 propagator, got {u.shape}")
+    if u.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 propagator or a stack of them, got {u.shape}")
     if v.shape != (2, 2):
         raise ValueError(f"expected a 2x2 target, got {v.shape}")
     if unitarity_defect(u) >= UNITARY_TOL:
         raise ValueError("propagator is not unitary within tolerance")
     if unitarity_defect(v) >= TARGET_UNITARY_TOL:
         raise ValueError("target is not unitary within tolerance")
-    block = u[:2, :2]
-    return float(abs(np.trace(block.conj().T @ v)) / 2.0)
+    block = u[..., :2, :2]
+    t = np.trace(np.swapaxes(block.conj(), -1, -2) @ v, axis1=-2, axis2=-1)
+    fid = np.hypot(t.real, t.imag) / 2.0
+    return float(fid) if fid.ndim == 0 else fid
 
 
 def leakage(u: np.ndarray) -> float:

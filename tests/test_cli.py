@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import holopulse
+from holopulse import cli
 from holopulse.cli import (MAX_STEPS, ConfigError, load_config, main, parse_gate,
                            parse_noise, run_sweep)
 from holopulse.paths import DYNAMICAL
@@ -466,6 +469,62 @@ def test_sweep_mode_is_set_in_the_config_alone(tmp_path):
         assert not out.exists()
 
 
+def _counted(monkeypatch, name):
+    """Route cli.<name> through a wrapper; returns the list of its calls."""
+    calls, fn = [], getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_direct_sweep_scores_each_schemes_grid_in_one_call(tmp_path, monkeypatch):
+    fidelities = _counted(monkeypatch, "fidelity_qubit_subspace")
+    propagations = _counted(monkeypatch, "propagate_unitary")
+    cfg = _write(tmp_path, "c.json", {
+        "experiment": "sweep", "gate": "X", "n_samples": 256, "steps": 512,
+        "epsilon_grid": {"min": -0.2, "max": 0.2, "points": 5},
+        "schemes": [{"eta": 0.0}, {"eta": 1.0}, {"scheme": "dynamical", "eta": 0.5}]})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(fidelities) == 3 and len(propagations) == 3
+    assert all(np.shape(u) == (5, 3, 3) for u, _ in fidelities)
+    assert len(_table(tmp_path / "o" / "sweep.csv")) == 15
+
+
+@pytest.fixture
+def fresh_parser():
+    """An empty parser memo before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, fresh_parser):
+    built, parser_class = [], argparse.ArgumentParser
+
+    def counted(*args, **kwargs):
+        built.append(parser_class(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=counted))
+    cfg = _write(tmp_path, "c.json", {"experiment": "synth", "gate": "X", "n_samples": 256})
+    for k in range(2):
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / f"o{k}")]) == 0
+    assert len(built) == 1
+
+
+def test_a_bad_command_is_a_usage_error_on_every_call(tmp_path, capsys, fresh_parser):
+    cfg = _write(tmp_path, "c.json", {"experiment": "synth", "gate": "X"})
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: holopulse") and "invalid choice: 'bogus'" in err
+    assert not (tmp_path / "o").exists()
+
+
 _CLI_RUNS = """
 import json, sys
 from pathlib import Path
@@ -523,6 +582,10 @@ def test_numpy_commands_need_no_scipy(tmp_path):
          "steps": 512, "epsilon_grid": [-0.1, 0.1],
          "schemes": [{"scheme": "dynamical", "eta": 0.5},
                      {"scheme": "dynamical", "eta": 0.25}]},
+        # one fidelity call per scheme, on a holonomic and a dynamical stack
+        {"experiment": "sweep", "gate": "X", "n_samples": 256, "steps": 512,
+         "epsilon_grid": {"min": -0.2, "max": 0.2, "points": 5},
+         "schemes": [{"eta": 0.0}, {"scheme": "dynamical", "eta": 0.5}]},
         {"experiment": "rb", "noise": {"epsilon": 0.05}, "lengths": [1, 2, 4, 8],
          "sequences": 2, "n_samples": 256, "steps": 512},
         {"experiment": "rb", "interleaved": "T", "noise": {"epsilon": 0.05},

@@ -105,6 +105,31 @@ def test_stacked_unitarity_defect_is_the_worst_matrix(spec, grid):
     assert unitarity_defect(u) == max(unitarity_defect(m) for m in u)
 
 
+either_scheme = (st.builds(GateSpec, theta=st.floats(0.0, np.pi),
+                           phi=st.floats(-np.pi, np.pi, exclude_max=True),
+                           gamma=st.floats(-np.pi, np.pi), eta=st.floats(-2.0, 2.0))
+                 | st.builds(GateSpec.dynamical, theta=st.floats(0.0, np.pi),
+                             phi=st.floats(-np.pi, np.pi, exclude_max=True),
+                             eta=st.floats(-1.0, 1.0, exclude_max=True)))
+
+
+@few
+@given(spec=either_scheme, lo=st.floats(-0.5, 0.5), hi=st.floats(-0.5, 0.5),
+       points=st.integers(1, 101))
+def test_stacked_fidelity_is_the_scalar_fidelity_bitwise(spec, lo, hi, points):
+    """One call on a sweep's epsilon stack returns each matrix's scalar
+    fidelity, and the scalar form |Tr(U2^dag V)|/2 by abs() of one complex
+    scalar, bit for bit: np.abs of the stacked traces would round 1 ulp
+    apart on about half the points."""
+    grid = np.linspace(lo, hi, points)
+    u = propagate_unitary(synthesize(spec, n_samples=256), grid, STEPS, check=False).unitary
+    v = target_unitary(spec)
+    stacked = fidelity_qubit_subspace(u, v)
+    assert stacked.shape == (points,)
+    assert stacked.tolist() == [fidelity_qubit_subspace(m, v) for m in u]
+    assert stacked.tolist() == [abs(np.trace(m[:2, :2].conj().T @ v)) / 2 for m in u]
+
+
 @few
 @given(spec=gates)
 def test_ideal_gate_reaches_its_target(spec):

@@ -35,6 +35,28 @@ def test_fidelity_rejects_nonunitary():
         fidelity_qubit_subspace(np.eye(3), 1.1 * np.eye(2))
 
 
+def test_fidelity_of_one_matrix_is_a_float_and_of_a_stack_an_array():
+    u = np.eye(3, dtype=complex)
+    assert type(fidelity_qubit_subspace(u, np.eye(2))) is float
+    stack = np.array([u, np.diag([1.0, 1.0, 1.0j])]).reshape(2, 1, 3, 3)
+    fid = fidelity_qubit_subspace(stack, SX)
+    assert isinstance(fid, np.ndarray) and fid.shape == (2, 1)
+    assert np.all(fid == 0.0)
+
+
+def test_fidelity_rejects_a_stack_with_one_nonunitary_member():
+    stack = np.array([np.eye(3), np.eye(3), np.diag([1.0, 1.001, 1.0])], dtype=complex)
+    assert fidelity_qubit_subspace(stack[:2], np.eye(2)).tolist() == [1.0, 1.0]
+    with pytest.raises(ValueError, match="not unitary"):
+        fidelity_qubit_subspace(stack, np.eye(2))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 2), (4, 3, 2), (2, 4, 4)])
+def test_fidelity_rejects_a_trailing_shape_other_than_3x3(shape):
+    with pytest.raises(ValueError, match="3x3"):
+        fidelity_qubit_subspace(np.ones(shape, dtype=complex), np.eye(2))
+
+
 def test_leakage():
     assert leakage(np.eye(3, dtype=complex)) == 0.0
     # swap |1> <-> |a>
