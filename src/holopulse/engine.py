@@ -60,11 +60,11 @@ is a pure function of its key and hands out read-only arrays:
   at one eta.
 - `drive_steps`, the open kernel's "drive": the CF4 pairs of the half steps
   and full steps of one block of that half at (eta, omega_max, epsilon,
-  steps, block), for its last two blocks (0.8 MB). It shares the drive of a
-  one-block run (up to 2 `_OPEN_BLOCK` steps of the loop) between every gate
-  at one eta, holonomic or dynamical, as RB's Cliffords and interleaved
-  gate, and that of a two-block run within one; above two blocks every
-  channel makes its own.
+  steps, block), for its last two blocks (0.8 MB). A block is `_OPEN_BLOCK`
+  steps of the first half. In a run of up to two blocks (steps <= 4 *
+  `_OPEN_BLOCK`) every gate at one eta, holonomic or dynamical, as RB's
+  Cliffords and interleaved gate, shares one drive; above two blocks the
+  memo cycles, and each channel makes its own.
 - `first_half_channel`, the first half's channel Phi1 at (theta, phi, eta,
   omega_max, epsilon, gamma_1a, gamma_0a, steps), for its last 128 keys
   (about 1.7 kB each with its key, 0.2 MB): every gamma of one theta, as

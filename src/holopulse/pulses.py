@@ -135,7 +135,10 @@ def compute_duration(spec: GateSpec, omega_max: float = OMEGA_MAX_DEFAULT) -> fl
     omega_max outside (0, inf), NaN included, and if T overflows."""
     if not 0.0 < omega_max < math.inf:
         raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
-    duration = math.pi ** 2 * peak_envelope(spec.eta) / omega_max
+    try:
+        duration = math.pi ** 2 * peak_envelope(spec.eta) / omega_max
+    except OverflowError:   # eta ** 2 beyond the float range
+        duration = math.inf
     if duration == math.inf:
         raise ValueError(f"duration overflows at omega_max {omega_max}, eta {spec.eta}")
     return duration

@@ -112,6 +112,8 @@ class RBConfig:
         if self.mode == "pulse":
             check_sampling(self.n_samples)
             compute_duration(GateSpec(0.0, 0.0, 0.0, self.eta), self.omega_max)
+            if self.interleaved is not None:    # it may carry its own eta
+                compute_duration(self.interleaved, self.omega_max)
             check_steps(self.steps, self.n_samples)
 
 

@@ -315,6 +315,12 @@ _GATES = {"propagate": {"gate": "X"}, "qpt": {"gate": "X"}, "rb": {},
     ("sweep", {"gate": "X", "schemes": [{"eta": 0.0}]}),
     ("sweep", {"gate": "X", "schemes": [{"eta": 0.0}, {"eta": 0.25}, {"eta": 0.5},
                                         {"eta": 1.0}]}),
+    # an interleaved gate whose own eta overflows its duration, closed or
+    # dephased: rejected by the parse, before the reference run writes a file
+    *[("rb", {"interleaved": {"theta": 1.0, "phi": 0.0, "gamma": 1.0, "eta": 1e308},
+              "noise": noise, "lengths": [1, 2, 4, 8], "sequences": 2,
+              "n_samples": 256, "steps": 512})
+      for noise in ({"epsilon": 0.05}, {"gamma_1a": 100.0, "gamma_0a": 10.0})],
 ])
 def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     cfg = _write(tmp_path, "c.json", {"experiment": command, **bad})
@@ -592,8 +598,9 @@ def test_numpy_commands_need_no_scipy(tmp_path):
          "lengths": [1, 2, 4, 8], "sequences": 2, "shots": 100, "n_samples": 256,
          "steps": 512},
         dephased_rb,
-        # four blocks, more than the drive memo holds: each channel makes its own
-        dict(dephased_rb, steps=16384),
+        # four blocks of the first half, more than the drive memo holds: each
+        # channel makes its own drive (at 16384 steps, two blocks, all share one)
+        dict(dephased_rb, steps=32768),
         # its recoveries read the engine's theta series of the first half
         dict(dephased_rb, interleaved="T"),
         # a Clifford interleaved gate: index 24 of the run's gate stack, and

@@ -57,6 +57,14 @@ def test_duration_rejects_omega_max_outside_0_inf():
             compute_duration(named_gate("X"), omega_max)
 
 
+def test_duration_rejects_an_eta_whose_envelope_overflows():
+    # 16 eta^2 overflows to inf at 1e154, and eta ** 2 raises OverflowError
+    # above about 1.3e154: both are the documented ValueError
+    for eta in (1e154, 1.4e154, -1e200, 1e308):
+        with pytest.raises(ValueError, match="duration overflows"):
+            compute_duration(GateSpec(theta=1.0, phi=0.0, gamma=1.0, eta=eta))
+
+
 def test_duration_grows_with_eta():
     ds = [compute_duration(GateSpec(theta=0.0, phi=0.0, gamma=1.0, eta=e))
           for e in (0.0, 0.2, 0.5, 1.0)]
