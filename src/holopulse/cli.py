@@ -278,7 +278,7 @@ def _rb(cfg, seed):
                else replace(ref_cfg, interleaved=parse_gate(cfg, "interleaved", eta)))
 
     def run(writer: OutputWriter):
-        cache = GateCache()     # the interleaved run reuses the reference Cliffords
+        cache = GateCache()     # the interleaved run reuses the reference channels and draws
         ref = run_rb(ref_cfg, cache)
         writer.write("rb_reference.csv", curve_to_csv(ref, ref_cfg.n_sequences))
         writer.write("rb_reference_fit.txt",

@@ -101,7 +101,7 @@ def _clifford_axis_angles():
 
 def _axis_spec(axis, gamma: float, eta: float) -> GateSpec:
     """The spec of the turn by gamma about the unit axis; phi = 0 on the z axis."""
-    theta = float(np.arccos(np.clip(axis[2], -1.0, 1.0)))
+    theta = float(np.arccos(min(max(axis[2], -1.0), 1.0)))
     phi = _wrap_phi(float(np.arctan2(axis[1], axis[0])))
     if abs(np.sin(theta)) < 1e-12:
         phi = 0.0

@@ -2,12 +2,17 @@
 
 Sequences of uniformly random Cliffords (optionally with a fixed gate
 interleaved) are closed by an exact-inverse recovery gate; survival is the
-population returned to |0>. The sequences of one length are drawn and closed
-at once (`build_sequence`), sequence j of length m from its own stream
-(seed, m, j) (`_streams`). Every run of a seed reads the same streams, so
-sequence j of length m draws the same Cliffords in a reference run and in
-its interleaved run: their survivals, and so their fitted decays, are
-correlated, and an error bar on a ratio of the two must allow for that.
+population returned to |0>. Sequence j of length m draws its Cliffords
+from its own stream (seed, m, j) (`_streams`) by one `integers(0, 24,
+size=m)`, and its shots, if any, from the same stream after that draw.
+Every run of a seed reads the same streams, so sequence j of length m draws
+the same Cliffords in a reference run and in its interleaved run: their
+survivals, and so their fitted decays, are correlated, and an error bar on
+a ratio of the two must allow for that. One `GateCache` draws each stream
+once (`GateCache.draw`), so the runs on it share the drawn indices, and
+puts each stream back where its draw left it before a run draws its shots
+(`GateCache.streams`): every run gets the shots a fresh cache would give.
+The sequences of one length are closed at once (`build_sequence`).
 When every gate is a Clifford, the recovery is read from the Cayley table
 of the group (the inverse of the accumulated index); a non-Clifford
 interleaved gate such as T takes it from `axis_angle` of the accumulated
@@ -138,14 +143,16 @@ def _interleaved(spec: GateSpec) -> tuple:
     return clifford_index(g), stack
 
 
-def build_sequence(m: int, rngs, interleaved: Optional[GateSpec] = None, eta: float = 0.0):
+def build_sequence(m: int, idx, interleaved: Optional[GateSpec] = None, eta: float = 0.0):
     """One sequence of m random Cliffords (+ optional interleaved gate) and its
-    recovery per generator of `rngs`, all of one length at once.
+    recovery per row of the drawn indices `idx`, all of one length at once.
 
-    Returns (gates, recoveries): `gates` is an (n, L) int array into the
-    run's gate stack (`_gate_stack`), row j drawn from rngs[j] by one
-    `integers(0, 24, size=m)`, the interleaved gate at 24, so a row reads
-    [i0, 24, i1, 24, ...]; `recoveries` holds row j's recovery spec at j.
+    `idx` is the (n, m) int array of Clifford indices that `GateCache.draw`
+    keeps, row j drawn from stream (seed, m, j). Returns (gates, recoveries):
+    `gates` is an (n, L) int array into the run's gate stack (`_gate_stack`),
+    `idx` itself for a reference run, else with the interleaved gate at 24
+    after each Clifford, so a row reads [i0, 24, i1, 24, ...]; `recoveries`
+    holds row j's recovery spec at j.
     Applying a row's gates and then its recovery acts as the identity on an
     ideal qubit, up to a global phase. The recovery is the Cayley-table
     inverse of the accumulated Clifford when every gate is a Clifford (a
@@ -157,7 +164,6 @@ def build_sequence(m: int, rngs, interleaved: Optional[GateSpec] = None, eta: fl
     if m < 1:
         raise ValueError("sequence length must be >= 1")
     table = clifford_table(eta)
-    idx = np.array([rng.integers(0, len(table), size=m) for rng in rngs])
     gates = idx if interleaved is None else np.stack(
         [idx, np.full_like(idx, 24)], axis=-1).reshape(len(idx), 2 * m)
     k, stack = (None, None) if interleaved is None else _interleaved(interleaved)
@@ -179,9 +185,8 @@ def build_sequence(m: int, rngs, interleaved: Optional[GateSpec] = None, eta: fl
 def _streams(seed: int, m: int, n: int) -> list:
     """The generators of the n sequences of length m: sequence j reads the
     stream (seed, m, j), the one `np.random.default_rng` makes of that
-    entropy, built without its dispatch. Every run of a seed reads the same
-    streams, so a reference run and its interleaved run draw the same
-    Cliffords for each (m, j)."""
+    entropy, built without its dispatch. The one place that makes a
+    generator; `GateCache.draw` calls it once per (seed, m, n)."""
     return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, m, j))))
             for j in range(n)]
 
@@ -228,10 +233,16 @@ class GateCache:
     run and `decay_rate`. It keeps the last `_CHANNEL_MEMO_SIZE` (a dropped one
     is rebuilt bit for bit) and holds no reference to the cache, so a dropped
     cache is freed at once, without the cycle collector.
+    The cache also keeps each (seed, m, n)'s draw: the (n, m) Clifford
+    indices (`draw`) and their streams, which `streams` puts back where the
+    draw left them before each read, so a length repeated in a run and a
+    run repeated on the cache draw the shots a fresh cache would. The draws
+    die with the cache: one CLI call.
     """
 
     def __init__(self):
         self._memos = {}
+        self._draws = {}
 
     def channels(self, config: RBConfig):
         """The memoized spec -> channel of `config`'s channel settings."""
@@ -240,6 +251,32 @@ class GateCache:
             memo = lru_cache(maxsize=_CHANNEL_MEMO_SIZE)(partial(_build_channel, config))
             self._memos[settings] = memo
         return self._memos[settings]
+
+    def draw(self, seed: int, m: int, n: int) -> np.ndarray:
+        """The read-only (n, m) Clifford indices of the n sequences of length m,
+        row j one `integers(0, 24, size=m)` of stream (seed, m, j) (`_streams`),
+        drawn on the first call for (seed, m, n)."""
+        key = seed, m, n
+        if key not in self._draws:
+            rngs = _streams(seed, m, n)
+            idx = np.array([rng.integers(0, 24, size=m) for rng in rngs])
+            idx.flags.writeable = False
+            self._draws[key] = [idx, rngs, None]
+        return self._draws[key][0]
+
+    def streams(self, seed: int, m: int, n: int) -> list:
+        """The streams of `draw(seed, m, n)`, each where its draw left it: the
+        first read saves that state (`bit_generator.state`), as nothing has
+        moved them yet, and every later read restores it."""
+        self.draw(seed, m, n)
+        entry = self._draws[seed, m, n]
+        _, rngs, states = entry
+        if states is None:
+            entry[2] = [rng.bit_generator.state for rng in rngs]
+        else:
+            for rng, state in zip(rngs, states):
+                rng.bit_generator.state = state
+        return rngs
 
 
 def _build_channel(config: RBConfig, spec: GateSpec) -> np.ndarray:
@@ -431,7 +468,8 @@ def interleaved_gate_fidelity(p_ref: float, p_gate: float) -> float:
 def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
     """Run one RB experiment (reference, or interleaved when configured).
 
-    Pass one `cache` to several runs to propagate each distinct gate once.
+    Pass one `cache` to several runs to propagate each distinct gate, and to
+    draw each length's sequences, once.
     """
     if cache is None:
         cache = GateCache()
@@ -443,15 +481,15 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
     series = config.noise.dephased and not clifford
     means, stds = [], []
     for m in config.lengths:
-        rngs = _streams(config.seed, int(m), config.n_sequences)
-        gates, specs = build_sequence(int(m), rngs, config.interleaved, config.eta)
+        key = config.seed, int(m), config.n_sequences
+        gates, specs = build_sequence(int(m), cache.draw(*key), config.interleaved, config.eta)
         recoveries = (_series_channel(config, specs) if series
                       else np.array([channel(s) for s in specs]))
         fids = _survivals(gates, stack, recoveries, config.noise)
         if config.shots is not None:
             # each sequence's shots come from its own stream, after its integers draw
             fids = np.array([rng.binomial(config.shots, f)
-                             for rng, f in zip(rngs, fids)]) / config.shots
+                             for rng, f in zip(cache.streams(*key), fids)]) / config.shots
         means.append(float(np.mean(fids)))
         stds.append(float(np.std(fids)))
     lengths = np.asarray(config.lengths, dtype=int)

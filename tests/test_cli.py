@@ -608,6 +608,9 @@ def test_numpy_commands_need_no_scipy(tmp_path):
         dict(dephased_rb, interleaved="X"),
         # a dynamical interleaved gate with its own eta: a drive apart from the Cliffords'
         dict(dephased_rb, interleaved=dynamical),
+        # one draw per length for both runs: each read of a length's streams,
+        # the repeated m = 2 included, puts them back before its shots
+        dict(dephased_rb, interleaved="T", lengths=[1, 2, 2, 4, 8], sequences=3),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(holopulse.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _CLI_RUNS, str(tmp_path),

@@ -390,8 +390,8 @@ def test_recovery_closes_the_sequence(gate_specs, m, n, seed, name, eta):
     global phase. The gates are rows of indices into the run's stack:
     Cliffords below 24, and the interleaved gate at 24 after each of them."""
     interleaved = None if name is None else named_gate(name, eta)
-    rngs = [np.random.default_rng((seed, j)) for j in range(n)]
-    gates, recoveries = build_sequence(m, rngs, interleaved, eta)
+    idx = np.array([np.random.default_rng((seed, j)).integers(0, 24, size=m) for j in range(n)])
+    gates, recoveries = build_sequence(m, idx, interleaved, eta)
     assert gates.dtype.kind == "i" and gates.shape == (n, m if name is None else 2 * m)
     assert np.all(gates[:, ::1 if name is None else 2] < 24)
     assert name is None or np.all(gates[:, 1::2] == 24)
@@ -451,9 +451,9 @@ def test_rb_means_match_the_direct_formulas(gate_specs, eta, epsilon, gamma_1a, 
                    n_samples=256, steps=STEPS, **mode)
     reference = []
     for m in cfg.lengths:
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, m, j)))
-                for j in range(cfg.n_sequences)]
-        gates, recoveries = build_sequence(m, rngs, cfg.interleaved, eta)
+        idx = np.array([np.random.default_rng(np.random.SeedSequence(entropy=(seed, m, j)))
+                        .integers(0, 24, size=m) for j in range(cfg.n_sequences)])
+        gates, recoveries = build_sequence(m, idx, cfg.interleaved, eta)
         survival = [_reference_survival(gate_specs(row, eta, cfg.interleaved) + [recovery], cfg)
                     for row, recovery in zip(gates, recoveries)]
         reference.append(np.mean(survival))

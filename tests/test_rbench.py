@@ -27,10 +27,15 @@ def _closes(gates, recovery, gate_specs, eta=0.0, interleaved=None):
     return phase_equivalent(acc, np.eye(2), tol=1e-9)
 
 
+def _draw(rngs, m):
+    """The (n, m) Clifford indices that `GateCache.draw` takes from `rngs`."""
+    return np.array([rng.integers(0, 24, size=m) for rng in rngs])
+
+
 def test_build_sequence_inverts(gate_specs):
     rngs = [np.random.default_rng(j) for j in range(3)]
     for m in (1, 3, 8):
-        gates, recoveries = build_sequence(m, rngs)
+        gates, recoveries = build_sequence(m, _draw(rngs, m))
         assert gates.dtype.kind == "i" and gates.shape == (3, m) and np.all(gates < 24)
         assert len(recoveries) == 3
         assert all(_closes(row, r, gate_specs) for row, r in zip(gates, recoveries))
@@ -39,7 +44,7 @@ def test_build_sequence_inverts(gate_specs):
 def test_build_sequence_interleaved_inverts(gate_specs):
     # the interleaved gate is index 24 of the run's stack, after each Clifford
     t_gate = named_gate("T")
-    gates, recoveries = build_sequence(4, [np.random.default_rng(j) for j in (1, 2)],
+    gates, recoveries = build_sequence(4, _draw([np.random.default_rng(j) for j in (1, 2)], 4),
                                        interleaved=t_gate)
     assert gates.shape == (2, 8) and len(recoveries) == 2
     assert np.all(gates[:, 0::2] < 24) and np.all(gates[:, 1::2] == 24)
@@ -72,7 +77,7 @@ def test_a_lock_step_survival_does_not_depend_on_its_batch():
                    interleaved=named_gate("T", eta=0.2))
     channel = GateCache().channels(cfg)
     stack = rbench._gate_stack(channel, cfg.eta, cfg.interleaved)
-    gates, specs = build_sequence(6, [np.random.default_rng(j) for j in range(5)],
+    gates, specs = build_sequence(6, _draw([np.random.default_rng(j) for j in range(5)], 6),
                                   cfg.interleaved, cfg.eta)
     recoveries = np.stack([channel(recovery) for recovery in specs])
     batch = rbench._survivals(gates, stack, recoveries, noise)
@@ -89,7 +94,7 @@ def _spec_bits(spec):
 @pytest.mark.parametrize("eta", [0.0, 0.2, 1.0])
 @pytest.mark.parametrize("name", [None, "X", "T"])
 def test_one_call_per_length_is_each_sequence_built_alone(name, eta):
-    # run_rb's streams, drawn and closed a length at once, give each row the
+    # the cache's draw of a length, closed at once, gives each row the
     # indices, layout and recovery of that sequence built on its own from its
     # default_rng twin: the Cayley inverse over Python ints for a Clifford
     # run, axis_angle of the sequence's own ordered product for T; and each
@@ -101,8 +106,11 @@ def test_one_call_per_length_is_each_sequence_built_alone(name, eta):
     seed = 12345
     for m in (1, 2, 3, 7, 32):
         for n in (2, 10):
-            rngs = rbench._streams(seed, m, n)
-            gates, recoveries = build_sequence(m, rngs, interleaved, eta)
+            cache = GateCache()
+            idx = cache.draw(seed, m, n)
+            assert idx.shape == (n, m) and not idx.flags.writeable
+            gates, recoveries = build_sequence(m, idx, interleaved, eta)
+            rngs = cache.streams(seed, m, n)
             assert gates.dtype == np.int64 and len(recoveries) == n
             for j, (row, recovery, rng) in enumerate(zip(gates, recoveries, rngs)):
                 twin = np.random.default_rng(np.random.SeedSequence((seed, m, j)))
@@ -394,6 +402,53 @@ def test_shared_cache_matches_separate_runs(monkeypatch, gate_specs):
             assert cache.channels(cfg) is not cache.channels(ref_cfg)
             assert not np.array_equal(cache.channels(cfg)(spec),
                                       cache.channels(ref_cfg)(spec))
+
+
+def _rb_config(noise, name, shots, **changes):
+    """A small rb_dephasing-like run: closed or dephased, reference or interleaved."""
+    noise = {"closed": NoiseModel(epsilon=0.05),
+             "dephased": NoiseModel(gamma_1a=100.0, gamma_0a=10.0)}[noise]
+    return replace(RBConfig(lengths=(1, 2, 4, 8), n_sequences=3, seed=5, eta=0.2, noise=noise,
+                            shots=shots, n_samples=256, steps=512,
+                            interleaved=None if name is None else named_gate(name, eta=0.2)),
+                   **changes)
+
+
+@pytest.mark.parametrize("name", ["T", "X"])
+@pytest.mark.parametrize("noise", ["closed", "dephased"])
+@pytest.mark.parametrize("shots", [None, 1000])
+def test_one_cache_draws_each_stream_once(monkeypatch, noise, name, shots):
+    # a reference run and its interleaved run on one cache make the
+    # generators of each (seed, m, n) once and share the drawn indices, and
+    # each run's curve is bit for bit that run's on a fresh cache
+    ref_cfg = _rb_config(noise, None, shots)
+    int_cfg = replace(ref_cfg, interleaved=named_gate(name, eta=0.2))
+    fresh = [_curve_bytes(run_rb(cfg)) for cfg in (ref_cfg, int_cfg)]
+    calls, streams = Counter(), rbench._streams
+
+    def counted(*key):
+        calls[key] += 1
+        return streams(*key)
+    monkeypatch.setattr(rbench, "_streams", counted)
+    cache = GateCache()
+    shared = [_curve_bytes(run_rb(cfg, cache)) for cfg in (ref_cfg, int_cfg)]
+    assert calls == Counter((ref_cfg.seed, m, ref_cfg.n_sequences) for m in ref_cfg.lengths)
+    assert shared == fresh
+
+
+def test_every_read_restores_the_streams():
+    # a length repeated in one run, and a run repeated on one cache, draw the
+    # shots of a fresh cache's first read: each read of a length's streams
+    # puts them back where the draw left them
+    cfg = _rb_config("closed", "T", 1000, lengths=(1, 2, 2, 4, 8))
+    cache = GateCache()
+    first = run_rb(cfg, cache)
+    assert first.means[1] == first.means[2] and first.stds[1] == first.stds[2]
+    once = run_rb(replace(cfg, lengths=(1, 2, 4, 8)))
+    assert first.means[1] == once.means[1] and first.stds[1] == once.stds[1]
+    fresh = _curve_bytes(run_rb(cfg))
+    assert _curve_bytes(first) == fresh
+    assert _curve_bytes(run_rb(cfg, cache)) == fresh
 
 
 def test_a_dropped_cache_is_freed_without_the_collector():
