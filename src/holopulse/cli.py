@@ -1,18 +1,13 @@
-"""Config-driven command-line runner.
+"""Config-driven command-line runner. README.md's CLI section gives the
+commands, their config keys, their output files and the exit codes.
 
-Subcommands: synth | propagate | qpt | rb | sweep | sideband. Each takes a JSON
-config file, an optional seed override, and an output directory. A command
-accepts exactly the config keys its parse reads, and parses the whole config
-before it creates the output directory; omega_max is read by synth and by rb or
-an rb-mode sweep under dephasing; an rb-mode sweep reports `rbench.decay_rate`,
-which reads no sequences or SPAM. Every output file starts with header lines
-echoing the config keys as given (not the defaults left out) and the seed,
-except tones.csv, which carries the tone-descriptor header of
-`pulses.export_tones`; a manifest.txt lists the files written, so runs are
-reproducible byte-for-byte given (config, seed). main alone sets the exit
-status: 2, "config error", when the config or --out is unusable, and nothing is
-written; 3 when a write was flagged converged=False or the fit of rb failed
-(manifest.txt lists the files written); 0 otherwise.
+Each command (`_COMMANDS`) parses the whole config and returns run(writer),
+which writes its files. A config key that no parse read is an error
+(`_Object.check`), and `OutputWriter` creates --out only after the parse.
+`main` alone sets the exit status: 2 when the parse or --out raises a
+ValueError (`ConfigError` among them), TypeError or OverflowError, else 3
+when a write was flagged (`OutputWriter.write`) or the fit of rb failed,
+else 0.
 """
 from __future__ import annotations
 
@@ -39,16 +34,21 @@ from .tomo import (chi_of_channel, exact_records, mle_process,
 
 # Upper bounds on the sizes a config may ask for, checked at parse time. A
 # larger value overflows (shots) or asks for a run of no practical length.
-# None of them sizes a propagation's memory: the propagators make and reduce
-# their steps one block at a time (engine._CLOSED_BLOCK, engine._OPEN_BLOCK),
-# so a propagation holds about 40 MB at most, also at MAX_STEPS or with
-# MAX_GRID_POINTS epsilon points.
+# None of them sizes a propagation's memory, which `engine._CLOSED_BLOCK` and
+# `engine._OPEN_BLOCK` bound.
 MAX_STEPS = 2 ** 18
 MAX_N_SAMPLES = 2 ** 18
 MAX_SHOTS = 10 ** 9
 MAX_SEQUENCES = 10 ** 4
 MAX_LENGTH = 10 ** 4
 MAX_GRID_POINTS = 10 ** 4
+# rb runs each length's sequences at once, so its memory grows with sequences
+# x longest length. Measured by tracemalloc up to 1.6e5 of them, it holds at
+# most about 143 B per sequence and position for a T-interleaved run, 45 B
+# for a Clifford-interleaved one and 30 B for a reference run. This bound
+# keeps a run below about 0.15 GB; MAX_SEQUENCES sequences of MAX_LENGTH
+# would need 13-14 GB.
+MAX_SEQUENCE_POSITIONS = 10 ** 6
 _SPAM = ("prep_error", "detection_error_bright", "detection_error_dark")
 
 
@@ -274,6 +274,10 @@ def _rb(cfg, seed):
         n_sequences=_size(cfg.get("sequences", RBConfig.n_sequences), "sequences",
                           MAX_SEQUENCES),
         shots=None if shots is None else _size(shots, "shots", MAX_SHOTS))
+    positions = ref_cfg.n_sequences * max(ref_cfg.lengths)
+    if positions > MAX_SEQUENCE_POSITIONS:
+        raise ConfigError(f"sequences x longest length must be <= {MAX_SEQUENCE_POSITIONS}, "
+                          f"got {positions}")
     int_cfg = (None if cfg.get("interleaved") is None
                else replace(ref_cfg, interleaved=parse_gate(cfg, "interleaved", eta)))
 
@@ -324,7 +328,8 @@ def _sweep_grid(cfg):
 
 
 def _direct_points(sched, steps, target, grid):
-    """([(infidelity, truncation_error)] per epsilon, all converged), one checked batch."""
+    """([(infidelity, truncation_error)] per epsilon, all converged): the whole
+    grid as one checked batch, scored by one `fidelity_qubit_subspace` call."""
     res = propagate_unitary(sched, grid, steps)
     infidelity = 1.0 - fidelity_qubit_subspace(res.unitary, target)
     return ([(float(inf), float(err)) for inf, err in zip(infidelity, res.truncation_error)],

@@ -2,88 +2,45 @@
 
 The two tones couple only the bright state |b> to |a>; the dark state |d>,
 fixed by (theta, phi), never moves. The Hamiltonian is therefore
-H(t) = (1+eps) c(t)|b><a| + h.c. with one complex scalar coupling
-c = Omega(t) e^{-i phi0(t)} / 2 (`_coupling`), and the closed dynamics is
-SU(2) on span{|b>, |a>}. Every block propagator is kept as its Cayley-Klein
-pair (a, b), U2 = [[a, b], [-b*, a*]]: the exponential of the block
-Hamiltonian s [[0, c], [c*, 0]] is a = cos(s |c| dt), b = -i sin(s |c| dt)
-c/|c| (`_su2_step`), and a product of two blocks is four elementwise complex
-products (`_ck_product`). Closed-system evolution uses a fourth-order
-commutator-free scheme (`cf4`), two such exponentials per step, batched over
-a trailing axis for the scale s = 1 + eps, so a whole epsilon grid is one
-pass. Both kernels reduce their steps with the one pairwise ordered product
-(`_ordered_product`; `_matmul` multiplies the open kernel's 9x9s and RB's
-2x2 recovery factors), whose tree `_blockwise` follows to make the steps one
-block at a time, so memory does not grow with the step count. U2 depends on
-the path (gamma, eta, scheme) and eps only; the qutrit propagator is its
-embedding |d><d| + E U2 E^dag, E = [|b>, |a>] (`block_basis`, `_embed`).
-`sideband`'s n = 0 block is the theta = 0 gate's, its coupling times a
-constant phase, so it reads the same first half.
+H(t) = (1+eps) c(t)|b><a| + h.c. with one complex scalar coupling c
+(`_coupling`), and the closed dynamics is SU(2) on span{|b>, |a>}. Every
+block propagator is kept as its Cayley-Klein pair (a, b),
+U2 = [[a, b], [-b*, a*]] (`_su2_step`, `_ck_product`); U2 depends on the path
+(gamma, eta, scheme) and eps only, and the qutrit propagator is its embedding
+(`_embed`). An amplitude error only scales H, so a whole epsilon grid is one
+batched pass of the fourth-order commutator-free kernel (`cf4`). The
+pure-dephasing dissipator is diagonal on vec(rho), so its exponential is
+elementwise, and the open kernel runs a gate as a real 9x9 channel split
+around the same CF4 steps (`first_half_channel`). Both kernels reduce their
+steps with one pairwise ordered product (`_ordered_product`), a block at a
+time (`_blockwise`).
 
 The loop is its own mirror, so every kernel makes only its first half
-[0, T/2]. On the holonomic path c(T - t) = -c(t) e^{i gamma}, so the second
-half is U2 = D U1^dag D^dag with D = diag(1, e^{-i gamma}) on (|b>, |a>); on
-the dynamical path c(T - t) = c(t)*, so U2 = U1^T. The CF4 step, the Strang
-splitting and the Richardson combination are symmetric in time, so this
-holds step by step in the discrete kernels too (`_loop_block`). On the qutrit,
-D is P = diag(1, 1, e^{-i gamma}), and the transpose is conjugated by
-R = diag(1, e^{2i phi}, 1). Both commute with the dissipator, so the second
-half's channel is P^ (T Phi1^T T) P^dag or R^ Phi1^T R^dag, with T the
-transpose permutation, P^ = P (x) P* and R^ = R (x) R* applied as elementwise
-phases (`_conjugate_by_diagonal`, which also turns RB's dephased gates to
-each phi; `_loop_channel`).
-
-Open-system evolution (two pure-dephasing dissipators) runs on the CF4 pairs
-(`_cf4_steps`) of every half step and every full step. Each step is a
-Strang splitting of the exact dephasing factor around rho -> U rho U^dag,
-Richardson-extrapolated to fourth order, as a real 9x9 in the coordinates
-r = vec(Re rho + Im rho) = C vec(rho), C = (1-i)/2 I + (1+i)/2 T: the
-dissipator is diagonal on vec(rho) and symmetric under T, so its exponential
-is the same elementwise factor on r. The lift R(U) - I is a quadratic form
-F K in x = (Re a - 1, Im a, Re b, Im b), F the 14 non-constant products
-x_i x_j (x_0 = 1) and K a real 14 x 81 matrix built once per gate from |b>
-(`_lift_coefficients`), so a batch of Strang steps is one real
-(n x 14) @ (14 x 81) product (`_strang_steps`).
+[0, T/2] and closes the loop with one identity (`_loop_block`,
+`_loop_channel`). On the holonomic path c(T - t) = -c(t) e^{i gamma}, so the
+second half is U2 = D U1^dag D^dag with D = diag(1, e^{-i gamma}) on
+(|b>, |a>); on the dynamical path c(T - t) = c(t)*, so U2 = U1^T. The CF4
+step, the Strang splitting and the Richardson combination are symmetric in
+time, so this holds step by step in the discrete kernels too.
 
 On [0, T/2] both paths have sign = 1 and no phase jump, so c depends on eta
 and omega_max alone: the first half is the same for every gate at one eta,
 whatever theta, phi, gamma or scheme, and theta enters an open channel only
-through K. Four memos in the process make what the gates share once; each
-is a pure function of its key and hands out read-only arrays:
-- `first_half_block`, the closed first half's pair (a, b) at (eta,
-  omega_max, epsilon, steps), epsilon a float or, for a batch, a tuple: its
-  last 16 keys, about 1.1 kB each with a scalar epsilon and 64 B more per
-  point of a batch (0.6 MB for the CLI's largest grid, 10^4 points).
-  `propagate_unitary` (and through it `sideband.verify_full_model`) and
-  `survival_probability` read it, so a closed RB run makes one first half
-  and closes it per gate (`_loop_block`), and so does every sideband report
-  at one eta.
-- `drive_steps`, the open kernel's "drive": the CF4 pairs of the half steps
-  and full steps of one block of that half at (eta, omega_max, epsilon,
-  steps, block), for its last two blocks (0.8 MB). A block is `_OPEN_BLOCK`
-  steps of the first half. In a run of up to two blocks (steps <= 4 *
-  `_OPEN_BLOCK`) every gate at one eta, holonomic or dynamical, as RB's
-  Cliffords and interleaved gate, shares one drive; above two blocks the
-  memo cycles, and each channel makes its own.
-- `first_half_channel`, the first half's channel Phi1 at (theta, phi, eta,
-  omega_max, epsilon, gamma_1a, gamma_0a, steps), for its last 128 keys
-  (about 1.7 kB each with its key, 0.2 MB): every gamma of one theta, as
-  RB's gates under dephasing, makes Phi1 once and closes it by
-  `_loop_channel`. A default dephased RB run, reference and interleaved T
-  and its `decay_rate`, makes 12 of them (RB seeds 0 to 5): the nine nodes
-  j pi / 8 of one theta series, which hold 4 of the Cliffords' 7 thetas,
-  and the other 3.
-- `first_half_series`, Phi1(theta, phi = 0) for every theta at (eta,
-  omega_max, epsilon, gamma_1a, gamma_0a, steps), as a Fourier series in
-  theta/2, for its last 4 keys (about 43 kB each at 32 samples, 0.3 MB at
-  the cap of 256). Phi1 is 4 pi-periodic in theta, and two exact diagonal
-  symmetries give its samples over [0, 4 pi) from n/4 + 1 first halves in
-  [0, pi]. It starts at n = 32 and doubles n while the sum of its top
-  quarter of harmonics (its tail) exceeds `_SERIES_TOL` = 1e-13; a setting
-  still above it at n = 256 builds each theta directly, so which of the two
-  a setting gets depends on its key alone. RB's recoveries of a dephased
-  run whose interleaved gate is not a Clifford read it: each has a theta of
-  its own, which no memo of first halves could share.
+through `_lift_coefficients`. Four memos in the process make what the gates
+share once; each is a pure function of its key, hands out read-only arrays,
+and gives its key, bound and size in its docstring:
+- `first_half_block`, the closed first half, for `propagate_unitary` and
+  `survival_probability`: one per eta serves every gate of a closed RB run
+  and every `sideband` report (its n = 0 block is the theta = 0 gate's, its
+  coupling times a constant phase).
+- `drive_steps`, the open kernel's CF4 drive, for `first_half_channel`: one
+  per eta serves every gate, holonomic or dynamical.
+- `first_half_channel`, the open first half Phi1, for `open_superoperator`
+  and `first_half_series`: one per (theta, phi) serves every gamma and
+  scheme, as RB's dephased gates.
+- `first_half_series`, Phi1 of every theta at one setting, for RB's
+  recoveries of a dephased run whose interleaved gate is not a Clifford:
+  each has a theta of its own, which no memo of first halves could share.
 
 The coupling is evaluated from the schedule's continuous-time control law;
 its sample table is only the export artifact. Basis order everywhere:
@@ -105,13 +62,13 @@ DEFAULT_STEPS = 8192
 _SQ3 = np.sqrt(3.0)
 _GAUSS_C = (0.5 - _SQ3 / 6.0, 0.5 + _SQ3 / 6.0)
 _CF4_A = (0.25 + _SQ3 / 6.0, 0.25 - _SQ3 / 6.0)
-# Steps made and reduced at a time, which bounds a propagation's memory. The
-# closed kernel holds about 107 B per step and epsilon point: its block counts
-# steps x points (28 MB; a scalar epsilon, about 145 B per step, 38 MB). The
-# open kernel holds about 2.7 kB per step (11 MB); its drive is 96 B per step
-# of a block (0.4 MB), of which the memo of `drive_steps` keeps the last two
-# made in the process. The kernels make the first half of the loop, so runs up
-# to a 21-point sweep at 16384 steps, 2^19 closed or 8192 open steps are one
+# Steps made and reduced at a time, which bounds a propagation's memory to
+# about 40 MB, whatever its steps or epsilon points. The closed kernel holds
+# about 107 B per step and epsilon point: its block counts steps x points
+# (28 MB; a scalar epsilon, about 145 B per step, 38 MB). The open kernel
+# holds about 2.7 kB per step (11 MB), and its drive 96 B per step (0.4 MB a
+# block). The kernels make the first half of the loop, so runs up to a
+# 21-point sweep at 16384 steps, 2^19 closed or 8192 open steps are one
 # block, whose arithmetic is that of an unblocked product.
 _CLOSED_BLOCK = 2 ** 18
 _OPEN_BLOCK = 2 ** 12
@@ -210,9 +167,10 @@ def _su2_step(c: np.ndarray, dt: float, scale=1.0):
 
 
 def _ck_product(later, earlier):
-    """(a, b) of U2 U1 for Cayley-Klein pairs later = (a2, b2), earlier = (a1, b1).
-    np.conj's temporary goes on the left, where numpy puts it when it reuses a
-    large one in place: the rounding then does not depend on the block size."""
+    """(a, b) of U2 U1 for Cayley-Klein pairs later = (a2, b2), earlier = (a1, b1):
+    four elementwise complex products. np.conj's temporary goes on the left,
+    where numpy puts it when it reuses a large one in place: the rounding then
+    does not depend on the block size."""
     (a2, b2), (a1, b1) = later, earlier
     return a2 * a1 - np.conj(b1) * b2, a2 * b1 + np.conj(a1) * b2
 
@@ -236,7 +194,8 @@ def _ordered_product(steps: tuple, product: Callable[[tuple, tuple], tuple]) -> 
 
 
 def _matmul(later: tuple, earlier: tuple) -> tuple:
-    """`_ordered_product`'s product of one-matrix tuples (m,): later @ earlier."""
+    """`_ordered_product`'s product of one-matrix tuples (m,): later @ earlier,
+    for the open kernel's 9x9 steps and RB's 2x2 recovery factors."""
     return (later[0] @ earlier[0],)
 
 
@@ -264,8 +223,8 @@ def _cf4_steps(coupling: Callable[[np.ndarray], np.ndarray], t1: float, steps: i
     `coupling(t)` returns the complex coupling c at an array of times; it is
     called once per Gauss node. The block is propagated under s c for every
     s in `scale` (a scalar, or an array that becomes a trailing batch axis).
-    Each factor is the SU(2) step at a real combination of the two nodes'
-    couplings. Returns Cayley-Klein arrays (a, b) of shape
+    Each step is two factors, each the SU(2) step at a real combination of
+    the two nodes' couplings. Returns Cayley-Klein arrays (a, b) of shape
     (stop - start,) + np.shape(scale) for the steps k in [start, stop) of the
     `steps` uniform steps (all of them by default), step k propagating over
     [k h, (k+1) h].
@@ -283,7 +242,7 @@ def _cf4_steps(coupling: Callable[[np.ndarray], np.ndarray], t1: float, steps: i
 def _blockwise(make_steps: Callable[[int, int], tuple], start: int, stop: int,
                size: int, product: Callable[[tuple, tuple], tuple]) -> tuple:
     """`_ordered_product` of the steps `make_steps(start, stop)` with at most
-    `size` steps made at a time.
+    `size` steps made at a time, so memory does not grow with the step count.
 
     A range longer than `size` is split at the largest power of two below
     its length, the root of the pairwise reduction's own tree. With `size` a
@@ -325,7 +284,10 @@ def first_half_block(eta: float, omega_max: float, epsilon, steps: int) -> tuple
     omega_max, amplitude error epsilon and `steps` steps over [0, T]: `cf4`
     over its steps/2 steps. `epsilon` is a float, or a tuple for a batch,
     whose pair has shape (n,): a 1-tuple rounds as a batch, not as the float.
-    The arrays are read-only, so the memo hands one pair to every gate."""
+    The arrays are read-only, so the memo hands one pair to every gate. It
+    keeps the last 16 keys, about 1.1 kB each with a scalar epsilon and 64 B
+    more per point of a batch (0.6 MB for the CLI's largest grid, 10^4
+    points)."""
     spec = GateSpec(0.0, 0.0, 0.0, eta)
     duration = compute_duration(spec, omega_max)
     pair = cf4(partial(_coupling, spec, duration), duration / 2.0, steps // 2,
@@ -414,7 +376,10 @@ def _dephasing_rates(noise: NoiseModel) -> np.ndarray:
     return rates.reshape(-1)
 
 
-# vec(rho^T) = vec(rho)[_SWAP]; r = vec(Re rho + Im rho) = C vec(rho), C^-1 = C*
+# vec(rho^T) = vec(rho)[_SWAP]; r = vec(Re rho + Im rho) = C vec(rho), C^-1 = C*,
+# with C = (1-i)/2 I + (1+i)/2 T, T the transpose permutation. The dissipator
+# is diagonal on vec(rho) and symmetric under T, so its exponential is the
+# same elementwise factor on r.
 _SWAP = np.arange(9).reshape(3, 3).T.reshape(-1)
 _TO_REAL = 0.5 * (1.0 - 1.0j) * np.eye(9) + 0.5 * (1.0 + 1.0j) * np.eye(9)[_SWAP]
 _FROM_REAL = _TO_REAL.conj()
@@ -432,7 +397,8 @@ def _lift_coefficients(spec) -> np.ndarray:
     coordinates, and U = sum_k x_k M_k with x_0 = 1, M_0 = I and
     M_k = E G_k E^dag, so U (x) U* = sum_{k,l} x_k x_l M_k (x) M_l*. Row p of K
     is the coefficient of the product F_p = x_i x_j, flattened row-major. It is
-    real because R(U) is real for every real x.
+    real because R(U) is real for every real x, and it is made once per gate,
+    from the gate's |b> (`block_basis`).
     """
     e = block_basis(spec)
     m = np.concatenate([np.eye(3)[None], e @ _SU2_GENERATORS @ e.conj().T])
@@ -446,7 +412,7 @@ def _lift_coefficients(spec) -> np.ndarray:
 def _strang_steps(coef: np.ndarray, a: np.ndarray, b: np.ndarray,
                   rates: np.ndarray, t: float) -> np.ndarray:
     """Real Strang steps E(t) R(U) E(t), E(t) = exp(D t), for a batch of
-    blocks (a, b); shape (n, 9, 9).
+    blocks (a, b), by one real (n x 14) @ (14 x 81) product; shape (n, 9, 9).
 
     Entry (k, l) of a step carries the factor w_kl = exp(t (d_k + d_l)), so
     the step is diag(w) + F (K o w): the identity part of R(U) is added
@@ -467,7 +433,12 @@ def drive_steps(eta: float, omega_max: float, epsilon: float, steps: int,
     and `steps` steps over [0, T], over the full steps [start, stop) of the
     first half: ((a, b) of their 2 (stop - start) half steps, (a, b) of the
     full steps, each the product of its two halves), for every gate at eta.
-    The arrays are read-only, so the memo hands one block to every gate."""
+    The arrays are read-only, so the memo hands one block to every gate.
+
+    A block is `_OPEN_BLOCK` steps of the first half, and the memo keeps the
+    last two (0.8 MB). So a run of up to two blocks (steps <= 4 *
+    `_OPEN_BLOCK`) makes one drive per eta; above two blocks the memo cycles,
+    and each channel makes its own."""
     spec = GateSpec(0.0, 0.0, 0.0, eta)
     duration = compute_duration(spec, omega_max)
     a, b = _cf4_steps(partial(_coupling, spec, duration), duration, 2 * steps,
@@ -495,6 +466,12 @@ def first_half_channel(theta: float, phi: float, eta: float, omega_max: float,
     (`drive_steps`) and reduced `_OPEN_BLOCK` at a time, so memory does not
     grow with `steps`. Every factor preserves the trace, and so does their
     affine combination.
+
+    The memo keeps the last 128 keys (about 1.7 kB each with its key,
+    0.2 MB). A default dephased RB run, reference and interleaved T and its
+    `decay_rate`, makes 12 of them (RB seeds 0 to 5): the nine nodes j pi / 8
+    of one theta series, which hold 4 of the Cliffords' 7 thetas, and the
+    other 3.
     """
     spec = GateSpec(theta, phi, 0.0, eta)
     coef = _lift_coefficients(spec)
@@ -528,9 +505,8 @@ def _conjugate_by_diagonal(channel: np.ndarray, d: np.ndarray) -> np.ndarray:
     return channel * (r[..., :, None] * r.conj()[..., None, :])
 
 
-# The theta series of Phi1 starts at _SERIES_MIN samples over [0, 4 pi) and
-# doubles them while its tail exceeds _SERIES_TOL; a setting whose tail still
-# exceeds it at _SERIES_MAX samples builds each theta directly.
+# the first and the largest sample count of the theta series, and the tail
+# it must reach (see `first_half_series`)
 _SERIES_MIN = 32
 _SERIES_MAX = 256
 _SERIES_TOL = 1e-13
@@ -553,7 +529,7 @@ def _series_samples(built: np.ndarray) -> np.ndarray:
 class FirstHalfSeries:
     """Phi1(theta, phi = 0) of one setting as the Fourier series
     sum_k c_k e^{i k theta / 2} over k = -n/2 ... n/2 of its n samples, or,
-    where that series misses `_SERIES_TOL` (`direct`), as direct builds.
+    when `direct` (see `first_half_series`), as direct builds.
 
     `tail` is the sum over |k| > 3n/8 of the largest entry of c_k. Past
     harmonic 4 of the half-angle the coefficients fall geometrically, so the
@@ -600,10 +576,12 @@ def first_half_series(eta: float, omega_max: float, epsilon: float, gamma_1a: fl
     polynomial of theta/2, so Phi1 is 4 pi-periodic in theta. Its n samples
     over [0, 4 pi) come from the n/4 + 1 `first_half_channel` builds in
     [0, pi] by two exact diagonal symmetries (`_series_samples`), which both
-    commute with the dephasing. From n = `_SERIES_MIN` the samples double
-    while the tail exceeds `_SERIES_TOL`, reusing every earlier build; above
-    `_SERIES_MAX` the series gives way to direct builds. Which of the two a
-    setting gets depends on its key alone."""
+    commute with the dephasing. From n = `_SERIES_MIN` = 32, 9 builds at
+    theta = j pi / 8, the samples double while the tail exceeds `_SERIES_TOL`
+    = 1e-13, reusing every earlier build; a setting still above it at
+    `_SERIES_MAX` = 256 samples gets direct builds (`direct`). Which of the
+    two a setting gets depends on its key alone. The memo keeps the last 4
+    settings (about 43 kB each at 32 samples, 0.3 MB at 256)."""
     key = (eta, omega_max, epsilon, gamma_1a, gamma_0a, steps)
     quarter = _SERIES_MIN // 4
 
@@ -624,8 +602,15 @@ def first_half_series(eta: float, omega_max: float, epsilon: float, gamma_1a: fl
 
 def _loop_channel(first: np.ndarray, scheme: str, gamma, phi) -> np.ndarray:
     """The loop's channel Phi2 Phi1 on row-major vec(rho) from its first
-    half's Phi1 (see the module docstring), for one gate of `scheme`, or for
-    a stack of first halves whose gamma and phi are arrays."""
+    half's Phi1, for one gate of `scheme`, or for a stack of first halves
+    whose gamma and phi are arrays.
+
+    The closed mirror (see the module docstring) carries over: on the qutrit,
+    D is P = diag(1, 1, e^{-i gamma}), and the transpose is conjugated by
+    R = diag(1, e^{2i phi}, 1). Both commute with the dissipator, so the
+    second half's channel is P^ (T Phi1^T T) P^dag or R^ Phi1^T R^dag, with
+    T the transpose permutation, P^ = P (x) P* and R^ = R (x) R* applied as
+    elementwise phases (`_conjugate_by_diagonal`)."""
     second = first.swapaxes(-1, -2)
     if scheme == DYNAMICAL:
         d = _diagonal(1, np.exp(2j * phi))

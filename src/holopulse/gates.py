@@ -23,11 +23,6 @@ def target_unitary(spec: GateSpec) -> np.ndarray:
     return np.exp(1j * half) * (np.cos(half) * SI - 1j * np.sin(half) * n_sigma)
 
 
-def phase_equivalent(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when two 2x2 unitaries differ only by a global phase."""
-    return abs(abs(np.trace(np.asarray(a).conj().T @ np.asarray(b))) - 2.0) < tol
-
-
 def _wrap_phi(phi: float) -> float:
     """Wrap an angle into [-pi, pi)."""
     phi = (phi + np.pi) % (2.0 * np.pi) - np.pi
@@ -118,11 +113,12 @@ def _half_turn_axis(axis):
 @lru_cache(maxsize=None)
 def clifford_table(eta: float = 0.0) -> tuple:
     """The 24 single-qubit Cliffords with canonical holonomic specs and their
-    target matrices, which carry no phase canon: every consumer ignores a
-    global phase. Each element also carries its recovery: the canonical spec
-    of its inverse, the turn by the same gamma in [0, pi] about -axis (a half
-    turn's sign set as `axis_angle` sets it), built from the exact axis so
-    that equal gates get equal angles.
+    target matrices, which carry no phase canon: every consumer
+    (`clifford_index`, `clifford_products`, `_clifford_rotations`,
+    `rbench.build_sequence`) ignores a global phase. Each element also
+    carries its recovery: the canonical spec of its inverse, the turn by the
+    same gamma in [0, pi] about -axis (a half turn's sign set as `axis_angle`
+    sets it), built from the exact axis so that equal gates get equal angles.
     """
     identity = GateSpec(theta=0.0, phi=0.0, gamma=0.0, eta=eta)
     elements = [CliffordElement(spec=identity, matrix=np.eye(2, dtype=complex),
@@ -149,7 +145,7 @@ def _clifford_rotations() -> np.ndarray:
 
 def clifford_index(u: np.ndarray) -> Optional[int]:
     """The index of the Clifford equal to the 2x2 unitary u up to a global
-    phase (the test of `phase_equivalent`), or None if u is no Clifford."""
+    phase, or None if u is no Clifford."""
     overlap = np.abs(np.einsum("kab,ab->k", _clifford_matrices().conj(), u))
     k = int(np.argmax(overlap))
     return k if abs(overlap[k] - 2.0) < 1e-9 else None

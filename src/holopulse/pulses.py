@@ -11,8 +11,7 @@ max_t Omega(t) = Omega_max; it is never taken from quoted nominal values.
 A `PulseSchedule` holds only what fixes the drive; the engine propagates its
 continuous control law, and the sample table, derived on first use, is the
 export artifact. The tone frequencies are the constants TONE0_HZ and
-TONE1_HZ. The tone file's header names everything `synthesize` needs, so
-re-running it on those values and comparing bytes checks a file.
+TONE1_HZ.
 """
 from __future__ import annotations
 

@@ -2,55 +2,21 @@
 
 Sequences of uniformly random Cliffords (optionally with a fixed gate
 interleaved) are closed by an exact-inverse recovery gate; survival is the
-population returned to |0>. Sequence j of length m draws its Cliffords
-from its own stream (seed, m, j) (`_streams`) by one `integers(0, 24,
-size=m)`, and its shots, if any, from the same stream after that draw.
-Every run of a seed reads the same streams, so sequence j of length m draws
-the same Cliffords in a reference run and in its interleaved run: their
-survivals, and so their fitted decays, are correlated, and an error bar on
-a ratio of the two must allow for that. One `GateCache` draws each stream
-once (`GateCache.draw`), so the runs on it share the drawn indices, and
-puts each stream back where its draw left it before a run draws its shots
-(`GateCache.streams`): every run gets the shots a fresh cache would give.
-The sequences of one length are closed at once (`build_sequence`).
-When every gate is a Clifford, the recovery is read from the Cayley table
-of the group (the inverse of the accumulated index); a non-Clifford
-interleaved gate such as T takes it from `axis_angle` of the accumulated
-product, the engine's pairwise ordered product of the precomputed g @ C_i,
-taken for all of a length's sequences as one batch.
-
-Every gate, the recovery included, is a 9x9 channel on row-major vec(rho),
-under every noise model: the lift U (x) U* of the propagated unitary when
-closed (a static amplitude error), the engine's open-system channel under
-dephasing, and in the synthetic "exact" mode the lift of the ideal gate
-followed by a depolarizer. `GateCache` builds and keeps them, but for the
-recoveries of a dephased run whose interleaved gate is not a Clifford: each
-of those has a continuous theta of its own, which no memo would hit again,
-so they read the engine's theta series of the first half
-(`engine.first_half_series`, built once per setting), a length's at once,
-and are not kept. Which channels read the series is a function of the
-config alone, so a rerun in a warm process gives the bits of a fresh one.
-A sequence is a row of indices into its run's gate stack (`_gate_stack`):
-the 24 Clifford channels, then the interleaved gate's. The survivals of one
-length run in lock-step: its sequences advance together as one stack of
-vec(rho), by one gather from the gate stack and one stacked product per
-position. The cache keeps one memo per noise model (its last
-`_CHANNEL_MEMO_SIZE` channels), which every run on that model reads: a
-reference run, its interleaved run and `decay_rate` share their common
-gates. A channel is one engine call, `propagate_unitary` when closed and
-`open_superoperator` under dephasing; what the pulses do not tell apart, the
-engine's memos make once: the closed first half at eta
-(`engine.first_half_block`), the open kernel's CF4 drive
-(`engine.drive_steps`) and each theta's first-half channel
-(`engine.first_half_channel`).
-
-Decay curves are fitted to F = A p^m + B by least squares over p in (0, 1],
-with A and B solved linearly at each p (variable projection, numpy alone;
-the grid's terms that read no data are made once per set of lengths), on at
-least 4 distinct lengths, since the three parameters fit 3 exactly;
-average and per-gate fidelities follow from F_ave = 1 - (1 - p_ref)/2 and
-F_gate = 1 - (1 - p_gate/p_ref)/2. `decay_rate` is p in the limit of many
-sequences (Wallman, Quantum 2, 47, 2018; Proctor et al., PRL 119, 130502, 2017).
+population returned to |0>. Every gate, the recovery included, is a 9x9
+channel on row-major vec(rho), under every noise model. A run (`run_rb`)
+reads, per length:
+- its sequences from `GateCache.draw` (`_streams`), closed by
+  `build_sequence`;
+- its gates from `GateCache.channels`, one memo per noise model that a
+  reference run, its interleaved run and `decay_rate` share, and whose
+  builds the engine's memos serve (`engine.first_half_block` closed,
+  `engine.first_half_channel` under dephasing); but the recoveries of a
+  dephased run whose interleaved gate is not a Clifford come from the
+  engine's theta series (`_series_channel`, `engine.first_half_series`);
+- its survivals from `_survivals`, its sequences in lock-step;
+and it fits the decay by `fit_decay`. `decay_rate` is p in the limit of
+many sequences (Wallman, Quantum 2, 47, 2018; Proctor et al., PRL 119,
+130502, 2017).
 """
 from __future__ import annotations
 
@@ -185,14 +151,17 @@ def build_sequence(m: int, idx, interleaved: Optional[GateSpec] = None, eta: flo
 def _streams(seed: int, m: int, n: int) -> list:
     """The generators of the n sequences of length m: sequence j reads the
     stream (seed, m, j), the one `np.random.default_rng` makes of that
-    entropy, built without its dispatch. The one place that makes a
-    generator; `GateCache.draw` calls it once per (seed, m, n)."""
+    entropy, built without its dispatch: its Cliffords by one
+    `integers(0, 24, size=m)` (`GateCache.draw`), then its shots, if any
+    (`run_rb`). Every run of a seed reads the same streams, so a reference
+    run and its interleaved run draw the same Cliffords. The one place that
+    makes a generator; `GateCache.draw` calls it once per (seed, m, n)."""
     return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, m, j))))
             for j in range(n)]
 
 
 # the most channels one memo keeps, least recently used dropped first (about
-# 1.5 kB each); an rb_dephasing-sized run builds fewer than 100
+# 1.5 kB each, 0.4 MB in all); an rb_dephasing-sized run builds fewer than 100
 _CHANNEL_MEMO_SIZE = 256
 
 
@@ -209,43 +178,22 @@ def _depolarizer(d: float) -> np.ndarray:
 
 
 class GateCache:
-    """Per-gate channels: 9x9 superoperators on row-major vec(rho).
-
-    Each distinct spec's channel is built once per memo, from that spec
-    (`_build_channel`):
-    - closed: the lift U (x) U* of its propagated unitary, whose first half
-      the engine makes once for every gate at eta (`engine.first_half_block`);
-      in "exact" mode U is the ideal gate |d><d| + e^{i gamma}|b><b|,
-      followed by the depolarizer;
-    - dephased: Phi(theta, phi, gamma) = (R (x) R*) Phi(theta, 0, gamma)
-      (R (x) R*)^dag with R = diag(1, e^{i phi}, 1), elementwise phases
-      (`_turned`), so that every phi of a theta reads the one first-half
-      channel the engine makes and closes per gamma.
-    A run reads each gate of its stack (`_gate_stack`) and each recovery
-    from the memo once. The recoveries of a dephased run with a non-Clifford
-    interleaved gate are not built here but from the engine's theta series,
-    a length's at once (`_series_channel`), and no memo keeps them: the
-    cache's channels are all direct builds, so a recovery one ulp from a
-    Clifford's spec never reads a channel of the other kind.
-    One memo per noise model: `channels(config)` is the memoized spec ->
-    channel for the config's channel settings (`_settings`), read by every
-    run on the cache with those settings: a reference run, its interleaved
-    run and `decay_rate`. It keeps the last `_CHANNEL_MEMO_SIZE` (a dropped one
-    is rebuilt bit for bit) and holds no reference to the cache, so a dropped
-    cache is freed at once, without the cycle collector.
-    The cache also keeps each (seed, m, n)'s draw: the (n, m) Clifford
-    indices (`draw`) and their streams, which `streams` puts back where the
-    draw left them before each read, so a length repeated in a run and a
-    run repeated on the cache draw the shots a fresh cache would. The draws
-    die with the cache: one CLI call.
-    """
+    """What the RB runs of one CLI call share: a memo of gate channels per
+    noise model (`channels`) and each length's draw (`draw`, `streams`). The
+    draws die with the cache."""
 
     def __init__(self):
         self._memos = {}
         self._draws = {}
 
     def channels(self, config: RBConfig):
-        """The memoized spec -> channel of `config`'s channel settings."""
+        """The memoized spec -> channel (`_build_channel`) of `config`'s channel
+        settings (`_settings`), read by every run on the cache with those
+        settings: a reference run, its interleaved run and `decay_rate`. A run
+        reads each gate of its stack (`_gate_stack`) and each recovery from it
+        once. It keeps the last `_CHANNEL_MEMO_SIZE` (a dropped one is rebuilt
+        bit for bit) and holds no reference to the cache, so a dropped cache
+        is freed at once, without the cycle collector."""
         settings = _settings(config)
         if settings not in self._memos:
             memo = lru_cache(maxsize=_CHANNEL_MEMO_SIZE)(partial(_build_channel, config))
@@ -255,32 +203,37 @@ class GateCache:
     def draw(self, seed: int, m: int, n: int) -> np.ndarray:
         """The read-only (n, m) Clifford indices of the n sequences of length m,
         row j one `integers(0, 24, size=m)` of stream (seed, m, j) (`_streams`),
-        drawn on the first call for (seed, m, n)."""
+        drawn on the first call for (seed, m, n), which also saves each
+        stream's state after its draw (`bit_generator.state`)."""
         key = seed, m, n
         if key not in self._draws:
             rngs = _streams(seed, m, n)
             idx = np.array([rng.integers(0, 24, size=m) for rng in rngs])
             idx.flags.writeable = False
-            self._draws[key] = [idx, rngs, None]
+            self._draws[key] = idx, rngs, [rng.bit_generator.state for rng in rngs]
         return self._draws[key][0]
 
     def streams(self, seed: int, m: int, n: int) -> list:
-        """The streams of `draw(seed, m, n)`, each where its draw left it: the
-        first read saves that state (`bit_generator.state`), as nothing has
-        moved them yet, and every later read restores it."""
+        """The streams of `draw(seed, m, n)`, each restored to where its draw
+        left it, so every run on the cache, a length repeated in a run and a
+        rerun included, draws the shots a fresh cache would."""
         self.draw(seed, m, n)
-        entry = self._draws[seed, m, n]
-        _, rngs, states = entry
-        if states is None:
-            entry[2] = [rng.bit_generator.state for rng in rngs]
-        else:
-            for rng, state in zip(rngs, states):
-                rng.bit_generator.state = state
+        _, rngs, states = self._draws[seed, m, n]
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
         return rngs
 
 
 def _build_channel(config: RBConfig, spec: GateSpec) -> np.ndarray:
-    """The channel of `spec` under `config` (see `GateCache`)."""
+    """The channel of `spec` under `config`, one engine call at that spec as
+    given, with no rounding of its angles:
+    - closed: the lift U (x) U* of its propagated unitary
+      (`propagate_unitary`); in "exact" mode U is the ideal gate
+      |d><d| + e^{i gamma}|b><b|, followed by the depolarizer;
+    - dephased: Phi(theta, phi, gamma) = (R (x) R*) Phi(theta, 0, gamma)
+      (R (x) R*)^dag (`_turned`), so that every phi of a theta reads the one
+      first-half channel the engine makes and closes per gamma
+      (`open_superoperator`)."""
     if config.noise.dephased:       # exact mode admits no dephasing
         sched = synthesize(replace(spec, phi=0.0), config.omega_max, config.n_samples)
         return _turned(spec.phi, open_superoperator(sched, config.noise, config.steps))
@@ -304,7 +257,17 @@ def _series_channel(config: RBConfig, specs) -> np.ndarray:
     """The dephased channels (n, 9, 9) of holonomic `specs` at config.eta, as
     `axis_angle` gives them: the engine's theta series of the first half
     (`engine.first_half_series`), closed by the loop's mirror and turned to
-    their phis, each step on the whole stack; built anew each call."""
+    their phis, each step on the whole stack and each channel bit for bit
+    what its spec alone would get; built anew each call.
+
+    `run_rb` reads the recoveries of a dephased run whose interleaved gate is
+    not a Clifford from here, a length's at once: each has a continuous theta
+    of its own, which no memo would hit again, so no memo keeps them. The
+    cache's channels are all direct builds, so a recovery one ulp from a
+    Clifford's spec never reads a channel of the other kind, and which
+    channels read the series is a function of the config alone: reference
+    runs, Clifford gates and `decay_rate` never do, and a rerun in a warm
+    process gives the bits of a fresh one."""
     noise = config.noise
     series = first_half_series(config.eta, config.omega_max, noise.epsilon, noise.gamma_1a,
                                noise.gamma_0a, config.steps)
@@ -339,8 +302,7 @@ def decay_rate(config: RBConfig, cache: Optional[GateCache] = None) -> float:
     real part of the eigenvalue of largest modulus of the 27x27 mean over the
     Cliffords g of Phi_g (x) R_g, Phi_g the channel of g and R_g its Bloch
     rotation, one broadcast product of the Clifford stack (`_gate_stack`). It
-    reads `cache`'s one memo per noise model, which holds no reference to the
-    cache, so a run's channels serve it (see `GateCache`)."""
+    reads `cache.channels(config)`, so a run's channels serve it."""
     if cache is None:
         cache = GateCache()
     channels, r = _gate_stack(cache.channels(config), config.eta), _clifford_rotations()
@@ -400,7 +362,9 @@ def _grid_basis(lengths: tuple) -> tuple:
 def _rss(t, lengths, centred):
     """`_projection(t, lengths, centred)[0]` at one t, bit for bit: the same
     ufuncs on the 1-D arrays, with no broadcasting and the mean as its sum
-    over the count, which is how `mean` takes it."""
+    over the count, which is how `mean` takes it. It is a copy kept for
+    speed: with `_projection` in its place the fits keep their bits, but a
+    six-length fit takes about 30 % longer."""
     u = np.expm1(np.log(-np.expm1(t)) * lengths)
     u = u - np.add.reduce(u) / len(u)
     a = (u @ centred) / np.maximum(np.einsum("i,i->", u, u), _TINY)
@@ -425,7 +389,7 @@ def _golden_section(f, lo, hi):
 
 
 def fit_decay(lengths, means):
-    """Unweighted least-squares fit of F = A p^m + B over p in (0, 1].
+    """Unweighted least-squares fit of F = A p^m + B over p in (0, 1], on numpy alone.
 
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973):
     A and B are linear, so the residual is a function of p alone. Its global
@@ -476,9 +440,7 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
     channel = cache.channels(config)
     stack = _gate_stack(channel, config.eta, config.interleaved)
     clifford = config.interleaved is None or _interleaved(config.interleaved)[0] is not None
-    # a dephased run's recoveries of a non-Clifford interleaved gate each have
-    # a continuous theta, which no memo would hit again: they read the series
-    series = config.noise.dephased and not clifford
+    series = config.noise.dephased and not clifford     # see `_series_channel`
     means, stds = [], []
     for m in config.lengths:
         key = config.seed, int(m), config.n_sequences
@@ -487,7 +449,6 @@ def run_rb(config: RBConfig, cache: Optional[GateCache] = None) -> RBCurve:
                       else np.array([channel(s) for s in specs]))
         fids = _survivals(gates, stack, recoveries, config.noise)
         if config.shots is not None:
-            # each sequence's shots come from its own stream, after its integers draw
             fids = np.array([rng.binomial(config.shots, f)
                              for rng, f in zip(cache.streams(*key), fids)]) / config.shots
         means.append(float(np.mean(fids)))

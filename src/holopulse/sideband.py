@@ -13,13 +13,8 @@ Conventions recorded in the report metadata:
 In the first-order Lamb-Dicke, rotating-wave anti-Jaynes-Cummings model the
 blue sideband couples only |1,n+1> <-> |a,n>, so the Fock ladder is a direct
 sum of 2x2 blocks. The spin-|0> states and |1,0> are uncoupled fixed points,
-and |1,1> lives in the n = 0 block, whose scalar coupling
-i * Omega_r * eta_ld * e^{i phi_anti_jc} works out to -c(t) e^{i phi}, with
-c(t) the engine's coupling of the theta = 0 gate. A constant phase changes
-only the phase of b1, so `verify_full_model` reads u = <1,1|U|1,1> =
-|a1|^2 + e^{i gamma} |b1|^2 as U[1, 1] of that gate (`engine.propagate_unitary`,
-from the engine's shared first half). It scores the computational subspace;
-neither n_max nor eta_ld enters.
+and |1,1> lives in the n = 0 block, which `verify_full_model` reads from the
+engine's theta = 0 gate.
 """
 from __future__ import annotations
 
@@ -58,7 +53,9 @@ class SidebandReport:
     """Gate figures of the full model. `conditional_phase` is the phase of
     u = <1,1|U|1,1> taken in (gamma - pi, gamma + pi], the branch centred on
     the target gamma, so it is continuous at the target (a target of pi reads
-    pi, not -pi, whatever the rounding of Im u)."""
+    pi, not -pi, whatever the rounding of Im u). `leakage` = 1 - |u|^2 reads
+    a few 1e-15 on the closed loop, which is rounding: it moves by ulps
+    whenever the arithmetic of the propagation changes."""
     conditional_phase: float
     subspace_fidelity: float
     leakage: float
@@ -90,9 +87,11 @@ def verify_full_model(schedule: PulseSchedule, sys: SidebandSystem,
 
     The block {|1,1>, |a,0>} has <1,1|H|a,0> = i * Omega_r * eta_ld *
     e^{i phi_anti_jc} = -c(t) e^{i phi}, c(t) the coupling of the theta = 0
-    gate, so neither n_max nor eta_ld enters: u is the loop's a, U[1, 1] of
-    that gate (|b> = -|1> at theta = 0), propagated unchecked over `steps`,
-    which `engine.check_steps` takes. Every other computational state is an
+    gate, so neither n_max nor eta_ld enters (see `SidebandSystem`). A
+    constant phase of the coupling changes only the phase of b1, so
+    u = <1,1|U|1,1> = |a1|^2 + e^{i gamma} |b1|^2 is U[1, 1] of that gate
+    (|b> = -|1> at theta = 0), propagated unchecked over `steps`, which
+    `engine.check_steps` takes. Every other computational state is an
     exact fixed point, so the computational block is diag(1, 1, 1, u), and
     the fixed-point deviation is zero by construction.
     """

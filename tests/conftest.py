@@ -51,6 +51,17 @@ def check_tone_file():
     return _check_tone_file
 
 
+def _phase_equivalent(a, b, tol=1e-9):
+    """True when two 2x2 unitaries differ only by a global phase."""
+    return abs(abs(np.trace(np.asarray(a).conj().T @ np.asarray(b))) - 2.0) < tol
+
+
+@pytest.fixture(scope="session")
+def phase_equivalent():
+    """`_phase_equivalent`; session-scoped, so property tests may take it."""
+    return _phase_equivalent
+
+
 def _gate_specs(gates, eta, interleaved=None):
     """The specs of `build_sequence`'s gate indices: the Cliffords at `eta` in
     `clifford_table` order, then the interleaved gate at 24."""

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import holopulse
-from holopulse import cli
-from holopulse.cli import (MAX_STEPS, ConfigError, load_config, main, parse_gate,
-                           parse_noise, run_sweep)
+from holopulse import cli, rbench
+from holopulse.cli import (MAX_LENGTH, MAX_SEQUENCE_POSITIONS, MAX_SEQUENCES, MAX_STEPS,
+                           ConfigError, load_config, main, parse_gate, parse_noise, run_sweep)
 from holopulse.paths import DYNAMICAL
 from holopulse.pulses import named_gate, synthesize
 
@@ -331,6 +331,30 @@ def test_bad_config_is_config_error(tmp_path, capsys, command, bad):
     assert not out.exists()
 
 
+def test_rb_sequence_positions_are_bounded_at_parse(tmp_path, capsys, monkeypatch):
+    # a length's sequences run at once, so sequences x longest length is
+    # bounded: the largest sizes each bound allows are a config error before
+    # any stream is made, and a run at the budget parses
+    def no_draw(*args):
+        raise AssertionError("a sequence was drawn")
+
+    monkeypatch.setattr(rbench, "_streams", no_draw)
+    lengths = [1, 2, 4, MAX_LENGTH]
+    for noise in ({"epsilon": 0.05}, {"gamma_1a": 100.0}):
+        cfg = _write(tmp_path, "c.json", {"experiment": "rb", "interleaved": "T",
+                                          "noise": noise, "lengths": lengths,
+                                          "sequences": MAX_SEQUENCES})
+        out = tmp_path / "o"
+        assert main(["rb", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "sequences x longest length" in err
+        assert not out.exists()
+    assert MAX_SEQUENCE_POSITIONS < MAX_SEQUENCES * MAX_LENGTH
+    at_budget = _write(tmp_path, "b.json", {"experiment": "rb", "lengths": lengths,
+                                            "sequences": MAX_SEQUENCE_POSITIONS // MAX_LENGTH})
+    assert callable(cli._rb(load_config(at_budget, "rb"), 0))
+
+
 @pytest.mark.parametrize("below", [None, "sub"])
 def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, below):
     # an --out that is a file, or lies below one: one line, no traceback, no file
@@ -555,11 +579,13 @@ sys.exit(f"the runs loaded {loaded}" if loaded else 0)
 
 
 def test_numpy_commands_need_no_scipy(tmp_path):
-    # every command runs on numpy alone, rb and its fit included: no run loads a
-    # scipy module, not even one whose import failure the code would tolerate,
-    # nor numpy.fft, which numpy imports lazily (a dephased T run's theta
-    # series takes its coefficients by a DFT matrix product). Each run exits
-    # 0, and its manifest lists exactly the files in its --out.
+    """Every command runs on numpy alone, rb and its fit included: the configs
+    run in a fresh interpreter, and none loads a scipy module, not even one
+    whose import failure the code would tolerate, nor numpy.fft, which numpy
+    imports lazily (a dephased T run's theta series takes its coefficients
+    by a DFT matrix product). Each run exits 0, and its manifest lists
+    exactly the files in its --out. Its list of configs is the only list of
+    them."""
     dynamical = {"theta": 1.1, "phi": 0.4, "eta": 0.3, "scheme": "dynamical"}
     dephased_rb = {"experiment": "rb", "noise": {"gamma_1a": 100.0, "gamma_0a": 10.0},
                    "lengths": [1, 2, 4, 8], "sequences": 2, "shots": 100,

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from holopulse.gates import (axis_angle, clifford_index, clifford_products,
-                             clifford_table, phase_equivalent, target_unitary)
+                             clifford_table, target_unitary)
 from holopulse.pulses import GateSpec, named_gate
 from holopulse.qcore import SX, SZ, UNITARY_TOL, unitarity_defect
 
 
-def test_named_targets():
+def test_named_targets(phase_equivalent):
     x = target_unitary(named_gate("X"))
     assert phase_equivalent(x, SX)
     h = target_unitary(named_gate("H"))
@@ -46,7 +46,7 @@ def test_axis_angle_round_trip():
         assert back.gamma == pytest.approx(spec.gamma, abs=1e-9)
 
 
-def test_axis_angle_recovers_rotation():
+def test_axis_angle_recovers_rotation(phase_equivalent):
     rng = np.random.default_rng(6)
     for _ in range(50):
         # arbitrary U(2) element
@@ -67,7 +67,7 @@ def test_axis_angle_identity_and_validation():
         axis_angle(1.5 * np.eye(2))
 
 
-def test_axis_angle_rejects_what_unitarity_defect_rejects():
+def test_axis_angle_rejects_what_unitarity_defect_rejects(phase_equivalent):
     # the scalar check reads U^dag U - I entry by entry: unitaries scaled off
     # the group by 4e-9 and 4e-10, and sheared, on either side of UNITARY_TOL
     rng = np.random.default_rng(8)
@@ -93,14 +93,14 @@ def test_axis_angle_pi_rotation_canonical():
     assert spec.gamma == pytest.approx(np.pi)
 
 
-def test_clifford_table_size_and_distinctness():
+def test_clifford_table_size_and_distinctness(phase_equivalent):
     table = clifford_table()
     assert len(table) == 24
     for a, b in itertools.combinations(table, 2):
         assert not phase_equivalent(a.matrix, b.matrix)
 
 
-def test_clifford_table_closure():
+def test_clifford_table_closure(phase_equivalent):
     table = clifford_table()
     mats = [el.matrix for el in table]
     products = clifford_products()
@@ -110,7 +110,7 @@ def test_clifford_table_closure():
     assert clifford_index(target_unitary(named_gate("T"))) is None
 
 
-def test_clifford_recovery_is_axis_angle_of_the_inverse():
+def test_clifford_recovery_is_axis_angle_of_the_inverse(phase_equivalent):
     for el in clifford_table(0.3):
         assert el.recovery.eta == 0.3
         assert phase_equivalent(target_unitary(el.recovery) @ el.matrix, np.eye(2))
@@ -121,7 +121,7 @@ def test_clifford_recovery_is_axis_angle_of_the_inverse():
         assert abs(dphi) <= 1e-12
 
 
-def test_clifford_specs_reproduce_matrices():
+def test_clifford_specs_reproduce_matrices(phase_equivalent):
     for el in clifford_table():
         assert phase_equivalent(target_unitary(el.spec), el.matrix, tol=1e-10)
 

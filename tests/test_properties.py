@@ -23,8 +23,7 @@ from holopulse.engine import (NoiseModel, _cf4_steps, _ck_product, _coupling,
                               _dephasing_rates, _embed, block_basis, dephasing_from_t2,
                               open_superoperator, propagate_unitary, survival_probability,
                               trace_defect)
-from holopulse.gates import (axis_angle, clifford_products, clifford_table, phase_equivalent,
-                             target_unitary)
+from holopulse.gates import axis_angle, clifford_products, clifford_table, target_unitary
 from holopulse.paths import DYNAMICAL, HOLONOMIC, controls_arrays
 from holopulse.pulses import GateSpec, export_tones, named_gate, synthesize
 from holopulse.rbench import GateCache, RBConfig, build_sequence, decay_rate, run_rb
@@ -153,7 +152,8 @@ def test_first_order_robustness_law(spec):
     |d b / d eps| = |sin(gamma/2) sin(pi eta) / eta| = pi |sin(gamma/2) sinc(eta)|
     (pi |sin(gamma/2)| at eta = 0), so the infidelity is c2 eps^2 with
     c2 = sin^2(gamma/2) sin^2(pi eta) / (2 eta)^2. The derivatives are
-    fourth-order central differences at eps = +-h, +-2h, from one batch."""
+    fourth-order central differences at eps = +-h, +-2h, from one batch, on
+    gates with theta, phi, gamma in [0.05, pi] and eta in [0, 2.5]."""
     h = 1e-5
     u = propagate_unitary(synthesize(spec, n_samples=256), np.array([-2, -1, 1, 2]) * h,
                           8192, check=False).unitary
@@ -384,7 +384,7 @@ def test_cached_channel_matches_a_direct_propagation(spec, eta, dephased):
 @few
 @given(m=st.integers(1, 40), n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
        name=st.sampled_from([None, "X", "T"]), eta=st.floats(-1.0, 1.0))
-def test_recovery_closes_the_sequence(gate_specs, m, n, seed, name, eta):
+def test_recovery_closes_the_sequence(gate_specs, phase_equivalent, m, n, seed, name, eta):
     """The Cayley-table recovery (no interleaved gate, or the Clifford X) and
     the axis_angle one (T) return each of a length's sequences to I up to a
     global phase. The gates are rows of indices into the run's stack:

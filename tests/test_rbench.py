@@ -11,15 +11,14 @@ import pytest
 
 from holopulse import engine, rbench
 from holopulse.engine import NoiseModel, dephasing_from_t2
-from holopulse.gates import (axis_angle, clifford_products, clifford_table, phase_equivalent,
-                             target_unitary)
+from holopulse.gates import axis_angle, clifford_products, clifford_table, target_unitary
 from holopulse.pulses import GateSpec, named_gate
 from holopulse.rbench import (FitError, GateCache, RBConfig, average_fidelity,
                               build_sequence, curve_to_csv, decay_rate,
                               fit_decay, interleaved_gate_fidelity, run_rb)
 
 
-def _closes(gates, recovery, gate_specs, eta=0.0, interleaved=None):
+def _closes(gates, recovery, gate_specs, phase_equivalent, eta=0.0, interleaved=None):
     """Whether one row of gates and its recovery make the identity, up to a phase."""
     acc = np.eye(2, dtype=complex)
     for s in gate_specs(gates, eta, interleaved) + [recovery]:
@@ -32,23 +31,25 @@ def _draw(rngs, m):
     return np.array([rng.integers(0, 24, size=m) for rng in rngs])
 
 
-def test_build_sequence_inverts(gate_specs):
+def test_build_sequence_inverts(gate_specs, phase_equivalent):
     rngs = [np.random.default_rng(j) for j in range(3)]
     for m in (1, 3, 8):
         gates, recoveries = build_sequence(m, _draw(rngs, m))
         assert gates.dtype.kind == "i" and gates.shape == (3, m) and np.all(gates < 24)
         assert len(recoveries) == 3
-        assert all(_closes(row, r, gate_specs) for row, r in zip(gates, recoveries))
+        assert all(_closes(row, r, gate_specs, phase_equivalent)
+                   for row, r in zip(gates, recoveries))
 
 
-def test_build_sequence_interleaved_inverts(gate_specs):
+def test_build_sequence_interleaved_inverts(gate_specs, phase_equivalent):
     # the interleaved gate is index 24 of the run's stack, after each Clifford
     t_gate = named_gate("T")
     gates, recoveries = build_sequence(4, _draw([np.random.default_rng(j) for j in (1, 2)], 4),
                                        interleaved=t_gate)
     assert gates.shape == (2, 8) and len(recoveries) == 2
     assert np.all(gates[:, 0::2] < 24) and np.all(gates[:, 1::2] == 24)
-    assert all(_closes(row, r, gate_specs, 0.0, t_gate) for row, r in zip(gates, recoveries))
+    assert all(_closes(row, r, gate_specs, phase_equivalent, 0.0, t_gate)
+               for row, r in zip(gates, recoveries))
 
 
 @pytest.mark.parametrize("interleaved", [

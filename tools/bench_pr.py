@@ -20,20 +20,25 @@ jobs 0 .. OUTPUT_JOBS - 1 of every workload at seeds 1 and 2, and of
 criterion 9's `qpt` and `sweep` configs at seed 7 (CRITERION_9), as its own
 `python -m holopulse.cli` process in both trees, the side that goes first
 alternating per job. It times each job cold, interpreter start included
-(`cold_runs`, `summarize_cold`), and lists each output file as identical,
-moved (with its largest numeric change) or differing. It writes
-BENCH_<N>.json: every run's final JSON line, a summary per workload and
-end-to-end metric (`summarize`), the cold job times with their summary per
-workload, and the output diff. Then it measures its own noise: the parent is
-exported into both slots, at the paths the change used, and the same pairs,
-cold jobs and output diff run again (`measure`, no traced runs). That null
+(`cold_runs`, `summarize_cold`): perfbench runs every job of a workload in
+one process, so the engine's memos carry across its jobs, but a cold job
+starts with empty memos, as a user's CLI call does. It also lists each
+output file as identical, moved (with its largest numeric change) or
+differing. It writes BENCH_<N>.json: every run's final JSON line, a summary
+per workload and end-to-end metric (`summarize`), the cold job times with
+their summary per workload, and the output diff. Then it measures its own
+noise: the parent is exported into both slots, at the paths the change
+used, and the same pairs, cold jobs and output diff run again (`measure`,
+no traced runs). That null
 compares code with itself, so a `gain` it flags comes from the slots or the
-host; each compared entry carries its null twin, and is `vetoed` when the
-null flags `gain` (or has no pairs), so no gain can be claimed from it in
-this run (`with_null`). A perfbench run that exits non-zero is listed
-with its exit code and the tail of its stderr, and its seed pairs with
-nothing; a CLI call that raises writes the exception's type name as its exit
-code. Either way the comparison goes on.
+host (a fixed per-tree offset in peak RSS once passed the WIN_SHARE rule on
+a workload whose code had not changed), and its outputs should all be
+identical. Each compared entry carries its null twin, and is `vetoed` when
+the null flags `gain` (or has no pairs), so no gain can be claimed from it
+in this run (`with_null`). A perfbench run that exits non-zero is listed
+under `failed_runs` with its exit code and the tail of its stderr, and its
+seed pairs with nothing; a CLI call that raises writes the exception's type
+name as its exit code. Either way the comparison goes on.
 
 Runs are sequential, one process at a time, with BLAS at one thread.
 """
