@@ -315,13 +315,15 @@ class FitError(RuntimeError):
     """The least-squares decay lies at p -> 0, or rises with m (A < 0)."""
 
 
-_SQRT_EPS = np.sqrt(np.finfo(float).eps)
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 # t = log(1 - p) from p = 1 - sqrt(eps) to p = sqrt(eps), spaced 0.009. At
 # p = 1 - sqrt(eps) the double p still holds half the digits of 1 - p, and A,
 # which grows as 1/(1 - p) toward a straight line, stays small enough that
 # A p^m + B reproduces the fitted curve to about 1e-10.
 _LOG_Q = np.linspace(np.log(_SQRT_EPS), np.log1p(-_SQRT_EPS), 2001)
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# the golden-section share (3 - sqrt 5) / 2 of a bracket: where a parabolic
+# step is unsafe, `_brent` steps this far from its best point into the larger side
+_GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0
 _TINY = np.finfo(float).tiny
 
 
@@ -331,7 +333,7 @@ def _basis(t, lengths):
     normal double: the half of `_projection` that reads no data."""
     p = -np.expm1(t)
     u = np.expm1(np.multiply.outer(np.log(p), lengths))
-    u_mean = u.mean(axis=-1)
+    u_mean = np.add.reduce(u, axis=-1) / u.shape[-1]    # u.mean(-1) bit for bit, faster
     u = u - u_mean[..., None]
     return u, np.maximum(np.einsum("...i,...i->...", u, u), _TINY), u_mean
 
@@ -359,33 +361,50 @@ def _grid_basis(lengths: tuple) -> tuple:
     return basis
 
 
-def _rss(t, lengths, centred):
-    """`_projection(t, lengths, centred)[0]` at one t, bit for bit: the same
-    ufuncs on the 1-D arrays, with no broadcasting and the mean as its sum
-    over the count, which is how `mean` takes it. It is a copy kept for
-    speed: with `_projection` in its place the fits keep their bits, but a
-    six-length fit takes about 30 % longer."""
-    u = np.expm1(np.log(-np.expm1(t)) * lengths)
-    u = u - np.add.reduce(u) / len(u)
-    a = (u @ centred) / np.maximum(np.einsum("i,i->", u, u), _TINY)
-    r = centred - a * u
-    return np.einsum("i,i->", r, r)
+def _brent(f, t, ft):
+    """The minimum of f on [t[0], t[2]] by Brent's method (Algorithms for
+    Minimization without Derivatives, 1973, ch. 5), from three points t whose
+    middle value ft[1] is the least of ft.
 
-
-def _golden_section(f, lo, hi):
-    """The minimum of f on [lo, hi], by golden-section search down to rounding."""
-    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    while lo < c < d < hi:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
+    Each step goes to the vertex of the parabola through the three best
+    points so far when that vertex lies inside the bracket and the step is
+    under half the step before last, and else takes a golden-section step. The
+    steps before the first count as one spacing of t, so a first parabola
+    through the three given points is tried. It stops when the bracket lies
+    within 2 tol of its best point x, tol = sqrt(eps) |x|, and returns x."""
+    a, x, b = t.tolist()
+    f_a, fx, f_b = ft.tolist()
+    (fw, w), (fv, v) = sorted([(f_a, a), (f_b, b)])
+    d = e = x - a
+    while True:
+        m = 0.5 * (a + b)
+        tol = _SQRT_EPS * abs(x)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:
+                d = tol if x < m else -tol
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-    return c if fc <= fd else d
+            e = (b if x < m else a) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else tol if d > 0.0 else -tol)
+        fu = float(f(u))
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def fit_decay(lengths, means):
@@ -395,16 +414,23 @@ def fit_decay(lengths, means):
     A and B are linear, so the residual is a function of p alone. Its global
     minimum is found on a grid in log(1 - p) over [sqrt(eps), 1 - sqrt(eps)],
     whose data-independent terms are memoized per set of lengths
-    (`_grid_basis`), and refined by golden-section search between the best
-    point's neighbours on the scalar residual (`_rss`).
+    (`_grid_basis`), and refined between the best point's neighbours by
+    Brent's method (`_brent`), which stops at a relative tolerance of sqrt(eps)
+    in t = log(1 - p). That is as far as the residual can tell: it is flat to
+    second order at its minimum, so a relative move of sqrt(eps) in t changes
+    it by a share of order eps, which is rounding.
     At the grid's end p = 1 - sqrt(eps) the optimum is the limit p -> 1 (a
     straight line, A -> infinity), and the fit returns that end. A curve whose
     spread is within sqrt(eps) of its size shows no decay: p = 1 and A = B =
     mean / 2, the minimum-norm split of a constant. Raises FitError when the
-    optimum lies at p -> 0, or when A < 0.
+    optimum lies at p -> 0, or when A < 0, and ValueError when a length or a
+    mean is not finite.
     """
     lengths = np.asarray(lengths, dtype=float)
     means = np.asarray(means, dtype=float)
+    for name, values in (("lengths", lengths), ("means", means)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"fit_decay needs finite {name}, got {values.tolist()}")
     mean = float(np.mean(means))
     centred = means - mean
     if np.linalg.norm(centred) <= _SQRT_EPS * np.linalg.norm(means):
@@ -413,8 +439,8 @@ def fit_decay(lengths, means):
     k = int(np.argmin(grid))
     if k == len(_LOG_Q) - 1:
         raise FitError("the least-squares decay lies at p -> 0")
-    t = _LOG_Q[0] if k == 0 else _golden_section(
-        lambda s: _rss(s, lengths, centred), _LOG_Q[k - 1], _LOG_Q[k + 1])
+    t = _LOG_Q[0] if k == 0 else _brent(
+        lambda s: _projection(s, lengths, centred)[0], _LOG_Q[k - 1:k + 2], grid[k - 1:k + 2])
     _, a, x_mean = _projection(t, lengths, centred)
     if a < 0.0:
         raise FitError(f"fitted A = {float(a)} < 0: the curve rises with m")

@@ -141,17 +141,6 @@ def _random_curves(rng, count):
         yield lengths, means - np.mean(means)
 
 
-def test_the_scalar_rss_is_the_projections_bit_for_bit():
-    # the golden-section search's residual at one t, over 10 000 draws of
-    # curve and t across the grid's span
-    rng = np.random.default_rng(21)
-    lo, hi = rbench._LOG_Q[0], rbench._LOG_Q[-1]
-    for lengths, centred in _random_curves(rng, 2000):
-        for t in rng.uniform(lo, hi, 5):
-            assert (rbench._rss(t, lengths, centred).tobytes()
-                    == rbench._projection(t, lengths, centred)[0].tobytes())
-
-
 def test_the_memoized_grid_is_the_projections_bit_for_bit():
     # the grid stage's data-independent terms, read from the memo by lengths,
     # give the residual of the whole projection at every grid point; every
@@ -171,41 +160,95 @@ def test_the_memoized_grid_is_the_projections_bit_for_bit():
     assert info.hits > 0 and info.currsize <= info.maxsize
 
 
+def _search(lengths, centred):
+    """(t, k, evaluations) of `fit_decay`'s search on a centred decaying curve,
+    by `_projection` alone: the whole grid and every step of Brent's method
+    through the broadcast form, with no memo. k is the grid's best index; at
+    either end of the grid there is no search, and t is that end."""
+    grid = rbench._LOG_Q
+    residual = rbench._projection(grid, lengths, centred)[0]
+    k = int(np.argmin(residual))
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return rbench._projection(s, lengths, centred)[0]
+
+    t = grid[k] if k in (0, len(grid) - 1) else rbench._brent(
+        f, grid[k - 1:k + 2], residual[k - 1:k + 2])
+    return t, k, len(calls)
+
+
 def _projection_fit(lengths, means):
-    """`fit_decay` of a decaying curve by `_projection` alone: the whole grid
-    and every search step through the broadcast form, with no memo."""
+    """`fit_decay` of a decaying curve by `_projection` alone (`_search`)."""
     lengths, means = np.asarray(lengths, dtype=float), np.asarray(means, dtype=float)
     mean = float(np.mean(means))
     centred = means - mean
-    grid = rbench._LOG_Q
-    k = int(np.argmin(rbench._projection(grid, lengths, centred)[0]))
-    t = grid[0] if k == 0 else rbench._golden_section(
-        lambda s: rbench._projection(s, lengths, centred)[0], grid[k - 1], grid[k + 1])
+    t, _, _ = _search(lengths, centred)
     _, a, x_mean = rbench._projection(t, lengths, centred)
     return float(a), float(-np.expm1(t)), float(mean - a * x_mean)
 
 
-def test_fit_decay_is_the_projections_fit_on_rb_dephasing_curves(monkeypatch):
-    # the 24 curves (reference and T-interleaved, shots on) of rb_dephasing
-    # jobs 0-11 at benchmark seed 1
+@pytest.fixture(scope="module")
+def rb_dephasing_curves():
+    """The 24 curves (reference and T-interleaved, shots on) that `fit_decay`
+    reads in rb_dephasing jobs 0-11 at benchmark seed 1."""
     curves = []
+    fit = rbench.fit_decay
 
     def recorded(lengths, means):
         curves.append((lengths, means))
         return fit(lengths, means)
 
-    fit = rbench.fit_decay
-    monkeypatch.setattr(rbench, "fit_decay", recorded)
     workloads = _workloads()
-    for index in range(12):
-        (command, job, seed), = workloads.draw_job("rb_dephasing", 1, index)
-        cfg = _job_config(job, seed)
-        cache = GateCache()
-        run_rb(replace(cfg, interleaved=None), cache)
-        run_rb(cfg, cache)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(rbench, "fit_decay", recorded)
+        for index in range(12):
+            (command, job, seed), = workloads.draw_job("rb_dephasing", 1, index)
+            cfg = _job_config(job, seed)
+            cache = GateCache()
+            run_rb(replace(cfg, interleaved=None), cache)
+            run_rb(cfg, cache)
     assert len(curves) == 24
-    for lengths, means in curves:
-        assert fit(lengths, means) == _projection_fit(lengths, means)
+    return curves
+
+
+def test_fit_decay_is_the_projections_fit_on_rb_dephasing_curves(rb_dephasing_curves):
+    for lengths, means in rb_dephasing_curves:
+        assert fit_decay(lengths, means) == _projection_fit(lengths, means)
+
+
+def test_brent_search_reaches_the_residuals_minimum_on_rb_dephasing_curves(rb_dephasing_curves):
+    # each fitted residual is the least of 20 001 points spanning its bracket
+    # to rounding, within 20 evaluations; the grid-end fits make no search
+    searched = 0
+    for lengths, means in rb_dephasing_curves:
+        lengths, means = np.asarray(lengths, dtype=float), np.asarray(means, dtype=float)
+        centred = means - np.mean(means)
+        t, k, evaluations = _search(lengths, centred)
+        if k == 0:
+            assert evaluations == 0
+            continue
+        searched += 1
+        dense = np.linspace(rbench._LOG_Q[k - 1], rbench._LOG_Q[k + 1], 20001)
+        least = rbench._projection(dense, lengths, centred)[0].min()
+        assert rbench._projection(t, lengths, centred)[0] <= least * (1.0 + 1e-12)
+        assert evaluations <= 20
+    assert searched >= 12
+
+
+def test_brent_search_ends_on_random_curves():
+    # Brent's method falls back to golden-section steps, so it ends however
+    # rough the residual; the most these draws take is 48 evaluations
+    rng = np.random.default_rng(23)
+    searched = 0
+    for lengths, centred in _random_curves(rng, 2000):
+        t, k, evaluations = _search(lengths, centred)
+        if 0 < k < len(rbench._LOG_Q) - 1:
+            searched += 1
+            assert rbench._LOG_Q[k - 1] <= t <= rbench._LOG_Q[k + 1]
+            assert evaluations <= 64
+    assert searched > 1500
 
 
 def test_fit_decay_recovers_parameters():
@@ -225,6 +268,16 @@ def test_fit_decay_recovers_parameters():
 def test_fit_decay_failure_is_fit_error(means):
     with pytest.raises(FitError):
         fit_decay([1, 2, 4, 8], means)
+
+
+@pytest.mark.parametrize("lengths, means, name", [
+    ([1, 2, 4, 8], [0.99, np.nan, 0.95, 0.9], "means"),
+    ([1, 2, 4, 8], [0.99, 0.97, np.inf, 0.9], "means"),
+    ([1, np.nan, 4, 8], [0.99, 0.97, 0.95, 0.9], "lengths"),
+])
+def test_fit_decay_rejects_a_non_finite_input(lengths, means, name):
+    with pytest.raises(ValueError, match=f"finite {name}"):
+        fit_decay(lengths, means)
 
 
 def test_fit_decay_flat_curve_has_p_1():
